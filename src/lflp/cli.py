@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import lf_syntax as lf
 from .engine import Limits, Solution, solve
-from .hterms import App, Const, LVar, Lam, Term
+from .hterms import App, Const, LVar, Lam, Term, lvars_in_order
 from .inverter import InversionError, InversionGoal, invert
 from .lf_kernel import LFTypeError, beta_normalize, check_signature, substitute
 from .strictness import explain_strictness
@@ -28,20 +27,6 @@ from .translator import (
     TranslationError, emit_lambdaprolog, emit_split, phi, translate_query,
     translate_signature,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    path: str
-    command: str
-    mode: str = "optimized"
-    simplify: bool = True
-    depth: int = 32
-    max_solutions: int = 1
-    out: Optional[str] = None
-    explain: bool = False
-    split: bool = False
-    query: str = ""
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -97,20 +82,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "check":
         return cmd_check(text)
     if args.command == "translate":
-        cfg = RunConfig(args.file, "translate",
-                        mode="naive" if args.naive else "optimized",
-                        simplify=not args.no_simplify,
-                        split=args.split_sig_mod, out=args.out)
-        return cmd_translate(text, cfg)
+        return cmd_translate(text, args.file,
+                             "naive" if args.naive else "optimized",
+                             not args.no_simplify, args.split_sig_mod, args.out)
     if args.command == "solve":
         if args.depth < 1:
             print("error: --depth must be at least 1", file=sys.stderr)
             return 2
-        cfg = RunConfig(args.file, "solve",
-                        mode="naive" if args.naive else "optimized",
-                        depth=args.depth, max_solutions=args.count,
-                        query=args.query)
-        return cmd_solve(text, cfg)
+        return cmd_solve(text, args.query,
+                         "naive" if args.naive else "optimized",
+                         Limits(depth=args.depth, max_solutions=args.count))
     if args.command == "strictness":
         return cmd_strictness(text, args.explain)
     return 2
@@ -132,15 +113,16 @@ def cmd_check(text: str) -> int:
     return 0
 
 
-def cmd_translate(text: str, cfg: RunConfig) -> int:
+def cmd_translate(text: str, path: str, mode: str, simplify: bool,
+                  split: bool, out: Optional[str]) -> int:
     try:
         sig = _load_signature(text)
     except (lf.LFSyntaxError, LFTypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    program = translate_signature(sig, cfg.mode, simplify=cfg.simplify)
-    if cfg.split:
-        stem = Path(cfg.out).with_suffix("") if cfg.out else Path(cfg.path).with_suffix("")
+    program = translate_signature(sig, mode, simplify=simplify)
+    if split:
+        stem = Path(out or path).with_suffix("")
         sig_text, mod_text = emit_split(program, module=stem.name)
         try:
             Path(f"{stem}.sig").write_text(sig_text, encoding="utf-8")
@@ -150,42 +132,23 @@ def cmd_translate(text: str, cfg: RunConfig) -> int:
             return 2
         print(f"wrote {stem}.sig and {stem}.mod")
         return 0
-    out = emit_lambdaprolog(program)
-    if cfg.out:
+    emitted = emit_lambdaprolog(program)
+    if out:
         try:
-            Path(cfg.out).write_text(out, encoding="utf-8")
+            Path(out).write_text(emitted, encoding="utf-8")
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(emitted)
     return 0
 
 
-def _canonical_frees(terms: list[Term]) -> dict[LVar, str]:
+def _canonical_frees(terms: list[Optional[Term]]) -> dict[LVar, str]:
     """Stable display names for unbound logic variables, in order of
     first appearance."""
-    names: dict[LVar, str] = {}
-
-    def walk(t: Term):
-        match t:
-            case LVar():
-                if t not in names:
-                    n = len(names)
-                    label = "_" + chr(ord("A") + n % 26) + (
-                        str(n // 26) if n >= 26 else "")
-                    names[t] = label
-            case App(fn, arg):
-                walk(fn)
-                walk(arg)
-            case Lam(_, _, body):
-                walk(body)
-            case _:
-                pass
-
-    for t in terms:
-        walk(t)
-    return names
+    return {v: "_" + chr(ord("A") + n % 26) + (str(n // 26) if n >= 26 else "")
+            for v, n in lvars_in_order(terms).items()}
 
 
 def _freeze_frees(t: Term, names: dict[LVar, str]) -> Term:
@@ -205,23 +168,21 @@ def _show_hohh(t: Term, names: dict[LVar, str]) -> str:
     return _render_term(_freeze_frees(t, names))
 
 
-def cmd_solve(text: str, cfg: RunConfig) -> int:
+def cmd_solve(text: str, query: str, mode: str, limits: Limits) -> int:
     try:
         sig = _load_signature(text)
     except (lf.LFSyntaxError, LFTypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     try:
-        free, fam = lf.parse_query(cfg.query, sig)
+        free, fam = lf.parse_query(query, sig)
         qt = translate_query(sig, free, fam)
     except (lf.LFSyntaxError, TranslationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    program = translate_signature(sig, cfg.mode)
+    program = translate_signature(sig, mode)
     qvars = tuple(v for _, v in qt.var_lvars) + (qt.subject,)
-    run = solve(program, qt.goal,
-                Limits(depth=cfg.depth, max_solutions=cfg.max_solutions),
-                query_vars=qvars)
+    run = solve(program, qt.goal, limits, query_vars=qvars)
     if not run.solutions:
         print({"no": "no",
                "suspended": "suspended",
@@ -230,7 +191,7 @@ def cmd_solve(text: str, cfg: RunConfig) -> int:
     for i, sol in enumerate(run.solutions):
         if i:
             print()
-        if len(run.solutions) > 1 or cfg.max_solutions != 1:
+        if len(run.solutions) > 1 or limits.max_solutions != 1:
             print(f"% solution {i + 1}")
         _print_solution(sig, qt, sol)
     return 0

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .hterms import (
-    Atom, EVar, Formula, ForAll, Imp, LVar, Program, Term, Top,
-    fresh_evar, fresh_lvar, subst_formula,
+    App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, Lam, LVar, Program,
+    Term, Top, fresh_evar, fresh_lvar, lvars_in_order, subst_formula,
+    term_spine,
 )
-from .hterms import App, BVar, Const, Lam
 from .unify import Eq, Subst, unify
 
 
@@ -65,43 +65,10 @@ class _State:
         self.susp = False
 
 
-def goal_lvars_ordered(g: Formula) -> tuple[LVar, ...]:
-    out: list[LVar] = []
-
-    def walk_term(t: Term):
-        match t:
-            case LVar():
-                if t not in out:
-                    out.append(t)
-            case App(fn, arg):
-                walk_term(fn)
-                walk_term(arg)
-            case Lam(_, _, body):
-                walk_term(body)
-            case _:
-                pass
-
-    def walk(f: Formula):
-        match f:
-            case Atom(_, args):
-                for a in args:
-                    walk_term(a)
-            case Imp(left, right):
-                walk(left)
-                walk(right)
-            case ForAll(_, _, body):
-                walk(body)
-            case _:
-                pass
-
-    walk(g)
-    return tuple(out)
-
-
 def solve(program: Program, goal: Formula, limits: Limits = Limits(),
           query_vars: Optional[tuple[LVar, ...]] = None) -> SolveRun:
     if query_vars is None:
-        query_vars = goal_lvars_ordered(goal)
+        query_vars = tuple(lvars_in_order([goal]))
     clauses = list(program.clauses)
     solutions: list[Solution] = []
     seen: set[str] = set()
@@ -221,32 +188,8 @@ def _conj(goals: list[Formula], clauses: list[Formula], sigma: Subst,
 def _extract(sigma: Subst, query_vars: tuple[LVar, ...],
              backchains: int) -> Solution:
     bindings = tuple((v, sigma.apply(v)) for v in query_vars)
-    free: list[LVar] = []
-    for _, t in bindings:
-        for v in _lvars_in_order(t):
-            if v not in free:
-                free.append(v)
-    return Solution(bindings, tuple(free), backchains)
-
-
-def _lvars_in_order(t: Term) -> list[LVar]:
-    out: list[LVar] = []
-
-    def walk(t: Term):
-        match t:
-            case LVar():
-                if t not in out:
-                    out.append(t)
-            case App(fn, arg):
-                walk(fn)
-                walk(arg)
-            case Lam(_, _, body):
-                walk(body)
-            case _:
-                pass
-
-    walk(t)
-    return out
+    free = tuple(lvars_in_order(t for _, t in bindings))
+    return Solution(bindings, free, backchains)
 
 
 def _canon_key(sol: Solution) -> str:
@@ -271,7 +214,7 @@ def _canon_key(sol: Solution) -> str:
             case Lam(var, _, body):
                 return f"(\\ {render(body, env + (var,))})"
             case App():
-                head, args = _spine(t)
+                head, args = term_spine(t)
                 inner = " ".join(render(x, env) for x in [head] + args)
                 return f"({inner})"
         raise TypeError
@@ -279,15 +222,6 @@ def _canon_key(sol: Solution) -> str:
     for v, t in sol.bindings:
         parts.append(f"{v.name}={render(t, ())}")
     return ";".join(parts)
-
-
-def _spine(t: Term) -> tuple[Term, list[Term]]:
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
 
 
 def validate_solution(program: Program, goal: Formula, sol: Solution,

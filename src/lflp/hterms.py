@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 # ---------------------------------------------------------------------------
 # Simple types
@@ -133,16 +133,11 @@ class App:
 
     def __str__(self):
         head, args = term_spine(self)
-        inner = " ".join(_app_arg_str(t) for t in (head, *args))
+        inner = " ".join(str(t) for t in (head, *args))
         return f"({inner})"
 
 
 Term = Union[Const, EVar, LVar, BVar, Lam, App]
-
-
-def _app_arg_str(t: Term) -> str:
-    s = str(t)
-    return s
 
 
 def type_of(t: Term) -> SimpleType:
@@ -431,20 +426,26 @@ def map_formula_terms(f: Formula, fn) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def formula_lvars(f: Formula) -> frozenset[LVar]:
-    match f:
-        case Top():
-            return frozenset()
-        case Atom(_, args):
-            out = frozenset()
-            for a in args:
-                out |= lvars_of(a)
-            return out
-        case Imp(left, right):
-            return formula_lvars(left) | formula_lvars(right)
-        case ForAll(_, _, body):
-            return formula_lvars(body)
-    raise TypeError(f"not a formula: {f!r}")
+def lvars_in_order(items: Iterable[Union[Term, Formula, None]]) -> dict[LVar, int]:
+    """The logic variables of `items`, terms or formulas read left to
+    right, each numbered by its first appearance.  None items are skipped."""
+    order: dict[LVar, int] = {}
+    stack = list(items)
+    stack.reverse()
+    while stack:
+        x = stack.pop()
+        match x:
+            case LVar():
+                order.setdefault(x, len(order))
+            case App(fn, arg):
+                stack += (arg, fn)
+            case Imp(left, right):
+                stack += (right, left)
+            case Lam(body=body) | ForAll(body=body):
+                stack.append(body)
+            case Atom(_, args):
+                stack.extend(reversed(args))
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +458,3 @@ class Program:
 
     xi: tuple[tuple[str, SimpleType], ...]
     clauses: tuple[Formula, ...]
-
-    def const_type(self, name: str) -> Optional[SimpleType]:
-        for n, ty in self.xi:
-            if n == name:
-                return ty
-        return None

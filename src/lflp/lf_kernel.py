@@ -243,19 +243,6 @@ def check_signature(sig: Signature) -> None:
                               loc=f"declaration {d.name!r}") from None
 
 
-def check_context(sig: Signature, ctx: Context) -> None:
-    """Accept iff every binding's type has kind Type in its prefix."""
-    names: set[str] = set()
-    for i, (x, a) in enumerate(ctx.bindings):
-        if x in names:
-            raise LFTypeError(f"duplicate context variable {x!r}", rule="type-ctx")
-        names.add(x)
-        k = check_type(sig, Context(ctx.bindings[:i]), a)
-        if not isinstance(k, KType):
-            raise LFTypeError(f"context type for {x!r} has kind {k}, not type",
-                              rule="type-ctx")
-
-
 def check_kind(sig: Signature, ctx: Context, k: Kind) -> None:
     """Accept iff `ctx |- k kind` is derivable."""
     match k:

@@ -8,14 +8,15 @@ The bridge works at three levels:
 * ``encode_obj``/``encode_fam`` erase types from terms, keeping shape:
   constants stay themselves (retyped by phi), abstraction annotations
   become simple types.
-* the judgment translations map a classifier A and a subject term M to
-  a formula asserting M inhabits A.  The naive translation emits one
-  typing premise per Pi binder.  The optimized translation consults
-  the strictness analysis: a binder that occurs strictly in the rest
-  of its type gets the trivial premise ``true`` instead, because any
-  well-typed use already pins its instantiation.  Argument types flip
-  to the negative translation, which restarts the strictness context
-  from empty on the way down.
+* ``translate_judgment`` maps a classifier A and a subject term M to a
+  formula asserting M inhabits A.  Each Pi binder of A gets a typing
+  premise, the translation of its type with the polarity flipped: the
+  clause's own binders sit at positive positions, the binders of their
+  types at negative ones, and so on down.  The naive mode keeps every
+  premise.  The optimized mode runs the strictness analysis once per
+  positive position: a binder that occurs strictly in the rest of its
+  type gets the trivial premise ``true`` instead, because any well-typed
+  use already pins its instantiation.
 
 ``translate_signature`` packages a whole signature as a Program whose
 clause order is declaration order.  Kind declarations contribute only
@@ -33,13 +34,13 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import lf_syntax as lf
+from . import strictness
 from .hterms import (
     LF_OBJ, LF_TYPE, PROP, App, Atom, BVar, Const, Formula, ForAll, Imp,
     Lam, LVar, Program, SimpleType, TArrow, TBase, Term, Top, beta_norm,
-    mk_app,
+    term_spine,
 )
 from .lf_kernel import LFTypeError, beta_normalize, check_type
-from .strictness import strict_in_type
 
 
 class TranslationError(Exception):
@@ -105,59 +106,34 @@ def encode_fam(sig: lf.Signature, a: lf.Fam, env: dict[str, Term]) -> Term:
 # ---------------------------------------------------------------------------
 # Judgment translations
 
-def translate_naive(sig: lf.Signature, a: lf.Fam, subject: Term,
-                    env: Optional[dict[str, Term]] = None) -> Formula:
-    env = env if env is not None else {}
-    match a:
-        case lf.FPi(var, dom, body):
-            ty = phi(dom)
-            x = BVar(var, ty)
-            inner = dict(env)
-            inner[var] = x
-            premise = translate_naive(sig, dom, x, inner)
-            rest = translate_naive(sig, body, beta_norm(App(subject, x)), inner)
-            return ForAll(var, ty, Imp(premise, rest))
-        case _:
-            return Atom(HASTYPE, (beta_norm(subject), encode_fam(sig, a, env)))
+def translate_judgment(sig: lf.Signature, a: lf.Fam, subject: Term,
+                       mode: str = "optimized", positive: bool = True,
+                       env: Optional[dict[str, Term]] = None) -> Formula:
+    """The formula asserting that `subject` inhabits `a`.
 
-
-def translate_optimized_pos(sig: lf.Signature, gamma: tuple,
-                            a: lf.Fam, subject: Term,
-                            env: Optional[dict[str, Term]] = None) -> Formula:
-    env = env if env is not None else {}
-    match a:
-        case lf.FPi(var, dom, body):
-            ty = phi(dom)
-            x = BVar(var, ty)
-            inner = dict(env)
-            inner[var] = x
-            if strict_in_type(gamma, var, body):
-                premise: Formula = Top()
-            else:
-                premise = translate_optimized_neg(sig, dom, x, inner)
-            rest = translate_optimized_pos(sig, gamma + ((var, dom),), body,
-                                           beta_norm(App(subject, x)), inner)
-            return ForAll(var, ty, Imp(premise, rest))
-        case _:
-            return Atom(HASTYPE, (beta_norm(subject), encode_fam(sig, a, env)))
-
-
-def translate_optimized_neg(sig: lf.Signature, a: lf.Fam, subject: Term,
-                            env: Optional[dict[str, Term]] = None) -> Formula:
-    env = env if env is not None else {}
-    match a:
-        case lf.FPi(var, dom, body):
-            ty = phi(dom)
-            x = BVar(var, ty)
-            inner = dict(env)
-            inner[var] = x
-            # the strictness context restarts from empty for argument types
-            premise = translate_optimized_pos(sig, (), dom, x, inner)
-            rest = translate_optimized_neg(sig, body,
-                                           beta_norm(App(subject, x)), inner)
-            return ForAll(var, ty, Imp(premise, rest))
-        case _:
-            return Atom(HASTYPE, (beta_norm(subject), encode_fam(sig, a, env)))
+    Each Pi binder gets a premise: the translation of its type at the
+    opposite polarity.  In optimized mode a positive position first runs
+    the strictness analysis, and its strict binders get ``true`` instead.
+    """
+    env = dict(env or {})
+    binders, base = lf.split_fam_pis(a)
+    strict = (strictness.strict_binders(a) if mode == "optimized" and positive
+              else frozenset())
+    prefix = []
+    for i, (var, dom) in enumerate(binders):
+        ty = phi(dom)
+        x = BVar(var, ty)
+        env[var] = x
+        if i in strict:
+            premise: Formula = Top()
+        else:
+            premise = translate_judgment(sig, dom, x, mode, not positive, env)
+        prefix.append((var, ty, premise))
+        subject = beta_norm(App(subject, x))
+    f: Formula = Atom(HASTYPE, (beta_norm(subject), encode_fam(sig, base, env)))
+    for var, ty, premise in reversed(prefix):
+        f = ForAll(var, ty, Imp(premise, f))
+    return f
 
 
 def translate_signature(sig: lf.Signature, mode: str = "optimized",
@@ -174,11 +150,7 @@ def translate_signature(sig: lf.Signature, mode: str = "optimized",
         a = beta_normalize(d.fam)
         xi.append((d.name, phi(a)))
         subject = Const(d.name, phi(a))
-        if mode == "naive":
-            clause = translate_naive(sig, a, subject)
-        else:
-            clause = translate_optimized_pos(sig, (), a, subject)
-        clauses.append(clause)
+        clauses.append(translate_judgment(sig, a, subject, mode))
     program = Program(tuple(xi), tuple(clauses))
     return simplify_program(program) if simplify else program
 
@@ -315,22 +287,13 @@ def _render_term(t: Term) -> str:
             inner = _render_term(t)
             return "\\ ".join(binders) + "\\ " + inner
         case App():
-            head, args = _term_spine(t)
+            head, args = term_spine(t)
             out = [_render_term(head)]
             for a in args:
                 s = _render_term(a)
                 out.append(f"({s})" if isinstance(a, (App, Lam)) else s)
             return " ".join(out)
     raise TranslationError(f"cannot emit {t!r}")
-
-
-def _term_spine(t: Term):
-    args = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
 
 
 def _render_formula(f: Formula) -> str:

@@ -3,9 +3,11 @@
 Each oracle recomputes a result by a different route than the code under
 test: normalization by single leftmost-outermost steps, substitution by
 rename-everything-then-replace, typed term enumeration instead of proof
-search, forward chaining instead of backchaining, and brute-force
-substitution search instead of unification.  Shared plumbing (AST types,
-alpha comparison) comes from the package; the decision procedures do not.
+search, forward chaining instead of backchaining, brute-force
+substitution search instead of unification, and path-blocked depth-first
+search instead of a least fixpoint for strictness.  Shared plumbing (AST
+types, alpha comparison, the object-level strictness judgment) comes from
+the package; the decision procedures do not.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from lflp import lf_syntax as lf
+from lflp.lf_syntax import (
+    FConst, FPi, Fam, OVar, fam_spine, free_vars, fresh_name, split_fam_pis,
+)
 from lflp.lf_kernel import (
     beta_normalize, check_signature, substitute,
 )
@@ -22,6 +27,7 @@ from lflp.hterms import (
     App, Atom, BVar, Const, Formula, ForAll, Imp, LVar, Lam, Term,
     Top, alpha_eq_term, beta_norm, split_arrow, term_spine,
 )
+from lflp.strictness import _why_obj
 from lflp.unify import Subst
 
 DATA = Path(__file__).parent / "data"
@@ -494,3 +500,88 @@ def has_unifier_bruteforce(lhs: Term, rhs: Term, heads: list[Term],
         if alpha_eq_term(sub.apply(lhs), sub.apply(rhs)):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Strictness by depth-first search: CTX_t explored pivot by pivot, refusing
+# to revisit a judgment already open on the current path.  Exponential in
+# the number of binders, so only for small classifiers.
+
+_Gamma = tuple[tuple[str, Fam], ...]
+
+
+def dfs_strict_binders(a: Fam) -> frozenset[int]:
+    """Indices of the Pi binders of `a` that occur strictly."""
+    binders, base = split_fam_pis(a)
+    out = set()
+    for i in range(len(binders)):
+        if _why_type((), binders[i][0], _remove_binder(binders, base, i),
+                     frozenset()) is not None:
+            out.add(i)
+    return frozenset(out)
+
+
+def dfs_explain_strictness(a: Fam) -> list[tuple[str, bool, str]]:
+    """Per binder: (name, strict?, justifying rule chain or reason)."""
+    binders, base = split_fam_pis(a)
+    report = []
+    for i, (name, _) in enumerate(binders):
+        why = _why_type((), name, _remove_binder(binders, base, i), frozenset())
+        if why is None:
+            report.append((name, False, "no strict occurrence"))
+        else:
+            report.append((name, True, why))
+    return report
+
+
+def _remove_binder(binders: list[tuple[str, Fam]], base: Fam, i: int) -> Fam:
+    rest: Fam = base
+    for j in range(len(binders) - 1, -1, -1):
+        if j != i:
+            rest = FPi(binders[j][0], binders[j][1], rest)
+    return rest
+
+
+def _why_type(gamma: _Gamma, x: str, a: Fam,
+              blocked: frozenset) -> Optional[str]:
+    steps = 0
+    taken = {n for n, _ in gamma} | {x}
+    while isinstance(a, FPi):
+        var, body = a.var, a.body
+        if var in taken:
+            var = fresh_name(var, taken | free_vars(body))
+            body = substitute(body, {a.var: OVar(var)})
+        gamma = gamma + ((var, a.dom),)
+        taken.add(var)
+        a = body
+        steps += 1
+    why = _why_base(gamma, x, a, blocked)
+    if why is None:
+        return None
+    return f"PI_t^{steps}; {why}" if steps else why
+
+
+def _why_base(gamma: _Gamma, x: str, base: Fam,
+              blocked: frozenset) -> Optional[str]:
+    key = (gamma, x, base)
+    if key in blocked:
+        return None
+    blocked = blocked | {key}
+    head, args = fam_spine(base)
+    if isinstance(head, FConst):
+        candidates = frozenset(n for n, _ in gamma) | {x}
+        for i, arg in enumerate(args):
+            inner = _why_obj(candidates, frozenset(), x, arg)
+            if inner is not None:
+                return f"APP_t(arg {i + 1}); {inner}"
+    for j, (y, b) in enumerate(gamma):
+        if y == x:
+            continue
+        pivot = _why_base(gamma, y, base, blocked)
+        if pivot is None:
+            continue
+        through = _why_type(gamma[:j], x, b, blocked)
+        if through is None:
+            continue
+        return f"CTX_t(pivot {y}) {{{y} in target: {pivot}}} {{{x} in type of {y}: {through}}}"
+    return None

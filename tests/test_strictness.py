@@ -1,7 +1,11 @@
+import time
+
+from hypothesis import Phase, find, given, settings, strategies as st
+
 from lflp import lf_syntax as lf
 from lflp.lf_kernel import substitute
 from lflp.strictness import (
-    explain_strictness, strict_binders, strict_in_object, strict_in_type,
+    explain_strictness, strict_binders, strict_in_object,
 )
 
 import oracles
@@ -81,8 +85,9 @@ def test_direct_argument_of_target():
     _, fam = lf.parse_query("append nil nil nil", _append_sig())
     a = lf.FApp(lf.FApp(lf.FApp(lf.FConst("append"), lf.OConst("nil")),
                         lf.OVar("l")), lf.OVar("l"))
-    assert strict_in_type((), "l", a)
-    assert not strict_in_type((), "k", a)
+    list_ = lf.FConst("list")
+    assert strict_binders(lf.FPi("l", list_, a)) == frozenset({0})
+    assert strict_binders(lf.FPi("k", list_, a)) == frozenset()
 
 
 def test_pivot_through_candidate_type():
@@ -130,6 +135,32 @@ def test_base_type_has_no_binders():
     assert strict_binders(lf.FConst("nat")) == frozenset()
 
 
+def test_repeated_binder_names_do_not_capture():
+    # {x:a}{x:b} c x: the target's x is binder 1, never binder 0
+    a = lf.FPi("x", lf.FConst("a"),
+               lf.FPi("x", lf.FConst("b"), lf.FApp(lf.FConst("c"), lf.OVar("x"))))
+    assert strict_binders(a) == frozenset({1})
+    assert [(name, flag) for name, flag, _ in explain_strictness(a)] == [
+        ("x", False), ("x", True)]
+
+
+def _chain(n):
+    """{x1..xn:el}{h1:r x1 x2}...{h(n-1):r x(n-1) xn} g xn"""
+    xs = "".join(f"{{x{i} : el}}" for i in range(1, n + 1))
+    hs = "".join(f"{{h{i} : r x{i} x{i + 1}}}" for i in range(1, n))
+    text = ("el : type. r : el -> el -> type. g : el -> type. "
+            f"c : {xs} {hs} g x{n}.")
+    return lf.parse_signature(text).lookup("c")
+
+
+def test_nine_binder_chain_is_fast():
+    # the path-blocked depth-first search took tens of seconds here
+    a = _chain(5)
+    start = time.perf_counter()
+    assert strict_binders(a) == frozenset({4})
+    assert time.perf_counter() - start < 1.0
+
+
 # --- properties -----------------------------------------------------------
 
 def _rename_binders(a, prefix):
@@ -170,3 +201,87 @@ def test_pivot_search_terminates_on_deep_chain():
     sig = oracles.load_signature("strict_f.elf")
     for name in ["b", "c", "d", "f"]:
         strict_binders(sig.lookup(name))
+
+
+# --- the fixpoint against the depth-first reference -----------------------
+
+_EL = lf.FConst("el")
+
+
+@st.composite
+def _objects(draw, names, depth):
+    kind = draw(st.integers(0, 4 if depth else 2))
+    if kind <= 1 and names:
+        return lf.OVar(draw(st.sampled_from(names)))
+    if kind <= 2:
+        return lf.OConst("zz")
+    if kind == 3:
+        head = draw(st.sampled_from([lf.OConst("s")] + [lf.OVar(n) for n in names]))
+        return lf.OApp(head, draw(_objects(names, depth - 1)))
+    w = f"w{depth}"
+    return lf.OLam(w, _EL, draw(_objects(names + [w], depth - 1)))
+
+
+@st.composite
+def _binder_types(draw, names, depth):
+    kind = draw(st.integers(0, 4 if depth else 3))
+    if kind == 0:
+        return _EL
+    if kind == 1:
+        return lf.FPi("u", _EL, _EL)
+    if kind <= 3:
+        return lf.fam_app(lf.FConst("r"), [draw(_objects(names, 1)),
+                                           draw(_objects(names, 1))])
+    z = f"z{len(names)}"
+    return lf.FPi(z, draw(_binder_types(names, depth - 1)),
+                  draw(_binder_types(names + [z], depth - 1)))
+
+
+@st.composite
+def _classifiers(draw):
+    """{v0:A0}...{vk:Ak} p _ h _ h', with h and h' binders, so that proof
+    binders (those of an r type) can be CTX_t pivots.  A binder type may
+    mention a later binder's name, free there; pivots can then justify
+    each other in a cycle, which only the least fixpoint breaks."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    a = lf.fam_app(lf.FConst("p"), [
+        draw(_objects(names, 2)), lf.OVar(draw(st.sampled_from(names))),
+        draw(_objects(names, 2)), lf.OVar(draw(st.sampled_from(names)))])
+    for i in reversed(range(len(names))):
+        scope = names if draw(st.booleans()) else names[:i]
+        a = lf.FPi(names[i], draw(_binder_types(scope, 2)), a)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_classifiers())
+def test_fixpoint_matches_depth_first_search(a):
+    assert explain_strictness(a) == oracles.dfs_explain_strictness(a)
+    assert strict_binders(a) == oracles.dfs_strict_binders(a)
+
+
+def test_pivot_cycle_matches_depth_first_search():
+    # p2's type names p1, free there, so p1 and p2 justify each other;
+    # w's chain goes through p1, which must then be justified without w
+    def r(a, b):
+        return lf.fam_app(lf.FConst("r"), [lf.OVar(a), lf.OVar(b)])
+    a = lf.fam_app(lf.FConst("p"), [lf.OConst("zz"), lf.OVar("q"),
+                                    lf.OConst("zz"), lf.OVar("q")])
+    for name, dom in reversed([("w", _EL), ("p2", r("p1", "p1")),
+                               ("p1", r("p2", "w")), ("q", r("p1", "p1"))]):
+        a = lf.FPi(name, dom, a)
+    report = explain_strictness(a)
+    assert report == oracles.dfs_explain_strictness(a)
+    assert "CTX_t(pivot p1) {p1 in target: CTX_t(pivot p2)" in report[0][2]
+
+
+def test_classifier_strategy_reaches_nested_ctx_t():
+    # the property above says nothing about CTX_t unless the strategy
+    # produces pivots, including a pivot justified through another pivot
+    def nested(a):
+        return any(why.count("CTX_t") >= 2
+                   for _, _, why in oracles.dfs_explain_strictness(a))
+    found = find(_classifiers(), nested,
+                 settings=settings(max_examples=2000, database=None,
+                                   derandomize=True, phases=[Phase.generate]))
+    assert nested(found)

@@ -6,13 +6,13 @@ from lflp import lf_syntax as lf
 from lflp.engine import Limits, solve
 from lflp.hterms import (
     LF_OBJ, LF_TYPE, App, Atom, BVar, Const, ForAll, Imp, Lam, Program, Top,
-    alpha_eq_formula, alpha_eq_term, arrow, beta_norm, mk_app,
+    alpha_eq_formula, alpha_eq_term, arrow, beta_norm, mk_app, term_spine,
 )
 from lflp.lf_kernel import substitute
 from lflp.translator import (
     TranslationError, emit_lambdaprolog, emit_split, encode_fam, encode_obj,
-    parse_lambdaprolog, phi, simplify_top, translate_naive,
-    translate_optimized_pos, translate_query, translate_signature,
+    parse_lambdaprolog, phi, simplify_top, translate_judgment,
+    translate_query, translate_signature,
 )
 from lflp.unify import Subst
 from lflp.strictness import strict_binders
@@ -114,13 +114,15 @@ def _const(sig, name):
 
 def test_naive_base_declaration():
     sig = _sig()
-    got = translate_naive(sig, lf.FConst("nat"), _const(sig, "z"))
+    got = translate_judgment(sig, lf.FConst("nat"), _const(sig, "z"),
+                             mode="naive")
     assert got == Atom("hastype", (_const(sig, "z"), _const(sig, "nat")))
 
 
 def test_naive_pi_declaration():
     sig = _sig()
-    got = translate_naive(sig, sig.lookup("appNil"), _const(sig, "appNil"))
+    got = translate_judgment(sig, sig.lookup("appNil"), _const(sig, "appNil"),
+                             mode="naive")
     l = BVar("l", OBJ)
     want = ForAll("l", OBJ, Imp(
         Atom("hastype", (l, _const(sig, "list"))),
@@ -132,8 +134,7 @@ def test_naive_pi_declaration():
 
 def test_optimized_strict_premise_becomes_top():
     sig = _sig()
-    raw = translate_optimized_pos(sig, (), sig.lookup("appNil"),
-                                  _const(sig, "appNil"))
+    raw = translate_judgment(sig, sig.lookup("appNil"), _const(sig, "appNil"))
     assert isinstance(raw, ForAll) and isinstance(raw.body, Imp)
     assert raw.body.left == Top()
     cooked = simplify_top(raw)
@@ -142,14 +143,14 @@ def test_optimized_strict_premise_becomes_top():
 
 def test_optimized_appcons_keeps_one_premise():
     sig = _sig()
-    clause = simplify_top(translate_optimized_pos(
-        sig, (), sig.lookup("appCons"), _const(sig, "appCons")))
+    clause = simplify_top(translate_judgment(
+        sig, sig.lookup("appCons"), _const(sig, "appCons")))
     foralls, premises = _shape(clause)
     assert foralls == 5
     assert len(premises) == 1
     prem = premises[0]
     assert isinstance(prem, Atom) and prem.pred == "hastype"
-    head, args = _spine(prem.args[1])
+    head, args = term_spine(prem.args[1])
     assert head == _const(sig, "append")
     assert [str(a) for a in args] == ["l", "m", "n"]
 
@@ -157,7 +158,7 @@ def test_optimized_appcons_keeps_one_premise():
 def test_optimized_higher_order_premise():
     sig = oracles.load_signature("fy.elf")
     foo = Const("foo", phi(sig.lookup("foo")))
-    clause = simplify_top(translate_optimized_pos(sig, (), sig.lookup("foo"), foo))
+    clause = simplify_top(translate_judgment(sig, sig.lookup("foo"), foo))
     nat = Const("nat", TY)
     bar = Const("bar", arrow([OBJ], TY))
     y, f, w = BVar("Y", OBJ), BVar("F", arrow([OBJ], OBJ)), BVar("w", OBJ)
@@ -184,14 +185,6 @@ def _shape(clause):
             clause = clause.right
         else:
             return foralls, premises
-
-
-def _spine(t):
-    args = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    return t, list(reversed(args))
 
 
 def test_premise_count_equals_nonstrict_binders():
