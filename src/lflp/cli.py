@@ -7,7 +7,8 @@ to LF), and `strictness` reports the per-binder analysis that powers
 the optimized translation.
 
 Exit codes: 0 on success (for solve: at least one solution), 1 when a
-check fails or no solution is found, 2 for usage or I/O problems.
+check fails or no solution is found, 2 for usage or I/O problems and
+for an inverted answer that fails the kernel's re-check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from . import lf_syntax as lf
 from .engine import Limits, Solution, solve
 from .hterms import App, Const, LVar, Lam, Term, lvars_in_order
 from .inverter import InversionError, InversionGoal, invert
-from .lf_kernel import LFTypeError, beta_normalize, check_signature, substitute
+from .lf_kernel import (
+    LFTypeError, beta_normalize, check_object, check_signature, substitute,
+)
 from .strictness import explain_strictness
 from .translator import (
     TranslationError, emit_lambdaprolog, emit_split, phi, translate_query,
@@ -189,48 +192,59 @@ def cmd_solve(text: str, query: str, mode: str, limits: Limits) -> int:
                "exhausted": "depth exhausted"}.get(run.status, run.status))
         return 1
     for i, sol in enumerate(run.solutions):
+        try:
+            lines = _solution_lines(sig, qt, sol)
+        except LFTypeError as err:
+            print(f"error: inverted answer fails to re-check: {err}",
+                  file=sys.stderr)
+            return 2
         if i:
             print()
         if len(run.solutions) > 1 or limits.max_solutions != 1:
             print(f"% solution {i + 1}")
-        _print_solution(sig, qt, sol)
+        print("\n".join(lines))
     return 0
 
 
-def _print_solution(sig: lf.Signature, qt, sol: Solution) -> None:
+def _inverted(sig: lf.Signature, term: Term, ty: lf.Fam) -> Optional[lf.Obj]:
+    """The LF object `term` stands for at `ty`, re-checked by the kernel
+    (LFTypeError if it fails), or None when it cannot be inverted."""
+    try:
+        obj = invert(InversionGoal(sig, lf.Context(()), term, ty))
+    except InversionError:
+        return None
+    check_object(sig, lf.Context(()), obj, ty)
+    return obj
+
+
+def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
     values = [sol.value(v) for _, v in qt.var_lvars]
     subject_val = sol.value(qt.subject)
     frees = _canonical_frees(values + [subject_val])
-    lf_values: dict[str, Optional[lf.Obj]] = {}
+    lines = []
     sub: dict[str, lf.Obj] = {}
+    inverted_all = True
     for (name, _), val in zip(qt.var_lvars, values):
         ty = beta_normalize(substitute(qt.var_types[name], sub))
         obj = None
         if lf.free_vars(ty) <= set(sub):
-            try:
-                goal = InversionGoal(sig, lf.Context(()), val, ty)
-                obj = invert(goal)
-            except InversionError:
-                obj = None
-        lf_values[name] = obj
+            obj = _inverted(sig, val, ty)
         if obj is not None:
             sub[name] = obj
-        if obj is not None:
-            print(f"{name} = {lf.print_lf(obj)}")
+            lines.append(f"{name} = {lf.print_lf(obj)}")
         else:
-            print(f"{name} = {_show_hohh(val, frees)}  (not inverted)")
+            inverted_all = False
+            lines.append(f"{name} = {_show_hohh(val, frees)}  (not inverted)")
     inhabitant = None
-    if all(v is not None for v in lf_values.values()):
+    if inverted_all:
         ty = beta_normalize(substitute(qt.fam, sub))
-        try:
-            inhabitant = invert(InversionGoal(sig, lf.Context(()),
-                                              subject_val, ty))
-        except InversionError:
-            inhabitant = None
+        inhabitant = _inverted(sig, subject_val, ty)
     if inhabitant is not None:
-        print(f"inhabitant: {lf.print_lf(inhabitant)}")
+        lines.append(f"inhabitant: {lf.print_lf(inhabitant)}")
     else:
-        print(f"inhabitant: {_show_hohh(subject_val, frees)}  (not inverted)")
+        lines.append(f"inhabitant: {_show_hohh(subject_val, frees)}"
+                     "  (not inverted)")
+    return lines
 
 
 def cmd_strictness(text: str, explain: bool) -> int:

@@ -22,7 +22,7 @@ suspended, never reported as a solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .hterms import (
     App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, Lam, LVar, Program,
@@ -69,7 +69,7 @@ def solve(program: Program, goal: Formula, limits: Limits = Limits(),
           query_vars: Optional[tuple[LVar, ...]] = None) -> SolveRun:
     if query_vars is None:
         query_vars = tuple(lvars_in_order([goal]))
-    clauses = list(program.clauses)
+    clauses = [_compile(c) for c in program.clauses]
     solutions: list[Solution] = []
     seen: set[str] = set()
     susp_ever = False
@@ -104,14 +104,43 @@ def solve(program: Program, goal: Formula, limits: Limits = Limits(),
     return SolveRun("no", ())
 
 
-def _prove(goal: Formula, clauses: list[Formula], sigma: Subst,
+class _Clause(NamedTuple):
+    """A clause with its head's index keys, computed once.
+
+    ``keys`` has one entry per head argument: the name of the
+    argument's rigid head (a constant or an eigenvariable), or None
+    when the head is a quantified variable, a logic variable or a
+    lambda, which any goal argument may match.  ``pred`` is None for a
+    formula that is not a definite clause."""
+
+    formula: Formula
+    pred: Optional[str]
+    keys: tuple[Optional[str], ...]
+
+
+def _compile(clause: Formula) -> _Clause:
+    f = clause
+    while isinstance(f, (ForAll, Imp)):
+        f = f.body if isinstance(f, ForAll) else f.right
+    if not isinstance(f, Atom):
+        return _Clause(clause, None, ())
+    return _Clause(clause, f.pred, tuple(_key(term_spine(a)[0])
+                                         for a in f.args))
+
+
+def _key(head: Term) -> Optional[str]:
+    return head.name if isinstance(head, (Const, EVar)) else None
+
+
+def _prove(goal: Formula, clauses: list[_Clause], sigma: Subst,
            residuals: tuple[Eq, ...], budget: int,
            state: _State) -> Iterator[tuple[Subst, tuple[Eq, ...], int]]:
     match goal:
         case Top():
             yield sigma, residuals, budget
         case Imp(d, g):
-            yield from _prove(g, clauses + [d], sigma, residuals, budget, state)
+            yield from _prove(g, clauses + [_compile(d)], sigma, residuals,
+                              budget, state)
         case ForAll(var, ty, body):
             e = fresh_evar(var, ty)
             yield from _prove(subst_formula(body, {var: e}), clauses, sigma,
@@ -123,58 +152,52 @@ def _prove(goal: Formula, clauses: list[Formula], sigma: Subst,
             raise TypeError(f"not a goal formula: {goal!r}")
 
 
-def _clause_parts(clause: Formula) -> Optional[tuple[Atom, list[Formula]]]:
+def _clause_parts(clause: Formula) -> tuple[Atom, list[Formula]]:
+    """Instantiate a definite clause's quantifiers with fresh logic
+    variables; return its head and its premises in order."""
     premises: list[Formula] = []
+    inst: dict[str, Term] = {}
     f = clause
     while True:
         match f:
             case ForAll(var, ty, body):
-                k = fresh_lvar(var.upper() if var else "X", ty)
-                f = subst_formula(body, {var: k})
+                inst[var] = fresh_lvar(var.upper() if var else "X", ty)
+                f = body
             case Imp(g, d):
-                premises.append(g)
+                premises.append(subst_formula(g, inst))
                 f = d
-            case Atom() as head:
-                return head, premises
             case _:
-                return None
+                return subst_formula(f, inst), premises
 
 
-def _backchain(atom: Atom, clauses: list[Formula], sigma: Subst,
+def _backchain(atom: Atom, clauses: list[_Clause], sigma: Subst,
                residuals: tuple[Eq, ...], budget: int,
                state: _State) -> Iterator[tuple[Subst, tuple[Eq, ...], int]]:
-    if budget <= 0:
-        # Out of budget: find out whether any clause could still engage,
-        # so exhaustion is distinguishable from finite failure.
-        for clause in clauses:
-            parts = _clause_parts(clause)
-            if parts is None:
-                continue
-            head, _ = parts
-            if head.pred != atom.pred or len(head.args) != len(atom.args):
-                continue
-            res = unify([Eq(a, b) for a, b in zip(atom.args, head.args)]
-                        + list(residuals), sigma)
-            if res.status != "fail":
-                state.cut = True
-                return
-        return
+    # A clause is instantiated only when no head argument has a rigid
+    # head that differs from the goal's: any such pair fails to unify.
+    # Out of budget, the loop only finds out whether some clause could
+    # still engage, so exhaustion is distinguishable from finite failure.
+    arity = len(atom.args)
+    keys = [_key(sigma.head(a)) for a in atom.args]
     for clause in clauses:
-        parts = _clause_parts(clause)
-        if parts is None:
+        if clause.pred != atom.pred or len(clause.keys) != arity:
             continue
-        head, premises = parts
-        if head.pred != atom.pred or len(head.args) != len(atom.args):
+        if any(k is not None and g is not None and k != g
+               for k, g in zip(clause.keys, keys)):
             continue
+        head, premises = _clause_parts(clause.formula)
         res = unify([Eq(a, b) for a, b in zip(atom.args, head.args)]
                     + list(residuals), sigma)
         if res.status == "fail":
             continue
+        if budget <= 0:
+            state.cut = True
+            return
         yield from _conj(premises, clauses, res.subst, res.residuals,
                          budget - 1, state)
 
 
-def _conj(goals: list[Formula], clauses: list[Formula], sigma: Subst,
+def _conj(goals: list[Formula], clauses: list[_Clause], sigma: Subst,
           residuals: tuple[Eq, ...], budget: int,
           state: _State) -> Iterator[tuple[Subst, tuple[Eq, ...], int]]:
     if not goals:
@@ -240,8 +263,8 @@ def validate_solution(program: Program, goal: Formula, sol: Solution,
     g = map_formula_terms(goal, inst)
     bound = sol.backchains + extra_depth
     state = _State()
-    for _, residuals, _ in _prove(g, list(program.clauses), Subst(), (),
-                                  bound, state):
+    clauses = [_compile(c) for c in program.clauses]
+    for _, residuals, _ in _prove(g, clauses, Subst(), (), bound, state):
         if not residuals:
             return True
     return False

@@ -15,9 +15,12 @@ variable, that variable is pruned (the offending argument dropped) or
 lowered (rebuilt at the older level); under a rigid head the equation
 simply fails.
 
-Substitutions are immutable and idempotent: extending one applies it
-to the new binding and folds the binding back through every range, so
-``apply`` never needs to iterate.
+Substitutions are immutable and triangular: extending one stores the
+binding as given, so a range may mention variables bound elsewhere in
+the map.  ``apply`` resolves such variables on demand and reduces the
+redexes a resolved lambda creates where they arise; every term the
+engine builds is beta-normal, and so is every applied term.  The
+occurs check keeps the map acyclic, so the resolution always ends.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class Eq:
 
 
 class Subst:
-    """Idempotent map from logic variables to closed terms."""
+    """Triangular map from logic variables to terms."""
 
     __slots__ = ("_m",)
 
@@ -50,34 +53,74 @@ class Subst:
         self._m = m or {}
 
     def lookup(self, v: LVar) -> Optional[Term]:
-        return self._m.get(v)
+        t = self._m.get(v)
+        return None if t is None else self.apply(t)
 
     def __len__(self):
         return len(self._m)
 
-    def items(self):
-        return self._m.items()
-
     def apply(self, t: Term) -> Term:
+        """The beta-normal `t` with every bound variable resolved."""
         if not self._m:
             return t
-        return beta_norm(self._walk(t))
+        return self._walk(t, {})
 
-    def _walk(self, t: Term) -> Term:
+    def head(self, t: Term) -> Term:
+        """The head of ``apply(t)``'s spine, resolving no more than the
+        chain of bindings that leads to it."""
+        m = self._m
+        h, applied = t, False
+        while True:
+            while isinstance(h, App):
+                h, applied = h.fn, True
+            if not (isinstance(h, LVar) and h in m):
+                return h
+            h = m[h]
+            if applied and isinstance(h, Lam):
+                return term_spine(self.apply(t))[0]
+
+    def _walk(self, t: Term, memo: dict[LVar, Term]) -> Term:
+        # Rebuilds only what changes.  A binding that puts a lambda in
+        # head position is reduced where it lands, so a beta-normal
+        # term comes back beta-normal.
         match t:
-            case LVar():
-                return self._m.get(t, t)
             case App(fn, arg):
-                return App(self._walk(fn), self._walk(arg))
+                fn2, arg2 = self._walk(fn, memo), self._walk(arg, memo)
+                if fn2 is fn and arg2 is arg:
+                    return t
+                if isinstance(fn2, Lam):
+                    return beta_norm(App(fn2, arg2))
+                return App(fn2, arg2)
+            case LVar():
+                return self._resolve(t, memo)
             case Lam(var, ty, body):
-                return Lam(var, ty, self._walk(body))
+                body2 = self._walk(body, memo)
+                return t if body2 is body else Lam(var, ty, body2)
             case _:
                 return t
 
+    def _resolve(self, v: LVar, memo: dict[LVar, Term]) -> Term:
+        # Variable-to-variable links are followed in a loop, so a long
+        # chain costs no stack; every variable on it is memoized.
+        m = self._m
+        chain = []
+        t: Term = v
+        while isinstance(t, LVar) and t not in memo and t in m:
+            chain.append(t)
+            t = m[t]
+        if isinstance(t, LVar):
+            t = memo.get(t, t)
+        else:
+            t = self._walk(t, memo)
+        for u in chain:
+            memo[u] = t
+        return t
+
     def extend(self, v: LVar, t: Term) -> "Subst":
-        t = self.apply(t)
-        one = Subst({v: t})
-        m = {k: beta_norm(one._walk(r)) for k, r in self._m.items()}
+        """Bind the unbound `v` to `t` as given.  `t` must not reach `v`
+        through the map; unification binds only resolved terms that
+        passed its occurs check, which keeps the map acyclic."""
+        m = self._m.copy()
         m[v] = t
         return Subst(m)
 
@@ -213,7 +256,7 @@ def _flex_rigid(sigma: Subst, k: LVar, kargs: list[Term], rhs: Term,
         z = f"z{fresh_level()}"
         binders.append((z, a.ty))
         pi[a] = BVar(z, a.ty)
-    extra: list[tuple[LVar, Term]] = []
+    extra: dict[LVar, Term] = {}
     try:
         body = _copy(rhs, k, pi, k.level, True, extra)
     except _Residual:
@@ -222,12 +265,12 @@ def _flex_rigid(sigma: Subst, k: LVar, kargs: list[Term], rhs: Term,
     binding: Term = body
     for z, ty in reversed(binders):
         binding = Lam(z, ty, binding)
-    sigma = sigma.extend_all(extra)
+    sigma = sigma.extend_all(extra.items())
     return sigma.extend(k, binding)
 
 
 def _copy(t: Term, k: LVar, pi: dict, level: int, rigid: bool,
-          extra: list[tuple[LVar, Term]]) -> Term:
+          extra: dict[LVar, Term]) -> Term:
     match t:
         case Lam(var, ty, body):
             taken = {b.name for b in pi.values() if isinstance(b, BVar)}
@@ -269,8 +312,15 @@ def _raise_over(m: LVar, pi: dict, skip: set) -> list[EVar]:
             and e not in skip]
 
 def _copy_flex(m: LVar, args: list[Term], k: LVar, pi: dict, level: int,
-               extra: list[tuple[LVar, Term]]) -> Term:
+               extra: dict[LVar, Term]) -> Term:
     from .hterms import arrow, split_arrow
+
+    if m in extra:
+        # m was already rebuilt earlier in this copy: every occurrence
+        # must go through that one replacement, or the copies of m
+        # would come apart.
+        return _copy(beta_norm(mk_app(extra[m], args)), k, pi, level, False,
+                     extra)
 
     def expressible(a: Term) -> bool:
         return isinstance(a, BVar) or a in pi or (isinstance(a, EVar)
@@ -297,7 +347,7 @@ def _copy_flex(m: LVar, args: list[Term], k: LVar, pi: dict, level: int,
         binding: Term = lam_body
         for z, ty in reversed(zs):
             binding = Lam(z, ty, binding)
-        extra.append((m, binding))
+        extra[m] = binding
         return mk_app(m2, [pi.get(args[i], args[i]) for i in keep]
                       + [pi[e] for e in extras])
     # Non-pattern arguments: keep the subterm when everything in it is
@@ -310,7 +360,7 @@ def _copy_flex(m: LVar, args: list[Term], k: LVar, pi: dict, level: int,
         m2 = fresh_lvar_at(m.name.split("_")[0],
                            arrow([e.ty for e in extras], m.ty),
                            min(level, m.level))
-        extra.append((m, mk_app(m2, list(extras))))
+        extra[m] = mk_app(m2, list(extras))
         return mk_app(mk_app(m2, [pi[e] for e in extras]), copied)
     return mk_app(m, copied)
 

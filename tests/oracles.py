@@ -4,8 +4,9 @@ Each oracle recomputes a result by a different route than the code under
 test: normalization by single leftmost-outermost steps, substitution by
 rename-everything-then-replace, typed term enumeration instead of proof
 search, forward chaining instead of backchaining, brute-force
-substitution search instead of unification, and path-blocked depth-first
-search instead of a least fixpoint for strictness.  Shared plumbing (AST
+substitution search instead of unification, path-blocked depth-first
+search instead of a least fixpoint for strictness, and eager folding of
+every binding instead of a triangular substitution.  Shared plumbing (AST
 types, alpha comparison, the object-level strictness judgment) comes from
 the package; the decision procedures do not.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from lflp import lf_syntax as lf
 from lflp.lf_syntax import (
@@ -585,3 +586,52 @@ def _why_base(gamma: _Gamma, x: str, base: Fam,
             continue
         return f"CTX_t(pivot {y}) {{{y} in target: {pivot}}} {{{x} in type of {y}: {through}}}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# Substitution by eager folding: every extension applies the map to the new
+# range and refolds the new binding through every old range, so the map is
+# idempotent and `apply` is a single walk.  Quadratic in the bindings.
+
+class EagerSubst:
+    """Idempotent map from logic variables to closed terms."""
+
+    __slots__ = ("_m",)
+
+    def __init__(self, m: Optional[dict[LVar, Term]] = None):
+        self._m = m or {}
+
+    def lookup(self, v: LVar) -> Optional[Term]:
+        return self._m.get(v)
+
+    def __len__(self):
+        return len(self._m)
+
+    def apply(self, t: Term) -> Term:
+        if not self._m:
+            return t
+        return beta_norm(self._walk(t))
+
+    def _walk(self, t: Term) -> Term:
+        match t:
+            case LVar():
+                return self._m.get(t, t)
+            case App(fn, arg):
+                return App(self._walk(fn), self._walk(arg))
+            case Lam(var, ty, body):
+                return Lam(var, ty, self._walk(body))
+            case _:
+                return t
+
+    def extend(self, v: LVar, t: Term) -> "EagerSubst":
+        t = self.apply(t)
+        one = EagerSubst({v: t})
+        m = {k: beta_norm(one._walk(r)) for k, r in self._m.items()}
+        m[v] = t
+        return EagerSubst(m)
+
+    def extend_all(self, pairs: Iterable[tuple[LVar, Term]]) -> "EagerSubst":
+        s = self
+        for v, t in pairs:
+            s = s.extend(v, t)
+        return s

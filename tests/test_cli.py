@@ -156,6 +156,17 @@ def test_solve_rejects_bad_depth(capsys):
     assert "--depth" in err
 
 
+def test_solve_rechecks_inverted_answers(capsys, monkeypatch):
+    import lflp.cli
+    # z : nat can inhabit neither the list variable nor the append type.
+    monkeypatch.setattr(lflp.cli, "invert", lambda goal: lf.OConst("z"))
+    code, out, err = run_cli(capsys, "solve", APPEND,
+                             "append (cons (s z) nil) (cons z nil) L")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "L = " not in out and "inhabitant" not in out
+
+
 def test_solve_naive_mode(capsys):
     code, out, _ = run_cli(capsys, "solve", "--naive", APPEND,
                            "append (cons z nil) nil (cons z nil)",

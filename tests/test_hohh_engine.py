@@ -1,8 +1,10 @@
-from lflp import lf_syntax as lf
+import time
+
+from lflp import engine, lf_syntax as lf
 from lflp.engine import Limits, Solution, solve, validate_solution
 from lflp.hterms import (
     LF_OBJ, LF_TYPE, Atom, BVar, Const, ForAll, Imp, Program, Top, arrow,
-    evars_of, fresh_lvar, mk_app,
+    evars_of, fresh_lvar, mk_app, term_spine,
 )
 from lflp.translator import translate_query, translate_signature
 
@@ -115,6 +117,21 @@ def test_hypothetical_clause_added_after_program():
     assert [str(s.value(w)) for s in run.solutions] == ["a", "b"]
 
 
+def test_quantified_head_argument_matches_any_goal_argument():
+    a, b = Const("a", OBJ), Const("b", OBJ)
+    x = BVar("X", OBJ)
+    prog = Program(xi=(), clauses=(
+        Atom("r", (a, b)),
+        ForAll("X", OBJ, Atom("r", (x, x)))))
+    w = fresh_lvar("W", OBJ)
+    run = solve(prog, Atom("r", (w, a)), Limits(depth=2, max_solutions=0),
+                query_vars=(w,))
+    assert [str(s.value(w)) for s in run.solutions] == ["a"]
+    run = solve(prog, Atom("r", (a, w)), Limits(depth=2, max_solutions=0),
+                query_vars=(w,))
+    assert [str(s.value(w)) for s in run.solutions] == ["b", "a"]
+
+
 def test_universal_goal_introduces_eigenvariable():
     _, prog = _tiny_program()
     x = BVar("x", OBJ)
@@ -196,3 +213,105 @@ def test_no_eigenvariable_escapes_into_bindings():
         for sol in run.solutions:
             for _, t in sol.bindings:
                 assert not evars_of(t)
+
+
+# --- pinned search behaviour ----------------------------------------------
+
+# (mode, query, depth, -n, status, [(canonical values of the query
+# variables then the subject, backchains)]), as the engine produced them
+# before the triangular substitution and the clause index: both change
+# how fast search runs, not what it finds or in what order.
+PINNED_APPENDPLUS = [
+    ('optimized', 'plus (s (s z)) (s z) N', 8, 1, 'ok', [
+        (('(s (s (s z)))', '(plusS (s z) (s z) (s (s z)) (plusS z (s z) (s z) (plusZ (s z))))'), 3),
+    ]),
+    ('optimized', 'plus X Y (s (s z))', 8, 0, 'ok', [
+        (('z', '(s (s z))', '(plusZ (s (s z)))'), 1),
+        (('(s z)', '(s z)', '(plusS z (s z) (s z) (plusZ (s z)))'), 2),
+        (('(s (s z))', 'z', '(plusS (s z) z (s z) (plusS z z z (plusZ z)))'), 3),
+    ]),
+    ('optimized', 'plus X (s z) Y', 5, 0, 'ok', [
+        (('z', '(s z)', '(plusZ (s z))'), 1),
+        (('(s z)', '(s (s z))', '(plusS z (s z) (s z) (plusZ (s z)))'), 2),
+        (('(s (s z))', '(s (s (s z)))', '(plusS (s z) (s z) (s (s z)) (plusS z (s z) (s z) (plusZ (s z))))'), 3),
+        (('(s (s (s z)))', '(s (s (s (s z))))', '(plusS (s (s z)) (s z) (s (s (s z))) (plusS (s z) (s z) (s (s z)) (plusS z (s z) (s z) (plusZ (s z)))))'), 4),
+        (('(s (s (s (s z))))', '(s (s (s (s (s z)))))', '(plusS (s (s (s z))) (s z) (s (s (s (s z)))) (plusS (s (s z)) (s z) (s (s (s z))) (plusS (s z) (s z) (s (s z)) (plusS z (s z) (s z) (plusZ (s z))))))'), 5),
+    ]),
+    ('optimized', 'plus z z (s z)', 8, 1, 'no', []),
+    ('optimized', 'append X Y (cons z (cons (s z) nil))', 8, 0, 'ok', [
+        (('nil', '(cons z (cons (s z) nil))', '(appNil (cons z (cons (s z) nil)))'), 1),
+        (('(cons z nil)', '(cons (s z) nil)', '(appCons z nil (cons (s z) nil) (cons (s z) nil) (appNil (cons (s z) nil)))'), 2),
+        (('(cons z (cons (s z) nil))', 'nil', '(appCons z (cons (s z) nil) nil (cons (s z) nil) (appCons (s z) nil nil nil (appNil nil)))'), 3),
+    ]),
+    ('optimized', 'append (cons z nil) X Y', 6, 0, 'ok', [
+        (('?0', '(cons z ?0)', '(appCons z nil ?0 ?0 (appNil ?0))'), 2),
+    ]),
+    ('optimized', 'append (cons (s z) (cons z nil)) (cons z nil) L', 8, 1, 'ok', [
+        (('(cons (s z) (cons z (cons z nil)))', '(appCons (s z) (cons z nil) (cons z nil) (cons z (cons z nil)) (appCons z nil (cons z nil) (cons z nil) (appNil (cons z nil))))'), 3),
+    ]),
+    ('optimized', 'append (cons z (cons z nil)) nil L', 2, 1, 'exhausted', []),
+    ('naive', 'plus (s (s z)) (s z) N', 8, 1, 'exhausted', []),
+    ('naive', 'plus X Y (s (s z))', 12, 0, 'ok', [
+        (('z', '(s (s z))', '(plusZ (s (s z)))'), 4),
+        (('(s z)', '(s z)', '(plusS z (s z) (s z) (plusZ (s z)))'), 9),
+        (('(s (s z))', 'z', '(plusS (s z) z (s z) (plusS z z z (plusZ z)))'), 12),
+    ]),
+    ('naive', 'plus X (s z) Y', 10, 0, 'ok', [
+        (('z', '(s z)', '(plusZ (s z))'), 3),
+        (('(s z)', '(s (s z))', '(plusS z (s z) (s z) (plusZ (s z)))'), 9),
+    ]),
+    ('naive', 'plus z z (s z)', 8, 1, 'no', []),
+    ('naive', 'append X Y (cons z nil)', 12, 0, 'ok', [
+        (('nil', '(cons z nil)', '(appNil (cons z nil))'), 4),
+        (('(cons z nil)', 'nil', '(appCons z nil nil nil (appNil nil))'), 7),
+    ]),
+    ('naive', 'append (cons z nil) X Y', 10, 0, 'ok', [
+        (('nil', '(cons z nil)', '(appCons z nil nil nil (appNil nil))'), 7),
+    ]),
+    ('naive', 'append nil nil L', 6, 0, 'ok', [
+        (('nil', '(appNil nil)'), 2),
+    ]),
+]
+
+
+def test_appendplus_search_matches_pinned_table():
+    for mode, qtext, depth, n, status, want in PINNED_APPENDPLUS:
+        _, _, run = _run("appendplus.elf", qtext, depth, n=n, mode=mode)
+        got = [(tuple(part.split("=", 1)[1]
+                      for part in engine._canon_key(sol).split(";")),
+                sol.backchains)
+               for sol in run.solutions]
+        assert (run.status, got) == (status, want), (mode, qtext)
+
+
+def test_index_instantiates_only_clauses_whose_head_can_match(monkeypatch):
+    families = []
+    instantiate = engine._clause_parts
+
+    def spy(clause):
+        head, premises = instantiate(clause)
+        families.append(term_spine(head.args[1])[0].name)
+        return head, premises
+
+    monkeypatch.setattr(engine, "_clause_parts", spy)
+    _, _, run = _run("appendplus.elf", "append (cons z nil) nil L", 8)
+    assert run.status == "ok"
+    assert families and set(families) == {"append"}
+
+
+def _list(elems):
+    t = "nil"
+    for e in reversed(elems):
+        t = f"(cons {e} {t})"
+    return t
+
+
+def test_eight_element_append_is_fast():
+    nats = ["z", "(s z)", "(s (s z))"]
+    query = (f"append {_list([nats[i % 3] for i in range(8)])} "
+             f"{_list([nats[i % 2] for i in range(8)])} L")
+    start = time.perf_counter()
+    _, _, run = _run("append.elf", query, 32)
+    elapsed = time.perf_counter() - start
+    assert run.status == "ok" and run.solutions[0].backchains == 9
+    assert elapsed < 1.0  # 3.1 s with eager substitution and no index

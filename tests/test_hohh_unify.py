@@ -1,6 +1,8 @@
+from hypothesis import given, settings, strategies as st
+
 from lflp.hterms import (
-    LF_OBJ, LF_TYPE, App, Const, Lam, alpha_eq_term, arrow, evars_of,
-    fresh_evar, fresh_lvar, mk_app,
+    LF_OBJ, LF_TYPE, App, BVar, Const, Lam, alpha_eq_term, arrow, evars_of,
+    fresh_evar, fresh_lvar, lvars_of, mk_app, term_spine,
 )
 from lflp.unify import Eq, Subst, unify, unify_one
 
@@ -89,6 +91,18 @@ def test_old_eigenvar_is_fine():
     assert res.subst.apply(x) == s(e)
 
 
+def test_pruning_one_variable_twice_keeps_its_copies_joined():
+    k = fresh_lvar("K", OBJ)
+    m = fresh_lvar("M", arrow([OBJ], OBJ))
+    e = fresh_evar("e", OBJ)  # younger than K: M must drop its argument
+    rhs = mk_app(CONS, [App(m, e), App(m, e)])
+    res = unify_one(k, rhs)
+    assert res.status == "ok"
+    _, (first, second) = term_spine(res.subst.apply(k))
+    assert first == second
+    assert not evars_of(first)
+
+
 def test_flex_flex_same_variable():
     a, b = fresh_evar("a", OBJ), fresh_evar("b", OBJ)
     x = fresh_lvar("X", arrow([OBJ, OBJ], OBJ))
@@ -154,7 +168,7 @@ def test_subst_stays_idempotent():
     y = fresh_lvar("Y", OBJ)
     sub = Subst().extend(x, s(y)).extend(y, Z)
     assert sub.apply(x) == s(Z)
-    assert sub.lookup(x) == s(Z)  # folded eagerly, not on demand
+    assert sub.lookup(x) == s(Z)  # y's binding resolved on lookup
     assert sub.apply(sub.apply(x)) == sub.apply(x)
 
 
@@ -163,3 +177,74 @@ def test_extend_applies_existing_bindings_to_new_range():
     y = fresh_lvar("Y", OBJ)
     sub = Subst().extend(y, Z).extend(x, cons(y, NIL))
     assert sub.lookup(x) == cons(Z, NIL)
+
+
+def test_long_variable_chain_resolves_without_recursion():
+    xs = [fresh_lvar("X", OBJ) for _ in range(10_001)]
+    links = dict(zip(xs, xs[1:]))
+    links[xs[-1]] = Z
+    sub = Subst(links)
+    assert sub.apply(xs[0]) == Z
+    assert sub.lookup(xs[0]) == Z
+    assert sub.apply(cons(xs[0], xs[5000])) == cons(Z, Z)
+    assert sub.head(xs[0]) == Z
+
+
+# --- triangular against eager folding -------------------------------------
+
+OBJ_VARS = [fresh_lvar(f"X{i}", OBJ) for i in range(4)]
+FUN_VARS = [fresh_lvar(f"F{i}", arrow([OBJ], OBJ)) for i in range(2)]
+
+
+def _obj_terms(under_binder: bool):
+    leaves = [st.just(Z), st.just(NIL), st.sampled_from(OBJ_VARS)]
+    if under_binder:
+        leaves.append(st.just(BVar("x", OBJ)))
+    return st.recursive(
+        st.one_of(leaves),
+        lambda sub: st.one_of(
+            sub.map(s),
+            st.tuples(sub, sub).map(lambda p: cons(*p)),
+            st.tuples(st.sampled_from(FUN_VARS), sub).map(lambda p: App(*p))),
+        max_leaves=6)
+
+
+_BINDINGS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(OBJ_VARS), _obj_terms(False)),
+    st.tuples(st.sampled_from(FUN_VARS),
+              _obj_terms(True).map(lambda b: Lam("x", OBJ, b)))),
+    max_size=8)
+
+
+def _reaches(raw: dict, t, v) -> bool:
+    """Whether `t` mentions `v`, directly or through the ranges of `raw`."""
+    stack, seen = [t], set()
+    while stack:
+        for u in lvars_of(stack.pop()):
+            if u == v:
+                return True
+            if u in raw and u not in seen:
+                seen.add(u)
+                stack.append(raw[u])
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BINDINGS, _obj_terms(False))
+def test_triangular_subst_agrees_with_eager_folding(steps, query):
+    tri, eager = Subst(), oracles.EagerSubst()
+    raw: dict = {}
+    for v, t in steps:
+        # Bind only unbound variables, and keep the stored map acyclic,
+        # as unification's occurs check does.
+        if v in raw or _reaches(raw, t, v):
+            continue
+        raw[v] = t
+        tri, eager = tri.extend(v, t), eager.extend(v, t)
+    assert alpha_eq_term(tri.apply(query), eager.apply(query))
+    for v in OBJ_VARS + FUN_VARS:
+        got, want = tri.lookup(v), eager.lookup(v)
+        assert (got is None) == (want is None)
+        assert got is None or alpha_eq_term(got, want)
+        probe = App(v, Z) if v in FUN_VARS else v
+        assert tri.head(probe) == term_spine(eager.apply(probe))[0]
