@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from . import lf_syntax as lf
 from .hterms import (
     BVar, Const, EVar, LVar, Lam, SimpleType, Term, beta_norm, eta_long,
-    lvars_of, term_spine,
+    lvars_of, subst_term, term_spine,
 )
-from .lf_kernel import beta_eta_equal, beta_normalize, substitute
+from .lf_kernel import (
+    beta_eta_equal, beta_normalize, normal_classifier, substitute,
+)
 
 
 class InversionError(Exception):
@@ -55,27 +57,42 @@ def invert(g: InversionGoal) -> lf.Obj:
     return _invert(g.sig, g.ctx, g.term, beta_normalize(g.ty))
 
 
+class _Taken:
+    """The names bound in `ctx` or declared in `sig`, tested through
+    their lookups."""
+
+    __slots__ = ("ctx", "sig")
+
+    def __init__(self, ctx: lf.Context, sig: lf.Signature):
+        self.ctx = ctx
+        self.sig = sig
+
+    def __contains__(self, name: str) -> bool:
+        return self.ctx.lookup(name) is not None or self.sig.lookup(name) is not None
+
+
 def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam) -> lf.Obj:
     if isinstance(ty, lf.FPi):
         if not isinstance(t, Lam):
             raise InversionError("subject not eta-long at a Pi type")
-        var = t.var
-        if ctx.lookup(var) is not None or sig.lookup(var) is not None:
-            var = lf.fresh_name(var, set(ctx.names()) | set(sig.names()))
+        # the lambda takes the name of the Pi binder it inhabits, so the
+        # same answer always reads the same
+        taken = _Taken(ctx, sig)
+        var = ty.var
+        if var in taken:
+            var = lf.fresh_name(var, taken)
         body_ty = beta_normalize(substitute(ty.body, {ty.var: lf.OVar(var)}))
         tbody = t.body
         if var != t.var:
-            from .hterms import subst_term
             tbody = subst_term(tbody, {t.var: BVar(var, t.ty)})
         body = _invert(sig, ctx.extend(var, ty.dom), tbody, body_ty)
         return lf.OLam(var, ty.dom, body)
     head, args = term_spine(t)
     match head:
         case Const(name, _):
-            looked = sig.lookup(name)
-            if looked is None or isinstance(looked, (lf.KType, lf.KPi)):
+            classifier = normal_classifier(sig, name)
+            if classifier is None or isinstance(classifier, (lf.KType, lf.KPi)):
                 raise InversionError(f"unknown object constant {name}")
-            classifier = beta_normalize(looked)
             lf_head: lf.Obj = lf.OConst(name)
         case BVar(name, _):
             found = ctx.lookup(name)

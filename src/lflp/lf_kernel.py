@@ -5,6 +5,11 @@ check synthesizes a beta-normal classifier and compares against expected
 types using beta-eta-equality (normalize, eta-expand to long form, compare
 up to alpha).  A fuel bound guards normalization so that ill-formed input
 fed directly to the normalizer cannot loop; well-typed terms never hit it.
+
+A constant's classifier is normalized once per signature, by
+`normal_classifier`, and every rule reads it from there.  The checker
+accepts a `Signature` or a `SignaturePrefix`: `check_signature` checks each
+declaration against a prefix view of the declarations before it.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ from __future__ import annotations
 from typing import Mapping, Optional, Union
 
 from .lf_syntax import (
-    Context, Decl, Expr, Fam, FApp, FConst, FPi, Kind, KindDecl, KPi, KType,
-    LFError, Obj, OApp, OConst, ObjDecl, OLam, OVar, Signature, alpha_eq,
-    fam_app, fam_spine, free_vars, fresh_name, obj_app, obj_spine,
+    Context, Expr, Fam, FApp, FConst, FPi, Kind, KindDecl, KPi, KType,
+    LFError, Obj, OApp, OConst, OLam, OVar, Signature, SignaturePrefix,
+    alpha_eq, fam_app, fam_spine, free_vars, fresh_name, obj_app, obj_spine,
+    occurs_free,
 )
 
 DEFAULT_FUEL = 100000
@@ -113,6 +119,19 @@ def _norm(e: Expr, cell: list[int]) -> Expr:
     raise TypeError(f"not an LF expression: {e!r}")
 
 
+def normal_classifier(sig: Signature, name: str) -> Optional[Union[Kind, Fam]]:
+    """The beta-normal classifier of constant `name`, or None when `sig`
+    does not declare it.  Normalized once per signature."""
+    a = sig.lookup(name)
+    if a is None:
+        return None
+    memo = sig.normal_forms
+    nf = memo.get(name)
+    if nf is None:
+        nf = memo[name] = beta_normalize(a)
+    return nf
+
+
 # ---------------------------------------------------------------------------
 # Canonical (eta-long) forms
 
@@ -153,14 +172,14 @@ def _canon_obj(sig: Signature, ctx: Context, m: Obj, t: Fam) -> Obj:
     if isinstance(head, OLam):
         raise LFTypeError("abstraction at base type", rule="abs-obj")
     if isinstance(head, OConst):
-        classifier = sig.lookup(head.name)
-        if not isinstance(classifier, (FConst, FPi, FApp)):
+        rest = normal_classifier(sig, head.name)
+        if not isinstance(rest, (FConst, FPi, FApp)):
             raise LFTypeError(f"unknown object constant {head.name!r}", rule="var-obj")
     else:
         classifier = ctx.lookup(head.name)
         if classifier is None:
             raise LFTypeError(f"unbound variable {head.name!r}", rule="var-obj")
-    rest = beta_normalize(classifier)
+        rest = beta_normalize(classifier)
     out: list[Obj] = []
     sub: dict[str, Obj] = {}
     for a in args:
@@ -180,10 +199,9 @@ def _canon_fam(sig: Signature, ctx: Context, a: Fam) -> Fam:
     head, args = fam_spine(a)
     if not isinstance(head, FConst):
         raise LFTypeError("application head must be a type constant", rule="app-fam")
-    kind = sig.lookup(head.name)
-    if not isinstance(kind, (KType, KPi)):
+    rest = normal_classifier(sig, head.name)
+    if not isinstance(rest, (KType, KPi)):
         raise LFTypeError(f"unknown type constant {head.name!r}", rule="var-fam")
-    rest: Kind = beta_normalize(kind)
     out: list[Obj] = []
     sub: dict[str, Obj] = {}
     for m in args:
@@ -226,7 +244,7 @@ def check_signature(sig: Signature) -> None:
             raise LFTypeError(f"duplicate declaration of {d.name!r}",
                               rule=rule, loc=d.name)
         seen.add(d.name)
-        prefix = Signature(sig.decls[:i])
+        prefix = SignaturePrefix(sig, i)
         try:
             if isinstance(d, KindDecl):
                 check_kind(prefix, Context(), d.kind)
@@ -263,13 +281,13 @@ def check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
     """Synthesize the beta-normal kind of `a` (error if not well-formed)."""
     match a:
         case FConst(name):
-            k = sig.lookup(name)
+            k = normal_classifier(sig, name)
             if k is None:
                 raise LFTypeError(f"unknown type constant {name!r}", rule="var-fam")
             if not isinstance(k, (KType, KPi)):
                 raise LFTypeError(f"object constant {name!r} used as a type",
                                   rule="var-fam")
-            return beta_normalize(k)
+            return k
         case FPi(var, dom, body):
             dk = check_type(sig, ctx, dom)
             if not isinstance(dk, KType):
@@ -288,7 +306,7 @@ def check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
                 name = head.name if isinstance(head, FConst) else str(head)
                 raise LFTypeError(f"too many arguments to {name!r}", rule="app-fam")
             check_object(sig, ctx, arg, expected=k.dom, _rule="app-fam")
-            return beta_normalize(substitute(k.body, {k.var: arg}))
+            return _instantiate(k, arg)
     raise TypeError(f"not a type family: {a!r}")
 
 
@@ -296,7 +314,7 @@ def check_object(sig: Signature, ctx: Context, m: Obj,
                  expected: Optional[Fam] = None, _rule: str = "app-obj") -> Fam:
     """Synthesize the beta-normal type of `m`; compare to `expected` if given."""
     t = _synth_obj(sig, ctx, m)
-    if expected is not None:
+    if expected is not None and t != expected:
         want = beta_normalize(expected)
         if not beta_eta_equal(sig, ctx, t, want):
             raise LFTypeError(f"{print_brief(m)} has type {t}, expected {want}",
@@ -307,13 +325,13 @@ def check_object(sig: Signature, ctx: Context, m: Obj,
 def _synth_obj(sig: Signature, ctx: Context, m: Obj) -> Fam:
     match m:
         case OConst(name):
-            a = sig.lookup(name)
+            a = normal_classifier(sig, name)
             if a is None:
                 raise LFTypeError(f"unknown constant {name!r}", rule="var-obj")
             if not isinstance(a, (FConst, FPi, FApp)):
                 raise LFTypeError(f"type constant {name!r} used as an object",
                                   rule="var-obj")
-            return beta_normalize(a)
+            return a
         case OVar(name):
             a = ctx.lookup(name)
             if a is None:
@@ -334,8 +352,16 @@ def _synth_obj(sig: Signature, ctx: Context, m: Obj) -> Fam:
                 raise LFTypeError(f"{print_brief(fn)} of type {ft} applied to an argument",
                                   rule="app-obj")
             check_object(sig, ctx, arg, expected=ft.dom, _rule="app-obj")
-            return beta_normalize(substitute(ft.body, {ft.var: arg}))
+            return _instantiate(ft, arg)
     raise TypeError(f"not an object: {m!r}")
+
+
+def _instantiate(pi: Union[KPi, FPi], arg: Obj) -> Union[Kind, Fam]:
+    # the body of a beta-normal Pi is normal; a binder it does not use
+    # leaves it as it is
+    if not occurs_free(pi.var, pi.body):
+        return pi.body
+    return beta_normalize(substitute(pi.body, {pi.var: arg}))
 
 
 def _freshen_binder(var: str, body: Expr, ctx: Context) -> tuple[str, Expr]:

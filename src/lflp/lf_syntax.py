@@ -16,8 +16,9 @@ names literally and is only suitable for hashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+import re
+from dataclasses import dataclass
+from typing import Container, Iterator, NamedTuple, Optional, Union
 
 
 class LFError(Exception):
@@ -139,22 +140,56 @@ Decl = Union[KindDecl, ObjDecl]
 
 @dataclass(frozen=True)
 class Signature:
+    """Declarations in source order, indexed by name once.
+
+    `lookup` reads the index; a name declared twice resolves to its first
+    declaration; a `SignaturePrefix` sees only the first declarations
+    through the same index.  Two per-constant tables travel with the signature and
+    are filled on demand by the layers that own them: `normal_forms` (the
+    kernel's beta-normal classifiers) and `simple_types` (the translator's
+    flattened types).
+    """
     decls: tuple[Decl, ...] = ()
 
+    def __post_init__(self) -> None:
+        index: dict[str, tuple[int, Union[Kind, Fam]]] = {}
+        for i, d in enumerate(self.decls):
+            if d.name not in index:
+                index[d.name] = (i, d.kind if isinstance(d, KindDecl) else d.fam)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "normal_forms", {})
+        object.__setattr__(self, "simple_types", {})
+
     def lookup(self, name: str) -> Optional[Union[Kind, Fam]]:
-        for d in self.decls:
-            if d.name == name:
-                return d.kind if isinstance(d, KindDecl) else d.fam
-        return None
+        entry = self._index.get(name)
+        return None if entry is None else entry[1]
 
     def names(self) -> frozenset[str]:
-        return frozenset(d.name for d in self.decls)
+        return frozenset(self._index)
 
     def __iter__(self) -> Iterator[Decl]:
         return iter(self.decls)
 
     def __str__(self) -> str:
         return "\n".join(str(d) for d in self.decls)
+
+
+class SignaturePrefix:
+    """The first `limit` declarations of a signature, read through its
+    index: later declarations are invisible and nothing is copied."""
+
+    __slots__ = ("_index", "_limit", "normal_forms")
+
+    def __init__(self, sig: Signature, limit: int):
+        self._index = sig._index
+        self._limit = limit
+        self.normal_forms = sig.normal_forms
+
+    def lookup(self, name: str) -> Optional[Union[Kind, Fam]]:
+        entry = self._index.get(name)
+        if entry is None or entry[0] >= self._limit:
+            return None
+        return entry[1]
 
 
 @dataclass(frozen=True)
@@ -184,7 +219,7 @@ class Context:
 # ---------------------------------------------------------------------------
 # Name supply and free variables
 
-def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
+def fresh_name(base: str, avoid: Container[str]) -> str:
     if base not in avoid:
         return base
     i = 1
@@ -207,6 +242,18 @@ def free_vars(e: Expr) -> frozenset[str]:
         case OApp(fn, arg):
             return free_vars(fn) | free_vars(arg)
     raise TypeError(f"not an LF expression: {e!r}")
+
+
+def occurs_free(x: str, e: Expr) -> bool:
+    """Whether `x` is free in `e`; `x in free_vars(e)` without the sets."""
+    match e:
+        case OVar(name):
+            return name == x
+        case KPi(var, dom, body) | FPi(var, dom, body) | OLam(var, dom, body):
+            return occurs_free(x, dom) or (var != x and occurs_free(x, body))
+        case FApp(fn, arg) | OApp(fn, arg):
+            return occurs_free(x, fn) or occurs_free(x, arg)
+    return False
 
 
 def alpha_eq(a: Expr, b: Expr) -> bool:
@@ -296,62 +343,45 @@ def split_kind_pis(k: Kind) -> tuple[list[tuple[str, Fam]], Kind]:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = ("->", "{", "}", "[", "]", "(", ")", ":", ".")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'ident', 'type', one of _PUNCT, or 'eof'
+class _Token(NamedTuple):
+    kind: str  # 'ident', 'type', '->', one of "{}[]():.", or 'eof'
     text: str
     line: int
     col: int
 
 
-def _ident_char(c: str) -> bool:
-    return c.isalnum() or c in ("_", "'")
+# One match per token, with the whitespace and `%` comments before it, on
+# one line at a time.  Group 1 is a word, group 2 punctuation, group 3 any
+# other character; none matches only at the end of the line.  `\w` is
+# exactly str.isalnum() plus "_" and `\s` exactly str.isspace(), on every
+# code point.
+_LEXEME = re.compile(r"(?:\s+|%.*)*(?:([\w']+)|(->|[{}\[\]():.])|(.))?")
+
+# _Token(...) runs a Python-level __new__; this builds the same tuple in C
+_new_token = tuple.__new__
 
 
 def tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            toks.append(_Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "{}[]():.":
-            toks.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if _ident_char(c) and not c.isdigit():
-            j = i
-            while j < n and _ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            kind = "type" if word == "type" else "ident"
-            toks.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise LFSyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+    append = toks.append
+    for line, src in enumerate(text.split("\n"), 1):
+        for m in _LEXEME.finditer(src):
+            group = m.lastindex
+            if group is None:
+                continue
+            word = m.group(group)
+            col = m.start(group) + 1
+            # no word starts with a digit, '²' included, which `\d` misses
+            if group == 1 and not word[0].isdigit():
+                kind = "type" if word == "type" else "ident"
+            elif group == 2:
+                kind = word
+            else:
+                raise LFSyntaxError(f"unexpected character {word[0]!r}", line, col)
+            append(_new_token(_Token, (kind, word, line, col)))
+    # a comment running to the end of input leaves the column at its `%`
+    comment = src.find("%")
+    append(_Token("eof", "", line, (comment if comment >= 0 else len(src)) + 1))
     return toks
 
 
@@ -421,6 +451,11 @@ class _Parser:
         self.pos += 1
         return t
 
+    def names_since(self, start: int) -> set[str]:
+        """Every identifier among the tokens read since `start`: the binder
+        names and name occurrences of the pre-term parsed from them."""
+        return {t.text for t in self.toks[start:self.pos] if t.kind == "ident"}
+
     def expect(self, kind: str) -> _Token:
         t = self.peek()
         if t.kind != kind:
@@ -472,21 +507,6 @@ class _Parser:
             return e
         shown = t.text if t.kind != "eof" else "end of input"
         raise LFSyntaxError(f"expected an expression, found {shown!r}", t.line, t.col)
-
-
-def _pre_names(e: _PTerm) -> set[str]:
-    match e:
-        case _PName(name, _, _):
-            return {name}
-        case _PType():
-            return set()
-        case _PPi(var, dom, body, _, _) | _PLam(var, dom, body, _, _):
-            return {var} | _pre_names(dom) | _pre_names(body)
-        case _PArrow(dom, cod, _, _):
-            return _pre_names(dom) | _pre_names(cod)
-        case _PApp(fn, arg, _, _):
-            return _pre_names(fn) | _pre_names(arg)
-    raise TypeError(e)
 
 
 def _tail_is_type(e: _PTerm) -> bool:
@@ -595,13 +615,14 @@ def parse_signature(text: str) -> Signature:
     while parser.peek().kind != "eof":
         name_tok = parser.expect("ident")
         parser.expect(":")
+        start = parser.pos
         body = parser.expr()
         parser.expect(".")
         if name_tok.text in seen:
             raise LFSyntaxError(f"duplicate declaration of {name_tok.text!r}",
                                 name_tok.line, name_tok.col)
         seen.add(name_tok.text)
-        elab = _Elab(_pre_names(body) | {name_tok.text})
+        elab = _Elab(parser.names_since(start) | {name_tok.text})
         if _tail_is_type(body):
             decls.append(KindDecl(name_tok.text, elab.kind(body, {})))
         else:
@@ -624,7 +645,7 @@ def parse_query(text: str, sig: Optional[Signature] = None) -> tuple[tuple[str, 
     tok = parser.peek()
     if tok.kind != "eof":
         raise LFSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    elab = _Elab(_pre_names(body), sig=sig, free_ok=True)
+    elab = _Elab(parser.names_since(0), sig=sig, free_ok=True)
     fam = elab.fam(body, {})
     head, _ = fam_spine(fam)
     if not isinstance(head, FConst):
@@ -642,7 +663,7 @@ def parse_object(text: str, sig: Optional[Signature] = None) -> Obj:
     tok = parser.peek()
     if tok.kind != "eof":
         raise LFSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    elab = _Elab(_pre_names(body), sig=sig)
+    elab = _Elab(parser.names_since(0), sig=sig)
     return elab.obj(body, {})
 
 
@@ -660,7 +681,7 @@ def _pp(e: Expr, prec: int) -> str:
         case KType():
             return "type"
         case KPi(var, dom, body) | FPi(var, dom, body):
-            if var not in free_vars(body):
+            if not occurs_free(var, body):
                 s = f"{_pp(dom, 1)} -> {_pp(body, 0)}"
             else:
                 s = f"{{{var}:{_pp(dom, 0)}}} {_pp(body, 0)}"

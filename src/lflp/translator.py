@@ -40,7 +40,9 @@ from .hterms import (
     Lam, LVar, Program, SimpleType, TArrow, TBase, Term, Top, beta_norm,
     term_spine,
 )
-from .lf_kernel import LFTypeError, beta_normalize, check_type
+from .lf_kernel import (
+    LFTypeError, beta_normalize, check_type, normal_classifier, substitute,
+)
 
 
 class TranslationError(Exception):
@@ -68,10 +70,14 @@ def phi(e: Union[lf.Kind, lf.Fam]) -> SimpleType:
 
 
 def _const_type(sig: lf.Signature, name: str) -> SimpleType:
-    classifier = sig.lookup(name)
-    if classifier is None:
-        raise TranslationError(f"undeclared constant {name}")
-    return phi(classifier)
+    """phi of a constant's classifier, from the signature's table."""
+    ty = sig.simple_types.get(name)
+    if ty is None:
+        classifier = sig.lookup(name)
+        if classifier is None:
+            raise TranslationError(f"undeclared constant {name}")
+        ty = sig.simple_types[name] = phi(classifier)
+    return ty
 
 
 def encode_obj(sig: lf.Signature, m: lf.Obj, env: dict[str, Term]) -> Term:
@@ -144,13 +150,11 @@ def translate_signature(sig: lf.Signature, mode: str = "optimized",
     xi: list[tuple[str, SimpleType]] = [(HASTYPE, HASTYPE_TY)]
     clauses: list[Formula] = []
     for d in sig.decls:
-        if isinstance(d, lf.KindDecl):
-            xi.append((d.name, phi(d.kind)))
-            continue
-        a = beta_normalize(d.fam)
-        xi.append((d.name, phi(a)))
-        subject = Const(d.name, phi(a))
-        clauses.append(translate_judgment(sig, a, subject, mode))
+        ty = _const_type(sig, d.name)
+        xi.append((d.name, ty))
+        if isinstance(d, lf.ObjDecl):
+            a = normal_classifier(sig, d.name)
+            clauses.append(translate_judgment(sig, a, Const(d.name, ty), mode))
     program = Program(tuple(xi), tuple(clauses))
     return simplify_program(program) if simplify else program
 
@@ -185,10 +189,9 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
         head, args = lf.fam_spine(fam)
         if not isinstance(head, lf.FConst):
             raise TranslationError("query type must be constant-headed")
-        kind = sig.lookup(head.name)
+        kind = normal_classifier(sig, head.name)
         if not isinstance(kind, (lf.KType, lf.KPi)):
             raise TranslationError(f"{head.name} is not a type constant")
-        from .lf_kernel import substitute
         sub: dict[str, lf.Obj] = {}
         for arg in args:
             if not isinstance(kind, lf.KPi):
@@ -210,11 +213,9 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
                 types[ohead.name] = expected
             return
         if isinstance(ohead, lf.OConst):
-            classifier = sig.lookup(ohead.name)
-            if classifier is None or isinstance(classifier, (lf.KType, lf.KPi)):
+            fam = normal_classifier(sig, ohead.name)
+            if fam is None or isinstance(fam, (lf.KType, lf.KPi)):
                 raise TranslationError(f"unknown object constant {ohead.name}")
-            fam = beta_normalize(classifier)
-            from .lf_kernel import substitute
             sub: dict[str, lf.Obj] = {}
             for arg in oargs:
                 if not isinstance(fam, lf.FPi):

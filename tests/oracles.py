@@ -5,8 +5,9 @@ test: normalization by single leftmost-outermost steps, substitution by
 rename-everything-then-replace, typed term enumeration instead of proof
 search, forward chaining instead of backchaining, brute-force
 substitution search instead of unification, path-blocked depth-first
-search instead of a least fixpoint for strictness, and eager folding of
-every binding instead of a triangular substitution.  Shared plumbing (AST
+search instead of a least fixpoint for strictness, eager folding of
+every binding instead of a triangular substitution, and a loop over
+characters instead of a regular expression for the lexer.  Shared plumbing (AST
 types, alpha comparison, the object-level strictness judgment) comes from
 the package; the decision procedures do not.
 """
@@ -19,7 +20,8 @@ from typing import Iterable, Iterator, Optional
 
 from lflp import lf_syntax as lf
 from lflp.lf_syntax import (
-    FConst, FPi, Fam, OVar, fam_spine, free_vars, fresh_name, split_fam_pis,
+    FConst, FPi, Fam, LFSyntaxError, OVar, _Token, fam_spine, free_vars,
+    fresh_name, split_fam_pis,
 )
 from lflp.lf_kernel import (
     beta_normalize, check_signature, substitute,
@@ -635,3 +637,55 @@ class EagerSubst:
         for v, t in pairs:
             s = s.extend(v, t)
         return s
+
+
+# ---------------------------------------------------------------------------
+# Lexing one character at a time: each character class is tested with the
+# str predicates directly, and line and column are counted as it goes.
+
+def _ident_char(c: str) -> bool:
+    return c.isalnum() or c in ("_", "'")
+
+
+def char_tokenize(text: str) -> list[_Token]:
+    toks: list[_Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("->", i):
+            toks.append(_Token("->", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if c in "{}[]():.":
+            toks.append(_Token(c, c, line, col))
+            i += 1
+            col += 1
+            continue
+        if _ident_char(c) and not c.isdigit():
+            j = i
+            while j < n and _ident_char(text[j]):
+                j += 1
+            word = text[i:j]
+            kind = "type" if word == "type" else "ident"
+            toks.append(_Token(kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        raise LFSyntaxError(f"unexpected character {c!r}", line, col)
+    toks.append(_Token("eof", "", line, col))
+    return toks

@@ -1,4 +1,6 @@
 import pathlib
+import re
+import time
 
 import pytest
 
@@ -136,6 +138,18 @@ def test_solve_enumerates_solutions(capsys):
     assert "inhabitant: foo z" in out
 
 
+def test_solve_names_lambdas_after_their_pi_binders(capsys):
+    # the same query in one process prints the same answers, each lambda
+    # named after the binder of F : nat -> nat
+    runs = [run_cli(capsys, "solve", str(DATA / "fy.elf"), "bar z",
+                    "-n", "0", "--depth", "4") for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code == 0
+    assert "inhabitant: foo z ([x:nat] z)" in out
+    assert "inhabitant: foo z ([x:nat] x)" in out
+
+
 def test_solve_free_variable_reported(capsys):
     code, out, _ = run_cli(capsys, "solve", str(DATA / "foo2.elf"), "bar Y")
     assert code == 0
@@ -208,3 +222,65 @@ def test_reported_inhabitant_type_checks(capsys):
     ty = oracles.parse_type(
         sig, f"append (cons (s z) nil) (cons z nil) ({bound})")
     check_object(sig, lf.Context(), obj, ty)
+
+
+# --- scale ----------------------------------------------------------------
+# The largest inputs of the benchmark's deep and compile workloads, through
+# the CLI: a 250-element ground list, and 40 renamed copies of append and
+# plus.  The time bound only catches a front end that stops being
+# proportional to its input; both take tens of milliseconds.
+
+_FAMILY = ["nat", "z", "s", "list", "nil", "cons", "append", "appNil",
+           "appCons", "plus", "plusZ", "plusS"]
+
+
+def _ground_list(n):
+    text = "nil"
+    for i in reversed(range(n)):
+        text = f"cons {'z' if i % 2 else '(s z)'} ({text})"
+    return text
+
+
+def _long_fact_signature():
+    items = _ground_list(250)
+    return ((DATA / "appendplus.elf").read_text()
+            + f"\nfact : append nil ({items}) ({items}).\n")
+
+
+def _copies_signature():
+    text = (DATA / "appendplus.elf").read_text()
+    names = re.compile(r"(?<![\w'])(" + "|".join(_FAMILY) + r")(?![\w'])")
+    return "\n".join(names.sub(lambda m: f"{m.group(1)}_{j}", text)
+                     for j in range(40))
+
+
+def _timed_cli(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    return code, out, err
+
+
+def _program_shape(out):
+    """(clauses, premises, type lines) of an emitted program; the inputs
+    are first order, so every `=>` is one premise."""
+    lines = out.splitlines()
+    clauses = [l for l in lines if l and not l.startswith(("kind ", "type "))]
+    return (len(clauses), out.count(" => "),
+            sum(l.startswith("type ") for l in lines))
+
+
+@pytest.mark.parametrize("make, decls, optimized, naive", [
+    (_long_fact_signature, 13, (9, 5, 14), (9, 14, 14)),
+    (_copies_signature, 480, (320, 200, 481), (320, 560, 481)),
+])
+def test_front_end_scales_to_benchmark_inputs(capsys, tmp_path, make, decls,
+                                              optimized, naive):
+    path = tmp_path / "big.elf"
+    path.write_text(make())
+    assert _timed_cli(capsys, "check", str(path)) == (
+        0, f"ok: {decls} declarations\n", "")
+    code, out, _ = _timed_cli(capsys, "translate", str(path))
+    assert code == 0 and _program_shape(out) == optimized
+    code, out, _ = _timed_cli(capsys, "translate", "--naive", str(path))
+    assert code == 0 and _program_shape(out) == naive

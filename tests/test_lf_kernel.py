@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from lflp import lf_syntax as lf
 from lflp.lf_kernel import (
     LFTypeError, beta_eta_equal, beta_normalize, canonicalize, check_object,
-    check_signature, check_type, substitute,
+    check_signature, check_type, normal_classifier, substitute,
 )
 
 import oracles
@@ -152,6 +152,53 @@ def test_underapplied_family_rejected():
 def test_object_at_kind_position_rejected():
     with pytest.raises(LFTypeError):
         check_signature(lf.parse_signature("nat : type. c : z."))
+
+
+# --- the name index and the normal-form memo ------------------------------
+
+def test_forward_reference_rejected():
+    # `foo` is declared, but only after the declaration that uses it
+    sig = lf.parse_signature("nat : type. z : nat. f : foo z. foo : nat -> type.")
+    with pytest.raises(LFTypeError) as e:
+        check_signature(sig)
+    assert str(e.value) == ("[var-fam] unknown type constant 'foo' "
+                            "(in declaration 'f')")
+
+
+def test_object_constant_as_type_message():
+    with pytest.raises(LFTypeError) as e:
+        check_signature(lf.parse_signature("nat : type. z : nat. c : z."))
+    assert str(e.value) == ("[var-fam] object constant 'z' used as a type "
+                            "(in declaration 'c')")
+
+
+def test_duplicate_name_looks_up_first_declaration():
+    first, second = lf.FConst("a"), lf.FConst("b")
+    sig = lf.Signature((lf.KindDecl("a", lf.KType()), lf.KindDecl("b", lf.KType()),
+                        lf.ObjDecl("c", first), lf.ObjDecl("c", second)))
+    assert sig.lookup("c") is first
+    assert normal_classifier(sig, "c") == first
+    assert sig.names() == {"a", "b", "c"}
+
+
+def test_prefix_hides_later_declarations():
+    sig = _sig()
+    n = [d.name for d in sig].index("append")
+    assert lf.SignaturePrefix(sig, n).lookup("append") is None
+    assert lf.SignaturePrefix(sig, n + 1).lookup("append") is sig.lookup("append")
+    assert normal_classifier(lf.SignaturePrefix(sig, n), "append") is None
+
+
+def test_normal_form_of_redex_classifier_is_memoized():
+    sig = lf.parse_signature("nat : type. z : nat. p : nat -> type. "
+                             "c : p (([x:nat] x) z).")
+    check_signature(sig)
+    source = sig.lookup("c")
+    nf = normal_classifier(sig, "c")
+    assert nf == beta_normalize(source) == _parse_fam("p z", sig)
+    assert nf != source
+    assert normal_classifier(sig, "c") is nf
+    assert check_object(sig, lf.Context(), lf.OConst("c")) is nf
 
 
 # --- type checking --------------------------------------------------------

@@ -125,3 +125,45 @@ def test_alpha_equivalent_objects_compare_equal():
     b = lf.OLam("y", lf.FConst("nat"), lf.OVar("y"))
     assert lf.alpha_eq(a, b)
     assert not lf.alpha_eq(a, lf.OLam("x", lf.FConst("nat"), lf.OConst("z")))
+
+
+# --- the lexer against the character loop ----------------------------------
+
+def _lexed(tokenize, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except lf.LFSyntaxError as err:
+        return str(err)
+
+
+# decimal and non-decimal digits (9, ٣, ²), a letter beyond ASCII, and a
+# space that is not a line break (U+2028)
+_LEX_ALPHABET = "ab_'Z9 \t\r\n%{}[]():.->é²٣\u2028"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=_LEX_ALPHABET, max_size=40))
+def test_lexer_agrees_with_character_loop(text):
+    assert _lexed(lf.tokenize, text) == _lexed(oracles.char_tokenize, text)
+
+
+@pytest.mark.parametrize("text, want", [
+    # str.isdigit() holds for '²' although it is no decimal digit
+    ("²x", "1:1: unexpected character '²'"),
+    ("9x", "1:1: unexpected character '9'"),
+    ("a -", "1:3: unexpected character '-'"),
+    # a comment running to the end leaves the column at its '%'
+    ("a % c", [("ident", "a", 1, 1), ("eof", "", 1, 3)]),
+    ("a\n  % c\n", [("ident", "a", 1, 1), ("eof", "", 3, 1)]),
+    ("x' type", [("ident", "x'", 1, 1), ("type", "type", 1, 4),
+                      ("eof", "", 1, 8)]),
+])
+def test_lexer_pinned_cases(text, want):
+    assert _lexed(lf.tokenize, text) == want
+    assert _lexed(oracles.char_tokenize, text) == want
+
+
+def test_arrow_binder_avoids_every_name_of_its_declaration():
+    # `x` is bound only after the arrow, and the arrow's binder avoids it
+    c = lf.parse_signature("a : type. c : a -> {x:a} a.").lookup("c")
+    assert c.var == "x1" and c.body.var == "x"
