@@ -260,18 +260,6 @@ def beta_norm(t: Term) -> Term:
             return t
 
 
-def eta_long(t: Term) -> Term:
-    """Fully eta-expand a beta-normal term."""
-    ty = type_of(t)
-    if isinstance(ty, TArrow):
-        if isinstance(t, Lam):
-            return Lam(t.var, t.ty, eta_long(t.body))
-        v = _fresh_bname("w", free_bvars(t))
-        return Lam(v, ty.dom, eta_long(App(t, BVar(v, ty.dom))))
-    head, args = term_spine(t)
-    return mk_app(head, [eta_long(a) for a in args])
-
-
 def alpha_eq_term(a: Term, b: Term) -> bool:
     return _aeq(a, b, (), ())
 
@@ -295,18 +283,6 @@ def _aeq(a: Term, b: Term, ea: tuple[str, ...], eb: tuple[str, ...]) -> bool:
             return _aeq(fa, fb, ea, eb) and _aeq(xa, xb, ea, eb)
         case _:
             return False
-
-
-def lvars_of(t: Term) -> frozenset[LVar]:
-    match t:
-        case LVar():
-            return frozenset([t])
-        case Lam(_, _, body):
-            return lvars_of(body)
-        case App(fn, arg):
-            return lvars_of(fn) | lvars_of(arg)
-        case _:
-            return frozenset()
 
 
 def evars_of(t: Term) -> frozenset[EVar]:

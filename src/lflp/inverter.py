@@ -5,9 +5,12 @@ type every simply typed answer determines at most one LF object: a Pi
 dictates a lambda whose annotation it supplies, and an application
 head names a signature constant or context variable whose classifier
 types the arguments one by one, each under the substitution built from
-those before it.  The reconstruction checks its own work: after the
-spine is rebuilt, the instantiated target of the head's classifier
-must be beta-eta equal to the expected type.
+those before it.  An answer that is not a lambda at a Pi type is
+eta-expanded on the fly, as the unifier does: `t` stands for
+`[x:A] t x`, so eta-short answers invert to canonical LF objects.  The
+reconstruction checks its own work: after the spine is rebuilt, the
+instantiated target of the head's classifier must be beta-eta equal to
+the expected type.
 
 Answers still containing logic variables are refused outright; there
 is no LF counterpart to report for them.
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 
 from . import lf_syntax as lf
 from .hterms import (
-    BVar, Const, EVar, LVar, Lam, SimpleType, Term, beta_norm, eta_long,
-    lvars_of, subst_term, term_spine,
+    App, BVar, Const, EVar, LVar, Lam, TArrow, Term, lvars_in_order,
+    subst_term, term_spine, type_of,
 )
 from .lf_kernel import (
     beta_eta_equal, beta_normalize, normal_classifier, substitute,
@@ -39,20 +42,10 @@ class InversionGoal:
     ty: lf.Fam
 
 
-def eta_expand_answer(t: Term, ty: SimpleType) -> Term:
-    """Bring a solver answer to the eta-long beta-normal form the
-    reconstruction expects."""
-    from .hterms import type_of
-    t = beta_norm(t)
-    if type_of(t) != ty:
-        raise InversionError(f"answer has simple type {type_of(t)}, "
-                             f"expected {ty}")
-    return eta_long(t)
-
-
 def invert(g: InversionGoal) -> lf.Obj:
-    if lvars_of(g.term):
-        names = sorted(v.name for v in lvars_of(g.term))
+    lvars = lvars_in_order([g.term])
+    if lvars:
+        names = sorted(v.name for v in lvars)
         raise InversionError(f"answer not closed: free {', '.join(names)}")
     return _invert(g.sig, g.ctx, g.term, beta_normalize(g.ty))
 
@@ -73,8 +66,6 @@ class _Taken:
 
 def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam) -> lf.Obj:
     if isinstance(ty, lf.FPi):
-        if not isinstance(t, Lam):
-            raise InversionError("subject not eta-long at a Pi type")
         # the lambda takes the name of the Pi binder it inhabits, so the
         # same answer always reads the same
         taken = _Taken(ctx, sig)
@@ -82,6 +73,13 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam) -> lf.Obj:
         if var in taken:
             var = lf.fresh_name(var, taken)
         body_ty = beta_normalize(substitute(ty.body, {ty.var: lf.OVar(var)}))
+        if not isinstance(t, Lam):
+            # eta-expanded on the fly, as the unifier does
+            simple = type_of(t)
+            if not isinstance(simple, TArrow):
+                raise InversionError(
+                    f"answer of simple type {simple} at a Pi type")
+            t = Lam(var, simple.dom, App(t, BVar(var, simple.dom)))
         tbody = t.body
         if var != t.var:
             tbody = subst_term(tbody, {t.var: BVar(var, t.ty)})
@@ -107,13 +105,10 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam) -> lf.Obj:
         case _:
             raise InversionError(f"cannot invert head {head!r}")
     binders, target = lf.split_fam_pis(classifier)
-    if len(args) > len(binders):
+    if len(args) != len(binders):
         raise InversionError(
             f"{_head_name(lf_head)} takes {len(binders)} arguments, "
             f"got {len(args)}")
-    if len(args) < len(binders):
-        raise InversionError("subject not eta-long: "
-                             f"{_head_name(lf_head)} partially applied")
     sub: dict[str, lf.Obj] = {}
     inv_args: list[lf.Obj] = []
     for (bname, bty), arg in zip(binders, args):
@@ -123,7 +118,7 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam) -> lf.Obj:
         sub = dict(sub)
         sub[bname] = inv
     final = beta_normalize(substitute(target, sub))
-    if not beta_eta_equal(sig, ctx, final, ty):
+    if not beta_eta_equal(final, ty):
         raise InversionError(
             f"head {_head_name(lf_head)} yields {lf.print_lf(final)}, "
             f"expected {lf.print_lf(ty)}")

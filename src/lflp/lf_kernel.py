@@ -1,10 +1,13 @@
-"""Substitution, normalization, canonical forms, and the LF judgments.
+"""Substitution, normalization, conversion, and the LF judgments.
 
 Checking is algorithmic: the judgment rules are syntax-directed, so each
 check synthesizes a beta-normal classifier and compares against expected
-types using beta-eta-equality (normalize, eta-expand to long form, compare
-up to alpha).  A fuel bound guards normalization so that ill-formed input
-fed directly to the normalizer cannot loop; well-typed terms never hit it.
+types using beta-eta-equality.  Conversion needs no types: two
+beta-normal forms are compared up to alpha, and when that fails, their
+eta-short forms are; on well-typed LF this agrees with comparing typed
+eta-long canonical forms.  A fuel bound guards normalization so that
+ill-formed input fed directly to the normalizer cannot loop; well-typed
+terms never hit it.
 
 A constant's classifier is normalized once per signature, by
 `normal_classifier`, and every rule reads it from there.  The checker
@@ -19,8 +22,7 @@ from typing import Mapping, Optional, Union
 from .lf_syntax import (
     Context, Expr, Fam, FApp, FConst, FPi, Kind, KindDecl, KPi, KType,
     LFError, Obj, OApp, OConst, OLam, OVar, Signature, SignaturePrefix,
-    alpha_eq, fam_app, fam_spine, free_vars, fresh_name, obj_app, obj_spine,
-    occurs_free,
+    alpha_eq, fam_spine, free_vars, fresh_name, occurs_free,
 )
 
 DEFAULT_FUEL = 100000
@@ -133,103 +135,35 @@ def normal_classifier(sig: Signature, name: str) -> Optional[Union[Kind, Fam]]:
 
 
 # ---------------------------------------------------------------------------
-# Canonical (eta-long) forms
+# Conversion
 
-def canonicalize(sig: Signature, ctx: Context, e: Expr,
-                 classifier: Optional[Expr] = None) -> Expr:
-    """Eta-long form of a beta-normal, well-typed expression.
-
-    Objects need their classifying type family; families and kinds carry
-    enough structure on their own.  Idempotent.
-    """
-    if isinstance(e, (OConst, OVar, OLam, OApp)):
-        if not isinstance(classifier, (FConst, FPi, FApp)):
-            raise LFTypeError("canonicalize needs the classifying type of an object")
-        return _canon_obj(sig, ctx, e, classifier)
-    if isinstance(e, (FConst, FPi, FApp)):
-        return _canon_fam(sig, ctx, e)
-    if isinstance(e, (KType, KPi)):
-        return _canon_kind(sig, ctx, e)
-    raise TypeError(f"not an LF expression: {e!r}")
-
-
-def _canon_obj(sig: Signature, ctx: Context, m: Obj, t: Fam) -> Obj:
-    if isinstance(t, FPi):
-        dom_c = _canon_fam(sig, ctx, t.dom)
-        if isinstance(m, OLam):
-            var = m.var
-            body = m.body
-            if var in ctx.names():
-                var = fresh_name(var, ctx.names() | free_vars(body) | free_vars(t.body))
-                body = substitute(body, {m.var: OVar(var)})
-        else:
-            var = fresh_name("x", ctx.names() | free_vars(m) | free_vars(t.body))
-            body = OApp(m, OVar(var))
-        rest = beta_normalize(substitute(t.body, {t.var: OVar(var)}))
-        inner = _canon_obj(sig, ctx.extend(var, t.dom), body, rest)
-        return OLam(var, dom_c, inner)
-    head, args = obj_spine(m)
-    if isinstance(head, OLam):
-        raise LFTypeError("abstraction at base type", rule="abs-obj")
-    if isinstance(head, OConst):
-        rest = normal_classifier(sig, head.name)
-        if not isinstance(rest, (FConst, FPi, FApp)):
-            raise LFTypeError(f"unknown object constant {head.name!r}", rule="var-obj")
-    else:
-        classifier = ctx.lookup(head.name)
-        if classifier is None:
-            raise LFTypeError(f"unbound variable {head.name!r}", rule="var-obj")
-        rest = beta_normalize(classifier)
-    out: list[Obj] = []
-    sub: dict[str, Obj] = {}
-    for a in args:
-        if not isinstance(rest, FPi):
-            raise LFTypeError(f"too many arguments to {head.name!r}", rule="app-obj")
-        expected = beta_normalize(substitute(rest.dom, sub))
-        out.append(_canon_obj(sig, ctx, a, expected))
-        sub[rest.var] = a
-        rest = rest.body
-    return obj_app(head, out)
-
-
-def _canon_fam(sig: Signature, ctx: Context, a: Fam) -> Fam:
-    if isinstance(a, FPi):
-        dom_c = _canon_fam(sig, ctx, a.dom)
-        return FPi(a.var, dom_c, _canon_fam(sig, ctx.extend(a.var, a.dom), a.body))
-    head, args = fam_spine(a)
-    if not isinstance(head, FConst):
-        raise LFTypeError("application head must be a type constant", rule="app-fam")
-    rest = normal_classifier(sig, head.name)
-    if not isinstance(rest, (KType, KPi)):
-        raise LFTypeError(f"unknown type constant {head.name!r}", rule="var-fam")
-    out: list[Obj] = []
-    sub: dict[str, Obj] = {}
-    for m in args:
-        if not isinstance(rest, KPi):
-            raise LFTypeError(f"too many arguments to {head.name!r}", rule="app-fam")
-        expected = beta_normalize(substitute(rest.dom, sub))
-        out.append(_canon_obj(sig, ctx, m, expected))
-        sub[rest.var] = m
-        rest = rest.body
-    return fam_app(head, out)
-
-
-def _canon_kind(sig: Signature, ctx: Context, k: Kind) -> Kind:
-    if isinstance(k, KPi):
-        dom_c = _canon_fam(sig, ctx, k.dom)
-        return KPi(k.var, dom_c, _canon_kind(sig, ctx.extend(k.var, k.dom), k.body))
-    return k
-
-
-def beta_eta_equal(sig: Signature, ctx: Context, a: Expr, b: Expr,
-                   classifier: Optional[Expr] = None) -> bool:
-    """Beta-eta-equality: compare canonical representatives up to alpha."""
+def beta_eta_equal(a: Expr, b: Expr) -> bool:
+    """Beta-eta-equality of well-typed expressions: their beta-normal
+    forms are alpha-equal, or else the eta-short forms of those are."""
     a_n = beta_normalize(a)
     b_n = beta_normalize(b)
-    if alpha_eq(a_n, b_n):
-        return True
-    cls = beta_normalize(classifier) if classifier is not None else None
-    return alpha_eq(canonicalize(sig, ctx, a_n, cls), canonicalize(sig, ctx, b_n, cls))
+    return alpha_eq(a_n, b_n) or alpha_eq(_eta_short(a_n), _eta_short(b_n))
+
+
+def _eta_short(e: Expr) -> Expr:
+    # contracts [x:A] M x to M when x is not free in M, innermost first;
+    # a beta-normal input stays beta-normal
+    match e:
+        case KType() | FConst() | OConst() | OVar():
+            return e
+        case KPi(var, dom, body) | FPi(var, dom, body):
+            return type(e)(var, _eta_short(dom), _eta_short(body))
+        case OLam(var, dom, body):
+            body = _eta_short(body)
+            if (isinstance(body, OApp) and body.arg == OVar(var)
+                    and not occurs_free(var, body.fn)):
+                return body.fn
+            return OLam(var, _eta_short(dom), body)
+        case FApp(fn, arg):
+            return FApp(_eta_short(fn), _eta_short(arg))
+        case OApp(fn, arg):
+            return OApp(_eta_short(fn), _eta_short(arg))
+    raise TypeError(f"not an LF expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +250,7 @@ def check_object(sig: Signature, ctx: Context, m: Obj,
     t = _synth_obj(sig, ctx, m)
     if expected is not None and t != expected:
         want = beta_normalize(expected)
-        if not beta_eta_equal(sig, ctx, t, want):
+        if not beta_eta_equal(t, want):
             raise LFTypeError(f"{print_brief(m)} has type {t}, expected {want}",
                               rule=_rule)
     return t

@@ -267,15 +267,6 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
 _KEYWORDS = {"pi", "sigma", "type", "kind", "true", "o", "module", "sig"}
 
 
-def _render_ty(ty: SimpleType) -> str:
-    if isinstance(ty, TArrow):
-        dom = _render_ty(ty.dom)
-        if isinstance(ty.dom, TArrow):
-            dom = f"({dom})"
-        return f"{dom} -> {_render_ty(ty.cod)}"
-    return ty.name
-
-
 def _render_term(t: Term) -> str:
     match t:
         case Const(name, _) | BVar(name, _):
@@ -403,28 +394,27 @@ def _rename_clause(f: Formula, forbidden: frozenset[str]) -> Formula:
     return go(f, {})
 
 
-def emit_lambdaprolog(p: Program) -> str:
+def _emit_lines(p: Program) -> tuple[list[str], list[str]]:
+    """The kind and type declarations and the clauses of `p`, one line
+    each."""
     forbidden = frozenset(n for n, _ in p.xi) | frozenset(_KEYWORDS)
-    lines = ["kind lf_obj type.", "kind lf_type type.", ""]
-    for name, ty in p.xi:
-        lines.append(f"type {name} {_render_ty(ty)}.")
-    lines.append("")
-    for c in p.clauses:
-        lines.append(_render_formula(_rename_clause(c, forbidden)) + ".")
-    return "\n".join(lines) + "\n"
+    decls = ["kind lf_obj type.", "kind lf_type type.", ""]
+    decls += [f"type {name} {ty}." for name, ty in p.xi]
+    clauses = [_render_formula(_rename_clause(c, forbidden)) + "."
+               for c in p.clauses]
+    return decls, clauses
+
+
+def emit_lambdaprolog(p: Program) -> str:
+    decls, clauses = _emit_lines(p)
+    return "\n".join(decls + [""] + clauses) + "\n"
 
 
 def emit_split(p: Program, module: str = "lftrans") -> tuple[str, str]:
     """Separate declaration and clause files for Teyjus-style loaders."""
-    forbidden = frozenset(n for n, _ in p.xi) | frozenset(_KEYWORDS)
-    sig_lines = [f"sig {module}.", "", "kind lf_obj type.",
-                 "kind lf_type type.", ""]
-    for name, ty in p.xi:
-        sig_lines.append(f"type {name} {_render_ty(ty)}.")
-    mod_lines = [f"module {module}.", ""]
-    for c in p.clauses:
-        mod_lines.append(_render_formula(_rename_clause(c, forbidden)) + ".")
-    return "\n".join(sig_lines) + "\n", "\n".join(mod_lines) + "\n"
+    decls, clauses = _emit_lines(p)
+    return ("\n".join([f"sig {module}.", ""] + decls) + "\n",
+            "\n".join([f"module {module}.", ""] + clauses) + "\n")
 
 
 # ---------------------------------------------------------------------------

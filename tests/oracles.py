@@ -6,10 +6,12 @@ rename-everything-then-replace, typed term enumeration instead of proof
 search, forward chaining instead of backchaining, brute-force
 substitution search instead of unification, path-blocked depth-first
 search instead of a least fixpoint for strictness, eager folding of
-every binding instead of a triangular substitution, and a loop over
-characters instead of a regular expression for the lexer.  Shared plumbing (AST
-types, alpha comparison, the object-level strictness judgment) comes from
-the package; the decision procedures do not.
+every binding instead of a triangular substitution, a loop over
+characters instead of a regular expression for the lexer, and typed
+eta-long canonical forms (`canonicalize`) instead of untyped eta-short
+ones for conversion.  Shared plumbing (AST types, alpha comparison, the
+object-level strictness judgment) comes from the package; the decision
+procedures do not.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from typing import Iterable, Iterator, Optional
 
 from lflp import lf_syntax as lf
 from lflp.lf_syntax import (
-    FConst, FPi, Fam, LFSyntaxError, OVar, _Token, fam_spine, free_vars,
-    fresh_name, split_fam_pis,
+    Context, Expr, FApp, FConst, FPi, Fam, Kind, KPi, KType, LFSyntaxError,
+    OApp, OConst, OLam, OVar, Obj, Signature, _Token, fam_app, fam_spine,
+    free_vars, fresh_name, obj_app, obj_spine, split_fam_pis,
 )
 from lflp.lf_kernel import (
-    beta_normalize, check_signature, substitute,
+    LFTypeError, beta_normalize, check_signature, normal_classifier,
+    substitute,
 )
 from lflp.hterms import (
     App, Atom, BVar, Const, Formula, ForAll, Imp, LVar, Lam, Term,
@@ -495,8 +499,8 @@ def _ty_of_head(h: Term):
 
 def has_unifier_bruteforce(lhs: Term, rhs: Term, heads: list[Term],
                            depth: int = 2) -> bool:
-    from lflp.hterms import lvars_of
-    lvars = sorted(lvars_of(lhs) | lvars_of(rhs), key=lambda v: v.name)
+    from lflp.hterms import lvars_in_order
+    lvars = sorted(lvars_in_order([lhs, rhs]), key=lambda v: v.name)
     pools = [gen_terms(v.ty, heads, depth) for v in lvars]
     for combo in itertools.product(*pools):
         sub = Subst(dict(zip(lvars, combo)))
@@ -689,3 +693,94 @@ def char_tokenize(text: str) -> list[_Token]:
         raise LFSyntaxError(f"unexpected character {c!r}", line, col)
     toks.append(_Token("eof", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Conversion through typed eta-long canonical forms: each object is
+# expanded at the type its position dictates, then forms are compared up
+# to alpha.  The kernel compares eta-short forms without types instead.
+
+def canonicalize(sig: Signature, ctx: Context, e: Expr,
+                 classifier: Optional[Expr] = None) -> Expr:
+    """Eta-long form of a beta-normal, well-typed expression.
+
+    Objects need their classifying type family; families and kinds carry
+    enough structure on their own.  Idempotent.
+    """
+    if isinstance(e, (OConst, OVar, OLam, OApp)):
+        if not isinstance(classifier, (FConst, FPi, FApp)):
+            raise LFTypeError("canonicalize needs the classifying type of an object")
+        return _canon_obj(sig, ctx, e, classifier)
+    if isinstance(e, (FConst, FPi, FApp)):
+        return _canon_fam(sig, ctx, e)
+    if isinstance(e, (KType, KPi)):
+        return _canon_kind(sig, ctx, e)
+    raise TypeError(f"not an LF expression: {e!r}")
+
+
+def _canon_obj(sig: Signature, ctx: Context, m: Obj, t: Fam) -> Obj:
+    if isinstance(t, FPi):
+        dom_c = _canon_fam(sig, ctx, t.dom)
+        if isinstance(m, OLam):
+            var = m.var
+            body = m.body
+            if var in ctx.names():
+                var = fresh_name(var, ctx.names() | free_vars(body) | free_vars(t.body))
+                body = substitute(body, {m.var: OVar(var)})
+        else:
+            var = fresh_name("x", ctx.names() | free_vars(m) | free_vars(t.body))
+            body = OApp(m, OVar(var))
+        rest = beta_normalize(substitute(t.body, {t.var: OVar(var)}))
+        inner = _canon_obj(sig, ctx.extend(var, t.dom), body, rest)
+        return OLam(var, dom_c, inner)
+    head, args = obj_spine(m)
+    if isinstance(head, OLam):
+        raise LFTypeError("abstraction at base type", rule="abs-obj")
+    if isinstance(head, OConst):
+        rest = normal_classifier(sig, head.name)
+        if not isinstance(rest, (FConst, FPi, FApp)):
+            raise LFTypeError(f"unknown object constant {head.name!r}", rule="var-obj")
+    else:
+        classifier = ctx.lookup(head.name)
+        if classifier is None:
+            raise LFTypeError(f"unbound variable {head.name!r}", rule="var-obj")
+        rest = beta_normalize(classifier)
+    out: list[Obj] = []
+    sub: dict[str, Obj] = {}
+    for a in args:
+        if not isinstance(rest, FPi):
+            raise LFTypeError(f"too many arguments to {head.name!r}", rule="app-obj")
+        expected = beta_normalize(substitute(rest.dom, sub))
+        out.append(_canon_obj(sig, ctx, a, expected))
+        sub[rest.var] = a
+        rest = rest.body
+    return obj_app(head, out)
+
+
+def _canon_fam(sig: Signature, ctx: Context, a: Fam) -> Fam:
+    if isinstance(a, FPi):
+        dom_c = _canon_fam(sig, ctx, a.dom)
+        return FPi(a.var, dom_c, _canon_fam(sig, ctx.extend(a.var, a.dom), a.body))
+    head, args = fam_spine(a)
+    if not isinstance(head, FConst):
+        raise LFTypeError("application head must be a type constant", rule="app-fam")
+    rest = normal_classifier(sig, head.name)
+    if not isinstance(rest, (KType, KPi)):
+        raise LFTypeError(f"unknown type constant {head.name!r}", rule="var-fam")
+    out: list[Obj] = []
+    sub: dict[str, Obj] = {}
+    for m in args:
+        if not isinstance(rest, KPi):
+            raise LFTypeError(f"too many arguments to {head.name!r}", rule="app-fam")
+        expected = beta_normalize(substitute(rest.dom, sub))
+        out.append(_canon_obj(sig, ctx, m, expected))
+        sub[rest.var] = m
+        rest = rest.body
+    return fam_app(head, out)
+
+
+def _canon_kind(sig: Signature, ctx: Context, k: Kind) -> Kind:
+    if isinstance(k, KPi):
+        dom_c = _canon_fam(sig, ctx, k.dom)
+        return KPi(k.var, dom_c, _canon_kind(sig, ctx.extend(k.var, k.dom), k.body))
+    return k

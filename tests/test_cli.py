@@ -1,5 +1,8 @@
+import contextlib
+import io
 import pathlib
 import re
+import shlex
 import time
 
 import pytest
@@ -189,6 +192,18 @@ def test_solve_naive_mode(capsys):
     assert "inhabitant: appCons z nil nil nil (appNil nil)" in out
 
 
+@pytest.mark.parametrize("mode", [[], ["--naive"]])
+def test_solve_inverts_eta_short_answers(capsys, mode):
+    # c's argument is the bare constant s at nat -> nat; d's is expanded
+    code, out, _ = run_cli(capsys, "solve", *mode, str(DATA / "eta.elf"),
+                           "foo F", "-n", "0")
+    assert code == 0
+    assert "F = [x:nat] s x" in out
+    assert "inhabitant: c" in out.splitlines()
+    assert "inhabitant: d" in out.splitlines()
+    assert "(not inverted)" not in out
+
+
 # --- strictness -----------------------------------------------------------
 
 def test_strictness_report(capsys):
@@ -284,3 +299,67 @@ def test_front_end_scales_to_benchmark_inputs(capsys, tmp_path, make, decls,
     assert code == 0 and _program_shape(out) == optimized
     code, out, _ = _timed_cli(capsys, "translate", "--naive", str(path))
     assert code == 0 and _program_shape(out) == naive
+
+
+# --- transcript -----------------------------------------------------------
+# check, translate and strictness in every mode on the signatures below,
+# plus a set of solve queries, against a recorded transcript of stdout,
+# stderr and exit codes.
+# A change that alters any CLI text shows up here as a diff.  After an
+# intended output change, regenerate the file with
+#     PYTHONPATH=src python tests/test_cli.py
+
+TRANSCRIPT = DATA / "cli_transcript.txt"
+
+_TRANSCRIPT_FILES = ["append.elf", "appendplus.elf", "foo1.elf", "foo2.elf",
+                     "fy.elf", "strict_f.elf"]
+
+_TRANSCRIPT_SOLVES = [
+    ["append.elf", "append (cons (s z) nil) (cons z nil) L"],
+    ["append.elf", "append L M (cons z (cons (s z) nil))", "-n", "0",
+     "--depth", "12"],
+    ["append.elf", "append nil nil (cons z nil)"],
+    ["append.elf", "append (cons z nil) nil (cons z nil)", "--depth", "1"],
+    ["append.elf", "mystery z"],
+    ["appendplus.elf", "plus (s z) (s z) N", "--naive"],
+    ["foo1.elf", "bar z", "-n", "2"],
+    ["foo2.elf", "bar Y"],
+    ["fy.elf", "bar z", "-n", "0", "--depth", "4"],
+    ["fy.elf", "bar (s z)", "-n", "3", "--naive", "--depth", "5"],
+]
+
+
+def _transcript_runs():
+    for name in _TRANSCRIPT_FILES:
+        yield ["check", name]
+        for flags in ([], ["--naive"], ["--no-simplify"],
+                      ["--naive", "--no-simplify"]):
+            yield ["translate", *flags, name]
+        yield ["strictness", name]
+        yield ["strictness", name, "--explain-strictness"]
+    for name, *rest in _TRANSCRIPT_SOLVES:
+        yield ["solve", name, *rest]
+
+
+def _transcript():
+    chunks = []
+    for argv in _transcript_runs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(DATA / a) if a.endswith(".elf") else a
+                         for a in argv])
+        chunks.append(f"$ lflp {shlex.join(argv)}\n"
+                      f"--- exit {code}\n--- stdout\n{out.getvalue()}"
+                      f"--- stderr\n{err.getvalue()}")
+    return "".join(chunks)
+
+
+def test_cli_transcript_unchanged():
+    start = time.perf_counter()
+    text = _transcript()
+    assert time.perf_counter() - start < 5.0
+    assert text == TRANSCRIPT.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    TRANSCRIPT.write_text(_transcript(), encoding="utf-8")

@@ -2,7 +2,7 @@ from hypothesis import given, settings, strategies as st
 
 from lflp.hterms import (
     LF_OBJ, LF_TYPE, App, BVar, Const, Lam, alpha_eq_term, arrow, evars_of,
-    fresh_evar, fresh_lvar, lvars_of, mk_app, term_spine,
+    fresh_evar, fresh_lvar, lvars_in_order, mk_app, term_spine,
 )
 from lflp.unify import Eq, Subst, unify, unify_one
 
@@ -220,7 +220,7 @@ def _reaches(raw: dict, t, v) -> bool:
     """Whether `t` mentions `v`, directly or through the ranges of `raw`."""
     stack, seen = [t], set()
     while stack:
-        for u in lvars_of(stack.pop()):
+        for u in lvars_in_order([stack.pop()]):
             if u == v:
                 return True
             if u in raw and u not in seen:

@@ -2,10 +2,9 @@ import pytest
 
 from lflp import lf_syntax as lf
 from lflp.hterms import (
-    LF_OBJ, App, BVar, Const, Lam, alpha_eq_term, arrow, eta_long, fresh_evar,
-    fresh_lvar, mk_app,
+    LF_OBJ, App, BVar, Const, Lam, arrow, fresh_evar, fresh_lvar,
 )
-from lflp.inverter import InversionError, InversionGoal, eta_expand_answer, invert
+from lflp.inverter import InversionError, InversionGoal, invert
 from lflp.lf_kernel import check_object
 from lflp.translator import encode_obj
 
@@ -59,34 +58,38 @@ def test_round_trip_spot():
 
 
 # --- eta expansion of raw answers -----------------------------------------
+# At a Pi type an answer that is not a lambda is expanded on the fly.
 
 def test_eta_expand_bare_constructor():
+    sig = _sig()
     s = Const("s", arrow([OBJ], OBJ))
-    t = eta_expand_answer(s, arrow([OBJ], OBJ))
-    assert isinstance(t, Lam)
-    assert alpha_eq_term(t, Lam("x", OBJ, App(s, BVar("x", OBJ))))
+    got = invert(_goal(sig, s, "{x:nat} nat"))
+    assert isinstance(got, lf.OLam)
+    assert lf.alpha_eq(got, lf.parse_object("[x:nat] s x", sig))
 
 
 def test_eta_expand_idempotent():
+    sig = _sig()
     s = Const("s", arrow([OBJ], OBJ))
-    once = eta_expand_answer(s, arrow([OBJ], OBJ))
-    assert alpha_eq_term(eta_expand_answer(once, arrow([OBJ], OBJ)), once)
+    once = invert(_goal(sig, s, "{x:nat} nat"))
+    twice = invert(_goal(sig, encode_obj(sig, once, {}), "{x:nat} nat"))
+    assert lf.alpha_eq(twice, once)
 
 
 def test_eta_expand_type_mismatch():
+    sig = _sig()
     s = Const("s", arrow([OBJ], OBJ))
+    with pytest.raises(InversionError, match="takes 1 arguments, got 0"):
+        invert(_goal(sig, s, "nat"))
     with pytest.raises(InversionError, match="simple type"):
-        eta_expand_answer(s, OBJ)
+        invert(_goal(sig, Const("z", OBJ), "{x:nat} nat"))
 
 
 def test_partial_application_needs_expansion():
     sig = _sig()
     cons = Const("cons", arrow([OBJ, OBJ], OBJ))
     partial = App(cons, Const("z", OBJ))
-    with pytest.raises(InversionError, match="eta-long"):
-        invert(_goal(sig, partial, "{l:list} list"))
-    expanded = eta_expand_answer(partial, arrow([OBJ], OBJ))
-    got = invert(_goal(sig, expanded, "{l:list} list"))
+    got = invert(_goal(sig, partial, "{l:list} list"))
     want = lf.parse_object("[l:list] cons z l", sig)
     assert lf.alpha_eq(got, want)
 

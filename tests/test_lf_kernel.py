@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from lflp import lf_syntax as lf
 from lflp.lf_kernel import (
-    LFTypeError, beta_eta_equal, beta_normalize, canonicalize, check_object,
+    LFTypeError, beta_eta_equal, beta_normalize, check_object,
     check_signature, check_type, normal_classifier, substitute,
 )
 
@@ -95,40 +95,164 @@ def test_beta_agrees_with_small_step_oracle(m):
     assert lf.alpha_eq(beta_normalize(m), oracles.normalize_by_steps(m))
 
 
-# --- canonicalization -----------------------------------------------------
+# --- conversion and canonical forms ----------------------------------------
+# The kernel compares eta-short forms; the typed eta-long canonical forms
+# these tests were first written against are the oracle's `canonicalize`.
+# Each case also pins the term with one constant changed as unequal; `p`,
+# `one` and `appNil2` exist only for that.
+
+def _conv_sig():
+    return lf.parse_signature(str(_sig()) + """
+        one : nat.
+        p : nat -> nat.
+        appNil2 : {l:list} append nil l l.""")
+
+
+def _assert_conversion(short, long, changed):
+    sig = _conv_sig()
+    short, long, changed = (_parse_obj(t, sig) for t in (short, long, changed))
+    assert beta_eta_equal(short, long) and beta_eta_equal(long, short)
+    assert not beta_eta_equal(short, changed)
+    assert not beta_eta_equal(long, changed)
+
 
 def test_canonicalize_eta_expands_bare_constant():
     sig = _sig()
-    s = lf.OConst("s")
-    out = canonicalize(sig, lf.Context(), s, sig.lookup("s"))
+    out = oracles.canonicalize(sig, lf.Context(), lf.OConst("s"), sig.lookup("s"))
     assert lf.alpha_eq(out, _parse_obj("[x:nat] s x"))
+    _assert_conversion("s", "[x:nat] s x", "[x:nat] p x")
 
 
 def test_canonicalize_base_type_unchanged():
     sig = _sig()
-    out = canonicalize(sig, lf.Context(), lf.OConst("z"), lf.FConst("nat"))
+    out = oracles.canonicalize(sig, lf.Context(), lf.OConst("z"), lf.FConst("nat"))
     assert out == lf.OConst("z")
+    _assert_conversion("z", "z", "one")
 
 
 def test_canonicalize_identifies_eta_pair():
     sig = _sig()
     ty = sig.lookup("s")
     eta = _parse_obj("[x:nat] s x")
-    a = canonicalize(sig, lf.Context(), lf.OConst("s"), ty)
-    b = canonicalize(sig, lf.Context(), eta, ty)
+    a = oracles.canonicalize(sig, lf.Context(), lf.OConst("s"), ty)
+    b = oracles.canonicalize(sig, lf.Context(), eta, ty)
     assert lf.alpha_eq(a, b)
+    assert beta_eta_equal(lf.OConst("s"), eta) and beta_eta_equal(eta, lf.OConst("s"))
 
 
 def test_canonicalize_idempotent_on_corpus():
     sig = _sig()
-    for text, ty_text in [("s", "nat -> nat"), ("[x:nat] s x", "nat -> nat"),
-                          ("cons z", "list -> list"),
-                          ("appNil", "{l:list} append nil l l")]:
+    for text, ty_text, long, changed in [
+            ("s", "nat -> nat", "[x:nat] s x", "[x:nat] p x"),
+            ("[x:nat] s x", "nat -> nat", "[x:nat] s x", "[x:nat] p x"),
+            ("cons z", "list -> list", "[l:list] cons z l",
+             "[l:list] cons one l"),
+            ("appNil", "{l:list} append nil l l", "[l:list] appNil l",
+             "[l:list] appNil2 l"),
+            ("z", "nat", "z", "one")]:
         decls = "t : " + ty_text + "."
         ty = lf.parse_signature(str(sig) + " " + decls).lookup("t")
-        once = canonicalize(sig, lf.Context(), _parse_obj(text), ty)
-        twice = canonicalize(sig, lf.Context(), once, ty)
+        once = oracles.canonicalize(sig, lf.Context(), _parse_obj(text), ty)
+        twice = oracles.canonicalize(sig, lf.Context(), once, ty)
         assert lf.alpha_eq(once, twice)
+        assert lf.alpha_eq(once, _parse_obj(long))
+        _assert_conversion(text, long, changed)
+
+
+# Random well-typed beta-normal objects over second- and third-order
+# constants, each either eta-short or expanded at any arrow type.  `g`
+# takes two arguments, so a body `g x x` is no eta-redex, and binders
+# reuse two names, so an inner one may shadow an outer one.  Simple types
+# are "nat" or (domain, codomain) pairs.
+
+_HO_SIG = lf.parse_signature("""
+    nat : type.  z : nat.  s : nat -> nat.  g : nat -> nat -> nat.
+    h : (nat -> nat) -> nat.
+    k : ((nat -> nat) -> nat) -> nat.
+    p : (nat -> nat) -> type.""")
+_N = "nat"
+_F1 = (_N, _N)
+_HO_CONSTS = {"z": _N, "s": _F1, "g": (_N, _F1), "h": (_F1, _N),
+              "k": ((_F1, _N), _N)}
+
+
+def _lf_ty(t):
+    if t == _N:
+        return lf.FConst("nat")
+    return lf.FPi("_", _lf_ty(t[0]), _lf_ty(t[1]))
+
+
+def _args_to(t, target):
+    """The argument types that take a head of type `t` to `target`."""
+    args = []
+    while t != target:
+        if t == _N:
+            return None
+        args.append(t[0])
+        t = t[1]
+    return args
+
+
+@st.composite
+def _beta_normal(draw, t, ctx=None, depth=2):
+    ctx = ctx or {}
+    if t != _N and draw(st.booleans()):
+        v = draw(st.sampled_from(["x", "y"]))
+        body = draw(_beta_normal(t[1], {**ctx, v: t[0]}, depth))
+        return lf.OLam(v, _lf_ty(t[0]), body)
+    heads = [(lf.OConst(c), ht) for c, ht in _HO_CONSTS.items()]
+    heads += [(lf.OVar(v), vt) for v, vt in ctx.items()]
+    options = [(head, args) for head, ht in heads
+               if (args := _args_to(ht, t)) is not None and (depth or not args)]
+    head, args = draw(st.sampled_from(options))
+    return lf.obj_app(head, [draw(_beta_normal(a, ctx, depth - 1))
+                             for a in args])
+
+
+def _canon(e, ty=None):
+    return oracles.canonicalize(_HO_SIG, lf.Context(), e, ty)
+
+
+def _assert_agrees(a, b, ty=None):
+    assert beta_eta_equal(a, b) == lf.alpha_eq(_canon(a, ty), _canon(b, ty))
+
+
+def test_conversion_contracts_only_eta_redexes():
+    # the inner [x] g x x is no eta-redex: its x is not the outer one
+    nat, g, h = lf.FConst("nat"), lf.OConst("g"), lf.OConst("h")
+    x = lf.OVar("x")
+    inner = lf.OLam("x", nat, lf.obj_app(g, [x, x]))
+    a = lf.OLam("x", nat, lf.OApp(h, inner))
+    b = lf.OLam("x", nat, lf.OApp(h, lf.OApp(g, x)))
+    assert not beta_eta_equal(a, b)
+    assert not lf.alpha_eq(_canon(a, _lf_ty(_F1)), _canon(b, _lf_ty(_F1)))
+
+
+# Each object is paired with its oracle eta-long form and with another
+# random object of its type, and that object with the eta-long form.
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_HO_CONSTS.values())).flatmap(
+    lambda t: st.tuples(st.just(t), _beta_normal(t), _beta_normal(t))))
+def test_conversion_agrees_with_typed_canonical_forms(case):
+    t, m, n = case
+    ty = _lf_ty(t)
+    for x in (m, n):
+        check_object(_HO_SIG, lf.Context(), x, ty)
+    long = _canon(m, ty)
+    assert beta_eta_equal(m, long)
+    for a, b in [(m, long), (m, n), (long, n)]:
+        _assert_agrees(a, b, ty)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_beta_normal(_F1), _beta_normal(_F1))
+def test_family_conversion_agrees_with_typed_canonical_forms(m, n):
+    def p(x):
+        return lf.FApp(lf.FConst("p"), x)
+    long = _canon(m, _lf_ty(_F1))
+    for a, b in [(m, long), (m, n), (long, n)]:
+        _assert_agrees(p(a), p(b))
 
 
 # --- signature checking ---------------------------------------------------
@@ -285,6 +409,4 @@ def test_synthesis_deterministic():
 
 
 def test_beta_eta_equality_collapses_eta_expansion():
-    sig = _sig()
-    assert beta_eta_equal(sig, lf.Context(), _parse_obj("[x:nat] s x"),
-                          lf.OConst("s"), sig.lookup("s"))
+    assert beta_eta_equal(_parse_obj("[x:nat] s x"), lf.OConst("s"))
