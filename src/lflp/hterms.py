@@ -348,13 +348,19 @@ Formula = Union[Top, Atom, Imp, ForAll]
 
 
 def subst_formula(f: Formula, m: dict[str, Term]) -> Formula:
+    """Replace the free bound names `m` maps; capture-avoiding.
+
+    Every range in `m` is a variable (an eigenvariable, a logic variable
+    or a renamed bound name), and a variable in place of a bound name
+    makes no redex, so a beta-normal formula stays beta-normal without
+    a normalization pass."""
     if not m:
         return f
     match f:
         case Top():
             return f
         case Atom(pred, args):
-            return Atom(pred, tuple(beta_norm(subst_term(a, m)) for a in args))
+            return Atom(pred, tuple(subst_term(a, m) for a in args))
         case Imp(left, right):
             return Imp(subst_formula(left, m), subst_formula(right, m))
         case ForAll(var, ty, body):

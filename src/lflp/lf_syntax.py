@@ -332,14 +332,6 @@ def split_fam_pis(a: Fam) -> tuple[list[tuple[str, Fam]], Fam]:
     return binders, a
 
 
-def split_kind_pis(k: Kind) -> tuple[list[tuple[str, Fam]], Kind]:
-    binders: list[tuple[str, Fam]] = []
-    while isinstance(k, KPi):
-        binders.append((k.var, k.dom))
-        k = k.body
-    return binders, k
-
-
 # ---------------------------------------------------------------------------
 # Lexer
 

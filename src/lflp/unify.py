@@ -15,6 +15,16 @@ variable, that variable is pruned (the offending argument dropped) or
 lowered (rebuilt at the older level); under a rigid head the equation
 simply fails.
 
+A flexible variable gets bound by one of two rules.  The copy solves
+``K x1..xn = t`` for a pattern ``K x1..xn`` and any ``t`` whose head is
+not ``K``, another pattern included: ``K := \\z1..zn. t'``, where ``t'``
+is ``t`` with each ``xi`` replaced by ``zi``.  Each logic variable
+``M y1..ym`` met on the way is pruned to the arguments ``K`` can express,
+lowered to ``K``'s level, and raised over the ``xi`` it may mention
+itself, so a solution that reaches them through ``K``'s binders is not
+lost.  Same-head pruning solves ``K x1..xn = K y1..yn`` by keeping only
+the positions where ``xi`` and ``yi`` agree.
+
 Substitutions are immutable and triangular: extending one stores the
 binding as given, so a range may mention variables bound elsewhere in
 the map.  ``apply`` resolves such variables on demand and reduces the
@@ -30,8 +40,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .hterms import (
-    App, BVar, Const, EVar, LVar, Lam, Term, beta_norm, fresh_evar,
-    fresh_level, fresh_lvar_at, mk_app, subst_term, term_spine, type_of,
+    App, BVar, Const, EVar, LVar, Lam, SimpleType, Term, arrow, beta_norm,
+    fresh_evar, fresh_level, fresh_lvar_at, mk_app, split_arrow, subst_term,
+    term_spine,
 )
 
 
@@ -124,28 +135,16 @@ class Subst:
         m[v] = t
         return Subst(m)
 
-    def extend_all(self, pairs: Iterable[tuple[LVar, Term]]) -> "Subst":
-        s = self
-        for v, t in pairs:
-            s = s.extend(v, t)
-        return s
-
 
 @dataclass(frozen=True)
 class UnifyResult:
     status: str  # "ok" | "residual" | "fail"
     subst: Subst
     residuals: tuple[Eq, ...] = ()
-    reason: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
 
 
 class _Fail(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
+    pass
 
 
 class _Residual(Exception):
@@ -169,8 +168,8 @@ def unify(eqs: Iterable[Eq], subst: Optional[Subst] = None) -> UnifyResult:
                 residuals.clear()
                 continue
             break
-    except _Fail as f:
-        return UnifyResult("fail", sigma, (), f.reason)
+    except _Fail:
+        return UnifyResult("fail", sigma)
     if residuals:
         return UnifyResult("residual", sigma, tuple(residuals))
     return UnifyResult("ok", sigma)
@@ -180,24 +179,20 @@ def unify_one(lhs: Term, rhs: Term, subst: Optional[Subst] = None) -> UnifyResul
     return unify([Eq(lhs, rhs)], subst)
 
 
+def _open(t: Term, e: EVar) -> Term:
+    # A variable in place of a bound name makes no redex, and neither
+    # does applying a beta-normal non-lambda to one.
+    if isinstance(t, Lam):
+        return subst_term(t.body, {t.var: e})
+    return App(t, e)
+
+
 def _step(sigma: Subst, t: Term, u: Term, work: deque, residuals: list) -> Subst:
-    # Strip binders in lock step, eta-expanding the shorter side; the
-    # bound variable becomes a shared fresh eigenvariable.
-    while True:
-        if isinstance(t, Lam) and isinstance(u, Lam):
-            e = fresh_evar("u", t.ty)
-            t = beta_norm(subst_term(t.body, {t.var: e}))
-            u = beta_norm(subst_term(u.body, {u.var: e}))
-        elif isinstance(t, Lam):
-            e = fresh_evar("u", t.ty)
-            t = beta_norm(subst_term(t.body, {t.var: e}))
-            u = beta_norm(App(u, e))
-        elif isinstance(u, Lam):
-            e = fresh_evar("u", u.ty)
-            u = beta_norm(subst_term(u.body, {u.var: e}))
-            t = beta_norm(App(t, e))
-        else:
-            break
+    # Strip binders in lock step, eta-expanding the side without one;
+    # the bound variable becomes a shared fresh eigenvariable.
+    while isinstance(t, Lam) or isinstance(u, Lam):
+        e = fresh_evar("u", (t if isinstance(t, Lam) else u).ty)
+        t, u = _open(t, e), _open(u, e)
 
     if t == u:
         return sigma
@@ -213,21 +208,8 @@ def _step(sigma: Subst, t: Term, u: Term, work: deque, residuals: list) -> Subst
         return _flex_rigid(sigma, th, targs, u, t, residuals)
     if uflex:
         return _flex_rigid(sigma, uh, uargs, t, u, residuals)
-
-    # rigid-rigid
-    if isinstance(th, Const) and isinstance(uh, Const):
-        if th.name != uh.name:
-            raise _Fail(f"constant clash: {th.name} vs {uh.name}")
-    elif isinstance(th, EVar) and isinstance(uh, EVar):
-        if th.name != uh.name:
-            raise _Fail(f"distinct eigenvariables: {th.name} vs {uh.name}")
-    elif isinstance(th, BVar) and isinstance(uh, BVar):
-        if th.name != uh.name:
-            raise _Fail(f"distinct bound variables: {th.name} vs {uh.name}")
-    else:
-        raise _Fail(f"head clash: {th} vs {uh}")
-    if len(targs) != len(uargs):
-        raise _Fail(f"arity mismatch at head {th}")
+    if th != uh or len(targs) != len(uargs):
+        raise _Fail
     for a, b in zip(targs, uargs):
         work.append(Eq(a, b))
     return sigma
@@ -245,28 +227,46 @@ def _is_pattern(args: list[Term]) -> bool:
     return True
 
 
+def _fresh_binders(tys: Iterable[SimpleType]) -> list[BVar]:
+    return [BVar(f"z{fresh_level()}", ty) for ty in tys]
+
+
+def _lams(zs: list[BVar], body: Term) -> Term:
+    for z in reversed(zs):
+        body = Lam(z.name, z.ty, body)
+    return body
+
+
+def _rebuild(m: LVar, arity: int, keep: list[int], extras: list[EVar],
+             level: int) -> tuple[LVar, Term]:
+    """A fresh variable m2 at `level` and the binding
+    ``m := \\z1..z_arity. m2 (z_i for i in keep) extras``: m pruned to
+    the kept positions, raised over `extras`, and lowered to `level`."""
+    alldoms, cod = split_arrow(m.ty)
+    doms = alldoms[:arity]
+    cod = arrow(alldoms[arity:], cod)
+    m2 = fresh_lvar_at(m.name.split("_")[0],
+                       arrow([doms[i] for i in keep] + [e.ty for e in extras],
+                             cod), level)
+    zs = _fresh_binders(doms)
+    return m2, _lams(zs, mk_app(m2, [zs[i] for i in keep] + extras))
+
+
 def _flex_rigid(sigma: Subst, k: LVar, kargs: list[Term], rhs: Term,
                 flex_side: Term, residuals: list) -> Subst:
     if not _is_pattern(kargs):
         residuals.append(Eq(flex_side, rhs))
         return sigma
-    binders = []
-    pi: dict = {}
-    for a in kargs:
-        z = f"z{fresh_level()}"
-        binders.append((z, a.ty))
-        pi[a] = BVar(z, a.ty)
+    zs = _fresh_binders(a.ty for a in kargs)
     extra: dict[LVar, Term] = {}
     try:
-        body = _copy(rhs, k, pi, k.level, True, extra)
+        body = _copy(rhs, k, dict(zip(kargs, zs)), k.level, True, extra)
     except _Residual:
         residuals.append(Eq(flex_side, rhs))
         return sigma
-    binding: Term = body
-    for z, ty in reversed(binders):
-        binding = Lam(z, ty, binding)
-    sigma = sigma.extend_all(extra.items())
-    return sigma.extend(k, binding)
+    for v, t in extra.items():
+        sigma = sigma.extend(v, t)
+    return sigma.extend(k, _lams(zs, body))
 
 
 def _copy(t: Term, k: LVar, pi: dict, level: int, rigid: bool,
@@ -290,7 +290,7 @@ def _copy(t: Term, k: LVar, pi: dict, level: int, rigid: bool,
             elif head.level < level:
                 h = head
             elif rigid:
-                raise _Fail(f"eigenvariable {head.name} escapes scope of {k.name}")
+                raise _Fail
             else:
                 raise _Residual
             return mk_app(h, [_copy(a, k, pi, level, rigid, extra)
@@ -298,7 +298,7 @@ def _copy(t: Term, k: LVar, pi: dict, level: int, rigid: bool,
         case LVar():
             if head == k:
                 if rigid:
-                    raise _Fail(f"occurs check: {k.name}")
+                    raise _Fail
                 raise _Residual
             return _copy_flex(head, args, k, pi, level, extra)
     raise AssertionError(f"unexpected term {t!r}")
@@ -307,14 +307,15 @@ def _copy(t: Term, k: LVar, pi: dict, level: int, rigid: bool,
 def _raise_over(m: LVar, pi: dict, skip: set) -> list[EVar]:
     # Eigenvariables bound in pi that m's eventual instantiation may
     # legitimately mention; they must become explicit arguments when m
-    # is rebuilt at an older level.
+    # is rebuilt, or a solution that reaches them through k's binders
+    # would be lost.  Those in `skip`, m's own arguments, are reached
+    # through their argument positions instead.
     return [e for e in pi if isinstance(e, EVar) and e.level < m.level
             and e not in skip]
 
+
 def _copy_flex(m: LVar, args: list[Term], k: LVar, pi: dict, level: int,
                extra: dict[LVar, Term]) -> Term:
-    from .hterms import arrow, split_arrow
-
     if m in extra:
         # m was already rebuilt earlier in this copy: every occurrence
         # must go through that one replacement, or the copies of m
@@ -327,27 +328,15 @@ def _copy_flex(m: LVar, args: list[Term], k: LVar, pi: dict, level: int,
                                                   and a.level < level)
 
     if _is_pattern(args):
+        # Rebuild m at the older scope unless it already fits: prune
+        # inexpressible argument positions, and raise over the pi-bound
+        # eigenvariables it may depend on.
         keep = [i for i, a in enumerate(args) if expressible(a)]
-        if len(keep) == len(args) and m.level <= level:
-            return mk_app(m, [pi.get(a, a) for a in args])
-        # Rebuild m at the older scope: prune inexpressible argument
-        # positions, and raise over the pi-bound eigenvariables it may
-        # still depend on.
         extras = _raise_over(m, pi, set(args))
-        alldoms, cod = split_arrow(m.ty)
-        doms = alldoms[:len(args)]
-        cod = arrow(alldoms[len(args):], cod)
-        m2 = fresh_lvar_at(m.name.split("_")[0],
-                           arrow([doms[i] for i in keep]
-                                 + [e.ty for e in extras], cod),
-                           min(level, m.level))
-        zs = [(f"z{fresh_level()}", d) for d in doms]
-        lam_body = mk_app(m2, [BVar(zs[i][0], zs[i][1]) for i in keep]
-                          + list(extras))
-        binding: Term = lam_body
-        for z, ty in reversed(zs):
-            binding = Lam(z, ty, binding)
-        extra[m] = binding
+        if len(keep) == len(args) and m.level <= level and not extras:
+            return mk_app(m, [pi.get(a, a) for a in args])
+        m2, extra[m] = _rebuild(m, len(args), keep, extras,
+                                min(level, m.level))
         return mk_app(m2, [pi.get(args[i], args[i]) for i in keep]
                       + [pi[e] for e in extras])
     # Non-pattern arguments: keep the subterm when everything in it is
@@ -357,10 +346,7 @@ def _copy_flex(m: LVar, args: list[Term], k: LVar, pi: dict, level: int,
     copied = [_copy(a, k, pi, level, False, extra) for a in args]
     if m.level > level:
         extras = _raise_over(m, pi, set())
-        m2 = fresh_lvar_at(m.name.split("_")[0],
-                           arrow([e.ty for e in extras], m.ty),
-                           min(level, m.level))
-        extra[m] = mk_app(m2, list(extras))
+        m2, extra[m] = _rebuild(m, 0, [], extras, level)
         return mk_app(mk_app(m2, [pi[e] for e in extras]), copied)
     return mk_app(m, copied)
 
@@ -370,36 +356,9 @@ def _flex_flex(sigma: Subst, k: LVar, kargs: list[Term], m: LVar,
     if not (_is_pattern(kargs) and _is_pattern(margs)):
         residuals.append(Eq(t, u))
         return sigma
-    from .hterms import arrow, split_arrow
-    if k == m:
-        same = [i for i in range(len(kargs)) if kargs[i] == margs[i]]
-        if len(same) == len(kargs):
-            return sigma
-        alldoms, cod = split_arrow(k.ty)
-        doms = alldoms[:len(kargs)]
-        cod = arrow(alldoms[len(kargs):], cod)
-        k2 = fresh_lvar_at(k.name.split("_")[0],
-                           arrow([doms[i] for i in same], cod), k.level)
-        zs = [(f"z{fresh_level()}", d) for d in doms]
-        body = mk_app(k2, [BVar(zs[i][0], zs[i][1]) for i in same])
-        binding: Term = body
-        for z, ty in reversed(zs):
-            binding = Lam(z, ty, binding)
-        return sigma.extend(k, binding)
-    common = [a for a in kargs if a in set(margs)]
-    level = min(k.level, m.level)
-    w = fresh_lvar_at("W", arrow([a.ty for a in common], type_of(t)), level)
-    kzs = [(f"z{fresh_level()}", a.ty) for a in kargs]
-    kpos = {a: BVar(z, ty) for a, (z, ty) in zip(kargs, kzs)}
-    kbody = mk_app(w, [kpos[a] for a in common])
-    kbind: Term = kbody
-    for z, ty in reversed(kzs):
-        kbind = Lam(z, ty, kbind)
-    mzs = [(f"z{fresh_level()}", a.ty) for a in margs]
-    mpos = {a: BVar(z, ty) for a, (z, ty) in zip(margs, mzs)}
-    mbody = mk_app(w, [mpos[a] for a in common])
-    mbind: Term = mbody
-    for z, ty in reversed(mzs):
-        mbind = Lam(z, ty, mbind)
-    sigma = sigma.extend(k, kbind)
-    return sigma.extend(m, mbind)
+    if k != m:
+        return _flex_rigid(sigma, k, kargs, u, t, residuals)
+    # Same head: k keeps only the positions where the arguments agree.
+    same = [i for i, (a, b) in enumerate(zip(kargs, margs)) if a == b]
+    _, binding = _rebuild(k, len(kargs), same, [], k.level)
+    return sigma.extend(k, binding)

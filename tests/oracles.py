@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from lflp import lf_syntax as lf
 from lflp.lf_syntax import (
@@ -635,12 +635,6 @@ class EagerSubst:
         m = {k: beta_norm(one._walk(r)) for k, r in self._m.items()}
         m[v] = t
         return EagerSubst(m)
-
-    def extend_all(self, pairs: Iterable[tuple[LVar, Term]]) -> "EagerSubst":
-        s = self
-        for v, t in pairs:
-            s = s.extend(v, t)
-        return s
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 from hypothesis import given, settings, strategies as st
 
 from lflp.hterms import (
-    LF_OBJ, LF_TYPE, App, BVar, Const, Lam, alpha_eq_term, arrow, evars_of,
-    fresh_evar, fresh_lvar, lvars_in_order, mk_app, term_spine,
+    LF_OBJ, LF_TYPE, App, BVar, Const, Lam, LVar, alpha_eq_term, arrow,
+    evars_of, fresh_evar, fresh_lvar, lvars_in_order, mk_app, term_spine,
 )
 from lflp.unify import Eq, Subst, unify, unify_one
 
@@ -112,6 +112,12 @@ def test_flex_flex_same_variable():
     # the disagreeing positions are gone: X ignores both arguments
     solved = res.subst.apply(mk_app(x, [a, b]))
     assert not evars_of(solved)
+    assert isinstance(solved, LVar) and solved.ty == OBJ
+    c = fresh_evar("c", OBJ)
+    y = fresh_lvar("Y", arrow([OBJ, OBJ, OBJ], OBJ))
+    res = unify_one(mk_app(y, [a, b, c]), mk_app(y, [b, a, c]))
+    head, args = term_spine(res.subst.apply(mk_app(y, [a, b, c])))
+    assert isinstance(head, LVar) and args == [c]
 
 
 def test_flex_flex_different_variables():
@@ -122,6 +128,91 @@ def test_flex_flex_different_variables():
     res = unify_one(lhs, rhs)
     assert _unifies(res, lhs, rhs)
 
+
+def _fn(arity, body):
+    """``\\w0..w(arity-1). body``; an int body projects on that binder."""
+    ws = [BVar(f"w{j}", OBJ) for j in range(arity)]
+    t = ws[body] if isinstance(body, int) else body
+    for w in reversed(ws):
+        t = Lam(w.name, OBJ, t)
+    return t
+
+
+def test_flex_flex_distinct_heads_keeps_projections():
+    # K a = M a e: M := \x y. y with K := \x. e is a unifier, so the
+    # one found must still admit it.
+    a, e = fresh_evar("a", OBJ), fresh_evar("e", OBJ)
+    k = fresh_lvar("K", arrow([OBJ], OBJ))
+    m = fresh_lvar("M", arrow([OBJ, OBJ], OBJ))
+    lhs, rhs = App(k, a), mk_app(m, [a, e])
+    res = unify_one(lhs, rhs)
+    assert _unifies(res, lhs, rhs)
+    assert unify_one(m, _fn(2, 1), res.subst).status == "ok"
+    assert unify_one(k, _fn(1, e), res.subst).status == "ok"
+
+
+@st.composite
+def _distinct_head_patterns(draw):
+    """``K x1..xp = M y1..yq`` over eigenvariables, with the eigenvariables,
+    K and M created in a random order."""
+    n = draw(st.integers(1, 4))
+    kidx = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    midx = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    made = {}
+    for x in draw(st.permutations(["K", "M", *range(n)])):
+        if x == "K":
+            made[x] = fresh_lvar("K", arrow([OBJ] * len(kidx), OBJ))
+        elif x == "M":
+            made[x] = fresh_lvar("M", arrow([OBJ] * len(midx), OBJ))
+        else:
+            made[x] = fresh_evar(f"e{x}", OBJ)
+    return (made["K"], [made[i] for i in kidx],
+            made["M"], [made[i] for i in midx])
+
+
+def _projections(k, kargs, m, margs):
+    """Bindings ``V := \\w1..wn. wi`` of either side of ``K kargs = M margs``
+    that leave the other side a solvable equation ``xi = W ys``: ``xi``
+    is among ``ys``, or older than ``W``."""
+    return [(v, _fn(len(args), i))
+            for v, args, w, wargs in ((k, kargs, m, margs), (m, margs, k, kargs))
+            for i, x in enumerate(args) if x in wargs or x.level < w.level]
+
+
+def _projection_unifiers(k, kargs, m, margs):
+    """Closed unifiers of ``K kargs = M margs`` that project on at least
+    one side; a side that does not project returns an eigenvariable old
+    enough for it to mention."""
+    sols = []
+    for i, x in enumerate(kargs):
+        sols += [(_fn(len(kargs), i), _fn(len(margs), j))
+                 for j, y in enumerate(margs) if x == y]
+        if x.level < m.level:
+            sols.append((_fn(len(kargs), i), _fn(len(margs), x)))
+    sols += [(_fn(len(kargs), y), _fn(len(margs), j))
+             for j, y in enumerate(margs) if y.level < k.level]
+    return sols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distinct_head_patterns())
+def test_flex_flex_distinct_heads_is_most_general(problem):
+    k, kargs, m, margs = problem
+    lhs, rhs = mk_app(k, kargs), mk_app(m, margs)
+    res = unify_one(lhs, rhs)
+    assert _unifies(res, lhs, rhs)
+    for v, val in _projections(k, kargs, m, margs):
+        assert unify_one(v, val, res.subst).status == "ok"
+    # An argument older than its variable could also be mentioned
+    # directly, and then no most general unifier need exist; with every
+    # argument younger (Miller's patterns) each unifier is an instance.
+    if all(x.level > k.level for x in kargs) and all(
+            y.level > m.level for y in margs):
+        for kval, mval in _projection_unifiers(k, kargs, m, margs):
+            ground = Subst().extend(k, kval).extend(m, mval)
+            assert alpha_eq_term(ground.apply(lhs), ground.apply(rhs))
+            assert unify([Eq(k, kval), Eq(m, mval)],
+                         res.subst).status == "ok"
 
 # --- residuals ------------------------------------------------------------
 
