@@ -20,16 +20,17 @@ from typing import Optional
 
 from . import lf_syntax as lf
 from .engine import Limits, Solution, solve
-from .hterms import App, Const, LVar, Lam, Term, lvars_in_order
+from .hterms import Const, LVar, Term, lvars_in_order
 from .inverter import InversionError, InversionGoal, invert
 from .lf_kernel import (
     LFTypeError, beta_normalize, check_object, check_signature, substitute,
 )
 from .strictness import explain_strictness
 from .translator import (
-    TranslationError, emit_lambdaprolog, emit_split, phi, translate_query,
-    translate_signature,
+    TranslationError, _render_term, emit_lambdaprolog, emit_split,
+    translate_query, translate_signature,
 )
+from .unify import Subst
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -154,21 +155,9 @@ def _canonical_frees(terms: list[Optional[Term]]) -> dict[LVar, str]:
             for v, n in lvars_in_order(terms).items()}
 
 
-def _freeze_frees(t: Term, names: dict[LVar, str]) -> Term:
-    match t:
-        case LVar() if t in names:
-            return Const(names[t], t.ty)
-        case App(fn, arg):
-            return App(_freeze_frees(fn, names), _freeze_frees(arg, names))
-        case Lam(var, ty, body):
-            return Lam(var, ty, _freeze_frees(body, names))
-        case _:
-            return t
-
-
 def _show_hohh(t: Term, names: dict[LVar, str]) -> str:
-    from .translator import _render_term
-    return _render_term(_freeze_frees(t, names))
+    frozen = Subst({v: Const(n, v.ty) for v, n in names.items()}).apply(t)
+    return _render_term(frozen, {}, str)
 
 
 def cmd_solve(text: str, query: str, mode: str, limits: Limits) -> int:

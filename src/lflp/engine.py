@@ -21,7 +21,7 @@ suspended, never reported as a solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .hterms import (
@@ -245,26 +245,3 @@ def _canon_key(sol: Solution) -> str:
     for v, t in sol.bindings:
         parts.append(f"{v.name}={render(t, ())}")
     return ";".join(parts)
-
-
-def validate_solution(program: Program, goal: Formula, sol: Solution,
-                      extra_depth: int = 0) -> bool:
-    """Replay a reported solution: instantiate the goal with its
-    bindings, freeze leftover logic variables, and re-derive within the
-    reported backchain count."""
-    binding = Subst({v: t for v, t in sol.bindings})
-    frozen = {v: fresh_evar(v.name, v.ty) for v in sol.free}
-
-    def inst(t: Term) -> Term:
-        t = binding.apply(t)
-        return Subst(dict(frozen)).apply(t) if frozen else t
-
-    from .hterms import map_formula_terms
-    g = map_formula_terms(goal, inst)
-    bound = sol.backchains + extra_depth
-    state = _State()
-    clauses = [_compile(c) for c in program.clauses]
-    for _, residuals, _ in _prove(g, clauses, Subst(), (), bound, state):
-        if not residuals:
-            return True
-    return False

@@ -260,43 +260,6 @@ def beta_norm(t: Term) -> Term:
             return t
 
 
-def alpha_eq_term(a: Term, b: Term) -> bool:
-    return _aeq(a, b, (), ())
-
-
-def _aeq(a: Term, b: Term, ea: tuple[str, ...], eb: tuple[str, ...]) -> bool:
-    match (a, b):
-        case (BVar(na, _), BVar(nb, _)):
-            for i in range(len(ea) - 1, -1, -1):
-                if ea[i] == na or eb[i] == nb:
-                    return ea[i] == na and eb[i] == nb
-            return na == nb
-        case (Const(na, ta), Const(nb, tb)):
-            return na == nb and ta == tb
-        case (EVar(na, _, _), EVar(nb, _, _)):
-            return na == nb
-        case (LVar(na, _, _), LVar(nb, _, _)):
-            return na == nb
-        case (Lam(va, ta, ba), Lam(vb, tb, bb)):
-            return ta == tb and _aeq(ba, bb, ea + (va,), eb + (vb,))
-        case (App(fa, xa), App(fb, xb)):
-            return _aeq(fa, fb, ea, eb) and _aeq(xa, xb, ea, eb)
-        case _:
-            return False
-
-
-def evars_of(t: Term) -> frozenset[EVar]:
-    match t:
-        case EVar():
-            return frozenset([t])
-        case Lam(_, _, body):
-            return evars_of(body)
-        case App(fn, arg):
-            return evars_of(fn) | evars_of(arg)
-        case _:
-            return frozenset()
-
-
 # ---------------------------------------------------------------------------
 # Formulas
 
@@ -373,38 +336,6 @@ def subst_formula(f: Formula, m: dict[str, Term]) -> Formula:
                 body = subst_formula(body, {var: BVar(nv, ty)})
                 var = nv
             return ForAll(var, ty, subst_formula(body, inner))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def alpha_eq_formula(a: Formula, b: Formula) -> bool:
-    return _faeq(a, b, (), ())
-
-
-def _faeq(a, b, ea, eb) -> bool:
-    match (a, b):
-        case (Top(), Top()):
-            return True
-        case (Atom(pa, xa), Atom(pb, xb)):
-            return (pa == pb and len(xa) == len(xb)
-                    and all(_aeq(s, t, ea, eb) for s, t in zip(xa, xb)))
-        case (Imp(la, ra), Imp(lb, rb)):
-            return _faeq(la, lb, ea, eb) and _faeq(ra, rb, ea, eb)
-        case (ForAll(va, ta, ba), ForAll(vb, tb, bb)):
-            return ta == tb and _faeq(ba, bb, ea + (va,), eb + (vb,))
-        case _:
-            return False
-
-
-def map_formula_terms(f: Formula, fn) -> Formula:
-    match f:
-        case Top():
-            return f
-        case Atom(pred, args):
-            return Atom(pred, tuple(fn(a) for a in args))
-        case Imp(left, right):
-            return Imp(map_formula_terms(left, fn), map_formula_terms(right, fn))
-        case ForAll(var, ty, body):
-            return ForAll(var, ty, map_formula_terms(body, fn))
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Union
 from .lf_syntax import (
     Context, Expr, Fam, FApp, FConst, FPi, Kind, KindDecl, KPi, KType,
     LFError, Obj, OApp, OConst, OLam, OVar, Signature, SignaturePrefix,
-    alpha_eq, fam_spine, free_vars, fresh_name, occurs_free,
+    alpha_eq, fam_spine, free_vars, fresh_name, occurs_free, print_lf,
 )
 
 DEFAULT_FUEL = 100000
@@ -307,6 +307,5 @@ def _freshen_binder(var: str, body: Expr, ctx: Context) -> tuple[str, Expr]:
 
 
 def print_brief(e: Expr, limit: int = 40) -> str:
-    from .lf_syntax import print_lf
     s = print_lf(e)
     return s if len(s) <= limit else s[:limit] + "..."

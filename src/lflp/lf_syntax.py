@@ -317,12 +317,6 @@ def obj_app(head: Obj, args: list[Obj]) -> Obj:
     return head
 
 
-def fam_app(head: Fam, args: list[Obj]) -> Fam:
-    for x in args:
-        head = FApp(head, x)
-    return head
-
-
 def split_fam_pis(a: Fam) -> tuple[list[tuple[str, Fam]], Fam]:
     """Peel `{x1:A1}...{xn:An} B` into the binder list and the base B."""
     binders: list[tuple[str, Fam]] = []

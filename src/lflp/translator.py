@@ -22,22 +22,19 @@ The bridge works at three levels:
 clause order is declaration order.  Kind declarations contribute only
 signature entries, never clauses.
 
-The emitter prints a Program in lambdaProlog concrete syntax, and
-``parse_lambdaprolog`` reads that same subset back (with simple-type
-inference for quantifier binders), so tests can compare emitted text
-with a golden file structurally instead of byte-by-byte.
+The emitter prints a Program in lambdaProlog concrete syntax.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import lf_syntax as lf
 from . import strictness
 from .hterms import (
     LF_OBJ, LF_TYPE, PROP, App, Atom, BVar, Const, Formula, ForAll, Imp,
-    Lam, LVar, Program, SimpleType, TArrow, TBase, Term, Top, beta_norm,
+    Lam, LVar, Program, SimpleType, TArrow, Term, Top, beta_norm, fresh_lvar,
     term_spine,
 )
 from .lf_kernel import (
@@ -244,7 +241,6 @@ class QueryTranslation:
 
 def translate_query(sig: lf.Signature, free: tuple[str, ...],
                     a: lf.Fam) -> QueryTranslation:
-    from .hterms import fresh_lvar
     a = beta_normalize(a)
     var_types = infer_query_var_types(sig, free, a)
     var_lvars = tuple((n, fresh_lvar(n, phi(var_types[n]))) for n in free)
@@ -267,78 +263,56 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
 _KEYWORDS = {"pi", "sigma", "type", "kind", "true", "o", "module", "sig"}
 
 
-def _render_term(t: Term) -> str:
+def _render_term(t: Term, env: dict[str, str],
+                 rename: Callable[[str], str]) -> str:
+    """`t` in lambdaProlog syntax.  `env` maps bound names to their
+    printed names; `rename` names each lambda binder, outermost first."""
     match t:
-        case Const(name, _) | BVar(name, _):
+        case BVar(name, _):
+            return env.get(name, name)
+        case Const(name, _):
             return name
         case Lam():
+            env = dict(env)
             binders = []
             while isinstance(t, Lam):
-                binders.append(t.var)
+                env[t.var] = name = rename(t.var)
+                binders.append(name)
                 t = t.body
-            inner = _render_term(t)
-            return "\\ ".join(binders) + "\\ " + inner
+            return "\\ ".join(binders) + "\\ " + _render_term(t, env, rename)
         case App():
             head, args = term_spine(t)
-            out = [_render_term(head)]
-            for a in args:
-                s = _render_term(a)
-                out.append(f"({s})" if isinstance(a, (App, Lam)) else s)
-            return " ".join(out)
+            return " ".join([_render_term(head, env, rename)]
+                            + [_render_arg(a, env, rename) for a in args])
     raise TranslationError(f"cannot emit {t!r}")
 
 
-def _render_formula(f: Formula) -> str:
-    match f:
-        case Top():
-            return "true"
-        case Atom(pred, args):
-            out = [pred]
-            for a in args:
-                s = _render_term(a)
-                out.append(f"({s})" if isinstance(a, (App, Lam)) else s)
-            return " ".join(out)
-        case Imp(left, right):
-            ls = _render_formula(left)
-            if isinstance(left, (Imp, ForAll)):
-                ls = f"({ls})"
-            return f"{ls} => {_render_formula(right)}"
-        case ForAll(var, _, body):
-            return f"pi {var}\\ ({_render_formula(body)})"
-    raise TranslationError(f"cannot emit {f!r}")
+def _render_arg(t: Term, env: dict[str, str],
+                rename: Callable[[str], str]) -> str:
+    s = _render_term(t, env, rename)
+    return f"({s})" if isinstance(t, (App, Lam)) else s
 
 
-def _rename_clause(f: Formula, forbidden: frozenset[str]) -> Formula:
-    """Uppercase quantifier binders for emission, keeping names distinct
-    from constants, keywords, and every term-level binder in the clause."""
+def _render_clause(f: Formula, forbidden: frozenset[str]) -> str:
+    """`f` in lambdaProlog syntax.  Quantifier binders are uppercased, and
+    binders are renamed where needed to stay distinct from constants,
+    keywords, and every term-level binder in the clause."""
     lam_names: set[str] = set()
     upper_taken: set[str] = set()
-
-    def collect(g: Formula):
-        match g:
-            case Imp(l, r):
-                collect(l)
-                collect(r)
-            case ForAll(_, _, b):
-                collect(b)
+    # Every lambda binder's own name, so no quantifier takes one bound
+    # later in the clause; names are then picked in print order.
+    stack: list = [f]
+    while stack:
+        match stack.pop():
+            case Imp(l, r) | App(l, r):
+                stack += (l, r)
+            case ForAll(_, _, body):
+                stack.append(body)
             case Atom(_, args):
-                for a in args:
-                    collect_term(a)
-            case _:
-                pass
-
-    def collect_term(t: Term):
-        match t:
+                stack.extend(args)
             case Lam(var, _, body):
                 lam_names.add(var)
-                collect_term(body)
-            case App(fn, arg):
-                collect_term(fn)
-                collect_term(arg)
-            case _:
-                pass
-
-    collect(f)
+                stack.append(body)
 
     def pick(base: str) -> str:
         cand = base[0].upper() + base[1:] if base and base[0].islower() else base
@@ -363,34 +337,22 @@ def _rename_clause(f: Formula, forbidden: frozenset[str]) -> Formula:
         lam_names.add(name)
         return name
 
-    def go(g: Formula, env: dict[str, str]) -> Formula:
+    def go(g: Formula, env: dict[str, str]) -> str:
         match g:
             case Top():
-                return g
+                return "true"
             case Atom(pred, args):
-                return Atom(pred, tuple(go_term(a, env) for a in args))
-            case Imp(l, r):
-                return Imp(go(l, env), go(r, env))
-            case ForAll(var, ty, body):
-                nv = pick(var)
-                inner = dict(env)
-                inner[var] = nv
-                return ForAll(nv, ty, go(body, inner))
-        raise TranslationError(f"cannot rename {g!r}")
-
-    def go_term(t: Term, env: dict[str, str]) -> Term:
-        match t:
-            case BVar(name, ty):
-                return BVar(env.get(name, name), ty)
-            case Lam(var, ty, body):
-                nv = pick_lam(var)
-                inner = dict(env)
-                inner[var] = nv
-                return Lam(nv, ty, go_term(body, inner))
-            case App(fn, arg):
-                return App(go_term(fn, env), go_term(arg, env))
-            case _:
-                return t
+                return " ".join([pred] + [_render_arg(a, env, pick_lam)
+                                          for a in args])
+            case Imp(left, right):
+                ls = go(left, env)
+                if isinstance(left, (Imp, ForAll)):
+                    ls = f"({ls})"
+                return f"{ls} => {go(right, env)}"
+            case ForAll(var, _, body):
+                name = pick(var)
+                return f"pi {name}\\ ({go(body, {**env, var: name})})"
+        raise TranslationError(f"cannot emit {g!r}")
     return go(f, {})
 
 
@@ -400,8 +362,7 @@ def _emit_lines(p: Program) -> tuple[list[str], list[str]]:
     forbidden = frozenset(n for n, _ in p.xi) | frozenset(_KEYWORDS)
     decls = ["kind lf_obj type.", "kind lf_type type.", ""]
     decls += [f"type {name} {ty}." for name, ty in p.xi]
-    clauses = [_render_formula(_rename_clause(c, forbidden)) + "."
-               for c in p.clauses]
+    clauses = [_render_clause(c, forbidden) + "." for c in p.clauses]
     return decls, clauses
 
 
@@ -415,292 +376,3 @@ def emit_split(p: Program, module: str = "lftrans") -> tuple[str, str]:
     decls, clauses = _emit_lines(p)
     return ("\n".join([f"sig {module}.", ""] + decls) + "\n",
             "\n".join([f"module {module}.", ""] + clauses) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Reading the emitted subset back
-
-class LPSyntaxError(Exception):
-    pass
-
-
-@dataclass
-class _RName:
-    name: str
-
-
-@dataclass
-class _RApp:
-    fn: "._RAst"
-    arg: "._RAst"
-
-
-@dataclass
-class _RLam:
-    var: str
-    body: "._RAst"
-
-
-@dataclass
-class _RImp:
-    left: "._RAst"
-    right: "._RAst"
-
-
-_RAst = Union[_RName, _RApp, _RLam, _RImp]
-
-
-def _lp_tokens(text: str) -> list[str]:
-    toks: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif text.startswith("->", i):
-            toks.append("->")
-            i += 2
-        elif text.startswith("=>", i):
-            toks.append("=>")
-            i += 2
-        elif c in "().\\":
-            toks.append(c)
-            i += 1
-        elif c.isalnum() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        else:
-            raise LPSyntaxError(f"unexpected character {c!r}")
-    return toks
-
-
-class _LPReader:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> str:
-        t = self.peek()
-        if t is None:
-            raise LPSyntaxError("unexpected end of input")
-        self.pos += 1
-        return t
-
-    def expect(self, t: str):
-        got = self.next()
-        if got != t:
-            raise LPSyntaxError(f"expected {t!r}, found {got!r}")
-
-    def parse_ty(self) -> SimpleType:
-        left = self.parse_ty_atom()
-        if self.peek() == "->":
-            self.next()
-            return TArrow(left, self.parse_ty())
-        return left
-
-    def parse_ty_atom(self) -> SimpleType:
-        t = self.next()
-        if t == "(":
-            ty = self.parse_ty()
-            self.expect(")")
-            return ty
-        if not (t[0].isalpha() or t[0] == "_"):
-            raise LPSyntaxError(f"bad type token {t!r}")
-        return TBase(t)
-
-    def parse_expr(self) -> _RAst:
-        left = self.parse_app()
-        if self.peek() == "=>":
-            self.next()
-            return _RImp(left, self.parse_expr())
-        return left
-
-    def parse_app(self) -> _RAst:
-        out = self.parse_atom_or_lam()
-        while True:
-            nxt = self.peek()
-            if nxt in (None, ")", ".", "=>"):
-                return out
-            out = _RApp(out, self.parse_atom_or_lam())
-
-    def parse_atom_or_lam(self) -> _RAst:
-        t = self.peek()
-        if t == "(":
-            self.next()
-            e = self.parse_expr()
-            self.expect(")")
-            return e
-        name = self.next()
-        if not (name[0].isalpha() or name[0] == "_"):
-            raise LPSyntaxError(f"unexpected token {name!r}")
-        if self.peek() == "\\":
-            self.next()
-            return _RLam(name, self.parse_expr())
-        return _RName(name)
-
-
-class _TyMeta:
-    __slots__ = ("link",)
-
-    def __init__(self):
-        self.link: Optional[object] = None
-
-
-def _ty_resolve(ty):
-    while isinstance(ty, _TyMeta) and ty.link is not None:
-        ty = ty.link
-    return ty
-
-
-def _ty_unify(a, b):
-    a, b = _ty_resolve(a), _ty_resolve(b)
-    if a is b:
-        return
-    if isinstance(a, _TyMeta):
-        a.link = b
-        return
-    if isinstance(b, _TyMeta):
-        b.link = a
-        return
-    if isinstance(a, TBase) and isinstance(b, TBase) and a.name == b.name:
-        return
-    if isinstance(a, TArrow) and isinstance(b, TArrow):
-        _ty_unify(a.dom, b.dom)
-        _ty_unify(a.cod, b.cod)
-        return
-    raise LPSyntaxError(f"type mismatch: {a} vs {b}")
-
-
-def _ty_final(ty) -> SimpleType:
-    ty = _ty_resolve(ty)
-    if isinstance(ty, _TyMeta):
-        raise LPSyntaxError("could not infer a binder type")
-    if isinstance(ty, TArrow):
-        return TArrow(_ty_final(ty.dom), _ty_final(ty.cod))
-    return ty
-
-
-def _formulize(ast: _RAst, xi: dict[str, SimpleType]) -> Formula:
-    binder_tys: dict[int, object] = {}
-
-    def infer(a: _RAst, env: dict[str, object]):
-        match a:
-            case _RName(name):
-                if name in env:
-                    return env[name]
-                if name == "true":
-                    return PROP
-                if name in xi:
-                    return xi[name]
-                raise LPSyntaxError(f"unknown identifier {name!r}")
-            case _RImp(l, r):
-                _ty_unify(infer(l, env), PROP)
-                _ty_unify(infer(r, env), PROP)
-                return PROP
-            case _RApp(_RName("pi"), _RLam(var, body)) if "pi" not in env:
-                tv = _TyMeta()
-                binder_tys[id(a)] = tv
-                inner = dict(env)
-                inner[var] = tv
-                _ty_unify(infer(body, inner), PROP)
-                return PROP
-            case _RApp(fn, arg):
-                tf = infer(fn, env)
-                ta = infer(arg, env)
-                tr = _TyMeta()
-                _ty_unify(tf, TArrow(ta, tr))
-                return tr
-            case _RLam(var, body):
-                tv = _TyMeta()
-                binder_tys[id(a)] = tv
-                inner = dict(env)
-                inner[var] = tv
-                return TArrow(tv, infer(body, inner))
-        raise LPSyntaxError(f"cannot type {a!r}")
-
-    top_ty = infer(ast, {})
-    _ty_unify(top_ty, PROP)
-
-    def build_formula(a: _RAst, env: dict[str, SimpleType]) -> Formula:
-        match a:
-            case _RName("true"):
-                return Top()
-            case _RImp(l, r):
-                return Imp(build_formula(l, env), build_formula(r, env))
-            case _RApp(_RName("pi"), _RLam(var, body) as lam) if "pi" not in env:
-                ty = _ty_final(binder_tys[id(a)])
-                inner = dict(env)
-                inner[var] = ty
-                return ForAll(var, ty, build_formula(body, inner))
-            case _:
-                head, args = _rast_spine(a)
-                if not isinstance(head, _RName) or head.name in env:
-                    raise LPSyntaxError(f"bad atomic formula head: {a!r}")
-                return Atom(head.name,
-                            tuple(build_term(x, env) for x in args))
-
-    def build_term(a: _RAst, env: dict[str, SimpleType]) -> Term:
-        match a:
-            case _RName(name):
-                if name in env:
-                    return BVar(name, env[name])
-                return Const(name, xi[name])
-            case _RApp(fn, arg):
-                return App(build_term(fn, env), build_term(arg, env))
-            case _RLam(var, body) as lam:
-                ty = _ty_final(binder_tys[id(lam)])
-                inner = dict(env)
-                inner[var] = ty
-                return Lam(var, ty, build_term(body, inner))
-        raise LPSyntaxError(f"cannot build term from {a!r}")
-
-    return build_formula(ast, {})
-
-
-def _rast_spine(a: _RAst):
-    args = []
-    while isinstance(a, _RApp):
-        args.append(a.arg)
-        a = a.fn
-    args.reverse()
-    return a, args
-
-
-def parse_lambdaprolog(text: str) -> Program:
-    """Read the subset of lambdaProlog this module emits."""
-    reader = _LPReader(_lp_tokens(text))
-    xi: list[tuple[str, SimpleType]] = []
-    xi_map: dict[str, SimpleType] = {"o": PROP}
-    clauses: list[Formula] = []
-    while reader.peek() is not None:
-        tok = reader.peek()
-        if tok == "kind":
-            reader.next()
-            reader.next()  # sort name
-            reader.expect("type")
-            reader.expect(".")
-        elif tok == "type":
-            reader.next()
-            name = reader.next()
-            ty = reader.parse_ty()
-            reader.expect(".")
-            xi.append((name, ty))
-            xi_map[name] = ty
-        elif tok in ("sig", "module"):
-            reader.next()
-            reader.next()
-            reader.expect(".")
-        else:
-            ast = reader.parse_expr()
-            reader.expect(".")
-            clauses.append(_formulize(ast, xi_map))
-    return Program(tuple(xi), tuple(clauses))

@@ -175,10 +175,6 @@ def unify(eqs: Iterable[Eq], subst: Optional[Subst] = None) -> UnifyResult:
     return UnifyResult("ok", sigma)
 
 
-def unify_one(lhs: Term, rhs: Term, subst: Optional[Subst] = None) -> UnifyResult:
-    return unify([Eq(lhs, rhs)], subst)
-
-
 def _open(t: Term, e: EVar) -> Term:
     # A variable in place of a bound name makes no redex, and neither
     # does applying a beta-normal non-lambda to one.

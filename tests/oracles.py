@@ -9,9 +9,14 @@ search instead of a least fixpoint for strictness, eager folding of
 every binding instead of a triangular substitution, a loop over
 characters instead of a regular expression for the lexer, and typed
 eta-long canonical forms (`canonicalize`) instead of untyped eta-short
-ones for conversion.  Shared plumbing (AST types, alpha comparison, the
+ones for conversion.  Shared plumbing (AST types, LF alpha comparison, the
 object-level strictness judgment) comes from the package; the decision
 procedures do not.
+
+The last section holds helpers only the tests use (alpha equivalence of
+hohh terms and formulas, `evars_of`, `unify_one`, `fam_app`,
+`validate_solution`), and `tests/lpreader.py` holds `parse_lambdaprolog`,
+the reader for the lambdaProlog text the emitter prints.
 """
 
 from __future__ import annotations
@@ -23,19 +28,20 @@ from typing import Iterator, Optional
 from lflp import lf_syntax as lf
 from lflp.lf_syntax import (
     Context, Expr, FApp, FConst, FPi, Fam, Kind, KPi, KType, LFSyntaxError,
-    OApp, OConst, OLam, OVar, Obj, Signature, _Token, fam_app, fam_spine,
+    OApp, OConst, OLam, OVar, Obj, Signature, _Token, fam_spine,
     free_vars, fresh_name, obj_app, obj_spine, split_fam_pis,
 )
 from lflp.lf_kernel import (
     LFTypeError, beta_normalize, check_signature, normal_classifier,
     substitute,
 )
+from lflp.engine import Solution, _compile, _prove, _State
 from lflp.hterms import (
-    App, Atom, BVar, Const, Formula, ForAll, Imp, LVar, Lam, Term,
-    Top, alpha_eq_term, beta_norm, split_arrow, term_spine,
+    App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, LVar, Lam, Program,
+    Term, Top, beta_norm, fresh_evar, split_arrow, term_spine,
 )
 from lflp.strictness import _why_obj
-from lflp.unify import Subst
+from lflp.unify import Eq, Subst, UnifyResult, unify
 
 DATA = Path(__file__).parent / "data"
 
@@ -778,3 +784,110 @@ def _canon_kind(sig: Signature, ctx: Context, k: Kind) -> Kind:
         dom_c = _canon_fam(sig, ctx, k.dom)
         return KPi(k.var, dom_c, _canon_kind(sig, ctx.extend(k.var, k.dom), k.body))
     return k
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers the package itself does not need: alpha equivalence
+# of hohh terms and formulas, the eigenvariables of a term, one-equation
+# unification, type-family application, and replaying a reported
+# solution through the engine.
+
+def alpha_eq_term(a: Term, b: Term) -> bool:
+    return _aeq(a, b, (), ())
+
+
+def _aeq(a: Term, b: Term, ea: tuple[str, ...], eb: tuple[str, ...]) -> bool:
+    match (a, b):
+        case (BVar(na, _), BVar(nb, _)):
+            for i in range(len(ea) - 1, -1, -1):
+                if ea[i] == na or eb[i] == nb:
+                    return ea[i] == na and eb[i] == nb
+            return na == nb
+        case (Const(na, ta), Const(nb, tb)):
+            return na == nb and ta == tb
+        case (EVar(na, _, _), EVar(nb, _, _)):
+            return na == nb
+        case (LVar(na, _, _), LVar(nb, _, _)):
+            return na == nb
+        case (Lam(va, ta, ba), Lam(vb, tb, bb)):
+            return ta == tb and _aeq(ba, bb, ea + (va,), eb + (vb,))
+        case (App(fa, xa), App(fb, xb)):
+            return _aeq(fa, fb, ea, eb) and _aeq(xa, xb, ea, eb)
+        case _:
+            return False
+
+
+def evars_of(t: Term) -> frozenset[EVar]:
+    match t:
+        case EVar():
+            return frozenset([t])
+        case Lam(_, _, body):
+            return evars_of(body)
+        case App(fn, arg):
+            return evars_of(fn) | evars_of(arg)
+        case _:
+            return frozenset()
+
+
+def alpha_eq_formula(a: Formula, b: Formula) -> bool:
+    return _faeq(a, b, (), ())
+
+
+def _faeq(a, b, ea, eb) -> bool:
+    match (a, b):
+        case (Top(), Top()):
+            return True
+        case (Atom(pa, xa), Atom(pb, xb)):
+            return (pa == pb and len(xa) == len(xb)
+                    and all(_aeq(s, t, ea, eb) for s, t in zip(xa, xb)))
+        case (Imp(la, ra), Imp(lb, rb)):
+            return _faeq(la, lb, ea, eb) and _faeq(ra, rb, ea, eb)
+        case (ForAll(va, ta, ba), ForAll(vb, tb, bb)):
+            return ta == tb and _faeq(ba, bb, ea + (va,), eb + (vb,))
+        case _:
+            return False
+
+
+def unify_one(lhs: Term, rhs: Term, subst: Optional[Subst] = None) -> UnifyResult:
+    return unify([Eq(lhs, rhs)], subst)
+
+
+def fam_app(head: Fam, args: list[Obj]) -> Fam:
+    for x in args:
+        head = FApp(head, x)
+    return head
+
+
+def map_formula_terms(f: Formula, fn) -> Formula:
+    match f:
+        case Top():
+            return f
+        case Atom(pred, args):
+            return Atom(pred, tuple(fn(a) for a in args))
+        case Imp(left, right):
+            return Imp(map_formula_terms(left, fn), map_formula_terms(right, fn))
+        case ForAll(var, ty, body):
+            return ForAll(var, ty, map_formula_terms(body, fn))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def validate_solution(program: Program, goal: Formula, sol: Solution,
+                      extra_depth: int = 0) -> bool:
+    """Replay a reported solution: instantiate the goal with its
+    bindings, freeze leftover logic variables, and re-derive within the
+    reported backchain count."""
+    binding = Subst({v: t for v, t in sol.bindings})
+    frozen = {v: fresh_evar(v.name, v.ty) for v in sol.free}
+
+    def inst(t: Term) -> Term:
+        t = binding.apply(t)
+        return Subst(dict(frozen)).apply(t) if frozen else t
+
+    g = map_formula_terms(goal, inst)
+    bound = sol.backchains + extra_depth
+    state = _State()
+    clauses = [_compile(c) for c in program.clauses]
+    for _, residuals, _ in _prove(g, clauses, Subst(), (), bound, state):
+        if not residuals:
+            return True
+    return False

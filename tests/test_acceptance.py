@@ -6,20 +6,19 @@ for each numbered behavior.
 
 import re
 
-import pytest
-
 from lflp import lf_syntax as lf
-from lflp.engine import Limits, solve, validate_solution
-from lflp.hterms import Atom, ForAll, Imp, alpha_eq_formula
-from lflp.inverter import InversionError, InversionGoal, invert
+from lflp.engine import Limits, solve
+from lflp.hterms import Atom, ForAll, Imp
+from lflp.inverter import InversionGoal, invert
 from lflp.lf_kernel import beta_normalize, check_object, check_type, substitute
 from lflp.strictness import explain_strictness, strict_binders
 from lflp.translator import (
-    emit_lambdaprolog, encode_obj, parse_lambdaprolog, translate_query,
-    translate_signature,
+    emit_lambdaprolog, encode_obj, translate_query, translate_signature,
 )
 
 import oracles
+from lpreader import parse_lambdaprolog
+from oracles import alpha_eq_formula, validate_solution
 
 
 def _golden(name):

@@ -1,14 +1,15 @@
 import time
 
 from lflp import engine, lf_syntax as lf
-from lflp.engine import Limits, Solution, solve, validate_solution
+from lflp.engine import Limits, Solution, solve
 from lflp.hterms import (
     LF_OBJ, LF_TYPE, Atom, BVar, Const, ForAll, Imp, Program, Top, arrow,
-    evars_of, fresh_lvar, mk_app, term_spine,
+    fresh_lvar, mk_app, term_spine,
 )
 from lflp.translator import translate_query, translate_signature
 
 import oracles
+from oracles import evars_of, validate_solution
 
 OBJ = LF_OBJ
 

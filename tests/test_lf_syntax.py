@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from lflp import lf_syntax as lf
 
 import oracles
+from oracles import fam_app
 
 
 def test_parse_three_entry_signature():
@@ -84,7 +85,7 @@ def test_print_lambda():
 
 def test_print_pi_target():
     a = lf.FPi("l", lf.FConst("list"),
-               lf.fam_app(lf.FConst("append"),
+               fam_app(lf.FConst("append"),
                           [lf.OConst("nil"), lf.OVar("l"), lf.OVar("l")]))
     assert lf.print_lf(a) == "{l:list} append nil l l"
 

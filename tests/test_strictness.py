@@ -9,6 +9,7 @@ from lflp.strictness import (
 )
 
 import oracles
+from oracles import fam_app
 
 NAT = lf.FConst("nat")
 
@@ -230,7 +231,7 @@ def _binder_types(draw, names, depth):
     if kind == 1:
         return lf.FPi("u", _EL, _EL)
     if kind <= 3:
-        return lf.fam_app(lf.FConst("r"), [draw(_objects(names, 1)),
+        return fam_app(lf.FConst("r"), [draw(_objects(names, 1)),
                                            draw(_objects(names, 1))])
     z = f"z{len(names)}"
     return lf.FPi(z, draw(_binder_types(names, depth - 1)),
@@ -244,7 +245,7 @@ def _classifiers(draw):
     mention a later binder's name, free there; pivots can then justify
     each other in a cycle, which only the least fixpoint breaks."""
     names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
-    a = lf.fam_app(lf.FConst("p"), [
+    a = fam_app(lf.FConst("p"), [
         draw(_objects(names, 2)), lf.OVar(draw(st.sampled_from(names))),
         draw(_objects(names, 2)), lf.OVar(draw(st.sampled_from(names)))])
     for i in reversed(range(len(names))):
@@ -264,8 +265,8 @@ def test_pivot_cycle_matches_depth_first_search():
     # p2's type names p1, free there, so p1 and p2 justify each other;
     # w's chain goes through p1, which must then be justified without w
     def r(a, b):
-        return lf.fam_app(lf.FConst("r"), [lf.OVar(a), lf.OVar(b)])
-    a = lf.fam_app(lf.FConst("p"), [lf.OConst("zz"), lf.OVar("q"),
+        return fam_app(lf.FConst("r"), [lf.OVar(a), lf.OVar(b)])
+    a = fam_app(lf.FConst("p"), [lf.OConst("zz"), lf.OVar("q"),
                                     lf.OConst("zz"), lf.OVar("q")])
     for name, dom in reversed([("w", _EL), ("p2", r("p1", "p1")),
                                ("p1", r("p2", "w")), ("q", r("p1", "p1"))]):

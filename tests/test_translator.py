@@ -5,19 +5,21 @@ import pytest
 from lflp import lf_syntax as lf
 from lflp.engine import Limits, solve
 from lflp.hterms import (
-    LF_OBJ, LF_TYPE, App, Atom, BVar, Const, ForAll, Imp, Lam, Program, Top,
-    alpha_eq_formula, alpha_eq_term, arrow, beta_norm, mk_app, term_spine,
+    LF_OBJ, LF_TYPE, App, Atom, BVar, Const, ForAll, Imp, Lam, Top, arrow,
+    beta_norm, mk_app, term_spine,
 )
 from lflp.lf_kernel import substitute
 from lflp.translator import (
     TranslationError, emit_lambdaprolog, emit_split, encode_fam, encode_obj,
-    parse_lambdaprolog, phi, simplify_top, translate_judgment,
-    translate_query, translate_signature,
+    phi, simplify_top, translate_judgment, translate_query,
+    translate_signature,
 )
 from lflp.unify import Subst
 from lflp.strictness import strict_binders
 
 import oracles
+from lpreader import parse_lambdaprolog
+from oracles import alpha_eq_formula, alpha_eq_term
 
 OBJ, TY = LF_OBJ, LF_TYPE
 
@@ -240,15 +242,39 @@ def test_unsimplified_program_emits_true():
     assert "true" not in emit_lambdaprolog(translate_signature(sig))
 
 
-def test_emit_parse_round_trip():
-    for mode in ("naive", "optimized"):
-        prog = translate_signature(_sig(), mode=mode)
-        back = parse_lambdaprolog(emit_lambdaprolog(prog))
-        assert [n for n, _ in back.xi] == [n for n, _ in prog.xi]
-        assert [str(t) for _, t in back.xi] == [str(t) for _, t in prog.xi]
-        assert len(back.clauses) == len(prog.clauses)
-        for x, y in zip(back.clauses, prog.clauses):
-            assert alpha_eq_formula(x, y)
+@pytest.mark.parametrize("simplify", [True, False],
+                         ids=["simplify", "no-simplify"])
+@pytest.mark.parametrize("mode", ["naive", "optimized"])
+@pytest.mark.parametrize("name", sorted(p.name for p in oracles.DATA.glob("*.elf")))
+def test_emit_parse_round_trip(name, mode, simplify):
+    prog = translate_signature(oracles.load_signature(name), mode=mode,
+                               simplify=simplify)
+    back = parse_lambdaprolog(emit_lambdaprolog(prog))
+    assert [n for n, _ in back.xi] == [n for n, _ in prog.xi]
+    assert [str(t) for _, t in back.xi] == [str(t) for _, t in prog.xi]
+    assert len(back.clauses) == len(prog.clauses)
+    for x, y in zip(back.clauses, prog.clauses):
+        assert alpha_eq_formula(x, y)
+
+
+@pytest.mark.parametrize("mode, want", [
+    ("optimized", [
+        "pi X2\\ (hastype (c X2) (p (X1\\ X2))).",
+        "pi X1\\ (pi M\\ ((pi X11\\ (hastype X11 nat => hastype (M X11) nat))"
+        " => hastype (d X1 M) (q X1 (pi1\\ M (pi1 X1))))).",
+    ]),
+    ("naive", [
+        "pi X2\\ (hastype X2 nat => hastype (c X2) (p (X1\\ X2))).",
+        "pi X1\\ (hastype X1 nat => pi M\\ ((pi X11\\ (hastype X11 nat =>"
+        " hastype (M X11) nat)) => hastype (d X1 M) (q X1 (pi1\\ M (pi1 X1))))).",
+    ]),
+])
+def test_emitted_binders_avoid_constants_keywords_and_each_other(mode, want):
+    # `X` is a constant, `X1` a lambda binder, and `pi` both a keyword and
+    # a lambda binder, so the quantifier over `x` skips `X` and `X1`, and
+    # the lambda named `pi` becomes `pi1`.
+    prog = translate_signature(oracles.load_signature("clash.elf"), mode=mode)
+    assert emit_lambdaprolog(prog).splitlines()[-2:] == want
 
 
 def test_split_emission_carries_module_header():
