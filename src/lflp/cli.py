@@ -23,7 +23,7 @@ from .engine import Limits, Solution, solve
 from .hterms import Const, LVar, Term, lvars_in_order
 from .inverter import InversionError, InversionGoal, invert
 from .lf_kernel import (
-    LFTypeError, beta_normalize, check_object, check_signature, substitute,
+    LFTypeError, beta_normalize, check_object, check_signature, instantiate,
 )
 from .strictness import explain_strictness
 from .translator import (
@@ -92,6 +92,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "solve":
         if args.depth < 1:
             print("error: --depth must be at least 1", file=sys.stderr)
+            return 2
+        if args.count < 0:
+            print("error: -n must be at least 0", file=sys.stderr)
             return 2
         return cmd_solve(text, args.query,
                          "naive" if args.naive else "optimized",
@@ -214,7 +217,7 @@ def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
     sub: dict[str, lf.Obj] = {}
     inverted_all = True
     for (name, _), val in zip(qt.var_lvars, values):
-        ty = beta_normalize(substitute(qt.var_types[name], sub))
+        ty = instantiate(qt.var_types[name], sub)
         obj = None
         if lf.free_vars(ty) <= set(sub):
             obj = _inverted(sig, val, ty)
@@ -226,7 +229,7 @@ def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
             lines.append(f"{name} = {_show_hohh(val, frees)}  (not inverted)")
     inhabitant = None
     if inverted_all:
-        ty = beta_normalize(substitute(qt.fam, sub))
+        ty = instantiate(qt.fam, sub)
         inhabitant = _inverted(sig, subject_val, ty)
     if inhabitant is not None:
         lines.append(f"inhabitant: {lf.print_lf(inhabitant)}")

@@ -9,6 +9,13 @@ universal variable with a fresh logic variable, unifies the exposed
 head with the goal, then proves the collected premises left to right
 under the extended substitution.
 
+Each goal is proved in a universe: the level of the logic variables
+its backchains create, one above the newest eigenvariable in scope.
+A universal goal opens the universe above its eigenvariable; a search
+starts above the eigenvariables free in its goal, or at 0.  Variables
+of one universe share a level, so binding one to a term built from
+others needs no lowered copy.
+
 The only source of nondeterminism is clause choice, so iterative
 deepening counts backchain steps.  Each round accepts only proofs
 using exactly the round's bound, which keeps rounds disjoint; a round
@@ -26,8 +33,8 @@ from typing import Iterator, NamedTuple, Optional
 
 from .hterms import (
     App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, Lam, LVar, Program,
-    Term, Top, fresh_evar, fresh_lvar, lvars_in_order, subst_formula,
-    term_spine,
+    Term, Top, fresh_evar, fresh_lvar_at, lvars_in_order, subst_formula,
+    term_leaves, term_spine,
 )
 from .unify import Eq, Subst, unify
 
@@ -74,10 +81,11 @@ def solve(program: Program, goal: Formula, limits: Limits = Limits(),
     seen: set[str] = set()
     susp_ever = False
     last_round_cut = False
+    univ = _root_universe(goal)
     for bound in range(limits.depth + 1):
         state = _State()
-        for sigma, residuals, left in _prove(goal, clauses, Subst(), (),
-                                             bound, state):
+        for sigma, residuals, left in _prove(goal, clauses, univ, Subst(),
+                                             (), bound, state):
             if left != 0:
                 continue
             if residuals:
@@ -132,36 +140,48 @@ def _key(head: Term) -> Optional[str]:
     return head.name if isinstance(head, (Const, EVar)) else None
 
 
-def _prove(goal: Formula, clauses: list[_Clause], sigma: Subst,
+def _root_universe(goal: Formula) -> int:
+    """The universe a search for `goal` starts in: one above the newest
+    eigenvariable free in `goal`, so its logic variables may mention
+    them all, or 0 when there is none."""
+    return 1 + max((x.level for x in term_leaves([goal])
+                    if isinstance(x, EVar)), default=-1)
+
+
+def _prove(goal: Formula, clauses: list[_Clause], univ: int, sigma: Subst,
            residuals: tuple[Eq, ...], budget: int,
            state: _State) -> Iterator[tuple[Subst, tuple[Eq, ...], int]]:
+    # `univ` is the level of the logic variables a backchain creates:
+    # they may mention exactly the eigenvariables in scope.
     match goal:
         case Top():
             yield sigma, residuals, budget
         case Imp(d, g):
-            yield from _prove(g, clauses + [_compile(d)], sigma, residuals,
-                              budget, state)
+            yield from _prove(g, clauses + [_compile(d)], univ, sigma,
+                              residuals, budget, state)
         case ForAll(var, ty, body):
             e = fresh_evar(var, ty)
-            yield from _prove(subst_formula(body, {var: e}), clauses, sigma,
-                              residuals, budget, state)
+            yield from _prove(subst_formula(body, {var: e}), clauses,
+                              e.level + 1, sigma, residuals, budget, state)
         case Atom() as atom:
-            yield from _backchain(atom, clauses, sigma, residuals, budget,
-                                  state)
+            yield from _backchain(atom, clauses, univ, sigma, residuals,
+                                  budget, state)
         case _:
             raise TypeError(f"not a goal formula: {goal!r}")
 
 
-def _clause_parts(clause: Formula) -> tuple[Atom, list[Formula]]:
+def _clause_parts(clause: Formula, univ: int) -> tuple[Atom, list[Formula]]:
     """Instantiate a definite clause's quantifiers with fresh logic
-    variables; return its head and its premises in order."""
+    variables of universe `univ`; return its head and its premises in
+    order."""
     premises: list[Formula] = []
     inst: dict[str, Term] = {}
     f = clause
     while True:
         match f:
             case ForAll(var, ty, body):
-                inst[var] = fresh_lvar(var.upper() if var else "X", ty)
+                inst[var] = fresh_lvar_at(var.upper() if var else "X", ty,
+                                          univ)
                 f = body
             case Imp(g, d):
                 premises.append(subst_formula(g, inst))
@@ -170,7 +190,7 @@ def _clause_parts(clause: Formula) -> tuple[Atom, list[Formula]]:
                 return subst_formula(f, inst), premises
 
 
-def _backchain(atom: Atom, clauses: list[_Clause], sigma: Subst,
+def _backchain(atom: Atom, clauses: list[_Clause], univ: int, sigma: Subst,
                residuals: tuple[Eq, ...], budget: int,
                state: _State) -> Iterator[tuple[Subst, tuple[Eq, ...], int]]:
     # A clause is instantiated only when no head argument has a rigid
@@ -185,7 +205,7 @@ def _backchain(atom: Atom, clauses: list[_Clause], sigma: Subst,
         if any(k is not None and g is not None and k != g
                for k, g in zip(clause.keys, keys)):
             continue
-        head, premises = _clause_parts(clause.formula)
+        head, premises = _clause_parts(clause.formula, univ)
         res = unify([Eq(a, b) for a, b in zip(atom.args, head.args)]
                     + list(residuals), sigma)
         if res.status == "fail":
@@ -193,19 +213,20 @@ def _backchain(atom: Atom, clauses: list[_Clause], sigma: Subst,
         if budget <= 0:
             state.cut = True
             return
-        yield from _conj(premises, clauses, res.subst, res.residuals,
+        yield from _conj(premises, clauses, univ, res.subst, res.residuals,
                          budget - 1, state)
 
 
-def _conj(goals: list[Formula], clauses: list[_Clause], sigma: Subst,
-          residuals: tuple[Eq, ...], budget: int,
+def _conj(goals: list[Formula], clauses: list[_Clause], univ: int,
+          sigma: Subst, residuals: tuple[Eq, ...], budget: int,
           state: _State) -> Iterator[tuple[Subst, tuple[Eq, ...], int]]:
     if not goals:
         yield sigma, residuals, budget
         return
-    for sigma2, residuals2, left in _prove(goals[0], clauses, sigma,
+    for sigma2, residuals2, left in _prove(goals[0], clauses, univ, sigma,
                                            residuals, budget, state):
-        yield from _conj(goals[1:], clauses, sigma2, residuals2, left, state)
+        yield from _conj(goals[1:], clauses, univ, sigma2, residuals2, left,
+                         state)
 
 
 def _extract(sigma: Subst, query_vars: tuple[LVar, ...],

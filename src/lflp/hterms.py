@@ -3,16 +3,19 @@
 This is the target language of the translation and the working language
 of the proof-search engine.  Terms are intrinsically typed: every leaf
 carries its simple type, so ``type_of`` is total and never consults an
-environment.  Two flavors of free variable exist, both stamped with a
-creation level from a single global clock:
+environment.  Two flavors of free variable exist, both named by a
+single global clock and both carrying a level:
 
 * ``EVar``: an eigenvariable, introduced by universal goals.  Rigid.
+  Its level is its creation time on the clock.
 * ``LVar``: a logic variable, introduced by universal program clauses
-  or by a query.  Flexible; unification may bind it.
+  or by a query.  Flexible; unification may bind it.  Its level is its
+  universe: one above the newest eigenvariable in scope where it was
+  made, or 0 outside every universal goal.
 
-The clock makes names unique program-wide and orders creation: a logic
-variable may only be instantiated with eigenvariables created earlier
-(lower level), which is all the scope checking proof search needs.
+The clock makes names unique program-wide.  A logic variable may only
+be instantiated with eigenvariables of a lower level, the ones in scope
+in its universe, which is all the scope checking proof search needs.
 
 Formulas cover goals ``true | A | D => G | pi x\\ G`` and clauses
 ``A | G => D | pi x\\ D``; conjunction never arises here.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 # ---------------------------------------------------------------------------
 # Simple types
@@ -185,16 +188,12 @@ def fresh_evar(prefix: str, ty: SimpleType) -> EVar:
     return EVar(f"{prefix}#{n}", n, ty)
 
 
-def fresh_lvar(prefix: str, ty: SimpleType) -> LVar:
-    n = fresh_level()
-    return LVar(f"{prefix}_{n}", n, ty)
-
-
 def fresh_lvar_at(prefix: str, ty: SimpleType, level: int) -> LVar:
     """A fresh logic variable at a caller-chosen level.
 
-    Unification lowers variables with this: the clock still supplies a
-    unique name, but the scope level is inherited, not current.
+    The clock supplies a unique name; the level is the universe the
+    variable lives in: proof search passes the current one, and
+    unification passes the level a pruned or lowered variable inherits.
     """
     n = fresh_level()
     return LVar(f"{prefix}_{n}", level, ty)
@@ -339,17 +338,16 @@ def subst_formula(f: Formula, m: dict[str, Term]) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def lvars_in_order(items: Iterable[Union[Term, Formula, None]]) -> dict[LVar, int]:
-    """The logic variables of `items`, terms or formulas read left to
-    right, each numbered by its first appearance.  None items are skipped."""
-    order: dict[LVar, int] = {}
+def term_leaves(items: Iterable[Union[Term, Formula, None]]) -> Iterator[Term]:
+    """The constants and variables of `items`, terms or formulas read
+    left to right.  None items are skipped."""
     stack = list(items)
     stack.reverse()
     while stack:
         x = stack.pop()
         match x:
-            case LVar():
-                order.setdefault(x, len(order))
+            case Const() | EVar() | LVar() | BVar():
+                yield x
             case App(fn, arg):
                 stack += (arg, fn)
             case Imp(left, right):
@@ -358,6 +356,15 @@ def lvars_in_order(items: Iterable[Union[Term, Formula, None]]) -> dict[LVar, in
                 stack.append(body)
             case Atom(_, args):
                 stack.extend(reversed(args))
+
+
+def lvars_in_order(items: Iterable[Union[Term, Formula, None]]) -> dict[LVar, int]:
+    """The logic variables of `items`, terms or formulas read left to
+    right, each numbered by its first appearance.  None items are skipped."""
+    order: dict[LVar, int] = {}
+    for x in term_leaves(items):
+        if isinstance(x, LVar):
+            order.setdefault(x, len(order))
     return order
 
 

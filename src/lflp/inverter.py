@@ -26,7 +26,7 @@ from .hterms import (
     subst_term, term_spine, type_of,
 )
 from .lf_kernel import (
-    beta_eta_equal, beta_normalize, normal_classifier, substitute,
+    beta_eta_equal, beta_normalize, instantiate, normal_classifier,
 )
 
 
@@ -72,7 +72,7 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam) -> lf.Obj:
         var = ty.var
         if var in taken:
             var = lf.fresh_name(var, taken)
-        body_ty = beta_normalize(substitute(ty.body, {ty.var: lf.OVar(var)}))
+        body_ty = instantiate(ty.body, {ty.var: lf.OVar(var)})
         if not isinstance(t, Lam):
             # eta-expanded on the fly, as the unifier does
             simple = type_of(t)
@@ -112,13 +112,13 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam) -> lf.Obj:
     sub: dict[str, lf.Obj] = {}
     inv_args: list[lf.Obj] = []
     for (bname, bty), arg in zip(binders, args):
-        expected = beta_normalize(substitute(bty, sub))
+        expected = instantiate(bty, sub)
         inv = _invert(sig, ctx, arg, expected)
         inv_args.append(inv)
         sub = dict(sub)
         sub[bname] = inv
-    final = beta_normalize(substitute(target, sub))
-    if not beta_eta_equal(final, ty):
+    final = instantiate(target, sub)
+    if final != ty and not beta_eta_equal(final, ty):
         raise InversionError(
             f"head {_head_name(lf_head)} yields {lf.print_lf(final)}, "
             f"expected {lf.print_lf(ty)}")

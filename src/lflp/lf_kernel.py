@@ -53,36 +53,74 @@ def substitute(e: Expr, bindings: Mapping[str, Obj]) -> Expr:
 
     The result may contain beta-redexes; callers normalize when needed.
     """
-    return _subst(e, dict(bindings))
+    return _subst(e, dict(bindings), {})
 
 
-def _subst(e: Expr, b: dict[str, Obj]) -> Expr:
+def _subst(e: Expr, b: dict[str, Obj], placed: dict[int, Obj]) -> Expr:
+    # `placed` collects, by identity, every value put in place of a
+    # variable
     if not b:
         return e
     match e:
         case KType() | FConst() | OConst():
             return e
         case OVar(name):
-            return b.get(name, e)
+            v = b.get(name)
+            if v is None:
+                return e
+            placed[id(v)] = v
+            return v
         case KPi(var, dom, body) | FPi(var, dom, body) | OLam(var, dom, body):
-            dom2 = _subst(dom, b)
-            fvb = free_vars(body)
-            inner = {k: v for k, v in b.items() if k != var and k in fvb}
+            dom2 = _subst(dom, b, placed)
+            inner = {k: v for k, v in b.items()
+                     if k != var and occurs_free(k, body)}
             if not inner:
                 return type(e)(var, dom2, body)
-            ranges_fv: set[str] = set()
-            for v in inner.values():
-                ranges_fv |= free_vars(v)
-            if var in ranges_fv:
-                var2 = fresh_name(var, ranges_fv | fvb | set(inner))
-                body = _subst(body, {var: OVar(var2)})
+            if any(occurs_free(var, v) for v in inner.values()):
+                # the binder would capture a free name of a range
+                ranges_fv: set[str] = set()
+                for v in inner.values():
+                    ranges_fv |= free_vars(v)
+                var2 = fresh_name(var,
+                                  ranges_fv | free_vars(body) | set(inner))
+                body = _subst(body, {var: OVar(var2)}, placed)
                 var = var2
-            return type(e)(var, dom2, _subst(body, inner))
+            return type(e)(var, dom2, _subst(body, inner, placed))
         case FApp(fn, arg):
-            return FApp(_subst(fn, b), _subst(arg, b))
+            return FApp(_subst(fn, b, placed), _subst(arg, b, placed))
         case OApp(fn, arg):
-            return OApp(_subst(fn, b), _subst(arg, b))
+            return OApp(_subst(fn, b, placed), _subst(arg, b, placed))
     raise TypeError(f"not an LF expression: {e!r}")
+
+
+def instantiate(e: Expr, bindings: Mapping[str, Obj]) -> Expr:
+    """`beta_normalize(substitute(e, bindings))` for a beta-normal `e`.
+
+    A value that is beta-normal and not a lambda makes no redex where it
+    is put, so when every value put in place is one, the substitution is
+    already normal and no second pass is made."""
+    placed: dict[int, Obj] = {}
+    e = _subst(e, dict(bindings), placed)
+    if all(not isinstance(v, OLam) and _is_normal(v)
+           for v in placed.values()):
+        return e
+    return beta_normalize(e)
+
+
+def _is_normal(e: Expr) -> bool:
+    # an explicit stack: arguments nest as deep as the input's spines
+    stack = [e]
+    while stack:
+        match stack.pop():
+            case KPi(_, dom, body) | FPi(_, dom, body) | OLam(_, dom, body):
+                stack += (dom, body)
+            case FApp(fn, arg):
+                stack += (fn, arg)
+            case OApp(fn, arg):
+                if isinstance(fn, OLam):
+                    return False
+                stack += (fn, arg)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +333,7 @@ def _instantiate(pi: Union[KPi, FPi], arg: Obj) -> Union[Kind, Fam]:
     # leaves it as it is
     if not occurs_free(pi.var, pi.body):
         return pi.body
-    return beta_normalize(substitute(pi.body, {pi.var: arg}))
+    return instantiate(pi.body, {pi.var: arg})
 
 
 def _freshen_binder(var: str, body: Expr, ctx: Context) -> tuple[str, Expr]:

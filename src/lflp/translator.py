@@ -34,11 +34,11 @@ from . import lf_syntax as lf
 from . import strictness
 from .hterms import (
     LF_OBJ, LF_TYPE, PROP, App, Atom, BVar, Const, Formula, ForAll, Imp,
-    Lam, LVar, Program, SimpleType, TArrow, Term, Top, beta_norm, fresh_lvar,
-    term_spine,
+    Lam, LVar, Program, SimpleType, TArrow, Term, Top, beta_norm,
+    fresh_lvar_at, term_spine,
 )
 from .lf_kernel import (
-    LFTypeError, beta_normalize, check_type, normal_classifier, substitute,
+    LFTypeError, beta_normalize, check_type, instantiate, normal_classifier,
 )
 
 
@@ -193,7 +193,7 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
         for arg in args:
             if not isinstance(kind, lf.KPi):
                 raise TranslationError(f"too many arguments to {head.name}")
-            expected = beta_normalize(substitute(kind.dom, sub))
+            expected = instantiate(kind.dom, sub)
             scan_obj(arg, expected)
             sub = dict(sub)
             sub[kind.var] = arg
@@ -217,7 +217,7 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
             for arg in oargs:
                 if not isinstance(fam, lf.FPi):
                     raise TranslationError(f"too many arguments to {ohead.name}")
-                scan_obj(arg, beta_normalize(substitute(fam.dom, sub)))
+                scan_obj(arg, instantiate(fam.dom, sub))
                 sub = dict(sub)
                 sub[fam.var] = arg
                 fam = fam.body
@@ -243,7 +243,9 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
                     a: lf.Fam) -> QueryTranslation:
     a = beta_normalize(a)
     var_types = infer_query_var_types(sig, free, a)
-    var_lvars = tuple((n, fresh_lvar(n, phi(var_types[n]))) for n in free)
+    # the query's variables live in the outermost universe, 0
+    var_lvars = tuple((n, fresh_lvar_at(n, phi(var_types[n]), 0))
+                      for n in free)
     env: dict[str, Term] = {n: v for n, v in var_lvars}
     ctx = lf.Context(tuple((n, var_types[n]) for n in free))
     try:
@@ -252,7 +254,7 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
         raise TranslationError(f"ill-formed query type: {err}") from None
     if not isinstance(k, lf.KType):
         raise TranslationError("query type is not fully applied")
-    subject = fresh_lvar("M", LF_OBJ)
+    subject = fresh_lvar_at("M", LF_OBJ, 0)
     goal = Atom(HASTYPE, (subject, encode_fam(sig, a, env)))
     return QueryTranslation(goal, subject, var_lvars, var_types, a)
 

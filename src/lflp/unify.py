@@ -8,12 +8,14 @@ residual equation and retried whenever the substitution grows; a
 residual that survives to the end of a proof leaves the branch
 undecided rather than successful.
 
-Scope discipline rides on creation levels.  A logic variable may only
-be instantiated with eigenvariables created before it.  When a
-right-hand side mentions later eigenvariables under another logic
-variable, that variable is pruned (the offending argument dropped) or
-lowered (rebuilt at the older level); under a rigid head the equation
-simply fails.
+Scope discipline rides on levels.  An eigenvariable's level is its
+creation time, a logic variable's the universe it lives in, and a
+logic variable may only be instantiated with eigenvariables of a lower
+level.  When a right-hand side mentions later eigenvariables under
+another logic variable, that variable is pruned (the offending
+argument dropped) or lowered (rebuilt at the older level); under a
+rigid head the equation simply fails.  Variables of one universe share
+a level, so neither applies between them.
 
 A flexible variable gets bound by one of two rules.  The copy solves
 ``K x1..xn = t`` for a pattern ``K x1..xn`` and any ``t`` whose head is
@@ -31,6 +33,9 @@ the map.  ``apply`` resolves such variables on demand and reduces the
 redexes a resolved lambda creates where they arise; every term the
 engine builds is beta-normal, and so is every applied term.  The
 occurs check keeps the map acyclic, so the resolution always ends.
+Within one call the map only grows, so a subterm resolved when the map
+had n bindings is still resolved while it has n: the arguments of a
+rigid-rigid split are queued with that count and not walked again.
 """
 
 from __future__ import annotations
@@ -154,17 +159,20 @@ class _Residual(Exception):
 def unify(eqs: Iterable[Eq], subst: Optional[Subst] = None) -> UnifyResult:
     """Solve a list of equations, threading and extending `subst`."""
     sigma = subst or Subst()
-    work = deque(eqs)
+    # A work item is (lhs, rhs, n): n is len(sigma) when both sides were
+    # resolved, or -1 when they were not.
+    work = deque((eq.lhs, eq.rhs, -1) for eq in eqs)
     residuals: list[Eq] = []
     try:
         while True:
             progressed_len = len(sigma)
             while work:
-                eq = work.popleft()
-                sigma = _step(sigma, sigma.apply(eq.lhs), sigma.apply(eq.rhs),
-                              work, residuals)
+                t, u, n = work.popleft()
+                if n != len(sigma):
+                    t, u = sigma.apply(t), sigma.apply(u)
+                sigma = _step(sigma, t, u, work, residuals)
             if residuals and len(sigma) > progressed_len:
-                work.extend(residuals)
+                work.extend((eq.lhs, eq.rhs, -1) for eq in residuals)
                 residuals.clear()
                 continue
             break
@@ -206,8 +214,9 @@ def _step(sigma: Subst, t: Term, u: Term, work: deque, residuals: list) -> Subst
         return _flex_rigid(sigma, uh, uargs, t, u, residuals)
     if th != uh or len(targs) != len(uargs):
         raise _Fail
+    n = len(sigma)
     for a, b in zip(targs, uargs):
-        work.append(Eq(a, b))
+        work.append((a, b, n))
     return sigma
 
 

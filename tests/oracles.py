@@ -14,9 +14,10 @@ object-level strictness judgment) comes from the package; the decision
 procedures do not.
 
 The last section holds helpers only the tests use (alpha equivalence of
-hohh terms and formulas, `evars_of`, `unify_one`, `fam_app`,
-`validate_solution`), and `tests/lpreader.py` holds `parse_lambdaprolog`,
-the reader for the lambdaProlog text the emitter prints.
+hohh terms and formulas, `evars_of`, `fresh_lvar`, `unify_one`,
+`fam_app`, `validate_solution`), and `tests/lpreader.py` holds
+`parse_lambdaprolog`, the reader for the lambdaProlog text the emitter
+prints.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from lflp.lf_kernel import (
 from lflp.engine import Solution, _compile, _prove, _State
 from lflp.hterms import (
     App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, LVar, Lam, Program,
-    Term, Top, beta_norm, fresh_evar, split_arrow, term_spine,
+    SimpleType, Term, Top, beta_norm, fresh_evar, fresh_level, split_arrow,
+    term_spine,
 )
 from lflp.strictness import _why_obj
 from lflp.unify import Eq, Subst, UnifyResult, unify
@@ -817,6 +819,13 @@ def _aeq(a: Term, b: Term, ea: tuple[str, ...], eb: tuple[str, ...]) -> bool:
             return False
 
 
+def fresh_lvar(prefix: str, ty: SimpleType) -> LVar:
+    """A fresh logic variable levelled by the clock: it may mention every
+    eigenvariable made before it."""
+    n = fresh_level()
+    return LVar(f"{prefix}_{n}", n, ty)
+
+
 def evars_of(t: Term) -> frozenset[EVar]:
     match t:
         case EVar():
@@ -887,7 +896,9 @@ def validate_solution(program: Program, goal: Formula, sol: Solution,
     bound = sol.backchains + extra_depth
     state = _State()
     clauses = [_compile(c) for c in program.clauses]
-    for _, residuals, _ in _prove(g, clauses, Subst(), (), bound, state):
+    univ = fresh_level()  # above every frozen eigenvariable
+    for _, residuals, _ in _prove(g, clauses, univ, Subst(), (), bound,
+                                  state):
         if not residuals:
             return True
     return False

@@ -173,6 +173,14 @@ def test_solve_rejects_bad_depth(capsys):
     assert "--depth" in err
 
 
+def test_solve_rejects_negative_count(capsys):
+    code, out, err = run_cli(capsys, "solve", APPEND, "append nil nil nil",
+                             "-n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: -n must be at least 0"
+
+
 def test_solve_rechecks_inverted_answers(capsys, monkeypatch):
     import lflp.cli
     # z : nat can inhabit neither the list variable nor the append type.

@@ -1,15 +1,15 @@
 import time
 
-from lflp import engine, lf_syntax as lf
+from lflp import engine, lf_syntax as lf, unify
 from lflp.engine import Limits, Solution, solve
 from lflp.hterms import (
     LF_OBJ, LF_TYPE, Atom, BVar, Const, ForAll, Imp, Program, Top, arrow,
-    fresh_lvar, mk_app, term_spine,
+    fresh_evar, mk_app, term_spine,
 )
 from lflp.translator import translate_query, translate_signature
 
 import oracles
-from oracles import evars_of, validate_solution
+from oracles import evars_of, fresh_lvar, validate_solution
 
 OBJ = LF_OBJ
 
@@ -289,8 +289,8 @@ def test_index_instantiates_only_clauses_whose_head_can_match(monkeypatch):
     families = []
     instantiate = engine._clause_parts
 
-    def spy(clause):
-        head, premises = instantiate(clause)
+    def spy(clause, univ):
+        head, premises = instantiate(clause, univ)
         families.append(term_spine(head.args[1])[0].name)
         return head, premises
 
@@ -298,6 +298,45 @@ def test_index_instantiates_only_clauses_whose_head_can_match(monkeypatch):
     _, _, run = _run("appendplus.elf", "append (cons z nil) nil L", 8)
     assert run.status == "ok"
     assert families and set(families) == {"append"}
+
+
+def test_first_order_solve_lowers_nothing(monkeypatch):
+    # clause variables are made in the query's universe, so binding
+    # one into another never needs a lowered copy
+    rebuilt = []
+    rebuild = unify._rebuild
+
+    def spy(*args):
+        rebuilt.append(args[0])
+        return rebuild(*args)
+
+    monkeypatch.setattr(unify, "_rebuild", spy)
+    for mode, backchains in (("optimized", 2), ("naive", 7)):
+        _, qt, run = _run("appendplus.elf", "append (cons z nil) nil L", 8,
+                          mode=mode)
+        (_, lv), = qt.var_lvars
+        sol, = run.solutions
+        assert str(sol.value(lv)) == "(cons z nil)"
+        assert str(sol.value(qt.subject)) == \
+            "(appCons z nil nil nil (appNil nil))"
+        assert sol.backchains == backchains
+    assert rebuilt == []
+
+
+def test_goal_with_free_eigenvariable_solves():
+    # the root universe lies above the goal's own eigenvariables, so a
+    # clause variable may be bound to one of them
+    p = Const("p", arrow([OBJ], LF_TYPE))
+    c = Const("c", arrow([OBJ], OBJ))
+    x = BVar("X", OBJ)
+    prog = Program(xi=(), clauses=(
+        ForAll("X", OBJ, Atom("hastype", (mk_app(c, [x]), mk_app(p, [x])))),))
+    e = fresh_evar("e", OBJ)
+    m = fresh_lvar("M", OBJ)
+    run = solve(prog, Atom("hastype", (m, mk_app(p, [e]))), Limits(depth=2),
+                query_vars=(m,))
+    assert run.status == "ok"
+    assert run.solutions[0].value(m) == mk_app(c, [e])
 
 
 def _list(elems):

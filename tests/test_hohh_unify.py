@@ -2,12 +2,12 @@ from hypothesis import given, settings, strategies as st
 
 from lflp.hterms import (
     LF_OBJ, LF_TYPE, App, BVar, Const, Lam, LVar, arrow, fresh_evar,
-    fresh_lvar, lvars_in_order, mk_app, term_spine,
+    lvars_in_order, mk_app, term_spine,
 )
 from lflp.unify import Eq, Subst, unify
 
 import oracles
-from oracles import alpha_eq_term, evars_of, unify_one
+from oracles import alpha_eq_term, evars_of, fresh_lvar, unify_one
 
 OBJ = LF_OBJ
 Z = Const("z", OBJ)

@@ -2,13 +2,14 @@ import pytest
 
 from lflp import lf_syntax as lf
 from lflp.hterms import (
-    LF_OBJ, App, BVar, Const, Lam, arrow, fresh_evar, fresh_lvar,
+    LF_OBJ, App, BVar, Const, Lam, arrow, fresh_evar,
 )
 from lflp.inverter import InversionError, InversionGoal, invert
 from lflp.lf_kernel import check_object
 from lflp.translator import encode_obj
 
 import oracles
+from oracles import fresh_lvar
 
 OBJ = LF_OBJ
 

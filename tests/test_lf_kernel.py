@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from lflp import lf_syntax as lf
 from lflp.lf_kernel import (
     LFTypeError, beta_eta_equal, beta_normalize, check_object,
-    check_signature, check_type, normal_classifier, substitute,
+    check_signature, check_type, instantiate, normal_classifier, substitute,
 )
 
 import oracles
@@ -59,6 +59,53 @@ def test_substitute_capture_avoidance():
     assert out.var != "y"
     want = oracles.naive_substitute(m, {"x": lf.OVar("y")})
     assert lf.alpha_eq(out, want)
+
+
+# --- instantiation --------------------------------------------------------
+
+# Each kind of value instantiate must treat as beta_normalize(substitute(..))
+# does.  Their free names x and y clash with binders in the corpus.
+_NAT = lf.FConst("nat")
+_INSTANCE_VALUES = {
+    "normal": lf.OApp(lf.OVar("y"), lf.OVar("x")),
+    "lambda": lf.OLam("w", _NAT, lf.OApp(lf.OVar("y"), lf.OVar("w"))),
+    "redex": lf.OApp(lf.OLam("w", _NAT, lf.OVar("w")), lf.OVar("y")),
+}
+
+
+def _pis(e):
+    while isinstance(e, (lf.KPi, lf.FPi)):
+        yield e
+        e = e.body
+
+
+@pytest.mark.parametrize("name",
+                         sorted(p.name for p in oracles.DATA.glob("*.elf")))
+@pytest.mark.parametrize("kind", sorted(_INSTANCE_VALUES))
+def test_instantiate_equals_normalized_substitution(name, kind):
+    sig = oracles.load_signature(name)
+    value = _INSTANCE_VALUES[kind]
+    cases = 0
+    for d in sig.decls:
+        classifier = normal_classifier(sig, d.name)
+        pis = list(_pis(classifier))
+        telescope = {pi.var: value for pi in pis}
+        for e, sub in [(pi.body, {pi.var: value}) for pi in pis] + \
+                [(pis[-1].body if pis else classifier, telescope)]:
+            assert instantiate(e, sub) == beta_normalize(substitute(e, sub))
+            cases += 1
+    assert cases >= len(sig.decls)
+
+
+def test_instantiate_renames_a_capturing_binder():
+    # {y} p x y y1 with x := y: the binder must avoid y and the free y1
+    def p(*args):
+        return oracles.fam_app(lf.FConst("p"), [lf.OVar(a) for a in args])
+
+    e = lf.FPi("y", _NAT, p("x", "y", "y1"))
+    out = instantiate(e, {"x": lf.OVar("y")})
+    assert out == beta_normalize(substitute(e, {"x": lf.OVar("y")}))
+    assert out == lf.FPi("y2", _NAT, p("y", "y2", "y1"))
 
 
 # --- beta normalization ---------------------------------------------------

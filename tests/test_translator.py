@@ -19,7 +19,7 @@ from lflp.strictness import strict_binders
 
 import oracles
 from lpreader import parse_lambdaprolog
-from oracles import alpha_eq_formula, alpha_eq_term
+from oracles import alpha_eq_formula, alpha_eq_term, fresh_lvar
 
 OBJ, TY = LF_OBJ, LF_TYPE
 
@@ -95,7 +95,6 @@ def test_encode_commutes_with_substitution():
     bodies = list(oracles.enumerate_objects(sig, ctx, lf.FConst("list"), 6))
     args = list(oracles.enumerate_objects(sig, lf.Context(),
                                           lf.FConst("nat"), 3))
-    from lflp.hterms import fresh_lvar
     checked = 0
     for m in bodies[:20]:
         for n in args[:3]:
