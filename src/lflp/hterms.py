@@ -313,9 +313,10 @@ def subst_formula(f: Formula, m: dict[str, Term]) -> Formula:
     """Replace the free bound names `m` maps; capture-avoiding.
 
     Every range in `m` is a variable (an eigenvariable, a logic variable
-    or a renamed bound name), and a variable in place of a bound name
-    makes no redex, so a beta-normal formula stays beta-normal without
-    a normalization pass."""
+    or a renamed bound name) or a closed, beta-normal term that is not a
+    lambda (a goal subterm filling a clause slot).  Neither makes a redex
+    in place of a bound name, applied or not, so a beta-normal formula
+    stays beta-normal without a normalization pass."""
     if not m:
         return f
     match f:

@@ -81,20 +81,6 @@ class Subst:
             return t
         return self._walk(t, {})
 
-    def head(self, t: Term) -> Term:
-        """The head of ``apply(t)``'s spine, resolving no more than the
-        chain of bindings that leads to it."""
-        m = self._m
-        h, applied = t, False
-        while True:
-            while isinstance(h, App):
-                h, applied = h.fn, True
-            if not (isinstance(h, LVar) and h in m):
-                return h
-            h = m[h]
-            if applied and isinstance(h, Lam):
-                return term_spine(self.apply(t))[0]
-
     def _walk(self, t: Term, memo: dict[LVar, Term]) -> Term:
         # Rebuilds only what changes.  A binding that puts a lambda in
         # head position is reduced where it lands, so a beta-normal

@@ -5,7 +5,8 @@ test: normalization by single leftmost-outermost steps, substitution by
 rename-everything-then-replace, typed term enumeration instead of proof
 search, forward chaining instead of backchaining, brute-force
 substitution search instead of unification, path-blocked depth-first
-search instead of a least fixpoint for strictness, eager folding of
+search instead of a least fixpoint for strictness, instantiate-then-unify
+backchaining instead of matching compiled clause heads, eager folding of
 every binding instead of a triangular substitution, a loop over
 characters instead of a regular expression for the lexer, and typed
 eta-long canonical forms (`canonicalize`) instead of untyped eta-short
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from lflp import lf_syntax as lf
 from lflp.lf_syntax import (
@@ -36,11 +37,14 @@ from lflp.lf_kernel import (
     LFTypeError, beta_normalize, check_signature, normal_classifier,
     substitute,
 )
-from lflp.engine import Solution, _compile, _prove, _State
+from lflp.engine import (
+    Limits, Solution, SolveRun, _canon_key, _compile, _extract, _key, _prove,
+    _root_universe, _State,
+)
 from lflp.hterms import (
     App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, LVar, Lam, Program,
-    SimpleType, Term, Top, beta_norm, fresh_evar, fresh_level, split_arrow,
-    term_spine,
+    SimpleType, Term, Top, beta_norm, fresh_evar, fresh_level, fresh_lvar_at,
+    lvars_in_order, split_arrow, subst_formula, term_spine,
 )
 from lflp.strictness import _why_obj
 from lflp.unify import Eq, Subst, UnifyResult, unify
@@ -470,6 +474,144 @@ def reference_min_cost(facts: dict[Atom, int], goal: Atom,
 
 
 # ---------------------------------------------------------------------------
+# Instantiate-then-unify proof search: each candidate clause is copied in
+# full, its quantifiers replaced by fresh logic variables, and its head is
+# unified with the unresolved goal in one call.  The engine matches a
+# compiled head against the resolved goal instead; clause order, budgets
+# and the deepening loop are the same, so both find the same solutions
+# in the same order with the same backchain counts.
+
+class _RefClause(NamedTuple):
+    formula: Formula
+    pred: Optional[str]
+    keys: tuple[Optional[str], ...]
+
+
+def _ref_compile(clause: Formula) -> _RefClause:
+    f = clause
+    while isinstance(f, (ForAll, Imp)):
+        f = f.body if isinstance(f, ForAll) else f.right
+    if not isinstance(f, Atom):
+        return _RefClause(clause, None, ())
+    return _RefClause(clause, f.pred, tuple(_key(term_spine(a)[0])
+                                            for a in f.args))
+
+
+def reference_solve(program: Program, goal: Formula,
+                    limits: Limits = Limits(),
+                    query_vars: Optional[tuple[LVar, ...]] = None) -> SolveRun:
+    if query_vars is None:
+        query_vars = tuple(lvars_in_order([goal]))
+    clauses = [_ref_compile(c) for c in program.clauses]
+    solutions: list[Solution] = []
+    seen: set[str] = set()
+    susp_ever = False
+    last_round_cut = False
+    univ = _root_universe(goal)
+    for bound in range(limits.depth + 1):
+        state = _State()
+        for sigma, residuals, left in _ref_prove(goal, clauses, univ,
+                                                 Subst(), (), bound, state):
+            if left != 0:
+                continue
+            if residuals:
+                state.susp = True
+                continue
+            sol = _extract(sigma, query_vars, bound)
+            key = _canon_key(sol)
+            if key in seen:
+                continue
+            seen.add(key)
+            solutions.append(sol)
+            if limits.max_solutions and len(solutions) >= limits.max_solutions:
+                return SolveRun("ok", tuple(solutions))
+        susp_ever = susp_ever or state.susp
+        last_round_cut = state.cut
+        if not state.cut:
+            break
+    if solutions:
+        return SolveRun("ok", tuple(solutions))
+    if last_round_cut:
+        return SolveRun("exhausted", ())
+    if susp_ever:
+        return SolveRun("suspended", ())
+    return SolveRun("no", ())
+
+
+def _ref_prove(goal, clauses, univ, sigma, residuals, budget, state):
+    match goal:
+        case Top():
+            yield sigma, residuals, budget
+        case Imp(d, g):
+            yield from _ref_prove(g, clauses + [_ref_compile(d)], univ, sigma,
+                                  residuals, budget, state)
+        case ForAll(var, ty, body):
+            e = fresh_evar(var, ty)
+            yield from _ref_prove(subst_formula(body, {var: e}), clauses,
+                                  e.level + 1, sigma, residuals, budget, state)
+        case Atom() as atom:
+            yield from _ref_backchain(atom, clauses, univ, sigma, residuals,
+                                      budget, state)
+        case _:
+            raise TypeError(f"not a goal formula: {goal!r}")
+
+
+def _clause_parts(clause: Formula, univ: int) -> tuple[Atom, list[Formula]]:
+    """Instantiate a definite clause's quantifiers with fresh logic
+    variables of universe `univ`; return its head and its premises in
+    order."""
+    premises: list[Formula] = []
+    inst: dict[str, Term] = {}
+    f = clause
+    while True:
+        match f:
+            case ForAll(var, ty, body):
+                inst[var] = fresh_lvar_at(var.upper() if var else "X", ty,
+                                          univ)
+                f = body
+            case Imp(g, d):
+                premises.append(subst_formula(g, inst))
+                f = d
+            case _:
+                return subst_formula(f, inst), premises
+
+
+def _ref_backchain(atom, clauses, univ, sigma, residuals, budget, state):
+    # A clause is instantiated only when no head argument has a rigid
+    # head that differs from the goal's: any such pair fails to unify.
+    # Out of budget, the loop only finds out whether some clause could
+    # still engage, so exhaustion is distinguishable from finite failure.
+    arity = len(atom.args)
+    keys = [_key(term_spine(sigma.apply(a))[0]) for a in atom.args]
+    for clause in clauses:
+        if clause.pred != atom.pred or len(clause.keys) != arity:
+            continue
+        if any(k is not None and g is not None and k != g
+               for k, g in zip(clause.keys, keys)):
+            continue
+        head, premises = _clause_parts(clause.formula, univ)
+        res = unify([Eq(a, b) for a, b in zip(atom.args, head.args)]
+                    + list(residuals), sigma)
+        if res.status == "fail":
+            continue
+        if budget <= 0:
+            state.cut = True
+            return
+        yield from _ref_conj(premises, clauses, univ, res.subst,
+                             res.residuals, budget - 1, state)
+
+
+def _ref_conj(goals, clauses, univ, sigma, residuals, budget, state):
+    if not goals:
+        yield sigma, residuals, budget
+        return
+    for sigma2, residuals2, left in _ref_prove(goals[0], clauses, univ, sigma,
+                                               residuals, budget, state):
+        yield from _ref_conj(goals[1:], clauses, univ, sigma2, residuals2,
+                             left, state)
+
+
+# ---------------------------------------------------------------------------
 # Brute-force unifier search over a small typed term universe.
 
 def gen_terms(ty, heads: list[Term], depth: int) -> list[Term]:
@@ -885,7 +1027,9 @@ def validate_solution(program: Program, goal: Formula, sol: Solution,
     """Replay a reported solution: instantiate the goal with its
     bindings, freeze leftover logic variables, and re-derive within the
     reported backchain count."""
-    binding = Subst({v: t for v, t in sol.bindings})
+    # An unbound query variable comes back bound to itself; as a map
+    # entry that binding would be a cycle.
+    binding = Subst({v: t for v, t in sol.bindings if t != v})
     frozen = {v: fresh_evar(v.name, v.ty) for v in sol.free}
 
     def inst(t: Term) -> Term:

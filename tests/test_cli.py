@@ -320,7 +320,7 @@ def test_front_end_scales_to_benchmark_inputs(capsys, tmp_path, make, decls,
 TRANSCRIPT = DATA / "cli_transcript.txt"
 
 _TRANSCRIPT_FILES = ["append.elf", "appendplus.elf", "foo1.elf", "foo2.elf",
-                     "fy.elf", "strict_f.elf"]
+                     "fy.elf", "strict_f.elf", "stlc.elf"]
 
 _TRANSCRIPT_SOLVES = [
     ["append.elf", "append (cons (s z) nil) (cons z nil) L"],
@@ -334,6 +334,12 @@ _TRANSCRIPT_SOLVES = [
     ["foo2.elf", "bar Y"],
     ["fy.elf", "bar z", "-n", "0", "--depth", "4"],
     ["fy.elf", "bar (s z)", "-n", "3", "--naive", "--depth", "5"],
+    ["stlc.elf", "of (lam o ([x:tm] x)) T"],
+    ["stlc.elf", "of (lam (arr o o) ([f:tm] lam o ([y:tm] app f y))) T"],
+    ["stlc.elf", "of E (arr o o)", "-n", "3"],
+    ["stlc.elf", "eval (app (lam o ([x:tm] x)) (lam o ([y:tm] y))) V"],
+    ["stlc.elf", "of (lam o ([x:tm] x)) o"],
+    ["stlc.elf", "of (lam o ([x:tm] x)) T", "--naive"],
 ]
 
 

@@ -1,10 +1,12 @@
 import time
 
+from hypothesis import given, settings, strategies as st
+
 from lflp import engine, lf_syntax as lf, unify
 from lflp.engine import Limits, Solution, solve
 from lflp.hterms import (
     LF_OBJ, LF_TYPE, Atom, BVar, Const, ForAll, Imp, Program, Top, arrow,
-    fresh_evar, mk_app, term_spine,
+    fresh_evar, mk_app, term_spine, type_of,
 )
 from lflp.translator import translate_query, translate_signature
 
@@ -131,6 +133,20 @@ def test_quantified_head_argument_matches_any_goal_argument():
     run = solve(prog, Atom("r", (a, w)), Limits(depth=2, max_solutions=0),
                 query_vars=(w,))
     assert [str(s.value(w)) for s in run.solutions] == ["b", "a"]
+
+
+def test_flexible_application_is_left_to_unification():
+    # X := F a would be a solution, but F a is no pattern: unification
+    # keeps X = F a as a residual, so the proof stays suspended rather
+    # than reported, and a head match must leave the pair to it too.
+    a = Const("a", OBJ)
+    prog = Program(xi=(), clauses=(
+        ForAll("X", OBJ, Atom("p", (BVar("X", OBJ),))),))
+    f = fresh_lvar("F", arrow([OBJ], OBJ))
+    goal = Atom("p", (mk_app(f, [a]),))
+    for search in (solve, oracles.reference_solve):
+        run = search(prog, goal, Limits(depth=2), query_vars=(f,))
+        assert (run.status, run.solutions) == ("suspended", ())
 
 
 def test_universal_goal_introduces_eigenvariable():
@@ -287,17 +303,41 @@ def test_appendplus_search_matches_pinned_table():
 
 def test_index_instantiates_only_clauses_whose_head_can_match(monkeypatch):
     families = []
-    instantiate = engine._clause_parts
+    match = engine._match
 
-    def spy(clause, univ):
-        head, premises = instantiate(clause, univ)
-        families.append(term_spine(head.args[1])[0].name)
-        return head, premises
+    def spy(t, g, inst, defer):
+        # record the type family of each head matched at type lf_type
+        head = term_spine(t)[0]
+        if isinstance(head, Const) and type_of(t) == LF_TYPE:
+            families.append(head.name)
+        return match(t, g, inst, defer)
 
-    monkeypatch.setattr(engine, "_clause_parts", spy)
+    monkeypatch.setattr(engine, "_match", spy)
     _, _, run = _run("appendplus.elf", "append (cons z nil) nil L", 8)
     assert run.status == "ok"
     assert families and set(families) == {"append"}
+
+
+def test_head_match_makes_clause_variables_only_where_needed(monkeypatch):
+    # A slot that a goal subterm fills needs no logic variable; only the
+    # ones the goal leaves open do.  Instantiating every clause variable
+    # first made 20 (optimized) and 61 (naive).
+    made = []
+    fresh = engine.fresh_lvar_at
+
+    def spy(*args):
+        made.append(args[0])
+        return fresh(*args)
+
+    monkeypatch.setattr(engine, "fresh_lvar_at", spy)
+    counts = {}
+    for mode in ("optimized", "naive"):
+        made.clear()
+        _, _, run = _run("appendplus.elf", "append (cons z nil) nil L", 8,
+                         mode=mode)
+        assert run.status == "ok"
+        counts[mode] = len(made)
+    assert counts == {"optimized": 6, "naive": 21}
 
 
 def test_first_order_solve_lowers_nothing(monkeypatch):
@@ -355,3 +395,87 @@ def test_eight_element_append_is_fast():
     elapsed = time.perf_counter() - start
     assert run.status == "ok" and run.solutions[0].backchains == 9
     assert elapsed < 1.0  # 3.1 s with eager substitution and no index
+
+
+# --- differential check against instantiate-then-unify -------------------
+
+@st.composite
+def _nat_text(draw, size=3):
+    k = draw(st.integers(0, size))
+    tail = draw(st.sampled_from(["z", "z", "N", "M"]))
+    return "".join("(s " for _ in range(k)) + tail + ")" * k
+
+
+@st.composite
+def _list_text(draw):
+    elems = draw(st.lists(_nat_text(), max_size=3))
+    tail = draw(st.sampled_from(["nil", "nil", "L", "K"]))
+    for e in reversed(elems):
+        tail = f"(cons {e} {tail})"
+    return tail
+
+
+@st.composite
+def _appendplus_query(draw):
+    fam = draw(st.sampled_from(["plus", "append"]))
+    arg = _nat_text() if fam == "plus" else _list_text()
+    return " ".join([fam] + [draw(arg) for _ in range(3)])
+
+
+@st.composite
+def _tp_text(draw, size=2, free=("T", "U")):
+    if size == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(["o", "o", *free]))
+    return (f"(arr {draw(_tp_text(size - 1, free))} "
+            f"{draw(_tp_text(size - 1, free))})")
+
+
+@st.composite
+def _tm_text(draw, bound=(), size=2):
+    # Free variables stand outside every binder, where the translator can
+    # infer their types: E and E' at tm, F as a whole lambda body at
+    # tm -> tm, and T as a type.
+    free = () if bound else ("T",)
+    if size == 0 or draw(st.integers(0, 2)) == 0:
+        return draw(st.sampled_from(list(bound) if bound else ["E", "E'"]))
+    form = draw(st.sampled_from(["app", "lam", "lam F"] if not bound
+                                else ["app", "lam"]))
+    if form == "app":
+        return (f"(app {draw(_tm_text(bound, size - 1))} "
+                f"{draw(_tm_text(bound, size - 1))})")
+    if form == "lam F":
+        return f"(lam {draw(_tp_text(1, free))} F)"
+    x = f"x{len(bound)}"
+    return (f"(lam {draw(_tp_text(1, free))} "
+            f"([{x}:tm] {draw(_tm_text(bound + (x,), size - 1))}))")
+
+
+@st.composite
+def _stlc_query(draw):
+    if draw(st.booleans()):
+        return f"of {draw(_tm_text())} {draw(_tp_text())}"
+    return f"eval {draw(_tm_text())} {draw(_tm_text())}"
+
+
+def _same_search(sigfile, qtext, mode, depth):
+    prog, qt, qvars = _setup(sigfile, qtext, mode=mode)
+    limits = Limits(depth=depth, max_solutions=0)
+    got = solve(prog, qt.goal, limits, query_vars=qvars)
+    want = oracles.reference_solve(prog, qt.goal, limits, query_vars=qvars)
+    assert got.status == want.status
+    assert ([(engine._canon_key(s), s.backchains) for s in got.solutions]
+            == [(engine._canon_key(s), s.backchains) for s in want.solutions])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_appendplus_query(), st.sampled_from(["optimized", "naive"]),
+       st.integers(0, 8))
+def test_appendplus_search_matches_instantiate_then_unify(qtext, mode, depth):
+    _same_search("appendplus.elf", qtext, mode, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stlc_query(), st.sampled_from(["optimized", "naive"]),
+       st.integers(2, 6))
+def test_stlc_search_matches_instantiate_then_unify(qtext, mode, depth):
+    _same_search("stlc.elf", qtext, mode, depth)

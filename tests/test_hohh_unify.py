@@ -279,7 +279,6 @@ def test_long_variable_chain_resolves_without_recursion():
     assert sub.apply(xs[0]) == Z
     assert sub.lookup(xs[0]) == Z
     assert sub.apply(cons(xs[0], xs[5000])) == cons(Z, Z)
-    assert sub.head(xs[0]) == Z
 
 
 # --- triangular against eager folding -------------------------------------
@@ -338,5 +337,3 @@ def test_triangular_subst_agrees_with_eager_folding(steps, query):
         got, want = tri.lookup(v), eager.lookup(v)
         assert (got is None) == (want is None)
         assert got is None or alpha_eq_term(got, want)
-        probe = App(v, Z) if v in FUN_VARS else v
-        assert tri.head(probe) == term_spine(eager.apply(probe))[0]
