@@ -7,8 +7,11 @@ to LF), and `strictness` reports the per-binder analysis that powers
 the optimized translation.
 
 Exit codes: 0 on success (for solve: at least one solution), 1 when a
-check fails or no solution is found, 2 for usage or I/O problems and
-for an inverted answer that fails the kernel's re-check.
+check fails or no solution is found, 2 for usage or I/O problems, for
+an inverted answer that fails the kernel's re-check, and for an input
+nested past Python's recursion limit or a normalization past its step
+budget; these last two print one `error:` line to stderr, not a
+traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from .engine import Limits, Solution, solve
 from .hterms import Const, LVar, Term, lvars_in_order
 from .inverter import InversionError, InversionGoal, invert
 from .lf_kernel import (
-    LFTypeError, beta_normalize, check_object, check_signature, instantiate,
+    LFFuelError, LFTypeError, beta_normalize, check_object, check_signature,
+    instantiate,
 )
 from .strictness import explain_strictness
 from .translator import (
@@ -76,7 +80,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    try:
+        return _dispatch(args)
+    except RecursionError:
+        print("error: input nested too deeply (Python's recursion limit "
+              "was reached)", file=sys.stderr)
+    except LFFuelError as err:
+        print(f"error: {err}", file=sys.stderr)
+    return 2
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as e:

@@ -1,18 +1,32 @@
 """Goal-directed proof search for hereditary Harrop programs.
 
 Search follows the uniform-proof discipline: ``true`` succeeds, an
-implication goal moves its antecedent into the clause list (at the
-end, so program order stays meaningful), a universal goal introduces a
-fresh eigenvariable, and an atomic goal backchains.  Each clause is
-compiled once: its universal variables become numbered slots in a
-template of its head and premises.  A backchain resolves the goal's
-arguments once and matches the compiled head against them, as a
-Prolog machine's get instructions do: a rigid head is compared in
-place, a slot takes the goal subterm it meets, and whatever the match
-cannot settle (lambdas, flexible terms, a slot met twice) is deferred
-to one unification call.  Slots left unfilled become fresh logic
-variables; only then are the premises instantiated and proved left
-to right under the extended substitution.
+implication goal adds its antecedent to the clauses (after those of
+its predicate, so program order stays meaningful), a universal goal
+introduces a fresh eigenvariable, and an atomic goal backchains.  Each
+clause is compiled once: its universal variables become numbered slots
+in a template of its head and premises.  The compiled clauses form a
+database keyed by predicate and arity and, within that, by the rigid
+head of the last argument (for ``hastype M A``, the type family of A),
+so a backchain visits only the clauses whose last key agrees with the
+goal's, in program order.
+
+A backchain resolves the goal's arguments once and matches each
+candidate's compiled head against them, as a Prolog machine's get
+instructions do.  In read mode a rigid head is compared in place, a
+slot takes the goal subterm it meets, and a slot met again accepts a
+goal subterm equal to its first value.  In write mode an unbound goal
+variable meets a rigid template or a filled slot and is bound to the
+instance of that template once the slots are filled, without
+unification.  Write mode applies only where the binding is the one
+unification would make with no occurs check or scope check to do: the
+variable is unapplied, lives at the universe's level and occurs once
+in the goal, and the clause's head mentions no logic variable.  What
+the match cannot settle (lambdas, flexible terms, a slot met twice
+with different subterms, a goal variable that may not be written) is
+deferred to one unification call.  Slots left unfilled become fresh logic variables;
+only then are the premises instantiated and proved left to right
+under the extended substitution.
 
 Each goal is proved in a universe: the level of the logic variables
 its backchains create, one above the newest eigenvariable in scope.
@@ -36,7 +50,7 @@ suspended, never reported as a solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .hterms import (
     App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, Lam, LVar, Program,
@@ -83,7 +97,7 @@ def solve(program: Program, goal: Formula, limits: Limits = Limits(),
           query_vars: Optional[tuple[LVar, ...]] = None) -> SolveRun:
     if query_vars is None:
         query_vars = tuple(lvars_in_order([goal]))
-    clauses = [_compile(c) for c in program.clauses]
+    db = _database(_compile(c) for c in program.clauses)
     solutions: list[Solution] = []
     seen: set[str] = set()
     susp_ever = False
@@ -91,7 +105,7 @@ def solve(program: Program, goal: Formula, limits: Limits = Limits(),
     univ = _root_universe(goal)
     for bound in range(limits.depth + 1):
         state = _State()
-        for sigma, residuals, left in _prove(goal, clauses, univ, Subst(),
+        for sigma, residuals, left in _prove(goal, db, univ, Subst(),
                                              (), bound, state):
             if left != 0:
                 continue
@@ -130,14 +144,20 @@ class _Clause(NamedTuple):
     needs renaming apart.  ``keys`` has one entry per head argument: the
     name of the argument's rigid head (a constant or an eigenvariable),
     or None when the head is a slot, a logic variable or a lambda, which
-    any goal argument may match.  ``pred`` is None for a formula that is
-    not a definite clause."""
+    any goal argument may match; the last one files the clause in the
+    database.  ``pred`` is None for a formula that is not a definite
+    clause.  ``writable`` says that the head mentions no logic variable
+    (every program clause, and a hypothesis built from eigenvariables
+    alone): an instance of its subterms then mentions only goal
+    subterms and fresh variables, so a goal variable that occurs once
+    may be bound to one directly, in write mode."""
 
     pred: Optional[str]
     keys: tuple[Optional[str], ...]
     slots: tuple[tuple[str, str, SimpleType], ...]
     head: tuple[Term, ...]
     premises: tuple[Formula, ...]
+    writable: bool
 
 
 def _compile(clause: Formula) -> _Clause:
@@ -159,13 +179,65 @@ def _compile(clause: Formula) -> _Clause:
                 head = tuple(subst_term(a, ren) for a in args)
                 return _Clause(pred, tuple(_key(term_spine(a)[0])
                                            for a in head),
-                               tuple(slots), head, tuple(premises))
+                               tuple(slots), head, tuple(premises),
+                               not any(isinstance(x, LVar)
+                                       for x in term_leaves(head)))
             case _:
-                return _Clause(None, (), (), (), ())
+                return _Clause(None, (), (), (), (), False)
 
 
 def _key(head: Term) -> Optional[str]:
     return head.name if isinstance(head, (Const, EVar)) else None
+
+
+class _Entry(NamedTuple):
+    """The clauses of one predicate and arity, each list in program
+    order: all of them, those whose last head argument has no key, and
+    for each key the clauses whose last key is that one or None."""
+
+    every: tuple[_Clause, ...]
+    unkeyed: tuple[_Clause, ...]
+    by_key: dict[str, tuple[_Clause, ...]]
+
+
+_Database = dict[tuple[str, int], _Entry]
+
+
+def _entry(clauses: tuple[_Clause, ...]) -> _Entry:
+    last = [c.keys[-1] if c.keys else None for c in clauses]
+    return _Entry(clauses,
+                  tuple(c for c, k in zip(clauses, last) if k is None),
+                  {key: tuple(c for c, k in zip(clauses, last)
+                              if k is None or k == key)
+                   for key in set(last) - {None}})
+
+
+def _database(clauses: Iterable[_Clause]) -> _Database:
+    groups: dict[tuple[str, int], list[_Clause]] = {}
+    for c in clauses:
+        if c.pred is not None:
+            groups.setdefault((c.pred, len(c.keys)), []).append(c)
+    return {k: _entry(tuple(cs)) for k, cs in groups.items()}
+
+
+def _assume(db: _Database, clause: _Clause) -> _Database:
+    """`db` with a hypothesis after every clause of its predicate."""
+    if clause.pred is None:
+        return db
+    k = (clause.pred, len(clause.keys))
+    old = db.get(k)
+    return {**db, k: _entry((old.every if old else ()) + (clause,))}
+
+
+def _candidates(db: _Database, pred: str,
+                keys: list[Optional[str]]) -> tuple[_Clause, ...]:
+    """The clauses a goal with these argument keys may backchain on."""
+    entry = db.get((pred, len(keys)))
+    if entry is None:
+        return ()
+    if not keys or keys[-1] is None:
+        return entry.every
+    return entry.by_key.get(keys[-1], entry.unkeyed)
 
 
 def _root_universe(goal: Formula) -> int:
@@ -183,7 +255,7 @@ def _root_universe(goal: Formula) -> int:
     return univ
 
 
-def _prove(goal: Formula, clauses: list[_Clause], univ: int, sigma: Subst,
+def _prove(goal: Formula, db: _Database, univ: int, sigma: Subst,
            residuals: tuple[Eq, ...], budget: int,
            state: _State) -> Iterator[tuple[Subst, tuple[Eq, ...], int]]:
     # `univ` is the level of the logic variables a backchain creates:
@@ -194,79 +266,121 @@ def _prove(goal: Formula, clauses: list[_Clause], univ: int, sigma: Subst,
         case Top():
             yield sigma, residuals, budget
         case Imp(d, g):
-            yield from _prove(g, clauses + [_compile(d)], univ, sigma,
+            yield from _prove(g, _assume(db, _compile(d)), univ, sigma,
                               residuals, budget, state)
         case ForAll(var, ty, body):
             e = fresh_evar(var, ty)
-            yield from _prove(subst_formula(body, {var: e}), clauses,
+            yield from _prove(subst_formula(body, {var: e}), db,
                               e.level + 1, sigma, residuals, budget, state)
         case Atom() as atom:
-            yield from _backchain(atom, clauses, univ, sigma, residuals,
+            yield from _backchain(atom, db, univ, sigma, residuals,
                                   budget, state)
         case _:
             raise TypeError(f"not a goal formula: {goal!r}")
 
 
 def _match(t: Term, g: Term, inst: dict[str, Term],
-           defer: list[tuple[Term, Term]]) -> bool:
+           defer: list[tuple[Term, Term]], writes: list[tuple[LVar, Term]],
+           once: frozenset[str]) -> bool:
     """Match the template `t` against the resolved goal term `g`.
 
     An unfilled slot takes `g` itself when `g` is neither a lambda nor a
-    flexible application, which is the binding unification would make.
-    Rigid heads are compared and their arguments matched in turn; False
-    means they differ, so the clause cannot apply.  Every other pair is
-    left to unification: it goes on `defer` as (goal side, template)."""
+    flexible application, which is the binding unification would make;
+    a filled slot accepts a `g` equal to its value.  Rigid heads are
+    compared and their arguments matched in turn; False means they
+    differ, so the clause cannot apply.  A logic variable named in
+    `once` that meets a rigid template or a filled slot is a write: it
+    goes on `writes` as (variable, template).  Every other pair is left
+    to unification: it goes on `defer` as (goal side, template)."""
     if isinstance(t, BVar):
-        if t.name not in inst and not isinstance(g, Lam):
-            h = g
-            while isinstance(h, App):
-                h = h.fn
-            if h is g or not isinstance(h, LVar):
-                inst[t.name] = g
-                return True
+        prev = inst.get(t.name)
+        if prev is None:
+            if not isinstance(g, Lam):
+                h = g
+                while isinstance(h, App):
+                    h = h.fn
+                if h is g or not isinstance(h, LVar):
+                    inst[t.name] = g
+                    return True
+        elif prev is g or prev == g:
+            return True
+        elif isinstance(g, LVar) and g.name in once:
+            writes.append((g, t))
+            return True
         defer.append((g, t))
         return True
     th, targs = term_spine(t)
     if isinstance(th, (Const, EVar)):
+        if isinstance(g, LVar) and g.name in once:
+            writes.append((g, t))
+            return True
         gh, gargs = term_spine(g)
         if isinstance(gh, (Const, EVar)):
             return (gh == th and len(gargs) == len(targs)
-                    and all(_match(a, b, inst, defer)
+                    and all(_match(a, b, inst, defer, writes, once)
                             for a, b in zip(targs, gargs)))
     defer.append((g, t))
     return True
 
 
-def _backchain(atom: Atom, clauses: list[_Clause], univ: int, sigma: Subst,
+def _writable_vars(args: list[Term], univ: int) -> frozenset[str]:
+    """The names of the logic variables at level `univ` that occur
+    exactly once in the resolved goal arguments `args`.  Bound to an
+    instance of a clause head that mentions no logic variable, such a
+    variable needs no occurs check (it lies in no slot value and no
+    other write) and no lowering (fresh variables live at `univ` too)."""
+    seen: set[str] = set()
+    again: set[str] = set()
+    stack = list(args)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack += (t.fn, t.arg)
+        elif isinstance(t, Lam):
+            stack.append(t.body)
+        elif isinstance(t, LVar) and t.level == univ:
+            (again if t.name in seen else seen).add(t.name)
+    return frozenset(seen - again)
+
+
+def _backchain(atom: Atom, db: _Database, univ: int, sigma: Subst,
                residuals: tuple[Eq, ...], budget: int,
                state: _State) -> Iterator[tuple[Subst, tuple[Eq, ...], int]]:
-    # The goal's arguments are resolved once and matched against each
-    # candidate's compiled head; a clause is skipped outright when an
-    # index key already differs.  Slots the match leaves unfilled become
-    # fresh logic variables, the deferred pairs go to one unification
-    # with the residuals, and premises are instantiated last.  Out of
-    # budget, the loop only finds out whether some clause could still
-    # engage, so exhaustion is distinguishable from finite failure.
+    # The goal's arguments are resolved once.  The database hands over
+    # the clauses filed under the goal's last key; a clause is skipped
+    # outright when another index key differs, and otherwise its
+    # compiled head is matched against the goal.  Slots the match
+    # leaves unfilled become fresh logic variables, the writes extend
+    # the substitution in one step, the deferred pairs go to one
+    # unification with the residuals, and premises are instantiated
+    # last.  Out of budget, the loop only finds out whether some clause
+    # could still engage, so exhaustion is distinguishable from finite
+    # failure.
     args = [sigma.apply(a) for a in atom.args]
     keys = [_key(term_spine(a)[0]) for a in args]
-    for clause in clauses:
-        if clause.pred != atom.pred or len(clause.keys) != len(args):
-            continue
+    candidates = _candidates(db, atom.pred, keys)
+    once = _writable_vars(args, univ) if candidates else frozenset()
+    for clause in candidates:
         if any(k is not None and g is not None and k != g
                for k, g in zip(clause.keys, keys)):
             continue
         inst: dict[str, Term] = {}
         defer: list[tuple[Term, Term]] = []
-        if not all(_match(t, a, inst, defer)
+        writes: list[tuple[LVar, Term]] = []
+        allowed = once if clause.writable else frozenset()
+        if not all(_match(t, a, inst, defer, writes, allowed)
                    for t, a in zip(clause.head, args)):
             continue
         for name, prefix, ty in clause.slots:
             if name not in inst:
                 inst[name] = fresh_lvar_at(prefix, ty, univ)
         sigma2, residuals2 = sigma, residuals
+        if writes:
+            sigma2 = sigma.extend_all((v, subst_term(t, inst))
+                                      for v, t in writes)
         if defer or residuals:
             res = unify([Eq(g, subst_term(t, inst)) for g, t in defer]
-                        + list(residuals), sigma)
+                        + list(residuals), sigma2)
             if res.status == "fail":
                 continue
             sigma2, residuals2 = res.subst, res.residuals
@@ -274,18 +388,18 @@ def _backchain(atom: Atom, clauses: list[_Clause], univ: int, sigma: Subst,
             state.cut = True
             return
         yield from _conj([subst_formula(p, inst) for p in clause.premises],
-                         clauses, univ, sigma2, residuals2, budget - 1, state)
+                         db, univ, sigma2, residuals2, budget - 1, state)
 
 
-def _conj(goals: list[Formula], clauses: list[_Clause], univ: int,
+def _conj(goals: list[Formula], db: _Database, univ: int,
           sigma: Subst, residuals: tuple[Eq, ...], budget: int,
           state: _State) -> Iterator[tuple[Subst, tuple[Eq, ...], int]]:
     if not goals:
         yield sigma, residuals, budget
         return
-    for sigma2, residuals2, left in _prove(goals[0], clauses, univ, sigma,
+    for sigma2, residuals2, left in _prove(goals[0], db, univ, sigma,
                                            residuals, budget, state):
-        yield from _conj(goals[1:], clauses, univ, sigma2, residuals2, left,
+        yield from _conj(goals[1:], db, univ, sigma2, residuals2, left,
                          state)
 
 

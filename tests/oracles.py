@@ -38,8 +38,8 @@ from lflp.lf_kernel import (
     substitute,
 )
 from lflp.engine import (
-    Limits, Solution, SolveRun, _canon_key, _compile, _extract, _key, _prove,
-    _root_universe, _State,
+    Limits, Solution, SolveRun, _canon_key, _compile, _database, _extract,
+    _key, _prove, _root_universe, _State,
 )
 from lflp.hterms import (
     App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, LVar, Lam, Program,
@@ -1039,10 +1039,9 @@ def validate_solution(program: Program, goal: Formula, sol: Solution,
     g = map_formula_terms(goal, inst)
     bound = sol.backchains + extra_depth
     state = _State()
-    clauses = [_compile(c) for c in program.clauses]
+    db = _database(_compile(c) for c in program.clauses)
     univ = fresh_level()  # above every frozen eigenvariable
-    for _, residuals, _ in _prove(g, clauses, univ, Subst(), (), bound,
-                                  state):
+    for _, residuals, _ in _prove(g, db, univ, Subst(), (), bound, state):
         if not residuals:
             return True
     return False

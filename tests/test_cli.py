@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-from lflp import lf_syntax as lf
+from lflp import cli, lf_syntax as lf
 from lflp.cli import main
-from lflp.lf_kernel import check_object
+from lflp.lf_kernel import LFFuelError, check_object
 
 import oracles
 
@@ -190,6 +190,40 @@ def test_solve_rechecks_inverted_answers(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error: ")
     assert "L = " not in out and "inhabitant" not in out
+
+
+def test_solve_too_deep_input_ends_without_traceback(capsys):
+    # A 400-element list passes the parser's recursion limit; the user
+    # sees one error line, not a Python traceback.
+    items = "nil"
+    for _ in range(400):
+        items = f"(cons z {items})"
+    code, out, err = run_cli(capsys, "solve", APPEND, f"append {items} nil X")
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1) and out
+
+
+@pytest.mark.parametrize("exc, message", [
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: input nested too deeply (Python's recursion limit was "
+     "reached)\n"),
+    (LFFuelError("normalization fuel exhausted"),
+     "error: normalization fuel exhausted\n"),
+])
+def test_resource_limits_are_one_error_line(capsys, monkeypatch, exc,
+                                            message):
+    def fail(sig):
+        raise exc
+
+    monkeypatch.setattr(cli, "check_signature", fail)
+    for argv in (["check", APPEND], ["translate", APPEND],
+                 ["solve", APPEND, "append nil nil L"],
+                 ["strictness", APPEND]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", message), argv
 
 
 def test_solve_naive_mode(capsys):

@@ -1,5 +1,6 @@
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lflp import engine, lf_syntax as lf, unify
@@ -305,12 +306,12 @@ def test_index_instantiates_only_clauses_whose_head_can_match(monkeypatch):
     families = []
     match = engine._match
 
-    def spy(t, g, inst, defer):
+    def spy(t, g, *rest):
         # record the type family of each head matched at type lf_type
         head = term_spine(t)[0]
         if isinstance(head, Const) and type_of(t) == LF_TYPE:
             families.append(head.name)
-        return match(t, g, inst, defer)
+        return match(t, g, *rest)
 
     monkeypatch.setattr(engine, "_match", spy)
     _, _, run = _run("appendplus.elf", "append (cons z nil) nil L", 8)
@@ -338,6 +339,53 @@ def test_head_match_makes_clause_variables_only_where_needed(monkeypatch):
         assert run.status == "ok"
         counts[mode] = len(made)
     assert counts == {"optimized": 6, "naive": 21}
+
+
+def test_write_mode_solves_deterministic_query_without_unify(monkeypatch):
+    # Each goal variable of the first query meets a rigid template or a
+    # filled slot once, so the head match binds it in place; deferring
+    # those pairs to unification made 5 calls.  In the ground query a
+    # repeated slot meets a subterm equal to its first value, twice.
+    calls = []
+    real = engine.unify
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "unify", spy)
+    for qtext in ("append (cons z nil) nil L",
+                  "append (cons z nil) nil (cons z nil)"):
+        _, qt, run = _run("appendplus.elf", qtext, 8)
+        sol, = run.solutions
+        assert [str(sol.value(v)) for _, v in qt.var_lvars] == \
+            (["(cons z nil)"] if qt.var_lvars else [])
+        assert str(sol.value(qt.subject)) == \
+            "(appCons z nil nil nil (appNil nil))"
+        assert sol.backchains == 2
+    assert calls == []
+
+
+def test_index_gives_a_goal_only_the_clauses_of_its_family(monkeypatch):
+    # In the naive translation every atom is hastype; the goal's type
+    # argument names the family, and only nat's clauses are tried.
+    heads = []
+    candidates = engine._candidates
+
+    def spy(*args):
+        found = candidates(*args)
+        heads.append([str(term_spine(c.head[0])[0]) for c in found])
+        return found
+
+    monkeypatch.setattr(engine, "_candidates", spy)
+    sig = oracles.load_signature("appendplus.elf")
+    prog = translate_signature(sig, mode="naive")
+    x = fresh_lvar("X", OBJ)
+    run = solve(prog, Atom("hastype", (x, Const("nat", LF_TYPE))),
+                Limits(depth=3, max_solutions=0), query_vars=(x,))
+    assert [str(s.value(x)) for s in run.solutions] == \
+        ["z", "(s z)", "(s (s z))"]
+    assert heads and all(h == ["z", "s"] for h in heads)
 
 
 def test_first_order_solve_lowers_nothing(monkeypatch):
@@ -377,6 +425,48 @@ def test_goal_with_free_eigenvariable_solves():
                 query_vars=(m,))
     assert run.status == "ok"
     assert run.solutions[0].value(m) == mk_app(c, [e])
+
+
+def test_variable_below_the_universe_is_bound_by_unification():
+    # Under `pi y`, the clause variable X lives above y; bound into the
+    # older M, it is lowered to M's level, or y could later leak into M.
+    f, a = Const("f", arrow([OBJ], OBJ)), Const("a", LF_TYPE)
+    x = BVar("X", OBJ)
+    prog = Program(xi=(), clauses=(
+        ForAll("X", OBJ, Atom("hastype", (mk_app(f, [x]), a))),))
+    m = fresh_lvar("M", OBJ)
+    goal = ForAll("y", OBJ, Atom("hastype", (m, a)))
+    for search in (solve, oracles.reference_solve):
+        run = search(prog, goal, Limits(depth=2), query_vars=(m,))
+        sol, = run.solutions
+        (v,) = sol.free
+        assert sol.value(m) == mk_app(f, [v])
+        assert v.level <= m.level
+
+
+def test_hypothesis_mentioning_a_logic_variable_is_not_written():
+    # The hypothesis (f X) mentions X, bound to (g Q) by the time the
+    # goal's Q meets it.  Q := f X would close a cycle; unification's
+    # occurs check refuses it.
+    f, g = Const("f", arrow([OBJ], OBJ)), Const("g", arrow([OBJ], OBJ))
+    eq = Const("eq", arrow([OBJ], LF_TYPE))
+    b, start = Const("b", LF_TYPE), Const("start", LF_TYPE)
+    x, y, z = BVar("X", OBJ), BVar("Y", OBJ), BVar("Z", OBJ)
+
+    def has(m, a):
+        return Atom("hastype", (m, a))
+
+    prog = Program(xi=(), clauses=(
+        ForAll("Z", OBJ, has(mk_app(g, [z]), mk_app(eq, [z]))),
+        ForAll("X", OBJ, ForAll("Y", OBJ, Imp(
+            has(x, mk_app(eq, [y])),
+            Imp(Imp(has(mk_app(f, [x]), b), has(y, b)), has(y, start))))),
+    ))
+    q = fresh_lvar("Q", OBJ)
+    for search in (solve, oracles.reference_solve):
+        run = search(prog, has(q, start), Limits(depth=4, max_solutions=0),
+                     query_vars=(q,))
+        assert (run.status, run.solutions) == ("no", ())
 
 
 def _list(elems):
@@ -457,14 +547,15 @@ def _stlc_query(draw):
     return f"eval {draw(_tm_text())} {draw(_tm_text())}"
 
 
-def _same_search(sigfile, qtext, mode, depth):
+def _same_search(sigfile, qtext, mode, depth, n=0):
     prog, qt, qvars = _setup(sigfile, qtext, mode=mode)
-    limits = Limits(depth=depth, max_solutions=0)
+    limits = Limits(depth=depth, max_solutions=n)
     got = solve(prog, qt.goal, limits, query_vars=qvars)
     want = oracles.reference_solve(prog, qt.goal, limits, query_vars=qvars)
     assert got.status == want.status
     assert ([(engine._canon_key(s), s.backchains) for s in got.solutions]
             == [(engine._canon_key(s), s.backchains) for s in want.solutions])
+    return got
 
 
 @settings(max_examples=60, deadline=None)
@@ -479,3 +570,35 @@ def test_appendplus_search_matches_instantiate_then_unify(qtext, mode, depth):
        st.integers(2, 6))
 def test_stlc_search_matches_instantiate_then_unify(qtext, mode, depth):
     _same_search("stlc.elf", qtext, mode, depth)
+
+
+# Goals that write mode must leave to unification: a variable met twice
+# (the occurs check, with the variable inside a slot value or as the
+# slot's second meeting, or two slots that must agree), and a variable
+# below the universe a hypothetical premise opens.  The last two cases also
+# keep the hypotheses after the program clauses: answers come in the
+# same order.
+@pytest.mark.parametrize("sigfile, qtext, mode, depth, n, answers", [
+    ("appendplus.elf", "append nil L (cons z L)", "optimized", 32, 1, []),
+    ("appendplus.elf", "append nil L (cons z L)", "naive", 32, 1, []),
+    ("appendplus.elf", "append nil (cons z L) L", "optimized", 32, 1, []),
+    ("appendplus.elf", "append nil (cons z L) L", "naive", 32, 1, []),
+    ("appendplus.elf", "append L L (cons z (cons z nil))", "optimized", 12,
+     0, ["(cons z nil)"]),
+    ("appendplus.elf", "append L L (cons z (cons z nil))", "naive", 32, 1,
+     ["(cons z nil)"]),
+    ("stlc.elf", "of (lam o ([x:tm] x)) T", "optimized", 8, 0,
+     ["(arr o o)"]),
+    ("stlc.elf", "of (lam o ([x:tm] x)) T", "naive", 8, 0, ["(arr o o)"]),
+    ("stlc.elf", "of E (arr o o)", "optimized", 32, 3, [
+        "(lam o (\\ #0))",
+        "(lam o (\\ (app (lam o (\\ #1)) #0)))",
+        "(lam o (\\ (app (lam o (\\ #0)) #0)))"]),
+    ("stlc.elf", "of E (arr o o)", "naive", 8, 0, ["(lam o (\\ #0))"]),
+])
+def test_goals_outside_write_mode_match_instantiate_then_unify(
+        sigfile, qtext, mode, depth, n, answers):
+    run = _same_search(sigfile, qtext, mode, depth, n)
+    assert run.status == ("ok" if answers else "no")
+    assert [engine._canon_key(s).split(";")[0].split("=", 1)[1]
+            for s in run.solutions] == answers
