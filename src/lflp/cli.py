@@ -7,11 +7,12 @@ to LF), and `strictness` reports the per-binder analysis that powers
 the optimized translation.
 
 Exit codes: 0 on success (for solve: at least one solution), 1 when a
-check fails or no solution is found, 2 for usage or I/O problems, for
-an inverted answer that fails the kernel's re-check, and for an input
-nested past Python's recursion limit or a normalization past its step
-budget; these last two print one `error:` line to stderr, not a
-traceback.
+check fails or no solution is found, 2 for usage or I/O problems and
+for an inverted answer that fails the kernel's re-check.  The `lflp`
+command (`run`) also exits 2, with one `error:` line on stderr instead
+of a traceback, for an input nested past Python's recursion limit or a
+normalization past its step budget; `main` lets those two exceptions
+reach an in-process caller.
 """
 
 from __future__ import annotations
@@ -80,17 +81,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    try:
-        return _dispatch(args)
-    except RecursionError:
-        print("error: input nested too deeply (Python's recursion limit "
-              "was reached)", file=sys.stderr)
-    except LFFuelError as err:
-        print(f"error: {err}", file=sys.stderr)
-    return 2
 
-
-def _dispatch(args: argparse.Namespace) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as e:
@@ -276,5 +267,20 @@ def cmd_strictness(text: str, explain: bool) -> int:
     return 0
 
 
+def run(argv: Optional[list[str]] = None) -> None:
+    """Entry point of the `lflp` command: `main`, with a resource limit
+    reported as one `error:` line and exit status 2."""
+    try:
+        code = main(argv)
+    except RecursionError:
+        print("error: input nested too deeply (Python's recursion limit "
+              "was reached)", file=sys.stderr)
+        code = 2
+    except LFFuelError as err:
+        print(f"error: {err}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

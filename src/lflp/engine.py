@@ -203,30 +203,29 @@ class _Entry(NamedTuple):
 _Database = dict[tuple[str, int], _Entry]
 
 
-def _entry(clauses: tuple[_Clause, ...]) -> _Entry:
-    last = [c.keys[-1] if c.keys else None for c in clauses]
-    return _Entry(clauses,
-                  tuple(c for c, k in zip(clauses, last) if k is None),
-                  {key: tuple(c for c, k in zip(clauses, last)
-                              if k is None or k == key)
-                   for key in set(last) - {None}})
-
-
 def _database(clauses: Iterable[_Clause]) -> _Database:
-    groups: dict[tuple[str, int], list[_Clause]] = {}
+    db: _Database = {}
     for c in clauses:
-        if c.pred is not None:
-            groups.setdefault((c.pred, len(c.keys)), []).append(c)
-    return {k: _entry(tuple(cs)) for k, cs in groups.items()}
+        db = _assume(db, c)
+    return db
 
 
 def _assume(db: _Database, clause: _Clause) -> _Database:
-    """`db` with a hypothesis after every clause of its predicate."""
+    """`db` with `clause` after every clause of its predicate: appended to
+    each list of the entry that a goal it may match reads."""
     if clause.pred is None:
         return db
     k = (clause.pred, len(clause.keys))
-    old = db.get(k)
-    return {**db, k: _entry((old.every if old else ()) + (clause,))}
+    old = db.get(k, _Entry((), (), {}))
+    key = clause.keys[-1] if clause.keys else None
+    if key is None:
+        entry = _Entry(old.every + (clause,), old.unkeyed + (clause,),
+                       {g: cs + (clause,) for g, cs in old.by_key.items()})
+    else:
+        entry = _Entry(old.every + (clause,), old.unkeyed,
+                       {**old.by_key,
+                        key: old.by_key.get(key, old.unkeyed) + (clause,)})
+    return {**db, k: entry}
 
 
 def _candidates(db: _Database, pred: str,
@@ -350,12 +349,11 @@ def _backchain(atom: Atom, db: _Database, univ: int, sigma: Subst,
     # the clauses filed under the goal's last key; a clause is skipped
     # outright when another index key differs, and otherwise its
     # compiled head is matched against the goal.  Slots the match
-    # leaves unfilled become fresh logic variables, the writes extend
-    # the substitution in one step, the deferred pairs go to one
-    # unification with the residuals, and premises are instantiated
-    # last.  Out of budget, the loop only finds out whether some clause
-    # could still engage, so exhaustion is distinguishable from finite
-    # failure.
+    # leaves unfilled become fresh logic variables, each write extends
+    # the substitution, the deferred pairs go to one unification with
+    # the residuals, and premises are instantiated last.  Out of budget,
+    # the loop only finds out whether some clause could still engage, so
+    # exhaustion is distinguishable from finite failure.
     args = [sigma.apply(a) for a in atom.args]
     keys = [_key(term_spine(a)[0]) for a in args]
     candidates = _candidates(db, atom.pred, keys)
@@ -375,9 +373,8 @@ def _backchain(atom: Atom, db: _Database, univ: int, sigma: Subst,
             if name not in inst:
                 inst[name] = fresh_lvar_at(prefix, ty, univ)
         sigma2, residuals2 = sigma, residuals
-        if writes:
-            sigma2 = sigma.extend_all((v, subst_term(t, inst))
-                                      for v, t in writes)
+        for v, t in writes:
+            sigma2 = sigma2.extend(v, subst_term(t, inst))
         if defer or residuals:
             res = unify([Eq(g, subst_term(t, inst)) for g, t in defer]
                         + list(residuals), sigma2)

@@ -126,13 +126,6 @@ class Subst:
         m[v] = t
         return Subst(m)
 
-    def extend_all(self, pairs: Iterable[tuple[LVar, Term]]) -> "Subst":
-        """`extend` with several bindings, copying the map once.  No range
-        may reach a variable bound here through the map."""
-        m = self._m.copy()
-        m.update(pairs)
-        return Subst(m)
-
 
 @dataclass(frozen=True)
 class UnifyResult:

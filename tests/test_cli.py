@@ -1,8 +1,11 @@
 import contextlib
 import io
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import time
 
 import pytest
@@ -192,18 +195,21 @@ def test_solve_rechecks_inverted_answers(capsys, monkeypatch):
     assert "L = " not in out and "inhabitant" not in out
 
 
-def test_solve_too_deep_input_ends_without_traceback(capsys):
-    # A 400-element list passes the parser's recursion limit; the user
-    # sees one error line, not a Python traceback.
+def test_solve_too_deep_input_ends_without_traceback():
+    # A 400-element list passes the parser's recursion limit; the user of
+    # the command sees one error line, not a Python traceback.
     items = "nil"
     for _ in range(400):
         items = f"(cons z {items})"
-    code, out, err = run_cli(capsys, "solve", APPEND, f"append {items} nil X")
-    assert "Traceback" not in out + err
-    if code == 2:
-        assert err.startswith("error: ") and err.count("\n") == 1
-    else:
-        assert code in (0, 1) and out
+    proc = subprocess.run(
+        [sys.executable, "-m", "lflp.cli", "solve", APPEND,
+         f"append {items} nil X"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ,
+             "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])})
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", "error: input nested too deeply (Python's recursion limit "
+                "was reached)\n")
 
 
 @pytest.mark.parametrize("exc, message", [
@@ -215,6 +221,8 @@ def test_solve_too_deep_input_ends_without_traceback(capsys):
 ])
 def test_resource_limits_are_one_error_line(capsys, monkeypatch, exc,
                                             message):
+    # `run`, the command's entry point, reports the limit; `main` lets
+    # the exception reach an in-process caller.
     def fail(sig):
         raise exc
 
@@ -222,8 +230,12 @@ def test_resource_limits_are_one_error_line(capsys, monkeypatch, exc,
     for argv in (["check", APPEND], ["translate", APPEND],
                  ["solve", APPEND, "append nil nil L"],
                  ["strictness", APPEND]):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (2, "", message), argv
+        with pytest.raises(SystemExit) as stop:
+            cli.run(argv)
+        out, err = capsys.readouterr()
+        assert (stop.value.code, out, err) == (2, "", message), argv
+        with pytest.raises(type(exc)):
+            main(argv)
 
 
 def test_solve_naive_mode(capsys):

@@ -388,6 +388,28 @@ def test_index_gives_a_goal_only_the_clauses_of_its_family(monkeypatch):
     assert heads and all(h == ["z", "s"] for h in heads)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["p", "q", None]),
+                          st.sampled_from([1, 2]),
+                          st.sampled_from([None, "a", "b"])), max_size=8),
+       st.sampled_from([None, "a", "b", "c"]))
+def test_database_offers_the_clauses_a_linear_scan_keeps(filed, goal_key):
+    # Clauses are filed one at a time, as an implication goal files its
+    # hypothesis.  A goal is offered exactly the clauses of its predicate
+    # and arity whose last key is None or its own, in filing order.
+    clauses = [engine._Clause(pred, (None,) * (arity - 1) + (key,),
+                              ((f"c{i}", "c", OBJ),), (), (), True)
+               for i, (pred, arity, key) in enumerate(filed)]
+    db = engine._database(clauses)
+    for pred in ("p", "q"):
+        for arity in (1, 2):
+            keys = [None] * (arity - 1) + [goal_key]
+            assert list(engine._candidates(db, pred, keys)) == [
+                c for c in clauses
+                if c.pred == pred and len(c.keys) == arity
+                and c.keys[-1] in (None, goal_key or c.keys[-1])]
+
+
 def test_first_order_solve_lowers_nothing(monkeypatch):
     # clause variables are made in the query's universe, so binding
     # one into another never needs a lowered copy
