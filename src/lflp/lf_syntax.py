@@ -6,11 +6,14 @@ The concrete syntax is a Twelf-like subset: declarations are written
 application by juxtaposition (left associative), and ``%`` starts a
 comment running to end of line.
 
-Kinds, type families, and objects are separate node families.  After
-parsing, binder names are pairwise distinct along any scope path (the
-parser renames shadowed binders), and the head of a base type is always
-a type constant.  Equality of expressions is alpha-equivalence, provided
-by :func:`alpha_eq`; the structural ``==`` of the dataclasses compares
+Kinds, type families, and objects are separate node families.  The
+parser builds them straight from the tokens in one left-to-right pass,
+each expression read in the category its context demands; a
+declaration's classifier is a kind exactly when its tail is ``type``.
+After parsing, binder names are pairwise distinct along any scope path
+(the parser renames shadowed binders), and no bound variable stands as
+a type.  Equality of expressions is alpha-equivalence, provided by
+:func:`alpha_eq`; the structural ``==`` of the dataclasses compares
 names literally and is only suitable for hashing.
 """
 
@@ -372,225 +375,174 @@ def tokenize(text: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Parser: tokens -> untyped pre-terms -> classified expressions
+# Parser: tokens -> kinds, types and objects in one left-to-right pass
 
-@dataclass(frozen=True)
-class _PName:
-    name: str
-    line: int
-    col: int
+# The category an expression is read in, passed down by its caller.  A
+# declaration's classifier is a kind when its tail is `type`, possibly in
+# parentheses, and a type otherwise; its binder and arrow domains are types.
+_CLASSIFIER, _TYPE, _OBJECT = 0, 1, 2
 
-
-@dataclass(frozen=True)
-class _PType:
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _PPi:
-    var: str
-    dom: "_PTerm"
-    body: "_PTerm"
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _PLam:
-    var: str
-    dom: "_PTerm"
-    body: "_PTerm"
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _PArrow:
-    dom: "_PTerm"
-    cod: "_PTerm"
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _PApp:
-    fn: "_PTerm"
-    arg: "_PTerm"
-    line: int
-    col: int
-
-
-_PTerm = Union[_PName, _PType, _PPi, _PLam, _PArrow, _PApp]
+# the tokens that start an application argument; a binder must be
+# parenthesized there
+_ARG_START = frozenset(("ident", "type", "(", "{", "["))
 
 
 class _Parser:
-    def __init__(self, toks: list[_Token]):
+    """Recursive descent from tokens straight to Kind/Fam/Obj.
+
+    `env` maps each source binder name in scope to its possibly renamed
+    form.  `used` holds every name of the current declaration, collected
+    from its tokens on the first renaming, so fresh names avoid them all.
+    An elaboration error (a construct of the wrong category, a bound
+    variable used as a type) is held in `err`, the first one wins, and is
+    raised only once the declaration's syntax has been read.  Query free
+    variables are recognized when `free_ok` holds.
+    """
+
+    def __init__(self, toks: list[_Token], sig: Optional[Signature] = None,
+                 free_ok: bool = False):
         self.toks = toks
         self.pos = 0
+        self.sig = sig
+        self.free_ok = free_ok
+        self.free_order: list[str] = []
+        self.env: dict[str, str] = {}
+        self.begin(None)
+
+    def begin(self, name: Optional[str]) -> None:
+        """Start a declaration body, of the constant `name`, at `pos`."""
+        self.name = name
+        self.body_start = self.pos
+        self.used: Optional[set[str]] = None
+        self.err: Optional[LFSyntaxError] = None
+        # the tail `type` of the last classifier read as a kind
+        self.type_tok: Optional[_Token] = None
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
 
-    def next(self) -> _Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def names_since(self, start: int) -> set[str]:
-        """Every identifier among the tokens read since `start`: the binder
-        names and name occurrences of the pre-term parsed from them."""
-        return {t.text for t in self.toks[start:self.pos] if t.kind == "ident"}
-
     def expect(self, kind: str) -> _Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != kind:
             shown = t.text if t.kind != "eof" else "end of input"
             raise LFSyntaxError(f"expected {kind!r}, found {shown!r}", t.line, t.col)
-        return self.next()
+        self.pos += 1
+        return t
 
-    def expr(self) -> _PTerm:
-        t = self.peek()
-        if t.kind in ("{", "["):
-            open_kind = self.next()
-            name = self.expect("ident")
-            self.expect(":")
-            dom = self.expr()
-            self.expect("}" if open_kind.kind == "{" else "]")
-            body = self.expr()
-            cls = _PPi if open_kind.kind == "{" else _PLam
-            return cls(name.text, dom, body, open_kind.line, open_kind.col)
-        left = self.app()
-        if self.peek().kind == "->":
-            arrow = self.next()
-            right = self.expr()
-            return _PArrow(left, right, arrow.line, arrow.col)
-        return left
+    def hold(self, message: str, t: _Token) -> None:
+        if self.err is None:
+            self.err = LFSyntaxError(message, t.line, t.col)
 
-    def app(self) -> _PTerm:
-        t = self.peek()
-        e = self.atom()
-        while self.peek().kind in ("ident", "type", "(", "{", "["):
-            # binders may appear as the final argument position in
-            # parentheses only; a bare `{`/`[` here is a syntax error
-            nxt = self.peek()
-            if nxt.kind in ("{", "["):
-                raise LFSyntaxError("binder must be parenthesized in argument position",
-                                    nxt.line, nxt.col)
-            a = self.atom()
-            e = _PApp(e, a, t.line, t.col)
+    def fresh(self, base: str) -> str:
+        """A name none of the declaration's names, which it then joins."""
+        used = self.used
+        if used is None:
+            # the body ends at its `.`; a query or object has none before eof
+            used = self.used = set() if self.name is None else {self.name}
+            toks, i = self.toks, self.body_start
+            while toks[i].kind not in (".", "eof"):
+                if toks[i].kind == "ident":
+                    used.add(toks[i].text)
+                i += 1
+        new = fresh_name(base, used)
+        used.add(new)
+        return new
+
+    def as_type(self, e: Union[Kind, Fam]) -> Fam:
+        """`e`, read as a classifier, stands where a type must."""
+        if isinstance(e, (KType, KPi)):
+            self.hold("'type' cannot appear inside a type", self.type_tok)
         return e
 
-    def atom(self) -> _PTerm:
-        t = self.next()
+    def expr(self, cat: int) -> Expr:
+        """Binders and arrows, read in a loop, around an application.
+
+        Held errors keep the order of a walk that checks each construct
+        before its parts: a binder's error comes before any in its
+        domain, and so does an arrow's, though its domain is read first.
+        """
+        toks = self.toks
+        env = self.env
+        binders: list[tuple[str, Fam]] = []
+        shadowed: list[tuple[str, Optional[str]]] = []
+        while True:
+            t = toks[self.pos]
+            if t.kind == "{" or t.kind == "[":
+                # `{x:A} B` is a kind or a type, `[x:A] M` an object
+                if (t.kind == "{") == (cat == _OBJECT):
+                    self.hold("expected an object" if cat == _OBJECT
+                              else "expected a type", t)
+                self.pos += 1
+                var = self.expect("ident").text
+                self.expect(":")
+                dom = self.expr(_TYPE)
+                self.expect("}" if t.kind == "{" else "]")
+                shadowed.append((var, env.get(var)))
+                env[var] = var if var not in env else self.fresh(var)
+                binders.append((env[var], dom))
+                continue
+            held = self.err
+            e = self.atom(cat)
+            t = toks[self.pos]
+            if t.kind in _ARG_START:
+                if cat != _OBJECT:
+                    e = self.as_type(e)
+                app = OApp if cat == _OBJECT else FApp
+                while t.kind in _ARG_START:
+                    if t.kind == "{" or t.kind == "[":
+                        raise LFSyntaxError("binder must be parenthesized in "
+                                            "argument position", t.line, t.col)
+                    e = app(e, self.atom(_OBJECT))
+                    t = toks[self.pos]
+            if t.kind != "->":
+                break
+            if cat == _OBJECT:
+                if held is None:
+                    self.err = LFSyntaxError("expected an object", t.line, t.col)
+            else:
+                e = self.as_type(e)
+            self.pos += 1
+            binders.append((self.fresh("x"), e))
+        for var, old in reversed(shadowed):
+            if old is None:
+                del env[var]
+            else:
+                env[var] = old
+        pi = OLam if cat == _OBJECT else KPi if isinstance(e, (KType, KPi)) else FPi
+        for var, dom in reversed(binders):
+            e = pi(var, dom, e)
+        return e
+
+    def atom(self, cat: int) -> Expr:
+        t = self.toks[self.pos]
+        self.pos += 1
         if t.kind == "ident":
-            return _PName(t.text, t.line, t.col)
-        if t.kind == "type":
-            return _PType(t.line, t.col)
+            name = t.text
+            if cat != _OBJECT:
+                if name in self.env:
+                    self.hold(f"bound variable {name!r} used as a type", t)
+                return FConst(name)
+            if name in self.env:
+                return OVar(self.env[name])
+            if self.free_ok and name[0].isupper() and (
+                    self.sig is None or self.sig.lookup(name) is None):
+                if name not in self.free_order:
+                    self.free_order.append(name)
+                return OVar(name)
+            return OConst(name)
         if t.kind == "(":
-            e = self.expr()
+            e = self.expr(cat)
             self.expect(")")
             return e
+        if t.kind == "type":
+            if cat == _CLASSIFIER:
+                self.type_tok = t
+            else:
+                self.hold("expected an object" if cat == _OBJECT
+                          else "'type' cannot appear inside a type", t)
+            return KType()
         shown = t.text if t.kind != "eof" else "end of input"
         raise LFSyntaxError(f"expected an expression, found {shown!r}", t.line, t.col)
-
-
-def _tail_is_type(e: _PTerm) -> bool:
-    while True:
-        match e:
-            case _PType():
-                return True
-            case _PPi(_, _, body, _, _) | _PArrow(_, body, _, _):
-                e = body
-            case _:
-                return False
-
-
-class _Elab:
-    """Turns pre-terms into Kind/Fam/Obj, resolving scope.
-
-    `env` maps a source binder name to its possibly renamed form; `used`
-    accumulates every name in the declaration so freshening cannot collide.
-    Query free variables are recognized here when `free_ok` holds.
-    """
-
-    def __init__(self, used: set[str], sig: Optional[Signature] = None,
-                 free_ok: bool = False):
-        self.used = used
-        self.sig = sig
-        self.free_ok = free_ok
-        self.free_order: list[str] = []
-
-    def bind(self, var: str, env: dict[str, str]) -> tuple[str, dict[str, str]]:
-        new = var
-        if var in env:
-            new = fresh_name(var, self.used)
-        self.used.add(new)
-        env2 = dict(env)
-        env2[var] = new
-        return new, env2
-
-    def kind(self, e: _PTerm, env: dict[str, str]) -> Kind:
-        match e:
-            case _PType():
-                return KType()
-            case _PPi(var, dom, body, _, _):
-                d = self.fam(dom, env)
-                v, env2 = self.bind(var, env)
-                return KPi(v, d, self.kind(body, env2))
-            case _PArrow(dom, cod, _, _):
-                d = self.fam(dom, env)
-                v, env2 = self.bind(fresh_name("x", self.used), env)
-                return KPi(v, d, self.kind(cod, env2))
-        raise LFSyntaxError("expected a kind", _line(e), _col(e))
-
-    def fam(self, e: _PTerm, env: dict[str, str]) -> Fam:
-        match e:
-            case _PPi(var, dom, body, _, _):
-                d = self.fam(dom, env)
-                v, env2 = self.bind(var, env)
-                return FPi(v, d, self.fam(body, env2))
-            case _PArrow(dom, cod, _, _):
-                d = self.fam(dom, env)
-                v, env2 = self.bind(fresh_name("x", self.used), env)
-                return FPi(v, d, self.fam(cod, env2))
-            case _PName(name, line, col):
-                if name in env:
-                    raise LFSyntaxError(
-                        f"bound variable {name!r} used as a type", line, col)
-                return FConst(name)
-            case _PApp(fn, arg, _, _):
-                return FApp(self.fam(fn, env), self.obj(arg, env))
-            case _PType(line, col):
-                raise LFSyntaxError("'type' cannot appear inside a type", line, col)
-        raise LFSyntaxError("expected a type", _line(e), _col(e))
-
-    def obj(self, e: _PTerm, env: dict[str, str]) -> Obj:
-        match e:
-            case _PName(name, line, col):
-                if name in env:
-                    return OVar(env[name])
-                if self.free_ok and name[0].isupper() and (
-                        self.sig is None or self.sig.lookup(name) is None):
-                    if name not in self.free_order:
-                        self.free_order.append(name)
-                    return OVar(name)
-                return OConst(name)
-            case _PLam(var, dom, body, _, _):
-                d = self.fam(dom, env)
-                v, env2 = self.bind(var, env)
-                return OLam(v, d, self.obj(body, env2))
-            case _PApp(fn, arg, _, _):
-                return OApp(self.obj(fn, env), self.obj(arg, env))
-        raise LFSyntaxError("expected an object", _line(e), _col(e))
-
-
-def _line(e: _PTerm) -> int:
-    return getattr(e, "line", 0)
-
-
-def _col(e: _PTerm) -> int:
-    return getattr(e, "col", 0)
 
 
 def parse_signature(text: str) -> Signature:
@@ -600,20 +552,29 @@ def parse_signature(text: str) -> Signature:
     seen: set[str] = set()
     while parser.peek().kind != "eof":
         name_tok = parser.expect("ident")
+        name = name_tok.text
         parser.expect(":")
-        start = parser.pos
-        body = parser.expr()
+        parser.begin(name)
+        body = parser.expr(_CLASSIFIER)
         parser.expect(".")
-        if name_tok.text in seen:
-            raise LFSyntaxError(f"duplicate declaration of {name_tok.text!r}",
+        if name in seen:
+            raise LFSyntaxError(f"duplicate declaration of {name!r}",
                                 name_tok.line, name_tok.col)
-        seen.add(name_tok.text)
-        elab = _Elab(parser.names_since(start) | {name_tok.text})
-        if _tail_is_type(body):
-            decls.append(KindDecl(name_tok.text, elab.kind(body, {})))
-        else:
-            decls.append(ObjDecl(name_tok.text, elab.fam(body, {})))
+        seen.add(name)
+        if parser.err is not None:
+            raise parser.err
+        decls.append(KindDecl(name, body) if isinstance(body, (KType, KPi))
+                     else ObjDecl(name, body))
     return Signature(tuple(decls))
+
+
+def _end(parser: _Parser) -> None:
+    """Reject input after the expression, then raise a held error."""
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise LFSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    if parser.err is not None:
+        raise parser.err
 
 
 def parse_query(text: str, sig: Optional[Signature] = None) -> tuple[tuple[str, ...], Fam]:
@@ -624,33 +585,26 @@ def parse_query(text: str, sig: Optional[Signature] = None) -> tuple[tuple[str, 
     a base type; when `sig` is given its head must be a declared type
     constant.
     """
-    parser = _Parser(tokenize(text))
-    body = parser.expr()
+    parser = _Parser(tokenize(text), sig=sig, free_ok=True)
+    fam = parser.expr(_TYPE)
     if parser.peek().kind == ".":
-        parser.next()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise LFSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    elab = _Elab(parser.names_since(0), sig=sig, free_ok=True)
-    fam = elab.fam(body, {})
+        parser.pos += 1
+    _end(parser)
     head, _ = fam_spine(fam)
     if not isinstance(head, FConst):
         raise LFSyntaxError("query must be a base type")
     if sig is not None and not isinstance(sig.lookup(head.name), (KType, KPi)):
         raise LFSyntaxError(f"query head {head.name!r} is not a declared type constant")
-    return tuple(elab.free_order), fam
+    return tuple(parser.free_order), fam
 
 
 def parse_object(text: str, sig: Optional[Signature] = None) -> Obj:
     """Parse a single object term.  Identifiers bound by an enclosing
     lambda are variables; everything else is read as a constant."""
-    parser = _Parser(tokenize(text))
-    body = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise LFSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    elab = _Elab(parser.names_since(0), sig=sig)
-    return elab.obj(body, {})
+    parser = _Parser(tokenize(text), sig=sig)
+    obj = parser.expr(_OBJECT)
+    _end(parser)
+    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Unification for simply typed terms, complete on the pattern fragment.
 
-A flexible term is a logic variable applied to distinct universal
-variables (eigenvariables or locally bound ones).  On such problems
+A flexible term is a pattern when its logic variable is applied to
+distinct universal variables it may not mention itself: locally bound
+ones, or eigenvariables no older than the variable.  On such problems
 unification is decidable and most general unifiers exist; the solver
 commits only there.  Anything outside the fragment is set aside as a
 residual equation and retried whenever the substitution grows; a
@@ -206,10 +207,12 @@ def _step(sigma: Subst, t: Term, u: Term, work: deque, residuals: list) -> Subst
     return sigma
 
 
-def _is_pattern(args: list[Term]) -> bool:
+def _is_pattern(m: LVar, args: list[Term]) -> bool:
+    # An eigenvariable older than m is one m may mention directly, so as
+    # an argument it does not make m a pattern.
     seen = set()
     for a in args:
-        if not isinstance(a, (EVar, BVar)):
+        if not (isinstance(a, BVar) or (isinstance(a, EVar) and a.level >= m.level)):
             return False
         key = (type(a).__name__, a.name)
         if key in seen:
@@ -245,7 +248,7 @@ def _rebuild(m: LVar, arity: int, keep: list[int], extras: list[EVar],
 
 def _flex_rigid(sigma: Subst, k: LVar, kargs: list[Term], rhs: Term,
                 flex_side: Term, residuals: list) -> Subst:
-    if not _is_pattern(kargs):
+    if not _is_pattern(k, kargs):
         residuals.append(Eq(flex_side, rhs))
         return sigma
     zs = _fresh_binders(a.ty for a in kargs)
@@ -318,7 +321,7 @@ def _copy_flex(m: LVar, args: list[Term], k: LVar, pi: dict, level: int,
         return isinstance(a, BVar) or a in pi or (isinstance(a, EVar)
                                                   and a.level < level)
 
-    if _is_pattern(args):
+    if _is_pattern(m, args):
         # Rebuild m at the older scope unless it already fits: prune
         # inexpressible argument positions, and raise over the pi-bound
         # eigenvariables it may depend on.
@@ -344,7 +347,7 @@ def _copy_flex(m: LVar, args: list[Term], k: LVar, pi: dict, level: int,
 
 def _flex_flex(sigma: Subst, k: LVar, kargs: list[Term], m: LVar,
                margs: list[Term], t: Term, u: Term, residuals: list) -> Subst:
-    if not (_is_pattern(kargs) and _is_pattern(margs)):
+    if not (_is_pattern(k, kargs) and _is_pattern(m, margs)):
         residuals.append(Eq(t, u))
         return sigma
     if k != m:

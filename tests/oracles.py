@@ -8,7 +8,9 @@ substitution search instead of unification, path-blocked depth-first
 search instead of a least fixpoint for strictness, instantiate-then-unify
 backchaining instead of matching compiled clause heads, eager folding of
 every binding instead of a triangular substitution, a loop over
-characters instead of a regular expression for the lexer, and typed
+characters instead of a regular expression for the lexer, a tree of
+pre-terms walked a second time instead of one pass over the tokens for
+the parser (`two_pass_parse_signature` and its siblings), and typed
 eta-long canonical forms (`canonicalize`) instead of untyped eta-short
 ones for conversion.  Shared plumbing (AST types, LF alpha comparison, the
 object-level strictness judgment) comes from the package; the decision
@@ -24,14 +26,15 @@ prints.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Union
 
 from lflp import lf_syntax as lf
 from lflp.lf_syntax import (
-    Context, Expr, FApp, FConst, FPi, Fam, Kind, KPi, KType, LFSyntaxError,
-    OApp, OConst, OLam, OVar, Obj, Signature, _Token, fam_spine,
-    free_vars, fresh_name, obj_app, obj_spine, split_fam_pis,
+    Context, Decl, Expr, FApp, FConst, FPi, Fam, Kind, KindDecl, KPi, KType,
+    LFSyntaxError, OApp, OConst, OLam, OVar, ObjDecl, Obj, Signature, _Token,
+    fam_spine, free_vars, fresh_name, obj_app, obj_spine, split_fam_pis,
 )
 from lflp.lf_kernel import (
     LFTypeError, beta_normalize, check_signature, normal_classifier,
@@ -837,6 +840,290 @@ def char_tokenize(text: str) -> list[_Token]:
         raise LFSyntaxError(f"unexpected character {c!r}", line, col)
     toks.append(_Token("eof", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Parsing in two passes: tokens to a tree of untyped pre-terms, then a walk
+# of that tree that classifies each node as a kind, type or object.  The
+# package reads the tokens in one pass instead.
+
+@dataclass(frozen=True)
+class _PName:
+    name: str
+    line: int
+    col: int
+
+
+@dataclass(frozen=True)
+class _PType:
+    line: int
+    col: int
+
+
+@dataclass(frozen=True)
+class _PPi:
+    var: str
+    dom: "_PTerm"
+    body: "_PTerm"
+    line: int
+    col: int
+
+
+@dataclass(frozen=True)
+class _PLam:
+    var: str
+    dom: "_PTerm"
+    body: "_PTerm"
+    line: int
+    col: int
+
+
+@dataclass(frozen=True)
+class _PArrow:
+    dom: "_PTerm"
+    cod: "_PTerm"
+    line: int
+    col: int
+
+
+@dataclass(frozen=True)
+class _PApp:
+    fn: "_PTerm"
+    arg: "_PTerm"
+    line: int
+    col: int
+
+
+_PTerm = Union[_PName, _PType, _PPi, _PLam, _PArrow, _PApp]
+
+
+class _Parser:
+    def __init__(self, toks: list[_Token]):
+        self.toks = toks
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.toks[self.pos]
+
+    def next(self) -> _Token:
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def names_since(self, start: int) -> set[str]:
+        """Every identifier among the tokens read since `start`: the binder
+        names and name occurrences of the pre-term parsed from them."""
+        return {t.text for t in self.toks[start:self.pos] if t.kind == "ident"}
+
+    def expect(self, kind: str) -> _Token:
+        t = self.peek()
+        if t.kind != kind:
+            shown = t.text if t.kind != "eof" else "end of input"
+            raise LFSyntaxError(f"expected {kind!r}, found {shown!r}", t.line, t.col)
+        return self.next()
+
+    def expr(self) -> _PTerm:
+        t = self.peek()
+        if t.kind in ("{", "["):
+            open_kind = self.next()
+            name = self.expect("ident")
+            self.expect(":")
+            dom = self.expr()
+            self.expect("}" if open_kind.kind == "{" else "]")
+            body = self.expr()
+            cls = _PPi if open_kind.kind == "{" else _PLam
+            return cls(name.text, dom, body, open_kind.line, open_kind.col)
+        left = self.app()
+        if self.peek().kind == "->":
+            arrow = self.next()
+            right = self.expr()
+            return _PArrow(left, right, arrow.line, arrow.col)
+        return left
+
+    def app(self) -> _PTerm:
+        t = self.peek()
+        e = self.atom()
+        while self.peek().kind in ("ident", "type", "(", "{", "["):
+            # binders may appear as the final argument position in
+            # parentheses only; a bare `{`/`[` here is a syntax error
+            nxt = self.peek()
+            if nxt.kind in ("{", "["):
+                raise LFSyntaxError("binder must be parenthesized in argument position",
+                                    nxt.line, nxt.col)
+            a = self.atom()
+            e = _PApp(e, a, t.line, t.col)
+        return e
+
+    def atom(self) -> _PTerm:
+        t = self.next()
+        if t.kind == "ident":
+            return _PName(t.text, t.line, t.col)
+        if t.kind == "type":
+            return _PType(t.line, t.col)
+        if t.kind == "(":
+            e = self.expr()
+            self.expect(")")
+            return e
+        shown = t.text if t.kind != "eof" else "end of input"
+        raise LFSyntaxError(f"expected an expression, found {shown!r}", t.line, t.col)
+
+
+def _tail_is_type(e: _PTerm) -> bool:
+    while True:
+        match e:
+            case _PType():
+                return True
+            case _PPi(_, _, body, _, _) | _PArrow(_, body, _, _):
+                e = body
+            case _:
+                return False
+
+
+class _Elab:
+    """Turns pre-terms into Kind/Fam/Obj, resolving scope.
+
+    `env` maps a source binder name to its possibly renamed form; `used`
+    accumulates every name in the declaration so freshening cannot collide.
+    Query free variables are recognized here when `free_ok` holds.
+    """
+
+    def __init__(self, used: set[str], sig: Optional[Signature] = None,
+                 free_ok: bool = False):
+        self.used = used
+        self.sig = sig
+        self.free_ok = free_ok
+        self.free_order: list[str] = []
+
+    def bind(self, var: str, env: dict[str, str]) -> tuple[str, dict[str, str]]:
+        new = var
+        if var in env:
+            new = fresh_name(var, self.used)
+        self.used.add(new)
+        env2 = dict(env)
+        env2[var] = new
+        return new, env2
+
+    def kind(self, e: _PTerm, env: dict[str, str]) -> Kind:
+        match e:
+            case _PType():
+                return KType()
+            case _PPi(var, dom, body, _, _):
+                d = self.fam(dom, env)
+                v, env2 = self.bind(var, env)
+                return KPi(v, d, self.kind(body, env2))
+            case _PArrow(dom, cod, _, _):
+                d = self.fam(dom, env)
+                v, env2 = self.bind(fresh_name("x", self.used), env)
+                return KPi(v, d, self.kind(cod, env2))
+        raise LFSyntaxError("expected a kind", _line(e), _col(e))
+
+    def fam(self, e: _PTerm, env: dict[str, str]) -> Fam:
+        match e:
+            case _PPi(var, dom, body, _, _):
+                d = self.fam(dom, env)
+                v, env2 = self.bind(var, env)
+                return FPi(v, d, self.fam(body, env2))
+            case _PArrow(dom, cod, _, _):
+                d = self.fam(dom, env)
+                v, env2 = self.bind(fresh_name("x", self.used), env)
+                return FPi(v, d, self.fam(cod, env2))
+            case _PName(name, line, col):
+                if name in env:
+                    raise LFSyntaxError(
+                        f"bound variable {name!r} used as a type", line, col)
+                return FConst(name)
+            case _PApp(fn, arg, _, _):
+                return FApp(self.fam(fn, env), self.obj(arg, env))
+            case _PType(line, col):
+                raise LFSyntaxError("'type' cannot appear inside a type", line, col)
+        raise LFSyntaxError("expected a type", _line(e), _col(e))
+
+    def obj(self, e: _PTerm, env: dict[str, str]) -> Obj:
+        match e:
+            case _PName(name, line, col):
+                if name in env:
+                    return OVar(env[name])
+                if self.free_ok and name[0].isupper() and (
+                        self.sig is None or self.sig.lookup(name) is None):
+                    if name not in self.free_order:
+                        self.free_order.append(name)
+                    return OVar(name)
+                return OConst(name)
+            case _PLam(var, dom, body, _, _):
+                d = self.fam(dom, env)
+                v, env2 = self.bind(var, env)
+                return OLam(v, d, self.obj(body, env2))
+            case _PApp(fn, arg, _, _):
+                return OApp(self.obj(fn, env), self.obj(arg, env))
+        raise LFSyntaxError("expected an object", _line(e), _col(e))
+
+
+def _line(e: _PTerm) -> int:
+    return getattr(e, "line", 0)
+
+
+def _col(e: _PTerm) -> int:
+    return getattr(e, "col", 0)
+
+
+def two_pass_parse_signature(text: str) -> Signature:
+    """Parse a sequence of ``name : expr.`` declarations in source order."""
+    parser = _Parser(lf.tokenize(text))
+    decls: list[Decl] = []
+    seen: set[str] = set()
+    while parser.peek().kind != "eof":
+        name_tok = parser.expect("ident")
+        parser.expect(":")
+        start = parser.pos
+        body = parser.expr()
+        parser.expect(".")
+        if name_tok.text in seen:
+            raise LFSyntaxError(f"duplicate declaration of {name_tok.text!r}",
+                                name_tok.line, name_tok.col)
+        seen.add(name_tok.text)
+        elab = _Elab(parser.names_since(start) | {name_tok.text})
+        if _tail_is_type(body):
+            decls.append(KindDecl(name_tok.text, elab.kind(body, {})))
+        else:
+            decls.append(ObjDecl(name_tok.text, elab.fam(body, {})))
+    return Signature(tuple(decls))
+
+
+def two_pass_parse_query(text: str, sig: Optional[Signature] = None) -> tuple[tuple[str, ...], Fam]:
+    """Parse a query type.
+
+    Capitalized identifiers not declared in `sig` are collected as free
+    (existential) variables, returned in first-use order.  The body must be
+    a base type; when `sig` is given its head must be a declared type
+    constant.
+    """
+    parser = _Parser(lf.tokenize(text))
+    body = parser.expr()
+    if parser.peek().kind == ".":
+        parser.next()
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise LFSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    elab = _Elab(parser.names_since(0), sig=sig, free_ok=True)
+    fam = elab.fam(body, {})
+    head, _ = fam_spine(fam)
+    if not isinstance(head, FConst):
+        raise LFSyntaxError("query must be a base type")
+    if sig is not None and not isinstance(sig.lookup(head.name), (KType, KPi)):
+        raise LFSyntaxError(f"query head {head.name!r} is not a declared type constant")
+    return tuple(elab.free_order), fam
+
+
+def two_pass_parse_object(text: str, sig: Optional[Signature] = None) -> Obj:
+    """Parse a single object term.  Identifiers bound by an enclosing
+    lambda are variables; everything else is read as a constant."""
+    parser = _Parser(lf.tokenize(text))
+    body = parser.expr()
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise LFSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    elab = _Elab(parser.names_since(0), sig=sig)
+    return elab.obj(body, {})
 
 
 # ---------------------------------------------------------------------------

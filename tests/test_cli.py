@@ -196,10 +196,12 @@ def test_solve_rechecks_inverted_answers(capsys, monkeypatch):
 
 
 def test_solve_too_deep_input_ends_without_traceback():
-    # A 400-element list passes the parser's recursion limit; the user of
-    # the command sees one error line, not a Python traceback.
+    # A 600-element list passes the parser's recursion limit, which is
+    # about 490 nested parentheses under Python's default (two frames
+    # each); the user of the command sees one error line, not a Python
+    # traceback.
     items = "nil"
-    for _ in range(400):
+    for _ in range(600):
         items = f"(cons z {items})"
     proc = subprocess.run(
         [sys.executable, "-m", "lflp.cli", "solve", APPEND,

@@ -58,9 +58,9 @@ def test_occurs_check():
 # --- pattern fragment -----------------------------------------------------
 
 def test_imitation_and_projection():
-    e = fresh_evar("e", OBJ)
     f = fresh_lvar("F", arrow([OBJ], OBJ))
     g = fresh_lvar("G", arrow([OBJ], OBJ))
+    e = fresh_evar("e", OBJ)
     lhs, rhs = App(f, e), s(App(g, e))
     res = unify_one(lhs, rhs)
     assert _unifies(res, lhs, rhs)
@@ -71,8 +71,8 @@ def test_imitation_and_projection():
 
 def test_pruning_drops_too_new_eigenvar():
     x = fresh_lvar("X", OBJ)
-    e = fresh_evar("e", OBJ)  # younger than X
     y = fresh_lvar("Y", arrow([OBJ], OBJ))
+    e = fresh_evar("e", OBJ)  # younger than X
     res = unify_one(x, cons(Z, App(y, e)))
     assert res.status == "ok"
     assert not evars_of(res.subst.apply(x))
@@ -105,8 +105,9 @@ def test_pruning_one_variable_twice_keeps_its_copies_joined():
 
 
 def test_flex_flex_same_variable():
-    a, b = fresh_evar("a", OBJ), fresh_evar("b", OBJ)
     x = fresh_lvar("X", arrow([OBJ, OBJ], OBJ))
+    y = fresh_lvar("Y", arrow([OBJ, OBJ, OBJ], OBJ))
+    a, b = fresh_evar("a", OBJ), fresh_evar("b", OBJ)
     lhs, rhs = mk_app(x, [a, b]), mk_app(x, [b, a])
     res = unify_one(lhs, rhs)
     assert _unifies(res, lhs, rhs)
@@ -115,16 +116,15 @@ def test_flex_flex_same_variable():
     assert not evars_of(solved)
     assert isinstance(solved, LVar) and solved.ty == OBJ
     c = fresh_evar("c", OBJ)
-    y = fresh_lvar("Y", arrow([OBJ, OBJ, OBJ], OBJ))
     res = unify_one(mk_app(y, [a, b, c]), mk_app(y, [b, a, c]))
     head, args = term_spine(res.subst.apply(mk_app(y, [a, b, c])))
     assert isinstance(head, LVar) and args == [c]
 
 
 def test_flex_flex_different_variables():
-    a, b = fresh_evar("a", OBJ), fresh_evar("b", OBJ)
     x = fresh_lvar("X", arrow([OBJ], OBJ))
     y = fresh_lvar("Y", arrow([OBJ], OBJ))
+    a, b = fresh_evar("a", OBJ), fresh_evar("b", OBJ)
     lhs, rhs = App(x, a), App(y, b)
     res = unify_one(lhs, rhs)
     assert _unifies(res, lhs, rhs)
@@ -141,15 +141,30 @@ def _fn(arity, body):
 
 def test_flex_flex_distinct_heads_keeps_projections():
     # K a = M a e: M := \x y. y with K := \x. e is a unifier, so the
-    # one found must still admit it.
-    a, e = fresh_evar("a", OBJ), fresh_evar("e", OBJ)
-    k = fresh_lvar("K", arrow([OBJ], OBJ))
+    # one found must still admit it.  e is older than K, which may
+    # mention it, and younger than M, which takes it as an argument.
     m = fresh_lvar("M", arrow([OBJ, OBJ], OBJ))
+    e = fresh_evar("e", OBJ)
+    k = fresh_lvar("K", arrow([OBJ], OBJ))
+    a = fresh_evar("a", OBJ)
     lhs, rhs = App(k, a), mk_app(m, [a, e])
     res = unify_one(lhs, rhs)
     assert _unifies(res, lhs, rhs)
     assert unify_one(m, _fn(2, 1), res.subst).status == "ok"
     assert unify_one(k, _fn(1, e), res.subst).status == "ok"
+
+
+def test_argument_older_than_its_variable_is_no_pattern():
+    # K e = M e, e older than both: K := \w. w, M := \w. e and
+    # K := \w. e, M := \w. w are incomparable unifiers, so the equation
+    # stays residual and each of them can still be added.
+    e = fresh_evar("e", OBJ)
+    k = fresh_lvar("K", arrow([OBJ], OBJ))
+    m = fresh_lvar("M", arrow([OBJ], OBJ))
+    eq = Eq(App(k, e), App(m, e))
+    assert unify([eq]).status == "residual"
+    for kval, mval in ((_fn(1, 0), _fn(1, e)), (_fn(1, e), _fn(1, 0))):
+        assert unify([eq, Eq(k, kval), Eq(m, mval)]).status == "ok"
 
 
 @st.composite
@@ -201,19 +216,21 @@ def test_flex_flex_distinct_heads_is_most_general(problem):
     k, kargs, m, margs = problem
     lhs, rhs = mk_app(k, kargs), mk_app(m, margs)
     res = unify_one(lhs, rhs)
+    # An argument older than its variable could also be mentioned
+    # directly, and then no most general unifier need exist: the
+    # equation waits.  With every argument younger (Miller's patterns)
+    # each unifier is an instance of the one found.
+    if not (all(x.level > k.level for x in kargs) and all(
+            y.level > m.level for y in margs)):
+        assert res.status == "residual"
+        return
     assert _unifies(res, lhs, rhs)
     for v, val in _projections(k, kargs, m, margs):
         assert unify_one(v, val, res.subst).status == "ok"
-    # An argument older than its variable could also be mentioned
-    # directly, and then no most general unifier need exist; with every
-    # argument younger (Miller's patterns) each unifier is an instance.
-    if all(x.level > k.level for x in kargs) and all(
-            y.level > m.level for y in margs):
-        for kval, mval in _projection_unifiers(k, kargs, m, margs):
-            ground = Subst().extend(k, kval).extend(m, mval)
-            assert alpha_eq_term(ground.apply(lhs), ground.apply(rhs))
-            assert unify([Eq(k, kval), Eq(m, mval)],
-                         res.subst).status == "ok"
+    for kval, mval in _projection_unifiers(k, kargs, m, margs):
+        ground = Subst().extend(k, kval).extend(m, mval)
+        assert alpha_eq_term(ground.apply(lhs), ground.apply(rhs))
+        assert unify([Eq(k, kval), Eq(m, mval)], res.subst).status == "ok"
 
 # --- residuals ------------------------------------------------------------
 
@@ -226,8 +243,9 @@ def test_flex_applied_to_flex_is_residual():
 
 
 def test_residual_retried_after_substitution_grows():
-    e = fresh_evar("e", OBJ)
+    # X may be bound to e, and e is a pattern argument of F
     f = fresh_lvar("F", arrow([OBJ], OBJ))
+    e = fresh_evar("e", OBJ)
     x = fresh_lvar("X", OBJ)
     res = unify([Eq(App(f, x), s(Z)), Eq(x, e)])
     assert res.status == "ok"

@@ -1,16 +1,18 @@
-"""Source hygiene: no module-level import goes unused.
+"""Source hygiene: no module-level import goes unused, and the library
+imports nothing outside the standard library.
 
-The check reads each file with the standard `ast` module, so it needs
+The checks read each file with the standard `ast` module, so they need
 no linter.  A name counts as used when the module mentions it anywhere
 outside the import itself, annotations included.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "lflp").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "lflp").glob("*.py"))
+FILES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -38,3 +40,29 @@ def test_files_are_found():
 def test_no_unused_module_level_imports():
     unused = [line for path in FILES for line in unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def outside_stdlib(path: Path) -> list[str]:
+    """`file:line: module` for each top-level import in `path` that is
+    neither relative nor of a standard-library module (`__future__`
+    among them)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    rel = path.relative_to(ROOT)
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{rel}:{node.lineno}: {m}" for m in modules
+                  if m.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_library_imports_only_the_standard_library():
+    assert outside_stdlib(ROOT / "tests" / "test_cli.py"), \
+        "the check must see the tests' own imports of lflp and pytest"
+    found = [line for path in LIBRARY for line in outside_stdlib(path)]
+    assert not found, "imports outside the standard library:\n" + "\n".join(found)

@@ -168,3 +168,100 @@ def test_arrow_binder_avoids_every_name_of_its_declaration():
     # `x` is bound only after the arrow, and the arrow's binder avoids it
     c = lf.parse_signature("a : type. c : a -> {x:a} a.").lookup("c")
     assert c.var == "x1" and c.body.var == "x"
+
+
+# --- the one-pass parser against the two-pass reference --------------------
+
+def _parsed(parse, *args):
+    try:
+        return parse(*args)
+    except lf.LFSyntaxError as err:
+        return (str(err), err.line, err.col)
+
+
+_PARSE_TOKENS = ["{", "}", "[", "]", "(", ")", ":", ".", "->", "type",
+                 "a", "b", "x", "y", "Z", "nat"]
+_token_strings = st.lists(
+    st.tuples(st.sampled_from(_PARSE_TOKENS), st.sampled_from([" ", "\n", ""])),
+    max_size=16).map(lambda parts: "".join(t + sep for t, sep in parts))
+
+# `Z` is declared here, so a query with this signature reads it as a constant
+_QUERY_SIG = lf.parse_signature("nat : type. a : type. b : nat -> type. Z : nat.")
+
+
+def _assert_parsers_agree(text):
+    pairs = [
+        (lf.parse_signature, oracles.two_pass_parse_signature, (text,)),
+        # the arrow binder `x` must avoid the declared name
+        (lf.parse_signature, oracles.two_pass_parse_signature,
+         (f"x : {text}.",)),
+        (lf.parse_query, oracles.two_pass_parse_query, (text,)),
+        (lf.parse_query, oracles.two_pass_parse_query, (text, _QUERY_SIG)),
+        (lf.parse_object, oracles.two_pass_parse_object, (text,)),
+    ]
+    for one_pass, two_pass, args in pairs:
+        assert _parsed(one_pass, *args) == _parsed(two_pass, *args), \
+            (one_pass.__name__, args)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_token_strings)
+def test_one_pass_parser_agrees_with_two_pass(text):
+    _assert_parsers_agree(text)
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in oracles.DATA.glob("*.elf")))
+def test_one_pass_parser_agrees_on_data_signatures(name):
+    text = (oracles.DATA / name).read_text()
+    assert lf.parse_signature(text) == oracles.two_pass_parse_signature(text)
+
+
+_a, _b = lf.FConst("a"), lf.FConst("b")
+
+
+@pytest.mark.parametrize("text, want", [
+    # the syntax error comes first, though the `[` stands where a type must
+    ("c : [x:a] b -> (a.", ("1:18: expected ')', found '.'", 1, 18)),
+    # the duplicate name comes before the misplaced `type`
+    ("c : a. c : type a.", ("1:8: duplicate declaration of 'c'", 1, 8)),
+    # the tail decides a kind, inside parentheses too
+    ("c : a -> (b -> type).",
+     lf.Signature((lf.KindDecl("c", lf.KPi("x", _a, lf.KPi("x1", _b, lf.KType()))),))),
+    ("c : a -> (type).",
+     lf.Signature((lf.KindDecl("c", lf.KPi("x", _a, lf.KType())),))),
+    ("c : {x:a} [y:b] type.", ("1:11: expected a type", 1, 11)),
+    # an arrow in object position: its error precedes one in its domain,
+    # and an error before it stands
+    ("c : p (f type -> a).", ("1:15: expected an object", 1, 15)),
+    ("c : p type (a -> b).", ("1:7: expected an object", 1, 7)),
+    ("c : (a -> type) -> type.",
+     ("1:11: 'type' cannot appear inside a type", 1, 11)),
+    # the inner `x` is renamed, and its occurrence with it
+    ("c : {x:a}{x:b} c x.",
+     lf.Signature((lf.ObjDecl("c", lf.FPi("x", _a, lf.FPi(
+         "x1", _b, lf.FApp(lf.FConst("c"), lf.OVar("x1"))))),))),
+])
+def test_parser_pinned_cases(text, want):
+    assert _parsed(lf.parse_signature, text) == want
+    assert _parsed(oracles.two_pass_parse_signature, text) == want
+
+
+def test_parse_object_arrow_error_is_at_the_arrow():
+    want = ("1:8: expected an object", 1, 8)
+    assert _parsed(lf.parse_object, "f type -> a") == want
+    assert _parsed(oracles.two_pass_parse_object, "f type -> a") == want
+
+
+def test_parser_reads_400_nested_lists_in_process():
+    # two frames per parenthesized level stay within the default limit
+    items = "nil"
+    for _ in range(400):
+        items = f"(cons z {items})"
+    sig = lf.parse_signature(f"fact : append nil {items} {items}.")
+    assert len(lf.fam_spine(sig.lookup("fact"))[1]) == 3
+    m = lf.parse_object(items)
+    depth = 0
+    while isinstance(m, lf.OApp):
+        m, depth = m.arg, depth + 1
+    assert (m, depth) == (lf.OConst("nil"), 400)
