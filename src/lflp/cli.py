@@ -25,7 +25,7 @@ from typing import Optional
 from . import lf_syntax as lf
 from .engine import Limits, Solution, solve
 from .hterms import Const, LVar, Term, lvars_in_order
-from .inverter import InversionError, InversionGoal, invert
+from .inverter import InversionError, invert
 from .lf_kernel import (
     LFFuelError, LFTypeError, beta_normalize, check_object, check_signature,
     instantiate,
@@ -207,7 +207,7 @@ def _inverted(sig: lf.Signature, term: Term, ty: lf.Fam) -> Optional[lf.Obj]:
     """The LF object `term` stands for at `ty`, re-checked by the kernel
     (LFTypeError if it fails), or None when it cannot be inverted."""
     try:
-        obj = invert(InversionGoal(sig, lf.Context(()), term, ty))
+        obj = invert(sig, lf.Context(()), term, ty)
     except InversionError:
         return None
     check_object(sig, lf.Context(()), obj, ty)

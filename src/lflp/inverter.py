@@ -18,8 +18,6 @@ is no LF counterpart to report for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import lf_syntax as lf
 from .hterms import (
     App, BVar, Const, EVar, LVar, Lam, TArrow, Term, lvars_in_order,
@@ -34,20 +32,14 @@ class InversionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class InversionGoal:
-    sig: lf.Signature
-    ctx: lf.Context
-    term: Term
-    ty: lf.Fam
-
-
-def invert(g: InversionGoal) -> lf.Obj:
-    lvars = lvars_in_order([g.term])
+def invert(sig: lf.Signature, ctx: lf.Context, term: Term, ty: lf.Fam) -> lf.Obj:
+    """The LF object of type `ty` in `ctx` that the closed answer `term`
+    stands for."""
+    lvars = lvars_in_order([term])
     if lvars:
         names = sorted(v.name for v in lvars)
         raise InversionError(f"answer not closed: free {', '.join(names)}")
-    return _invert(g.sig, g.ctx, g.term, beta_normalize(g.ty))
+    return _invert(sig, ctx, term, beta_normalize(ty))
 
 
 class _Taken:

@@ -200,6 +200,14 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
             kind = kind.body
 
     def scan_obj(m: lf.Obj, expected: lf.Fam):
+        if isinstance(m, lf.OLam):
+            # the body at the Pi's codomain, the binder renamed apart
+            if isinstance(expected, lf.FPi):
+                var = lf.OVar(lf.fresh_name(m.var, {
+                    *free, *lf.free_vars(m), *lf.free_vars(expected)}))
+                scan_obj(instantiate(m.body, {m.var: var}),
+                         instantiate(expected.body, {expected.var: var}))
+            return
         ohead, oargs = lf.obj_spine(m)
         if isinstance(ohead, lf.OVar) and ohead.name in free:
             if oargs:

@@ -5,14 +5,15 @@ test: normalization by single leftmost-outermost steps, substitution by
 rename-everything-then-replace, typed term enumeration instead of proof
 search, forward chaining instead of backchaining, brute-force
 substitution search instead of unification, path-blocked depth-first
-search instead of a least fixpoint for strictness, instantiate-then-unify
-backchaining instead of matching compiled clause heads, eager folding of
-every binding instead of a triangular substitution, a loop over
-characters instead of a regular expression for the lexer, a tree of
-pre-terms walked a second time instead of one pass over the tokens for
-the parser (`two_pass_parse_signature` and its siblings), and typed
-eta-long canonical forms (`canonicalize`) instead of untyped eta-short
-ones for conversion.  Shared plumbing (AST types, LF alpha comparison, the
+search over every pivot instead of one backward pass over the binders
+for strictness, instantiate-then-unify backchaining instead of matching
+compiled clause heads, eager folding of every binding instead of a
+triangular substitution, a loop over characters instead of a regular
+expression for the lexer, a tree of pre-terms walked a second time
+instead of one pass over the tokens for the parser
+(`two_pass_parse_signature` and its siblings), and typed eta-long
+canonical forms (`canonicalize`) instead of untyped eta-short ones for
+conversion.  Shared plumbing (AST types, LF alpha comparison, the
 object-level strictness judgment) comes from the package; the decision
 procedures do not.
 
@@ -664,48 +665,40 @@ def has_unifier_bruteforce(lhs: Term, rhs: Term, heads: list[Term],
 
 # ---------------------------------------------------------------------------
 # Strictness by depth-first search: CTX_t explored pivot by pivot, refusing
-# to revisit a judgment already open on the current path.  Exponential in
-# the number of binders, so only for small classifiers.
+# to revisit a judgment already open on the current path.  Every binder of
+# a judgment, the one asked about included, stays a candidate.  Exponential
+# in the number of binders, so only for small classifiers.
 
 _Gamma = tuple[tuple[str, Fam], ...]
 
 
 def dfs_strict_binders(a: Fam) -> frozenset[int]:
     """Indices of the Pi binders of `a` that occur strictly."""
-    binders, base = split_fam_pis(a)
-    out = set()
-    for i in range(len(binders)):
-        if _why_type((), binders[i][0], _remove_binder(binders, base, i),
-                     frozenset()) is not None:
-            out.add(i)
-    return frozenset(out)
+    return frozenset(i for i, (_, strict, _) in
+                     enumerate(dfs_explain_strictness(a)) if strict)
 
 
 def dfs_explain_strictness(a: Fam) -> list[tuple[str, bool, str]]:
     """Per binder: (name, strict?, justifying rule chain or reason)."""
-    binders, base = split_fam_pis(a)
+    names = [name for name, _ in split_fam_pis(a)[0]]
+    gamma, base = dfs_peel((), a)
+    pi = f"PI_t^{len(names) - 1}; " if len(names) > 1 else ""
     report = []
-    for i, (name, _) in enumerate(binders):
-        why = _why_type((), name, _remove_binder(binders, base, i), frozenset())
+    for name, (x, _) in zip(names, gamma):
+        why = _why_base(gamma, x, base, frozenset())
         if why is None:
             report.append((name, False, "no strict occurrence"))
         else:
-            report.append((name, True, why))
+            report.append((name, True, pi + why))
     return report
 
 
-def _remove_binder(binders: list[tuple[str, Fam]], base: Fam, i: int) -> Fam:
-    rest: Fam = base
-    for j in range(len(binders) - 1, -1, -1):
-        if j != i:
-            rest = FPi(binders[j][0], binders[j][1], rest)
-    return rest
-
-
-def _why_type(gamma: _Gamma, x: str, a: Fam,
-              blocked: frozenset) -> Optional[str]:
-    steps = 0
-    taken = {n for n, _ in gamma} | {x}
+def dfs_peel(gamma: _Gamma, a: Fam) -> tuple[_Gamma, Fam]:
+    """Move the Pi binders of `a` onto gamma, each renamed apart from every
+    name bound in gamma or free in a type of gamma or anywhere in `a`."""
+    taken = {n for n, _ in gamma} | free_vars(a)
+    for _, b in gamma:
+        taken |= free_vars(b)
     while isinstance(a, FPi):
         var, body = a.var, a.body
         if var in taken:
@@ -714,8 +707,14 @@ def _why_type(gamma: _Gamma, x: str, a: Fam,
         gamma = gamma + ((var, a.dom),)
         taken.add(var)
         a = body
-        steps += 1
-    why = _why_base(gamma, x, a, blocked)
+    return gamma, a
+
+
+def _why_type(gamma: _Gamma, x: str, a: Fam,
+              blocked: frozenset) -> Optional[str]:
+    inner, base = dfs_peel(gamma, a)
+    why = _why_base(inner, x, base, blocked)
+    steps = len(inner) - len(gamma)
     if why is None:
         return None
     return f"PI_t^{steps}; {why}" if steps else why
@@ -729,7 +728,7 @@ def _why_base(gamma: _Gamma, x: str, base: Fam,
     blocked = blocked | {key}
     head, args = fam_spine(base)
     if isinstance(head, FConst):
-        candidates = frozenset(n for n, _ in gamma) | {x}
+        candidates = frozenset(n for n, _ in gamma)
         for i, arg in enumerate(args):
             inner = _why_obj(candidates, frozenset(), x, arg)
             if inner is not None:

@@ -9,7 +9,7 @@ import re
 from lflp import lf_syntax as lf
 from lflp.engine import Limits, solve
 from lflp.hterms import Atom, ForAll, Imp
-from lflp.inverter import InversionGoal, invert
+from lflp.inverter import invert
 from lflp.lf_kernel import beta_normalize, check_object, check_type, substitute
 from lflp.strictness import explain_strictness, strict_binders
 from lflp.translator import (
@@ -54,9 +54,9 @@ def _invert_solution(sig, qt, sol):
     sub = {}
     for name, lv in qt.var_lvars:
         ty = beta_normalize(substitute(qt.var_types[name], sub))
-        sub[name] = invert(InversionGoal(sig, lf.Context(()), sol.value(lv), ty))
+        sub[name] = invert(sig, lf.Context(()), sol.value(lv), ty)
     fam = beta_normalize(substitute(qt.fam, sub))
-    inhab = invert(InversionGoal(sig, lf.Context(()), sol.value(qt.subject), fam))
+    inhab = invert(sig, lf.Context(()), sol.value(qt.subject), fam)
     return sub, inhab, fam
 
 
@@ -183,8 +183,7 @@ def test_07_encode_invert_round_trip():
     assert len(cases) >= 200
     for m, ty in cases:
         assert oracles.obj_size(m) <= 6
-        back = invert(InversionGoal(sig, lf.Context(()),
-                                    encode_obj(sig, m, {}), ty))
+        back = invert(sig, lf.Context(()), encode_obj(sig, m, {}), ty)
         assert lf.alpha_eq(back, m), lf.print_lf(m)
 
 

@@ -163,6 +163,14 @@ def test_solve_free_variable_reported(capsys):
     assert "inhabitant: foo _A  (not inverted)" in out
 
 
+def test_solve_types_query_variable_under_object_binder(capsys):
+    # F occurs only under [x:tm]; its type is the body's, tm.  The open
+    # answer's printed text is not pinned
+    code, _, err = run_cli(capsys, "solve", str(DATA / "stlc.elf"),
+                           "eval E (lam o ([x:tm] F))")
+    assert code == 0 and err == ""
+
+
 def test_solve_rejects_bad_query(capsys):
     code, _, err = run_cli(capsys, "solve", APPEND, "mystery z")
     assert code == 2
@@ -187,7 +195,7 @@ def test_solve_rejects_negative_count(capsys):
 def test_solve_rechecks_inverted_answers(capsys, monkeypatch):
     import lflp.cli
     # z : nat can inhabit neither the list variable nor the append type.
-    monkeypatch.setattr(lflp.cli, "invert", lambda goal: lf.OConst("z"))
+    monkeypatch.setattr(lflp.cli, "invert", lambda *args: lf.OConst("z"))
     code, out, err = run_cli(capsys, "solve", APPEND,
                              "append (cons (s z) nil) (cons z nil) L")
     assert code == 2
@@ -368,7 +376,7 @@ def test_front_end_scales_to_benchmark_inputs(capsys, tmp_path, make, decls,
 TRANSCRIPT = DATA / "cli_transcript.txt"
 
 _TRANSCRIPT_FILES = ["append.elf", "appendplus.elf", "foo1.elf", "foo2.elf",
-                     "fy.elf", "strict_f.elf", "stlc.elf"]
+                     "fy.elf", "pivot.elf", "strict_f.elf", "stlc.elf"]
 
 _TRANSCRIPT_SOLVES = [
     ["append.elf", "append (cons (s z) nil) (cons z nil) L"],

@@ -1,3 +1,4 @@
+import re
 import time
 
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -204,7 +205,7 @@ def test_pivot_search_terminates_on_deep_chain():
         strict_binders(sig.lookup(name))
 
 
-# --- the fixpoint against the depth-first reference -----------------------
+# --- the backward pass against the depth-first reference -----------------
 
 _EL = lf.FConst("el")
 
@@ -242,8 +243,8 @@ def _binder_types(draw, names, depth):
 def _classifiers(draw):
     """{v0:A0}...{vk:Ak} p _ h _ h', with h and h' binders, so that proof
     binders (those of an r type) can be CTX_t pivots.  A binder type may
-    mention a later binder's name, free there; pivots can then justify
-    each other in a cycle, which only the least fixpoint breaks."""
+    mention a later binder's name, free there; the analysis must rename
+    that later binder apart instead of capturing the name."""
     names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
     a = fam_app(lf.FConst("p"), [
         draw(_objects(names, 2)), lf.OVar(draw(st.sampled_from(names))),
@@ -257,13 +258,15 @@ def _classifiers(draw):
 @settings(max_examples=300, deadline=None)
 @given(_classifiers())
 def test_fixpoint_matches_depth_first_search(a):
+    """The backward pass over the binders explains every binder as the
+    path-blocked search over all pivots does."""
     assert explain_strictness(a) == oracles.dfs_explain_strictness(a)
     assert strict_binders(a) == oracles.dfs_strict_binders(a)
 
 
-def test_pivot_cycle_matches_depth_first_search():
-    # p2's type names p1, free there, so p1 and p2 justify each other;
-    # w's chain goes through p1, which must then be justified without w
+def test_later_binder_does_not_capture_a_free_name():
+    # p2's type names p1, free there; the later binder p1 is renamed apart
+    # (p11), so it is no pivot for p2 and p2 none for it
     def r(a, b):
         return fam_app(lf.FConst("r"), [lf.OVar(a), lf.OVar(b)])
     a = fam_app(lf.FConst("p"), [lf.OConst("zz"), lf.OVar("q"),
@@ -273,7 +276,54 @@ def test_pivot_cycle_matches_depth_first_search():
         a = lf.FPi(name, dom, a)
     report = explain_strictness(a)
     assert report == oracles.dfs_explain_strictness(a)
-    assert "CTX_t(pivot p1) {p1 in target: CTX_t(pivot p2)" in report[0][2]
+    assert [name for name, _, _ in report] == ["w", "p2", "p1", "q"]
+    assert "CTX_t(pivot p11) {p11 in target: CTX_t(pivot q)" in report[0][2]
+    assert not any("pivot p2" in why or "pivot p1)" in why
+                   for _, _, why in report)
+    assert "{p11 in type of q: APP_t(arg 1); INIT_o}" in report[2][2]
+    # z is free in y's type; q's type binds a z of its own, which is
+    # renamed apart from it while w is judged there, so y is no pivot for
+    # that z and w, strict only in z's type, is not strict
+    a = fam_app(lf.FConst("p"), [lf.OConst("zz"), lf.OVar("q"),
+                                    lf.OConst("zz"), lf.OVar("q")])
+    zz = lf.OConst("zz")
+    q_type = lf.FPi("z", r("w", "w"),
+                    fam_app(lf.FConst("r"), [lf.OVar("y"), zz]))
+    for name, dom in reversed([
+            ("y", fam_app(lf.FConst("r"), [lf.OVar("z"), zz])),
+            ("w", _EL), ("q", q_type)]):
+        a = lf.FPi(name, dom, a)
+    report = explain_strictness(a)
+    assert report == oracles.dfs_explain_strictness(a)
+    assert [flag for _, flag, _ in report] == [True, False, True]
+
+
+def _unjustified_pivots(a):
+    """Binders whose chain starts at a CTX_t pivot that is itself reported
+    not strict."""
+    names = [name for name, _ in oracles.dfs_peel((), a)[0]]
+    report = explain_strictness(a)
+    bad = []
+    for name, strict, why in report:
+        pivot = re.match(r"(PI_t\^\d+; )?CTX_t\(pivot (\S+)\)", why)
+        if strict and pivot and not report[names.index(pivot[2])][1]:
+            bad.append(name)
+    return bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(_classifiers())
+def test_every_pivot_is_itself_strict(a):
+    assert _unjustified_pivots(a) == []
+
+
+def test_own_flexible_head_blocks_the_pivot():
+    # c : {x : el -> el} {y : el} {h : r x y} g (x (f x y h)): h occurs
+    # only under x's own head, so h is no pivot for x; x := [z] z0 erases h
+    c = oracles.load_signature("pivot.elf").lookup("c")
+    assert _unjustified_pivots(c) == []
+    assert strict_binders(c) == frozenset()
+    assert oracles.dfs_strict_binders(c) == frozenset()
 
 
 def test_classifier_strategy_reaches_nested_ctx_t():

@@ -173,6 +173,17 @@ def test_optimized_higher_order_premise():
     assert alpha_eq_formula(clause, want)
 
 
+def test_optimized_keeps_premise_of_binder_under_its_own_head():
+    # no binder of pivot.elf's c is strict, so the optimized clause keeps
+    # x's higher-order typing premise, as the naive clause does
+    sig = oracles.load_signature("pivot.elf")
+    premise = r"pi X1\ (hastype X1 el => hastype (X X1) el)"
+    for mode in ["naive", "optimized"]:
+        text = emit_lambdaprolog(translate_signature(sig, mode=mode))
+        clause = text.splitlines()[-1]
+        assert "hastype (c X Y H)" in clause and premise in clause
+
+
 def _shape(clause):
     """Quantifier count and premise list along the clause spine."""
     premises = []
@@ -189,7 +200,8 @@ def _shape(clause):
 
 
 def test_premise_count_equals_nonstrict_binders():
-    for name in ["append.elf", "strict_f.elf", "fy.elf", "appendplus.elf"]:
+    for name in ["append.elf", "strict_f.elf", "fy.elf", "appendplus.elf",
+                 "pivot.elf"]:
         sig = oracles.load_signature(name)
         prog = translate_signature(sig, mode="optimized")
         obj_decls = [d for d in sig.decls if isinstance(d, lf.ObjDecl)]
@@ -293,6 +305,19 @@ def test_query_translation_basics():
     assert qt.var_types["M"] == lf.FConst("list")
     assert qt.goal.pred == "hastype"
     assert qt.goal.args[0] == qt.subject
+
+
+def test_query_variables_typed_under_object_binders():
+    sig = oracles.load_signature("stlc.elf")
+    for text, name, ty in [("eval E (lam o ([x:tm] F))", "F", "tm"),
+                           ("eval E (lam o ([x:tm] lam T ([y:tm] x)))",
+                            "T", "tp"),
+                           # the bound T is not the query's T
+                           ("eval (lam o ([T:tm] T)) (lam T ([x:tm] x))",
+                            "T", "tp")]:
+        free, fam = lf.parse_query(text, sig)
+        qt = translate_query(sig, free, fam)
+        assert qt.var_types[name] == lf.FConst(ty)
 
 
 def test_query_variable_type_conflict():
