@@ -12,12 +12,14 @@ for an inverted answer that fails the kernel's re-check.  The `lflp`
 command (`run`) also exits 2, with one `error:` line on stderr instead
 of a traceback, for an input nested past Python's recursion limit or a
 normalization past its step budget; `main` lets those two exceptions
-reach an in-process caller.
+reach an in-process caller.  The argument parser is built on the first
+call to `main` and reused by later calls in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -28,7 +30,7 @@ from .hterms import Const, LVar, Term, lvars_in_order
 from .inverter import InversionError, invert
 from .lf_kernel import (
     LFFuelError, LFTypeError, beta_normalize, check_object, check_signature,
-    instantiate,
+    instantiate_normal,
 )
 from .strictness import explain_strictness
 from .translator import (
@@ -38,7 +40,10 @@ from .translator import (
 from .unify import Subst
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use rather than at import, so importing the module
+    # stays as cheap as before
     parser = argparse.ArgumentParser(
         prog="lflp",
         description="Check LF signatures, translate them to hereditary "
@@ -76,9 +81,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_str.add_argument("file")
     p_str.add_argument("--explain-strictness", action="store_true",
                        dest="explain", help="show the justifying rule chain")
+    return parser
 
+
+def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 
@@ -217,12 +225,19 @@ def _inverted(sig: lf.Signature, term: Term, ty: lf.Fam) -> Optional[lf.Obj]:
 def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
     values = [sol.value(v) for _, v in qt.var_lvars]
     subject_val = sol.value(qt.subject)
-    frees = _canonical_frees(values + [subject_val])
+    frees: dict[LVar, str] = {}
+
+    def raw(t: Term) -> str:
+        # names for the unbound variables, made on the first raw line
+        if not frees:
+            frees.update(_canonical_frees(values + [subject_val]))
+        return f"{_show_hohh(t, frees)}  (not inverted)"
+
     lines = []
     sub: dict[str, lf.Obj] = {}
     inverted_all = True
     for (name, _), val in zip(qt.var_lvars, values):
-        ty = instantiate(qt.var_types[name], sub)
+        ty = instantiate_normal(qt.var_types[name], sub)
         obj = None
         if lf.free_vars(ty) <= set(sub):
             obj = _inverted(sig, val, ty)
@@ -231,16 +246,15 @@ def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
             lines.append(f"{name} = {lf.print_lf(obj)}")
         else:
             inverted_all = False
-            lines.append(f"{name} = {_show_hohh(val, frees)}  (not inverted)")
+            lines.append(f"{name} = {raw(val)}")
     inhabitant = None
     if inverted_all:
-        ty = instantiate(qt.fam, sub)
+        ty = instantiate_normal(qt.fam, sub)
         inhabitant = _inverted(sig, subject_val, ty)
     if inhabitant is not None:
         lines.append(f"inhabitant: {lf.print_lf(inhabitant)}")
     else:
-        lines.append(f"inhabitant: {_show_hohh(subject_val, frees)}"
-                     "  (not inverted)")
+        lines.append(f"inhabitant: {raw(subject_val)}")
     return lines
 
 

@@ -138,24 +138,24 @@ class _Clause(NamedTuple):
 
     Its quantified variables are numbered slots: ``slots[i]`` holds the
     reserved bound name ``#i`` that stands for slot i in ``head`` (the
-    head's arguments) and in ``premises``, and the name prefix and simple
-    type of the logic variable the slot becomes when no goal subterm
-    fills it.  No lambda binder is named ``#i``, so a slot value never
-    needs renaming apart.  ``keys`` has one entry per head argument: the
-    name of the argument's rigid head (a constant or an eigenvariable),
-    or None when the head is a slot, a logic variable or a lambda, which
-    any goal argument may match; the last one files the clause in the
-    database.  ``pred`` is None for a formula that is not a definite
-    clause.  ``writable`` says that the head mentions no logic variable
-    (every program clause, and a hypothesis built from eigenvariables
-    alone): an instance of its subterms then mentions only goal
-    subterms and fresh variables, so a goal variable that occurs once
-    may be bound to one directly, in write mode."""
+    templates of the head's arguments) and in ``premises``, and the name
+    prefix and simple type of the logic variable the slot becomes when
+    no goal subterm fills it.  No lambda binder is named ``#i``, so a
+    slot value never needs renaming apart.  ``keys`` has one entry per
+    head argument: the name of the argument's rigid head (a constant or
+    an eigenvariable), or None when the head is a slot, a logic variable
+    or a lambda, which any goal argument may match; the last one files
+    the clause in the database.  ``pred`` is None for a formula that is
+    not a definite clause.  ``writable`` says that the head mentions no
+    logic variable (every program clause, and a hypothesis built from
+    eigenvariables alone): an instance of its subterms then mentions
+    only goal subterms and fresh variables, so a goal variable that
+    occurs once may be bound to one directly, in write mode."""
 
     pred: Optional[str]
     keys: tuple[Optional[str], ...]
     slots: tuple[tuple[str, str, SimpleType], ...]
-    head: tuple[Term, ...]
+    head: tuple["_Template", ...]
     premises: tuple[Formula, ...]
     writable: bool
 
@@ -176,14 +176,32 @@ def _compile(clause: Formula) -> _Clause:
                 premises.append(subst_formula(g, ren))
                 f = d
             case Atom(pred, args):
-                head = tuple(subst_term(a, ren) for a in args)
-                return _Clause(pred, tuple(_key(term_spine(a)[0])
-                                           for a in head),
+                head = tuple(_template(subst_term(a, ren)) for a in args)
+                return _Clause(pred, tuple(_key(t.head) for t in head),
                                tuple(slots), head, tuple(premises),
-                               not any(isinstance(x, LVar)
-                                       for x in term_leaves(head)))
+                               not any(isinstance(x, LVar) for x in
+                                       term_leaves(t.term for t in head)))
             case _:
                 return _Clause(None, (), (), (), (), False)
+
+
+class _Template(NamedTuple):
+    """A head argument of a compiled clause, split once into its head
+    and argument templates.  ``head`` is the rigid head (a constant or an
+    eigenvariable), or None for a slot, a lambda or a flexible term;
+    ``args`` are then empty.  ``term`` is the template itself, which a
+    write or a deferred pair instantiates."""
+
+    term: Term
+    head: Optional[Term]
+    args: tuple["_Template", ...]
+
+
+def _template(t: Term) -> _Template:
+    h, args = term_spine(t)
+    if isinstance(h, (Const, EVar)):
+        return _Template(t, h, tuple(_template(a) for a in args))
+    return _Template(t, None, ())
 
 
 def _key(head: Term) -> Optional[str]:
@@ -278,7 +296,7 @@ def _prove(goal: Formula, db: _Database, univ: int, sigma: Subst,
             raise TypeError(f"not a goal formula: {goal!r}")
 
 
-def _match(t: Term, g: Term, inst: dict[str, Term],
+def _match(t: _Template, g: Term, inst: dict[str, Term],
            defer: list[tuple[Term, Term]], writes: list[tuple[LVar, Term]],
            once: frozenset[str]) -> bool:
     """Match the template `t` against the resolved goal term `g`.
@@ -291,34 +309,34 @@ def _match(t: Term, g: Term, inst: dict[str, Term],
     `once` that meets a rigid template or a filled slot is a write: it
     goes on `writes` as (variable, template).  Every other pair is left
     to unification: it goes on `defer` as (goal side, template)."""
-    if isinstance(t, BVar):
-        prev = inst.get(t.name)
+    term, th, targs = t
+    if isinstance(term, BVar):
+        prev = inst.get(term.name)
         if prev is None:
             if not isinstance(g, Lam):
                 h = g
                 while isinstance(h, App):
                     h = h.fn
                 if h is g or not isinstance(h, LVar):
-                    inst[t.name] = g
+                    inst[term.name] = g
                     return True
         elif prev is g or prev == g:
             return True
         elif isinstance(g, LVar) and g.name in once:
-            writes.append((g, t))
+            writes.append((g, term))
             return True
-        defer.append((g, t))
+        defer.append((g, term))
         return True
-    th, targs = term_spine(t)
-    if isinstance(th, (Const, EVar)):
+    if th is not None:
         if isinstance(g, LVar) and g.name in once:
-            writes.append((g, t))
+            writes.append((g, term))
             return True
         gh, gargs = term_spine(g)
         if isinstance(gh, (Const, EVar)):
             return (gh == th and len(gargs) == len(targs)
                     and all(_match(a, b, inst, defer, writes, once)
                             for a, b in zip(targs, gargs)))
-    defer.append((g, t))
+    defer.append((g, term))
     return True
 
 

@@ -4,8 +4,10 @@ Type erasure is not injective on its own, but relative to a known LF
 type every simply typed answer determines at most one LF object: a Pi
 dictates a lambda whose annotation it supplies, and an application
 head names a signature constant or context variable whose classifier
-types the arguments one by one, each under the substitution built from
-those before it.  An answer that is not a lambda at a Pi type is
+types the arguments in one loop over the spine, each at its binder's
+domain instantiated by the objects inverted before it.  The objects
+built here are beta-normal, so an instantiation normalizes only when it
+puts a lambda in place.  An answer that is not a lambda at a Pi type is
 eta-expanded on the fly, as the unifier does: `t` stands for
 `[x:A] t x`, so eta-short answers invert to canonical LF objects.  The
 reconstruction checks its own work: after the spine is rebuilt, the
@@ -24,7 +26,7 @@ from .hterms import (
     subst_term, term_spine, type_of,
 )
 from .lf_kernel import (
-    beta_eta_equal, beta_normalize, instantiate, normal_classifier,
+    beta_eta_equal, beta_normalize, instantiate_normal, normal_classifier,
 )
 
 
@@ -64,7 +66,8 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam) -> lf.Obj:
         var = ty.var
         if var in taken:
             var = lf.fresh_name(var, taken)
-        body_ty = instantiate(ty.body, {ty.var: lf.OVar(var)})
+        body_ty = (ty.body if var == ty.var
+                   else instantiate_normal(ty.body, {ty.var: lf.OVar(var)}))
         if not isinstance(t, Lam):
             # eta-expanded on the fly, as the unifier does
             simple = type_of(t)
@@ -96,20 +99,21 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam) -> lf.Obj:
             raise InversionError(f"answer not closed: free {name}")
         case _:
             raise InversionError(f"cannot invert head {head!r}")
-    binders, target = lf.split_fam_pis(classifier)
-    if len(args) != len(binders):
+    arity = len(lf.split_fam_pis(classifier)[0])
+    if len(args) != arity:
         raise InversionError(
-            f"{_head_name(lf_head)} takes {len(binders)} arguments, "
-            f"got {len(args)}")
+            f"{_head_name(lf_head)} takes {arity} arguments, got {len(args)}")
     sub: dict[str, lf.Obj] = {}
     inv_args: list[lf.Obj] = []
-    for (bname, bty), arg in zip(binders, args):
-        expected = instantiate(bty, sub)
-        inv = _invert(sig, ctx, arg, expected)
+    rest = classifier
+    for arg in args:
+        inv = _invert(sig, ctx, arg,
+                      instantiate_normal(rest.dom, sub) if sub else rest.dom)
         inv_args.append(inv)
-        sub = dict(sub)
-        sub[bname] = inv
-    final = instantiate(target, sub)
+        if lf.occurs_free(rest.var, rest.body):
+            sub[rest.var] = inv
+        rest = rest.body
+    final = instantiate_normal(rest, sub) if sub else rest
     if final != ty and not beta_eta_equal(final, ty):
         raise InversionError(
             f"head {_head_name(lf_head)} yields {lf.print_lf(final)}, "

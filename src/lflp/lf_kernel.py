@@ -13,6 +13,14 @@ A constant's classifier is normalized once per signature, by
 `normal_classifier`, and every rule reads it from there.  The checker
 accepts a `Signature` or a `SignaturePrefix`: `check_signature` checks each
 declaration against a prefix view of the declarations before it.
+
+An application `c M1 ... Mn`, of an object or of a type family, is typed
+in one loop over its spine: each Mi is checked against its binder's
+domain instantiated by M1 ... M(i-1), all held in one simultaneous map,
+and the target is instantiated once at the end.  Synthesis also reports
+whether the object is beta-normal, so each argument's normality is
+decided once, when it is checked, and an instantiation by normal
+arguments normalizes only when it puts a lambda in place.
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ from typing import Mapping, Optional, Union
 from .lf_syntax import (
     Context, Expr, Fam, FApp, FConst, FPi, Kind, KindDecl, KPi, KType,
     LFError, Obj, OApp, OConst, OLam, OVar, Signature, SignaturePrefix,
-    alpha_eq, fam_spine, free_vars, fresh_name, occurs_free, print_lf,
+    alpha_eq, fam_spine, free_vars, fresh_name, obj_app, obj_spine,
+    occurs_free, print_lf,
 )
 
 DEFAULT_FUEL = 100000
@@ -53,12 +62,12 @@ def substitute(e: Expr, bindings: Mapping[str, Obj]) -> Expr:
 
     The result may contain beta-redexes; callers normalize when needed.
     """
-    return _subst(e, dict(bindings), {})
+    return _subst(e, bindings, {})
 
 
-def _subst(e: Expr, b: dict[str, Obj], placed: dict[int, Obj]) -> Expr:
+def _subst(e: Expr, b: Mapping[str, Obj], placed: dict[int, Obj]) -> Expr:
     # `placed` collects, by identity, every value put in place of a
-    # variable
+    # variable; a subterm that mentions no key is returned as it is
     if not b:
         return e
     match e:
@@ -75,7 +84,7 @@ def _subst(e: Expr, b: dict[str, Obj], placed: dict[int, Obj]) -> Expr:
             inner = {k: v for k, v in b.items()
                      if k != var and occurs_free(k, body)}
             if not inner:
-                return type(e)(var, dom2, body)
+                return e if dom2 is dom else type(e)(var, dom2, body)
             if any(occurs_free(var, v) for v in inner.values()):
                 # the binder would capture a free name of a range
                 ranges_fv: set[str] = set()
@@ -86,10 +95,12 @@ def _subst(e: Expr, b: dict[str, Obj], placed: dict[int, Obj]) -> Expr:
                 body = _subst(body, {var: OVar(var2)}, placed)
                 var = var2
             return type(e)(var, dom2, _subst(body, inner, placed))
-        case FApp(fn, arg):
-            return FApp(_subst(fn, b, placed), _subst(arg, b, placed))
-        case OApp(fn, arg):
-            return OApp(_subst(fn, b, placed), _subst(arg, b, placed))
+        case FApp(fn, arg) | OApp(fn, arg):
+            fn2 = _subst(fn, b, placed)
+            arg2 = _subst(arg, b, placed)
+            if fn2 is fn and arg2 is arg:
+                return e
+            return type(e)(fn2, arg2)
     raise TypeError(f"not an LF expression: {e!r}")
 
 
@@ -100,11 +111,21 @@ def instantiate(e: Expr, bindings: Mapping[str, Obj]) -> Expr:
     is put, so when every value put in place is one, the substitution is
     already normal and no second pass is made."""
     placed: dict[int, Obj] = {}
-    e = _subst(e, dict(bindings), placed)
+    e = _subst(e, bindings, placed)
     if all(not isinstance(v, OLam) and _is_normal(v)
            for v in placed.values()):
         return e
     return beta_normalize(e)
+
+
+def instantiate_normal(e: Expr, bindings: Mapping[str, Obj]) -> Expr:
+    """`instantiate` for values known to be beta-normal: only a lambda
+    put in place can make a redex, so no value is walked to find out."""
+    placed: dict[int, Obj] = {}
+    e = _subst(e, bindings, placed)
+    if any(isinstance(v, OLam) for v in placed.values()):
+        return beta_normalize(e)
+    return e
 
 
 def _is_normal(e: Expr) -> bool:
@@ -139,23 +160,27 @@ def _spend(cell: list[int]) -> None:
 
 
 def _norm(e: Expr, cell: list[int]) -> Expr:
+    # a subterm that is already normal is returned as it is
     match e:
         case KType() | FConst() | OConst() | OVar():
             return e
-        case KPi(var, dom, body):
-            return KPi(var, _norm(dom, cell), _norm(body, cell))
-        case FPi(var, dom, body):
-            return FPi(var, _norm(dom, cell), _norm(body, cell))
-        case OLam(var, dom, body):
-            return OLam(var, _norm(dom, cell), _norm(body, cell))
+        case KPi(var, dom, body) | FPi(var, dom, body) | OLam(var, dom, body):
+            dom2 = _norm(dom, cell)
+            body2 = _norm(body, cell)
+            if dom2 is dom and body2 is body:
+                return e
+            return type(e)(var, dom2, body2)
         case FApp(fn, arg):
-            return FApp(_norm(fn, cell), _norm(arg, cell))
+            fn2 = _norm(fn, cell)
+            arg2 = _norm(arg, cell)
+            return e if fn2 is fn and arg2 is arg else FApp(fn2, arg2)
         case OApp(fn, arg):
             fn2 = _norm(fn, cell)
             if isinstance(fn2, OLam):
                 _spend(cell)
                 return _norm(substitute(fn2.body, {fn2.var: arg}), cell)
-            return OApp(fn2, _norm(arg, cell))
+            arg2 = _norm(arg, cell)
+            return e if fn2 is fn and arg2 is arg else OApp(fn2, arg2)
     raise TypeError(f"not an LF expression: {e!r}")
 
 
@@ -223,6 +248,7 @@ def check_signature(sig: Signature) -> None:
             else:
                 k = check_type(prefix, Context(), d.fam)
                 if not isinstance(k, KType):
+                    k = _printed(prefix, Context(), d.fam)
                     raise LFTypeError(
                         f"classifier of {d.name!r} has kind {k}, not type",
                         rule="type-sig")
@@ -239,8 +265,8 @@ def check_kind(sig: Signature, ctx: Context, k: Kind) -> None:
         case KType():
             return
         case KPi(var, dom, body):
-            dk = check_type(sig, ctx, dom)
-            if not isinstance(dk, KType):
+            if not isinstance(check_type(sig, ctx, dom), KType):
+                dk = _printed(sig, ctx, dom)
                 raise LFTypeError(f"Pi domain {dom} has kind {dk}, not type",
                                   rule="pi-kind")
             var, body = _freshen_binder(var, body, ctx)
@@ -261,40 +287,37 @@ def check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
                                   rule="var-fam")
             return k
         case FPi(var, dom, body):
-            dk = check_type(sig, ctx, dom)
-            if not isinstance(dk, KType):
+            if not isinstance(check_type(sig, ctx, dom), KType):
+                dk = _printed(sig, ctx, dom)
                 raise LFTypeError(f"Pi domain {dom} has kind {dk}, not type",
                                   rule="pi-fam")
             var, body = _freshen_binder(var, body, ctx)
-            bk = check_type(sig, ctx.extend(var, beta_normalize(dom)), body)
-            if not isinstance(bk, KType):
+            inner = ctx.extend(var, beta_normalize(dom))
+            if not isinstance(check_type(sig, inner, body), KType):
+                bk = _printed(sig, inner, body)
                 raise LFTypeError(f"Pi body {body} has kind {bk}, not type",
                                   rule="pi-fam")
             return KType()
-        case FApp(fn, arg):
-            k = check_type(sig, ctx, fn)
-            if not isinstance(k, KPi):
-                head, _ = fam_spine(fn)
-                name = head.name if isinstance(head, FConst) else str(head)
-                raise LFTypeError(f"too many arguments to {name!r}", rule="app-fam")
-            check_object(sig, ctx, arg, expected=k.dom, _rule="app-fam")
-            return _instantiate(k, arg)
+        case FApp():
+            head, args = fam_spine(a)
+            k = check_type(sig, ctx, head)
+            return _check_spine(sig, ctx, head, k, args, "app-fam")[0]
     raise TypeError(f"not a type family: {a!r}")
 
 
 def check_object(sig: Signature, ctx: Context, m: Obj,
-                 expected: Optional[Fam] = None, _rule: str = "app-obj") -> Fam:
+                 expected: Optional[Fam] = None) -> Fam:
     """Synthesize the beta-normal type of `m`; compare to `expected` if given."""
-    t = _synth_obj(sig, ctx, m)
+    t, _ = _synth_obj(sig, ctx, m)
     if expected is not None and t != expected:
         want = beta_normalize(expected)
         if not beta_eta_equal(t, want):
-            raise LFTypeError(f"{print_brief(m)} has type {t}, expected {want}",
-                              rule=_rule)
+            raise _mismatch(m, _printed(sig, ctx, m), want, "app-obj")
     return t
 
 
-def _synth_obj(sig: Signature, ctx: Context, m: Obj) -> Fam:
+def _synth_obj(sig: Signature, ctx: Context, m: Obj) -> tuple[Fam, bool]:
+    # the beta-normal type of `m`, and whether `m` is itself beta-normal
     match m:
         case OConst(name):
             a = normal_classifier(sig, name)
@@ -303,37 +326,105 @@ def _synth_obj(sig: Signature, ctx: Context, m: Obj) -> Fam:
             if not isinstance(a, (FConst, FPi, FApp)):
                 raise LFTypeError(f"type constant {name!r} used as an object",
                                   rule="var-obj")
-            return a
+            return a, True
         case OVar(name):
             a = ctx.lookup(name)
             if a is None:
                 raise LFTypeError(f"unbound variable {name!r}", rule="var-obj")
-            return beta_normalize(a)
+            return beta_normalize(a), True
         case OLam(var, dom, body):
-            dk = check_type(sig, ctx, dom)
-            if not isinstance(dk, KType):
+            if not isinstance(check_type(sig, ctx, dom), KType):
+                dk = _printed(sig, ctx, dom)
                 raise LFTypeError(f"binder type {dom} has kind {dk}, not type",
                                   rule="abs-obj")
             dom_n = beta_normalize(dom)
             var, body = _freshen_binder(var, body, ctx)
-            bt = _synth_obj(sig, ctx.extend(var, dom_n), body)
-            return FPi(var, dom_n, bt)
-        case OApp(fn, arg):
-            ft = _synth_obj(sig, ctx, fn)
-            if not isinstance(ft, FPi):
-                raise LFTypeError(f"{print_brief(fn)} of type {ft} applied to an argument",
-                                  rule="app-obj")
-            check_object(sig, ctx, arg, expected=ft.dom, _rule="app-obj")
-            return _instantiate(ft, arg)
+            bt, normal = _synth_obj(sig, ctx.extend(var, dom_n), body)
+            return FPi(var, dom_n, bt), normal and dom_n is dom
+        case OApp():
+            head, args = obj_spine(m)
+            ht, normal = _synth_obj(sig, ctx, head)
+            t, args_normal = _check_spine(sig, ctx, head, ht, args, "app-obj")
+            return t, normal and args_normal and not isinstance(head, OLam)
     raise TypeError(f"not an object: {m!r}")
 
 
-def _instantiate(pi: Union[KPi, FPi], arg: Obj) -> Union[Kind, Fam]:
-    # the body of a beta-normal Pi is normal; a binder it does not use
-    # leaves it as it is
-    if not occurs_free(pi.var, pi.body):
-        return pi.body
-    return instantiate(pi.body, {pi.var: arg})
+def _check_spine(sig: Signature, ctx: Context, head: Expr,
+                 pi: Union[Kind, Fam], args: list[Obj],
+                 rule: str) -> tuple[Union[Kind, Fam], bool]:
+    # The application of `head`, of classifier `pi`, to `args`: each
+    # argument is checked against its binder's domain instantiated by the
+    # arguments before it, all held in one map, and the rest of `pi` is
+    # instantiated once at the end.  A non-normal argument is placed as
+    # its normal form, so every instantiation may skip the normality
+    # walk.  Returns the instantiated rest and whether every argument is
+    # beta-normal.
+    sub: dict[str, Obj] = {}
+    normal = True
+    rest = pi
+    for i, arg in enumerate(args):
+        if not isinstance(rest, (KPi, FPi)):
+            raise _too_many(sig, ctx, head, args[:i], rule)
+        dom = instantiate_normal(rest.dom, sub) if sub else rest.dom
+        t, arg_normal = _synth_obj(sig, ctx, arg)
+        if t != dom and not beta_eta_equal(t, dom):
+            want = _one_by_one(_printed(sig, ctx, head), args[:i]).dom
+            raise _mismatch(arg, _printed(sig, ctx, arg), want, rule)
+        if not arg_normal:
+            normal = False
+            arg = beta_normalize(arg)
+        if occurs_free(rest.var, rest.body):
+            sub[rest.var] = arg
+        rest = rest.body
+    return (instantiate_normal(rest, sub) if sub else rest), normal
+
+
+def _mismatch(m: Obj, t: Fam, want: Fam, rule: str) -> LFTypeError:
+    return LFTypeError(f"{print_brief(m)} has type {t}, expected {want}",
+                       rule=rule)
+
+
+def _too_many(sig: Signature, ctx: Context, head: Expr, args: list[Obj],
+              rule: str) -> LFTypeError:
+    if rule == "app-fam":
+        name = head.name if isinstance(head, FConst) else str(head)
+        return LFTypeError(f"too many arguments to {name!r}", rule=rule)
+    fn = obj_app(head, args)
+    return LFTypeError(f"{print_brief(fn)} of type {_printed(sig, ctx, fn)} "
+                       "applied to an argument", rule=rule)
+
+
+# Error messages print classifiers as the kernel built them when it typed
+# an application one argument at a time: where a binder must be renamed
+# to avoid capture, one simultaneous map can pick another fresh name.
+# These two functions rebuild a classifier that way for a message; they
+# decide nothing, and run only once a check has failed.
+
+def _printed(sig: Signature, ctx: Context, e: Expr) -> Union[Kind, Fam]:
+    # the classifier of `e`, whose parts are known to be well typed
+    match e:
+        case OConst(name) | FConst(name):
+            return normal_classifier(sig, name)
+        case OVar(name):
+            return beta_normalize(ctx.lookup(name))
+        case FPi():
+            return KType()
+        case OLam(var, dom, body):
+            dom_n = beta_normalize(dom)
+            var, body = _freshen_binder(var, body, ctx)
+            return FPi(var, dom_n, _printed(sig, ctx.extend(var, dom_n), body))
+        case OApp():
+            head, args = obj_spine(e)
+        case FApp():
+            head, args = fam_spine(e)
+    return _one_by_one(_printed(sig, ctx, head), args)
+
+
+def _one_by_one(pi: Union[Kind, Fam], args: list[Obj]) -> Union[Kind, Fam]:
+    for arg in args:
+        pi = (instantiate(pi.body, {pi.var: arg})
+              if occurs_free(pi.var, pi.body) else pi.body)
+    return pi
 
 
 def _freshen_binder(var: str, body: Expr, ctx: Context) -> tuple[str, Expr]:

@@ -38,7 +38,8 @@ from .hterms import (
     fresh_lvar_at, term_spine,
 )
 from .lf_kernel import (
-    LFTypeError, beta_normalize, check_type, instantiate, normal_classifier,
+    LFTypeError, beta_normalize, check_type, instantiate_normal,
+    normal_classifier,
 )
 
 
@@ -189,15 +190,18 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
         kind = normal_classifier(sig, head.name)
         if not isinstance(kind, (lf.KType, lf.KPi)):
             raise TranslationError(f"{head.name} is not a type constant")
+        scan_args(head.name, kind, args)
+
+    def scan_args(name: str, pi: Union[lf.Kind, lf.Fam], args: list[lf.Obj]):
+        # each argument at its Pi binder's domain, instantiated by the
+        # arguments before it
         sub: dict[str, lf.Obj] = {}
         for arg in args:
-            if not isinstance(kind, lf.KPi):
-                raise TranslationError(f"too many arguments to {head.name}")
-            expected = instantiate(kind.dom, sub)
-            scan_obj(arg, expected)
-            sub = dict(sub)
-            sub[kind.var] = arg
-            kind = kind.body
+            if not isinstance(pi, (lf.KPi, lf.FPi)):
+                raise TranslationError(f"too many arguments to {name}")
+            scan_obj(arg, instantiate_normal(pi.dom, sub) if sub else pi.dom)
+            sub[pi.var] = arg
+            pi = pi.body
 
     def scan_obj(m: lf.Obj, expected: lf.Fam):
         if isinstance(m, lf.OLam):
@@ -205,8 +209,8 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
             if isinstance(expected, lf.FPi):
                 var = lf.OVar(lf.fresh_name(m.var, {
                     *free, *lf.free_vars(m), *lf.free_vars(expected)}))
-                scan_obj(instantiate(m.body, {m.var: var}),
-                         instantiate(expected.body, {expected.var: var}))
+                scan_obj(instantiate_normal(m.body, {m.var: var}),
+                         instantiate_normal(expected.body, {expected.var: var}))
             return
         ohead, oargs = lf.obj_spine(m)
         if isinstance(ohead, lf.OVar) and ohead.name in free:
@@ -221,14 +225,7 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
             fam = normal_classifier(sig, ohead.name)
             if fam is None or isinstance(fam, (lf.KType, lf.KPi)):
                 raise TranslationError(f"unknown object constant {ohead.name}")
-            sub: dict[str, lf.Obj] = {}
-            for arg in oargs:
-                if not isinstance(fam, lf.FPi):
-                    raise TranslationError(f"too many arguments to {ohead.name}")
-                scan_obj(arg, instantiate(fam.dom, sub))
-                sub = dict(sub)
-                sub[fam.var] = arg
-                fam = fam.body
+            scan_args(ohead.name, fam, oargs)
 
     scan(a)
     missing = [n for n in free if n not in types]

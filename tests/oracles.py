@@ -11,9 +11,10 @@ compiled clause heads, eager folding of every binding instead of a
 triangular substitution, a loop over characters instead of a regular
 expression for the lexer, a tree of pre-terms walked a second time
 instead of one pass over the tokens for the parser
-(`two_pass_parse_signature` and its siblings), and typed eta-long
-canonical forms (`canonicalize`) instead of untyped eta-short ones for
-conversion.  Shared plumbing (AST types, LF alpha comparison, the
+(`two_pass_parse_signature` and its siblings), application typed one
+argument at a time (`ref_check_object`, `ref_check_type`) instead of one
+loop over the spine, and typed eta-long canonical forms (`canonicalize`)
+instead of untyped eta-short ones for conversion.  Shared plumbing (AST types, LF alpha comparison, the
 object-level strictness judgment) comes from the package; the decision
 procedures do not.
 
@@ -38,8 +39,8 @@ from lflp.lf_syntax import (
     fam_spine, free_vars, fresh_name, obj_app, obj_spine, split_fam_pis,
 )
 from lflp.lf_kernel import (
-    LFTypeError, beta_normalize, check_signature, normal_classifier,
-    substitute,
+    LFTypeError, beta_eta_equal, beta_normalize, check_signature, instantiate,
+    normal_classifier, print_brief, substitute,
 )
 from lflp.engine import (
     Limits, Solution, SolveRun, _canon_key, _compile, _database, _extract,
@@ -1123,6 +1124,107 @@ def two_pass_parse_object(text: str, sig: Optional[Signature] = None) -> Obj:
         raise LFSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
     elab = _Elab(parser.names_since(0), sig=sig)
     return elab.obj(body, {})
+
+
+# ---------------------------------------------------------------------------
+# The application rules one argument at a time: `c M1 ... Mn` is typed by
+# instantiating the whole remaining Pi body with each Mi in turn.  The
+# kernel types a spine in one loop under one simultaneous map instead.
+# Abstraction and Pi rules are the kernel's, restated so that every
+# nested application goes through the rules here.
+
+def ref_check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
+    """The kind of `a`, or LFTypeError, by the one-at-a-time rules."""
+    match a:
+        case FConst(name):
+            k = normal_classifier(sig, name)
+            if k is None:
+                raise LFTypeError(f"unknown type constant {name!r}", rule="var-fam")
+            if not isinstance(k, (KType, KPi)):
+                raise LFTypeError(f"object constant {name!r} used as a type",
+                                  rule="var-fam")
+            return k
+        case FPi(var, dom, body):
+            dk = ref_check_type(sig, ctx, dom)
+            if not isinstance(dk, KType):
+                raise LFTypeError(f"Pi domain {dom} has kind {dk}, not type",
+                                  rule="pi-fam")
+            var, body = _ref_freshen(var, body, ctx)
+            bk = ref_check_type(sig, ctx.extend(var, beta_normalize(dom)), body)
+            if not isinstance(bk, KType):
+                raise LFTypeError(f"Pi body {body} has kind {bk}, not type",
+                                  rule="pi-fam")
+            return KType()
+        case FApp(fn, arg):
+            k = ref_check_type(sig, ctx, fn)
+            if not isinstance(k, KPi):
+                head, _ = fam_spine(fn)
+                name = head.name if isinstance(head, FConst) else str(head)
+                raise LFTypeError(f"too many arguments to {name!r}", rule="app-fam")
+            ref_check_object(sig, ctx, arg, expected=k.dom, rule="app-fam")
+            return _ref_instantiate(k, arg)
+    raise TypeError(f"not a type family: {a!r}")
+
+
+def ref_check_object(sig: Signature, ctx: Context, m: Obj,
+                     expected: Optional[Fam] = None,
+                     rule: str = "app-obj") -> Fam:
+    """The type of `m`, compared to `expected` if given, or LFTypeError,
+    by the one-at-a-time rules."""
+    t = _ref_synth_obj(sig, ctx, m)
+    if expected is not None and t != expected:
+        want = beta_normalize(expected)
+        if not beta_eta_equal(t, want):
+            raise LFTypeError(f"{print_brief(m)} has type {t}, expected {want}",
+                              rule=rule)
+    return t
+
+
+def _ref_synth_obj(sig: Signature, ctx: Context, m: Obj) -> Fam:
+    match m:
+        case OConst(name):
+            a = normal_classifier(sig, name)
+            if a is None:
+                raise LFTypeError(f"unknown constant {name!r}", rule="var-obj")
+            if not isinstance(a, (FConst, FPi, FApp)):
+                raise LFTypeError(f"type constant {name!r} used as an object",
+                                  rule="var-obj")
+            return a
+        case OVar(name):
+            a = ctx.lookup(name)
+            if a is None:
+                raise LFTypeError(f"unbound variable {name!r}", rule="var-obj")
+            return beta_normalize(a)
+        case OLam(var, dom, body):
+            dk = ref_check_type(sig, ctx, dom)
+            if not isinstance(dk, KType):
+                raise LFTypeError(f"binder type {dom} has kind {dk}, not type",
+                                  rule="abs-obj")
+            dom_n = beta_normalize(dom)
+            var, body = _ref_freshen(var, body, ctx)
+            return FPi(var, dom_n,
+                       _ref_synth_obj(sig, ctx.extend(var, dom_n), body))
+        case OApp(fn, arg):
+            ft = _ref_synth_obj(sig, ctx, fn)
+            if not isinstance(ft, FPi):
+                raise LFTypeError(f"{print_brief(fn)} of type {ft} applied to an argument",
+                                  rule="app-obj")
+            ref_check_object(sig, ctx, arg, expected=ft.dom)
+            return _ref_instantiate(ft, arg)
+    raise TypeError(f"not an object: {m!r}")
+
+
+def _ref_instantiate(pi: Union[KPi, FPi], arg: Obj) -> Union[Kind, Fam]:
+    if not lf.occurs_free(pi.var, pi.body):
+        return pi.body
+    return instantiate(pi.body, {pi.var: arg})
+
+
+def _ref_freshen(var: str, body: Expr, ctx: Context) -> tuple[str, Expr]:
+    if var in ctx.names():
+        var2 = fresh_name(var, ctx.names() | free_vars(body))
+        return var2, substitute(body, {var: OVar(var2)})
+    return var, body
 
 
 # ---------------------------------------------------------------------------

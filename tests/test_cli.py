@@ -6,13 +6,16 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from lflp import cli, lf_syntax as lf
+from lflp import cli, lf_kernel, lf_syntax as lf
 from lflp.cli import main
+from lflp.engine import Limits, solve
 from lflp.lf_kernel import LFFuelError, check_object
+from lflp.translator import translate_query, translate_signature
 
 import oracles
 
@@ -303,6 +306,33 @@ def test_reported_inhabitant_type_checks(capsys):
     check_object(sig, lf.Context(), obj, ty)
 
 
+def _captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_built_once_reads_each_call_afresh():
+    # `main` builds its argument parser on the first call and reuses it;
+    # no option of one call may leak into the next.
+    calls = [["solve", "--naive", "-n", "0", "--depth", "12", APPEND,
+              "append L M (cons z nil)"],
+             ["solve", APPEND, "append (cons z nil) nil L"],
+             ["translate", "--no-simplify", APPEND],
+             ["translate", APPEND],
+             ["solve", APPEND],
+             ["--help"]]
+    cli._parser.cache_clear()
+    reused = [_captured(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_captured(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0]
+
+
 # --- scale ----------------------------------------------------------------
 # The largest inputs of the benchmark's deep and compile workloads, through
 # the CLI: a 250-element ground list, and 40 renamed copies of append and
@@ -320,8 +350,8 @@ def _ground_list(n):
     return text
 
 
-def _long_fact_signature():
-    items = _ground_list(250)
+def _long_fact_signature(n=250):
+    items = _ground_list(n)
     return ((DATA / "appendplus.elf").read_text()
             + f"\nfact : append nil ({items}) ({items}).\n")
 
@@ -363,6 +393,75 @@ def test_front_end_scales_to_benchmark_inputs(capsys, tmp_path, make, decls,
     assert code == 0 and _program_shape(out) == optimized
     code, out, _ = _timed_cli(capsys, "translate", "--naive", str(path))
     assert code == 0 and _program_shape(out) == naive
+
+
+# --- work counts ----------------------------------------------------------
+# Exporting an answer types each application spine once, in the inverter
+# and in the kernel's re-check, so the substitution work grows with the
+# printed inhabitant, not faster.  Typed one argument at a time (the rule
+# `oracles.ref_check_object` keeps), the 8+8 export makes 3449 `_subst`
+# calls and the 16+16 one 11353; one loop per spine makes 502 and 982.
+
+def _lf_nodes(m):
+    match m:
+        case lf.OLam(_, _, body):
+            return 1 + _lf_nodes(body)
+        case lf.OApp(fn, arg):
+            return 1 + _lf_nodes(fn) + _lf_nodes(arg)
+    return 1
+
+
+def _export_work(monkeypatch, n):
+    """(`_subst` calls, LF nodes of the inhabitant) for the optimized
+    answer to `append <n> <n> L`."""
+    sig = oracles.load_signature("append.elf")
+    items = _ground_list(n)
+    free, fam = lf.parse_query(f"append ({items}) ({items}) L", sig)
+    qt = translate_query(sig, free, fam)
+    run = solve(translate_signature(sig, "optimized"), qt.goal,
+                Limits(depth=2 * n + 2),
+                query_vars=(qt.var_lvars[0][1], qt.subject))
+    calls = 0
+    subst = lf_kernel._subst
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return subst(*args)
+
+    monkeypatch.setattr(lf_kernel, "_subst", counted)
+    lines = cli._solution_lines(sig, qt, run.solutions[0])
+    monkeypatch.setattr(lf_kernel, "_subst", subst)
+    inhabitant = lines[-1].split(": ", 1)[1]
+    return calls, _lf_nodes(lf.parse_object(inhabitant, sig))
+
+
+def test_export_substitutions_grow_with_the_printed_inhabitant(monkeypatch):
+    calls8, nodes8 = _export_work(monkeypatch, 8)
+    calls16, nodes16 = _export_work(monkeypatch, 16)
+    assert calls8 <= 1300
+    assert calls16 / nodes16 <= calls8 / nodes8
+
+
+def test_check_reads_a_480_element_fact_in_process(tmp_path):
+    # Two Python frames per nested argument in the parser and in the
+    # kernel keep 480 levels under the default recursion limit.  The
+    # check runs on a fresh thread, whose stack holds none of pytest's
+    # frames.
+    path = tmp_path / "long.elf"
+    path.write_text(_long_fact_signature(480))
+    result = []
+    out = io.StringIO()
+
+    def check():
+        with contextlib.redirect_stdout(out):
+            result.append(main(["check", str(path)]))
+
+    worker = threading.Thread(target=check)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert (result, out.getvalue()) == ([0], "ok: 13 declarations\n")
 
 
 # --- transcript -----------------------------------------------------------

@@ -7,7 +7,7 @@ from lflp import engine, lf_syntax as lf, unify
 from lflp.engine import Limits, Solution, solve
 from lflp.hterms import (
     LF_OBJ, LF_TYPE, Atom, BVar, Const, ForAll, Imp, Program, Top, arrow,
-    fresh_evar, mk_app, term_spine, type_of,
+    fresh_evar, mk_app, type_of,
 )
 from lflp.translator import translate_query, translate_signature
 
@@ -308,9 +308,8 @@ def test_index_instantiates_only_clauses_whose_head_can_match(monkeypatch):
 
     def spy(t, g, *rest):
         # record the type family of each head matched at type lf_type
-        head = term_spine(t)[0]
-        if isinstance(head, Const) and type_of(t) == LF_TYPE:
-            families.append(head.name)
+        if isinstance(t.head, Const) and type_of(t.term) == LF_TYPE:
+            families.append(t.head.name)
         return match(t, g, *rest)
 
     monkeypatch.setattr(engine, "_match", spy)
@@ -374,7 +373,7 @@ def test_index_gives_a_goal_only_the_clauses_of_its_family(monkeypatch):
 
     def spy(*args):
         found = candidates(*args)
-        heads.append([str(term_spine(c.head[0])[0]) for c in found])
+        heads.append([str(c.head[0].head) for c in found])
         return found
 
     monkeypatch.setattr(engine, "_candidates", spy)

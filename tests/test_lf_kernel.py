@@ -1,5 +1,7 @@
+import shlex
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lflp import lf_syntax as lf
 from lflp.lf_kernel import (
@@ -457,3 +459,188 @@ def test_synthesis_deterministic():
 
 def test_beta_eta_equality_collapses_eta_expansion():
     assert beta_eta_equal(_parse_obj("[x:nat] s x"), lf.OConst("s"))
+
+
+# --- the spine loop against one argument at a time -------------------------
+# `oracles.ref_check_object` and `oracles.ref_check_type` keep the
+# application rules that instantiate the remaining Pi body with each
+# argument in turn.  On every input the kernel must synthesize an
+# alpha-equal classifier, or raise an error with the same text.
+
+def _outcome(check, *args):
+    try:
+        return check(*args), None
+    except LFTypeError as err:
+        return None, str(err)
+
+
+def _assert_same(check, ref, *args):
+    (got, err), (want, ref_err) = _outcome(check, *args), _outcome(ref, *args)
+    assert err == ref_err
+    assert err is not None or lf.alpha_eq(got, want), (got, want)
+    return err
+
+
+@pytest.mark.parametrize("name",
+                         sorted(p.name for p in oracles.DATA.glob("*.elf")))
+def test_spine_loop_matches_one_at_a_time_rules_on_corpus(name):
+    sig = oracles.load_signature(name)
+    for i, d in enumerate(sig.decls):
+        prefix = lf.SignaturePrefix(sig, i)
+        if isinstance(d, lf.ObjDecl):
+            _assert_same(check_type, oracles.ref_check_type, prefix,
+                         lf.Context(), d.fam)
+            continue
+        ctx, k = lf.Context(), d.kind
+        while isinstance(k, lf.KPi):
+            _assert_same(check_type, oracles.ref_check_type, prefix, ctx,
+                         k.dom)
+            ctx, k = ctx.extend(k.var, beta_normalize(k.dom)), k.body
+
+
+def _transcript_objects():
+    """(signature, object) for every LF object `lflp solve` printed in the
+    recorded transcript: inhabitants and query variable values."""
+    text = (oracles.DATA / "cli_transcript.txt").read_text(encoding="utf-8")
+    for chunk in text.split("$ lflp ")[1:]:
+        command, *lines = chunk.splitlines()
+        argv = shlex.split(command)
+        if argv[0] != "solve":
+            continue
+        sig = oracles.load_signature(argv[1])
+        for line in lines:
+            if line.startswith("---"):
+                continue
+            if line.startswith("inhabitant: "):
+                obj = line.split(": ", 1)[1]
+            elif " = " in line:
+                obj = line.split(" = ", 1)[1]
+            else:
+                continue
+            if not obj.endswith("(not inverted)"):
+                yield sig, lf.parse_object(obj, sig)
+
+
+def test_spine_loop_matches_one_at_a_time_rules_on_transcript_answers():
+    answers = list(_transcript_objects())
+    assert len(answers) >= 25
+    for sig, m in answers:
+        assert _assert_same(check_object, oracles.ref_check_object, sig,
+                            lf.Context(), m) is None
+
+
+# Dependent, higher-order classifiers whose binders (x, y, x1) share
+# their names with context variables and with the binders of lambda
+# arguments, so instantiation renames binders to avoid capture, both in
+# the classifier and in the beta-steps a lambda argument starts (`it`
+# puts binders inside the body of one).
+
+_DEP_SIG = lf.parse_signature("""
+    nat : type.  z : nat.  s : nat -> nat.  it : (nat -> nat) -> nat.
+    eq : nat -> nat -> type.
+    refl : {x:nat} eq x x.
+    sym : {x:nat} {y:nat} eq x y -> eq y x.
+    cong : {f:nat -> nat} {x:nat} {y:nat} eq x y -> eq (f x) (f y).
+    ext : {f:nat -> nat} {g:nat -> nat} ({x:nat} eq (f x) (g x))
+          -> eq (f z) (g z).
+    fix : {h:nat -> nat -> nat} {y:nat}
+          ({x:nat} {x1:nat} eq (h x x1) (h x1 y)) -> eq (h y y) y.
+    pw : (nat -> nat) -> nat -> type.
+    at : {f:nat -> nat} {y:nat} pw ([x:nat] f (s x)) y -> eq (f y) y.""")
+_DEP_CTX = lf.Context((
+    ("x", _NAT), ("y", _NAT), ("x1", _NAT), ("k", lf.FPi("w", _NAT, _NAT)),
+    ("e", oracles.fam_app(lf.FConst("eq"), [lf.OVar("x"), lf.OVar("y")])),
+    ("q", oracles.fam_app(lf.FConst("pw"), [lf.OVar("k"), lf.OVar("x")]))))
+
+
+def _shape(a):
+    """The simple shape of a classifier: its base family, or a pair
+    (domain shape, codomain shape)."""
+    if isinstance(a, lf.FPi):
+        return (_shape(a.dom), _shape(a.body))
+    return lf.fam_spine(a)[0].name
+
+
+def _heads_by_base():
+    heads = {}
+    for d in _DEP_SIG.decls:
+        if isinstance(d, lf.ObjDecl):
+            heads.setdefault(_shape(lf.split_fam_pis(d.fam)[1]), []).append(
+                (lf.OConst(d.name), d.fam))
+    for name, a in _DEP_CTX:
+        heads.setdefault(_shape(lf.split_fam_pis(a)[1]), []).append(
+            (lf.OVar(name), a))
+    return heads
+
+
+_DEP_HEADS = _heads_by_base()
+_DEP_SHAPES = ["nat", "eq", "pw", ("nat", "nat"), ("nat", ("nat", "nat")),
+               ("nat", "eq"), ("nat", ("nat", "eq"))]
+
+
+@st.composite
+def _dep_obj(draw, shape, depth):
+    """An object meant to have `shape`: one in eight has another shape,
+    and a spine may take one argument too few or too many."""
+    if draw(st.integers(0, 7)) == 0:
+        shape = draw(st.sampled_from(_DEP_SHAPES))
+    if isinstance(shape, tuple) and draw(st.integers(0, 3)):
+        var = draw(st.sampled_from(["x", "y", "x1", "w"]))
+        return lf.OLam(var, _NAT, draw(_dep_obj(shape[1], depth)))
+    base = shape
+    while isinstance(base, tuple):
+        base = base[1]
+    heads = [(lf.OVar("w"), _NAT)] if base == "nat" else []
+    heads += _DEP_HEADS[base]
+    head, a = draw(st.sampled_from(
+        heads if depth else [h for h in heads if not isinstance(h[1], lf.FPi)]
+        or heads))
+    binders, _ = lf.split_fam_pis(a)
+    n = max(0, len(binders) + draw(st.sampled_from([0, 0, 0, 0, -1, 1])))
+    shapes = [_shape(dom) for _, dom in binders] + ["nat"]
+    return lf.obj_app(head, [draw(_dep_obj(shapes[min(i, len(binders))],
+                                           depth - 1))
+                             for i in range(n)])
+
+
+def _ctx_vars(m):
+    # parse_object reads names no lambda binds as constants
+    match m:
+        case lf.OConst(name) if _DEP_CTX.lookup(name) is not None:
+            return lf.OVar(name)
+        case lf.OLam(var, dom, body):
+            return lf.OLam(var, dom, _ctx_vars(body))
+        case lf.OApp(fn, arg):
+            return lf.OApp(_ctx_vars(fn), _ctx_vars(arg))
+    return m
+
+
+def _dep(text):
+    return _ctx_vars(lf.parse_object(text, _DEP_SIG))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(["nat", "eq", ("nat", "eq")]).flatmap(
+    lambda shape: _dep_obj(shape, 3)))
+@example(_dep("ext ([y:nat] k x) ([x1:nat] k x) ([x:nat] refl (k x))"))
+@example(_dep("cong ([w:nat] s x1) x1 x1 (refl x1)"))
+@example(_dep("sym x y (cong ([x:nat] s y) x y)"))
+@example(_dep("fix ([x:nat] [x1:nat] y) x1 ([y:nat] [x:nat] refl x1)"))
+@example(_dep("at ([x1:nat] k x) x q"))
+@example(_dep("refl z z"))
+@example(_dep("s (fix ([w:nat] [x1:nat] w) (k x))"))
+def test_spine_loop_matches_one_at_a_time_rules(m):
+    _assert_same(check_object, oracles.ref_check_object, _DEP_SIG, _DEP_CTX, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([("pw", [("nat", "nat"), "nat"]),
+                        ("eq", ["nat", "nat"])]).flatmap(
+    lambda fam: st.tuples(
+        st.just(fam[0]),
+        st.lists(st.sampled_from(fam[1] + ["eq"]), max_size=3).flatmap(
+            lambda shapes: st.tuples(*[_dep_obj(s, 2) for s in shapes])))))
+def test_family_spine_matches_one_at_a_time_rules(case):
+    name, args = case
+    a = oracles.fam_app(lf.FConst(name), list(args))
+    _assert_same(check_type, oracles.ref_check_type, _DEP_SIG, _DEP_CTX, a)
