@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import lf_syntax as lf
 from .engine import Limits, Solution, solve
-from .hterms import Const, LVar, Term, lvars_in_order
+from .hterms import Const, LVar, Term, lvars_in_order, term_leaves
 from .inverter import InversionError, invert
 from .lf_kernel import (
     LFFuelError, LFTypeError, beta_normalize, check_object, check_signature,
@@ -172,8 +173,13 @@ def _canonical_frees(terms: list[Optional[Term]]) -> dict[LVar, str]:
 
 
 def _show_hohh(t: Term, names: dict[LVar, str]) -> str:
+    """`t` with its unbound logic variables printed by `names`, and its
+    lambda binders named x1, x2, ... in print order, skipping constant
+    names, so the text does not depend on how the search named them."""
     frozen = Subst({v: Const(n, v.ty) for v, n in names.items()}).apply(t)
-    return _render_term(frozen, {}, str)
+    taken = {x.name for x in term_leaves([frozen]) if isinstance(x, Const)}
+    fresh = (f"x{i}" for i in itertools.count(1) if f"x{i}" not in taken)
+    return _render_term(frozen, {}, lambda _: next(fresh))
 
 
 def cmd_solve(text: str, query: str, mode: str, limits: Limits) -> int:

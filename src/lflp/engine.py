@@ -45,11 +45,36 @@ iteration early.  Equations outside the pattern fragment ride along as
 residuals and are retried whenever the substitution grows; a branch
 that otherwise succeeds but still carries residuals is remembered as
 suspended, never reported as a solution.
+
+A round does not start again from the root.  Round B stops a path on
+an atom it has no budget left to backchain on, once it has found the
+first clause that engages there; the stopped paths, in search order,
+are its frontier.  Each one is saved whole: the goal continuation
+(every goal with its own database and universe), the substitution,
+the residuals and that first step.  While a frontier holds at most
+``_LEVEL_CAP`` states it is kept as level B, and round B + 1 takes its
+states in order, each with its saved step and then the clauses after
+it.  In general a round with bound B is a depth-first search with
+budget B - C from each state of the last level kept, C (the root is
+level 0).  Every path that takes more than C backchains passes through
+exactly one of those states, and depth-first search visits them in the
+order they were saved, so the round finds the same proofs in the same
+order as a search from the root; a proof of a deterministic goal d
+backchains deep costs about d backchains instead of d^2 / 2.  A larger
+frontier is dropped, which bounds memory, and later rounds search from
+the older level until a frontier fits again.  Within a round, the
+continuation is a linked list and the open choice points sit on an
+explicit stack, so no derivation depth reaches Python's recursion
+limit.  A saved path resumes in a later round, after other paths have
+made eigenvariables of their own, but the eigenvariables of one path
+are still made in the order the path introduces them, so their levels
+keep the scope order the universes rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .hterms import (
@@ -85,12 +110,9 @@ class SolveRun:
     solutions: tuple[Solution, ...]
 
 
-class _State:
-    __slots__ = ("cut", "susp")
-
-    def __init__(self):
-        self.cut = False
-        self.susp = False
+# The most states a saved level holds.  A round whose frontier is larger
+# keeps none of it, and later rounds resume from the last level saved.
+_LEVEL_CAP = 4096
 
 
 def solve(program: Program, goal: Formula, limits: Limits = Limits(),
@@ -98,35 +120,40 @@ def solve(program: Program, goal: Formula, limits: Limits = Limits(),
     if query_vars is None:
         query_vars = tuple(lvars_in_order([goal]))
     db = _database(_compile(c) for c in program.clauses)
+    root: _Goals = (goal, db, _root_universe(goal), None)
     solutions: list[Solution] = []
     seen: set[str] = set()
     susp_ever = False
-    last_round_cut = False
-    univ = _root_universe(goal)
+    cut = False
+    level: Optional[list[_Saved]] = None  # None: search from the root
+    base = 0
     for bound in range(limits.depth + 1):
-        state = _State()
-        for sigma, residuals, left in _prove(goal, db, univ, Subst(),
-                                             (), bound, state):
-            if left != 0:
-                continue
-            if residuals:
-                state.susp = True
-                continue
-            sol = _extract(sigma, query_vars, bound)
-            key = _canon_key(sol)
-            if key in seen:
-                continue
-            seen.add(key)
-            solutions.append(sol)
-            if limits.max_solutions and len(solutions) >= limits.max_solutions:
-                return SolveRun("ok", tuple(solutions))
-        susp_ever = susp_ever or state.susp
-        last_round_cut = state.cut
-        if not state.cut:
+        rnd = _Round()
+        starts = ([(iter((_START,)), db, 0, root, bound)] if level is None
+                  else (_resume(s, bound - base) for s in level))
+        for start in starts:
+            for sigma, residuals in _search(start, rnd):
+                if residuals:
+                    rnd.susp = True
+                    continue
+                sol = _extract(sigma, query_vars, bound)
+                key = _canon_key(sol)
+                if key in seen:
+                    continue
+                seen.add(key)
+                solutions.append(sol)
+                if (limits.max_solutions
+                        and len(solutions) >= limits.max_solutions):
+                    return SolveRun("ok", tuple(solutions))
+        susp_ever = susp_ever or rnd.susp
+        cut = rnd.cut
+        if not cut:
             break
+        if rnd.frontier is not None:
+            level, base = rnd.frontier, bound
     if solutions:
         return SolveRun("ok", tuple(solutions))
-    if last_round_cut:
+    if cut:
         return SolveRun("exhausted", ())
     if susp_ever:
         return SolveRun("suspended", ())
@@ -272,28 +299,112 @@ def _root_universe(goal: Formula) -> int:
     return univ
 
 
-def _prove(goal: Formula, db: _Database, univ: int, sigma: Subst,
-           residuals: tuple[Eq, ...], budget: int,
-           state: _State) -> Iterator[tuple[Subst, tuple[Eq, ...], int]]:
-    # `univ` is the level of the logic variables a backchain creates:
-    # they may mention exactly the eigenvariables in scope.  Resolved, a
-    # goal mentions only eigenvariables below `univ` and logic variables
-    # at or below it.
-    match goal:
-        case Top():
-            yield sigma, residuals, budget
-        case Imp(d, g):
-            yield from _prove(g, _assume(db, _compile(d)), univ, sigma,
-                              residuals, budget, state)
-        case ForAll(var, ty, body):
-            e = fresh_evar(var, ty)
-            yield from _prove(subst_formula(body, {var: e}), db,
-                              e.level + 1, sigma, residuals, budget, state)
-        case Atom() as atom:
-            yield from _backchain(atom, db, univ, sigma, residuals,
-                                  budget, state)
-        case _:
-            raise TypeError(f"not a goal formula: {goal!r}")
+# A goal continuation: the goals left to prove, first one first, each
+# with the database and universe it is proved in; None when none is left.
+_Goals = Optional[tuple[Formula, _Database, int, "_Goals"]]
+# One way to backchain on an atom: the clause's position among the
+# atom's candidates, its premises with the slot values that instantiate
+# them, and the substitution and residuals they are proved under.
+_Step = tuple[int, tuple[Formula, ...], dict[str, Term], Subst,
+              tuple[Eq, ...]]
+# An atom's pending steps, with the database, universe and continuation
+# they share and the budget left once one is taken.
+_Choice = tuple[Iterator[_Step], _Database, int, _Goals, int]
+# A path stopped on the atom that starts its continuation, with the
+# substitution and residuals there and the first step it could take.
+_Saved = tuple[_Goals, Subst, tuple[Eq, ...], _Step]
+
+# The step a search from the root starts with: no premise to prove.
+_START: _Step = (0, (), {}, Subst(), ())
+
+
+class _Round:
+    """What one deepening round has found out besides its solutions.
+
+    ``cut`` says that some path stopped on an atom that a clause could
+    still backchain on, ``susp`` that a proof was left with residuals.
+    ``frontier`` holds the stopped paths in search order, or None once
+    they outnumber ``_LEVEL_CAP``."""
+
+    __slots__ = ("cut", "susp", "frontier")
+
+    def __init__(self):
+        self.cut = False
+        self.susp = False
+        self.frontier: Optional[list[_Saved]] = []
+
+    def stop(self, goals: _Goals, sigma: Subst, residuals: tuple[Eq, ...],
+             steps: Iterator[_Step]) -> None:
+        """Note a path stopped, with no budget left, on the atom that
+        starts `goals`, whose steps are `steps`.  Once the round is known
+        to be cut and keeps no frontier, this costs nothing."""
+        if self.frontier is None and self.cut:
+            return
+        step = next(steps, None)
+        if step is None:
+            return
+        self.cut = True
+        if self.frontier is not None:
+            if len(self.frontier) < _LEVEL_CAP:
+                self.frontier.append((goals, sigma, residuals, step))
+            else:
+                self.frontier = None
+
+
+def _resume(saved: _Saved, budget: int) -> _Choice:
+    """The choice point of a saved path with `budget` backchains left:
+    the step the round that stopped it found, then the later clauses."""
+    (goal, db, univ, rest), sigma, residuals, step = saved
+    later = _backchain(goal, db, univ, sigma, residuals, step[0] + 1)
+    return chain((step,), later), db, univ, rest, budget - 1
+
+
+def _search(start: _Choice,
+            rnd: _Round) -> Iterator[tuple[Subst, tuple[Eq, ...]]]:
+    """The substitution and residuals of every proof that continues from
+    a step of `start` and takes exactly its budget of backchains, depth
+    first, clauses in program order.  A path that reaches an atom with
+    no budget left is handed to `rnd`.
+
+    The continuation is a linked list and every open choice point sits
+    on `stack`, so a derivation of any depth takes no Python recursion."""
+    stack = [start]
+    while stack:
+        steps, db, univ, goals, budget = stack[-1]
+        step = next(steps, None)
+        if step is None:
+            stack.pop()
+            continue
+        _, premises, inst, sigma, residuals = step
+        for p in reversed(premises):
+            goals = (subst_formula(p, inst), db, univ, goals)
+        while goals is not None:
+            goal, db, univ, rest = goals
+            # `univ` is the level of the logic variables a backchain
+            # creates: they may mention exactly the eigenvariables in
+            # scope.  Resolved, a goal mentions only eigenvariables below
+            # `univ` and logic variables at or below it.
+            if isinstance(goal, Atom):
+                steps = _backchain(goal, db, univ, sigma, residuals, 0)
+                if budget:
+                    stack.append((steps, db, univ, rest, budget - 1))
+                else:
+                    rnd.stop(goals, sigma, residuals, steps)
+                break
+            if isinstance(goal, Top):
+                goals = rest
+            elif isinstance(goal, Imp):
+                goals = (goal.right, _assume(db, _compile(goal.left)), univ,
+                         rest)
+            elif isinstance(goal, ForAll):
+                e = fresh_evar(goal.var, goal.ty)
+                goals = (subst_formula(goal.body, {goal.var: e}), db,
+                         e.level + 1, rest)
+            else:
+                raise TypeError(f"not a goal formula: {goal!r}")
+        else:
+            if not budget:
+                yield sigma, residuals
 
 
 def _match(t: _Template, g: Term, inst: dict[str, Term],
@@ -361,22 +472,22 @@ def _writable_vars(args: list[Term], univ: int) -> frozenset[str]:
 
 
 def _backchain(atom: Atom, db: _Database, univ: int, sigma: Subst,
-               residuals: tuple[Eq, ...], budget: int,
-               state: _State) -> Iterator[tuple[Subst, tuple[Eq, ...], int]]:
+               residuals: tuple[Eq, ...], start: int) -> Iterator[_Step]:
+    """The steps of `atom` through its candidates from position `start`
+    on, in program order."""
     # The goal's arguments are resolved once.  The database hands over
     # the clauses filed under the goal's last key; a clause is skipped
     # outright when another index key differs, and otherwise its
     # compiled head is matched against the goal.  Slots the match
     # leaves unfilled become fresh logic variables, each write extends
-    # the substitution, the deferred pairs go to one unification with
-    # the residuals, and premises are instantiated last.  Out of budget,
-    # the loop only finds out whether some clause could still engage, so
-    # exhaustion is distinguishable from finite failure.
+    # the substitution, and the deferred pairs go to one unification
+    # with the residuals.  Premises are instantiated by the caller, and
+    # only for an alternative it takes.
     args = [sigma.apply(a) for a in atom.args]
     keys = [_key(term_spine(a)[0]) for a in args]
     candidates = _candidates(db, atom.pred, keys)
     once = _writable_vars(args, univ) if candidates else frozenset()
-    for clause in candidates:
+    for i, clause in enumerate(candidates[start:], start):
         if any(k is not None and g is not None and k != g
                for k, g in zip(clause.keys, keys)):
             continue
@@ -399,23 +510,7 @@ def _backchain(atom: Atom, db: _Database, univ: int, sigma: Subst,
             if res.status == "fail":
                 continue
             sigma2, residuals2 = res.subst, res.residuals
-        if budget <= 0:
-            state.cut = True
-            return
-        yield from _conj([subst_formula(p, inst) for p in clause.premises],
-                         db, univ, sigma2, residuals2, budget - 1, state)
-
-
-def _conj(goals: list[Formula], db: _Database, univ: int,
-          sigma: Subst, residuals: tuple[Eq, ...], budget: int,
-          state: _State) -> Iterator[tuple[Subst, tuple[Eq, ...], int]]:
-    if not goals:
-        yield sigma, residuals, budget
-        return
-    for sigma2, residuals2, left in _prove(goals[0], db, univ, sigma,
-                                           residuals, budget, state):
-        yield from _conj(goals[1:], db, univ, sigma2, residuals2, left,
-                         state)
+        yield i, clause.premises, inst, sigma2, residuals2
 
 
 def _extract(sigma: Subst, query_vars: tuple[LVar, ...],

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from . import lf_syntax as lf
 from .hterms import (
-    App, BVar, Const, EVar, LVar, Lam, TArrow, Term, lvars_in_order,
-    subst_term, term_spine, type_of,
+    App, BVar, Const, EVar, LVar, Lam, TArrow, Term, subst_term, term_spine,
+    type_of,
 )
 from .lf_kernel import (
     beta_eta_equal, beta_normalize, instantiate_normal, normal_classifier,
@@ -36,11 +36,8 @@ class InversionError(Exception):
 
 def invert(sig: lf.Signature, ctx: lf.Context, term: Term, ty: lf.Fam) -> lf.Obj:
     """The LF object of type `ty` in `ctx` that the closed answer `term`
-    stands for."""
-    lvars = lvars_in_order([term])
-    if lvars:
-        names = sorted(v.name for v in lvars)
-        raise InversionError(f"answer not closed: free {', '.join(names)}")
+    stands for.  An answer with a logic variable left in it is refused
+    where the walk meets one."""
     return _invert(sig, ctx, term, beta_normalize(ty))
 
 

@@ -6,8 +6,10 @@ rename-everything-then-replace, typed term enumeration instead of proof
 search, forward chaining instead of backchaining, brute-force
 substitution search instead of unification, path-blocked depth-first
 search over every pivot instead of one backward pass over the binders
-for strictness, instantiate-then-unify backchaining instead of matching
-compiled clause heads, eager folding of every binding instead of a
+for strictness, instantiate-then-unify backchaining, with every
+deepening round restarted from the root, instead of matching compiled
+clause heads and resuming each round from the last round's frontier,
+eager folding of every binding instead of a
 triangular substitution, a loop over characters instead of a regular
 expression for the lexer, a tree of pre-terms walked a second time
 instead of one pass over the tokens for the parser
@@ -43,8 +45,7 @@ from lflp.lf_kernel import (
     normal_classifier, print_brief, substitute,
 )
 from lflp.engine import (
-    Limits, Solution, SolveRun, _canon_key, _compile, _database, _extract,
-    _key, _prove, _root_universe, _State,
+    Limits, Solution, SolveRun, _canon_key, _extract, _key, _root_universe,
 )
 from lflp.hterms import (
     App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, LVar, Lam, Program,
@@ -481,10 +482,12 @@ def reference_min_cost(facts: dict[Atom, int], goal: Atom,
 # ---------------------------------------------------------------------------
 # Instantiate-then-unify proof search: each candidate clause is copied in
 # full, its quantifiers replaced by fresh logic variables, and its head is
-# unified with the unresolved goal in one call.  The engine matches a
-# compiled head against the resolved goal instead; clause order, budgets
-# and the deepening loop are the same, so both find the same solutions
-# in the same order with the same backchain counts.
+# unified with the unresolved goal in one call, and every deepening round
+# searches again from the root.  The engine matches a compiled head
+# against the resolved goal instead, and resumes each round from the
+# paths the last one stopped; clause order and budgets are the same, so
+# both find the same solutions in the same order with the same backchain
+# counts.
 
 class _RefClause(NamedTuple):
     formula: Formula
@@ -500,6 +503,14 @@ def _ref_compile(clause: Formula) -> _RefClause:
         return _RefClause(clause, None, ())
     return _RefClause(clause, f.pred, tuple(_key(term_spine(a)[0])
                                             for a in f.args))
+
+
+class _State:
+    __slots__ = ("cut", "susp")
+
+    def __init__(self):
+        self.cut = False
+        self.susp = False
 
 
 def reference_solve(program: Program, goal: Formula,
@@ -1414,7 +1425,7 @@ def validate_solution(program: Program, goal: Formula, sol: Solution,
                       extra_depth: int = 0) -> bool:
     """Replay a reported solution: instantiate the goal with its
     bindings, freeze leftover logic variables, and re-derive within the
-    reported backchain count."""
+    reported backchain count by the reference search."""
     # An unbound query variable comes back bound to itself; as a map
     # entry that binding would be a cycle.
     binding = Subst({v: t for v, t in sol.bindings if t != v})
@@ -1426,10 +1437,5 @@ def validate_solution(program: Program, goal: Formula, sol: Solution,
 
     g = map_formula_terms(goal, inst)
     bound = sol.backchains + extra_depth
-    state = _State()
-    db = _database(_compile(c) for c in program.clauses)
-    univ = fresh_level()  # above every frozen eigenvariable
-    for _, residuals, _ in _prove(g, db, univ, Subst(), (), bound, state):
-        if not residuals:
-            return True
-    return False
+    run = reference_solve(program, g, Limits(depth=bound), query_vars=())
+    return run.status == "ok"

@@ -166,6 +166,19 @@ def test_solve_free_variable_reported(capsys):
     assert "inhabitant: foo _A  (not inverted)" in out
 
 
+def test_solve_names_raw_lambda_binders_in_print_order(capsys):
+    # An open answer is printed as a hohh term.  Its lambda binders are
+    # named x1, x2, ... as printed, not after the variable clock, so the
+    # text is the same in every run and whatever the search created.
+    runs = [run_cli(capsys, "solve", str(DATA / "stlc.elf"),
+                    "of (lam T ([x:tm] x)) U") for _ in range(2)]
+    assert runs[0] == runs[1] == (0, (
+        "T = _A  (not inverted)\n"
+        "U = arr _A _A  (not inverted)\n"
+        "inhabitant: of_lam _A _A (x1\\ x1) (x2\\ x3\\ x3)  (not inverted)\n"),
+        "")
+
+
 def test_solve_types_query_variable_under_object_binder(capsys):
     # F occurs only under [x:tm]; its type is the body's, tm.  The open
     # answer's printed text is not pinned

@@ -1,4 +1,6 @@
+import threading
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,7 +323,10 @@ def test_index_instantiates_only_clauses_whose_head_can_match(monkeypatch):
 def test_head_match_makes_clause_variables_only_where_needed(monkeypatch):
     # A slot that a goal subterm fills needs no logic variable; only the
     # ones the goal leaves open do.  Instantiating every clause variable
-    # first made 20 (optimized) and 61 (naive).
+    # first made 20 (optimized) and 61 (naive).  Each deepening round
+    # resumes from the steps the last one stopped at, so a proved prefix
+    # is not searched again; restarting each round from the root made 6
+    # and 21.
     made = []
     fresh = engine.fresh_lvar_at
 
@@ -337,7 +342,53 @@ def test_head_match_makes_clause_variables_only_where_needed(monkeypatch):
                          mode=mode)
         assert run.status == "ok"
         counts[mode] = len(made)
-    assert counts == {"optimized": 6, "naive": 21}
+    assert counts == {"optimized": 2, "naive": 5}
+
+
+def test_deterministic_derivation_costs_linear_backchain_attempts(
+        monkeypatch):
+    # plus (s^k z) z N has one derivation, k + 1 backchains deep.  Each
+    # atom on it is looked up at most twice: once where a round stops on
+    # it, and once where the next round resumes it.  Restarting every
+    # round from the root looked it up once per later round, 54 / 170 /
+    # 594 times for k = 8 / 16 / 32.
+    calls = []
+    candidates = engine._candidates
+
+    def spy(*args):
+        calls.append(args[1])
+        return candidates(*args)
+
+    monkeypatch.setattr(engine, "_candidates", spy)
+    for k in (8, 16, 32):
+        calls.clear()
+        _, _, run = _run("appendplus.elf",
+                         f"plus {'(s ' * k}z{')' * k} z N", k + 4)
+        assert run.status == "ok"
+        assert run.solutions[0].backchains == k + 1
+        assert len(calls) <= 2 * (k + 1)
+
+
+def test_derivation_deeper_than_the_recursion_limit():
+    # 351 backchains, one per list element and one for nil, on an
+    # explicit goal stack; three Python frames per backchain overflowed
+    # near 320.  The search runs on a fresh thread, whose stack holds
+    # none of pytest's frames, and extracts no answer.
+    prog, qt, _ = _setup("appendplus.elf",
+                         f"append {_list(['z'] * 350)} nil L")
+    result = []
+
+    def search():
+        result.append(solve(prog, qt.goal, Limits(depth=355),
+                            query_vars=()))
+
+    worker = threading.Thread(target=search)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    run, = result
+    assert run.status == "ok"
+    assert [s.backchains for s in run.solutions] == [351]
 
 
 def test_write_mode_solves_deterministic_query_without_unify(monkeypatch):
@@ -568,10 +619,11 @@ def _stlc_query(draw):
     return f"eval {draw(_tm_text())} {draw(_tm_text())}"
 
 
-def _same_search(sigfile, qtext, mode, depth, n=0):
+def _same_search(sigfile, qtext, mode, depth, n=0, cap=None):
     prog, qt, qvars = _setup(sigfile, qtext, mode=mode)
     limits = Limits(depth=depth, max_solutions=n)
-    got = solve(prog, qt.goal, limits, query_vars=qvars)
+    with mock.patch.object(engine, "_LEVEL_CAP", cap or engine._LEVEL_CAP):
+        got = solve(prog, qt.goal, limits, query_vars=qvars)
     want = oracles.reference_solve(prog, qt.goal, limits, query_vars=qvars)
     assert got.status == want.status
     assert ([(engine._canon_key(s), s.backchains) for s in got.solutions]
@@ -579,18 +631,48 @@ def _same_search(sigfile, qtext, mode, depth, n=0):
     return got
 
 
+# A level cap of 1 or 2 states makes most rounds search depth first from
+# an older saved level, or from the root, which the default cap of 4096
+# leaves to queries far larger than these.
+_CAPS = [None, 1, 2]
+
+
+@pytest.mark.parametrize("cap", _CAPS)
 @settings(max_examples=60, deadline=None)
 @given(_appendplus_query(), st.sampled_from(["optimized", "naive"]),
-       st.integers(0, 8))
-def test_appendplus_search_matches_instantiate_then_unify(qtext, mode, depth):
-    _same_search("appendplus.elf", qtext, mode, depth)
+       st.integers(0, 8), st.sampled_from([0, 0, 1, 2]))
+def test_appendplus_search_matches_instantiate_then_unify(cap, qtext, mode,
+                                                          depth, n):
+    _same_search("appendplus.elf", qtext, mode, depth, n, cap)
 
 
+@pytest.mark.parametrize("cap", _CAPS)
 @settings(max_examples=40, deadline=None)
 @given(_stlc_query(), st.sampled_from(["optimized", "naive"]),
-       st.integers(2, 6))
-def test_stlc_search_matches_instantiate_then_unify(qtext, mode, depth):
-    _same_search("stlc.elf", qtext, mode, depth)
+       st.integers(2, 6), st.sampled_from([0, 0, 1, 2]))
+def test_stlc_search_matches_instantiate_then_unify(cap, qtext, mode, depth,
+                                                    n):
+    _same_search("stlc.elf", qtext, mode, depth, n, cap)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 5])
+def test_search_from_an_older_level_keeps_solutions_and_order(
+        cap, monkeypatch):
+    # Three answers, 4, 9 and 12 backchains deep; frontiers reach 56
+    # states.  Past a small cap a round keeps no frontier, and later
+    # rounds search depth first from the last level kept, or the root.
+    dropped = []
+    stop = engine._Round.stop
+
+    def spy(rnd, *args):
+        stop(rnd, *args)
+        dropped.append(rnd.frontier is None)
+
+    monkeypatch.setattr(engine._Round, "stop", spy)
+    run = _same_search("appendplus.elf", "plus X Y (s (s z))", "naive", 12,
+                       cap=cap)
+    assert [s.backchains for s in run.solutions] == [4, 9, 12]
+    assert any(dropped)
 
 
 # Goals that write mode must leave to unification: a variable met twice
