@@ -8,37 +8,35 @@ the optimized translation.
 
 Exit codes: 0 on success (for solve: at least one solution), 1 when a
 check fails or no solution is found, 2 for usage or I/O problems and
-for an inverted answer that fails the kernel's re-check.  The `lflp`
-command (`run`) also exits 2, with one `error:` line on stderr instead
-of a traceback, for an input nested past Python's recursion limit or a
-normalization past its step budget; `main` lets those two exceptions
-reach an in-process caller.  The argument parser is built on the first
-call to `main` and reused by later calls in the same process.
+for a found answer that cannot be inverted to LF or fails the kernel's
+re-check.  The `lflp` command (`run`) also exits 2, with one `error:`
+line on stderr instead of a traceback, for an input nested past
+Python's recursion limit or a normalization past its step budget;
+`main` lets those two exceptions reach an in-process caller.  The
+argument parser is built on the first call to `main` and reused by
+later calls in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import lf_syntax as lf
 from .engine import Limits, Solution, solve
-from .hterms import Const, LVar, Term, lvars_in_order, term_leaves
-from .inverter import InversionError, invert
+from .inverter import FreeVars, InversionError, invert
 from .lf_kernel import (
     LFFuelError, LFTypeError, beta_normalize, check_object, check_signature,
-    instantiate_normal,
+    check_type, instantiate_normal,
 )
 from .strictness import explain_strictness
 from .translator import (
-    TranslationError, _render_term, emit_lambdaprolog, emit_split,
-    translate_query, translate_signature,
+    TranslationError, emit_lambdaprolog, emit_split, translate_query,
+    translate_signature,
 )
-from .unify import Subst
 
 
 @functools.cache
@@ -165,23 +163,6 @@ def cmd_translate(text: str, path: str, mode: str, simplify: bool,
     return 0
 
 
-def _canonical_frees(terms: list[Optional[Term]]) -> dict[LVar, str]:
-    """Stable display names for unbound logic variables, in order of
-    first appearance."""
-    return {v: "_" + chr(ord("A") + n % 26) + (str(n // 26) if n >= 26 else "")
-            for v, n in lvars_in_order(terms).items()}
-
-
-def _show_hohh(t: Term, names: dict[LVar, str]) -> str:
-    """`t` with its unbound logic variables printed by `names`, and its
-    lambda binders named x1, x2, ... in print order, skipping constant
-    names, so the text does not depend on how the search named them."""
-    frozen = Subst({v: Const(n, v.ty) for v, n in names.items()}).apply(t)
-    taken = {x.name for x in term_leaves([frozen]) if isinstance(x, Const)}
-    fresh = (f"x{i}" for i in itertools.count(1) if f"x{i}" not in taken)
-    return _render_term(frozen, {}, lambda _: next(fresh))
-
-
 def cmd_solve(text: str, query: str, mode: str, limits: Limits) -> int:
     try:
         sig = _load_signature(text)
@@ -198,13 +179,14 @@ def cmd_solve(text: str, query: str, mode: str, limits: Limits) -> int:
     qvars = tuple(v for _, v in qt.var_lvars) + (qt.subject,)
     run = solve(program, qt.goal, limits, query_vars=qvars)
     if not run.solutions:
-        print({"no": "no",
-               "suspended": "suspended",
-               "exhausted": "depth exhausted"}.get(run.status, run.status))
+        print("depth exhausted" if run.status == "exhausted" else run.status)
         return 1
     for i, sol in enumerate(run.solutions):
         try:
             lines = _solution_lines(sig, qt, sol)
+        except InversionError as err:
+            print(f"error: answer cannot be inverted: {err}", file=sys.stderr)
+            return 2
         except LFTypeError as err:
             print(f"error: inverted answer fails to re-check: {err}",
                   file=sys.stderr)
@@ -217,51 +199,28 @@ def cmd_solve(text: str, query: str, mode: str, limits: Limits) -> int:
     return 0
 
 
-def _inverted(sig: lf.Signature, term: Term, ty: lf.Fam) -> Optional[lf.Obj]:
-    """The LF object `term` stands for at `ty`, re-checked by the kernel
-    (LFTypeError if it fails), or None when it cannot be inverted."""
-    try:
-        obj = invert(sig, lf.Context(()), term, ty)
-    except InversionError:
-        return None
-    check_object(sig, lf.Context(()), obj, ty)
-    return obj
-
-
 def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
-    values = [sol.value(v) for _, v in qt.var_lvars]
-    subject_val = sol.value(qt.subject)
-    frees: dict[LVar, str] = {}
-
-    def raw(t: Term) -> str:
-        # names for the unbound variables, made on the first raw line
-        if not frees:
-            frees.update(_canonical_frees(values + [subject_val]))
-        return f"{_show_hohh(t, frees)}  (not inverted)"
-
-    lines = []
+    """`sol` inverted to LF: a `% free:` line per unsolved logic variable,
+    each type checked in the context of those before it, then each query
+    variable's value and the inhabitant, checked in the context of all."""
+    frees = FreeVars(name for name, _ in qt.var_lvars)
+    answers = []
     sub: dict[str, lf.Obj] = {}
-    inverted_all = True
-    for (name, _), val in zip(qt.var_lvars, values):
+    for name, v in qt.var_lvars:
         ty = instantiate_normal(qt.var_types[name], sub)
-        obj = None
-        if lf.free_vars(ty) <= set(sub):
-            obj = _inverted(sig, val, ty)
-        if obj is not None:
-            sub[name] = obj
-            lines.append(f"{name} = {lf.print_lf(obj)}")
-        else:
-            inverted_all = False
-            lines.append(f"{name} = {raw(val)}")
-    inhabitant = None
-    if inverted_all:
-        ty = instantiate_normal(qt.fam, sub)
-        inhabitant = _inverted(sig, subject_val, ty)
-    if inhabitant is not None:
-        lines.append(f"inhabitant: {lf.print_lf(inhabitant)}")
-    else:
-        lines.append(f"inhabitant: {raw(subject_val)}")
-    return lines
+        sub[name] = invert(sig, lf.Context(()), sol.value(v), ty, frees)
+        answers.append((f"{name} = ", sub[name], ty))
+    ty = instantiate_normal(qt.fam, sub)
+    inhabitant = invert(sig, lf.Context(()), sol.value(qt.subject), ty, frees)
+    answers.append(("inhabitant: ", inhabitant, ty))
+    ctx = lf.Context(())
+    for name, fam in frees.types.values():
+        check_type(sig, ctx, fam)
+        ctx = ctx.extend(name, fam)
+    for _, obj, ty in answers:
+        check_object(sig, ctx, obj, ty)
+    return ([f"% free: {name} : {lf.print_lf(fam)}" for name, fam in ctx]
+            + [label + lf.print_lf(obj) for label, obj, _ in answers])
 
 
 def cmd_strictness(text: str, explain: bool) -> int:

@@ -94,14 +94,10 @@ class Limits:
 @dataclass(frozen=True)
 class Solution:
     bindings: tuple[tuple[LVar, Term], ...]
-    free: tuple[LVar, ...]
     backchains: int
 
     def value(self, v: LVar) -> Optional[Term]:
-        for k, t in self.bindings:
-            if k == v:
-                return t
-        return None
+        return next((t for k, t in self.bindings if k == v), None)
 
 
 @dataclass(frozen=True)
@@ -516,8 +512,7 @@ def _backchain(atom: Atom, db: _Database, univ: int, sigma: Subst,
 def _extract(sigma: Subst, query_vars: tuple[LVar, ...],
              backchains: int) -> Solution:
     bindings = tuple((v, sigma.apply(v)) for v in query_vars)
-    free = tuple(lvars_in_order(t for _, t in bindings))
-    return Solution(bindings, free, backchains)
+    return Solution(bindings, backchains)
 
 
 def _canon_key(sol: Solution) -> str:

@@ -14,11 +14,18 @@ reconstruction checks its own work: after the spine is rebuilt, the
 instantiated target of the head's classifier must be beta-eta equal to
 the expected type.
 
-Answers still containing logic variables are refused outright; there
-is no LF counterpart to report for them.
+A logic variable the search left unsolved reads as a free LF variable,
+named and typed where the walk first meets it: unapplied, at the type
+expected there; applied to distinct variables bound in the answer (a
+pattern), at the Pi type over theirs.  Any other first occurrence, or a
+type that mentions a bound variable outside those arguments, is
+refused.  One `FreeVars` serves every answer of a solution, so each
+variable keeps one name and one type.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from . import lf_syntax as lf
 from .hterms import (
@@ -34,32 +41,70 @@ class InversionError(Exception):
     pass
 
 
-def invert(sig: lf.Signature, ctx: lf.Context, term: Term, ty: lf.Fam) -> lf.Obj:
-    """The LF object of type `ty` in `ctx` that the closed answer `term`
-    stands for.  An answer with a logic variable left in it is refused
-    where the walk meets one."""
-    return _invert(sig, ctx, term, beta_normalize(ty))
+class FreeVars:
+    """The unsolved logic variables met so far, in order of first
+    occurrence, each with its LF name and type.  A name avoids `reserved`,
+    the signature, the other names and the binders in scope where it is
+    picked; lambda binders picked later avoid it."""
+
+    def __init__(self, reserved: Iterable[str]):
+        self.reserved = frozenset(reserved)
+        self.types: dict[LVar, tuple[str, lf.Fam]] = {}
+        self.names: set[str] = set()
+
+    def meet(self, sig: lf.Signature, ctx: lf.Context, v: LVar,
+             args: list[Term], ty: lf.Fam) -> tuple[str, lf.Fam]:
+        """Name and type `v`, met first applied to `args` at `ty`."""
+        doms = [ctx.lookup(a.name) if isinstance(a, BVar) else None
+                for a in args]
+        if None in doms or len({a.name for a in args}) < len(args):
+            raise InversionError(
+                f"free {v.name} is not applied to distinct bound variables")
+        for a, dom in zip(reversed(args), reversed(doms)):
+            ty = lf.FPi(a.name, dom, ty)
+        if not lf.free_vars(ty) <= self.names:
+            raise InversionError(
+                f"type of free {v.name} mentions a variable bound in the answer")
+        taken, n = _Taken(ctx, sig, self), 0
+        # A, B, ..., Z, A1, B1, ...
+        while ((name := chr(ord("A") + n % 26) + str(n // 26 or ""))
+               in taken or name in self.reserved):
+            n += 1
+        self.types[v] = (name, ty)
+        self.names.add(name)
+        return name, ty
+
+
+def invert(sig: lf.Signature, ctx: lf.Context, term: Term, ty: lf.Fam,
+           frees: FreeVars) -> lf.Obj:
+    """The LF object of type `ty` in `ctx` that the answer `term` stands
+    for, its unsolved logic variables read as the ones `frees` names."""
+    return _invert(sig, ctx, term, beta_normalize(ty), frees)
 
 
 class _Taken:
-    """The names bound in `ctx` or declared in `sig`, tested through
-    their lookups."""
+    """The names bound in `ctx`, declared in `sig` or given to a free
+    variable, tested through their lookups."""
 
-    __slots__ = ("ctx", "sig")
+    __slots__ = ("ctx", "sig", "frees")
 
-    def __init__(self, ctx: lf.Context, sig: lf.Signature):
+    def __init__(self, ctx: lf.Context, sig: lf.Signature, frees: FreeVars):
         self.ctx = ctx
         self.sig = sig
+        self.frees = frees
 
     def __contains__(self, name: str) -> bool:
-        return self.ctx.lookup(name) is not None or self.sig.lookup(name) is not None
+        return (self.ctx.lookup(name) is not None
+                or self.sig.lookup(name) is not None
+                or name in self.frees.names)
 
 
-def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam) -> lf.Obj:
+def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
+            frees: FreeVars) -> lf.Obj:
     if isinstance(ty, lf.FPi):
         # the lambda takes the name of the Pi binder it inhabits, so the
         # same answer always reads the same
-        taken = _Taken(ctx, sig)
+        taken = _Taken(ctx, sig, frees)
         var = ty.var
         if var in taken:
             var = lf.fresh_name(var, taken)
@@ -75,7 +120,7 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam) -> lf.Obj:
         tbody = t.body
         if var != t.var:
             tbody = subst_term(tbody, {t.var: BVar(var, t.ty)})
-        body = _invert(sig, ctx.extend(var, ty.dom), tbody, body_ty)
+        body = _invert(sig, ctx.extend(var, ty.dom), tbody, body_ty, frees)
         return lf.OLam(var, ty.dom, body)
     head, args = term_spine(t)
     match head:
@@ -92,31 +137,30 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam) -> lf.Obj:
             lf_head = lf.OVar(name)
         case EVar(name, _, _):
             raise InversionError(f"eigenvariable {name} in answer")
-        case LVar(name, _, _):
-            raise InversionError(f"answer not closed: free {name}")
+        case LVar():
+            name, classifier = (frees.types.get(head)
+                                or frees.meet(sig, ctx, head, args, ty))
+            lf_head = lf.OVar(name)
         case _:
             raise InversionError(f"cannot invert head {head!r}")
     arity = len(lf.split_fam_pis(classifier)[0])
     if len(args) != arity:
         raise InversionError(
-            f"{_head_name(lf_head)} takes {arity} arguments, got {len(args)}")
+            f"{name} takes {arity} arguments, got {len(args)}")
     sub: dict[str, lf.Obj] = {}
     inv_args: list[lf.Obj] = []
     rest = classifier
     for arg in args:
         inv = _invert(sig, ctx, arg,
-                      instantiate_normal(rest.dom, sub) if sub else rest.dom)
+                      instantiate_normal(rest.dom, sub) if sub else rest.dom,
+                      frees)
         inv_args.append(inv)
         if lf.occurs_free(rest.var, rest.body):
             sub[rest.var] = inv
         rest = rest.body
     final = instantiate_normal(rest, sub) if sub else rest
     if final != ty and not beta_eta_equal(final, ty):
-        raise InversionError(
-            f"head {_head_name(lf_head)} yields {lf.print_lf(final)}, "
-            f"expected {lf.print_lf(ty)}")
+        raise InversionError(f"head {name} yields {lf.print_lf(final)}, "
+                             f"expected {lf.print_lf(ty)}")
     return lf.obj_app(lf_head, inv_args)
 
-
-def _head_name(h: lf.Obj) -> str:
-    return h.name if isinstance(h, (lf.OConst, lf.OVar)) else str(h)

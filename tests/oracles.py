@@ -1429,7 +1429,8 @@ def validate_solution(program: Program, goal: Formula, sol: Solution,
     # An unbound query variable comes back bound to itself; as a map
     # entry that binding would be a cycle.
     binding = Subst({v: t for v, t in sol.bindings if t != v})
-    frozen = {v: fresh_evar(v.name, v.ty) for v in sol.free}
+    frozen = {v: fresh_evar(v.name, v.ty)
+              for v in lvars_in_order(t for _, t in sol.bindings)}
 
     def inst(t: Term) -> Term:
         t = binding.apply(t)

@@ -8,8 +8,8 @@ import re
 
 from lflp import lf_syntax as lf
 from lflp.engine import Limits, solve
-from lflp.hterms import Atom, ForAll, Imp
-from lflp.inverter import invert
+from lflp.hterms import Atom, ForAll, Imp, lvars_in_order
+from lflp.inverter import FreeVars, invert
 from lflp.lf_kernel import beta_normalize, check_object, check_type, substitute
 from lflp.strictness import explain_strictness, strict_binders
 from lflp.translator import (
@@ -52,11 +52,12 @@ def _setup(sigfile, qtext, mode="optimized"):
 def _invert_solution(sig, qt, sol):
     """LF objects for the query variables and the inhabitant itself."""
     sub = {}
+    frees = FreeVars(name for name, _ in qt.var_lvars)
     for name, lv in qt.var_lvars:
         ty = beta_normalize(substitute(qt.var_types[name], sub))
-        sub[name] = invert(sig, lf.Context(()), sol.value(lv), ty)
+        sub[name] = invert(sig, lf.Context(()), sol.value(lv), ty, frees)
     fam = beta_normalize(substitute(qt.fam, sub))
-    inhab = invert(sig, lf.Context(()), sol.value(qt.subject), fam)
+    inhab = invert(sig, lf.Context(()), sol.value(qt.subject), fam, frees)
     return sub, inhab, fam
 
 
@@ -160,7 +161,7 @@ def test_06_failure_freedom_and_flex_enumeration():
                  query_vars=qv2)
     assert run2.status == "ok"
     sol2 = run2.solutions[0]
-    assert sol2.free
+    assert lvars_in_order(t for _, t in sol2.bindings)
     assert str(sol2.value(qt2.subject)) == f"(foo {sol2.value(qv2[0])})"
     assert validate_solution(prog2, qt2.goal, sol2)
 
@@ -183,7 +184,8 @@ def test_07_encode_invert_round_trip():
     assert len(cases) >= 200
     for m, ty in cases:
         assert oracles.obj_size(m) <= 6
-        back = invert(sig, lf.Context(()), encode_obj(sig, m, {}), ty)
+        back = invert(sig, lf.Context(()), encode_obj(sig, m, {}), ty,
+                      FreeVars(()))
         assert lf.alpha_eq(back, m), lf.print_lf(m)
 
 

@@ -161,30 +161,50 @@ def test_solve_names_lambdas_after_their_pi_binders(capsys):
 
 def test_solve_free_variable_reported(capsys):
     code, out, _ = run_cli(capsys, "solve", str(DATA / "foo2.elf"), "bar Y")
-    assert code == 0
-    assert "Y = _A  (not inverted)" in out
-    assert "inhabitant: foo _A  (not inverted)" in out
+    assert (code, out) == (0, "% free: A : i\nY = A\ninhabitant: foo A\n")
 
 
-def test_solve_names_raw_lambda_binders_in_print_order(capsys):
-    # An open answer is printed as a hohh term.  Its lambda binders are
-    # named x1, x2, ... as printed, not after the variable clock, so the
-    # text is the same in every run and whatever the search created.
+def test_solve_open_answer_is_inverted_and_rechecked(capsys, monkeypatch):
+    # An unsolved variable is a free LF variable, declared on a `% free:`
+    # line and named apart from the query's variables; the kernel checks
+    # its type and every answer in the context those lines spell out.
+    checked, typed = [], []
+    real_object, real_type = cli.check_object, cli.check_type
+    monkeypatch.setattr(cli, "check_object", lambda sig, ctx, m, ty: (
+        checked.append(ctx), real_object(sig, ctx, m, ty))[1])
+    monkeypatch.setattr(cli, "check_type", lambda sig, ctx, a: (
+        typed.append((list(ctx), a)), real_type(sig, ctx, a))[1])
     runs = [run_cli(capsys, "solve", str(DATA / "stlc.elf"),
                     "of (lam T ([x:tm] x)) U") for _ in range(2)]
     assert runs[0] == runs[1] == (0, (
-        "T = _A  (not inverted)\n"
-        "U = arr _A _A  (not inverted)\n"
-        "inhabitant: of_lam _A _A (x1\\ x1) (x2\\ x3\\ x3)  (not inverted)\n"),
+        "% free: A : tp\n"
+        "T = A\n"
+        "U = arr A A\n"
+        "inhabitant: of_lam A A ([x1:tm] x1) ([x:tm] [x2:of x A] x2)\n"),
         "")
+    assert typed == [([], lf.FConst("tp"))] * 2
+    assert len(checked) == 6
+    assert all(list(ctx) == [("A", lf.FConst("tp"))] for ctx in checked)
+
+
+def test_solve_answer_that_cannot_be_inverted_exits_2(capsys, monkeypatch):
+    def refuse(*_):
+        raise cli.InversionError("free F is not applied to distinct bound "
+                                 "variables")
+
+    monkeypatch.setattr(cli, "invert", refuse)
+    code, out, err = run_cli(capsys, "solve", str(DATA / "foo2.elf"), "bar Y")
+    assert (code, out) == (2, "")
+    assert err == ("error: answer cannot be inverted: free F is not applied "
+                   "to distinct bound variables\n")
 
 
 def test_solve_types_query_variable_under_object_binder(capsys):
-    # F occurs only under [x:tm]; its type is the body's, tm.  The open
-    # answer's printed text is not pinned
-    code, _, err = run_cli(capsys, "solve", str(DATA / "stlc.elf"),
-                           "eval E (lam o ([x:tm] F))")
+    # F occurs only under [x:tm]; its type is the body's, tm
+    code, out, err = run_cli(capsys, "solve", str(DATA / "stlc.elf"),
+                             "eval E (lam o ([x:tm] F))")
     assert code == 0 and err == ""
+    assert out.splitlines()[0] == "% free: A : tm"
 
 
 def test_solve_rejects_bad_query(capsys):
@@ -281,7 +301,7 @@ def test_solve_inverts_eta_short_answers(capsys, mode):
     assert "F = [x:nat] s x" in out
     assert "inhabitant: c" in out.splitlines()
     assert "inhabitant: d" in out.splitlines()
-    assert "(not inverted)" not in out
+    assert "% free:" not in out
 
 
 # --- strictness -----------------------------------------------------------
@@ -508,6 +528,8 @@ _TRANSCRIPT_SOLVES = [
     ["stlc.elf", "eval (app (lam o ([x:tm] x)) (lam o ([y:tm] y))) V"],
     ["stlc.elf", "of (lam o ([x:tm] x)) o"],
     ["stlc.elf", "of (lam o ([x:tm] x)) T", "--naive"],
+    ["stlc.elf", "of (lam T ([x:tm] x)) U"],
+    ["stlc.elf", "eval (lam T F) V"],
 ]
 
 

@@ -5,11 +5,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lflp import engine, lf_syntax as lf, unify
+from lflp import cli, engine, lf_syntax as lf, unify
 from lflp.engine import Limits, Solution, solve
 from lflp.hterms import (
     LF_OBJ, LF_TYPE, Atom, BVar, Const, ForAll, Imp, Program, Top, arrow,
-    fresh_evar, mk_app, type_of,
+    fresh_evar, lvars_in_order, mk_app, type_of,
 )
 from lflp.translator import translate_query, translate_signature
 
@@ -90,7 +90,7 @@ def test_solution_with_free_variable():
     prog, qt, run = _run("foo2.elf", "bar Y", 4)
     assert run.status == "ok"
     sol = run.solutions[0]
-    assert sol.free  # Y stayed uninstantiated
+    assert lvars_in_order(t for _, t in sol.bindings)  # Y stayed unsolved
     (name, lv), = qt.var_lvars
     y_val = sol.value(lv)
     subj = sol.value(qt.subject)
@@ -221,7 +221,7 @@ def test_validate_rejects_corrupted_binding():
     nil = Const("nil", OBJ)
     bad = Solution(
         bindings=tuple((v, nil if v == lv else t) for v, t in sol.bindings),
-        free=sol.free, backchains=sol.backchains)
+        backchains=sol.backchains)
     assert not validate_solution(prog, qt.goal, bad)
 
 
@@ -511,7 +511,7 @@ def test_variable_below_the_universe_is_bound_by_unification():
     for search in (solve, oracles.reference_solve):
         run = search(prog, goal, Limits(depth=2), query_vars=(m,))
         sol, = run.solutions
-        (v,) = sol.free
+        (v,) = lvars_in_order(t for _, t in sol.bindings)
         assert sol.value(m) == mk_app(f, [v])
         assert v.level <= m.level
 
@@ -628,7 +628,7 @@ def _same_search(sigfile, qtext, mode, depth, n=0, cap=None):
     assert got.status == want.status
     assert ([(engine._canon_key(s), s.backchains) for s in got.solutions]
             == [(engine._canon_key(s), s.backchains) for s in want.solutions])
-    return got
+    return qt, got
 
 
 # A level cap of 1 or 2 states makes most rounds search depth first from
@@ -652,7 +652,11 @@ def test_appendplus_search_matches_instantiate_then_unify(cap, qtext, mode,
        st.integers(2, 6), st.sampled_from([0, 0, 1, 2]))
 def test_stlc_search_matches_instantiate_then_unify(cap, qtext, mode, depth,
                                                     n):
-    _same_search("stlc.elf", qtext, mode, depth, n, cap)
+    qt, run = _same_search("stlc.elf", qtext, mode, depth, n, cap)
+    # every answer, open ones included, inverts to LF and re-checks
+    sig = oracles.load_signature("stlc.elf")
+    for sol in run.solutions:
+        cli._solution_lines(sig, qt, sol)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 5])
@@ -669,8 +673,8 @@ def test_search_from_an_older_level_keeps_solutions_and_order(
         dropped.append(rnd.frontier is None)
 
     monkeypatch.setattr(engine._Round, "stop", spy)
-    run = _same_search("appendplus.elf", "plus X Y (s (s z))", "naive", 12,
-                       cap=cap)
+    _, run = _same_search("appendplus.elf", "plus X Y (s (s z))", "naive", 12,
+                          cap=cap)
     assert [s.backchains for s in run.solutions] == [4, 9, 12]
     assert any(dropped)
 
@@ -701,7 +705,7 @@ def test_search_from_an_older_level_keeps_solutions_and_order(
 ])
 def test_goals_outside_write_mode_match_instantiate_then_unify(
         sigfile, qtext, mode, depth, n, answers):
-    run = _same_search(sigfile, qtext, mode, depth, n)
+    _, run = _same_search(sigfile, qtext, mode, depth, n)
     assert run.status == ("ok" if answers else "no")
     assert [engine._canon_key(s).split(";")[0].split("=", 1)[1]
             for s in run.solutions] == answers

@@ -1,5 +1,6 @@
-"""Source hygiene: no module-level import goes unused, and the library
-imports nothing outside the standard library.
+"""Source hygiene: no module-level import goes unused, the library
+imports nothing outside the standard library, and no library module
+imports another's private (underscore-prefixed) names.
 
 The checks read each file with the standard `ast` module, so they need
 no linter.  A name counts as used when the module mentions it anywhere
@@ -66,3 +67,22 @@ def test_library_imports_only_the_standard_library():
         "the check must see the tests' own imports of lflp and pytest"
     found = [line for path in LIBRARY for line in outside_stdlib(path)]
     assert not found, "imports outside the standard library:\n" + "\n".join(found)
+
+
+def private_imports(path: Path) -> list[str]:
+    """`file:line: name` for each underscore-prefixed name `path` imports
+    from a module of the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    rel = path.relative_to(ROOT)
+    return [f"{rel}:{node.lineno}: {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "lflp")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_library_imports_no_private_names():
+    assert private_imports(ROOT / "tests" / "oracles.py"), \
+        "the check must see the oracles' import of strictness._why_obj"
+    found = [line for path in LIBRARY for line in private_imports(path)]
+    assert not found, "private names imported:\n" + "\n".join(found)

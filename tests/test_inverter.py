@@ -4,8 +4,8 @@ from lflp import lf_syntax as lf
 from lflp.hterms import (
     LF_OBJ, App, BVar, Const, Lam, arrow, fresh_evar,
 )
-from lflp.inverter import InversionError, invert
-from lflp.lf_kernel import check_object
+from lflp.inverter import FreeVars, InversionError, invert
+from lflp.lf_kernel import check_object, check_type
 from lflp.translator import encode_obj
 
 import oracles
@@ -18,8 +18,9 @@ def _sig():
     return oracles.load_signature("append.elf")
 
 
-def _invert(sig, term, ty_text):
-    return invert(sig, lf.Context(), term, oracles.parse_type(sig, ty_text))
+def _invert(sig, term, ty_text, frees=None):
+    return invert(sig, lf.Context(), term, oracles.parse_type(sig, ty_text),
+                  FreeVars(()) if frees is None else frees)
 
 
 def test_invert_derivation_term():
@@ -52,7 +53,8 @@ def test_round_trip_spot():
     for text in ["list", "{x:nat} nat", "{f:nat -> nat} list"]:
         ty = oracles.parse_type(sig, text)
         for m in oracles.enumerate_objects(sig, lf.Context(), ty, 5):
-            back = invert(sig, lf.Context(), encode_obj(sig, m, {}), ty)
+            back = invert(sig, lf.Context(), encode_obj(sig, m, {}), ty,
+                          FreeVars(()))
             assert lf.alpha_eq(back, m)
             check_object(sig, lf.Context(), back, ty)
 
@@ -94,13 +96,73 @@ def test_partial_application_needs_expansion():
     assert lf.alpha_eq(got, want)
 
 
-# --- rejected answers -----------------------------------------------------
+# --- unsolved logic variables -------------------------------------------
+# An unsolved logic variable reads as a free LF variable, named and typed
+# where the walk first meets it.
 
-def test_free_logic_variable_refused():
+def _free_context(frees):
+    return lf.Context(tuple(frees.types.values()))
+
+
+def test_unapplied_logic_variable_is_one_free_variable():
     sig = _sig()
-    t = App(Const("s", arrow([OBJ], OBJ)), fresh_lvar("Y", OBJ))
-    with pytest.raises(InversionError, match="not closed"):
-        _invert(sig, t, "nat")
+    y = fresh_lvar("Y", OBJ)
+    cons = Const("cons", arrow([OBJ, OBJ], OBJ))
+    t = App(App(cons, y), App(App(cons, y), Const("nil", OBJ)))
+    frees = FreeVars(())
+    got = _invert(sig, t, "list", frees)
+    assert lf.print_lf(got) == "cons A (cons A nil)"
+    assert frees.types == {y: ("A", lf.FConst("nat"))}
+    check_object(sig, _free_context(frees), got, lf.FConst("list"))
+    # a query's own variable name is not reused
+    reserved = FreeVars(("A",))
+    assert lf.print_lf(_invert(sig, t, "list", reserved)) == "cons B (cons B nil)"
+
+
+def test_free_variable_names_and_lambda_binders_avoid_each_other():
+    sig = lf.parse_signature(
+        "nat : type. h : nat -> ({A:nat} nat) -> nat.")
+    y = fresh_lvar("Y", OBJ)
+    t = App(App(Const("h", arrow([OBJ, arrow([OBJ], OBJ)], OBJ)), y),
+            Lam("w", OBJ, BVar("w", OBJ)))
+    got = _invert(sig, t, "nat")
+    # the binder A, picked after the free A, is renamed
+    assert lf.print_lf(got) == "h A ([A1:nat] A1)"
+
+
+def test_pattern_applied_logic_variable_gets_a_pi_type():
+    sig = _sig()
+    p = fresh_lvar("P", arrow([OBJ], OBJ))
+    frees = FreeVars(())
+    # eta-expanded to [l:list] P l, a pattern
+    got = _invert(sig, p, "{l:list} append l nil l", frees)
+    assert lf.print_lf(got) == "[l:list] A l"
+    (name, ty), = frees.types.values()
+    assert name == "A"
+    assert lf.print_lf(ty) == "{l:list} append l nil l"
+    ctx = _free_context(frees)
+    check_type(sig, lf.Context(), ty)
+    check_object(sig, ctx, got,
+                 oracles.parse_type(sig, "{l:list} append l nil l"))
+
+
+def test_non_pattern_application_refused():
+    sig = _sig()
+    f = fresh_lvar("F", arrow([OBJ], OBJ))
+    with pytest.raises(InversionError, match="distinct bound variables"):
+        _invert(sig, App(f, Const("z", OBJ)), "nat")
+    g = fresh_lvar("G", arrow([OBJ, OBJ], OBJ))
+    twice = Lam("x", OBJ, App(App(g, BVar("x", OBJ)), BVar("x", OBJ)))
+    with pytest.raises(InversionError, match="distinct bound variables"):
+        _invert(sig, twice, "{x:nat} nat")
+
+
+def test_type_mentioning_a_bound_variable_outside_the_arguments_refused():
+    sig = _sig()
+    # unapplied under [l:list], Y would need the type append l nil l
+    t = Lam("l", OBJ, fresh_lvar("Y", OBJ))
+    with pytest.raises(InversionError, match="mentions a variable bound"):
+        _invert(sig, t, "{l:list} append l nil l")
 
 
 def test_eigenvariable_refused():

@@ -499,8 +499,9 @@ def test_spine_loop_matches_one_at_a_time_rules_on_corpus(name):
 
 
 def _transcript_objects():
-    """(signature, object) for every LF object `lflp solve` printed in the
-    recorded transcript: inhabitants and query variable values."""
+    """(signature, context, object) for every LF object `lflp solve`
+    printed in the recorded transcript: inhabitants and query variable
+    values, in the context its `% free:` lines declare."""
     text = (oracles.DATA / "cli_transcript.txt").read_text(encoding="utf-8")
     for chunk in text.split("$ lflp ")[1:]:
         command, *lines = chunk.splitlines()
@@ -508,8 +509,16 @@ def _transcript_objects():
         if argv[0] != "solve":
             continue
         sig = oracles.load_signature(argv[1])
+        # each free variable binds the objects after it, as a lambda does
+        frees = []
         for line in lines:
             if line.startswith("---"):
+                continue
+            if line.startswith("% solution "):
+                frees = []
+                continue
+            if line.startswith("% free: "):
+                frees.append(line[len("% free: "):].replace(" : ", ":", 1))
                 continue
             if line.startswith("inhabitant: "):
                 obj = line.split(": ", 1)[1]
@@ -517,16 +526,20 @@ def _transcript_objects():
                 obj = line.split(" = ", 1)[1]
             else:
                 continue
-            if not obj.endswith("(not inverted)"):
-                yield sig, lf.parse_object(obj, sig)
+            m = lf.parse_object("".join(f"[{b}] " for b in frees) + obj, sig)
+            ctx = lf.Context()
+            while len(ctx) < len(frees):
+                ctx, m = ctx.extend(m.var, m.dom), m.body
+            yield sig, ctx, m
 
 
 def test_spine_loop_matches_one_at_a_time_rules_on_transcript_answers():
     answers = list(_transcript_objects())
-    assert len(answers) >= 25
-    for sig, m in answers:
+    assert len(answers) >= 30
+    assert sum(1 for _, ctx, _ in answers if len(ctx)) >= 9
+    for sig, ctx, m in answers:
         assert _assert_same(check_object, oracles.ref_check_object, sig,
-                            lf.Context(), m) is None
+                            ctx, m) is None
 
 
 # Dependent, higher-order classifiers whose binders (x, y, x1) share
