@@ -1,10 +1,11 @@
 """Command-line driver.
 
 Four subcommands cover the pipeline: `check` runs the signature
-checker, `translate` emits the lambdaProlog program, `solve` runs an
-inhabitation query end to end (translate, search, invert answers back
-to LF), and `strictness` reports the per-binder analysis that powers
-the optimized translation.
+checker, `translate` emits the lambdaProlog program of the whole
+signature, `solve` runs an inhabitation query end to end (translate
+the type families the query can reach, search, invert answers back to
+LF and re-check them), and `strictness` reports the per-binder analysis
+that powers the optimized translation.
 
 Exit codes: 0 on success (for solve: at least one solution), 1 when a
 check fails or no solution is found, 2 for usage or I/O problems and
@@ -34,8 +35,8 @@ from .lf_kernel import (
 )
 from .strictness import explain_strictness
 from .translator import (
-    TranslationError, emit_lambdaprolog, emit_split, translate_query,
-    translate_signature,
+    TranslationError, emit_lambdaprolog, emit_split, reachable_signature,
+    translate_query, translate_signature,
 )
 
 
@@ -175,7 +176,9 @@ def cmd_solve(text: str, query: str, mode: str, limits: Limits) -> int:
     except (lf.LFSyntaxError, TranslationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    program = translate_signature(sig, mode)
+    # only the families the query reaches: the same search, less to build
+    program = translate_signature(reachable_signature(sig, qt.goal, mode),
+                                  mode)
     qvars = tuple(v for _, v in qt.var_lvars) + (qt.subject,)
     run = solve(program, qt.goal, limits, query_vars=qvars)
     if not run.solutions:

@@ -133,6 +133,9 @@ def solve(program: Program, goal: Formula, limits: Limits = Limits(),
                     rnd.susp = True
                     continue
                 sol = _extract(sigma, query_vars, bound)
+                if limits.max_solutions == 1:
+                    return SolveRun("ok", (sol,))
+                # a second solution is sought, so duplicates are dropped
                 key = _canon_key(sol)
                 if key in seen:
                     continue

@@ -5,7 +5,10 @@ type every simply typed answer determines at most one LF object: a Pi
 dictates a lambda whose annotation it supplies, and an application
 head names a signature constant or context variable whose classifier
 types the arguments in one loop over the spine, each at its binder's
-domain instantiated by the objects inverted before it.  The objects
+domain instantiated by the objects inverted before it.  A constant
+head takes its arity, and which arguments its target depends on, from
+the signature's table (`classifier_dependencies`); a variable head
+walks its classifier.  The objects
 built here are beta-normal, so an instantiation normalizes only when it
 puts a lambda in place.  An answer that is not a lambda at a Pi type is
 eta-expanded on the fly, as the unifier does: `t` stands for
@@ -33,7 +36,8 @@ from .hterms import (
     type_of,
 )
 from .lf_kernel import (
-    beta_eta_equal, beta_normalize, instantiate_normal, normal_classifier,
+    beta_eta_equal, beta_normalize, classifier_dependencies,
+    instantiate_normal, normal_classifier,
 )
 
 
@@ -129,33 +133,35 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
             if classifier is None or isinstance(classifier, (lf.KType, lf.KPi)):
                 raise InversionError(f"unknown object constant {name}")
             lf_head: lf.Obj = lf.OConst(name)
+            deps = classifier_dependencies(sig, name)
         case BVar(name, _):
             found = ctx.lookup(name)
             if found is None:
                 raise InversionError(f"unknown variable {name}")
             classifier = beta_normalize(found)
             lf_head = lf.OVar(name)
+            deps = lf.pi_dependencies(classifier)
         case EVar(name, _, _):
             raise InversionError(f"eigenvariable {name} in answer")
         case LVar():
             name, classifier = (frees.types.get(head)
                                 or frees.meet(sig, ctx, head, args, ty))
             lf_head = lf.OVar(name)
+            deps = lf.pi_dependencies(classifier)
         case _:
             raise InversionError(f"cannot invert head {head!r}")
-    arity = len(lf.split_fam_pis(classifier)[0])
-    if len(args) != arity:
+    if len(args) != len(deps):
         raise InversionError(
-            f"{name} takes {arity} arguments, got {len(args)}")
+            f"{name} takes {len(deps)} arguments, got {len(args)}")
     sub: dict[str, lf.Obj] = {}
     inv_args: list[lf.Obj] = []
     rest = classifier
-    for arg in args:
+    for arg, dep in zip(args, deps):
         inv = _invert(sig, ctx, arg,
                       instantiate_normal(rest.dom, sub) if sub else rest.dom,
                       frees)
         inv_args.append(inv)
-        if lf.occurs_free(rest.var, rest.body):
+        if dep:
             sub[rest.var] = inv
         rest = rest.body
     final = instantiate_normal(rest, sub) if sub else rest

@@ -10,7 +10,9 @@ ill-formed input fed directly to the normalizer cannot loop; well-typed
 terms never hit it.
 
 A constant's classifier is normalized once per signature, by
-`normal_classifier`, and every rule reads it from there.  The checker
+`normal_classifier`, and every rule reads it from there; which of its
+Pi binders the rest of it mentions is recorded once too, by
+`classifier_dependencies`, for the spine loop below.  The checker
 accepts a `Signature` or a `SignaturePrefix`: `check_signature` checks each
 declaration against a prefix view of the declarations before it.
 
@@ -31,7 +33,7 @@ from .lf_syntax import (
     Context, Expr, Fam, FApp, FConst, FPi, Kind, KindDecl, KPi, KType,
     LFError, Obj, OApp, OConst, OLam, OVar, Signature, SignaturePrefix,
     alpha_eq, fam_spine, free_vars, fresh_name, obj_app, obj_spine,
-    occurs_free, print_lf,
+    occurs_free, pi_dependencies, print_lf,
 )
 
 DEFAULT_FUEL = 100000
@@ -197,6 +199,22 @@ def normal_classifier(sig: Signature, name: str) -> Optional[Union[Kind, Fam]]:
     return nf
 
 
+def classifier_dependencies(sig: Signature,
+                            name: str) -> Optional[tuple[bool, ...]]:
+    """For each Pi binder of the normal classifier of `name`, whether the
+    rest of the classifier mentions it, or None when `sig` does not
+    declare `name`.  Computed once per signature, so a spine headed by a
+    constant decides which arguments its target depends on without
+    walking the classifier."""
+    a = normal_classifier(sig, name)
+    if a is None:
+        return None
+    deps = sig.dependencies.get(name)
+    if deps is None:
+        deps = sig.dependencies[name] = pi_dependencies(a)
+    return deps
+
+
 # ---------------------------------------------------------------------------
 # Conversion
 
@@ -357,8 +375,12 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
     # arguments before it, all held in one map, and the rest of `pi` is
     # instantiated once at the end.  A non-normal argument is placed as
     # its normal form, so every instantiation may skip the normality
-    # walk.  Returns the instantiated rest and whether every argument is
-    # beta-normal.
+    # walk.  Only arguments whose binder the rest of `pi` mentions are
+    # held: a constant head reads which from its signature's table, a
+    # variable or lambda head walks its classifier.  Returns the
+    # instantiated rest and whether every argument is beta-normal.
+    deps = (classifier_dependencies(sig, head.name)
+            if isinstance(head, (OConst, FConst)) else pi_dependencies(pi))
     sub: dict[str, Obj] = {}
     normal = True
     rest = pi
@@ -373,7 +395,7 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
         if not arg_normal:
             normal = False
             arg = beta_normalize(arg)
-        if occurs_free(rest.var, rest.body):
+        if deps[i]:
             sub[rest.var] = arg
         rest = rest.body
     return (instantiate_normal(rest, sub) if sub else rest), normal

@@ -146,11 +146,15 @@ class Signature:
     """Declarations in source order, indexed by name once.
 
     `lookup` reads the index; a name declared twice resolves to its first
-    declaration; a `SignaturePrefix` sees only the first declarations
-    through the same index.  Two per-constant tables travel with the signature and
-    are filled on demand by the layers that own them: `normal_forms` (the
-    kernel's beta-normal classifiers) and `simple_types` (the translator's
-    flattened types).
+    declaration.  A `SignaturePrefix` sees only the first declarations
+    through the same index, and a `SignatureView` sees every name but
+    iterates only a chosen subset of the declarations.  Four per-constant
+    tables travel with the signature, shared with its prefixes and views,
+    and are filled on demand by the layers that own them: `normal_forms`
+    (the kernel's beta-normal classifiers), `dependencies` (for each Pi
+    binder of a normal classifier, whether the rest of it mentions the
+    binder), `simple_types` (the translator's flattened types) and
+    `clauses` (the translator's clause per constant and mode).
     """
     decls: tuple[Decl, ...] = ()
 
@@ -161,7 +165,9 @@ class Signature:
                 index[d.name] = (i, d.kind if isinstance(d, KindDecl) else d.fam)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "normal_forms", {})
+        object.__setattr__(self, "dependencies", {})
         object.__setattr__(self, "simple_types", {})
+        object.__setattr__(self, "clauses", {})
 
     def lookup(self, name: str) -> Optional[Union[Kind, Fam]]:
         entry = self._index.get(name)
@@ -181,18 +187,32 @@ class SignaturePrefix:
     """The first `limit` declarations of a signature, read through its
     index: later declarations are invisible and nothing is copied."""
 
-    __slots__ = ("_index", "_limit", "normal_forms")
+    __slots__ = ("_index", "_limit", "normal_forms", "dependencies")
 
     def __init__(self, sig: Signature, limit: int):
         self._index = sig._index
         self._limit = limit
         self.normal_forms = sig.normal_forms
+        self.dependencies = sig.dependencies
 
     def lookup(self, name: str) -> Optional[Union[Kind, Fam]]:
         entry = self._index.get(name)
         if entry is None or entry[0] >= self._limit:
             return None
         return entry[1]
+
+
+class SignatureView(Signature):
+    """A signature that looks up every name of `sig` but iterates only
+    `decls`, a subset of its declarations in source order.  It reads the
+    index and the per-constant tables of `sig`, so nothing is copied or
+    computed again."""
+
+    def __init__(self, sig: Signature, decls: tuple[Decl, ...]):
+        object.__setattr__(self, "decls", decls)
+        for table in ("_index", "normal_forms", "dependencies",
+                      "simple_types", "clauses"):
+            object.__setattr__(self, table, getattr(sig, table))
 
 
 @dataclass(frozen=True)
@@ -327,6 +347,16 @@ def split_fam_pis(a: Fam) -> tuple[list[tuple[str, Fam]], Fam]:
         binders.append((a.var, a.dom))
         a = a.body
     return binders, a
+
+
+def pi_dependencies(a: Union[Kind, Fam]) -> tuple[bool, ...]:
+    """For each leading Pi binder of `a`, whether the rest of `a` after
+    it mentions the binder."""
+    deps: list[bool] = []
+    while isinstance(a, (KPi, FPi)):
+        deps.append(occurs_free(a.var, a.body))
+        a = a.body
+    return tuple(deps)
 
 
 # ---------------------------------------------------------------------------

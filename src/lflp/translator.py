@@ -18,9 +18,15 @@ The bridge works at three levels:
   type gets the trivial premise ``true`` instead, because any well-typed
   use already pins its instantiation.
 
-``translate_signature`` packages a whole signature as a Program whose
-clause order is declaration order.  Kind declarations contribute only
-signature entries, never clauses.
+``translate_signature`` packages a signature, or a view of one, as a
+Program with one clause per object declaration, in declaration order.
+Kind declarations contribute only signature entries, never clauses.
+Each constant's clause is translated once per signature and mode and
+kept in the signature's ``clauses`` table.  ``reachable_signature``
+picks the view a query needs: the type families its translated clauses
+can reach from the query's family, so ``lflp solve`` translates and
+compiles only those, while ``lflp translate`` packages the whole
+signature.
 
 The emitter prints a Program in lambdaProlog concrete syntax.
 """
@@ -28,7 +34,7 @@ The emitter prints a Program in lambdaProlog concrete syntax.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from . import lf_syntax as lf
 from . import strictness
@@ -142,19 +148,82 @@ def translate_judgment(sig: lf.Signature, a: lf.Fam, subject: Term,
 
 def translate_signature(sig: lf.Signature, mode: str = "optimized",
                         simplify: bool = True) -> Program:
-    """Whole-signature translation; mode is "naive" or "optimized"."""
+    """The program of `sig`, a signature or a view of one: one clause per
+    object declaration it iterates, in order.  Mode is "naive" or
+    "optimized"."""
     if mode not in ("naive", "optimized"):
         raise TranslationError(f"unknown mode {mode!r}")
     xi: list[tuple[str, SimpleType]] = [(HASTYPE, HASTYPE_TY)]
     clauses: list[Formula] = []
     for d in sig.decls:
-        ty = _const_type(sig, d.name)
-        xi.append((d.name, ty))
+        xi.append((d.name, _const_type(sig, d.name)))
         if isinstance(d, lf.ObjDecl):
-            a = normal_classifier(sig, d.name)
-            clauses.append(translate_judgment(sig, a, Const(d.name, ty), mode))
+            clauses.append(_clause(sig, d.name, mode))
     program = Program(tuple(xi), tuple(clauses))
     return simplify_program(program) if simplify else program
+
+
+def _clause(sig: lf.Signature, name: str, mode: str) -> Formula:
+    """The clause of object constant `name`, from the signature's table:
+    each constant is translated at most once per signature and mode."""
+    clause = sig.clauses.get((name, mode))
+    if clause is None:
+        clause = sig.clauses[name, mode] = translate_judgment(
+            sig, normal_classifier(sig, name),
+            Const(name, _const_type(sig, name)), mode)
+    return clause
+
+
+def reachable_signature(sig: lf.Signature, goal: Formula,
+                        mode: str) -> lf.SignatureView:
+    """The view of `sig` that a search for `goal` over its `mode`
+    translation can use: the type families the goal reaches and the
+    object constants whose target they are, in source order.
+
+    A family is reached when it heads the type argument of a ``hastype``
+    atom of `goal`, or of a translated clause of a family already
+    reached.  The view translates to the same search as the whole
+    signature.  Every goal of the search is an instance of an atom of
+    `goal`, or of a clause or hypothesis of a reached family, since
+    backchaining proves a clause's premises and an implication assumes
+    a subformula of the goal it is part of.  LF families are
+    constant-headed, so such an atom's type argument, and every instance
+    of it, has a family constant as its last key, and the engine's
+    candidates for a goal are the clauses filed under that key, in
+    program order.  The view keeps every clause of a reached family, in
+    order, so each goal has the same candidates, and backchains and
+    solutions are unchanged."""
+    families = [d.name if isinstance(d, lf.KindDecl)
+                else lf.fam_spine(lf.split_fam_pis(d.fam)[1])[0].name
+                for d in sig.decls]
+    by_family: dict[str, list[str]] = {}
+    for d, family in zip(sig.decls, families):
+        if isinstance(d, lf.ObjDecl):
+            by_family.setdefault(family, []).append(d.name)
+    reached: set[str] = set()
+    todo = [goal]
+    while todo:
+        for family in _atom_families(todo.pop()):
+            if family not in reached:
+                reached.add(family)
+                todo += (_clause(sig, name, mode)
+                         for name in by_family.get(family, ()))
+    return lf.SignatureView(sig, tuple(
+        d for d, family in zip(sig.decls, families) if family in reached))
+
+
+def _atom_families(f: Formula) -> Iterator[str]:
+    """The family constants heading the type arguments of the ``hastype``
+    atoms of `f`."""
+    stack = [f]
+    while stack:
+        match stack.pop():
+            case Atom(pred, (_, ty)) if pred == HASTYPE:
+                yield term_spine(ty)[0].name
+            case Imp(left, right):
+                stack += (left, right)
+            case ForAll(_, _, body):
+                stack.append(body)
 
 
 def simplify_top(f: Formula) -> Formula:

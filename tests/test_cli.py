@@ -187,6 +187,28 @@ def test_solve_open_answer_is_inverted_and_rechecked(capsys, monkeypatch):
     assert all(list(ctx) == [("A", lf.FConst("tp"))] for ctx in checked)
 
 
+@pytest.mark.parametrize("mode, names", [
+    ("optimized", ["plus", "plusZ", "plusS"]),
+    ("naive", ["nat", "z", "s", "plus", "plusZ", "plusS"]),
+])
+def test_solve_translates_only_the_families_the_query_reaches(
+        capsys, monkeypatch, mode, names):
+    # The benchmark's tracer wraps `cli.translate_signature` and pairs the
+    # object declarations of its first argument with the clauses.
+    calls = []
+    real = cli.translate_signature
+    monkeypatch.setattr(cli, "translate_signature", lambda *args, **kw: (
+        calls.append((args, kw)), real(*args, **kw))[1])
+    argv = ["solve", str(DATA / "appendplus.elf"), "plus (s z) (s z) N"]
+    code, out, _ = run_cli(capsys, *argv, *(["--naive"] if mode == "naive"
+                                             else []))
+    assert (code, out) == (0, "N = s (s z)\n"
+                              "inhabitant: plusS z (s z) (s z) (plusZ (s z))\n")
+    [((view, got_mode), kw)] = calls
+    assert (got_mode, kw) == (mode, {})
+    assert [d.name for d in view] == names
+
+
 def test_solve_answer_that_cannot_be_inverted_exits_2(capsys, monkeypatch):
     def refuse(*_):
         raise cli.InversionError("free F is not applied to distinct bound "

@@ -11,7 +11,9 @@ from lflp.hterms import (
     LF_OBJ, LF_TYPE, Atom, BVar, Const, ForAll, Imp, Program, Top, arrow,
     fresh_evar, lvars_in_order, mk_app, type_of,
 )
-from lflp.translator import translate_query, translate_signature
+from lflp.translator import (
+    reachable_signature, translate_query, translate_signature,
+)
 
 import oracles
 from oracles import evars_of, fresh_lvar, validate_solution
@@ -620,15 +622,64 @@ def _stlc_query(draw):
 
 
 def _same_search(sigfile, qtext, mode, depth, n=0, cap=None):
+    # the engine searches the program of the families the query reaches,
+    # as `lflp solve` does; the reference searches the whole program
     prog, qt, qvars = _setup(sigfile, qtext, mode=mode)
+    sig = oracles.load_signature(sigfile)
+    sliced = translate_signature(reachable_signature(sig, qt.goal, mode),
+                                 mode)
     limits = Limits(depth=depth, max_solutions=n)
     with mock.patch.object(engine, "_LEVEL_CAP", cap or engine._LEVEL_CAP):
-        got = solve(prog, qt.goal, limits, query_vars=qvars)
+        got = solve(sliced, qt.goal, limits, query_vars=qvars)
     want = oracles.reference_solve(prog, qt.goal, limits, query_vars=qvars)
     assert got.status == want.status
     assert ([(engine._canon_key(s), s.backchains) for s in got.solutions]
             == [(engine._canon_key(s), s.backchains) for s in want.solutions])
     return qt, got
+
+
+_NATS = ["nat", "z", "s"]
+_LISTS = ["list", "nil", "cons"]
+_STLC_TERMS = ["tp", "o", "arr", "tm", "app", "lam"]
+
+
+# The optimized `append` and `plus` clauses have no typing premise, so
+# their queries reach only their own family; the naive clauses type
+# every binder, and so reach the families of the binders' types.
+@pytest.mark.parametrize("sigfile, qtext, mode, names", [
+    ("appendplus.elf", "append L M N", "optimized",
+     ["append", "appNil", "appCons"]),
+    ("appendplus.elf", "append L M N", "naive",
+     _NATS + _LISTS + ["append", "appNil", "appCons"]),
+    ("appendplus.elf", "plus X Y Z", "optimized", ["plus", "plusZ", "plusS"]),
+    ("appendplus.elf", "plus X Y Z", "naive",
+     _NATS + ["plus", "plusZ", "plusS"]),
+    ("stlc.elf", "of E T", "optimized",
+     _STLC_TERMS + ["of", "of_app", "of_lam"]),
+    ("stlc.elf", "of E T", "naive", _STLC_TERMS + ["of", "of_app", "of_lam"]),
+    ("stlc.elf", "eval E V", "optimized",
+     _STLC_TERMS + ["eval", "ev_lam", "ev_app"]),
+    ("stlc.elf", "eval E V", "naive",
+     _STLC_TERMS + ["eval", "ev_lam", "ev_app"]),
+])
+def test_query_reaches_only_its_families(sigfile, qtext, mode, names):
+    sig = oracles.load_signature(sigfile)
+    free, fam = lf.parse_query(qtext, sig)
+    view = reachable_signature(sig, translate_query(sig, free, fam).goal, mode)
+    assert [d.name for d in view] == names
+    assert all(view.lookup(d.name) is d.fam
+               for d in sig.decls if isinstance(d, lf.ObjDecl))
+
+
+def test_first_solution_needs_no_dedup_key(monkeypatch):
+    keys = []
+    canon = engine._canon_key
+    monkeypatch.setattr(engine, "_canon_key",
+                        lambda sol: keys.append(sol) or canon(sol))
+    _, _, run = _run("appendplus.elf", "append L M (cons z nil)", 8, n=1)
+    assert len(run.solutions) == 1 and keys == []
+    _, _, run = _run("appendplus.elf", "append L M (cons z nil)", 8, n=2)
+    assert len(run.solutions) == 2 and len(keys) == 2
 
 
 # A level cap of 1 or 2 states makes most rounds search depth first from

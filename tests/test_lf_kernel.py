@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from lflp import lf_syntax as lf
 from lflp.lf_kernel import (
     LFTypeError, beta_eta_equal, beta_normalize, check_object,
-    check_signature, check_type, instantiate, normal_classifier, substitute,
+    check_signature, check_type, classifier_dependencies, instantiate,
+    normal_classifier, substitute,
 )
 
 import oracles
@@ -360,6 +361,29 @@ def test_prefix_hides_later_declarations():
     assert lf.SignaturePrefix(sig, n).lookup("append") is None
     assert lf.SignaturePrefix(sig, n + 1).lookup("append") is sig.lookup("append")
     assert normal_classifier(lf.SignaturePrefix(sig, n), "append") is None
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in oracles.DATA.glob("*.elf")))
+def test_binder_table_agrees_with_the_walk(name):
+    # for each Pi binder of a constant's normal classifier, whether the
+    # rest of the classifier mentions it, as the walk over it decides
+    sig = oracles.load_signature(name)
+    for i, d in enumerate(sig.decls):
+        want = []
+        a = normal_classifier(sig, d.name)
+        while isinstance(a, (lf.KPi, lf.FPi)):
+            want.append(lf.occurs_free(a.var, a.body))
+            a = a.body
+        deps = classifier_dependencies(sig, d.name)
+        assert deps == tuple(want)
+        # recorded once, and read by every prefix and view of `sig`
+        assert classifier_dependencies(lf.SignaturePrefix(sig, i + 1),
+                                       d.name) is deps
+        assert classifier_dependencies(lf.SignatureView(sig, ()),
+                                       d.name) is deps
+        assert classifier_dependencies(lf.SignaturePrefix(sig, i),
+                                       d.name) is None
 
 
 def test_normal_form_of_redex_classifier_is_memoized():

@@ -11,8 +11,8 @@ from lflp.hterms import (
 from lflp.lf_kernel import substitute
 from lflp.translator import (
     TranslationError, emit_lambdaprolog, emit_split, encode_fam, encode_obj,
-    phi, simplify_top, translate_judgment, translate_query,
-    translate_signature,
+    phi, reachable_signature, simplify_top, translate_judgment,
+    translate_query, translate_signature,
 )
 from lflp.unify import Subst
 from lflp.strictness import strict_binders
@@ -221,6 +221,45 @@ def test_translate_signature_xi_and_counts():
     assert dict(prog.xi)["hastype"] == arrow([OBJ, TY], Const("o", OBJ).ty) \
         or str(dict(prog.xi)["hastype"]) == "lf_obj -> lf_type -> o"
     assert len(prog.clauses) == 6  # kind declarations add no clauses
+
+
+def _head_constant(clause):
+    while not isinstance(clause, Atom):
+        clause = clause.body if isinstance(clause, ForAll) else clause.right
+    return term_spine(clause.args[0])[0].name
+
+
+def _family_views(sig, mode):
+    # the view reached from a query of each type family of `sig`
+    for d in sig.decls:
+        if isinstance(d, lf.KindDecl):
+            arity, k = 0, d.kind
+            while isinstance(k, lf.KPi):
+                arity, k = arity + 1, k.body
+            qtext = " ".join([d.name] + [f"X{i}" for i in range(arity)])
+            qt = translate_query(sig, *lf.parse_query(qtext, sig))
+            yield reachable_signature(sig, qt.goal, mode)
+
+
+SIGNATURES = sorted(p.name for p in oracles.DATA.glob("*.elf"))
+
+
+@pytest.mark.parametrize("name", SIGNATURES)
+@pytest.mark.parametrize("mode", ["naive", "optimized"])
+def test_one_clause_per_object_declaration_of_a_signature_or_view(name, mode):
+    # the benchmark's tracer pairs the object declarations of what it is
+    # given with the clauses, in order, to count premises per declaration
+    sig = oracles.load_signature(name)
+    raw = translate_signature(sig, mode, simplify=False)
+    first = dict(zip((d.name for d in sig.decls if isinstance(d, lf.ObjDecl)),
+                     raw.clauses))
+    for view in [sig, *_family_views(sig, mode)]:
+        prog = translate_signature(view, mode, simplify=False)
+        objs = [d.name for d in view.decls if isinstance(d, lf.ObjDecl)]
+        assert [_head_constant(c) for c in prog.clauses] == objs
+        assert [n for n, _ in prog.xi] == ["hastype"] + [d.name for d in view]
+        # a constant's clause is translated once per signature and mode
+        assert all(c is first[n] for c, n in zip(prog.clauses, objs))
 
 
 def test_empty_signature():
