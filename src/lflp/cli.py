@@ -12,8 +12,9 @@ check fails or no solution is found, 2 for usage or I/O problems and
 for a found answer that cannot be inverted to LF or fails the kernel's
 re-check.  The `lflp` command (`run`) also exits 2, with one `error:`
 line on stderr instead of a traceback, for an input nested past
-Python's recursion limit or a normalization past its step budget;
-`main` lets those two exceptions reach an in-process caller.  The
+Python's recursion limit or a normalization past its step budget, and
+with nothing more printed when the reader of its stdout closes it
+early; `main` lets those exceptions reach an in-process caller.  The
 argument parser is built on the first call to `main` and reused by
 later calls in the same process.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -95,13 +97,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-    if args.command == "check":
-        return cmd_check(text)
-    if args.command == "translate":
-        return cmd_translate(text, args.file,
-                             "naive" if args.naive else "optimized",
-                             not args.no_simplify, args.split_sig_mod, args.out)
     if args.command == "solve":
         if args.depth < 1:
             print("error: --depth must be at least 1", file=sys.stderr)
@@ -109,37 +104,36 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.count < 0:
             print("error: -n must be at least 0", file=sys.stderr)
             return 2
-        return cmd_solve(text, args.query,
+
+    try:
+        sig = lf.parse_signature(text)
+        check_signature(sig)
+    except (lf.LFSyntaxError, LFTypeError) as err:
+        # `check` and `strictness` report errors on stdout, with results
+        print(f"error: {err}", file=sys.stderr
+              if args.command in ("translate", "solve") else sys.stdout)
+        return 1
+
+    if args.command == "check":
+        return cmd_check(sig)
+    if args.command == "translate":
+        return cmd_translate(sig, args.file,
+                             "naive" if args.naive else "optimized",
+                             not args.no_simplify, args.split_sig_mod, args.out)
+    if args.command == "solve":
+        return cmd_solve(sig, args.query,
                          "naive" if args.naive else "optimized",
                          Limits(depth=args.depth, max_solutions=args.count))
-    if args.command == "strictness":
-        return cmd_strictness(text, args.explain)
-    return 2
+    return cmd_strictness(sig, args.explain)
 
 
-def _load_signature(text: str) -> lf.Signature:
-    sig = lf.parse_signature(text)
-    check_signature(sig)
-    return sig
-
-
-def cmd_check(text: str) -> int:
-    try:
-        sig = _load_signature(text)
-    except (lf.LFSyntaxError, LFTypeError) as err:
-        print(f"error: {err}")
-        return 1
+def cmd_check(sig: lf.Signature) -> int:
     print(f"ok: {len(sig.decls)} declarations")
     return 0
 
 
-def cmd_translate(text: str, path: str, mode: str, simplify: bool,
+def cmd_translate(sig: lf.Signature, path: str, mode: str, simplify: bool,
                   split: bool, out: Optional[str]) -> int:
-    try:
-        sig = _load_signature(text)
-    except (lf.LFSyntaxError, LFTypeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     program = translate_signature(sig, mode, simplify=simplify)
     if split:
         stem = Path(out or path).with_suffix("")
@@ -164,12 +158,8 @@ def cmd_translate(text: str, path: str, mode: str, simplify: bool,
     return 0
 
 
-def cmd_solve(text: str, query: str, mode: str, limits: Limits) -> int:
-    try:
-        sig = _load_signature(text)
-    except (lf.LFSyntaxError, LFTypeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+def cmd_solve(sig: lf.Signature, query: str, mode: str,
+              limits: Limits) -> int:
     try:
         free, fam = lf.parse_query(query, sig)
         qt = translate_query(sig, free, fam)
@@ -226,12 +216,7 @@ def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
             + [label + lf.print_lf(obj) for label, obj, _ in answers])
 
 
-def cmd_strictness(text: str, explain: bool) -> int:
-    try:
-        sig = _load_signature(text)
-    except (lf.LFSyntaxError, LFTypeError) as err:
-        print(f"error: {err}")
-        return 1
+def cmd_strictness(sig: lf.Signature, explain: bool) -> int:
     for d in sig.decls:
         if isinstance(d, lf.KindDecl):
             continue
@@ -251,15 +236,25 @@ def cmd_strictness(text: str, explain: bool) -> int:
 
 def run(argv: Optional[list[str]] = None) -> None:
     """Entry point of the `lflp` command: `main`, with a resource limit
-    reported as one `error:` line and exit status 2."""
+    reported as one `error:` line and exit status 2.  A reader that
+    closes stdout early, such as `head`, also ends it with status 2,
+    silently."""
     try:
         code = main(argv)
+        sys.stdout.flush()
     except RecursionError:
         print("error: input nested too deeply (Python's recursion limit "
               "was reached)", file=sys.stderr)
         code = 2
     except LFFuelError as err:
         print(f"error: {err}", file=sys.stderr)
+        code = 2
+    except BrokenPipeError:
+        # what is left in stdout's buffer goes nowhere, so the flush at
+        # exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         code = 2
     sys.exit(code)
 

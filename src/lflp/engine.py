@@ -4,12 +4,12 @@ Search follows the uniform-proof discipline: ``true`` succeeds, an
 implication goal adds its antecedent to the clauses (after those of
 its predicate, so program order stays meaningful), a universal goal
 introduces a fresh eigenvariable, and an atomic goal backchains.  Each
-clause is compiled once: its universal variables become numbered slots
-in a template of its head and premises.  The compiled clauses form a
-database keyed by predicate and arity and, within that, by the rigid
-head of the last argument (for ``hastype M A``, the type family of A),
-so a backchain visits only the clauses whose last key agrees with the
-goal's, in program order.
+clause is compiled once, in one walk: its binders name the slots of its
+head's templates, and its premises are kept as they are.  The compiled
+clauses form a database keyed by predicate and arity and, within that,
+by the rigid head of the last argument (for ``hastype M A``, the type
+family of A), so a backchain visits only the clauses whose last key
+agrees with the goal's, in program order.
 
 A backchain resolves the goal's arguments once and matches each
 candidate's compiled head against them, as a Prolog machine's get
@@ -162,14 +162,17 @@ def solve(program: Program, goal: Formula, limits: Limits = Limits(),
 class _Clause(NamedTuple):
     """A definite clause compiled once for backchaining.
 
-    Its quantified variables are numbered slots: ``slots[i]`` holds the
-    reserved bound name ``#i`` that stands for slot i in ``head`` (the
-    templates of the head's arguments) and in ``premises``, and the name
-    prefix and simple type of the logic variable the slot becomes when
-    no goal subterm fills it.  No lambda binder is named ``#i``, so a
-    slot value never needs renaming apart.  ``keys`` has one entry per
-    head argument: the name of the argument's rigid head (a constant or
-    an eigenvariable), or None when the head is a slot, a logic variable
+    Its quantified variables are slots named by its own binders:
+    ``slots[i]`` holds the i-th binder's name, which stands for the slot
+    in ``head`` (the templates of the head's arguments) and in
+    ``premises`` (the clause's own subformulas), and the name prefix and
+    simple type of the logic variable the slot becomes when no goal
+    subterm fills it.  Names suffice: the parser keeps binder names
+    distinct along every scope path, so the quantifier prefix never
+    repeats a name, and slot values are closed terms, so no binder of
+    the clause captures a name of one.  ``keys`` has one entry per head
+    argument: the name of the argument's rigid head (a constant or an
+    eigenvariable), or None when the head is a slot, a logic variable
     or a lambda, which any goal argument may match; the last one files
     the clause in the database.  ``pred`` is None for a formula that is
     not a definite clause.  ``writable`` says that the head mentions no
@@ -188,25 +191,22 @@ class _Clause(NamedTuple):
 
 def _compile(clause: Formula) -> _Clause:
     slots: list[tuple[str, str, SimpleType]] = []
-    ren: dict[str, Term] = {}
     premises: list[Formula] = []
     f = clause
     while True:
         match f:
             case ForAll(var, ty, body):
-                name = f"#{len(slots)}"
-                ren[var] = BVar(name, ty)
-                slots.append((name, var.upper() if var else "X", ty))
+                slots.append((var, var.upper() if var else "X", ty))
                 f = body
             case Imp(g, d):
-                premises.append(subst_formula(g, ren))
+                premises.append(g)
                 f = d
             case Atom(pred, args):
-                head = tuple(_template(subst_term(a, ren)) for a in args)
+                head = tuple(_template(a) for a in args)
                 return _Clause(pred, tuple(_key(t.head) for t in head),
                                tuple(slots), head, tuple(premises),
-                               not any(isinstance(x, LVar) for x in
-                                       term_leaves(t.term for t in head)))
+                               not any(isinstance(x, LVar)
+                                       for x in term_leaves(args)))
             case _:
                 return _Clause(None, (), (), (), (), False)
 

@@ -310,13 +310,13 @@ Formula = Union[Top, Atom, Imp, ForAll]
 
 
 def subst_formula(f: Formula, m: dict[str, Term]) -> Formula:
-    """Replace the free bound names `m` maps; capture-avoiding.
+    """Replace the free bound names `m` maps.
 
-    Every range in `m` is a variable (an eigenvariable, a logic variable
-    or a renamed bound name) or a closed, beta-normal term that is not a
-    lambda (a goal subterm filling a clause slot).  Neither makes a redex
-    in place of a bound name, applied or not, so a beta-normal formula
-    stays beta-normal without a normalization pass."""
+    Every range in `m` is closed: an eigenvariable, a logic variable or
+    a beta-normal goal subterm filling a clause slot.  So no binder of
+    `f` captures a name of a range, and none is renamed.  No range is a
+    lambda, so none makes a redex in place of a bound name, and a
+    beta-normal formula stays beta-normal."""
     if not m:
         return f
     match f:
@@ -328,14 +328,7 @@ def subst_formula(f: Formula, m: dict[str, Term]) -> Formula:
             return Imp(subst_formula(left, m), subst_formula(right, m))
         case ForAll(var, ty, body):
             inner = {k: v for k, v in m.items() if k != var}
-            if not inner:
-                return f
-            clash = frozenset().union(*[free_bvars(v) for v in inner.values()])
-            if var in clash:
-                nv = _fresh_bname(var, clash)
-                body = subst_formula(body, {var: BVar(nv, ty)})
-                var = nv
-            return ForAll(var, ty, subst_formula(body, inner))
+            return ForAll(var, ty, subst_formula(body, inner)) if inner else f
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -106,44 +106,15 @@ def _subst(e: Expr, b: Mapping[str, Obj], placed: dict[int, Obj]) -> Expr:
     raise TypeError(f"not an LF expression: {e!r}")
 
 
-def instantiate(e: Expr, bindings: Mapping[str, Obj]) -> Expr:
-    """`beta_normalize(substitute(e, bindings))` for a beta-normal `e`.
-
-    A value that is beta-normal and not a lambda makes no redex where it
-    is put, so when every value put in place is one, the substitution is
-    already normal and no second pass is made."""
-    placed: dict[int, Obj] = {}
-    e = _subst(e, bindings, placed)
-    if all(not isinstance(v, OLam) and _is_normal(v)
-           for v in placed.values()):
-        return e
-    return beta_normalize(e)
-
-
 def instantiate_normal(e: Expr, bindings: Mapping[str, Obj]) -> Expr:
-    """`instantiate` for values known to be beta-normal: only a lambda
-    put in place can make a redex, so no value is walked to find out."""
+    """`beta_normalize(substitute(e, bindings))` for a beta-normal `e` and
+    beta-normal values: only a lambda put in place can make a redex, so
+    no value is walked to find out."""
     placed: dict[int, Obj] = {}
     e = _subst(e, bindings, placed)
     if any(isinstance(v, OLam) for v in placed.values()):
         return beta_normalize(e)
     return e
-
-
-def _is_normal(e: Expr) -> bool:
-    # an explicit stack: arguments nest as deep as the input's spines
-    stack = [e]
-    while stack:
-        match stack.pop():
-            case KPi(_, dom, body) | FPi(_, dom, body) | OLam(_, dom, body):
-                stack += (dom, body)
-            case FApp(fn, arg):
-                stack += (fn, arg)
-            case OApp(fn, arg):
-                if isinstance(fn, OLam):
-                    return False
-                stack += (fn, arg)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +415,7 @@ def _printed(sig: Signature, ctx: Context, e: Expr) -> Union[Kind, Fam]:
 
 def _one_by_one(pi: Union[Kind, Fam], args: list[Obj]) -> Union[Kind, Fam]:
     for arg in args:
-        pi = (instantiate(pi.body, {pi.var: arg})
+        pi = (beta_normalize(substitute(pi.body, {pi.var: arg}))
               if occurs_free(pi.var, pi.body) else pi.body)
     return pi
 

@@ -173,9 +173,6 @@ class Signature:
         entry = self._index.get(name)
         return None if entry is None else entry[1]
 
-    def names(self) -> frozenset[str]:
-        return frozenset(self._index)
-
     def __iter__(self) -> Iterator[Decl]:
         return iter(self.decls)
 

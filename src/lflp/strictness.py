@@ -7,7 +7,7 @@ inhabitation premise in the translated clause.
 
 Three judgments, mirrored by the code below:
 
-* object level (``strict_in_object``): the tracked variable applied to
+* object level (``_why_obj``): the tracked variable applied to
   distinct local variables (INIT_o); a rigid head with some strict
   argument (APP_o); descent under abstraction extends the local set
   (ABS_o).  A head drawn from the candidate binders, including the
@@ -35,7 +35,7 @@ in.  Each problem is solved once per classifier and memoized.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from .lf_kernel import substitute
 from .lf_syntax import (
@@ -45,12 +45,6 @@ from .lf_syntax import (
 
 _Gamma = tuple[tuple[str, Fam], ...]
 _Memo = dict[tuple[_Gamma, Fam], tuple[Optional[str], ...]]
-
-
-def strict_in_object(candidates: Iterable[str], delta: Iterable[str],
-                     x: str, m: Obj) -> bool:
-    """True iff x occurs strictly in the beta-normal object `m`."""
-    return _why_obj(frozenset(candidates), frozenset(delta), x, m) is not None
 
 
 def strict_binders(a: Fam) -> frozenset[int]:

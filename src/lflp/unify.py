@@ -69,10 +69,6 @@ class Subst:
     def __init__(self, m: Optional[dict[LVar, Term]] = None):
         self._m = m or {}
 
-    def lookup(self, v: LVar) -> Optional[Term]:
-        t = self._m.get(v)
-        return None if t is None else self.apply(t)
-
     def __len__(self):
         return len(self._m)
 

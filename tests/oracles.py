@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from lflp import lf_syntax as lf
 from lflp.lf_syntax import (
@@ -41,7 +41,7 @@ from lflp.lf_syntax import (
     fam_spine, free_vars, fresh_name, obj_app, obj_spine, split_fam_pis,
 )
 from lflp.lf_kernel import (
-    LFTypeError, beta_eta_equal, beta_normalize, check_signature, instantiate,
+    LFTypeError, beta_eta_equal, beta_normalize, check_signature,
     normal_classifier, print_brief, substitute,
 )
 from lflp.engine import (
@@ -170,7 +170,7 @@ def enumerate_objects(sig: lf.Signature, ctx: lf.Context, ty: lf.Fam,
     ty = beta_normalize(ty)
     if isinstance(ty, lf.FPi):
         var = ty.var
-        taken = ctx.names() | sig.names()
+        taken = ctx.names() | {d.name for d in sig}
         if var in taken:
             var = lf.fresh_name(var, taken)
         body_ty = beta_normalize(substitute(ty.body, {ty.var: lf.OVar(var)}))
@@ -684,6 +684,13 @@ def has_unifier_bruteforce(lhs: Term, rhs: Term, heads: list[Term],
 _Gamma = tuple[tuple[str, Fam], ...]
 
 
+def strict_in_object(candidates: Iterable[str], delta: Iterable[str],
+                     x: str, m: Obj) -> bool:
+    """True iff x occurs strictly in the beta-normal object `m`, by the
+    object-level rules of `lflp.strictness`."""
+    return _why_obj(frozenset(candidates), frozenset(delta), x, m) is not None
+
+
 def dfs_strict_binders(a: Fam) -> frozenset[int]:
     """Indices of the Pi binders of `a` that occur strictly."""
     return frozenset(i for i, (_, strict, _) in
@@ -770,9 +777,6 @@ class EagerSubst:
 
     def __init__(self, m: Optional[dict[LVar, Term]] = None):
         self._m = m or {}
-
-    def lookup(self, v: LVar) -> Optional[Term]:
-        return self._m.get(v)
 
     def __len__(self):
         return len(self._m)
@@ -1228,7 +1232,7 @@ def _ref_synth_obj(sig: Signature, ctx: Context, m: Obj) -> Fam:
 def _ref_instantiate(pi: Union[KPi, FPi], arg: Obj) -> Union[Kind, Fam]:
     if not lf.occurs_free(pi.var, pi.body):
         return pi.body
-    return instantiate(pi.body, {pi.var: arg})
+    return beta_normalize(substitute(pi.body, {pi.var: arg}))
 
 
 def _ref_freshen(var: str, body: Expr, ctx: Context) -> tuple[str, Expr]:

@@ -280,6 +280,28 @@ def test_solve_too_deep_input_ends_without_traceback():
                 "was reached)\n")
 
 
+# The read end of the child's stdout is closed before the child starts,
+# so its first write fails whatever the timing: solve's answers (about
+# 5 kB) overflow the pipe's 4 kB buffer inside a print, check's one
+# line fails at the flush before exit.
+@pytest.mark.parametrize("argv", [
+    ["solve", APPEND, "append L M N", "-n", "0", "--depth", "10"],
+    ["check", APPEND],
+])
+def test_closed_stdout_ends_with_status_2_and_nothing_on_stderr(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lflp.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ,
+                 "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
 @pytest.mark.parametrize("exc, message", [
     (RecursionError("maximum recursion depth exceeded"),
      "error: input nested too deeply (Python's recursion limit was "

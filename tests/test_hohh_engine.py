@@ -760,3 +760,33 @@ def test_goals_outside_write_mode_match_instantiate_then_unify(
     assert run.status == ("ok" if answers else "no")
     assert [engine._canon_key(s).split(";")[0].split("=", 1)[1]
             for s in run.solutions] == answers
+
+
+# shadow.elf repeats a binder name on two scope paths: translated, the
+# typing premise of c's x binds a y under the quantifier for c's own y.
+# The compiled clause names its slots after its binders, so a premise's
+# inner binder must shadow the slot of the same name, as it does in the
+# instantiate-then-unify reference.
+def test_compiled_clause_names_slots_after_binders_and_keeps_premises():
+    sig = oracles.load_signature("shadow.elf")
+    objects = [d.name for d in sig.decls if isinstance(d, lf.ObjDecl)]
+    clause = translate_signature(sig, "naive").clauses[objects.index("c")]
+    compiled = engine._compile(clause)
+    assert [name for name, _, _ in compiled.slots] == ["x", "y"]
+    premises, f = [], clause
+    while isinstance(f, (ForAll, Imp)):
+        if isinstance(f, Imp):
+            premises.append(f.left)
+        f = f.body if isinstance(f, ForAll) else f.right
+    assert len(compiled.premises) == len(premises) == 2
+    assert all(p is q for p, q in zip(compiled.premises, premises))
+    assert isinstance(premises[0], ForAll) and premises[0].var == "y"
+    assert all(t.term is a for t, a in zip(compiled.head, f.args))
+
+
+@pytest.mark.parametrize("mode", ["optimized", "naive"])
+@pytest.mark.parametrize("qtext", ["r F Y", "r fb Y", "r F ea"])
+def test_binder_name_on_two_scope_paths_matches_instantiate_then_unify(
+        qtext, mode):
+    _, run = _same_search("shadow.elf", qtext, mode, 5)
+    assert run.solutions

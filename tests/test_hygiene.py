@@ -1,6 +1,8 @@
 """Source hygiene: no module-level import goes unused, the library
-imports nothing outside the standard library, and no library module
-imports another's private (underscore-prefixed) names.
+imports nothing outside the standard library, no library module
+imports another's private (underscore-prefixed) names, and every
+module-level function and class of the library is named by library
+code.
 
 The checks read each file with the standard `ast` module, so they need
 no linter.  A name counts as used when the module mentions it anywhere
@@ -86,3 +88,38 @@ def test_library_imports_no_private_names():
         "the check must see the oracles' import of strictness._why_obj"
     found = [line for path in LIBRARY for line in private_imports(path)]
     assert not found, "private names imported:\n" + "\n".join(found)
+
+
+# The public parser entry point for objects: the tests and users call
+# it, the pipeline itself reads only signatures and queries.
+ENTRY_POINTS = {"lf_syntax.parse_object"}
+
+
+def unnamed_definitions(paths: list[Path]) -> list[str]:
+    """`module.name` for each module-level function or class in `paths`
+    that no code of `paths` names, as a name or an attribute, outside
+    its own definition.  Docstrings and comments do not count."""
+    defs = []
+    # name -> the top-level statements, as (module, index), that name it
+    named: dict[str, set[tuple[str, int]]] = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for i, stmt in enumerate(tree.body):
+            where = (path.stem, i)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{path.stem}.{stmt.name}", stmt.name, where))
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name):
+                    named.setdefault(n.id, set()).add(where)
+                elif isinstance(n, ast.Attribute):
+                    named.setdefault(n.attr, set()).add(where)
+    return [qual for qual, name, where in defs
+            if not named.get(name, set()) - {where}]
+
+
+def test_every_library_definition_is_named_by_the_library():
+    found = unnamed_definitions(LIBRARY)
+    assert ENTRY_POINTS <= set(found), \
+        "the check must see that no library code names the entry points"
+    found = [q for q in found if q not in ENTRY_POINTS]
+    assert not found, "defined but never named:\n" + "\n".join(found)

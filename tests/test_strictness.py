@@ -5,12 +5,10 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 from lflp import lf_syntax as lf
 from lflp.lf_kernel import substitute
-from lflp.strictness import (
-    explain_strictness, strict_binders, strict_in_object,
-)
+from lflp.strictness import explain_strictness, strict_binders
 
 import oracles
-from oracles import fam_app
+from oracles import fam_app, strict_in_object
 
 NAT = lf.FConst("nat")
 
