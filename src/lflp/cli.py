@@ -4,8 +4,8 @@ Four subcommands cover the pipeline: `check` runs the signature
 checker, `translate` emits the lambdaProlog program of the whole
 signature, `solve` runs an inhabitation query end to end (translate
 the type families the query can reach, search, invert answers back to
-LF and re-check them), and `strictness` reports the per-binder analysis
-that powers the optimized translation.
+LF and have the kernel check each solution once), and `strictness`
+reports the per-binder analysis that powers the optimized translation.
 
 Exit codes: 0 on success (for solve: at least one solution), 1 when a
 check fails or no solution is found, 2 for usage or I/O problems and
@@ -195,25 +195,29 @@ def cmd_solve(sig: lf.Signature, query: str, mode: str,
 def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
     """`sol` inverted to LF: a `% free:` line per unsolved logic variable,
     each type checked in the context of those before it, then each query
-    variable's value and the inhabitant, checked in the context of all."""
+    variable's value and the inhabitant.  One kernel check, of the
+    inhabitant at the query's type instantiated by the values, judges
+    them all.  The inhabitant's synthesized type T is well-formed and
+    beta-eta equal to that type, in which every query variable occurs
+    unapplied; so each value is eta-equal to a well-typed subterm of T at
+    the same argument position of the same head.  The inverter takes each
+    lambda annotation from the type it expects, so a wrong one needs a
+    wrong earlier argument, which T's comparison catches."""
     frees = FreeVars(name for name, _ in qt.var_lvars)
-    answers = []
     sub: dict[str, lf.Obj] = {}
     for name, v in qt.var_lvars:
         ty = instantiate_normal(qt.var_types[name], sub)
         sub[name] = invert(sig, lf.Context(()), sol.value(v), ty, frees)
-        answers.append((f"{name} = ", sub[name], ty))
     ty = instantiate_normal(qt.fam, sub)
     inhabitant = invert(sig, lf.Context(()), sol.value(qt.subject), ty, frees)
-    answers.append(("inhabitant: ", inhabitant, ty))
     ctx = lf.Context(())
     for name, fam in frees.types.values():
         check_type(sig, ctx, fam)
         ctx = ctx.extend(name, fam)
-    for _, obj, ty in answers:
-        check_object(sig, ctx, obj, ty)
+    check_object(sig, ctx, inhabitant, ty)
     return ([f"% free: {name} : {lf.print_lf(fam)}" for name, fam in ctx]
-            + [label + lf.print_lf(obj) for label, obj, _ in answers])
+            + [f"{name} = {lf.print_lf(obj)}" for name, obj in sub.items()]
+            + [f"inhabitant: {lf.print_lf(inhabitant)}"])
 
 
 def cmd_strictness(sig: lf.Signature, explain: bool) -> int:

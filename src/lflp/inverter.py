@@ -8,22 +8,22 @@ types the arguments in one loop over the spine, each at its binder's
 domain instantiated by the objects inverted before it.  A constant
 head takes its arity, and which arguments its target depends on, from
 the signature's table (`classifier_dependencies`); a variable head
-walks its classifier.  The objects
-built here are beta-normal, so an instantiation normalizes only when it
-puts a lambda in place.  An answer that is not a lambda at a Pi type is
-eta-expanded on the fly, as the unifier does: `t` stands for
-`[x:A] t x`, so eta-short answers invert to canonical LF objects.  The
-reconstruction checks its own work: after the spine is rebuilt, the
-instantiated target of the head's classifier must be beta-eta equal to
-the expected type.
+walks its classifier.  The objects built here are beta-normal, so an
+instantiation normalizes only when it puts a lambda in place.  An
+answer that is not a lambda at a Pi type is eta-expanded on the fly, as
+the unifier does: `t` stands for `[x:A] t x`, so eta-short answers
+invert to canonical LF objects.
 
-A logic variable the search left unsolved reads as a free LF variable,
-named and typed where the walk first meets it: unapplied, at the type
-expected there; applied to distinct variables bound in the answer (a
-pattern), at the Pi type over theirs.  Any other first occurrence, or a
-type that mentions a bound variable outside those arguments, is
-refused.  One `FreeVars` serves every answer of a solution, so each
-variable keeps one name and one type.
+The inverter only builds; the kernel's re-check of what it builds is
+the judge.  It refuses only what the kernel cannot phrase:
+eigenvariables, unknown heads, an arity mismatch, and the free
+variables below.  A logic variable the search left unsolved reads as a
+free LF variable, named and typed where the walk first meets it:
+unapplied, at the type expected there; applied to distinct variables
+bound in the answer (a pattern), at the Pi type over theirs.  Any other
+first occurrence, or a type that mentions a bound variable outside
+those arguments, is refused.  One `FreeVars` serves every answer of a
+solution, so each variable keeps one name and one type.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from .hterms import (
     type_of,
 )
 from .lf_kernel import (
-    beta_eta_equal, beta_normalize, classifier_dependencies,
-    instantiate_normal, normal_classifier,
+    classifier_dependencies, instantiate_normal, normal_classifier,
 )
 
 
@@ -79,13 +78,6 @@ class FreeVars:
         return name, ty
 
 
-def invert(sig: lf.Signature, ctx: lf.Context, term: Term, ty: lf.Fam,
-           frees: FreeVars) -> lf.Obj:
-    """The LF object of type `ty` in `ctx` that the answer `term` stands
-    for, its unsolved logic variables read as the ones `frees` names."""
-    return _invert(sig, ctx, term, beta_normalize(ty), frees)
-
-
 class _Taken:
     """The names bound in `ctx`, declared in `sig` or given to a free
     variable, tested through their lookups."""
@@ -103,15 +95,15 @@ class _Taken:
                 or name in self.frees.names)
 
 
-def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
-            frees: FreeVars) -> lf.Obj:
+def invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
+           frees: FreeVars) -> lf.Obj:
+    """The LF object of type `ty` in `ctx` that the answer `t` stands for,
+    its unsolved logic variables read as the ones `frees` names.  `ty`
+    and the types in `ctx` are beta-normal."""
     if isinstance(ty, lf.FPi):
         # the lambda takes the name of the Pi binder it inhabits, so the
         # same answer always reads the same
-        taken = _Taken(ctx, sig, frees)
-        var = ty.var
-        if var in taken:
-            var = lf.fresh_name(var, taken)
+        var = lf.fresh_name(ty.var, _Taken(ctx, sig, frees))
         body_ty = (ty.body if var == ty.var
                    else instantiate_normal(ty.body, {ty.var: lf.OVar(var)}))
         if not isinstance(t, Lam):
@@ -124,7 +116,7 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
         tbody = t.body
         if var != t.var:
             tbody = subst_term(tbody, {t.var: BVar(var, t.ty)})
-        body = _invert(sig, ctx.extend(var, ty.dom), tbody, body_ty, frees)
+        body = invert(sig, ctx.extend(var, ty.dom), tbody, body_ty, frees)
         return lf.OLam(var, ty.dom, body)
     head, args = term_spine(t)
     match head:
@@ -132,22 +124,18 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
             classifier = normal_classifier(sig, name)
             if classifier is None or isinstance(classifier, (lf.KType, lf.KPi)):
                 raise InversionError(f"unknown object constant {name}")
-            lf_head: lf.Obj = lf.OConst(name)
-            deps = classifier_dependencies(sig, name)
+            lf_head, deps = lf.OConst(name), classifier_dependencies(sig, name)
         case BVar(name, _):
-            found = ctx.lookup(name)
-            if found is None:
+            classifier = ctx.lookup(name)
+            if classifier is None:
                 raise InversionError(f"unknown variable {name}")
-            classifier = beta_normalize(found)
-            lf_head = lf.OVar(name)
-            deps = lf.pi_dependencies(classifier)
+            lf_head, deps = lf.OVar(name), lf.pi_dependencies(classifier)
         case EVar(name, _, _):
             raise InversionError(f"eigenvariable {name} in answer")
         case LVar():
             name, classifier = (frees.types.get(head)
                                 or frees.meet(sig, ctx, head, args, ty))
-            lf_head = lf.OVar(name)
-            deps = lf.pi_dependencies(classifier)
+            lf_head, deps = lf.OVar(name), lf.pi_dependencies(classifier)
         case _:
             raise InversionError(f"cannot invert head {head!r}")
     if len(args) != len(deps):
@@ -157,16 +145,12 @@ def _invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
     inv_args: list[lf.Obj] = []
     rest = classifier
     for arg, dep in zip(args, deps):
-        inv = _invert(sig, ctx, arg,
-                      instantiate_normal(rest.dom, sub) if sub else rest.dom,
-                      frees)
+        inv = invert(sig, ctx, arg,
+                     instantiate_normal(rest.dom, sub) if sub else rest.dom,
+                     frees)
         inv_args.append(inv)
         if dep:
             sub[rest.var] = inv
         rest = rest.body
-    final = instantiate_normal(rest, sub) if sub else rest
-    if final != ty and not beta_eta_equal(final, ty):
-        raise InversionError(f"head {name} yields {lf.print_lf(final)}, "
-                             f"expected {lf.print_lf(ty)}")
     return lf.obj_app(lf_head, inv_args)
 

@@ -40,7 +40,7 @@ from . import lf_syntax as lf
 from . import strictness
 from .hterms import (
     LF_OBJ, LF_TYPE, PROP, App, Atom, BVar, Const, Formula, ForAll, Imp,
-    Lam, LVar, Program, SimpleType, TArrow, Term, Top, beta_norm,
+    Lam, LVar, Program, SimpleType, TArrow, Term, Top,
     fresh_lvar_at, term_spine,
 )
 from .lf_kernel import (
@@ -124,6 +124,8 @@ def translate_judgment(sig: lf.Signature, a: lf.Fam, subject: Term,
     Each Pi binder gets a premise: the translation of its type at the
     opposite polarity.  In optimized mode a positive position first runs
     the strictness analysis, and its strict binders get ``true`` instead.
+    The subject is a constant or a bound variable, applied here only to
+    bound variables, so no redex arises and nothing is normalized.
     """
     env = dict(env or {})
     binders, base = lf.split_fam_pis(a)
@@ -139,8 +141,8 @@ def translate_judgment(sig: lf.Signature, a: lf.Fam, subject: Term,
         else:
             premise = translate_judgment(sig, dom, x, mode, not positive, env)
         prefix.append((var, ty, premise))
-        subject = beta_norm(App(subject, x))
-    f: Formula = Atom(HASTYPE, (beta_norm(subject), encode_fam(sig, base, env)))
+        subject = App(subject, x)
+    f: Formula = Atom(HASTYPE, (subject, encode_fam(sig, base, env)))
     for var, ty, premise in reversed(prefix):
         f = ForAll(var, ty, Imp(premise, f))
     return f

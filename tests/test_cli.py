@@ -13,9 +13,9 @@ import pytest
 
 from lflp import cli, lf_kernel, lf_syntax as lf
 from lflp.cli import main
-from lflp.engine import Limits, solve
+from lflp.engine import Limits, Solution, SolveRun, solve
 from lflp.lf_kernel import LFFuelError, check_object
-from lflp.translator import translate_query, translate_signature
+from lflp.translator import encode_obj, translate_query, translate_signature
 
 import oracles
 
@@ -167,11 +167,12 @@ def test_solve_free_variable_reported(capsys):
 def test_solve_open_answer_is_inverted_and_rechecked(capsys, monkeypatch):
     # An unsolved variable is a free LF variable, declared on a `% free:`
     # line and named apart from the query's variables; the kernel checks
-    # its type and every answer in the context those lines spell out.
+    # its type, then the inhabitant once, at the query's type instantiated
+    # by the values, in the context those lines spell out.
     checked, typed = [], []
     real_object, real_type = cli.check_object, cli.check_type
     monkeypatch.setattr(cli, "check_object", lambda sig, ctx, m, ty: (
-        checked.append(ctx), real_object(sig, ctx, m, ty))[1])
+        checked.append((list(ctx), ty)), real_object(sig, ctx, m, ty))[1])
     monkeypatch.setattr(cli, "check_type", lambda sig, ctx, a: (
         typed.append((list(ctx), a)), real_type(sig, ctx, a))[1])
     runs = [run_cli(capsys, "solve", str(DATA / "stlc.elf"),
@@ -183,8 +184,12 @@ def test_solve_open_answer_is_inverted_and_rechecked(capsys, monkeypatch):
         "inhabitant: of_lam A A ([x1:tm] x1) ([x:tm] [x2:of x A] x2)\n"),
         "")
     assert typed == [([], lf.FConst("tp"))] * 2
-    assert len(checked) == 6
-    assert all(list(ctx) == [("A", lf.FConst("tp"))] for ctx in checked)
+    sig = lf.parse_signature((DATA / "stlc.elf").read_text())
+    _, want = lf.parse_query("of (lam A ([x:tm] x)) (arr A A)", sig)
+    assert len(checked) == 2
+    for ctx, ty in checked:
+        assert ctx == [("A", lf.FConst("tp"))]
+        assert lf.alpha_eq(ty, want)
 
 
 @pytest.mark.parametrize("mode, names", [
@@ -259,6 +264,49 @@ def test_solve_rechecks_inverted_answers(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error: ")
     assert "L = " not in out and "inhabitant" not in out
+
+
+@pytest.mark.parametrize("value", [
+    "cons z (cons nil nil)",  # ill-typed: nil is no nat
+    "nil",                    # well-typed, but not what the derivation shows
+])
+def test_solve_rechecks_a_wrong_value_through_the_inhabitant(
+        capsys, monkeypatch, value):
+    # The search's own derivation of the inhabitant is kept and only L's
+    # value is replaced.  The inverter builds what it is given; the one
+    # kernel check, of the inhabitant at the query's type instantiated by
+    # the values, refuses it.
+    sig = lf.parse_signature(pathlib.Path(APPEND).read_text())
+    wrong = encode_obj(sig, lf.parse_object(value, sig), {})
+    real = cli.solve
+
+    def solve_with_wrong_value(program, goal, limits, query_vars):
+        run = real(program, goal, limits, query_vars=query_vars)
+        lvar = query_vars[0]
+        return SolveRun(run.status, tuple(
+            Solution(tuple((v, wrong if v == lvar else t)
+                           for v, t in sol.bindings), sol.backchains)
+            for sol in run.solutions))
+
+    monkeypatch.setattr(cli, "solve", solve_with_wrong_value)
+    code, out, err = run_cli(capsys, "solve", APPEND,
+                             "append (cons z nil) nil L")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: inverted answer fails to re-check: ")
+    assert err.count("\n") == 1
+
+
+def test_readme_python_round_trip_runs():
+    # the README's library example, run as written from the repo root
+    root = DATA.parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    [code] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("L = cons z nil\n"
+                           "inhabitant: appCons z nil nil nil (appNil nil)\n")
 
 
 def test_solve_too_deep_input_ends_without_traceback():

@@ -5,7 +5,7 @@ from lflp.hterms import (
     LF_OBJ, App, BVar, Const, Lam, arrow, fresh_evar,
 )
 from lflp.inverter import FreeVars, InversionError, invert
-from lflp.lf_kernel import check_object, check_type
+from lflp.lf_kernel import LFTypeError, check_object, check_type
 from lflp.translator import encode_obj
 
 import oracles
@@ -184,10 +184,13 @@ def test_overapplied_head():
         _invert(sig, t, "nat")
 
 
-def test_target_type_mismatch():
+def test_target_type_mismatch_is_left_to_the_kernel():
+    # the inverter only builds; the kernel's check refuses the result
     sig = _sig()
-    with pytest.raises(InversionError, match="expected"):
-        _invert(sig, Const("nil", OBJ), "nat")
+    got = _invert(sig, Const("nil", OBJ), "nat")
+    assert got == lf.OConst("nil")
+    with pytest.raises(LFTypeError):
+        check_object(sig, lf.Context(), got, lf.FConst("nat"))
 
 
 def test_type_family_name_is_not_an_object():
