@@ -39,9 +39,10 @@ may take a goal subterm as it is.
 
 The only source of nondeterminism is clause choice, so iterative
 deepening counts backchain steps.  Each round accepts only proofs
-using exactly the round's bound, which keeps rounds disjoint; a round
-that never hits the bound proves the search space finite and stops the
-iteration early.  Equations outside the pattern fragment ride along as
+using exactly the round's bound, which keeps rounds disjoint, so each
+proof is reported once, in the round of its size; a round that never
+hits the bound proves the search space finite and stops the iteration
+early.  Equations outside the pattern fragment ride along as
 residuals and are retried whenever the substitution grows; a branch
 that otherwise succeeds but still carries residuals is remembered as
 suspended, never reported as a solution.
@@ -113,12 +114,27 @@ _LEVEL_CAP = 4096
 
 def solve(program: Program, goal: Formula, limits: Limits = Limits(),
           query_vars: Optional[tuple[LVar, ...]] = None) -> SolveRun:
+    """Search for proofs of `goal` from `program`, fewest backchains
+    first, and report the values of `query_vars` in each.
+
+    A solution is a proof, as in lambdaProlog: two proofs give two
+    solutions even when their values agree, so a program that states a
+    clause twice proves its head twice.  On a translated LF program the
+    values never repeat, because the subject M of ``hastype M A`` records
+    the proof.  Every atom a proof meets is ``hastype N B`` with N an
+    instance of a subterm of M, and a backchain on the clause of a
+    constant puts that constant at the head of N; a backchain on a
+    hypothesis puts its eigenvariable there, and each hypothesis has its
+    own.  So two proofs
+    that part at one atom give M different heads at one position.  Each
+    proof is found once: a round takes only proofs of exactly its bound,
+    and a round resumed from a saved level finds the same proofs as a
+    search from the root."""
     if query_vars is None:
         query_vars = tuple(lvars_in_order([goal]))
     db = _database(_compile(c) for c in program.clauses)
     root: _Goals = (goal, db, _root_universe(goal), None)
     solutions: list[Solution] = []
-    seen: set[str] = set()
     susp_ever = False
     cut = False
     level: Optional[list[_Saved]] = None  # None: search from the root
@@ -132,15 +148,7 @@ def solve(program: Program, goal: Formula, limits: Limits = Limits(),
                 if residuals:
                     rnd.susp = True
                     continue
-                sol = _extract(sigma, query_vars, bound)
-                if limits.max_solutions == 1:
-                    return SolveRun("ok", (sol,))
-                # a second solution is sought, so duplicates are dropped
-                key = _canon_key(sol)
-                if key in seen:
-                    continue
-                seen.add(key)
-                solutions.append(sol)
+                solutions.append(_extract(sigma, query_vars, bound))
                 if (limits.max_solutions
                         and len(solutions) >= limits.max_solutions):
                     return SolveRun("ok", tuple(solutions))
@@ -517,34 +525,3 @@ def _extract(sigma: Subst, query_vars: tuple[LVar, ...],
     bindings = tuple((v, sigma.apply(v)) for v in query_vars)
     return Solution(bindings, backchains)
 
-
-def _canon_key(sol: Solution) -> str:
-    lnames: dict[str, int] = {}
-    parts = []
-
-    def render(t: Term, env: tuple[str, ...]) -> str:
-        match t:
-            case Const(name, _):
-                return name
-            case EVar(name, _, _):
-                return f"!{name}"
-            case LVar(name, _, _):
-                if name not in lnames:
-                    lnames[name] = len(lnames)
-                return f"?{lnames[name]}"
-            case BVar(name, _):
-                for i in range(len(env) - 1, -1, -1):
-                    if env[i] == name:
-                        return f"#{len(env) - 1 - i}"
-                return f"#?{name}"
-            case Lam(var, _, body):
-                return f"(\\ {render(body, env + (var,))})"
-            case App():
-                head, args = term_spine(t)
-                inner = " ".join(render(x, env) for x in [head] + args)
-                return f"({inner})"
-        raise TypeError
-
-    for v, t in sol.bindings:
-        parts.append(f"{v.name}={render(t, ())}")
-    return ";".join(parts)

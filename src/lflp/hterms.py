@@ -27,6 +27,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
+from .lf_syntax import fresh_name
+
 # ---------------------------------------------------------------------------
 # Simple types
 
@@ -214,15 +216,6 @@ def free_bvars(t: Term) -> frozenset[str]:
             return frozenset()
 
 
-def _fresh_bname(base: str, avoid: frozenset[str]) -> str:
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{base}{i}" in avoid:
-        i += 1
-    return f"{base}{i}"
-
-
 def subst_term(t: Term, m: dict[str, Term]) -> Term:
     """Replace free BVar occurrences; capture-avoiding."""
     if not m:
@@ -238,7 +231,7 @@ def subst_term(t: Term, m: dict[str, Term]) -> Term:
                 return Lam(var, ty, body)
             clash = frozenset().union(*[free_bvars(v) for v in inner.values()])
             if var in clash:
-                nv = _fresh_bname(var, clash | free_bvars(body))
+                nv = fresh_name(var, clash | free_bvars(body))
                 body = subst_term(body, {var: BVar(nv, ty)})
                 var = nv
             return Lam(var, ty, subst_term(body, inner))

@@ -22,7 +22,10 @@ domain instantiated by M1 ... M(i-1), all held in one simultaneous map,
 and the target is instantiated once at the end.  Synthesis also reports
 whether the object is beta-normal, so each argument's normality is
 decided once, when it is checked, and an instantiation by normal
-arguments normalizes only when it puts a lambda in place.
+arguments normalizes only when it puts a lambda in place.  An error
+message prints the classifiers the failed check already holds, so a
+binder renamed to avoid capture is printed with the name the one
+simultaneous map chose.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .lf_syntax import (
     occurs_free, pi_dependencies, print_lf,
 )
 
-DEFAULT_FUEL = 100000
+_FUEL = 100000  # the beta-steps one normalization may take
+_BRIEF = 40  # the characters of an expression a message prints
 
 
 class LFTypeError(LFError):
@@ -120,10 +124,9 @@ def instantiate_normal(e: Expr, bindings: Mapping[str, Obj]) -> Expr:
 # ---------------------------------------------------------------------------
 # Beta-normalization
 
-def beta_normalize(e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
+def beta_normalize(e: Expr) -> Expr:
     """Contract all beta-redexes; unique result up to alpha for typed input."""
-    cell = [fuel]
-    return _norm(e, cell)
+    return _norm(e, [_FUEL])
 
 
 def _spend(cell: list[int]) -> None:
@@ -237,7 +240,6 @@ def check_signature(sig: Signature) -> None:
             else:
                 k = check_type(prefix, Context(), d.fam)
                 if not isinstance(k, KType):
-                    k = _printed(prefix, Context(), d.fam)
                     raise LFTypeError(
                         f"classifier of {d.name!r} has kind {k}, not type",
                         rule="type-sig")
@@ -254,8 +256,8 @@ def check_kind(sig: Signature, ctx: Context, k: Kind) -> None:
         case KType():
             return
         case KPi(var, dom, body):
-            if not isinstance(check_type(sig, ctx, dom), KType):
-                dk = _printed(sig, ctx, dom)
+            dk = check_type(sig, ctx, dom)
+            if not isinstance(dk, KType):
                 raise LFTypeError(f"Pi domain {dom} has kind {dk}, not type",
                                   rule="pi-kind")
             var, body = _freshen_binder(var, body, ctx)
@@ -276,14 +278,14 @@ def check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
                                   rule="var-fam")
             return k
         case FPi(var, dom, body):
-            if not isinstance(check_type(sig, ctx, dom), KType):
-                dk = _printed(sig, ctx, dom)
+            dk = check_type(sig, ctx, dom)
+            if not isinstance(dk, KType):
                 raise LFTypeError(f"Pi domain {dom} has kind {dk}, not type",
                                   rule="pi-fam")
             var, body = _freshen_binder(var, body, ctx)
             inner = ctx.extend(var, beta_normalize(dom))
-            if not isinstance(check_type(sig, inner, body), KType):
-                bk = _printed(sig, inner, body)
+            bk = check_type(sig, inner, body)
+            if not isinstance(bk, KType):
                 raise LFTypeError(f"Pi body {body} has kind {bk}, not type",
                                   rule="pi-fam")
             return KType()
@@ -301,7 +303,7 @@ def check_object(sig: Signature, ctx: Context, m: Obj,
     if expected is not None and t != expected:
         want = beta_normalize(expected)
         if not beta_eta_equal(t, want):
-            raise _mismatch(m, _printed(sig, ctx, m), want, "app-obj")
+            raise _mismatch(m, t, want, "app-obj")
     return t
 
 
@@ -322,8 +324,8 @@ def _synth_obj(sig: Signature, ctx: Context, m: Obj) -> tuple[Fam, bool]:
                 raise LFTypeError(f"unbound variable {name!r}", rule="var-obj")
             return beta_normalize(a), True
         case OLam(var, dom, body):
-            if not isinstance(check_type(sig, ctx, dom), KType):
-                dk = _printed(sig, ctx, dom)
+            dk = check_type(sig, ctx, dom)
+            if not isinstance(dk, KType):
                 raise LFTypeError(f"binder type {dom} has kind {dk}, not type",
                                   rule="abs-obj")
             dom_n = beta_normalize(dom)
@@ -357,12 +359,12 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
     rest = pi
     for i, arg in enumerate(args):
         if not isinstance(rest, (KPi, FPi)):
-            raise _too_many(sig, ctx, head, args[:i], rule)
+            raise _too_many(head, args[:i], instantiate_normal(rest, sub),
+                            rule)
         dom = instantiate_normal(rest.dom, sub) if sub else rest.dom
         t, arg_normal = _synth_obj(sig, ctx, arg)
         if t != dom and not beta_eta_equal(t, dom):
-            want = _one_by_one(_printed(sig, ctx, head), args[:i]).dom
-            raise _mismatch(arg, _printed(sig, ctx, arg), want, rule)
+            raise _mismatch(arg, t, dom, rule)
         if not arg_normal:
             normal = False
             arg = beta_normalize(arg)
@@ -377,47 +379,15 @@ def _mismatch(m: Obj, t: Fam, want: Fam, rule: str) -> LFTypeError:
                        rule=rule)
 
 
-def _too_many(sig: Signature, ctx: Context, head: Expr, args: list[Obj],
+def _too_many(head: Expr, args: list[Obj], t: Union[Kind, Fam],
               rule: str) -> LFTypeError:
+    # `head` applied to `args` has type `t`, which is no Pi type
     if rule == "app-fam":
         name = head.name if isinstance(head, FConst) else str(head)
         return LFTypeError(f"too many arguments to {name!r}", rule=rule)
     fn = obj_app(head, args)
-    return LFTypeError(f"{print_brief(fn)} of type {_printed(sig, ctx, fn)} "
+    return LFTypeError(f"{print_brief(fn)} of type {t} "
                        "applied to an argument", rule=rule)
-
-
-# Error messages print classifiers as the kernel built them when it typed
-# an application one argument at a time: where a binder must be renamed
-# to avoid capture, one simultaneous map can pick another fresh name.
-# These two functions rebuild a classifier that way for a message; they
-# decide nothing, and run only once a check has failed.
-
-def _printed(sig: Signature, ctx: Context, e: Expr) -> Union[Kind, Fam]:
-    # the classifier of `e`, whose parts are known to be well typed
-    match e:
-        case OConst(name) | FConst(name):
-            return normal_classifier(sig, name)
-        case OVar(name):
-            return beta_normalize(ctx.lookup(name))
-        case FPi():
-            return KType()
-        case OLam(var, dom, body):
-            dom_n = beta_normalize(dom)
-            var, body = _freshen_binder(var, body, ctx)
-            return FPi(var, dom_n, _printed(sig, ctx.extend(var, dom_n), body))
-        case OApp():
-            head, args = obj_spine(e)
-        case FApp():
-            head, args = fam_spine(e)
-    return _one_by_one(_printed(sig, ctx, head), args)
-
-
-def _one_by_one(pi: Union[Kind, Fam], args: list[Obj]) -> Union[Kind, Fam]:
-    for arg in args:
-        pi = (beta_normalize(substitute(pi.body, {pi.var: arg}))
-              if occurs_free(pi.var, pi.body) else pi.body)
-    return pi
 
 
 def _freshen_binder(var: str, body: Expr, ctx: Context) -> tuple[str, Expr]:
@@ -428,6 +398,6 @@ def _freshen_binder(var: str, body: Expr, ctx: Context) -> tuple[str, Expr]:
     return var, body
 
 
-def print_brief(e: Expr, limit: int = 40) -> str:
+def print_brief(e: Expr) -> str:
     s = print_lf(e)
-    return s if len(s) <= limit else s[:limit] + "..."
+    return s if len(s) <= _BRIEF else s[:_BRIEF] + "..."

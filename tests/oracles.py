@@ -45,7 +45,7 @@ from lflp.lf_kernel import (
     normal_classifier, print_brief, substitute,
 )
 from lflp.engine import (
-    Limits, Solution, SolveRun, _canon_key, _extract, _key, _root_universe,
+    Limits, Solution, SolveRun, _extract, _key, _root_universe,
 )
 from lflp.hterms import (
     App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, LVar, Lam, Program,
@@ -520,7 +520,6 @@ def reference_solve(program: Program, goal: Formula,
         query_vars = tuple(lvars_in_order([goal]))
     clauses = [_ref_compile(c) for c in program.clauses]
     solutions: list[Solution] = []
-    seen: set[str] = set()
     susp_ever = False
     last_round_cut = False
     univ = _root_universe(goal)
@@ -533,12 +532,7 @@ def reference_solve(program: Program, goal: Formula,
             if residuals:
                 state.susp = True
                 continue
-            sol = _extract(sigma, query_vars, bound)
-            key = _canon_key(sol)
-            if key in seen:
-                continue
-            seen.add(key)
-            solutions.append(sol)
+            solutions.append(_extract(sigma, query_vars, bound))
             if limits.max_solutions and len(solutions) >= limits.max_solutions:
                 return SolveRun("ok", tuple(solutions))
         susp_ever = susp_ever or state.susp
@@ -1335,9 +1329,9 @@ def _canon_kind(sig: Signature, ctx: Context, k: Kind) -> Kind:
 
 # ---------------------------------------------------------------------------
 # Test-only helpers the package itself does not need: alpha equivalence
-# of hohh terms and formulas, the eigenvariables of a term, one-equation
-# unification, type-family application, and replaying a reported
-# solution through the engine.
+# of hohh terms and formulas, a solution's values as one string, the
+# eigenvariables of a term, one-equation unification, type-family
+# application, and replaying a reported solution through the engine.
 
 def alpha_eq_term(a: Term, b: Term) -> bool:
     return _aeq(a, b, (), ())
@@ -1362,6 +1356,39 @@ def _aeq(a: Term, b: Term, ea: tuple[str, ...], eb: tuple[str, ...]) -> bool:
             return _aeq(fa, fb, ea, eb) and _aeq(xa, xb, ea, eb)
         case _:
             return False
+
+
+def canon_key(sol: Solution) -> str:
+    """`sol`'s values as one string, equal for two solutions exactly when
+    their values are alpha-equal up to a renaming of logic variables:
+    bound variables are printed by de Bruijn index, and logic variables
+    are numbered in order of first occurrence."""
+    lnames: dict[str, int] = {}
+
+    def render(t: Term, env: tuple[str, ...]) -> str:
+        match t:
+            case Const(name, _):
+                return name
+            case EVar(name, _, _):
+                return f"!{name}"
+            case LVar(name, _, _):
+                if name not in lnames:
+                    lnames[name] = len(lnames)
+                return f"?{lnames[name]}"
+            case BVar(name, _):
+                for i in range(len(env) - 1, -1, -1):
+                    if env[i] == name:
+                        return f"#{len(env) - 1 - i}"
+                return f"#?{name}"
+            case Lam(var, _, body):
+                return f"(\\ {render(body, env + (var,))})"
+            case App():
+                head, args = term_spine(t)
+                inner = " ".join(render(x, env) for x in [head] + args)
+                return f"({inner})"
+        raise TypeError
+
+    return ";".join(f"{v.name}={render(t, ())}" for v, t in sol.bindings)
 
 
 def fresh_lvar(prefix: str, ty: SimpleType) -> LVar:

@@ -1,8 +1,9 @@
 """Source hygiene: no module-level import goes unused, the library
 imports nothing outside the standard library, no library module
-imports another's private (underscore-prefixed) names, and every
+imports another's private (underscore-prefixed) names, every
 module-level function and class of the library is named by library
-code.
+code, and no two module-level functions of the library have one body
+up to the names of their parameters and locals.
 
 The checks read each file with the standard `ast` module, so they need
 no linter.  A name counts as used when the module mentions it anywhere
@@ -123,3 +124,69 @@ def test_every_library_definition_is_named_by_the_library():
         "the check must see that no library code names the entry points"
     found = [q for q in found if q not in ENTRY_POINTS]
     assert not found, "defined but never named:\n" + "\n".join(found)
+
+
+def _local_names(fn: ast.FunctionDef) -> list[str]:
+    """The parameters of `fn`, in order, then the other names it binds,
+    in order of first binding: assignment and loop targets, the captures
+    of match patterns, exception names, and the names and parameters of
+    nested functions and lambdas."""
+    a = fn.args
+    names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+    names += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            names.append(n.id)
+        elif isinstance(n, (ast.MatchAs, ast.MatchStar, ast.ExceptHandler,
+                            ast.FunctionDef)) and n is not fn:
+            names.append(n.name)
+        elif isinstance(n, ast.arg):
+            names.append(n.arg)
+    return list(dict.fromkeys(x for x in names if x is not None))
+
+
+def body_shape(fn: ast.FunctionDef) -> str:
+    """The body of `fn` without its docstring, each parameter and local
+    name replaced by its position in `_local_names`.  Global names (the
+    functions, classes and constants it reads) and attributes stay.
+    Renames `fn` in place."""
+    places = {name: f"_{i}" for i, name in enumerate(_local_names(fn))}
+    body = fn.body
+    if ast.get_docstring(fn, clean=False) is not None:
+        body = body[1:]
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Name):
+            n.id = places.get(n.id, n.id)
+        elif isinstance(n, ast.arg):
+            n.arg = places[n.arg]
+        elif isinstance(n, (ast.MatchAs, ast.MatchStar, ast.ExceptHandler,
+                            ast.FunctionDef)) and n is not fn:
+            n.name = places.get(n.name, n.name)
+    return "\n".join(ast.dump(stmt) for stmt in body)
+
+
+def duplicate_functions(paths: list[Path]) -> list[str]:
+    """`module.f = module.g` for each module-level function g in `paths`
+    whose body has the shape of an earlier function f's."""
+    first: dict[str, str] = {}
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                qual = f"{path.stem}.{stmt.name}"
+                shape = body_shape(stmt)
+                if shape in first:
+                    found.append(f"{first[shape]} = {qual}")
+                else:
+                    first[shape] = qual
+    return found
+
+
+def test_no_two_library_functions_share_a_body():
+    # the check sees through names: the tests' reference freshening is
+    # the kernel's under other names
+    assert "lf_kernel._freshen_binder = oracles._ref_freshen" in \
+        duplicate_functions(FILES)
+    found = duplicate_functions(LIBRARY)
+    assert not found, "functions with one body:\n" + "\n".join(found)

@@ -1,3 +1,4 @@
+import re
 import shlex
 
 import pytest
@@ -490,20 +491,56 @@ def test_beta_eta_equality_collapses_eta_expansion():
 # `oracles.ref_check_object` and `oracles.ref_check_type` keep the
 # application rules that instantiate the remaining Pi body with each
 # argument in turn.  On every input the kernel must synthesize an
-# alpha-equal classifier, or raise an error with the same text.
+# alpha-equal classifier, or raise an error of the same rule with the
+# same message up to alpha: where a binder is renamed to avoid capture,
+# one simultaneous map may pick another fresh name than a chain of
+# single ones, so each classifier a message prints is parsed back and
+# compared with `alpha_eq`, and the rest of the message as text.
 
 def _outcome(check, *args):
     try:
         return check(*args), None
     except LFTypeError as err:
-        return None, str(err)
+        return None, err
+
+
+# The messages that print classifiers: every group but `text` is one.
+_PRINTING = [re.compile(p) for p in (
+    r"(?P<text>.*) has type (?P<t>.*), expected (?P<want>.*)",
+    r"(?P<text>.*) of type (?P<t>.*) applied to an argument",
+    r"(?P<text>.*) has kind (?P<k>.*), not type",
+)]
+
+
+def _message_parts(message):
+    """The fixed part of `message` and the classifiers it prints, each
+    parsed back."""
+    for pattern in _PRINTING:
+        m = pattern.fullmatch(message)
+        if m:
+            printed = [lf.parse_signature(f"printed : {text}.").decls[0]
+                       for name, text in m.groupdict().items()
+                       if name != "text"]
+            return ((pattern.pattern, m["text"]),
+                    [d.kind if isinstance(d, lf.KindDecl) else d.fam
+                     for d in printed])
+    return message, []
 
 
 def _assert_same(check, ref, *args):
     (got, err), (want, ref_err) = _outcome(check, *args), _outcome(ref, *args)
-    assert err == ref_err
-    assert err is not None or lf.alpha_eq(got, want), (got, want)
-    return err
+    if err is None or ref_err is None:
+        assert err is ref_err is None, (err, ref_err)
+        assert lf.alpha_eq(got, want), (got, want)
+        return None
+    assert (err.rule, err.loc) == (ref_err.rule, ref_err.loc)
+    text, printed = _message_parts(err.message)
+    ref_text, ref_printed = _message_parts(ref_err.message)
+    assert text == ref_text, (str(err), str(ref_err))
+    assert len(printed) == len(ref_printed) and all(
+        lf.alpha_eq(a, b) for a, b in zip(printed, ref_printed)), \
+        (str(err), str(ref_err))
+    return str(err)
 
 
 @pytest.mark.parametrize("name",
@@ -669,6 +706,21 @@ def _dep(text):
 @example(_dep("s (fix ([w:nat] [x1:nat] w) (k x))"))
 def test_spine_loop_matches_one_at_a_time_rules(m):
     _assert_same(check_object, oracles.ref_check_object, _DEP_SIG, _DEP_CTX, m)
+
+
+def test_message_prints_the_classifier_the_spine_loop_built():
+    # `fix`'s third binder has type {x:nat} {x1:nat} eq (h x x1) (h x1 y).
+    # The one map h := [w] [x1] w, y := k x meets y under the binder x,
+    # which would capture the x of k x, so it renames x to x1 and x1 to
+    # x11; one argument at a time, h's beta-steps drop y first, and no
+    # binder is renamed
+    m = _dep("s (fix ([w:nat] [x1:nat] w) (k x))")
+    _, err = _outcome(check_object, _DEP_SIG, _DEP_CTX, m)
+    assert str(err) == (
+        "[app-obj] fix ([w:nat] [x1:nat] w) (k x) has type "
+        "({x1:nat} {x11:nat} eq x1 x11) -> eq (k x) (k x), expected nat")
+    _, ref_err = _outcome(oracles.ref_check_object, _DEP_SIG, _DEP_CTX, m)
+    assert "({x:nat} {x1:nat} eq x x1)" in str(ref_err)
 
 
 @settings(max_examples=200, deadline=None)
