@@ -599,8 +599,9 @@ def test_check_reads_a_480_element_fact_in_process(tmp_path):
 
 TRANSCRIPT = DATA / "cli_transcript.txt"
 
-_TRANSCRIPT_FILES = ["append.elf", "appendplus.elf", "foo1.elf", "foo2.elf",
-                     "fy.elf", "pivot.elf", "strict_f.elf", "stlc.elf"]
+_TRANSCRIPT_FILES = ["append.elf", "appendplus.elf", "clash.elf", "eta.elf",
+                     "foo1.elf", "foo2.elf", "fy.elf", "pivot.elf",
+                     "shadow.elf", "strict_f.elf", "stlc.elf"]
 
 _TRANSCRIPT_SOLVES = [
     ["append.elf", "append (cons (s z) nil) (cons z nil) L"],
