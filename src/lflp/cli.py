@@ -63,7 +63,7 @@ def _parser() -> argparse.ArgumentParser:
     mode.add_argument("--optimized", action="store_true",
                       help="drop premises for strict binders (default)")
     p_tr.add_argument("--no-simplify", action="store_true",
-                      help="keep the literal true => wrappers")
+                      help="print true => for each binder without a premise")
     p_tr.add_argument("--split-sig-mod", action="store_true",
                       help="write separate .sig and .mod files")
     p_tr.add_argument("-o", "--out", default=None)
@@ -119,7 +119,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "translate":
         return cmd_translate(sig, args.file,
                              "naive" if args.naive else "optimized",
-                             not args.no_simplify, args.split_sig_mod, args.out)
+                             args.no_simplify, args.split_sig_mod, args.out)
     if args.command == "solve":
         return cmd_solve(sig, args.query,
                          "naive" if args.naive else "optimized",
@@ -132,12 +132,12 @@ def cmd_check(sig: lf.Signature) -> int:
     return 0
 
 
-def cmd_translate(sig: lf.Signature, path: str, mode: str, simplify: bool,
+def cmd_translate(sig: lf.Signature, path: str, mode: str, literal: bool,
                   split: bool, out: Optional[str]) -> int:
-    program = translate_signature(sig, mode, simplify=simplify)
+    program = translate_signature(sig, mode)
     if split:
         stem = Path(out or path).with_suffix("")
-        sig_text, mod_text = emit_split(program, module=stem.name)
+        sig_text, mod_text = emit_split(program, stem.name, literal)
         try:
             Path(f"{stem}.sig").write_text(sig_text, encoding="utf-8")
             Path(f"{stem}.mod").write_text(mod_text, encoding="utf-8")
@@ -146,7 +146,7 @@ def cmd_translate(sig: lf.Signature, path: str, mode: str, simplify: bool,
             return 2
         print(f"wrote {stem}.sig and {stem}.mod")
         return 0
-    emitted = emit_lambdaprolog(program)
+    emitted = emit_lambdaprolog(program, literal)
     if out:
         try:
             Path(out).write_text(emitted, encoding="utf-8")
@@ -186,7 +186,7 @@ def cmd_solve(sig: lf.Signature, query: str, mode: str,
             return 2
         if i:
             print()
-        if len(run.solutions) > 1 or limits.max_solutions != 1:
+        if limits.max_solutions != 1:
             print(f"% solution {i + 1}")
         print("\n".join(lines))
     return 0

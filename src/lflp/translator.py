@@ -15,8 +15,8 @@ The bridge works at three levels:
   types at negative ones, and so on down.  The naive mode keeps every
   premise.  The optimized mode runs the strictness analysis once per
   positive position: a binder that occurs strictly in the rest of its
-  type gets the trivial premise ``true`` instead, because any well-typed
-  use already pins its instantiation.
+  type gets no premise, because any well-typed use already pins its
+  instantiation.
 
 ``translate_signature`` packages a signature, or a view of one, as a
 Program with one clause per object declaration, in declaration order.
@@ -28,7 +28,8 @@ can reach from the query's family, so ``lflp solve`` translates and
 compiles only those, while ``lflp translate`` packages the whole
 signature.
 
-The emitter prints a Program in lambdaProlog concrete syntax.
+The emitter prints a Program in lambdaProlog concrete syntax; its
+literal mode shows each binder without a premise as ``pi X\\ (true => D)``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from . import lf_syntax as lf
 from . import strictness
 from .hterms import (
     LF_OBJ, LF_TYPE, PROP, App, Atom, BVar, Const, Formula, ForAll, Imp,
-    Lam, LVar, Program, SimpleType, TArrow, Term, Top,
+    Lam, LVar, Program, SimpleType, TArrow, Term,
     fresh_lvar_at, term_spine,
 )
 from .lf_kernel import (
@@ -123,7 +124,7 @@ def translate_judgment(sig: lf.Signature, a: lf.Fam, subject: Term,
 
     Each Pi binder gets a premise: the translation of its type at the
     opposite polarity.  In optimized mode a positive position first runs
-    the strictness analysis, and its strict binders get ``true`` instead.
+    the strictness analysis, and its strict binders get no premise.
     The subject is a constant or a bound variable, applied here only to
     bound variables, so no redex arises and nothing is normalized.
     """
@@ -136,20 +137,16 @@ def translate_judgment(sig: lf.Signature, a: lf.Fam, subject: Term,
         ty = phi(dom)
         x = BVar(var, ty)
         env[var] = x
-        if i in strict:
-            premise: Formula = Top()
-        else:
-            premise = translate_judgment(sig, dom, x, mode, not positive, env)
-        prefix.append((var, ty, premise))
+        prefix.append((var, ty, None if i in strict else translate_judgment(
+            sig, dom, x, mode, not positive, env)))
         subject = App(subject, x)
     f: Formula = Atom(HASTYPE, (subject, encode_fam(sig, base, env)))
     for var, ty, premise in reversed(prefix):
-        f = ForAll(var, ty, Imp(premise, f))
+        f = ForAll(var, ty, f if premise is None else Imp(premise, f))
     return f
 
 
-def translate_signature(sig: lf.Signature, mode: str = "optimized",
-                        simplify: bool = True) -> Program:
+def translate_signature(sig: lf.Signature, mode: str = "optimized") -> Program:
     """The program of `sig`, a signature or a view of one: one clause per
     object declaration it iterates, in order.  Mode is "naive" or
     "optimized"."""
@@ -161,8 +158,7 @@ def translate_signature(sig: lf.Signature, mode: str = "optimized",
         xi.append((d.name, _const_type(sig, d.name)))
         if isinstance(d, lf.ObjDecl):
             clauses.append(_clause(sig, d.name, mode))
-    program = Program(tuple(xi), tuple(clauses))
-    return simplify_program(program) if simplify else program
+    return Program(tuple(xi), tuple(clauses))
 
 
 def _clause(sig: lf.Signature, name: str, mode: str) -> Formula:
@@ -226,23 +222,6 @@ def _atom_families(f: Formula) -> Iterator[str]:
                 stack += (left, right)
             case ForAll(_, _, body):
                 stack.append(body)
-
-
-def simplify_top(f: Formula) -> Formula:
-    """Drop `true =>` premise wrappers; provability is unchanged."""
-    match f:
-        case Imp(Top(), right):
-            return simplify_top(right)
-        case Imp(left, right):
-            return Imp(simplify_top(left), simplify_top(right))
-        case ForAll(var, ty, body):
-            return ForAll(var, ty, simplify_top(body))
-        case _:
-            return f
-
-
-def simplify_program(p: Program) -> Program:
-    return Program(p.xi, tuple(simplify_top(c) for c in p.clauses))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +310,8 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
     if not isinstance(k, lf.KType):
         raise TranslationError("query type is not fully applied")
     subject = fresh_lvar_at("M", LF_OBJ, 0)
-    goal = Atom(HASTYPE, (subject, encode_fam(sig, a, env)))
+    # a base type has no binders, so either mode gives the one atom
+    goal = translate_judgment(sig, a, subject, "naive", env=env)
     return QueryTranslation(goal, subject, var_lvars, var_types, a)
 
 
@@ -371,10 +351,14 @@ def _render_arg(t: Term, env: dict[str, str],
     return f"({s})" if isinstance(t, (App, Lam)) else s
 
 
-def _render_clause(f: Formula, forbidden: frozenset[str]) -> str:
+def _render_clause(f: Formula, forbidden: frozenset[str],
+                   literal: bool) -> str:
     """`f` in lambdaProlog syntax.  Quantifier binders are uppercased, and
     binders are renamed where needed to stay distinct from constants,
-    keywords, and every term-level binder in the clause."""
+    keywords, and every term-level binder in the clause.  In literal
+    mode a quantifier whose body is not an implication prints its body
+    as ``true => D``: in a translated clause that is exactly a binder
+    left without a premise, since every other binder has one."""
     lam_names: set[str] = set()
     upper_taken: set[str] = set()
     # Every lambda binder's own name, so no quantifier takes one bound
@@ -417,8 +401,6 @@ def _render_clause(f: Formula, forbidden: frozenset[str]) -> str:
 
     def go(g: Formula, env: dict[str, str]) -> str:
         match g:
-            case Top():
-                return "true"
             case Atom(pred, args):
                 return " ".join([pred] + [_render_arg(a, env, pick_lam)
                                           for a in args])
@@ -429,28 +411,32 @@ def _render_clause(f: Formula, forbidden: frozenset[str]) -> str:
                 return f"{ls} => {go(right, env)}"
             case ForAll(var, _, body):
                 name = pick(var)
-                return f"pi {name}\\ ({go(body, {**env, var: name})})"
+                inner = go(body, {**env, var: name})
+                if literal and not isinstance(body, Imp):
+                    inner = f"true => {inner}"
+                return f"pi {name}\\ ({inner})"
         raise TranslationError(f"cannot emit {g!r}")
     return go(f, {})
 
 
-def _emit_lines(p: Program) -> tuple[list[str], list[str]]:
+def _emit_lines(p: Program, literal: bool) -> tuple[list[str], list[str]]:
     """The kind and type declarations and the clauses of `p`, one line
     each."""
     forbidden = frozenset(n for n, _ in p.xi) | frozenset(_KEYWORDS)
     decls = ["kind lf_obj type.", "kind lf_type type.", ""]
     decls += [f"type {name} {ty}." for name, ty in p.xi]
-    clauses = [_render_clause(c, forbidden) + "." for c in p.clauses]
+    clauses = [_render_clause(c, forbidden, literal) + "." for c in p.clauses]
     return decls, clauses
 
 
-def emit_lambdaprolog(p: Program) -> str:
-    decls, clauses = _emit_lines(p)
+def emit_lambdaprolog(p: Program, literal: bool = False) -> str:
+    decls, clauses = _emit_lines(p, literal)
     return "\n".join(decls + [""] + clauses) + "\n"
 
 
-def emit_split(p: Program, module: str = "lftrans") -> tuple[str, str]:
+def emit_split(p: Program, module: str = "lftrans",
+               literal: bool = False) -> tuple[str, str]:
     """Separate declaration and clause files for Teyjus-style loaders."""
-    decls, clauses = _emit_lines(p)
+    decls, clauses = _emit_lines(p, literal)
     return ("\n".join([f"sig {module}.", ""] + decls) + "\n",
             "\n".join([f"module {module}.", ""] + clauses) + "\n")

@@ -41,8 +41,8 @@ from lflp.lf_syntax import (
     fam_spine, free_vars, fresh_name, obj_app, obj_spine, split_fam_pis,
 )
 from lflp.lf_kernel import (
-    LFTypeError, beta_eta_equal, beta_normalize, check_signature,
-    normal_classifier, print_brief, substitute,
+    LFTypeError, _freshen_binder, beta_eta_equal, beta_normalize,
+    check_signature, normal_classifier, print_brief, substitute,
 )
 from lflp.engine import (
     Limits, Solution, SolveRun, _extract, _key, _root_universe,
@@ -1140,7 +1140,10 @@ def two_pass_parse_object(text: str, sig: Optional[Signature] = None) -> Obj:
 # instantiating the whole remaining Pi body with each Mi in turn.  The
 # kernel types a spine in one loop under one simultaneous map instead.
 # Abstraction and Pi rules are the kernel's, restated so that every
-# nested application goes through the rules here.
+# nested application goes through the rules here.  A binder that shadows
+# the context is renamed by the kernel's own `_freshen_binder`: renaming
+# is not what these rules check, and a rule of their own would put other
+# binder names into the error texts the tests compare.
 
 def ref_check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
     """The kind of `a`, or LFTypeError, by the one-at-a-time rules."""
@@ -1158,7 +1161,7 @@ def ref_check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
             if not isinstance(dk, KType):
                 raise LFTypeError(f"Pi domain {dom} has kind {dk}, not type",
                                   rule="pi-fam")
-            var, body = _ref_freshen(var, body, ctx)
+            var, body = _freshen_binder(var, body, ctx)
             bk = ref_check_type(sig, ctx.extend(var, beta_normalize(dom)), body)
             if not isinstance(bk, KType):
                 raise LFTypeError(f"Pi body {body} has kind {bk}, not type",
@@ -1210,7 +1213,7 @@ def _ref_synth_obj(sig: Signature, ctx: Context, m: Obj) -> Fam:
                 raise LFTypeError(f"binder type {dom} has kind {dk}, not type",
                                   rule="abs-obj")
             dom_n = beta_normalize(dom)
-            var, body = _ref_freshen(var, body, ctx)
+            var, body = _freshen_binder(var, body, ctx)
             return FPi(var, dom_n,
                        _ref_synth_obj(sig, ctx.extend(var, dom_n), body))
         case OApp(fn, arg):
@@ -1227,13 +1230,6 @@ def _ref_instantiate(pi: Union[KPi, FPi], arg: Obj) -> Union[Kind, Fam]:
     if not lf.occurs_free(pi.var, pi.body):
         return pi.body
     return beta_normalize(substitute(pi.body, {pi.var: arg}))
-
-
-def _ref_freshen(var: str, body: Expr, ctx: Context) -> tuple[str, Expr]:
-    if var in ctx.names():
-        var2 = fresh_name(var, ctx.names() | free_vars(body))
-        return var2, substitute(body, {var: OVar(var2)})
-    return var, body
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 imports nothing outside the standard library, no library module
 imports another's private (underscore-prefixed) names, every
 module-level function and class of the library is named by library
-code, and no two module-level functions of the library have one body
-up to the names of their parameters and locals.
+code, and no two module-level functions of the library and the tests
+have one body up to the names of their parameters and locals.
 
 The checks read each file with the standard `ast` module, so they need
 no linter.  A name counts as used when the module mentions it anywhere
@@ -145,18 +145,44 @@ def _local_names(fn: ast.FunctionDef) -> list[str]:
     return list(dict.fromkeys(x for x in names if x is not None))
 
 
-def body_shape(fn: ast.FunctionDef) -> str:
+def module_globals(tree: ast.Module, module: str) -> dict[str, str]:
+    """Each global name of a module, qualified by the module that defines
+    it: `module.name` for its own top-level definitions and assignments,
+    the source module's name for an imported module, and
+    `source.name` for a name imported from one.  Module names drop their
+    package (`lflp.lf_syntax` and `.lf_syntax` are both `lf_syntax`)."""
+    names = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names[stmt.name] = f"{module}.{stmt.name}"
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                    names[n.id] = f"{module}.{n.id}"
+        elif isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                names[alias.asname or alias.name] = alias.name.split(".")[-1]
+        elif isinstance(stmt, ast.ImportFrom):
+            source = (stmt.module or "").split(".")[-1]
+            for alias in stmt.names:
+                names[alias.asname or alias.name] = (
+                    f"{source}.{alias.name}" if source else alias.name)
+    return names
+
+
+def body_shape(fn: ast.FunctionDef, qualified: dict[str, str]) -> str:
     """The body of `fn` without its docstring, each parameter and local
-    name replaced by its position in `_local_names`.  Global names (the
-    functions, classes and constants it reads) and attributes stay.
-    Renames `fn` in place."""
+    name replaced by its position in `_local_names` and each global name
+    by its `qualified` name, so that two modules' private helpers of one
+    name stay apart.  Builtins and attributes stay.  Renames `fn` in
+    place."""
     places = {name: f"_{i}" for i, name in enumerate(_local_names(fn))}
     body = fn.body
     if ast.get_docstring(fn, clean=False) is not None:
         body = body[1:]
     for n in ast.walk(fn):
         if isinstance(n, ast.Name):
-            n.id = places.get(n.id, n.id)
+            n.id = places.get(n.id) or qualified.get(n.id, n.id)
         elif isinstance(n, ast.arg):
             n.arg = places[n.arg]
         elif isinstance(n, (ast.MatchAs, ast.MatchStar, ast.ExceptHandler,
@@ -172,10 +198,11 @@ def duplicate_functions(paths: list[Path]) -> list[str]:
     found = []
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        qualified = module_globals(tree, path.stem)
         for stmt in tree.body:
             if isinstance(stmt, ast.FunctionDef):
                 qual = f"{path.stem}.{stmt.name}"
-                shape = body_shape(stmt)
+                shape = body_shape(stmt, qualified)
                 if shape in first:
                     found.append(f"{first[shape]} = {qual}")
                 else:
@@ -183,10 +210,21 @@ def duplicate_functions(paths: list[Path]) -> list[str]:
     return found
 
 
-def test_no_two_library_functions_share_a_body():
-    # the check sees through names: the tests' reference freshening is
-    # the kernel's under other names
-    assert "lf_kernel._freshen_binder = oracles._ref_freshen" in \
-        duplicate_functions(FILES)
-    found = duplicate_functions(LIBRARY)
+_SHAPES = {
+    "a": "from .x import helper\n\ndef _aeq(a):\n    return a\n\n"
+         "def f(p, q):\n    return _aeq(p) + helper(q)\n",
+    "b": "from lflp.x import helper\nfrom a import _aeq\n\n"
+         "def g(u, v):\n    return _aeq(u) + helper(v)\n",
+    "c": "from .x import helper\n\ndef _aeq(a):\n    return -a\n\n"
+         "def h(s, t):\n    return _aeq(s) + helper(t)\n",
+}
+
+
+def test_no_two_library_functions_share_a_body(tmp_path):
+    # the check sees through local names and tells apart two modules'
+    # globals of one name: b.g calls a's `_aeq` as a.f does, c.h its own
+    for module, text in _SHAPES.items():
+        (tmp_path / f"{module}.py").write_text(text, encoding="utf-8")
+    assert duplicate_functions(sorted(tmp_path.glob("*.py"))) == ["a.f = b.g"]
+    found = duplicate_functions(FILES)
     assert not found, "functions with one body:\n" + "\n".join(found)

@@ -14,17 +14,13 @@ from oracles import fresh_lvar
 OBJ = LF_OBJ
 
 
-def _sig():
-    return oracles.load_signature("append.elf")
-
-
 def _invert(sig, term, ty_text, frees=None):
     return invert(sig, lf.Context(), term, oracles.parse_type(sig, ty_text),
                   FreeVars(()) if frees is None else frees)
 
 
 def test_invert_derivation_term():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     m = lf.parse_object("appCons z nil nil nil (appNil nil)", sig)
     answer = encode_obj(sig, m, {})
     got = _invert(sig, answer, "append (cons z nil) nil (cons z nil)")
@@ -34,13 +30,13 @@ def test_invert_derivation_term():
 
 
 def test_invert_abstraction():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     got = _invert(sig, Lam("y", OBJ, BVar("y", OBJ)), "{y:nat} nat")
     assert got == lf.OLam("y", lf.FConst("nat"), lf.OVar("y"))
 
 
 def test_binder_clashing_with_signature_name_renamed():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     # the answer binds a variable spelled like a signature constant
     t = Lam("z", OBJ, BVar("z", OBJ))
     got = _invert(sig, t, "{y:nat} nat")
@@ -49,7 +45,7 @@ def test_binder_clashing_with_signature_name_renamed():
 
 
 def test_round_trip_spot():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     for text in ["list", "{x:nat} nat", "{f:nat -> nat} list"]:
         ty = oracles.parse_type(sig, text)
         for m in oracles.enumerate_objects(sig, lf.Context(), ty, 5):
@@ -63,7 +59,7 @@ def test_round_trip_spot():
 # At a Pi type an answer that is not a lambda is expanded on the fly.
 
 def test_eta_expand_bare_constructor():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     s = Const("s", arrow([OBJ], OBJ))
     got = _invert(sig, s, "{x:nat} nat")
     assert isinstance(got, lf.OLam)
@@ -71,7 +67,7 @@ def test_eta_expand_bare_constructor():
 
 
 def test_eta_expand_idempotent():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     s = Const("s", arrow([OBJ], OBJ))
     once = _invert(sig, s, "{x:nat} nat")
     twice = _invert(sig, encode_obj(sig, once, {}), "{x:nat} nat")
@@ -79,7 +75,7 @@ def test_eta_expand_idempotent():
 
 
 def test_eta_expand_type_mismatch():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     s = Const("s", arrow([OBJ], OBJ))
     with pytest.raises(InversionError, match="takes 1 arguments, got 0"):
         _invert(sig, s, "nat")
@@ -88,7 +84,7 @@ def test_eta_expand_type_mismatch():
 
 
 def test_partial_application_needs_expansion():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     cons = Const("cons", arrow([OBJ, OBJ], OBJ))
     partial = App(cons, Const("z", OBJ))
     got = _invert(sig, partial, "{l:list} list")
@@ -105,7 +101,7 @@ def _free_context(frees):
 
 
 def test_unapplied_logic_variable_is_one_free_variable():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     y = fresh_lvar("Y", OBJ)
     cons = Const("cons", arrow([OBJ, OBJ], OBJ))
     t = App(App(cons, y), App(App(cons, y), Const("nil", OBJ)))
@@ -131,7 +127,7 @@ def test_free_variable_names_and_lambda_binders_avoid_each_other():
 
 
 def test_pattern_applied_logic_variable_gets_a_pi_type():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     p = fresh_lvar("P", arrow([OBJ], OBJ))
     frees = FreeVars(())
     # eta-expanded to [l:list] P l, a pattern
@@ -147,7 +143,7 @@ def test_pattern_applied_logic_variable_gets_a_pi_type():
 
 
 def test_non_pattern_application_refused():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     f = fresh_lvar("F", arrow([OBJ], OBJ))
     with pytest.raises(InversionError, match="distinct bound variables"):
         _invert(sig, App(f, Const("z", OBJ)), "nat")
@@ -158,7 +154,7 @@ def test_non_pattern_application_refused():
 
 
 def test_type_mentioning_a_bound_variable_outside_the_arguments_refused():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     # unapplied under [l:list], Y would need the type append l nil l
     t = Lam("l", OBJ, fresh_lvar("Y", OBJ))
     with pytest.raises(InversionError, match="mentions a variable bound"):
@@ -166,19 +162,19 @@ def test_type_mentioning_a_bound_variable_outside_the_arguments_refused():
 
 
 def test_eigenvariable_refused():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     with pytest.raises(InversionError, match="eigenvariable"):
         _invert(sig, fresh_evar("e", OBJ), "nat")
 
 
 def test_unknown_head():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     with pytest.raises(InversionError, match="unknown object constant"):
         _invert(sig, Const("mystery", OBJ), "nat")
 
 
 def test_overapplied_head():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     t = App(Const("z", OBJ), Const("z", OBJ))
     with pytest.raises(InversionError, match="takes 0 arguments"):
         _invert(sig, t, "nat")
@@ -186,7 +182,7 @@ def test_overapplied_head():
 
 def test_target_type_mismatch_is_left_to_the_kernel():
     # the inverter only builds; the kernel's check refuses the result
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     got = _invert(sig, Const("nil", OBJ), "nat")
     assert got == lf.OConst("nil")
     with pytest.raises(LFTypeError):
@@ -194,6 +190,6 @@ def test_target_type_mismatch_is_left_to_the_kernel():
 
 
 def test_type_family_name_is_not_an_object():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     with pytest.raises(InversionError, match="unknown object constant"):
         _invert(sig, Const("nat", OBJ), "nat")

@@ -14,10 +14,6 @@ from lflp.lf_kernel import (
 import oracles
 
 
-def _sig():
-    return oracles.load_signature("append.elf")
-
-
 def _parse_obj(text, sig=None):
     return lf.parse_object(text, sig)
 
@@ -33,7 +29,7 @@ def _parse_fam(text, sig):
 # --- substitution ---------------------------------------------------------
 
 def test_substitute_first_order():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     pi = _parse_fam("{l:list} append nil l l", sig)
     out = substitute(pi.body, {pi.var: _parse_obj("cons z nil")})
     assert lf.alpha_eq(out, _parse_fam("append nil (cons z nil) (cons z nil)", sig))
@@ -154,7 +150,7 @@ def test_beta_agrees_with_small_step_oracle(m):
 # `one` and `appNil2` exist only for that.
 
 def _conv_sig():
-    return lf.parse_signature(str(_sig()) + """
+    return lf.parse_signature(str(oracles.load_signature("append.elf")) + """
         one : nat.
         p : nat -> nat.
         appNil2 : {l:list} append nil l l.""")
@@ -169,21 +165,21 @@ def _assert_conversion(short, long, changed):
 
 
 def test_canonicalize_eta_expands_bare_constant():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     out = oracles.canonicalize(sig, lf.Context(), lf.OConst("s"), sig.lookup("s"))
     assert lf.alpha_eq(out, _parse_obj("[x:nat] s x"))
     _assert_conversion("s", "[x:nat] s x", "[x:nat] p x")
 
 
 def test_canonicalize_base_type_unchanged():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     out = oracles.canonicalize(sig, lf.Context(), lf.OConst("z"), lf.FConst("nat"))
     assert out == lf.OConst("z")
     _assert_conversion("z", "z", "one")
 
 
 def test_canonicalize_identifies_eta_pair():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     ty = sig.lookup("s")
     eta = _parse_obj("[x:nat] s x")
     a = oracles.canonicalize(sig, lf.Context(), lf.OConst("s"), ty)
@@ -193,7 +189,7 @@ def test_canonicalize_identifies_eta_pair():
 
 
 def test_canonicalize_idempotent_on_corpus():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     for text, ty_text, long, changed in [
             ("s", "nat -> nat", "[x:nat] s x", "[x:nat] p x"),
             ("[x:nat] s x", "nat -> nat", "[x:nat] s x", "[x:nat] p x"),
@@ -310,7 +306,7 @@ def test_family_conversion_agrees_with_typed_canonical_forms(m, n):
 # --- signature checking ---------------------------------------------------
 
 def test_fig2_signature_accepted():
-    check_signature(_sig())
+    check_signature(oracles.load_signature("append.elf"))
 
 
 def test_empty_signature_accepted():
@@ -358,7 +354,7 @@ def test_duplicate_name_looks_up_first_declaration():
 
 
 def test_prefix_hides_later_declarations():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     n = [d.name for d in sig].index("append")
     assert lf.SignaturePrefix(sig, n).lookup("append") is None
     assert lf.SignaturePrefix(sig, n + 1).lookup("append") is sig.lookup("append")
@@ -403,19 +399,19 @@ def test_normal_form_of_redex_classifier_is_memoized():
 # --- type checking --------------------------------------------------------
 
 def test_check_type_fully_applied():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     k = check_type(sig, lf.Context(), _parse_fam("append nil nil nil", sig))
     assert k == lf.KType()
 
 
 def test_check_type_wrong_argument_family():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     with pytest.raises(LFTypeError):
         check_type(sig, lf.Context(), _parse_fam("append z nil nil", sig))
 
 
 def test_check_type_pi():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     a = _parse_fam("{l:list} append nil l l", sig)
     assert check_type(sig, lf.Context(), a) == lf.KType()
 
@@ -423,27 +419,27 @@ def test_check_type_pi():
 # --- object checking ------------------------------------------------------
 
 def test_check_object_worked_example():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     m = _parse_obj("appCons z nil nil nil (appNil nil)")
     t = check_object(sig, lf.Context(), m)
     assert lf.alpha_eq(t, _parse_fam("append (cons z nil) nil (cons z nil)", sig))
 
 
 def test_check_object_abstraction():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     t = check_object(sig, lf.Context(), _parse_obj("[y:nat] y"))
     assert isinstance(t, lf.FPi)
     assert t.dom == lf.FConst("nat") and t.body == lf.FConst("nat")
 
 
 def test_check_object_argument_mismatch():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     with pytest.raises(LFTypeError):
         check_object(sig, lf.Context(), _parse_obj("appNil z"))
 
 
 def test_check_object_unbound_variable():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     with pytest.raises(LFTypeError):
         check_object(sig, lf.Context(), lf.OVar("q"))
 
@@ -451,7 +447,7 @@ def test_check_object_unbound_variable():
 # --- invariants -----------------------------------------------------------
 
 def test_synthesized_types_are_normal():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     for m, ty in oracles.corpus_cases(sig, ["nat", "list"], budget=5):
         t = check_object(sig, lf.Context(), m)
         assert lf.alpha_eq(beta_normalize(t), t)
@@ -459,7 +455,7 @@ def test_synthesized_types_are_normal():
 
 def test_substitution_lemma_on_instances():
     # if x:A |- M : B and |- N : A then |- M[N/x] : B[N/x]
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     ctx = lf.Context().extend("x", lf.FConst("nat"))
     bodies = list(oracles.enumerate_objects(sig, ctx, lf.FConst("list"), 6))
     args = list(oracles.enumerate_objects(sig, lf.Context(), lf.FConst("nat"), 3))
@@ -476,7 +472,7 @@ def test_substitution_lemma_on_instances():
 
 
 def test_synthesis_deterministic():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     m = _parse_obj("appCons z nil nil nil (appNil nil)")
     t1 = check_object(sig, lf.Context(), m)
     t2 = check_object(sig, lf.Context(), m)

@@ -77,12 +77,9 @@ def test_shadowing_of_tracked_variable():
 
 # --- type-level judgment --------------------------------------------------
 
-def _append_sig():
-    return oracles.load_signature("append.elf")
-
-
 def test_direct_argument_of_target():
-    _, fam = lf.parse_query("append nil nil nil", _append_sig())
+    sig = oracles.load_signature("append.elf")
+    _, fam = lf.parse_query("append nil nil nil", sig)
     a = lf.FApp(lf.FApp(lf.FApp(lf.FConst("append"), lf.OConst("nil")),
                         lf.OVar("l")), lf.OVar("l"))
     list_ = lf.FConst("list")
@@ -114,7 +111,7 @@ def test_flex_application_defeats_both_binders():
 # --- whole classifiers ----------------------------------------------------
 
 def test_append_clause_binders():
-    sig = _append_sig()
+    sig = oracles.load_signature("append.elf")
     assert strict_binders(sig.lookup("appNil")) == frozenset({0})
     # x, l, k, m strict; the derivation argument a is not
     assert strict_binders(sig.lookup("appCons")) == frozenset({0, 1, 2, 3})
@@ -180,7 +177,7 @@ def _rename_binders(a, prefix):
 
 
 def test_alpha_invariance():
-    sig = _append_sig()
+    sig = oracles.load_signature("append.elf")
     fsig = oracles.load_signature("strict_f.elf")
     for a in [sig.lookup("appNil"), sig.lookup("appCons"), fsig.lookup("f")]:
         b = _rename_binders(a, "q")
@@ -189,7 +186,7 @@ def test_alpha_invariance():
 
 
 def test_explain_matches_strict_binders():
-    sig = _append_sig()
+    sig = oracles.load_signature("append.elf")
     for name in ["z", "s", "nil", "cons", "appNil", "appCons"]:
         a = sig.lookup(name)
         flags = {i for i, (_, ok, _) in enumerate(explain_strictness(a)) if ok}

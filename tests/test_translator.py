@@ -11,7 +11,7 @@ from lflp.hterms import (
 from lflp.lf_kernel import substitute
 from lflp.translator import (
     TranslationError, emit_lambdaprolog, emit_split, encode_fam, encode_obj,
-    phi, reachable_signature, simplify_top, translate_judgment,
+    phi, reachable_signature, translate_judgment,
     translate_query, translate_signature,
 )
 from lflp.unify import Subst
@@ -24,14 +24,10 @@ from oracles import alpha_eq_formula, alpha_eq_term, fresh_lvar
 OBJ, TY = LF_OBJ, LF_TYPE
 
 
-def _sig():
-    return oracles.load_signature("append.elf")
-
-
 # --- type erasure ---------------------------------------------------------
 
 def test_phi_collapses_base_families():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     assert phi(lf.FConst("nat")) == OBJ
     assert phi(sig.lookup("s")) == arrow([OBJ], OBJ)
     assert phi(sig.lookup("append")) == arrow([OBJ, OBJ, OBJ], TY)
@@ -41,7 +37,7 @@ def test_phi_collapses_base_families():
 
 
 def test_encode_constant_and_application():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     m = lf.parse_object("cons z nil", sig)
     t = encode_obj(sig, m, {})
     head = t
@@ -52,14 +48,14 @@ def test_encode_constant_and_application():
 
 
 def test_encode_abstraction_binds():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     m = lf.OLam("x", lf.FConst("nat"), lf.OVar("x"))
     t = encode_obj(sig, m, {})
     assert t == Lam("x", OBJ, BVar("x", OBJ))
 
 
 def test_encode_family_application():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     _, fam = lf.parse_query("append nil nil nil", sig)
     t = encode_fam(sig, fam, {})
     assert str(t) == "(append nil nil nil)"
@@ -71,13 +67,13 @@ def test_encode_family_application():
 
 def test_encode_unbound_variable_rejected():
     with pytest.raises(TranslationError):
-        encode_obj(_sig(), lf.OVar("q"), {})
+        encode_obj(oracles.load_signature("append.elf"), lf.OVar("q"), {})
 
 
 def test_encode_injective_at_each_type():
     # erasure may identify objects of different types (their binder
     # annotations collapse), but within one type encoding stays faithful
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     total = 0
     for text in oracles.ROUND_TRIP_TYPES:
         objs = list(oracles.enumerate_objects(
@@ -90,7 +86,7 @@ def test_encode_injective_at_each_type():
 
 
 def test_encode_commutes_with_substitution():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     ctx = lf.Context().extend("x", lf.FConst("nat"))
     bodies = list(oracles.enumerate_objects(sig, ctx, lf.FConst("list"), 6))
     args = list(oracles.enumerate_objects(sig, lf.Context(),
@@ -114,14 +110,14 @@ def _const(sig, name):
 
 
 def test_naive_base_declaration():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     got = translate_judgment(sig, lf.FConst("nat"), _const(sig, "z"),
                              mode="naive")
     assert got == Atom("hastype", (_const(sig, "z"), _const(sig, "nat")))
 
 
 def test_naive_pi_declaration():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     got = translate_judgment(sig, sig.lookup("appNil"), _const(sig, "appNil"),
                              mode="naive")
     l = BVar("l", OBJ)
@@ -133,19 +129,17 @@ def test_naive_pi_declaration():
     assert alpha_eq_formula(got, want)
 
 
-def test_optimized_strict_premise_becomes_top():
-    sig = _sig()
-    raw = translate_judgment(sig, sig.lookup("appNil"), _const(sig, "appNil"))
-    assert isinstance(raw, ForAll) and isinstance(raw.body, Imp)
-    assert raw.body.left == Top()
-    cooked = simplify_top(raw)
-    assert isinstance(cooked.body, Atom)
+def test_optimized_strict_binder_has_no_premise():
+    sig = oracles.load_signature("append.elf")
+    clause = translate_judgment(sig, sig.lookup("appNil"),
+                                _const(sig, "appNil"))
+    assert isinstance(clause, ForAll) and isinstance(clause.body, Atom)
 
 
 def test_optimized_appcons_keeps_one_premise():
-    sig = _sig()
-    clause = simplify_top(translate_judgment(
-        sig, sig.lookup("appCons"), _const(sig, "appCons")))
+    sig = oracles.load_signature("append.elf")
+    clause = translate_judgment(sig, sig.lookup("appCons"),
+                                _const(sig, "appCons"))
     foralls, premises = _shape(clause)
     assert foralls == 5
     assert len(premises) == 1
@@ -159,7 +153,7 @@ def test_optimized_appcons_keeps_one_premise():
 def test_optimized_higher_order_premise():
     sig = oracles.load_signature("fy.elf")
     foo = Const("foo", phi(sig.lookup("foo")))
-    clause = simplify_top(translate_judgment(sig, sig.lookup("foo"), foo))
+    clause = translate_judgment(sig, sig.lookup("foo"), foo)
     nat = Const("nat", TY)
     bar = Const("bar", arrow([OBJ], TY))
     y, f, w = BVar("Y", OBJ), BVar("F", arrow([OBJ], OBJ)), BVar("w", OBJ)
@@ -214,7 +208,8 @@ def test_premise_count_equals_nonstrict_binders():
 
 
 def test_translate_signature_xi_and_counts():
-    prog = translate_signature(_sig(), mode="naive")
+    sig = oracles.load_signature("append.elf")
+    prog = translate_signature(sig, mode="naive")
     assert [n for n, _ in prog.xi] == [
         "hastype", "nat", "z", "s", "list", "nil", "cons",
         "append", "appNil", "appCons"]
@@ -250,16 +245,18 @@ def test_one_clause_per_object_declaration_of_a_signature_or_view(name, mode):
     # the benchmark's tracer pairs the object declarations of what it is
     # given with the clauses, in order, to count premises per declaration
     sig = oracles.load_signature(name)
-    raw = translate_signature(sig, mode, simplify=False)
+    raw = translate_signature(sig, mode)
     first = dict(zip((d.name for d in sig.decls if isinstance(d, lf.ObjDecl)),
                      raw.clauses))
     for view in [sig, *_family_views(sig, mode)]:
-        prog = translate_signature(view, mode, simplify=False)
+        prog = translate_signature(view, mode)
         objs = [d.name for d in view.decls if isinstance(d, lf.ObjDecl)]
         assert [_head_constant(c) for c in prog.clauses] == objs
         assert [n for n, _ in prog.xi] == ["hastype"] + [d.name for d in view]
-        # a constant's clause is translated once per signature and mode
-        assert all(c is first[n] for c, n in zip(prog.clauses, objs))
+        # a constant's clause is translated once per signature and mode,
+        # and the program holds the very clause the table caches
+        assert all(c is first[n] is sig.clauses[n, mode]
+                   for c, n in zip(prog.clauses, objs))
 
 
 def test_empty_signature():
@@ -268,43 +265,51 @@ def test_empty_signature():
     assert prog.clauses == ()
 
 
-def test_simplify_examples():
-    a = Atom("p", (Const("c", OBJ),))
-    assert simplify_top(Imp(Top(), a)) == a
-    assert simplify_top(Imp(a, Imp(Top(), a))) == Imp(a, a)
-    got = simplify_top(ForAll("x", OBJ, Imp(Top(), a)))
-    assert got == ForAll("x", OBJ, a)  # quantifier stays
-
-
 # --- emission and re-parsing ----------------------------------------------
 
 def test_emitted_text_deterministic():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     a = emit_lambdaprolog(translate_signature(sig, mode="naive"))
     b = emit_lambdaprolog(translate_signature(sig, mode="naive"))
     assert a == b
 
 
 def test_unsimplified_program_emits_true():
-    sig = _sig()
-    raw = emit_lambdaprolog(translate_signature(sig, simplify=False))
-    assert "true =>" in raw
-    assert "true" not in emit_lambdaprolog(translate_signature(sig))
+    # one `true =>` per strict binder: appNil's l and appCons's x, l, m, n
+    sig = oracles.load_signature("append.elf")
+    prog = translate_signature(sig)
+    assert emit_lambdaprolog(prog, literal=True).count("true =>") == sum(
+        len(strict_binders(d.fam)) for d in sig.decls
+        if isinstance(d, lf.ObjDecl)) == 5
+    assert "true" not in emit_lambdaprolog(prog)
 
 
-@pytest.mark.parametrize("simplify", [True, False],
+def _with_true(f):
+    """`f` with a `true` premise under each quantifier that has none."""
+    match f:
+        case ForAll(var, ty, Imp() as body):
+            return ForAll(var, ty, _with_true(body))
+        case ForAll(var, ty, body):
+            return ForAll(var, ty, Imp(Top(), _with_true(body)))
+        case Imp(left, right):
+            return Imp(_with_true(left), _with_true(right))
+    return f
+
+
+@pytest.mark.parametrize("literal", [False, True],
                          ids=["simplify", "no-simplify"])
 @pytest.mark.parametrize("mode", ["naive", "optimized"])
 @pytest.mark.parametrize("name", sorted(p.name for p in oracles.DATA.glob("*.elf")))
-def test_emit_parse_round_trip(name, mode, simplify):
-    prog = translate_signature(oracles.load_signature(name), mode=mode,
-                               simplify=simplify)
-    back = parse_lambdaprolog(emit_lambdaprolog(prog))
+def test_emit_parse_round_trip(name, mode, literal):
+    # the literal text reads back as the program with a `true` premise
+    # added under each quantifier that has none
+    prog = translate_signature(oracles.load_signature(name), mode=mode)
+    back = parse_lambdaprolog(emit_lambdaprolog(prog, literal))
     assert [n for n, _ in back.xi] == [n for n, _ in prog.xi]
     assert [str(t) for _, t in back.xi] == [str(t) for _, t in prog.xi]
     assert len(back.clauses) == len(prog.clauses)
     for x, y in zip(back.clauses, prog.clauses):
-        assert alpha_eq_formula(x, y)
+        assert alpha_eq_formula(x, _with_true(y) if literal else y)
 
 
 @pytest.mark.parametrize("mode, want", [
@@ -328,7 +333,8 @@ def test_emitted_binders_avoid_constants_keywords_and_each_other(mode, want):
 
 
 def test_split_emission_carries_module_header():
-    sigfile, modfile = emit_split(translate_signature(_sig()), module="apx")
+    prog = translate_signature(oracles.load_signature("append.elf"))
+    sigfile, modfile = emit_split(prog, module="apx")
     assert sigfile.startswith("sig apx.")
     assert modfile.startswith("module apx.")
     assert "hastype" in sigfile and "hastype" in modfile
@@ -337,7 +343,7 @@ def test_split_emission_carries_module_header():
 # --- queries --------------------------------------------------------------
 
 def test_query_translation_basics():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     free, fam = lf.parse_query("append (cons z nil) nil M", sig)
     qt = translate_query(sig, free, fam)
     assert [n for n, _ in qt.var_lvars] == ["M"]
@@ -360,7 +366,7 @@ def test_query_variables_typed_under_object_binders():
 
 
 def test_query_variable_type_conflict():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     free, fam = lf.parse_query("append (cons X nil) X nil", sig)
     with pytest.raises(TranslationError):
         translate_query(sig, free, fam)
@@ -376,7 +382,7 @@ def test_applied_query_variable_rejected():
 # --- the two modes agree --------------------------------------------------
 
 def test_modes_agree_on_solvability():
-    sig = _sig()
+    sig = oracles.load_signature("append.elf")
     naive = translate_signature(sig, mode="naive")
     opt = translate_signature(sig, mode="optimized")
     for qtext, expect in [("append (cons z nil) nil (cons z nil)", "ok"),
