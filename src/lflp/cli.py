@@ -202,7 +202,14 @@ def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
     unapplied; so each value is eta-equal to a well-typed subterm of T at
     the same argument position of the same head.  The inverter takes each
     lambda annotation from the type it expects, so a wrong one needs a
-    wrong earlier argument, which T's comparison catches."""
+    wrong earlier argument, which T's comparison catches.
+
+    The export follows the answer's sharing.  The engine resolves the
+    values and the inhabitant together, so a subterm they share is one
+    term; the one `FreeVars` inverts it once, so a value's objects are
+    the very ones inside the inhabitant; and the check synthesizes each
+    shared argument once.  Both grow with the distinct subterms of the
+    answer; only the printing grows with its printed size."""
     frees = FreeVars(name for name, _ in qt.var_lvars)
     sub: dict[str, lf.Obj] = {}
     for name, v in qt.var_lvars:

@@ -522,6 +522,11 @@ def _backchain(atom: Atom, db: _Database, univ: int, sigma: Subst,
 
 def _extract(sigma: Subst, query_vars: tuple[LVar, ...],
              backchains: int) -> Solution:
-    bindings = tuple((v, sigma.apply(v)) for v in query_vars)
-    return Solution(bindings, backchains)
+    """The values of `query_vars` under `sigma`, resolved through one
+    memo: each variable is resolved once, so a subterm that two values
+    share, such as part of a query variable's value that is also an
+    argument of the inhabitant, is one object in both, and the export
+    can walk it once."""
+    return Solution(tuple(zip(query_vars, sigma.apply_all(query_vars))),
+                    backchains)
 

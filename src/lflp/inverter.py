@@ -24,6 +24,20 @@ bound in the answer (a pattern), at the Pi type over theirs.  Any other
 first occurrence, or a type that mentions a bound variable outside
 those arguments, is refused.  One `FreeVars` serves every answer of a
 solution, so each variable keeps one name and one type.
+
+A `FreeVars` also holds the objects inverted so far, so an answer that
+shares a subterm, as the engine's answers do, is inverted once per
+distinct subterm rather than once per occurrence.  The table is read
+only for an argument in the root context at a type that is not a Pi.
+There the object depends on the answer alone: the head's classifier
+decides every type below it, and a free variable keeps the name and
+type it was first met with.  Only a lambda's name inside it could come
+out otherwise, were a free variable named after the first inversion
+given its Pi binder's name; the reused object keeps the first name,
+which captures nothing, since every free variable inside it was named
+before or during that inversion.  At a Pi type the lambda's name and
+the eta-expansion depend on the type, and under a binder the context
+names the variables, so those are inverted afresh.
 """
 
 from __future__ import annotations
@@ -48,12 +62,16 @@ class FreeVars:
     """The unsolved logic variables met so far, in order of first
     occurrence, each with its LF name and type.  A name avoids `reserved`,
     the signature, the other names and the binders in scope where it is
-    picked; lambda binders picked later avoid it."""
+    picked; lambda binders picked later avoid it.  `inverted` maps each
+    answer subterm inverted in the root context at a non-Pi type, by
+    identity, to the subterm itself, which keeps its id unique, and its
+    LF object."""
 
     def __init__(self, reserved: Iterable[str]):
         self.reserved = frozenset(reserved)
         self.types: dict[LVar, tuple[str, lf.Fam]] = {}
         self.names: set[str] = set()
+        self.inverted: dict[int, tuple[Term, lf.Obj]] = {}
 
     def meet(self, sig: lf.Signature, ctx: lf.Context, v: LVar,
              args: list[Term], ty: lf.Fam) -> tuple[str, lf.Fam]:
@@ -144,10 +162,18 @@ def invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
     sub: dict[str, lf.Obj] = {}
     inv_args: list[lf.Obj] = []
     rest = classifier
+    root = not ctx
     for arg, dep in zip(args, deps):
-        inv = invert(sig, ctx, arg,
-                     instantiate_normal(rest.dom, sub) if sub else rest.dom,
-                     frees)
+        shared = root and not isinstance(rest.dom, lf.FPi)
+        known = frees.inverted.get(id(arg)) if shared else None
+        if known is None:
+            inv = invert(sig, ctx, arg,
+                         instantiate_normal(rest.dom, sub) if sub
+                         else rest.dom, frees)
+            if shared:
+                frees.inverted[id(arg)] = (arg, inv)
+        else:
+            inv = known[1]
         inv_args.append(inv)
         if dep:
             sub[rest.var] = inv

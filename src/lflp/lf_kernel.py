@@ -26,6 +26,19 @@ arguments normalizes only when it puts a lambda in place.  An error
 message prints the classifiers the failed check already holds, so a
 binder renamed to avoid capture is printed with the name the one
 simultaneous map chose.
+
+`check_object` synthesizes each argument object of its root context
+once, however often the object occurs: a table keyed by identity, made
+for the one call and passed down the application spines, holds each
+argument's type, and a later occurrence of the same object reads it
+there.  This is sound because synthesis is a function of the signature,
+the context and the object, and the table records only successes: an
+occurrence that fails raises before anything is recorded, so the first
+occurrence fails as it would unshared.  Under a binder the context
+differs, so the table is not passed into a lambda's body.  An answer
+exported by `lflp solve` shares its subterms, so its check costs the
+number of distinct subobjects, not of occurrences; `check_type` and
+`check_signature` keep no table.
 """
 
 from __future__ import annotations
@@ -41,6 +54,11 @@ from .lf_syntax import (
 
 _FUEL = 100000  # the beta-steps one normalization may take
 _BRIEF = 40  # the characters of an expression a message prints
+
+# an argument object checked in the root context of one `check_object`
+# call, by identity: the object itself, which keeps its id unique, its
+# beta-normal type, and whether it is beta-normal
+_Shared = dict[int, tuple[Obj, Fam, bool]]
 
 
 class LFTypeError(LFError):
@@ -292,14 +310,14 @@ def check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
         case FApp():
             head, args = fam_spine(a)
             k = check_type(sig, ctx, head)
-            return _check_spine(sig, ctx, head, k, args, "app-fam")[0]
+            return _check_spine(sig, ctx, head, k, args, "app-fam", None)[0]
     raise TypeError(f"not a type family: {a!r}")
 
 
 def check_object(sig: Signature, ctx: Context, m: Obj,
                  expected: Optional[Fam] = None) -> Fam:
     """Synthesize the beta-normal type of `m`; compare to `expected` if given."""
-    t, _ = _synth_obj(sig, ctx, m)
+    t, _ = _synth_obj(sig, ctx, m, {})
     if expected is not None and t != expected:
         want = beta_normalize(expected)
         if not beta_eta_equal(t, want):
@@ -307,8 +325,11 @@ def check_object(sig: Signature, ctx: Context, m: Obj,
     return t
 
 
-def _synth_obj(sig: Signature, ctx: Context, m: Obj) -> tuple[Fam, bool]:
-    # the beta-normal type of `m`, and whether `m` is itself beta-normal
+def _synth_obj(sig: Signature, ctx: Context, m: Obj,
+               shared: Optional[_Shared]) -> tuple[Fam, bool]:
+    # the beta-normal type of `m`, and whether `m` is itself beta-normal;
+    # `shared` is the table of the context `check_object` was given, or
+    # None under a binder
     match m:
         case OConst(name):
             a = normal_classifier(sig, name)
@@ -330,19 +351,20 @@ def _synth_obj(sig: Signature, ctx: Context, m: Obj) -> tuple[Fam, bool]:
                                   rule="abs-obj")
             dom_n = beta_normalize(dom)
             var, body = _freshen_binder(var, body, ctx)
-            bt, normal = _synth_obj(sig, ctx.extend(var, dom_n), body)
+            bt, normal = _synth_obj(sig, ctx.extend(var, dom_n), body, None)
             return FPi(var, dom_n, bt), normal and dom_n is dom
         case OApp():
             head, args = obj_spine(m)
-            ht, normal = _synth_obj(sig, ctx, head)
-            t, args_normal = _check_spine(sig, ctx, head, ht, args, "app-obj")
+            ht, normal = _synth_obj(sig, ctx, head, None)
+            t, args_normal = _check_spine(sig, ctx, head, ht, args, "app-obj",
+                                          shared)
             return t, normal and args_normal and not isinstance(head, OLam)
     raise TypeError(f"not an object: {m!r}")
 
 
 def _check_spine(sig: Signature, ctx: Context, head: Expr,
-                 pi: Union[Kind, Fam], args: list[Obj],
-                 rule: str) -> tuple[Union[Kind, Fam], bool]:
+                 pi: Union[Kind, Fam], args: list[Obj], rule: str,
+                 shared: Optional[_Shared]) -> tuple[Union[Kind, Fam], bool]:
     # The application of `head`, of classifier `pi`, to `args`: each
     # argument is checked against its binder's domain instantiated by the
     # arguments before it, all held in one map, and the rest of `pi` is
@@ -350,8 +372,9 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
     # its normal form, so every instantiation may skip the normality
     # walk.  Only arguments whose binder the rest of `pi` mentions are
     # held: a constant head reads which from its signature's table, a
-    # variable or lambda head walks its classifier.  Returns the
-    # instantiated rest and whether every argument is beta-normal.
+    # variable or lambda head walks its classifier.  An argument found in
+    # `shared` is not synthesized again.  Returns the instantiated rest
+    # and whether every argument is beta-normal.
     deps = (classifier_dependencies(sig, head.name)
             if isinstance(head, (OConst, FConst)) else pi_dependencies(pi))
     sub: dict[str, Obj] = {}
@@ -362,7 +385,13 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
             raise _too_many(head, args[:i], instantiate_normal(rest, sub),
                             rule)
         dom = instantiate_normal(rest.dom, sub) if sub else rest.dom
-        t, arg_normal = _synth_obj(sig, ctx, arg)
+        known = shared.get(id(arg)) if shared is not None else None
+        if known is None:
+            t, arg_normal = _synth_obj(sig, ctx, arg, shared)
+            if shared is not None:
+                shared[id(arg)] = (arg, t, arg_normal)
+        else:
+            _, t, arg_normal = known
         if t != dom and not beta_eta_equal(t, dom):
             raise _mismatch(arg, t, dom, rule)
         if not arg_normal:

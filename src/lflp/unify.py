@@ -73,10 +73,22 @@ class Subst:
         return len(self._m)
 
     def apply(self, t: Term) -> Term:
-        """The beta-normal `t` with every bound variable resolved."""
+        """The beta-normal `t` with every bound variable resolved.  Each
+        call resolves afresh; `apply_all` resolves terms that share
+        variables together."""
         if not self._m:
             return t
         return self._walk(t, {})
+
+    def apply_all(self, ts: Iterable[Term]) -> tuple[Term, ...]:
+        """`apply` of each of `ts` through one resolution memo: a variable
+        they share is resolved once, and each result holds the very
+        object it stands for, so the results share what their variables
+        share."""
+        if not self._m:
+            return tuple(ts)
+        memo: dict[LVar, Term] = {}
+        return tuple(self._walk(t, memo) for t in ts)
 
     def _walk(self, t: Term, memo: dict[LVar, Term]) -> Term:
         # Rebuilds only what changes.  A binding that puts a lambda in

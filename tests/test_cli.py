@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from lflp import cli, lf_kernel, lf_syntax as lf
+from lflp import cli, inverter, lf_kernel, lf_syntax as lf
 from lflp.cli import main
 from lflp.engine import Limits, Solution, SolveRun, solve
 from lflp.lf_kernel import LFFuelError, check_object
@@ -521,11 +521,18 @@ def test_front_end_scales_to_benchmark_inputs(capsys, tmp_path, make, decls,
 
 
 # --- work counts ----------------------------------------------------------
-# Exporting an answer types each application spine once, in the inverter
-# and in the kernel's re-check, so the substitution work grows with the
-# printed inhabitant, not faster.  Typed one argument at a time (the rule
-# `oracles.ref_check_object` keeps), the 8+8 export makes 3449 `_subst`
-# calls and the 16+16 one 11353; one loop per spine makes 502 and 982.
+# Exporting an answer follows its sharing.  An LF proof such as
+# `appCons X L M N D` repeats its index lists at every level, so the
+# printed inhabitant of `append <n> <n> L` grows as n^2.  The engine
+# resolves the answer through one memo, the inverter inverts each
+# distinct subterm once and the kernel synthesizes each distinct argument
+# once, so their calls grow as n, 2x per doubling (96 / 192 / 384
+# `_synth_obj` and 58 / 114 / 226 `invert` calls for n = 8 / 16 / 32),
+# where walking every occurrence grows about 4x.  Each spine is also
+# typed in one loop, so the substitution work grows with the printed
+# inhabitant, not faster: typed one argument at a time (the rule
+# `oracles.ref_check_object` keeps), the 8+8 export made 3449 `_subst`
+# calls and the 16+16 one 11353.
 
 def _lf_nodes(m):
     match m:
@@ -536,9 +543,15 @@ def _lf_nodes(m):
     return 1
 
 
+# the functions `_export_work` counts calls of, recursive calls included;
+# `cli` holds its own reference to `invert`
+_EXPORT_COUNTED = [(lf_kernel, "_subst"), (lf_kernel, "_synth_obj"),
+                   (inverter, "invert"), (cli, "invert")]
+
+
 def _export_work(monkeypatch, n):
-    """(`_subst` calls, LF nodes of the inhabitant) for the optimized
-    answer to `append <n> <n> L`."""
+    """(calls of each function in `_EXPORT_COUNTED` by name, LF nodes of
+    the inhabitant) for the optimized answer to `append <n> <n> L`."""
     sig = oracles.load_signature("append.elf")
     items = _ground_list(n)
     free, fam = lf.parse_query(f"append ({items}) ({items}) L", sig)
@@ -546,26 +559,26 @@ def _export_work(monkeypatch, n):
     run = solve(translate_signature(sig, "optimized"), qt.goal,
                 Limits(depth=2 * n + 2),
                 query_vars=(qt.var_lvars[0][1], qt.subject))
-    calls = 0
-    subst = lf_kernel._subst
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return subst(*args)
-
-    monkeypatch.setattr(lf_kernel, "_subst", counted)
+    calls = dict.fromkeys((name for _, name in _EXPORT_COUNTED), 0)
+    for module, name in _EXPORT_COUNTED:
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
     lines = cli._solution_lines(sig, qt, run.solutions[0])
-    monkeypatch.setattr(lf_kernel, "_subst", subst)
+    monkeypatch.undo()
     inhabitant = lines[-1].split(": ", 1)[1]
     return calls, _lf_nodes(lf.parse_object(inhabitant, sig))
 
 
 def test_export_substitutions_grow_with_the_printed_inhabitant(monkeypatch):
-    calls8, nodes8 = _export_work(monkeypatch, 8)
-    calls16, nodes16 = _export_work(monkeypatch, 16)
-    assert calls8 <= 1300
-    assert calls16 / nodes16 <= calls8 / nodes8
+    (calls8, nodes8), (calls16, nodes16), (calls32, _) = (
+        _export_work(monkeypatch, n) for n in (8, 16, 32))
+    assert calls8["_subst"] <= 1300
+    assert calls16["_subst"] / nodes16 <= calls8["_subst"] / nodes8
+    for name in ("_synth_obj", "invert"):
+        assert calls16[name] <= 2.2 * calls8[name], (name, calls8, calls16)
+        assert calls32[name] <= 2.2 * calls16[name], (name, calls16, calls32)
 
 
 def test_check_reads_a_480_element_fact_in_process(tmp_path):
@@ -587,6 +600,32 @@ def test_check_reads_a_480_element_fact_in_process(tmp_path):
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert (result, out.getvalue()) == ([0], "ok: 13 declarations\n")
+
+
+def test_solve_exports_a_320_element_answer_in_process():
+    # A 320-element answer through the whole solve path, export included,
+    # on a fresh thread as above.  The export's sharing tables are
+    # arguments, not Python frames, so the inverter (one frame per level)
+    # and the kernel (two) keep the 321-level inhabitant under the default
+    # recursion limit.  At 330 elements the engine's `Subst._walk`
+    # overflows first.
+    items = _ground_list(320)
+    result = []
+    out = io.StringIO()
+
+    def export():
+        with contextlib.redirect_stdout(out):
+            result.append(main(["solve", str(DATA / "appendplus.elf"),
+                                f"append ({items}) nil L", "--depth", "325"]))
+
+    worker = threading.Thread(target=export)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert result == [0]
+    sig = oracles.load_signature("appendplus.elf")
+    value = out.getvalue().splitlines()[0]
+    assert value == f"L = {lf.print_lf(lf.parse_object(items, sig))}"
 
 
 # --- transcript -----------------------------------------------------------

@@ -1,9 +1,10 @@
 """Source hygiene: no module-level import goes unused, the library
 imports nothing outside the standard library, no library module
-imports another's private (underscore-prefixed) names, every
-module-level function and class of the library is named by library
-code, and no two module-level functions of the library and the tests
-have one body up to the names of their parameters and locals.
+imports another's private (underscore-prefixed) names or has a `global`
+statement, every module-level function and class of the library is
+named by library code, and no two module-level functions of the library
+and the tests have one body up to the names of their parameters and
+locals.
 
 The checks read each file with the standard `ast` module, so they need
 no linter.  A name counts as used when the module mentions it anywhere
@@ -89,6 +90,24 @@ def test_library_imports_no_private_names():
         "the check must see the oracles' import of strictness._why_obj"
     found = [line for path in LIBRARY for line in private_imports(path)]
     assert not found, "private names imported:\n" + "\n".join(found)
+
+
+def global_statements(path: Path) -> list[str]:
+    """`file:line: names` for each `global` statement in `path`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{path.name}:{node.lineno}: {', '.join(node.names)}"
+            for node in ast.walk(tree) if isinstance(node, ast.Global)]
+
+
+def test_library_has_no_global_statement(tmp_path):
+    # A table that speeds one call, such as the export's sharing tables,
+    # lives in an object that call makes and passes down, so `solve` and
+    # `check_object` stay re-entrant and no call sees another's state.
+    probe = tmp_path / "probe.py"
+    probe.write_text("n = 0\n\n\ndef bump():\n    global n\n    n += 1\n")
+    assert global_statements(probe) == ["probe.py:5: n"]
+    found = [line for path in LIBRARY for line in global_statements(path)]
+    assert not found, "global statements:\n" + "\n".join(found)
 
 
 # The public parser entry point for objects: the tests and users call

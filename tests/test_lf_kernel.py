@@ -730,3 +730,68 @@ def test_family_spine_matches_one_at_a_time_rules(case):
     name, args = case
     a = oracles.fam_app(lf.FConst(name), list(args))
     _assert_same(check_type, oracles.ref_check_type, _DEP_SIG, _DEP_CTX, a)
+
+
+# --- shared subobjects ----------------------------------------------------
+# `check_object` synthesizes each argument object of its root context once,
+# however often that one object occurs.  So an object whose equal
+# subobjects are one object, as an exported answer's are, must check as a
+# copy in which no object occurs twice: the same type, or the same rule,
+# location and message.
+
+def _shared(m, table):
+    """`m` with every set of equal subobjects made one object."""
+    match m:
+        case lf.OLam(var, dom, body):
+            m = lf.OLam(var, dom, _shared(body, table))
+        case lf.OApp(fn, arg):
+            m = lf.OApp(_shared(fn, table), _shared(arg, table))
+    return table.setdefault(m, m)
+
+
+def _unshared(m):
+    match m:
+        case lf.OLam(var, dom, body):
+            return lf.OLam(var, dom, _unshared(body))
+        case lf.OApp(fn, arg):
+            return lf.OApp(_unshared(fn), _unshared(arg))
+    return type(m)(m.name)
+
+
+def _check_unshared(sig, ctx, m):
+    return check_object(sig, ctx, _unshared(m))
+
+
+def _bound_inside_only():
+    # cong ([w:nat] s w) w w (refl w), `w` unbound but in the lambda
+    w = lf.OVar("w")
+    return lf.obj_app(lf.OConst("cong"), [
+        lf.OLam("w", _NAT, lf.OApp(lf.OConst("s"), w)), w, w,
+        lf.OApp(lf.OConst("refl"), w)])
+
+
+@pytest.mark.parametrize("m, fails", [
+    # an ill-typed argument object, used twice
+    (_dep("sym (s e) (s e) (refl (s e))"), True),
+    # a well-typed one used twice, at a wrong type the second time
+    (_dep("sym (s x) z (refl (s x))"), True),
+    # well-typed and shared, at the root and under binders
+    (_dep("sym (s x) (s x) (refl (s x))"), False),
+    (_dep("ext ([y:nat] k x) ([x1:nat] k x) ([w:nat] refl (k x))"), False),
+    (_dep("cong ([y:nat] k x) (k x) (k x) (refl (k x))"), False),
+    (_dep("cong k (s (k x)) (s (k x)) (refl (s (k x)))"), False),
+    # one object typed under a binder first, then unbound at the root
+    (_bound_inside_only(), True),
+])
+def test_shared_object_checks_as_its_unshared_copy(m, fails):
+    m = _shared(m, {})
+    err = _assert_same(check_object, _check_unshared, _DEP_SIG, _DEP_CTX, m)
+    assert (err is not None) == fails
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["nat", "eq", ("nat", "eq")]).flatmap(
+    lambda shape: _dep_obj(shape, 3)))
+def test_shared_objects_check_as_their_unshared_copies(m):
+    _assert_same(check_object, _check_unshared, _DEP_SIG, _DEP_CTX,
+                 _shared(m, {}))
