@@ -19,6 +19,13 @@ in its universe, which is all the scope checking proof search needs.
 
 Formulas cover goals ``true | A | D => G | pi x\\ G`` and clauses
 ``A | G => D | pi x\\ D``; conjunction never arises here.
+
+Types, terms and formulas are slotted dataclasses with the generated
+field-wise ``==`` and ``hash``, not frozen ones, since proof search
+builds them by the thousand and a frozen instance is several times
+dearer to build.  They are immutable by rule: no code writes a field
+after building a node, which ``tests/test_hygiene.py`` checks.  A
+`Program` is built once per command and stays frozen.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .lf_syntax import fresh_name
 # Simple types
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TBase:
     name: str
 
@@ -41,7 +48,7 @@ class TBase:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TArrow:
     dom: "SimpleType"
     cod: "SimpleType"
@@ -77,7 +84,7 @@ def split_arrow(ty: SimpleType) -> tuple[list[SimpleType], SimpleType]:
 # Terms
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Const:
     name: str
     ty: SimpleType
@@ -86,7 +93,7 @@ class Const:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EVar:
     """Eigenvariable: rigid, scoped by its creation level."""
 
@@ -98,7 +105,7 @@ class EVar:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LVar:
     """Logic variable: a hole unification may fill."""
 
@@ -110,7 +117,7 @@ class LVar:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BVar:
     """Occurrence of a lambda- or quantifier-bound name."""
 
@@ -121,7 +128,7 @@ class BVar:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lam:
     var: str
     ty: SimpleType  # type of the bound variable
@@ -131,7 +138,7 @@ class Lam:
         return f"({self.var}\\ {self.body})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class App:
     fn: "Term"
     arg: "Term"
@@ -256,13 +263,13 @@ def beta_norm(t: Term) -> Term:
 # Formulas
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Top:
     def __str__(self):
         return "true"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Atom:
     pred: str
     args: tuple[Term, ...]
@@ -280,7 +287,7 @@ def _atom_arg_str(t: Term) -> str:
     return s
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Imp:
     left: "Formula"
     right: "Formula"
@@ -289,7 +296,7 @@ class Imp:
         return f"({self.left} => {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ForAll:
     var: str
     ty: SimpleType

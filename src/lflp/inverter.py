@@ -142,7 +142,8 @@ def invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
             classifier = normal_classifier(sig, name)
             if classifier is None or isinstance(classifier, (lf.KType, lf.KPi)):
                 raise InversionError(f"unknown object constant {name}")
-            lf_head, deps = lf.OConst(name), classifier_dependencies(sig, name)
+            lf_head, deps = (lf.OConst(name),
+                              classifier_dependencies(sig, name, classifier))
         case BVar(name, _):
             classifier = ctx.lookup(name)
             if classifier is None:

@@ -191,16 +191,14 @@ def normal_classifier(sig: Signature, name: str) -> Optional[Union[Kind, Fam]]:
     return nf
 
 
-def classifier_dependencies(sig: Signature,
-                            name: str) -> Optional[tuple[bool, ...]]:
-    """For each Pi binder of the normal classifier of `name`, whether the
-    rest of the classifier mentions it, or None when `sig` does not
-    declare `name`.  Computed once per signature, so a spine headed by a
-    constant decides which arguments its target depends on without
-    walking the classifier."""
-    a = normal_classifier(sig, name)
-    if a is None:
-        return None
+def classifier_dependencies(sig: Signature, name: str,
+                            a: Union[Kind, Fam]) -> tuple[bool, ...]:
+    """For each Pi binder of `a`, the normal classifier of the declared
+    constant `name`, whether the rest of `a` mentions it.  Computed once
+    per signature, so a spine headed by a constant decides which
+    arguments its target depends on without walking the classifier, and
+    its caller, which has just looked the classifier up, does not look
+    it up again."""
     deps = sig.dependencies.get(name)
     if deps is None:
         deps = sig.dependencies[name] = pi_dependencies(a)
@@ -375,7 +373,7 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
     # variable or lambda head walks its classifier.  An argument found in
     # `shared` is not synthesized again.  Returns the instantiated rest
     # and whether every argument is beta-normal.
-    deps = (classifier_dependencies(sig, head.name)
+    deps = (classifier_dependencies(sig, head.name, pi)
             if isinstance(head, (OConst, FConst)) else pi_dependencies(pi))
     sub: dict[str, Obj] = {}
     normal = True

@@ -15,12 +15,24 @@ After parsing, binder names are pairwise distinct along any scope path
 a type.  Equality of expressions is alpha-equivalence, provided by
 :func:`alpha_eq`; the structural ``==`` of the dataclasses compares
 names literally and is only suitable for hashing.
+
+The node classes (kinds, families, objects, declarations, contexts) are
+slotted dataclasses with the generated field-wise ``==`` and ``hash``.
+They are not frozen, since a frozen instance is several times dearer to
+build, and are immutable by rule instead: no code writes a node's field
+after building it, which ``tests/test_hygiene.py`` checks.  `Signature`
+is built once per command and stays frozen.
+
+The lexer matches one pattern over the whole input.  A token records
+which match it is, and its line and column are found again, by matching
+once more, only when an error message reports them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
 from typing import Container, Iterator, NamedTuple, Optional, Union
 
 
@@ -38,6 +50,8 @@ class LFSyntaxError(LFError):
 
 
 class _Pretty:
+    __slots__ = ()
+
     def __str__(self) -> str:
         return print_lf(self)
 
@@ -45,12 +59,12 @@ class _Pretty:
 # ---------------------------------------------------------------------------
 # Kinds
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class KType(_Pretty):
     """The base kind classifying types."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class KPi(_Pretty):
     var: str
     dom: "Fam"
@@ -63,19 +77,19 @@ Kind = Union[KType, KPi]
 # ---------------------------------------------------------------------------
 # Type families
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FConst(_Pretty):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FPi(_Pretty):
     var: str
     dom: "Fam"
     body: "Fam"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FApp(_Pretty):
     fam: "Fam"
     arg: "Obj"
@@ -87,24 +101,24 @@ Fam = Union[FConst, FPi, FApp]
 # ---------------------------------------------------------------------------
 # Objects
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OConst(_Pretty):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OVar(_Pretty):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OLam(_Pretty):
     var: str
     dom: Fam
     body: "Obj"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OApp(_Pretty):
     fn: "Obj"
     arg: "Obj"
@@ -118,7 +132,7 @@ Expr = Union[Kind, Fam, Obj]
 # ---------------------------------------------------------------------------
 # Signatures and contexts
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class KindDecl:
     """``a : K`` declaring a type-family constant."""
     name: str
@@ -128,7 +142,7 @@ class KindDecl:
         return f"{self.name} : {print_lf(self.kind)}."
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ObjDecl:
     """``c : A`` declaring an object constant."""
     name: str
@@ -212,7 +226,7 @@ class SignatureView(Signature):
             object.__setattr__(self, table, getattr(sig, table))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Context:
     bindings: tuple[tuple[str, Fam], ...] = ()
 
@@ -362,42 +376,70 @@ def pi_dependencies(a: Union[Kind, Fam]) -> tuple[bool, ...]:
 class _Token(NamedTuple):
     kind: str  # 'ident', 'type', '->', one of "{}[]():.", or 'eof'
     text: str
-    line: int
-    col: int
+    source: str  # the whole input, shared by every token read from it
+    index: int  # which match of _LEXEME in `source`; past the last for eof
+
+    # Positions are found only for an error message, by matching again.
+    @property
+    def line(self) -> int:
+        return _position(self.source, self.index)[0]
+
+    @property
+    def col(self) -> int:
+        return _position(self.source, self.index)[1]
 
 
-# One match per token, with the whitespace and `%` comments before it, on
-# one line at a time.  Group 1 is a word, group 2 punctuation, group 3 any
-# other character; none matches only at the end of the line.  `\w` is
-# exactly str.isalnum() plus "_" and `\s` exactly str.isspace(), on every
-# code point.
-_LEXEME = re.compile(r"(?:\s+|%.*)*(?:([\w']+)|(->|[{}\[\]():.])|(.))?")
+# One match per word, punctuation mark, `%` comment or other non-space
+# character; whitespace lies between matches.  `\w` is exactly
+# str.isalnum() plus "_" and `\s` exactly str.isspace(), on every code
+# point.
+_LEXEME = re.compile(r"[\w']+|->|[{}\[\]():.]|%[^\n]*|\S")
 
-# _Token(...) runs a Python-level __new__; this builds the same tuple in C
-_new_token = tuple.__new__
+# the kind of every lexeme that is its own kind
+_KINDS = {p: p for p in ("->", "{", "}", "[", "]", "(", ")", ":", ".", "type")}
+
+
+def _kind(lexeme: str) -> Optional[str]:
+    """'ident', '' for a comment, or None for a lexeme that is no token."""
+    c = lexeme[0]
+    if c == "%":
+        return ""
+    # no word starts with a digit, '²' included, which `\d` misses
+    if (c.isalnum() or c in "_'") and not c.isdigit():
+        return "ident"
+    return None
+
+
+def _position(source: str, index: int) -> tuple[int, int]:
+    """Line and column of the `index`-th match of _LEXEME in `source`,
+    or of the end of input when there is no such match."""
+    m = next(islice(_LEXEME.finditer(source), index, None), None)
+    if m is not None:
+        at = m.start()
+    else:
+        # a comment running to the end of input leaves the column at its `%`
+        comment = source.find("%", source.rfind("\n") + 1)
+        at = comment if comment >= 0 else len(source)
+    return source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at)
 
 
 def tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    append = toks.append
-    for line, src in enumerate(text.split("\n"), 1):
-        for m in _LEXEME.finditer(src):
-            group = m.lastindex
-            if group is None:
-                continue
-            word = m.group(group)
-            col = m.start(group) + 1
-            # no word starts with a digit, '²' included, which `\d` misses
-            if group == 1 and not word[0].isdigit():
-                kind = "type" if word == "type" else "ident"
-            elif group == 2:
-                kind = word
-            else:
-                raise LFSyntaxError(f"unexpected character {word[0]!r}", line, col)
-            append(_new_token(_Token, (kind, word, line, col)))
-    # a comment running to the end of input leaves the column at its `%`
-    comment = src.find("%")
-    append(_Token("eof", "", line, (comment if comment >= 0 else len(src)) + 1))
+    lexemes = _LEXEME.findall(text)
+    kinds = _KINDS.copy()
+    # each distinct lexeme is classified once, in order of first
+    # appearance, so the first bad one is the first in the text
+    for w in dict.fromkeys(lexemes):
+        if w not in kinds:
+            kind = kinds[w] = _kind(w)
+            if kind is None:
+                raise LFSyntaxError(f"unexpected character {w[0]!r}",
+                                    *_position(text, lexemes.index(w)))
+    # the tokens are built in C: each (kind, lexeme, text, index) becomes
+    # a _Token through tuple.__new__, and comments (kind '') are dropped
+    ks = list(map(kinds.__getitem__, lexemes))
+    toks = list(map(tuple.__new__, repeat(_Token),
+                    compress(zip(ks, lexemes, repeat(text), count()), ks)))
+    toks.append(_Token("eof", "", text, len(lexemes)))
     return toks
 
 

@@ -52,7 +52,7 @@ from .hterms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Eq:
     lhs: Term
     rhs: Term

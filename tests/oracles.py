@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 from lflp import lf_syntax as lf
 from lflp.lf_syntax import (
     Context, Decl, Expr, FApp, FConst, FPi, Fam, Kind, KindDecl, KPi, KType,
-    LFSyntaxError, OApp, OConst, OLam, OVar, ObjDecl, Obj, Signature, _Token,
+    LFSyntaxError, OApp, OConst, OLam, OVar, ObjDecl, Obj, Signature,
     fam_spine, free_vars, fresh_name, obj_app, obj_spine, split_fam_pis,
 )
 from lflp.lf_kernel import (
@@ -802,6 +802,15 @@ class EagerSubst:
 # ---------------------------------------------------------------------------
 # Lexing one character at a time: each character class is tested with the
 # str predicates directly, and line and column are counted as it goes.
+
+class _Token(NamedTuple):
+    """A token and the position the character loop counted for it; the
+    package's tokens find theirs only on demand, with the same fields."""
+    kind: str
+    text: str
+    line: int
+    col: int
+
 
 def _ident_char(c: str) -> bool:
     return c.isalnum() or c in ("_", "'")

@@ -4,7 +4,9 @@ imports another's private (underscore-prefixed) names or has a `global`
 statement, every module-level function and class of the library is
 named by library code, and no two module-level functions of the library
 and the tests have one body up to the names of their parameters and
-locals.
+locals.  The term and formula node classes are immutable by rule: the
+library writes no field of a node and calls `object.__setattr__` only
+where a signature stores its tables, and no node instance has a dict.
 
 The checks read each file with the standard `ast` module, so they need
 no linter.  A name counts as used when the module mentions it anywhere
@@ -13,7 +15,10 @@ outside the import itself, annotations included.
 
 import ast
 import sys
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+
+from lflp import hterms, lf_syntax, unify
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "lflp").glob("*.py"))
@@ -247,3 +252,104 @@ def test_no_two_library_functions_share_a_body(tmp_path):
     assert duplicate_functions(sorted(tmp_path.glob("*.py"))) == ["a.f = b.g"]
     found = duplicate_functions(FILES)
     assert not found, "functions with one body:\n" + "\n".join(found)
+
+
+# The records built once per operation stay frozen dataclasses, so the
+# run time refuses a write to them.  Every other dataclass of these
+# modules is a node class: slotted and not frozen, built by the thousand,
+# and immutable only by the rule below.
+RECORDS = {"Signature", "SignatureView", "Program", "UnifyResult"}
+NODE_CLASSES = [c for m in (lf_syntax, hterms, unify) for c in vars(m).values()
+                if isinstance(c, type) and c.__module__ == m.__name__
+                and is_dataclass(c) and c.__name__ not in RECORDS]
+NODE_FIELDS = frozenset(f.name for c in NODE_CLASSES for f in fields(c))
+# the classes whose constructors store a signature's tables
+SETATTR_OWNERS = {"Signature", "SignatureView"}
+
+
+def _is_self(e: ast.expr) -> bool:
+    return isinstance(e, ast.Name) and e.id == "self"
+
+
+def node_field_writes(path: Path) -> list[str]:
+    """`file:line: code` for each write in `path` to an attribute named
+    like a node-class field on an object other than `self` (an
+    assignment, augmented or annotated too, or a `setattr`, whose name
+    must then be a string constant that is no field name), and for each
+    `object.__setattr__` outside the top-level classes SETATTR_OWNERS."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owned = {id(n) for stmt in tree.body
+             if isinstance(stmt, ast.ClassDef) and stmt.name in SETATTR_OWNERS
+             for n in ast.walk(stmt)}
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            bad = n.attr in NODE_FIELDS and not _is_self(n.value)
+        elif isinstance(n, ast.Call) and ast.unparse(n.func) == "setattr":
+            name = n.args[1] if len(n.args) > 1 else None
+            bad = not _is_self(n.args[0]) and not (
+                isinstance(name, ast.Constant) and name.value not in NODE_FIELDS)
+        elif isinstance(n, ast.Call) and ast.unparse(n.func) == "object.__setattr__":
+            bad = id(n) not in owned
+        else:
+            continue
+        if bad:
+            found.append(f"{path.name}:{n.lineno}: {ast.unparse(n)}")
+    return found
+
+
+_WRITES = """\
+def f(t, u, k):
+    t.body = u
+    t.level += 1
+    t.ty: int = 0
+    t.pos = t.body
+    setattr(t, "var", k)
+    setattr(t, k, 0)
+    setattr(t, "pos", 0)
+    object.__setattr__(t, "pos", 0)
+
+
+class C:
+    def g(self, u):
+        self.body = u
+        setattr(self, "var", u)
+
+
+class Signature:
+    def h(self):
+        object.__setattr__(self, "decls", ())
+"""
+
+
+def test_library_writes_no_node_field(tmp_path):
+    assert {"body", "level", "ty", "var", "args", "bindings"} <= NODE_FIELDS
+    probe = tmp_path / "probe.py"
+    probe.write_text(_WRITES)
+    assert node_field_writes(probe) == [
+        "probe.py:2: t.body", "probe.py:3: t.level", "probe.py:4: t.ty",
+        "probe.py:6: setattr(t, 'var', k)", "probe.py:7: setattr(t, k, 0)",
+        "probe.py:9: object.__setattr__(t, 'pos', 0)"]
+    found = [line for path in LIBRARY for line in node_field_writes(path)]
+    assert not found, "node fields written:\n" + "\n".join(found)
+
+
+class _Dicted:
+    pass
+
+
+@dataclass(slots=True)
+class _Leaky(_Dicted):
+    x: int
+
+
+def test_node_instances_have_no_dict():
+    # a base class without `__slots__ = ()` brings the dict back
+    assert hasattr(_Leaky(0), "__dict__")
+    names = {c.__name__ for c in NODE_CLASSES}
+    assert {"KType", "OApp", "Context", "ObjDecl", "TArrow", "App",
+            "ForAll", "Eq"} <= names
+    assert not names & RECORDS
+    dicted = [c.__name__ for c in NODE_CLASSES
+              if hasattr(c(*[None] * len(fields(c))), "__dict__")]
+    assert not dicted, "node classes with an instance dict: " + ", ".join(dicted)

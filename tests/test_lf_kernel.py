@@ -4,7 +4,7 @@ import shlex
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lflp import lf_syntax as lf
+from lflp import lf_kernel, lf_syntax as lf
 from lflp.lf_kernel import (
     LFTypeError, beta_eta_equal, beta_normalize, check_object,
     check_signature, check_type, classifier_dependencies, instantiate_normal,
@@ -373,15 +373,31 @@ def test_binder_table_agrees_with_the_walk(name):
         while isinstance(a, (lf.KPi, lf.FPi)):
             want.append(lf.occurs_free(a.var, a.body))
             a = a.body
-        deps = classifier_dependencies(sig, d.name)
+        a = normal_classifier(sig, d.name)
+        deps = classifier_dependencies(sig, d.name, a)
         assert deps == tuple(want)
         # recorded once, and read by every prefix and view of `sig`
         assert classifier_dependencies(lf.SignaturePrefix(sig, i + 1),
-                                       d.name) is deps
+                                       d.name, a) is deps
         assert classifier_dependencies(lf.SignatureView(sig, ()),
-                                       d.name) is deps
-        assert classifier_dependencies(lf.SignaturePrefix(sig, i),
-                                       d.name) is None
+                                       d.name, a) is deps
+        # a prefix hides a later name at the lookup its caller makes first
+        assert normal_classifier(lf.SignaturePrefix(sig, i), d.name) is None
+
+
+def test_each_constant_is_looked_up_once_per_occurrence(monkeypatch):
+    # a spine's head reads its dependencies beside the classifier just
+    # looked up: `cons z nil` looks up cons, z and nil once each
+    sig = oracles.load_signature("append.elf")
+    names = []
+
+    def counted(sig, name):
+        names.append(name)
+        return normal_classifier(sig, name)
+
+    monkeypatch.setattr(lf_kernel, "normal_classifier", counted)
+    check_object(sig, lf.Context(), lf.parse_object("cons z nil"))
+    assert sorted(names) == ["cons", "nil", "z"]
 
 
 def test_normal_form_of_redex_classifier_is_memoized():

@@ -247,6 +247,45 @@ def test_parser_pinned_cases(text, want):
     assert _parsed(oracles.two_pass_parse_signature, text) == want
 
 
+_NAT = lf.parse_signature("nat : type. z : nat. s : nat -> nat. "
+                          "le : nat -> nat -> type.")
+
+
+# Positions are found again only when an error is built; these texts are
+# the ones the line-by-line lexer printed.
+@pytest.mark.parametrize("parse, args, want", [
+    (lf.parse_signature, ("nat : type.\n% a comment line\nz nat.",),
+     ("3:3: expected ':', found 'nat'", 3, 3)),
+    # held while the declaration is read, raised at its end
+    (lf.parse_signature, ("a : type.\n\nc : a\n  -> (a -> type) -> type.",),
+     ("4:12: 'type' cannot appear inside a type", 4, 12)),
+    (lf.parse_query, ("le z\n  (s z) )", _NAT), ("2:9: trailing input ')'", 2, 9)),
+    (lf.parse_object, ("s\n  (s z) z ]",), ("2:11: trailing input ']'", 2, 11)),
+    (lf.parse_signature, ("nat : type.  % first\n\tz : nat.\n  nat : type.",),
+     ("3:3: duplicate declaration of 'nat'", 3, 3)),
+    # the end of input after a closing comment is at its `%`
+    (lf.parse_signature, ("nat : type\n% no period",),
+     ("2:1: expected '.', found 'end of input'", 2, 1)),
+    (lf.parse_signature, ("nat : type.\nz : nat. é : nat.\n  w : nat -% x",),
+     ("3:11: unexpected character '-'", 3, 11)),
+])
+def test_error_positions_pinned(parse, args, want):
+    assert _parsed(parse, *args) == want
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in oracles.DATA.glob("*.elf")))
+def test_parsing_valid_input_finds_no_position(name, monkeypatch):
+    def found(source, index):
+        raise AssertionError(f"position of token {index} computed")
+
+    monkeypatch.setattr(lf, "_position", found)
+    with pytest.raises(AssertionError):  # an error does find its position
+        lf.parse_signature("nat : type")
+    sig = lf.parse_signature((oracles.DATA / name).read_text())
+    assert list(sig)
+
+
 def test_parse_object_arrow_error_is_at_the_arrow():
     want = ("1:8: expected an object", 1, 8)
     assert _parsed(lf.parse_object, "f type -> a") == want
