@@ -135,26 +135,21 @@ def cmd_check(sig: lf.Signature) -> int:
 def cmd_translate(sig: lf.Signature, path: str, mode: str, literal: bool,
                   split: bool, out: Optional[str]) -> int:
     program = translate_signature(sig, mode)
-    if split:
-        stem = Path(out or path).with_suffix("")
-        sig_text, mod_text = emit_split(program, stem.name, literal)
-        try:
-            Path(f"{stem}.sig").write_text(sig_text, encoding="utf-8")
-            Path(f"{stem}.mod").write_text(mod_text, encoding="utf-8")
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        print(f"wrote {stem}.sig and {stem}.mod")
+    if not (split or out):
+        sys.stdout.write(emit_lambdaprolog(program, literal))
         return 0
-    emitted = emit_lambdaprolog(program, literal)
-    if out:
-        try:
-            Path(out).write_text(emitted, encoding="utf-8")
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(emitted)
+    stem = Path(out or path).with_suffix("")
+    files = (zip((f"{stem}.sig", f"{stem}.mod"),
+                 emit_split(program, stem.name, literal)) if split
+             else [(out, emit_lambdaprolog(program, literal))])
+    try:
+        for name, text in files:
+            Path(name).write_text(text, encoding="utf-8")
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    if split:
+        print(f"wrote {stem}.sig and {stem}.mod")
     return 0
 
 

@@ -39,17 +39,21 @@ differs, so the table is not passed into a lambda's body.  An answer
 exported by `lflp solve` shares its subterms, so its check costs the
 number of distinct subobjects, not of occurrences; `check_type` and
 `check_signature` keep no table.
+
+The binder rules (Pi in a kind or a type, lambda in an object) share
+one premise, `_binder`.  `rename_apart` renames a binder there, when it
+shadows the context, and in substitution, when it would capture.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
+from typing import AbstractSet, Mapping, Optional, Union
 
 from .lf_syntax import (
     Context, Expr, Fam, FApp, FConst, FPi, Kind, KindDecl, KPi, KType,
     LFError, Obj, OApp, OConst, OLam, OVar, Signature, SignaturePrefix,
-    alpha_eq, fam_spine, free_vars, fresh_name, obj_app, obj_spine,
-    occurs_free, pi_dependencies, print_lf,
+    alpha_eq, free_vars, fresh_name, obj_app, occurs_free, pi_dependencies,
+    print_lf, spine,
 )
 
 _FUEL = 100000  # the beta-steps one normalization may take
@@ -111,13 +115,8 @@ def _subst(e: Expr, b: Mapping[str, Obj], placed: dict[int, Obj]) -> Expr:
                 return e if dom2 is dom else type(e)(var, dom2, body)
             if any(occurs_free(var, v) for v in inner.values()):
                 # the binder would capture a free name of a range
-                ranges_fv: set[str] = set()
-                for v in inner.values():
-                    ranges_fv |= free_vars(v)
-                var2 = fresh_name(var,
-                                  ranges_fv | free_vars(body) | set(inner))
-                body = _subst(body, {var: OVar(var2)}, placed)
-                var = var2
+                var, body = rename_apart(var, body, set(inner).union(
+                    *map(free_vars, inner.values())))
             return type(e)(var, dom2, _subst(body, inner, placed))
         case FApp(fn, arg) | OApp(fn, arg):
             fn2 = _subst(fn, b, placed)
@@ -164,17 +163,13 @@ def _norm(e: Expr, cell: list[int]) -> Expr:
             if dom2 is dom and body2 is body:
                 return e
             return type(e)(var, dom2, body2)
-        case FApp(fn, arg):
-            fn2 = _norm(fn, cell)
-            arg2 = _norm(arg, cell)
-            return e if fn2 is fn and arg2 is arg else FApp(fn2, arg2)
-        case OApp(fn, arg):
+        case FApp(fn, arg) | OApp(fn, arg):
             fn2 = _norm(fn, cell)
             if isinstance(fn2, OLam):
                 _spend(cell)
                 return _norm(substitute(fn2.body, {fn2.var: arg}), cell)
             arg2 = _norm(arg, cell)
-            return e if fn2 is fn and arg2 is arg else OApp(fn2, arg2)
+            return e if fn2 is fn and arg2 is arg else type(e)(fn2, arg2)
     raise TypeError(f"not an LF expression: {e!r}")
 
 
@@ -222,18 +217,14 @@ def _eta_short(e: Expr) -> Expr:
     match e:
         case KType() | FConst() | OConst() | OVar():
             return e
-        case KPi(var, dom, body) | FPi(var, dom, body):
-            return type(e)(var, _eta_short(dom), _eta_short(body))
-        case OLam(var, dom, body):
+        case KPi(var, dom, body) | FPi(var, dom, body) | OLam(var, dom, body):
             body = _eta_short(body)
-            if (isinstance(body, OApp) and body.arg == OVar(var)
-                    and not occurs_free(var, body.fn)):
+            if (isinstance(e, OLam) and isinstance(body, OApp)
+                    and body.arg == OVar(var) and not occurs_free(var, body.fn)):
                 return body.fn
-            return OLam(var, _eta_short(dom), body)
-        case FApp(fn, arg):
-            return FApp(_eta_short(fn), _eta_short(arg))
-        case OApp(fn, arg):
-            return OApp(_eta_short(fn), _eta_short(arg))
+            return type(e)(var, _eta_short(dom), body)
+        case FApp(fn, arg) | OApp(fn, arg):
+            return type(e)(_eta_short(fn), _eta_short(arg))
     raise TypeError(f"not an LF expression: {e!r}")
 
 
@@ -271,13 +262,9 @@ def check_kind(sig: Signature, ctx: Context, k: Kind) -> None:
     match k:
         case KType():
             return
-        case KPi(var, dom, body):
-            dk = check_type(sig, ctx, dom)
-            if not isinstance(dk, KType):
-                raise LFTypeError(f"Pi domain {dom} has kind {dk}, not type",
-                                  rule="pi-kind")
-            var, body = _freshen_binder(var, body, ctx)
-            check_kind(sig, ctx.extend(var, beta_normalize(dom)), body)
+        case KPi():
+            inner, _, _, body = _binder(sig, ctx, k, "pi-kind")
+            check_kind(sig, inner, body)
             return
     raise TypeError(f"not a kind: {k!r}")
 
@@ -293,20 +280,15 @@ def check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
                 raise LFTypeError(f"object constant {name!r} used as a type",
                                   rule="var-fam")
             return k
-        case FPi(var, dom, body):
-            dk = check_type(sig, ctx, dom)
-            if not isinstance(dk, KType):
-                raise LFTypeError(f"Pi domain {dom} has kind {dk}, not type",
-                                  rule="pi-fam")
-            var, body = _freshen_binder(var, body, ctx)
-            inner = ctx.extend(var, beta_normalize(dom))
+        case FPi():
+            inner, _, _, body = _binder(sig, ctx, a, "pi-fam")
             bk = check_type(sig, inner, body)
             if not isinstance(bk, KType):
                 raise LFTypeError(f"Pi body {body} has kind {bk}, not type",
                                   rule="pi-fam")
             return KType()
         case FApp():
-            head, args = fam_spine(a)
+            head, args = spine(a)
             k = check_type(sig, ctx, head)
             return _check_spine(sig, ctx, head, k, args, "app-fam", None)[0]
     raise TypeError(f"not a type family: {a!r}")
@@ -342,22 +324,31 @@ def _synth_obj(sig: Signature, ctx: Context, m: Obj,
             if a is None:
                 raise LFTypeError(f"unbound variable {name!r}", rule="var-obj")
             return beta_normalize(a), True
-        case OLam(var, dom, body):
-            dk = check_type(sig, ctx, dom)
-            if not isinstance(dk, KType):
-                raise LFTypeError(f"binder type {dom} has kind {dk}, not type",
-                                  rule="abs-obj")
-            dom_n = beta_normalize(dom)
-            var, body = _freshen_binder(var, body, ctx)
-            bt, normal = _synth_obj(sig, ctx.extend(var, dom_n), body, None)
-            return FPi(var, dom_n, bt), normal and dom_n is dom
+        case OLam():
+            inner, var, dom_n, body = _binder(sig, ctx, m, "abs-obj")
+            bt, normal = _synth_obj(sig, inner, body, None)
+            return FPi(var, dom_n, bt), normal and dom_n is m.dom
         case OApp():
-            head, args = obj_spine(m)
+            head, args = spine(m)
             ht, normal = _synth_obj(sig, ctx, head, None)
             t, args_normal = _check_spine(sig, ctx, head, ht, args, "app-obj",
                                           shared)
             return t, normal and args_normal and not isinstance(head, OLam)
     raise TypeError(f"not an object: {m!r}")
+
+
+def _binder(sig: Signature, ctx: Context, e: Union[KPi, FPi, OLam],
+            rule: str) -> tuple[Context, str, Fam, Expr]:
+    # The domain of `e` has kind type.  Returns the context extended by
+    # the binder, renamed apart from `ctx`, at the normal domain; the
+    # binder's name; that domain; and the body under that name.
+    dk = check_type(sig, ctx, e.dom)
+    if not isinstance(dk, KType):
+        what = "binder type" if rule == "abs-obj" else "Pi domain"
+        raise LFTypeError(f"{what} {e.dom} has kind {dk}, not type", rule=rule)
+    dom = beta_normalize(e.dom)
+    var, body = rename_apart(e.var, e.body, ctx.names())
+    return ctx.extend(var, dom), var, dom, body
 
 
 def _check_spine(sig: Signature, ctx: Context, head: Expr,
@@ -417,10 +408,14 @@ def _too_many(head: Expr, args: list[Obj], t: Union[Kind, Fam],
                        "applied to an argument", rule=rule)
 
 
-def _freshen_binder(var: str, body: Expr, ctx: Context) -> tuple[str, Expr]:
-    # contexts bind distinct names; rename when input shadows one
-    if var in ctx.names():
-        var2 = fresh_name(var, ctx.names() | free_vars(body))
+def rename_apart(var: str, body: Expr,
+                 avoid: AbstractSet[str]) -> tuple[str, Expr]:
+    """The binder `var` of `body`, renamed when `avoid` holds its name:
+    the new name is neither in `avoid` nor free in `body`, and the body
+    follows.  Contexts bind distinct names, so a binder that shadows one
+    is renamed apart from the context's names."""
+    if var in avoid:
+        var2 = fresh_name(var, avoid | free_vars(body))
         return var2, substitute(body, {var: OVar(var2)})
     return var, body
 

@@ -91,7 +91,7 @@ class FPi(_Pretty):
 
 @dataclass(slots=True, unsafe_hash=True)
 class FApp(_Pretty):
-    fam: "Fam"
+    fn: "Fam"
     arg: "Obj"
 
 
@@ -271,9 +271,7 @@ def free_vars(e: Expr) -> frozenset[str]:
             return frozenset((name,))
         case KPi(var, dom, body) | FPi(var, dom, body) | OLam(var, dom, body):
             return free_vars(dom) | (free_vars(body) - {var})
-        case FApp(fam, arg):
-            return free_vars(fam) | free_vars(arg)
-        case OApp(fn, arg):
+        case FApp(fn, arg) | OApp(fn, arg):
             return free_vars(fn) | free_vars(arg)
     raise TypeError(f"not an LF expression: {e!r}")
 
@@ -302,9 +300,7 @@ def _aeq(a: Expr, b: Expr, ea: tuple[str, ...], eb: tuple[str, ...]) -> bool:
         case (KPi(x, d1, b1), KPi(y, d2, b2)) | (FPi(x, d1, b1), FPi(y, d2, b2)) \
                 | (OLam(x, d1, b1), OLam(y, d2, b2)):
             return _aeq(d1, d2, ea, eb) and _aeq(b1, b2, ea + (x,), eb + (y,))
-        case FConst(m), FConst(n):
-            return m == n
-        case OConst(m), OConst(n):
+        case (FConst(m), FConst(n)) | (OConst(m), OConst(n)):
             return m == n
         case OVar(m), OVar(n):
             ia = _rindex(ea, m)
@@ -325,24 +321,18 @@ def _rindex(env: tuple[str, ...], name: str) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Spine helpers shared by the kernel and the translator
+# Spine helpers.  An object and a type family application have one
+# shape, `fn` applied to the object `arg`, so one `spine` reads both.
 
-def obj_spine(m: Obj) -> tuple[Obj, list[Obj]]:
+def spine(e: Union[Fam, Obj]) -> tuple[Union[Fam, Obj], list[Obj]]:
+    """The head of an application and its arguments, in order."""
     args: list[Obj] = []
-    while isinstance(m, OApp):
-        args.append(m.arg)
-        m = m.fn
+    # exact types, since no class derives from either: the fastest test
+    while type(e) is OApp or type(e) is FApp:
+        args.append(e.arg)
+        e = e.fn
     args.reverse()
-    return m, args
-
-
-def fam_spine(a: Fam) -> tuple[Fam, list[Obj]]:
-    args: list[Obj] = []
-    while isinstance(a, FApp):
-        args.append(a.arg)
-        a = a.fam
-    args.reverse()
-    return a, args
+    return e, args
 
 
 def obj_app(head: Obj, args: list[Obj]) -> Obj:
@@ -659,7 +649,7 @@ def parse_query(text: str, sig: Optional[Signature] = None) -> tuple[tuple[str, 
     if parser.peek().kind == ".":
         parser.pos += 1
     _end(parser)
-    head, _ = fam_spine(fam)
+    head, _ = spine(fam)
     if not isinstance(head, FConst):
         raise LFSyntaxError("query must be a base type")
     if sig is not None and not isinstance(sig.lookup(head.name), (KType, KPi)):

@@ -24,23 +24,24 @@ Three judgments, mirrored by the code below:
   ``strict_binders`` reads): binder i is strict in ``{x1:A1}...{xn:An} B``
   iff it is strict in the problem of all n binders with base B.
 
-``_peel`` renames each binder apart from the names bound before it and the
-names free in their types or its own, so a binder's type mentions only
-earlier binders and never captures a free name.  A CTX_t pivot therefore
-always follows the binder it justifies, and one pass from the last binder
-to the first decides each binder once: its APP_t chain if it has one,
-else the first later strict pivot in prefix order whose type it is strict
-in.  Each problem is solved once per classifier and memoized.
+``_peel`` renames each binder apart (by ``lf_kernel.rename_apart``) from
+the names bound before it and the names free in their types or its own,
+so a binder's type mentions only earlier binders and never captures a
+free name.  A CTX_t pivot therefore always follows the binder it
+justifies, and one pass from the last binder to the first decides each
+binder once: its APP_t chain if it has one, else the first later strict
+pivot in prefix order whose type it is strict in.  Each problem is
+solved once per classifier and memoized.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .lf_kernel import substitute
+from .lf_kernel import rename_apart, substitute
 from .lf_syntax import (
-    Fam, FConst, FPi, Obj, OLam, OVar, fam_spine, free_vars, fresh_name,
-    obj_spine, split_fam_pis,
+    Fam, FConst, FPi, Obj, OLam, OVar, free_vars, fresh_name, spine,
+    split_fam_pis,
 )
 
 _Gamma = tuple[tuple[str, Fam], ...]
@@ -70,13 +71,10 @@ def _peel(gamma: _Gamma, a: Fam) -> tuple[_Gamma, Fam]:
     taken = {n for n, _ in gamma}.union(free_vars(a),
                                         *(free_vars(b) for _, b in gamma))
     while isinstance(a, FPi):
-        var, body = a.var, a.body
-        if var in taken:
-            var = fresh_name(var, taken | free_vars(body))
-            body = substitute(body, {a.var: OVar(var)})
-        gamma = gamma + ((var, a.dom),)
+        dom = a.dom
+        var, a = rename_apart(a.var, a.body, taken)
+        gamma = gamma + ((var, dom),)
         taken.add(var)
-        a = body
     return gamma, a
 
 
@@ -87,12 +85,14 @@ def _why_obj(candidates: frozenset[str], delta: frozenset[str],
              x: str, m: Obj) -> Optional[str]:
     if isinstance(m, OLam):
         var, body = m.var, m.body
+        # renamed here, not by rename_apart, whose avoid set would be
+        # built for every lambda rather than only on a clash
         if var in candidates or var == x:
             var = fresh_name(var, candidates | delta | {x} | free_vars(body))
             body = substitute(body, {m.var: OVar(var)})
         inner = _why_obj(candidates, delta | {var}, x, body)
         return None if inner is None else f"ABS_o; {inner}"
-    head, args = obj_spine(m)
+    head, args = spine(m)
     if isinstance(head, OVar) and head.name == x:
         names = [a.name for a in args if isinstance(a, OVar)]
         if (len(names) == len(args) and len(set(names)) == len(names)
@@ -113,7 +113,7 @@ def _chains(prefix: _Gamma, a: Fam, memo: _Memo) -> tuple[Optional[str], ...]:
     `memo` holds the problems of the binder types already solved."""
     gamma, base = _peel(prefix, a)
     names = frozenset(n for n, _ in gamma)
-    head, args = fam_spine(base)
+    head, args = spine(base)
     if not isinstance(head, FConst):
         args = []
     chains: list[Optional[str]] = [None] * len(gamma)

@@ -5,9 +5,9 @@ The bridge works at three levels:
 * ``phi`` flattens dependent classifiers to simple types: every base
   type collapses to ``lf_obj``, every kind to ``lf_type``, and Pi
   becomes arrow.
-* ``encode_obj``/``encode_fam`` erase types from terms, keeping shape:
-  constants stay themselves (retyped by phi), abstraction annotations
-  become simple types.
+* ``encode`` erases types from objects and base type families, keeping
+  shape: constants stay themselves (retyped by phi), abstraction
+  annotations become simple types.
 * ``translate_judgment`` maps a classifier A and a subject term M to a
   formula asserting M inhabits A.  Each Pi binder of A gets a typing
   premise, the translation of its type with the polarity flipped: the
@@ -65,9 +65,7 @@ def phi(e: Union[lf.Kind, lf.Fam]) -> SimpleType:
     match e:
         case lf.KType():
             return LF_TYPE
-        case lf.KPi(_, dom, body):
-            return TArrow(phi(dom), phi(body))
-        case lf.FPi(_, dom, body):
+        case lf.KPi(_, dom, body) | lf.FPi(_, dom, body):
             return TArrow(phi(dom), phi(body))
         case lf.FConst() | lf.FApp():
             return LF_OBJ
@@ -85,33 +83,27 @@ def _const_type(sig: lf.Signature, name: str) -> SimpleType:
     return ty
 
 
-def encode_obj(sig: lf.Signature, m: lf.Obj, env: dict[str, Term]) -> Term:
-    match m:
-        case lf.OConst(name):
-            return Const(name, _const_type(sig, name))
+def encode(sig: lf.Signature, e: Union[lf.Obj, lf.Fam],
+           env: dict[str, Term]) -> Term:
+    """The term of an object or a base type family; `env` maps the LF
+    variables in scope to their terms."""
+    match e:  # the commonest nodes first: bound variables, applications
         case lf.OVar(name):
             if name not in env:
                 raise TranslationError(f"unbound variable {name}")
             return env[name]
+        case lf.FApp(fn, arg) | lf.OApp(fn, arg):
+            return App(encode(sig, fn, env), encode(sig, arg, env))
+        case lf.OConst(name) | lf.FConst(name):
+            return Const(name, _const_type(sig, name))
         case lf.OLam(var, dom, body):
             ty = phi(dom)
             inner = dict(env)
             inner[var] = BVar(var, ty)
-            return Lam(var, ty, encode_obj(sig, body, inner))
-        case lf.OApp(fn, arg):
-            return App(encode_obj(sig, fn, env), encode_obj(sig, arg, env))
-    raise TranslationError(f"cannot encode {m!r}")
-
-
-def encode_fam(sig: lf.Signature, a: lf.Fam, env: dict[str, Term]) -> Term:
-    match a:
-        case lf.FConst(name):
-            return Const(name, _const_type(sig, name))
-        case lf.FApp(fam, arg):
-            return App(encode_fam(sig, fam, env), encode_obj(sig, arg, env))
+            return Lam(var, ty, encode(sig, body, inner))
         case lf.FPi():
             raise TranslationError("only base types have term encodings")
-    raise TranslationError(f"cannot encode {a!r}")
+    raise TranslationError(f"cannot encode {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +132,7 @@ def translate_judgment(sig: lf.Signature, a: lf.Fam, subject: Term,
         prefix.append((var, ty, None if i in strict else translate_judgment(
             sig, dom, x, mode, not positive, env)))
         subject = App(subject, x)
-    f: Formula = Atom(HASTYPE, (subject, encode_fam(sig, base, env)))
+    f: Formula = Atom(HASTYPE, (subject, encode(sig, base, env)))
     for var, ty, premise in reversed(prefix):
         f = ForAll(var, ty, f if premise is None else Imp(premise, f))
     return f
@@ -192,7 +184,7 @@ def reachable_signature(sig: lf.Signature, goal: Formula,
     order, so each goal has the same candidates, and backchains and
     solutions are unchanged."""
     families = [d.name if isinstance(d, lf.KindDecl)
-                else lf.fam_spine(lf.split_fam_pis(d.fam)[1])[0].name
+                else lf.spine(lf.split_fam_pis(d.fam)[1])[0].name
                 for d in sig.decls]
     by_family: dict[str, list[str]] = {}
     for d, family in zip(sig.decls, families):
@@ -234,7 +226,7 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
     types: dict[str, lf.Fam] = {}
 
     def scan(fam: lf.Fam):
-        head, args = lf.fam_spine(fam)
+        head, args = lf.spine(fam)
         if not isinstance(head, lf.FConst):
             raise TranslationError("query type must be constant-headed")
         kind = normal_classifier(sig, head.name)
@@ -262,7 +254,7 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
                 scan_obj(instantiate_normal(m.body, {m.var: var}),
                          instantiate_normal(expected.body, {expected.var: var}))
             return
-        ohead, oargs = lf.obj_spine(m)
+        ohead, oargs = lf.spine(m)
         if isinstance(ohead, lf.OVar) and ohead.name in free:
             if oargs:
                 raise TranslationError(
@@ -351,18 +343,24 @@ def _render_arg(t: Term, env: dict[str, str],
     return f"({s})" if isinstance(t, (App, Lam)) else s
 
 
-def _render_clause(f: Formula, forbidden: frozenset[str],
+def _render_clause(f: Formula, names: dict[str, bool],
                    literal: bool) -> str:
     """`f` in lambdaProlog syntax.  Quantifier binders are uppercased, and
     binders are renamed where needed to stay distinct from constants,
     keywords, and every term-level binder in the clause.  In literal
     mode a quantifier whose body is not an implication prints its body
     as ``true => D``: in a translated clause that is exactly a binder
-    left without a premise, since every other binder has one."""
-    lam_names: set[str] = set()
-    upper_taken: set[str] = set()
-    # Every lambda binder's own name, so no quantifier takes one bound
-    # later in the clause; names are then picked in print order.
+    left without a premise, since every other binder has one.
+
+    `names` is the emitter's two sets of names in one map, grown in
+    place.  Its keys are the names taken: the forbidden ones (constants
+    and keywords), the clause's quantifier names, and every lambda
+    binder's own name, collected first so no quantifier takes one bound
+    later in the clause.  The forbidden and quantifier names map to
+    True: a lambda binder keeps clear of them.  Names are picked in
+    print order, and the clause's names, each a new key, are popped
+    again on return (a dict pops its newest key first)."""
+    size = len(names)
     stack: list = [f]
     while stack:
         match stack.pop():
@@ -373,31 +371,22 @@ def _render_clause(f: Formula, forbidden: frozenset[str],
             case Atom(_, args):
                 stack.extend(args)
             case Lam(var, _, body):
-                lam_names.add(var)
+                names.setdefault(var, False)
                 stack.append(body)
 
     def pick(base: str) -> str:
         cand = base[0].upper() + base[1:] if base and base[0].islower() else base
         if not cand or not (cand[0].isalpha() or cand[0] == "_"):
             cand = "X"
-        name = cand
-        i = 1
-        while name in upper_taken or name in forbidden or name in lam_names:
-            name = f"{cand}{i}"
-            i += 1
-        upper_taken.add(name)
+        name = lf.fresh_name(cand, names)
+        names[name] = True
         return name
 
     def pick_lam(base: str) -> str:
-        if base not in forbidden and base not in upper_taken:
-            return base
-        name = base
-        i = 1
-        while name in forbidden or name in upper_taken or name in lam_names:
-            name = f"{base}{i}"
-            i += 1
-        lam_names.add(name)
-        return name
+        if names[base]:
+            base = lf.fresh_name(base, names)
+            names[base] = False
+        return base
 
     def go(g: Formula, env: dict[str, str]) -> str:
         match g:
@@ -416,16 +405,19 @@ def _render_clause(f: Formula, forbidden: frozenset[str],
                     inner = f"true => {inner}"
                 return f"pi {name}\\ ({inner})"
         raise TranslationError(f"cannot emit {g!r}")
-    return go(f, {})
+    text = go(f, {})
+    while len(names) > size:
+        names.popitem()
+    return text
 
 
 def _emit_lines(p: Program, literal: bool) -> tuple[list[str], list[str]]:
     """The kind and type declarations and the clauses of `p`, one line
     each."""
-    forbidden = frozenset(n for n, _ in p.xi) | frozenset(_KEYWORDS)
+    names = dict.fromkeys([n for n, _ in p.xi] + list(_KEYWORDS), True)
     decls = ["kind lf_obj type.", "kind lf_type type.", ""]
     decls += [f"type {name} {ty}." for name, ty in p.xi]
-    clauses = [_render_clause(c, forbidden, literal) + "." for c in p.clauses]
+    clauses = [_render_clause(c, names, literal) + "." for c in p.clauses]
     return decls, clauses
 
 

@@ -38,11 +38,11 @@ from lflp import lf_syntax as lf
 from lflp.lf_syntax import (
     Context, Decl, Expr, FApp, FConst, FPi, Fam, Kind, KindDecl, KPi, KType,
     LFSyntaxError, OApp, OConst, OLam, OVar, ObjDecl, Obj, Signature,
-    fam_spine, free_vars, fresh_name, obj_app, obj_spine, split_fam_pis,
+    free_vars, fresh_name, obj_app, spine, split_fam_pis,
 )
 from lflp.lf_kernel import (
-    LFTypeError, _freshen_binder, beta_eta_equal, beta_normalize,
-    check_signature, normal_classifier, print_brief, substitute,
+    LFTypeError, beta_eta_equal, beta_normalize, check_signature,
+    normal_classifier, print_brief, rename_apart, substitute,
 )
 from lflp.engine import (
     Limits, Solution, SolveRun, _extract, _key, _root_universe,
@@ -739,7 +739,7 @@ def _why_base(gamma: _Gamma, x: str, base: Fam,
     if key in blocked:
         return None
     blocked = blocked | {key}
-    head, args = fam_spine(base)
+    head, args = spine(base)
     if isinstance(head, FConst):
         candidates = frozenset(n for n, _ in gamma)
         for i, arg in enumerate(args):
@@ -1124,7 +1124,7 @@ def two_pass_parse_query(text: str, sig: Optional[Signature] = None) -> tuple[tu
         raise LFSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
     elab = _Elab(parser.names_since(0), sig=sig, free_ok=True)
     fam = elab.fam(body, {})
-    head, _ = fam_spine(fam)
+    head, _ = spine(fam)
     if not isinstance(head, FConst):
         raise LFSyntaxError("query must be a base type")
     if sig is not None and not isinstance(sig.lookup(head.name), (KType, KPi)):
@@ -1150,7 +1150,7 @@ def two_pass_parse_object(text: str, sig: Optional[Signature] = None) -> Obj:
 # kernel types a spine in one loop under one simultaneous map instead.
 # Abstraction and Pi rules are the kernel's, restated so that every
 # nested application goes through the rules here.  A binder that shadows
-# the context is renamed by the kernel's own `_freshen_binder`: renaming
+# the context is renamed by the kernel's own `rename_apart`: renaming
 # is not what these rules check, and a rule of their own would put other
 # binder names into the error texts the tests compare.
 
@@ -1170,7 +1170,7 @@ def ref_check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
             if not isinstance(dk, KType):
                 raise LFTypeError(f"Pi domain {dom} has kind {dk}, not type",
                                   rule="pi-fam")
-            var, body = _freshen_binder(var, body, ctx)
+            var, body = rename_apart(var, body, ctx.names())
             bk = ref_check_type(sig, ctx.extend(var, beta_normalize(dom)), body)
             if not isinstance(bk, KType):
                 raise LFTypeError(f"Pi body {body} has kind {bk}, not type",
@@ -1179,7 +1179,7 @@ def ref_check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
         case FApp(fn, arg):
             k = ref_check_type(sig, ctx, fn)
             if not isinstance(k, KPi):
-                head, _ = fam_spine(fn)
+                head, _ = spine(fn)
                 name = head.name if isinstance(head, FConst) else str(head)
                 raise LFTypeError(f"too many arguments to {name!r}", rule="app-fam")
             ref_check_object(sig, ctx, arg, expected=k.dom, rule="app-fam")
@@ -1222,7 +1222,7 @@ def _ref_synth_obj(sig: Signature, ctx: Context, m: Obj) -> Fam:
                 raise LFTypeError(f"binder type {dom} has kind {dk}, not type",
                                   rule="abs-obj")
             dom_n = beta_normalize(dom)
-            var, body = _freshen_binder(var, body, ctx)
+            var, body = rename_apart(var, body, ctx.names())
             return FPi(var, dom_n,
                        _ref_synth_obj(sig, ctx.extend(var, dom_n), body))
         case OApp(fn, arg):
@@ -1279,7 +1279,7 @@ def _canon_obj(sig: Signature, ctx: Context, m: Obj, t: Fam) -> Obj:
         rest = beta_normalize(substitute(t.body, {t.var: OVar(var)}))
         inner = _canon_obj(sig, ctx.extend(var, t.dom), body, rest)
         return OLam(var, dom_c, inner)
-    head, args = obj_spine(m)
+    head, args = spine(m)
     if isinstance(head, OLam):
         raise LFTypeError("abstraction at base type", rule="abs-obj")
     if isinstance(head, OConst):
@@ -1307,7 +1307,7 @@ def _canon_fam(sig: Signature, ctx: Context, a: Fam) -> Fam:
     if isinstance(a, FPi):
         dom_c = _canon_fam(sig, ctx, a.dom)
         return FPi(a.var, dom_c, _canon_fam(sig, ctx.extend(a.var, a.dom), a.body))
-    head, args = fam_spine(a)
+    head, args = spine(a)
     if not isinstance(head, FConst):
         raise LFTypeError("application head must be a type constant", rule="app-fam")
     rest = normal_classifier(sig, head.name)

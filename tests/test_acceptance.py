@@ -13,7 +13,7 @@ from lflp.inverter import FreeVars, invert
 from lflp.lf_kernel import beta_normalize, check_object, check_type, substitute
 from lflp.strictness import explain_strictness, strict_binders
 from lflp.translator import (
-    emit_lambdaprolog, encode_obj, translate_query, translate_signature,
+    emit_lambdaprolog, encode, translate_query, translate_signature,
 )
 
 import oracles
@@ -184,7 +184,7 @@ def test_07_encode_invert_round_trip():
     assert len(cases) >= 200
     for m, ty in cases:
         assert oracles.obj_size(m) <= 6
-        back = invert(sig, lf.Context(()), encode_obj(sig, m, {}), ty,
+        back = invert(sig, lf.Context(()), encode(sig, m, {}), ty,
                       FreeVars(()))
         assert lf.alpha_eq(back, m), lf.print_lf(m)
 

@@ -15,7 +15,7 @@ from lflp import cli, inverter, lf_kernel, lf_syntax as lf
 from lflp.cli import main
 from lflp.engine import Limits, Solution, SolveRun, solve
 from lflp.lf_kernel import LFFuelError, check_object
-from lflp.translator import encode_obj, translate_query, translate_signature
+from lflp.translator import encode, translate_query, translate_signature
 
 import oracles
 
@@ -52,6 +52,31 @@ def test_check_type_error(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check", str(bad))
     assert code == 1
     assert "error" in out
+
+
+_VEC = "nat : type.\nz : nat.\nvec : nat -> type.\n"
+
+
+@pytest.mark.parametrize("decl, message", [
+    ("c : vec.", "[type-sig] classifier of 'c' has kind nat -> type, "
+                 "not type (in declaration 'c')"),
+    ("d : vec -> nat.", "[pi-fam] Pi domain vec has kind nat -> type, "
+                        "not type (in declaration 'd')"),
+    ("k : vec -> type.", "[pi-kind] Pi domain vec has kind nat -> type, "
+                         "not type (in declaration 'k')"),
+    ("e : vec (([x:vec] z) z).", "[abs-obj] binder type vec has kind "
+                                 "nat -> type, not type (in declaration 'e')"),
+    ("e : vec nat.", "[var-obj] type constant 'nat' used as an object "
+                     "(in declaration 'e')"),
+    ("f : {x:nat} x.", "4:13: bound variable 'x' used as a type"),
+])
+def test_check_error_texts_pinned(capsys, tmp_path, decl, message):
+    # the binder rules' domain checks and the category errors, each on
+    # stdout with the rule, the text and the declaration it is found in
+    bad = tmp_path / "bad.elf"
+    bad.write_text(_VEC + decl + "\n")
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert (code, out, err) == (1, f"error: {message}\n", "")
 
 
 def test_missing_file(capsys):
@@ -97,6 +122,19 @@ def test_translate_split_files(capsys, tmp_path):
     assert code == 0
     assert (tmp_path / "apx.sig").read_text().startswith("sig apx.")
     assert (tmp_path / "apx.mod").read_text().startswith("module apx.")
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["-o", "nodir/prog.lp"], "nodir/prog.lp"),
+    (["--split-sig-mod", "-o", "nodir/prog"], "nodir/prog.sig"),
+])
+def test_translate_to_a_missing_directory_exits_2(capsys, tmp_path, argv,
+                                                 missing):
+    argv = [str(tmp_path / a) if a.startswith("nodir") else a for a in argv]
+    code, out, err = run_cli(capsys, "translate", APPEND, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: [Errno 2] No such file or directory: "
+                   f"'{tmp_path / missing}'\n")
 
 
 def test_translate_no_simplify_keeps_true(capsys):
@@ -240,6 +278,18 @@ def test_solve_rejects_bad_query(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("query, message", [
+    ("append z z z z", "too many arguments to append"),
+    ("append foo nil L", "unknown object constant foo"),
+    ("append", "query type is not fully applied"),
+    ("append (cons z nil) nil ([x:nat] L)",
+     "cannot infer a type for query variable L"),
+])
+def test_solve_query_error_texts_pinned(capsys, query, message):
+    code, out, err = run_cli(capsys, "solve", APPEND, query)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_solve_rejects_bad_depth(capsys):
     code, _, err = run_cli(capsys, "solve", APPEND, "append nil nil nil",
                            "--depth", "0")
@@ -277,7 +327,7 @@ def test_solve_rechecks_a_wrong_value_through_the_inhabitant(
     # kernel check, of the inhabitant at the query's type instantiated by
     # the values, refuses it.
     sig = lf.parse_signature(pathlib.Path(APPEND).read_text())
-    wrong = encode_obj(sig, lf.parse_object(value, sig), {})
+    wrong = encode(sig, lf.parse_object(value, sig), {})
     real = cli.solve
 
     def solve_with_wrong_value(program, goal, limits, query_vars):

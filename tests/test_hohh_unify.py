@@ -242,6 +242,69 @@ def test_flex_applied_to_flex_is_residual():
     assert res.residuals
 
 
+def test_repeated_argument_is_no_pattern():
+    # F e e = s e, e newer than F, has the incomparable unifiers
+    # \x y. s x and \x y. s y, so the equation waits and either can
+    # still be added
+    f = fresh_lvar("F", arrow([OBJ, OBJ], OBJ))
+    e = fresh_evar("e", OBJ)
+    eq = Eq(mk_app(f, [e, e]), s(e))
+    res = unify([eq])
+    assert (res.status, res.residuals) == ("residual", (eq,))
+    for w in ("w0", "w1"):
+        assert unify([eq, Eq(f, _fn(2, s(BVar(w, OBJ))))]).status == "ok"
+
+
+def test_flexible_occurrence_of_too_new_eigenvar_is_residual():
+    # K = s (M (s e)): M applied to a non-pattern may erase its
+    # argument, so e, too new for K, neither fails nor is pruned
+    k = fresh_lvar("K", OBJ)
+    m = fresh_lvar("M", arrow([OBJ], OBJ))
+    e = fresh_evar("e", OBJ)
+    eq = Eq(k, s(App(m, s(e))))
+    res = unify([eq])
+    assert (res.status, res.residuals) == ("residual", (eq,))
+    assert len(res.subst) == 0
+    res = unify([eq, Eq(m, _fn(1, Z))])
+    assert _unifies(res, eq.lhs, eq.rhs)
+    assert res.subst.apply(k) == s(Z)
+
+
+def test_flexible_occurrence_of_the_variable_itself_is_residual():
+    # K = s (M K): a rigid K would fail the occurs check, but M may
+    # erase its argument
+    k = fresh_lvar("K", OBJ)
+    m = fresh_lvar("M", arrow([OBJ], OBJ))
+    eq = Eq(k, s(App(m, k)))
+    res = unify([eq])
+    assert (res.status, res.residuals) == ("residual", (eq,))
+    res = unify([eq, Eq(m, _fn(1, Z))])
+    assert _unifies(res, eq.lhs, eq.rhs)
+    assert unify([eq, Eq(m, _fn(1, 0))]).status == "fail"
+
+
+def test_non_pattern_under_copy_is_copied_and_its_head_lowered():
+    # K = s (M z), M newer than e and e newer than K: the non-pattern
+    # M z is kept, its argument copied, and M rebuilt at K's level, so
+    # it can no longer be bound to the eigenvariable K may not mention;
+    # a head no newer than K stays as it is
+    older = fresh_lvar("N", arrow([OBJ], OBJ))
+    k = fresh_lvar("K", OBJ)
+    res = unify_one(k, s(App(older, Z)))
+    assert (res.status, len(res.subst)) == ("ok", 1)
+    assert res.subst.apply(k) == s(App(older, Z))
+    e = fresh_evar("e", OBJ)
+    m = fresh_lvar("M", arrow([OBJ], OBJ))
+    lhs, rhs = k, s(App(m, Z))
+    res = unify_one(lhs, rhs)
+    assert _unifies(res, lhs, rhs)
+    lowered = res.subst.apply(m)
+    assert isinstance(lowered, LVar) and lowered.level == k.level < e.level
+    assert res.subst.apply(k) == s(App(lowered, Z))
+    assert unify_one(m, _fn(1, e), res.subst).status == "fail"
+    assert unify_one(m, _fn(1, 0), res.subst).status == "ok"
+
+
 def test_residual_retried_after_substitution_grows():
     # X may be bound to e, and e is a pattern argument of F
     f = fresh_lvar("F", arrow([OBJ], OBJ))

@@ -4,9 +4,10 @@ imports another's private (underscore-prefixed) names or has a `global`
 statement, every module-level function and class of the library is
 named by library code, and no two module-level functions of the library
 and the tests have one body up to the names of their parameters and
-locals.  The term and formula node classes are immutable by rule: the
-library writes no field of a node and calls `object.__setattr__` only
-where a signature stores its tables, and no node instance has a dict.
+locals, nor two of one library module up to every name.  The term and
+formula node classes are immutable by rule: the library writes no field
+of a node and calls `object.__setattr__` only where a signature stores
+its tables, and no node instance has a dict.
 
 The checks read each file with the standard `ast` module, so they need
 no linter.  A name counts as used when the module mentions it anywhere
@@ -215,9 +216,30 @@ def body_shape(fn: ast.FunctionDef, qualified: dict[str, str]) -> str:
     return "\n".join(ast.dump(stmt) for stmt in body)
 
 
-def duplicate_functions(paths: list[Path]) -> list[str]:
+def name_blind_shape(fn: ast.FunctionDef, qualified: dict[str, str]) -> str:
+    """The body of `fn` without its docstring, each name (a local, a
+    global or an attribute) and each constant replaced by its place in
+    order of first appearance, so two bodies agree when one is the other
+    with its names and constants consistently changed.  `qualified` is
+    not read.  Renames `fn` in place."""
+    places: dict[object, str] = {}
+    body = fn.body
+    if ast.get_docstring(fn, clean=False) is not None:
+        body = body[1:]
+    for n in (n for stmt in body for n in ast.walk(stmt)):
+        for field, value in ast.iter_fields(n):
+            if isinstance(n, ast.Constant) and field == "value":
+                value = (type(value), value)
+            elif not isinstance(value, str):
+                continue
+            setattr(n, field, places.setdefault(value, f"_{len(places)}"))
+    return "\n".join(ast.dump(stmt) for stmt in body)
+
+
+def duplicate_functions(paths: list[Path], shape_of) -> list[str]:
     """`module.f = module.g` for each module-level function g in `paths`
-    whose body has the shape of an earlier function f's."""
+    whose body has the shape of an earlier function f's, each shape
+    taken by `shape_of`."""
     first: dict[str, str] = {}
     found = []
     for path in paths:
@@ -226,7 +248,7 @@ def duplicate_functions(paths: list[Path]) -> list[str]:
         for stmt in tree.body:
             if isinstance(stmt, ast.FunctionDef):
                 qual = f"{path.stem}.{stmt.name}"
-                shape = body_shape(stmt, qualified)
+                shape = shape_of(stmt, qualified)
                 if shape in first:
                     found.append(f"{first[shape]} = {qual}")
                 else:
@@ -249,9 +271,45 @@ def test_no_two_library_functions_share_a_body(tmp_path):
     # globals of one name: b.g calls a's `_aeq` as a.f does, c.h its own
     for module, text in _SHAPES.items():
         (tmp_path / f"{module}.py").write_text(text, encoding="utf-8")
-    assert duplicate_functions(sorted(tmp_path.glob("*.py"))) == ["a.f = b.g"]
-    found = duplicate_functions(FILES)
+    assert duplicate_functions(sorted(tmp_path.glob("*.py")),
+                               body_shape) == ["a.f = b.g"]
+    found = duplicate_functions(FILES, body_shape)
     assert not found, "functions with one body:\n" + "\n".join(found)
+
+
+_LOOPS = """\
+def f(m):
+    while isinstance(m, A):
+        m = m.fn
+    return m, 0
+
+
+def g(a):
+    while isinstance(a, B):
+        a = a.fam
+    return a, 1
+
+
+def h(a):
+    while isinstance(a, B):
+        a = a.a
+    return a, 1
+"""
+
+
+def test_no_two_functions_of_one_library_module_share_a_body(tmp_path):
+    # g is f with every name and constant changed, so the two are one
+    # loop; h reads the attribute named like its local, so it is not,
+    # and f's copy in another module is the cross-module rule's concern
+    (tmp_path / "loops.py").write_text(_LOOPS, encoding="utf-8")
+    (tmp_path / "other.py").write_text(_LOOPS.split("\n\n\n")[0],
+                                       encoding="utf-8")
+    assert [line for path in sorted(tmp_path.glob("*.py"))
+            for line in duplicate_functions([path], name_blind_shape)] \
+        == ["loops.f = loops.g"]
+    found = [line for path in LIBRARY
+             for line in duplicate_functions([path], name_blind_shape)]
+    assert not found, "functions with one body up to names:\n" + "\n".join(found)
 
 
 # The records built once per operation stay frozen dataclasses, so the

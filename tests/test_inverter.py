@@ -6,7 +6,7 @@ from lflp.hterms import (
 )
 from lflp.inverter import FreeVars, InversionError, invert
 from lflp.lf_kernel import LFTypeError, check_object, check_type
-from lflp.translator import encode_obj
+from lflp.translator import encode
 
 import oracles
 from oracles import fresh_lvar
@@ -22,7 +22,7 @@ def _invert(sig, term, ty_text, frees=None):
 def test_invert_derivation_term():
     sig = oracles.load_signature("append.elf")
     m = lf.parse_object("appCons z nil nil nil (appNil nil)", sig)
-    answer = encode_obj(sig, m, {})
+    answer = encode(sig, m, {})
     got = _invert(sig, answer, "append (cons z nil) nil (cons z nil)")
     assert lf.alpha_eq(got, m)
     check_object(sig, lf.Context(), got,
@@ -49,7 +49,7 @@ def test_round_trip_spot():
     for text in ["list", "{x:nat} nat", "{f:nat -> nat} list"]:
         ty = oracles.parse_type(sig, text)
         for m in oracles.enumerate_objects(sig, lf.Context(), ty, 5):
-            back = invert(sig, lf.Context(), encode_obj(sig, m, {}), ty,
+            back = invert(sig, lf.Context(), encode(sig, m, {}), ty,
                           FreeVars(()))
             assert lf.alpha_eq(back, m)
             check_object(sig, lf.Context(), back, ty)
@@ -70,7 +70,7 @@ def test_eta_expand_idempotent():
     sig = oracles.load_signature("append.elf")
     s = Const("s", arrow([OBJ], OBJ))
     once = _invert(sig, s, "{x:nat} nat")
-    twice = _invert(sig, encode_obj(sig, once, {}), "{x:nat} nat")
+    twice = _invert(sig, encode(sig, once, {}), "{x:nat} nat")
     assert lf.alpha_eq(twice, once)
 
 

@@ -645,7 +645,7 @@ def _shape(a):
     (domain shape, codomain shape)."""
     if isinstance(a, lf.FPi):
         return (_shape(a.dom), _shape(a.body))
-    return lf.fam_spine(a)[0].name
+    return lf.spine(a)[0].name
 
 
 def _heads_by_base():

@@ -52,7 +52,7 @@ def test_parse_query_closed():
     sig = oracles.load_signature("append.elf")
     free, fam = lf.parse_query("append (cons z nil) nil (cons z nil)", sig)
     assert free == ()
-    head, args = lf.fam_spine(fam)
+    head, args = lf.spine(fam)
     assert head == lf.FConst("append")
     assert len(args) == 3
 
@@ -61,7 +61,7 @@ def test_parse_query_free_variable():
     sig = oracles.load_signature("append.elf")
     free, fam = lf.parse_query("append (cons (s z) nil) (cons z nil) L", sig)
     assert free == ("L",)
-    _, args = lf.fam_spine(fam)
+    _, args = lf.spine(fam)
     assert args[2] == lf.OVar("L")
 
 
@@ -298,7 +298,7 @@ def test_parser_reads_400_nested_lists_in_process():
     for _ in range(400):
         items = f"(cons z {items})"
     sig = lf.parse_signature(f"fact : append nil {items} {items}.")
-    assert len(lf.fam_spine(sig.lookup("fact"))[1]) == 3
+    assert len(lf.spine(sig.lookup("fact"))[1]) == 3
     m = lf.parse_object(items)
     depth = 0
     while isinstance(m, lf.OApp):

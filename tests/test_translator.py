@@ -10,7 +10,7 @@ from lflp.hterms import (
 )
 from lflp.lf_kernel import substitute
 from lflp.translator import (
-    TranslationError, emit_lambdaprolog, emit_split, encode_fam, encode_obj,
+    TranslationError, emit_lambdaprolog, emit_split, encode,
     phi, reachable_signature, translate_judgment,
     translate_query, translate_signature,
 )
@@ -39,7 +39,7 @@ def test_phi_collapses_base_families():
 def test_encode_constant_and_application():
     sig = oracles.load_signature("append.elf")
     m = lf.parse_object("cons z nil", sig)
-    t = encode_obj(sig, m, {})
+    t = encode(sig, m, {})
     head = t
     while isinstance(head, App):
         head = head.fn
@@ -50,14 +50,14 @@ def test_encode_constant_and_application():
 def test_encode_abstraction_binds():
     sig = oracles.load_signature("append.elf")
     m = lf.OLam("x", lf.FConst("nat"), lf.OVar("x"))
-    t = encode_obj(sig, m, {})
+    t = encode(sig, m, {})
     assert t == Lam("x", OBJ, BVar("x", OBJ))
 
 
 def test_encode_family_application():
     sig = oracles.load_signature("append.elf")
     _, fam = lf.parse_query("append nil nil nil", sig)
-    t = encode_fam(sig, fam, {})
+    t = encode(sig, fam, {})
     assert str(t) == "(append nil nil nil)"
     head = t
     while isinstance(head, App):
@@ -67,7 +67,7 @@ def test_encode_family_application():
 
 def test_encode_unbound_variable_rejected():
     with pytest.raises(TranslationError):
-        encode_obj(oracles.load_signature("append.elf"), lf.OVar("q"), {})
+        encode(oracles.load_signature("append.elf"), lf.OVar("q"), {})
 
 
 def test_encode_injective_at_each_type():
@@ -79,7 +79,7 @@ def test_encode_injective_at_each_type():
         objs = list(oracles.enumerate_objects(
             sig, lf.Context(), oracles.parse_type(sig, text), 6))
         assert len({lf.print_lf(m) for m in objs}) == len(objs)
-        encoded = {str(encode_obj(sig, m, {})) for m in objs}
+        encoded = {str(encode(sig, m, {})) for m in objs}
         assert len(encoded) == len(objs), text
         total += len(objs)
     assert total >= 200
@@ -95,9 +95,9 @@ def test_encode_commutes_with_substitution():
     for m in bodies[:20]:
         for n in args[:3]:
             x = fresh_lvar("x", OBJ)
-            open_enc = encode_obj(sig, m, {"x": x})
-            closed = encode_obj(sig, substitute(m, {"x": n}), {})
-            via_hohh = Subst().extend(x, encode_obj(sig, n, {})).apply(open_enc)
+            open_enc = encode(sig, m, {"x": x})
+            closed = encode(sig, substitute(m, {"x": n}), {})
+            via_hohh = Subst().extend(x, encode(sig, n, {})).apply(open_enc)
             assert alpha_eq_term(beta_norm(via_hohh), closed)
             checked += 1
     assert checked >= 50
