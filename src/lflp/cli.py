@@ -32,8 +32,8 @@ from . import lf_syntax as lf
 from .engine import Limits, Solution, solve
 from .inverter import FreeVars, InversionError, invert
 from .lf_kernel import (
-    LFFuelError, LFTypeError, beta_normalize, check_object, check_signature,
-    check_type, instantiate_normal,
+    LFFuelError, LFTypeError, check_object, check_signature, check_type,
+    instantiate_normal, normal_classifier,
 )
 from .strictness import explain_strictness
 from .translator import (
@@ -209,15 +209,16 @@ def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
     sub: dict[str, lf.Obj] = {}
     for name, v in qt.var_lvars:
         ty = instantiate_normal(qt.var_types[name], sub)
-        sub[name] = invert(sig, lf.Context(()), sol.value(v), ty, frees)
+        sub[name] = invert(sig, {}, sol.value(v), ty, frees)
     ty = instantiate_normal(qt.fam, sub)
-    inhabitant = invert(sig, lf.Context(()), sol.value(qt.subject), ty, frees)
-    ctx = lf.Context(())
+    inhabitant = invert(sig, {}, sol.value(qt.subject), ty, frees)
+    ctx: lf.Context = {}
     for name, fam in frees.types.values():
         check_type(sig, ctx, fam)
-        ctx = ctx.extend(name, fam)
+        ctx[name] = fam
     check_object(sig, ctx, inhabitant, ty)
-    return ([f"% free: {name} : {lf.print_lf(fam)}" for name, fam in ctx]
+    return ([f"% free: {name} : {lf.print_lf(fam)}"
+             for name, fam in ctx.items()]
             + [f"{name} = {lf.print_lf(obj)}" for name, obj in sub.items()]
             + [f"inhabitant: {lf.print_lf(inhabitant)}"])
 
@@ -226,8 +227,7 @@ def cmd_strictness(sig: lf.Signature, explain: bool) -> int:
     for d in sig.decls:
         if isinstance(d, lf.KindDecl):
             continue
-        fam = beta_normalize(d.fam)
-        report = explain_strictness(fam)
+        report = explain_strictness(normal_classifier(sig, d.name))
         if not report:
             print(f"{d.name}: no binders")
             continue

@@ -76,7 +76,7 @@ class FreeVars:
     def meet(self, sig: lf.Signature, ctx: lf.Context, v: LVar,
              args: list[Term], ty: lf.Fam) -> tuple[str, lf.Fam]:
         """Name and type `v`, met first applied to `args` at `ty`."""
-        doms = [ctx.lookup(a.name) if isinstance(a, BVar) else None
+        doms = [ctx.get(a.name) if isinstance(a, BVar) else None
                 for a in args]
         if None in doms or len({a.name for a in args}) < len(args):
             raise InversionError(
@@ -108,7 +108,7 @@ class _Taken:
         self.frees = frees
 
     def __contains__(self, name: str) -> bool:
-        return (self.ctx.lookup(name) is not None
+        return (name in self.ctx
                 or self.sig.lookup(name) is not None
                 or name in self.frees.names)
 
@@ -134,7 +134,7 @@ def invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
         tbody = t.body
         if var != t.var:
             tbody = subst_term(tbody, {t.var: BVar(var, t.ty)})
-        body = invert(sig, ctx.extend(var, ty.dom), tbody, body_ty, frees)
+        body = invert(sig, {**ctx, var: ty.dom}, tbody, body_ty, frees)
         return lf.OLam(var, ty.dom, body)
     head, args = term_spine(t)
     match head:
@@ -145,7 +145,7 @@ def invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
             lf_head, deps = (lf.OConst(name),
                               classifier_dependencies(sig, name, classifier))
         case BVar(name, _):
-            classifier = ctx.lookup(name)
+            classifier = ctx.get(name)
             if classifier is None:
                 raise InversionError(f"unknown variable {name}")
             lf_head, deps = lf.OVar(name), lf.pi_dependencies(classifier)

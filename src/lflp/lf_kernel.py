@@ -12,9 +12,10 @@ terms never hit it.
 A constant's classifier is normalized once per signature, by
 `normal_classifier`, and every rule reads it from there; which of its
 Pi binders the rest of it mentions is recorded once too, by
-`classifier_dependencies`, for the spine loop below.  The checker
-accepts a `Signature` or a `SignaturePrefix`: `check_signature` checks each
-declaration against a prefix view of the declarations before it.
+`classifier_dependencies`, for the spine loop below.  `check_signature`
+checks each declaration against the prefix of the declarations before
+it.  A context maps each variable to its beta-normal type, so a
+variable's occurrence is typed as the context holds it.
 
 An application `c M1 ... Mn`, of an object or of a type family, is typed
 in one loop over its spine: each Mi is checked against its binder's
@@ -51,7 +52,7 @@ from typing import AbstractSet, Mapping, Optional, Union
 
 from .lf_syntax import (
     Context, Expr, Fam, FApp, FConst, FPi, Kind, KindDecl, KPi, KType,
-    LFError, Obj, OApp, OConst, OLam, OVar, Signature, SignaturePrefix,
+    LFError, Obj, OApp, OConst, OLam, OVar, Signature,
     alpha_eq, free_vars, fresh_name, obj_app, occurs_free, pi_dependencies,
     print_lf, spine,
 )
@@ -240,12 +241,12 @@ def check_signature(sig: Signature) -> None:
             raise LFTypeError(f"duplicate declaration of {d.name!r}",
                               rule=rule, loc=d.name)
         seen.add(d.name)
-        prefix = SignaturePrefix(sig, i)
+        prefix = sig.prefix(i)
         try:
             if isinstance(d, KindDecl):
-                check_kind(prefix, Context(), d.kind)
+                check_kind(prefix, {}, d.kind)
             else:
-                k = check_type(prefix, Context(), d.fam)
+                k = check_type(prefix, {}, d.fam)
                 if not isinstance(k, KType):
                     raise LFTypeError(
                         f"classifier of {d.name!r} has kind {k}, not type",
@@ -320,10 +321,10 @@ def _synth_obj(sig: Signature, ctx: Context, m: Obj,
                                   rule="var-obj")
             return a, True
         case OVar(name):
-            a = ctx.lookup(name)
+            a = ctx.get(name)
             if a is None:
                 raise LFTypeError(f"unbound variable {name!r}", rule="var-obj")
-            return beta_normalize(a), True
+            return a, True
         case OLam():
             inner, var, dom_n, body = _binder(sig, ctx, m, "abs-obj")
             bt, normal = _synth_obj(sig, inner, body, None)
@@ -347,8 +348,8 @@ def _binder(sig: Signature, ctx: Context, e: Union[KPi, FPi, OLam],
         what = "binder type" if rule == "abs-obj" else "Pi domain"
         raise LFTypeError(f"{what} {e.dom} has kind {dk}, not type", rule=rule)
     dom = beta_normalize(e.dom)
-    var, body = rename_apart(e.var, e.body, ctx.names())
-    return ctx.extend(var, dom), var, dom, body
+    var, body = rename_apart(e.var, e.body, ctx.keys())
+    return {**ctx, var: dom}, var, dom, body
 
 
 def _check_spine(sig: Signature, ctx: Context, head: Expr,

@@ -16,12 +16,13 @@ a type.  Equality of expressions is alpha-equivalence, provided by
 :func:`alpha_eq`; the structural ``==`` of the dataclasses compares
 names literally and is only suitable for hashing.
 
-The node classes (kinds, families, objects, declarations, contexts) are
-slotted dataclasses with the generated field-wise ``==`` and ``hash``.
-They are not frozen, since a frozen instance is several times dearer to
-build, and are immutable by rule instead: no code writes a node's field
-after building it, which ``tests/test_hygiene.py`` checks.  `Signature`
-is built once per command and stays frozen.
+The node classes (kinds, families, objects, declarations) are slotted
+dataclasses with the generated field-wise ``==`` and ``hash``.  They are
+not frozen, since a frozen instance is several times dearer to build,
+and are immutable by rule instead: no code writes a node's field after
+building it, which ``tests/test_hygiene.py`` checks.  A `Signature` is
+a slotted class whose slots only its own methods write, and a context
+is a plain dict from variable names to their types.
 
 The lexer matches one pattern over the whole input.  A token records
 which match it is, and its line and column are found again, by matching
@@ -155,37 +156,53 @@ class ObjDecl:
 Decl = Union[KindDecl, ObjDecl]
 
 
-@dataclass(frozen=True)
 class Signature:
     """Declarations in source order, indexed by name once.
 
     `lookup` reads the index; a name declared twice resolves to its first
-    declaration.  A `SignaturePrefix` sees only the first declarations
-    through the same index, and a `SignatureView` sees every name but
-    iterates only a chosen subset of the declarations.  Four per-constant
-    tables travel with the signature, shared with its prefixes and views,
-    and are filled on demand by the layers that own them: `normal_forms`
-    (the kernel's beta-normal classifiers), `dependencies` (for each Pi
-    binder of a normal classifier, whether the rest of it mentions the
-    binder), `simple_types` (the translator's flattened types) and
-    `clauses` (the translator's clause per constant and mode).
+    declaration.  `prefix(n)` sees only the first `n` declarations, and
+    `view(decls)` sees every name but iterates only `decls`, a subset of
+    the declarations in source order; both read the same index.  Four
+    per-constant tables travel with the signature, shared with its
+    prefixes and views, and are filled on demand by the layers that own
+    them: `normal_forms` (the kernel's beta-normal classifiers),
+    `dependencies` (for each Pi binder of a normal classifier, whether
+    the rest of it mentions the binder), `simple_types` (the
+    translator's flattened types) and `clauses` (the translator's clause
+    per constant and mode).
     """
-    decls: tuple[Decl, ...] = ()
 
-    def __post_init__(self) -> None:
+    __slots__ = ("decls", "_index", "_limit", "normal_forms", "dependencies",
+                 "simple_types", "clauses")
+
+    def __init__(self, decls: tuple[Decl, ...] = ()):
         index: dict[str, tuple[int, Union[Kind, Fam]]] = {}
-        for i, d in enumerate(self.decls):
+        for i, d in enumerate(decls):
             if d.name not in index:
                 index[d.name] = (i, d.kind if isinstance(d, KindDecl) else d.fam)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "normal_forms", {})
-        object.__setattr__(self, "dependencies", {})
-        object.__setattr__(self, "simple_types", {})
-        object.__setattr__(self, "clauses", {})
+        self.decls, self._index, self._limit = decls, index, len(decls)
+        self.normal_forms, self.dependencies = {}, {}
+        self.simple_types, self.clauses = {}, {}
+
+    def _share(self, decls: tuple[Decl, ...], limit: int) -> Signature:
+        # built without `__init__`, since a prefix is made per declaration
+        s = Signature.__new__(Signature)
+        s.decls, s._index, s._limit = decls, self._index, limit
+        s.normal_forms, s.dependencies = self.normal_forms, self.dependencies
+        s.simple_types, s.clauses = self.simple_types, self.clauses
+        return s
+
+    def prefix(self, n: int) -> Signature:
+        """The first `n` declarations: a later name looks up as None."""
+        return self._share(self.decls[:n], n)
+
+    def view(self, decls: tuple[Decl, ...]) -> Signature:
+        """Every name of this signature, iterating only `decls`."""
+        return self._share(decls, self._limit)
 
     def lookup(self, name: str) -> Optional[Union[Kind, Fam]]:
-        entry = self._index.get(name)
-        return None if entry is None else entry[1]
+        i, a = self._index.get(name, (0, None))
+        return a if i < self._limit else None
 
     def __iter__(self) -> Iterator[Decl]:
         return iter(self.decls)
@@ -194,60 +211,9 @@ class Signature:
         return "\n".join(str(d) for d in self.decls)
 
 
-class SignaturePrefix:
-    """The first `limit` declarations of a signature, read through its
-    index: later declarations are invisible and nothing is copied."""
-
-    __slots__ = ("_index", "_limit", "normal_forms", "dependencies")
-
-    def __init__(self, sig: Signature, limit: int):
-        self._index = sig._index
-        self._limit = limit
-        self.normal_forms = sig.normal_forms
-        self.dependencies = sig.dependencies
-
-    def lookup(self, name: str) -> Optional[Union[Kind, Fam]]:
-        entry = self._index.get(name)
-        if entry is None or entry[0] >= self._limit:
-            return None
-        return entry[1]
-
-
-class SignatureView(Signature):
-    """A signature that looks up every name of `sig` but iterates only
-    `decls`, a subset of its declarations in source order.  It reads the
-    index and the per-constant tables of `sig`, so nothing is copied or
-    computed again."""
-
-    def __init__(self, sig: Signature, decls: tuple[Decl, ...]):
-        object.__setattr__(self, "decls", decls)
-        for table in ("_index", "normal_forms", "dependencies",
-                      "simple_types", "clauses"):
-            object.__setattr__(self, table, getattr(sig, table))
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Context:
-    bindings: tuple[tuple[str, Fam], ...] = ()
-
-    def lookup(self, name: str) -> Optional[Fam]:
-        # innermost binding wins, though names are distinct by invariant
-        for x, a in reversed(self.bindings):
-            if x == name:
-                return a
-        return None
-
-    def extend(self, name: str, fam: Fam) -> "Context":
-        return Context(self.bindings + ((name, fam),))
-
-    def names(self) -> frozenset[str]:
-        return frozenset(x for x, _ in self.bindings)
-
-    def __iter__(self) -> Iterator[tuple[str, Fam]]:
-        return iter(self.bindings)
-
-    def __len__(self) -> int:
-        return len(self.bindings)
+# A context maps each variable it binds to its type, beta-normal, and is
+# extended by copying: `{**ctx, x: A}`.
+Context = dict[str, Fam]
 
 
 # ---------------------------------------------------------------------------

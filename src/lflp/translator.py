@@ -165,7 +165,7 @@ def _clause(sig: lf.Signature, name: str, mode: str) -> Formula:
 
 
 def reachable_signature(sig: lf.Signature, goal: Formula,
-                        mode: str) -> lf.SignatureView:
+                        mode: str) -> lf.Signature:
     """The view of `sig` that a search for `goal` over its `mode`
     translation can use: the type families the goal reaches and the
     object constants whose target they are, in source order.
@@ -198,7 +198,7 @@ def reachable_signature(sig: lf.Signature, goal: Formula,
                 reached.add(family)
                 todo += (_clause(sig, name, mode)
                          for name in by_family.get(family, ()))
-    return lf.SignatureView(sig, tuple(
+    return sig.view(tuple(
         d for d, family in zip(sig.decls, families) if family in reached))
 
 
@@ -224,15 +224,6 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
     """Assign each free query variable the LF type of its first argument
     position; verify consistency at later occurrences via the kernel."""
     types: dict[str, lf.Fam] = {}
-
-    def scan(fam: lf.Fam):
-        head, args = lf.spine(fam)
-        if not isinstance(head, lf.FConst):
-            raise TranslationError("query type must be constant-headed")
-        kind = normal_classifier(sig, head.name)
-        if not isinstance(kind, (lf.KType, lf.KPi)):
-            raise TranslationError(f"{head.name} is not a type constant")
-        scan_args(head.name, kind, args)
 
     def scan_args(name: str, pi: Union[lf.Kind, lf.Fam], args: list[lf.Obj]):
         # each argument at its Pi binder's domain, instantiated by the
@@ -269,7 +260,8 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
                 raise TranslationError(f"unknown object constant {ohead.name}")
             scan_args(ohead.name, fam, oargs)
 
-    scan(a)
+    head, args = lf.spine(a)
+    scan_args(head.name, normal_classifier(sig, head.name), args)
     missing = [n for n in free if n not in types]
     if missing:
         raise TranslationError(
@@ -288,15 +280,18 @@ class QueryTranslation:
 
 def translate_query(sig: lf.Signature, free: tuple[str, ...],
                     a: lf.Fam) -> QueryTranslation:
+    """The goal of the query type `a` with the free variables `free`, as
+    `parse_query(text, sig)` returns them: `a` is a base type headed by
+    a type constant of `sig`."""
     a = beta_normalize(a)
     var_types = infer_query_var_types(sig, free, a)
     # the query's variables live in the outermost universe, 0
     var_lvars = tuple((n, fresh_lvar_at(n, phi(var_types[n]), 0))
                       for n in free)
     env: dict[str, Term] = {n: v for n, v in var_lvars}
-    ctx = lf.Context(tuple((n, var_types[n]) for n in free))
     try:
-        k = check_type(sig, ctx, a)
+        # the inferred types are beta-normal: they are the query's context
+        k = check_type(sig, var_types, a)
     except LFTypeError as err:
         raise TranslationError(f"ill-formed query type: {err}") from None
     if not isinstance(k, lf.KType):

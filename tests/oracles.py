@@ -170,16 +170,16 @@ def enumerate_objects(sig: lf.Signature, ctx: lf.Context, ty: lf.Fam,
     ty = beta_normalize(ty)
     if isinstance(ty, lf.FPi):
         var = ty.var
-        taken = ctx.names() | {d.name for d in sig}
+        taken = ctx.keys() | {d.name for d in sig}
         if var in taken:
             var = lf.fresh_name(var, taken)
         body_ty = beta_normalize(substitute(ty.body, {ty.var: lf.OVar(var)}))
-        for body in enumerate_objects(sig, ctx.extend(var, ty.dom),
+        for body in enumerate_objects(sig, {**ctx, var: ty.dom},
                                       body_ty, budget - 1):
             yield lf.OLam(var, ty.dom, body)
         return
     heads: list[tuple[lf.Obj, lf.Fam]] = []
-    for name, fam in ctx:
+    for name, fam in ctx.items():
         heads.append((lf.OVar(name), fam))
     for decl in sig:
         if isinstance(decl, lf.ObjDecl):
@@ -231,7 +231,7 @@ def corpus_cases(sig: lf.Signature, type_texts: list[str],
     cases = []
     for text in type_texts:
         fam = beta_normalize(parse_type(sig, text))
-        for m in enumerate_objects(sig, lf.Context(), fam, budget):
+        for m in enumerate_objects(sig, {}, fam, budget):
             cases.append((m, fam))
     return cases
 
@@ -1170,8 +1170,8 @@ def ref_check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
             if not isinstance(dk, KType):
                 raise LFTypeError(f"Pi domain {dom} has kind {dk}, not type",
                                   rule="pi-fam")
-            var, body = rename_apart(var, body, ctx.names())
-            bk = ref_check_type(sig, ctx.extend(var, beta_normalize(dom)), body)
+            var, body = rename_apart(var, body, ctx.keys())
+            bk = ref_check_type(sig, {**ctx, var: beta_normalize(dom)}, body)
             if not isinstance(bk, KType):
                 raise LFTypeError(f"Pi body {body} has kind {bk}, not type",
                                   rule="pi-fam")
@@ -1212,7 +1212,7 @@ def _ref_synth_obj(sig: Signature, ctx: Context, m: Obj) -> Fam:
                                   rule="var-obj")
             return a
         case OVar(name):
-            a = ctx.lookup(name)
+            a = ctx.get(name)
             if a is None:
                 raise LFTypeError(f"unbound variable {name!r}", rule="var-obj")
             return beta_normalize(a)
@@ -1222,9 +1222,9 @@ def _ref_synth_obj(sig: Signature, ctx: Context, m: Obj) -> Fam:
                 raise LFTypeError(f"binder type {dom} has kind {dk}, not type",
                                   rule="abs-obj")
             dom_n = beta_normalize(dom)
-            var, body = rename_apart(var, body, ctx.names())
+            var, body = rename_apart(var, body, ctx.keys())
             return FPi(var, dom_n,
-                       _ref_synth_obj(sig, ctx.extend(var, dom_n), body))
+                       _ref_synth_obj(sig, {**ctx, var: dom_n}, body))
         case OApp(fn, arg):
             ft = _ref_synth_obj(sig, ctx, fn)
             if not isinstance(ft, FPi):
@@ -1270,14 +1270,14 @@ def _canon_obj(sig: Signature, ctx: Context, m: Obj, t: Fam) -> Obj:
         if isinstance(m, OLam):
             var = m.var
             body = m.body
-            if var in ctx.names():
-                var = fresh_name(var, ctx.names() | free_vars(body) | free_vars(t.body))
+            if var in ctx:
+                var = fresh_name(var, ctx.keys() | free_vars(body) | free_vars(t.body))
                 body = substitute(body, {m.var: OVar(var)})
         else:
-            var = fresh_name("x", ctx.names() | free_vars(m) | free_vars(t.body))
+            var = fresh_name("x", ctx.keys() | free_vars(m) | free_vars(t.body))
             body = OApp(m, OVar(var))
         rest = beta_normalize(substitute(t.body, {t.var: OVar(var)}))
-        inner = _canon_obj(sig, ctx.extend(var, t.dom), body, rest)
+        inner = _canon_obj(sig, {**ctx, var: t.dom}, body, rest)
         return OLam(var, dom_c, inner)
     head, args = spine(m)
     if isinstance(head, OLam):
@@ -1287,7 +1287,7 @@ def _canon_obj(sig: Signature, ctx: Context, m: Obj, t: Fam) -> Obj:
         if not isinstance(rest, (FConst, FPi, FApp)):
             raise LFTypeError(f"unknown object constant {head.name!r}", rule="var-obj")
     else:
-        classifier = ctx.lookup(head.name)
+        classifier = ctx.get(head.name)
         if classifier is None:
             raise LFTypeError(f"unbound variable {head.name!r}", rule="var-obj")
         rest = beta_normalize(classifier)
@@ -1306,7 +1306,7 @@ def _canon_obj(sig: Signature, ctx: Context, m: Obj, t: Fam) -> Obj:
 def _canon_fam(sig: Signature, ctx: Context, a: Fam) -> Fam:
     if isinstance(a, FPi):
         dom_c = _canon_fam(sig, ctx, a.dom)
-        return FPi(a.var, dom_c, _canon_fam(sig, ctx.extend(a.var, a.dom), a.body))
+        return FPi(a.var, dom_c, _canon_fam(sig, {**ctx, a.var: a.dom}, a.body))
     head, args = spine(a)
     if not isinstance(head, FConst):
         raise LFTypeError("application head must be a type constant", rule="app-fam")
@@ -1328,7 +1328,7 @@ def _canon_fam(sig: Signature, ctx: Context, a: Fam) -> Fam:
 def _canon_kind(sig: Signature, ctx: Context, k: Kind) -> Kind:
     if isinstance(k, KPi):
         dom_c = _canon_fam(sig, ctx, k.dom)
-        return KPi(k.var, dom_c, _canon_kind(sig, ctx.extend(k.var, k.dom), k.body))
+        return KPi(k.var, dom_c, _canon_kind(sig, {**ctx, k.var: k.dom}, k.body))
     return k
 
 

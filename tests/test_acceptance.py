@@ -55,9 +55,9 @@ def _invert_solution(sig, qt, sol):
     frees = FreeVars(name for name, _ in qt.var_lvars)
     for name, lv in qt.var_lvars:
         ty = beta_normalize(substitute(qt.var_types[name], sub))
-        sub[name] = invert(sig, lf.Context(()), sol.value(lv), ty, frees)
+        sub[name] = invert(sig, {}, sol.value(lv), ty, frees)
     fam = beta_normalize(substitute(qt.fam, sub))
-    inhab = invert(sig, lf.Context(()), sol.value(qt.subject), fam, frees)
+    inhab = invert(sig, {}, sol.value(qt.subject), fam, frees)
     return sub, inhab, fam
 
 
@@ -127,7 +127,7 @@ def test_04_ground_query_yields_checkable_inhabitant():
     _, inhab, fam = _invert_solution(sig, qt, run.solutions[0])
     want = lf.parse_object("appCons z nil nil nil (appNil nil)", sig)
     assert lf.alpha_eq(inhab, want)
-    check_object(sig, lf.Context(), inhab, fam)
+    check_object(sig, {}, inhab, fam)
 
 
 def test_05_free_variable_bound_and_inverted():
@@ -145,7 +145,7 @@ def test_05_free_variable_bound_and_inverted():
         "appCons (s z) nil (cons z nil) (cons z nil) (appNil (cons z nil))",
         sig)
     assert lf.alpha_eq(inhab, want)
-    check_object(sig, lf.Context(), inhab, fam)
+    check_object(sig, {}, inhab, fam)
 
 
 def test_06_failure_freedom_and_flex_enumeration():
@@ -184,7 +184,7 @@ def test_07_encode_invert_round_trip():
     assert len(cases) >= 200
     for m, ty in cases:
         assert oracles.obj_size(m) <= 6
-        back = invert(sig, lf.Context(()), encode(sig, m, {}), ty,
+        back = invert(sig, {}, encode(sig, m, {}), ty,
                       FreeVars(()))
         assert lf.alpha_eq(back, m), lf.print_lf(m)
 
@@ -232,7 +232,7 @@ def test_08_both_translations_agree_on_twenty_queries():
                         query_vars=qvars)
             if run.solutions:
                 _, inhab, fam_i = _invert_solution(sig, qt, run.solutions[0])
-                check_object(sig, lf.Context(), inhab, fam_i)
+                check_object(sig, {}, inhab, fam_i)
                 outcome[m] = ("ok", lf.print_lf(inhab))
             else:
                 outcome[m] = (run.status, None)
@@ -267,7 +267,7 @@ def test_09_strict_binders_yield_well_typed_instances():
                 grown = []
                 for sub in vectors:
                     t = beta_normalize(substitute(bty, sub))
-                    for m in oracles.enumerate_objects(sig, lf.Context(),
+                    for m in oracles.enumerate_objects(sig, {},
                                                        t, budget):
                         d2 = dict(sub)
                         d2[name] = m
@@ -276,7 +276,7 @@ def test_09_strict_binders_yield_well_typed_instances():
             for sub in vectors:
                 instance = beta_normalize(substitute(base, sub))
                 assert not lf.free_vars(instance)
-                check_type(sig, lf.Context(), instance)
+                check_type(sig, {}, instance)
                 instances += 1
                 prefix: dict[str, lf.Obj] = {}
                 for i, (name, bty) in enumerate(binders):
@@ -284,7 +284,7 @@ def test_09_strict_binders_yield_well_typed_instances():
                         if i in strict:
                             want = beta_normalize(substitute(bty, prefix))
                             try:
-                                check_object(sig, lf.Context(), sub[name], want)
+                                check_object(sig, {}, sub[name], want)
                             except Exception as e:
                                 failures.append((d.name, name, str(e)))
                         prefix[name] = sub[name]

@@ -210,9 +210,9 @@ def test_solve_open_answer_is_inverted_and_rechecked(capsys, monkeypatch):
     checked, typed = [], []
     real_object, real_type = cli.check_object, cli.check_type
     monkeypatch.setattr(cli, "check_object", lambda sig, ctx, m, ty: (
-        checked.append((list(ctx), ty)), real_object(sig, ctx, m, ty))[1])
+        checked.append((list(ctx.items()), ty)), real_object(sig, ctx, m, ty))[1])
     monkeypatch.setattr(cli, "check_type", lambda sig, ctx, a: (
-        typed.append((list(ctx), a)), real_type(sig, ctx, a))[1])
+        typed.append((list(ctx.items()), a)), real_type(sig, ctx, a))[1])
     runs = [run_cli(capsys, "solve", str(DATA / "stlc.elf"),
                     "of (lam T ([x:tm] x)) U") for _ in range(2)]
     assert runs[0] == runs[1] == (0, (
@@ -287,6 +287,17 @@ def test_solve_rejects_bad_query(capsys):
 ])
 def test_solve_query_error_texts_pinned(capsys, query, message):
     code, out, err = run_cli(capsys, "solve", APPEND, query)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("query, message", [
+    # `parse_query` refuses a query that is not a base type
+    ("{x:tm} of x T", "query must be a base type"),
+    ("of (lam T ([x:tm] F x)) U",
+     "cannot infer a type for F: free query variables may not be applied"),
+])
+def test_solve_stlc_query_error_texts_pinned(capsys, query, message):
+    code, out, err = run_cli(capsys, "solve", str(DATA / "stlc.elf"), query)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -478,7 +489,7 @@ def test_reported_inhabitant_type_checks(capsys):
     obj = lf.parse_object(witness, sig)
     ty = oracles.parse_type(
         sig, f"append (cons (s z) nil) (cons z nil) ({bound})")
-    check_object(sig, lf.Context(), obj, ty)
+    check_object(sig, {}, obj, ty)
 
 
 def _captured(argv):

@@ -6,8 +6,9 @@ named by library code, and no two module-level functions of the library
 and the tests have one body up to the names of their parameters and
 locals, nor two of one library module up to every name.  The term and
 formula node classes are immutable by rule: the library writes no field
-of a node and calls `object.__setattr__` only where a signature stores
-its tables, and no node instance has a dict.
+of a node, calls `object.__setattr__` nowhere and writes a signature's
+slots only in the methods of `Signature`, and no node instance has a
+dict.
 
 The checks read each file with the standard `ast` module, so they need
 no linter.  A name counts as used when the module mentions it anywhere
@@ -316,13 +317,11 @@ def test_no_two_functions_of_one_library_module_share_a_body(tmp_path):
 # run time refuses a write to them.  Every other dataclass of these
 # modules is a node class: slotted and not frozen, built by the thousand,
 # and immutable only by the rule below.
-RECORDS = {"Signature", "SignatureView", "Program", "UnifyResult"}
+RECORDS = {"Program", "UnifyResult"}
 NODE_CLASSES = [c for m in (lf_syntax, hterms, unify) for c in vars(m).values()
                 if isinstance(c, type) and c.__module__ == m.__name__
                 and is_dataclass(c) and c.__name__ not in RECORDS]
 NODE_FIELDS = frozenset(f.name for c in NODE_CLASSES for f in fields(c))
-# the classes whose constructors store a signature's tables
-SETATTR_OWNERS = {"Signature", "SignatureView"}
 
 
 def _is_self(e: ast.expr) -> bool:
@@ -334,11 +333,8 @@ def node_field_writes(path: Path) -> list[str]:
     like a node-class field on an object other than `self` (an
     assignment, augmented or annotated too, or a `setattr`, whose name
     must then be a string constant that is no field name), and for each
-    `object.__setattr__` outside the top-level classes SETATTR_OWNERS."""
+    `object.__setattr__`."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    owned = {id(n) for stmt in tree.body
-             if isinstance(stmt, ast.ClassDef) and stmt.name in SETATTR_OWNERS
-             for n in ast.walk(stmt)}
     found = []
     for n in ast.walk(tree):
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
@@ -348,7 +344,7 @@ def node_field_writes(path: Path) -> list[str]:
             bad = not _is_self(n.args[0]) and not (
                 isinstance(name, ast.Constant) and name.value not in NODE_FIELDS)
         elif isinstance(n, ast.Call) and ast.unparse(n.func) == "object.__setattr__":
-            bad = id(n) not in owned
+            bad = True
         else:
             continue
         if bad:
@@ -381,15 +377,80 @@ class Signature:
 
 
 def test_library_writes_no_node_field(tmp_path):
-    assert {"body", "level", "ty", "var", "args", "bindings"} <= NODE_FIELDS
+    assert {"body", "level", "ty", "var", "args"} <= NODE_FIELDS
     probe = tmp_path / "probe.py"
     probe.write_text(_WRITES)
     assert node_field_writes(probe) == [
         "probe.py:2: t.body", "probe.py:3: t.level", "probe.py:4: t.ty",
         "probe.py:6: setattr(t, 'var', k)", "probe.py:7: setattr(t, k, 0)",
-        "probe.py:9: object.__setattr__(t, 'pos', 0)"]
+        "probe.py:9: object.__setattr__(t, 'pos', 0)",
+        "probe.py:20: object.__setattr__(self, 'decls', ())"]
     found = [line for path in LIBRARY for line in node_field_writes(path)]
     assert not found, "node fields written:\n" + "\n".join(found)
+
+
+# A signature is built once and its prefixes and views share its tables,
+# so only the class's own methods store its slots.
+SIGNATURE_SLOTS = frozenset(lf_syntax.Signature.__slots__)
+
+
+def signature_slot_writes(path: Path) -> list[str]:
+    """`file:line: code` for each store in `path` to an attribute named
+    like a slot of `Signature` (an assignment, augmented or annotated
+    too, or a `setattr` with that name as a string constant) outside the
+    top-level class `Signature`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owned = {id(n) for stmt in tree.body
+             if isinstance(stmt, ast.ClassDef) and stmt.name == "Signature"
+             for n in ast.walk(stmt)}
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            name = n.attr
+        elif (isinstance(n, ast.Call) and ast.unparse(n.func) == "setattr"
+              and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)):
+            name = n.args[1].value
+        else:
+            continue
+        if name in SIGNATURE_SLOTS and id(n) not in owned:
+            found.append(f"{path.name}:{n.lineno}: {ast.unparse(n)}")
+    return found
+
+
+_SLOT_WRITES = """\
+def f(sig, prog):
+    sig.clauses = {}
+    prog.clauses += ()
+    sig.normal_forms: dict = {}
+    setattr(sig, "_index", {})
+    sig.lookup = None
+    setattr(sig, "name", 0)
+
+
+class Signature:
+    def g(self, other):
+        self.clauses = {}
+        other._index = self._index
+        setattr(other, "decls", ())
+
+
+class Program:
+    def __init__(self):
+        self.clauses = ()
+"""
+
+
+def test_library_writes_signature_slots_only_in_signature(tmp_path):
+    assert {"decls", "normal_forms", "clauses"} <= SIGNATURE_SLOTS
+    assert not hasattr(lf_syntax.Signature(), "__dict__")
+    probe = tmp_path / "probe.py"
+    probe.write_text(_SLOT_WRITES)
+    assert signature_slot_writes(probe) == [
+        "probe.py:2: sig.clauses", "probe.py:3: prog.clauses",
+        "probe.py:4: sig.normal_forms", "probe.py:5: setattr(sig, '_index', {})",
+        "probe.py:19: self.clauses"]
+    found = [line for path in LIBRARY for line in signature_slot_writes(path)]
+    assert not found, "signature slots written:\n" + "\n".join(found)
 
 
 class _Dicted:
@@ -405,7 +466,7 @@ def test_node_instances_have_no_dict():
     # a base class without `__slots__ = ()` brings the dict back
     assert hasattr(_Leaky(0), "__dict__")
     names = {c.__name__ for c in NODE_CLASSES}
-    assert {"KType", "OApp", "Context", "ObjDecl", "TArrow", "App",
+    assert {"KType", "OApp", "ObjDecl", "TArrow", "App",
             "ForAll", "Eq"} <= names
     assert not names & RECORDS
     dicted = [c.__name__ for c in NODE_CLASSES

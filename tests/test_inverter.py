@@ -15,7 +15,7 @@ OBJ = LF_OBJ
 
 
 def _invert(sig, term, ty_text, frees=None):
-    return invert(sig, lf.Context(), term, oracles.parse_type(sig, ty_text),
+    return invert(sig, {}, term, oracles.parse_type(sig, ty_text),
                   FreeVars(()) if frees is None else frees)
 
 
@@ -25,7 +25,7 @@ def test_invert_derivation_term():
     answer = encode(sig, m, {})
     got = _invert(sig, answer, "append (cons z nil) nil (cons z nil)")
     assert lf.alpha_eq(got, m)
-    check_object(sig, lf.Context(), got,
+    check_object(sig, {}, got,
                  oracles.parse_type(sig, "append (cons z nil) nil (cons z nil)"))
 
 
@@ -48,11 +48,11 @@ def test_round_trip_spot():
     sig = oracles.load_signature("append.elf")
     for text in ["list", "{x:nat} nat", "{f:nat -> nat} list"]:
         ty = oracles.parse_type(sig, text)
-        for m in oracles.enumerate_objects(sig, lf.Context(), ty, 5):
-            back = invert(sig, lf.Context(), encode(sig, m, {}), ty,
+        for m in oracles.enumerate_objects(sig, {}, ty, 5):
+            back = invert(sig, {}, encode(sig, m, {}), ty,
                           FreeVars(()))
             assert lf.alpha_eq(back, m)
-            check_object(sig, lf.Context(), back, ty)
+            check_object(sig, {}, back, ty)
 
 
 # --- eta expansion of raw answers -----------------------------------------
@@ -97,7 +97,7 @@ def test_partial_application_needs_expansion():
 # where the walk first meets it.
 
 def _free_context(frees):
-    return lf.Context(tuple(frees.types.values()))
+    return dict(frees.types.values())
 
 
 def test_unapplied_logic_variable_is_one_free_variable():
@@ -137,7 +137,7 @@ def test_pattern_applied_logic_variable_gets_a_pi_type():
     assert name == "A"
     assert lf.print_lf(ty) == "{l:list} append l nil l"
     ctx = _free_context(frees)
-    check_type(sig, lf.Context(), ty)
+    check_type(sig, {}, ty)
     check_object(sig, ctx, got,
                  oracles.parse_type(sig, "{l:list} append l nil l"))
 
@@ -186,7 +186,7 @@ def test_target_type_mismatch_is_left_to_the_kernel():
     got = _invert(sig, Const("nil", OBJ), "nat")
     assert got == lf.OConst("nil")
     with pytest.raises(LFTypeError):
-        check_object(sig, lf.Context(), got, lf.FConst("nat"))
+        check_object(sig, {}, got, lf.FConst("nat"))
 
 
 def test_type_family_name_is_not_an_object():

@@ -166,14 +166,14 @@ def _assert_conversion(short, long, changed):
 
 def test_canonicalize_eta_expands_bare_constant():
     sig = oracles.load_signature("append.elf")
-    out = oracles.canonicalize(sig, lf.Context(), lf.OConst("s"), sig.lookup("s"))
+    out = oracles.canonicalize(sig, {}, lf.OConst("s"), sig.lookup("s"))
     assert lf.alpha_eq(out, _parse_obj("[x:nat] s x"))
     _assert_conversion("s", "[x:nat] s x", "[x:nat] p x")
 
 
 def test_canonicalize_base_type_unchanged():
     sig = oracles.load_signature("append.elf")
-    out = oracles.canonicalize(sig, lf.Context(), lf.OConst("z"), lf.FConst("nat"))
+    out = oracles.canonicalize(sig, {}, lf.OConst("z"), lf.FConst("nat"))
     assert out == lf.OConst("z")
     _assert_conversion("z", "z", "one")
 
@@ -182,8 +182,8 @@ def test_canonicalize_identifies_eta_pair():
     sig = oracles.load_signature("append.elf")
     ty = sig.lookup("s")
     eta = _parse_obj("[x:nat] s x")
-    a = oracles.canonicalize(sig, lf.Context(), lf.OConst("s"), ty)
-    b = oracles.canonicalize(sig, lf.Context(), eta, ty)
+    a = oracles.canonicalize(sig, {}, lf.OConst("s"), ty)
+    b = oracles.canonicalize(sig, {}, eta, ty)
     assert lf.alpha_eq(a, b)
     assert beta_eta_equal(lf.OConst("s"), eta) and beta_eta_equal(eta, lf.OConst("s"))
 
@@ -200,8 +200,8 @@ def test_canonicalize_idempotent_on_corpus():
             ("z", "nat", "z", "one")]:
         decls = "t : " + ty_text + "."
         ty = lf.parse_signature(str(sig) + " " + decls).lookup("t")
-        once = oracles.canonicalize(sig, lf.Context(), _parse_obj(text), ty)
-        twice = oracles.canonicalize(sig, lf.Context(), once, ty)
+        once = oracles.canonicalize(sig, {}, _parse_obj(text), ty)
+        twice = oracles.canonicalize(sig, {}, once, ty)
         assert lf.alpha_eq(once, twice)
         assert lf.alpha_eq(once, _parse_obj(long))
         _assert_conversion(text, long, changed)
@@ -258,7 +258,7 @@ def _beta_normal(draw, t, ctx=None, depth=2):
 
 
 def _canon(e, ty=None):
-    return oracles.canonicalize(_HO_SIG, lf.Context(), e, ty)
+    return oracles.canonicalize(_HO_SIG, {}, e, ty)
 
 
 def _assert_agrees(a, b, ty=None):
@@ -286,7 +286,7 @@ def test_conversion_agrees_with_typed_canonical_forms(case):
     t, m, n = case
     ty = _lf_ty(t)
     for x in (m, n):
-        check_object(_HO_SIG, lf.Context(), x, ty)
+        check_object(_HO_SIG, {}, x, ty)
     long = _canon(m, ty)
     assert beta_eta_equal(m, long)
     for a, b in [(m, long), (m, n), (long, n)]:
@@ -356,9 +356,9 @@ def test_duplicate_name_looks_up_first_declaration():
 def test_prefix_hides_later_declarations():
     sig = oracles.load_signature("append.elf")
     n = [d.name for d in sig].index("append")
-    assert lf.SignaturePrefix(sig, n).lookup("append") is None
-    assert lf.SignaturePrefix(sig, n + 1).lookup("append") is sig.lookup("append")
-    assert normal_classifier(lf.SignaturePrefix(sig, n), "append") is None
+    assert sig.prefix(n).lookup("append") is None
+    assert sig.prefix(n + 1).lookup("append") is sig.lookup("append")
+    assert normal_classifier(sig.prefix(n), "append") is None
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -377,12 +377,12 @@ def test_binder_table_agrees_with_the_walk(name):
         deps = classifier_dependencies(sig, d.name, a)
         assert deps == tuple(want)
         # recorded once, and read by every prefix and view of `sig`
-        assert classifier_dependencies(lf.SignaturePrefix(sig, i + 1),
+        assert classifier_dependencies(sig.prefix(i + 1),
                                        d.name, a) is deps
-        assert classifier_dependencies(lf.SignatureView(sig, ()),
+        assert classifier_dependencies(sig.view(()),
                                        d.name, a) is deps
         # a prefix hides a later name at the lookup its caller makes first
-        assert normal_classifier(lf.SignaturePrefix(sig, i), d.name) is None
+        assert normal_classifier(sig.prefix(i), d.name) is None
 
 
 def test_each_constant_is_looked_up_once_per_occurrence(monkeypatch):
@@ -396,8 +396,27 @@ def test_each_constant_is_looked_up_once_per_occurrence(monkeypatch):
         return normal_classifier(sig, name)
 
     monkeypatch.setattr(lf_kernel, "normal_classifier", counted)
-    check_object(sig, lf.Context(), lf.parse_object("cons z nil"))
+    check_object(sig, {}, lf.parse_object("cons z nil"))
     assert sorted(names) == ["cons", "nil", "z"]
+
+
+@pytest.mark.parametrize("text", ["[x:nat] s x", "[x:nat] cons x (cons x nil)"])
+def test_variable_is_typed_as_its_context_holds_it(monkeypatch, text):
+    # a context holds normal types, so once the memo holds the constants'
+    # classifiers the binder's domain is the one thing normalized, however
+    # often the variable occurs
+    sig = oracles.load_signature("append.elf")
+    m = lf.parse_object(text, sig)
+    check_object(sig, {}, m)
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return beta_normalize(e)
+
+    monkeypatch.setattr(lf_kernel, "beta_normalize", counted)
+    check_object(sig, {}, m)
+    assert calls == [lf.FConst("nat")]
 
 
 def test_normal_form_of_redex_classifier_is_memoized():
@@ -409,27 +428,27 @@ def test_normal_form_of_redex_classifier_is_memoized():
     assert nf == beta_normalize(source) == _parse_fam("p z", sig)
     assert nf != source
     assert normal_classifier(sig, "c") is nf
-    assert check_object(sig, lf.Context(), lf.OConst("c")) is nf
+    assert check_object(sig, {}, lf.OConst("c")) is nf
 
 
 # --- type checking --------------------------------------------------------
 
 def test_check_type_fully_applied():
     sig = oracles.load_signature("append.elf")
-    k = check_type(sig, lf.Context(), _parse_fam("append nil nil nil", sig))
+    k = check_type(sig, {}, _parse_fam("append nil nil nil", sig))
     assert k == lf.KType()
 
 
 def test_check_type_wrong_argument_family():
     sig = oracles.load_signature("append.elf")
     with pytest.raises(LFTypeError):
-        check_type(sig, lf.Context(), _parse_fam("append z nil nil", sig))
+        check_type(sig, {}, _parse_fam("append z nil nil", sig))
 
 
 def test_check_type_pi():
     sig = oracles.load_signature("append.elf")
     a = _parse_fam("{l:list} append nil l l", sig)
-    assert check_type(sig, lf.Context(), a) == lf.KType()
+    assert check_type(sig, {}, a) == lf.KType()
 
 
 # --- object checking ------------------------------------------------------
@@ -437,13 +456,13 @@ def test_check_type_pi():
 def test_check_object_worked_example():
     sig = oracles.load_signature("append.elf")
     m = _parse_obj("appCons z nil nil nil (appNil nil)")
-    t = check_object(sig, lf.Context(), m)
+    t = check_object(sig, {}, m)
     assert lf.alpha_eq(t, _parse_fam("append (cons z nil) nil (cons z nil)", sig))
 
 
 def test_check_object_abstraction():
     sig = oracles.load_signature("append.elf")
-    t = check_object(sig, lf.Context(), _parse_obj("[y:nat] y"))
+    t = check_object(sig, {}, _parse_obj("[y:nat] y"))
     assert isinstance(t, lf.FPi)
     assert t.dom == lf.FConst("nat") and t.body == lf.FConst("nat")
 
@@ -451,13 +470,13 @@ def test_check_object_abstraction():
 def test_check_object_argument_mismatch():
     sig = oracles.load_signature("append.elf")
     with pytest.raises(LFTypeError):
-        check_object(sig, lf.Context(), _parse_obj("appNil z"))
+        check_object(sig, {}, _parse_obj("appNil z"))
 
 
 def test_check_object_unbound_variable():
     sig = oracles.load_signature("append.elf")
     with pytest.raises(LFTypeError):
-        check_object(sig, lf.Context(), lf.OVar("q"))
+        check_object(sig, {}, lf.OVar("q"))
 
 
 # --- invariants -----------------------------------------------------------
@@ -465,16 +484,16 @@ def test_check_object_unbound_variable():
 def test_synthesized_types_are_normal():
     sig = oracles.load_signature("append.elf")
     for m, ty in oracles.corpus_cases(sig, ["nat", "list"], budget=5):
-        t = check_object(sig, lf.Context(), m)
+        t = check_object(sig, {}, m)
         assert lf.alpha_eq(beta_normalize(t), t)
 
 
 def test_substitution_lemma_on_instances():
     # if x:A |- M : B and |- N : A then |- M[N/x] : B[N/x]
     sig = oracles.load_signature("append.elf")
-    ctx = lf.Context().extend("x", lf.FConst("nat"))
+    ctx = {"x": lf.FConst("nat")}
     bodies = list(oracles.enumerate_objects(sig, ctx, lf.FConst("list"), 6))
-    args = list(oracles.enumerate_objects(sig, lf.Context(), lf.FConst("nat"), 3))
+    args = list(oracles.enumerate_objects(sig, {}, lf.FConst("nat"), 3))
     assert bodies and args
     checked = 0
     for m in bodies[:40]:
@@ -482,7 +501,7 @@ def test_substitution_lemma_on_instances():
         for n in args[:3]:
             inst = beta_normalize(substitute(m, {"x": n}))
             want = beta_normalize(substitute(b, {"x": n}))
-            check_object(sig, lf.Context(), inst, want)
+            check_object(sig, {}, inst, want)
             checked += 1
     assert checked >= 50
 
@@ -490,8 +509,8 @@ def test_substitution_lemma_on_instances():
 def test_synthesis_deterministic():
     sig = oracles.load_signature("append.elf")
     m = _parse_obj("appCons z nil nil nil (appNil nil)")
-    t1 = check_object(sig, lf.Context(), m)
-    t2 = check_object(sig, lf.Context(), m)
+    t1 = check_object(sig, {}, m)
+    t2 = check_object(sig, {}, m)
     assert lf.alpha_eq(t1, t2)
 
 
@@ -560,16 +579,16 @@ def _assert_same(check, ref, *args):
 def test_spine_loop_matches_one_at_a_time_rules_on_corpus(name):
     sig = oracles.load_signature(name)
     for i, d in enumerate(sig.decls):
-        prefix = lf.SignaturePrefix(sig, i)
+        prefix = sig.prefix(i)
         if isinstance(d, lf.ObjDecl):
             _assert_same(check_type, oracles.ref_check_type, prefix,
-                         lf.Context(), d.fam)
+                         {}, d.fam)
             continue
-        ctx, k = lf.Context(), d.kind
+        ctx, k = {}, d.kind
         while isinstance(k, lf.KPi):
             _assert_same(check_type, oracles.ref_check_type, prefix, ctx,
                          k.dom)
-            ctx, k = ctx.extend(k.var, beta_normalize(k.dom)), k.body
+            ctx, k = {**ctx, k.var: beta_normalize(k.dom)}, k.body
 
 
 def _transcript_objects():
@@ -601,9 +620,9 @@ def _transcript_objects():
             else:
                 continue
             m = lf.parse_object("".join(f"[{b}] " for b in frees) + obj, sig)
-            ctx = lf.Context()
+            ctx = {}
             while len(ctx) < len(frees):
-                ctx, m = ctx.extend(m.var, m.dom), m.body
+                ctx, m = {**ctx, m.var: m.dom}, m.body
             yield sig, ctx, m
 
 
@@ -634,7 +653,7 @@ _DEP_SIG = lf.parse_signature("""
           ({x:nat} {x1:nat} eq (h x x1) (h x1 y)) -> eq (h y y) y.
     pw : (nat -> nat) -> nat -> type.
     at : {f:nat -> nat} {y:nat} pw ([x:nat] f (s x)) y -> eq (f y) y.""")
-_DEP_CTX = lf.Context((
+_DEP_CTX = dict((
     ("x", _NAT), ("y", _NAT), ("x1", _NAT), ("k", lf.FPi("w", _NAT, _NAT)),
     ("e", oracles.fam_app(lf.FConst("eq"), [lf.OVar("x"), lf.OVar("y")])),
     ("q", oracles.fam_app(lf.FConst("pw"), [lf.OVar("k"), lf.OVar("x")]))))
@@ -654,7 +673,7 @@ def _heads_by_base():
         if isinstance(d, lf.ObjDecl):
             heads.setdefault(_shape(lf.split_fam_pis(d.fam)[1]), []).append(
                 (lf.OConst(d.name), d.fam))
-    for name, a in _DEP_CTX:
+    for name, a in _DEP_CTX.items():
         heads.setdefault(_shape(lf.split_fam_pis(a)[1]), []).append(
             (lf.OVar(name), a))
     return heads
@@ -693,7 +712,7 @@ def _dep_obj(draw, shape, depth):
 def _ctx_vars(m):
     # parse_object reads names no lambda binds as constants
     match m:
-        case lf.OConst(name) if _DEP_CTX.lookup(name) is not None:
+        case lf.OConst(name) if _DEP_CTX.get(name) is not None:
             return lf.OVar(name)
         case lf.OLam(var, dom, body):
             return lf.OLam(var, dom, _ctx_vars(body))

@@ -77,7 +77,7 @@ def test_encode_injective_at_each_type():
     total = 0
     for text in oracles.ROUND_TRIP_TYPES:
         objs = list(oracles.enumerate_objects(
-            sig, lf.Context(), oracles.parse_type(sig, text), 6))
+            sig, {}, oracles.parse_type(sig, text), 6))
         assert len({lf.print_lf(m) for m in objs}) == len(objs)
         encoded = {str(encode(sig, m, {})) for m in objs}
         assert len(encoded) == len(objs), text
@@ -87,9 +87,9 @@ def test_encode_injective_at_each_type():
 
 def test_encode_commutes_with_substitution():
     sig = oracles.load_signature("append.elf")
-    ctx = lf.Context().extend("x", lf.FConst("nat"))
+    ctx = {"x": lf.FConst("nat")}
     bodies = list(oracles.enumerate_objects(sig, ctx, lf.FConst("list"), 6))
-    args = list(oracles.enumerate_objects(sig, lf.Context(),
+    args = list(oracles.enumerate_objects(sig, {},
                                           lf.FConst("nat"), 3))
     checked = 0
     for m in bodies[:20]:
