@@ -80,8 +80,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .hterms import (
     App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, Lam, LVar, Program,
-    SimpleType, Term, Top, fresh_evar, fresh_lvar_at, lvars_in_order,
-    subst_formula, subst_term, term_leaves, term_spine,
+    SimpleType, Term, Top, fresh_evar, fresh_lvar_at, subst_formula,
+    subst_term, term_leaves, term_spine,
 )
 from .unify import Eq, Subst, unify
 
@@ -112,8 +112,8 @@ class SolveRun:
 _LEVEL_CAP = 4096
 
 
-def solve(program: Program, goal: Formula, limits: Limits = Limits(),
-          query_vars: Optional[tuple[LVar, ...]] = None) -> SolveRun:
+def solve(program: Program, goal: Formula, limits: Limits,
+          query_vars: tuple[LVar, ...]) -> SolveRun:
     """Search for proofs of `goal` from `program`, fewest backchains
     first, and report the values of `query_vars` in each.
 
@@ -130,8 +130,6 @@ def solve(program: Program, goal: Formula, limits: Limits = Limits(),
     proof is found once: a round takes only proofs of exactly its bound,
     and a round resumed from a saved level finds the same proofs as a
     search from the root."""
-    if query_vars is None:
-        query_vars = tuple(lvars_in_order([goal]))
     db = _database(_compile(c) for c in program.clauses)
     root: _Goals = (goal, db, _root_universe(goal), None)
     solutions: list[Solution] = []

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import AbstractSet, Iterable, Iterator, Union
 
 from .lf_syntax import fresh_name
 
@@ -237,13 +237,21 @@ def subst_term(t: Term, m: dict[str, Term]) -> Term:
             if not inner:
                 return Lam(var, ty, body)
             clash = frozenset().union(*[free_bvars(v) for v in inner.values()])
-            if var in clash:
-                nv = fresh_name(var, clash | free_bvars(body))
-                body = subst_term(body, {var: BVar(nv, ty)})
-                var = nv
+            var, body = rename_apart(var, ty, body, clash)
             return Lam(var, ty, subst_term(body, inner))
         case _:
             return t
+
+
+def rename_apart(var: str, ty: SimpleType, body: Term,
+                 avoid: AbstractSet[str]) -> tuple[str, Term]:
+    """The binder `var` : `ty` of `body`, renamed when `avoid` holds its
+    name: the new name is neither in `avoid` nor free in `body`, and the
+    body follows, as in `lf_kernel.rename_apart`."""
+    if var in avoid:
+        var2 = fresh_name(var, avoid | free_bvars(body))
+        return var2, subst_term(body, {var: BVar(var2, ty)})
+    return var, body
 
 
 def beta_norm(t: Term) -> Term:
@@ -265,8 +273,7 @@ def beta_norm(t: Term) -> Term:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Top:
-    def __str__(self):
-        return "true"
+    """The goal that always holds."""
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -274,26 +281,11 @@ class Atom:
     pred: str
     args: tuple[Term, ...]
 
-    def __str__(self):
-        if not self.args:
-            return self.pred
-        return " ".join([self.pred] + [_atom_arg_str(a) for a in self.args])
-
-
-def _atom_arg_str(t: Term) -> str:
-    s = str(t)
-    if isinstance(t, (App, Lam)) and not (s.startswith("(") and s.endswith(")")):
-        return f"({s})"
-    return s
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class Imp:
     left: "Formula"
     right: "Formula"
-
-    def __str__(self):
-        return f"({self.left} => {self.right})"
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -301,9 +293,6 @@ class ForAll:
     var: str
     ty: SimpleType
     body: "Formula"
-
-    def __str__(self):
-        return f"(pi {self.var}\\ {self.body})"
 
 
 Formula = Union[Top, Atom, Imp, ForAll]
@@ -350,16 +339,6 @@ def term_leaves(items: Iterable[Union[Term, Formula, None]]) -> Iterator[Term]:
                 stack.append(body)
             case Atom(_, args):
                 stack.extend(reversed(args))
-
-
-def lvars_in_order(items: Iterable[Union[Term, Formula, None]]) -> dict[LVar, int]:
-    """The logic variables of `items`, terms or formulas read left to
-    right, each numbered by its first appearance.  None items are skipped."""
-    order: dict[LVar, int] = {}
-    for x in term_leaves(items):
-        if isinstance(x, LVar):
-            order.setdefault(x, len(order))
-    return order
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from .lf_kernel import (
 )
 
 
-class InversionError(Exception):
+class InversionError(lf.LFError):
     pass
 
 

@@ -5,9 +5,13 @@ check synthesizes a beta-normal classifier and compares against expected
 types using beta-eta-equality.  Conversion needs no types: two
 beta-normal forms are compared up to alpha, and when that fails, their
 eta-short forms are; on well-typed LF this agrees with comparing typed
-eta-long canonical forms.  A fuel bound guards normalization so that
-ill-formed input fed directly to the normalizer cannot loop; well-typed
-terms never hit it.
+eta-long canonical forms.  A fuel bound, `_FUEL` beta steps, caps one
+normalization.  It bounds cost, not divergence: the rules refuse an
+ill-typed term before they normalize it, while a well-typed term may
+need more steps, as ``([y:t] y) d`` inside nine nested
+``([x:t] c x x x x) (...)`` does (about 4^9).  A caller that normalizes
+unchecked input, as `translate_query` does, meets Python's recursion
+limit on a diverging term long before the fuel runs out.
 
 A constant's classifier is normalized once per signature, by
 `normal_classifier`, and every rule reads it from there; which of its
@@ -252,8 +256,6 @@ def check_signature(sig: Signature) -> None:
                         f"classifier of {d.name!r} has kind {k}, not type",
                         rule="type-sig")
         except LFTypeError as err:
-            if err.loc:
-                raise
             raise LFTypeError(err.message, rule=err.rule,
                               loc=f"declaration {d.name!r}") from None
 

@@ -623,10 +623,10 @@ def parse_query(text: str, sig: Optional[Signature] = None) -> tuple[tuple[str, 
     return tuple(parser.free_order), fam
 
 
-def parse_object(text: str, sig: Optional[Signature] = None) -> Obj:
+def parse_object(text: str) -> Obj:
     """Parse a single object term.  Identifiers bound by an enclosing
     lambda are variables; everything else is read as a constant."""
-    parser = _Parser(tokenize(text), sig=sig)
+    parser = _Parser(tokenize(text))
     obj = parser.expr(_OBJECT)
     _end(parser)
     return obj

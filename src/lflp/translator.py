@@ -50,7 +50,7 @@ from .lf_kernel import (
 )
 
 
-class TranslationError(Exception):
+class TranslationError(lf.LFError):
     pass
 
 

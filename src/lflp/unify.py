@@ -47,8 +47,8 @@ from typing import Iterable, Optional
 
 from .hterms import (
     App, BVar, Const, EVar, LVar, Lam, SimpleType, Term, arrow, beta_norm,
-    fresh_evar, fresh_level, fresh_lvar_at, mk_app, split_arrow, subst_term,
-    term_spine,
+    fresh_evar, fresh_level, fresh_lvar_at, mk_app, rename_apart, split_arrow,
+    subst_term, term_spine,
 )
 
 
@@ -56,9 +56,6 @@ from .hterms import (
 class Eq:
     lhs: Term
     rhs: Term
-
-    def __str__(self):
-        return f"{self.lhs} = {self.rhs}"
 
 
 class Subst:
@@ -275,11 +272,9 @@ def _copy(t: Term, k: LVar, pi: dict, level: int, rigid: bool,
           extra: dict[LVar, Term]) -> Term:
     match t:
         case Lam(var, ty, body):
-            taken = {b.name for b in pi.values() if isinstance(b, BVar)}
-            if var in taken:
-                nv = f"{var}{fresh_level()}"
-                body = subst_term(body, {var: BVar(nv, ty)})
-                var = nv
+            # the copy's own binders, pi's values, must not be captured
+            var, body = rename_apart(var, ty, body,
+                                     {z.name for z in pi.values()})
             return Lam(var, ty, _copy(body, k, pi, level, rigid, extra))
     head, args = term_spine(t)
     match head:

@@ -50,7 +50,7 @@ from lflp.engine import (
 from lflp.hterms import (
     App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, LVar, Lam, Program,
     SimpleType, Term, Top, beta_norm, fresh_evar, fresh_level, fresh_lvar_at,
-    lvars_in_order, split_arrow, subst_formula, term_spine,
+    split_arrow, subst_formula, term_leaves, term_spine,
 )
 from lflp.strictness import _why_obj
 from lflp.unify import Eq, Subst, UnifyResult, unify
@@ -659,7 +659,6 @@ def _ty_of_head(h: Term):
 
 def has_unifier_bruteforce(lhs: Term, rhs: Term, heads: list[Term],
                            depth: int = 2) -> bool:
-    from lflp.hterms import lvars_in_order
     lvars = sorted(lvars_in_order([lhs, rhs]), key=lambda v: v.name)
     pools = [gen_terms(v.ty, heads, depth) for v in lvars]
     for combo in itertools.product(*pools):
@@ -1401,6 +1400,17 @@ def fresh_lvar(prefix: str, ty: SimpleType) -> LVar:
     eigenvariable made before it."""
     n = fresh_level()
     return LVar(f"{prefix}_{n}", n, ty)
+
+
+def lvars_in_order(items: Iterable[Union[Term, Formula, None]]
+                   ) -> dict[LVar, int]:
+    """The logic variables of `items`, terms or formulas read left to
+    right, each numbered by its first appearance.  None items are skipped."""
+    order: dict[LVar, int] = {}
+    for x in term_leaves(items):
+        if isinstance(x, LVar):
+            order.setdefault(x, len(order))
+    return order
 
 
 def evars_of(t: Term) -> frozenset[EVar]:

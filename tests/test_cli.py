@@ -144,6 +144,19 @@ def test_translate_no_simplify_keeps_true(capsys):
     assert "true" not in cooked
 
 
+def test_translate_names_a_quoted_binder_x(capsys, tmp_path):
+    # a binder spelled with a leading quote makes no lambdaProlog variable
+    # when capitalized, so it becomes X; the arrow's binder, which the
+    # parser names x, then takes X1
+    quoted = tmp_path / "quoted.elf"
+    quoted.write_text("nat : type. z : nat. f : {'x:nat} nat -> nat.\n")
+    code, out, _ = run_cli(capsys, "translate", "--naive", str(quoted))
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "pi X\\ (hastype X nat => pi X1\\ (hastype X1 nat => "
+        "hastype (f X X1) nat)).")
+
+
 # --- solve ----------------------------------------------------------------
 
 def test_solve_ground_query(capsys):
@@ -338,7 +351,7 @@ def test_solve_rechecks_a_wrong_value_through_the_inhabitant(
     # kernel check, of the inhabitant at the query's type instantiated by
     # the values, refuses it.
     sig = lf.parse_signature(pathlib.Path(APPEND).read_text())
-    wrong = encode(sig, lf.parse_object(value, sig), {})
+    wrong = encode(sig, lf.parse_object(value), {})
     real = cli.solve
 
     def solve_with_wrong_value(program, goal, limits, query_vars):
@@ -437,6 +450,53 @@ def test_resource_limits_are_one_error_line(capsys, monkeypatch, exc,
             main(argv)
 
 
+def _run(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        cli.run(argv)
+    out, err = capsys.readouterr()
+    return stop.value.code, out, err
+
+
+def _nested_redex(levels):
+    # ([y:t] y) d inside `levels` nested ([x:t] c x x x x) (...): well
+    # typed, with a normal form (4^(levels+1) - 1) / 3 beta steps away
+    m = "([y:t] y) d"
+    for _ in range(levels):
+        m = f"([x:t] c x x x x) ({m})"
+    return m
+
+
+def test_a_well_typed_term_can_exhaust_the_fuel(capsys, monkeypatch,
+                                                tmp_path):
+    # the fuel bounds what normalizing a well-typed term may cost: at 1000
+    # steps 4 levels (341 steps) pass and 5 (1365 steps) do not; at the
+    # default 100000, 8 levels pass and 9 do not
+    monkeypatch.setattr(lf_kernel, "_FUEL", 1000)
+    decls = "t : type. d : t. c : t -> t -> t -> t -> t. p : t -> type.\n"
+    for levels, want in [
+            (4, (0, "ok: 5 declarations\n", "")),
+            (5, (2, "", "error: normalization fuel exhausted\n"))]:
+        path = tmp_path / f"nested{levels}.elf"
+        path.write_text(decls + f"q : p ({_nested_redex(levels)}).\n")
+        assert _run(capsys, ["check", str(path)]) == want
+
+
+def test_an_ill_typed_term_never_reaches_the_fuel(capsys, tmp_path):
+    # the kernel refuses an ill-typed term before normalizing it; a query
+    # is normalized before the kernel checks it, so a diverging one meets
+    # Python's recursion limit long before the fuel runs out
+    omega = "([x:t] x x) ([x:t] x x)"
+    path = tmp_path / "omega.elf"
+    path.write_text("t : type. p : t -> type.\n")
+    assert _run(capsys, ["solve", str(path), f"p ({omega})"]) == (
+        2, "", "error: input nested too deeply (Python's recursion limit "
+               "was reached)\n")
+    path.write_text(f"t : type. p : t -> type. q : p ({omega}).\n")
+    assert _run(capsys, ["check", str(path)]) == (
+        1, "error: [app-obj] x of type t applied to an argument "
+           "(in declaration 'q')\n", "")
+
+
 def test_solve_naive_mode(capsys):
     code, out, _ = run_cli(capsys, "solve", "--naive", APPEND,
                            "append (cons z nil) nil (cons z nil)",
@@ -486,7 +546,7 @@ def test_reported_inhabitant_type_checks(capsys):
                    if line.startswith("inhabitant: "))
     bound = next(line.split(" = ", 1)[1] for line in out.splitlines()
                  if line.startswith("L = "))
-    obj = lf.parse_object(witness, sig)
+    obj = lf.parse_object(witness)
     ty = oracles.parse_type(
         sig, f"append (cons (s z) nil) (cons z nil) ({bound})")
     check_object(sig, {}, obj, ty)
@@ -629,7 +689,7 @@ def _export_work(monkeypatch, n):
     lines = cli._solution_lines(sig, qt, run.solutions[0])
     monkeypatch.undo()
     inhabitant = lines[-1].split(": ", 1)[1]
-    return calls, _lf_nodes(lf.parse_object(inhabitant, sig))
+    return calls, _lf_nodes(lf.parse_object(inhabitant))
 
 
 def test_export_substitutions_grow_with_the_printed_inhabitant(monkeypatch):
@@ -686,7 +746,7 @@ def test_solve_exports_a_320_element_answer_in_process():
     assert result == [0]
     sig = oracles.load_signature("appendplus.elf")
     value = out.getvalue().splitlines()[0]
-    assert value == f"L = {lf.print_lf(lf.parse_object(items, sig))}"
+    assert value == f"L = {lf.print_lf(lf.parse_object(items))}"
 
 
 # --- transcript -----------------------------------------------------------

@@ -9,14 +9,14 @@ from lflp import cli, engine, lf_syntax as lf, unify
 from lflp.engine import Limits, Solution, solve
 from lflp.hterms import (
     LF_OBJ, LF_TYPE, Atom, BVar, Const, ForAll, Imp, Program, Top, arrow,
-    fresh_evar, lvars_in_order, mk_app, type_of,
+    fresh_evar, mk_app, type_of,
 )
 from lflp.translator import (
     reachable_signature, translate_query, translate_signature,
 )
 
 import oracles
-from oracles import evars_of, fresh_lvar, validate_solution
+from oracles import evars_of, fresh_lvar, lvars_in_order, validate_solution
 
 OBJ = LF_OBJ
 
@@ -110,7 +110,7 @@ def _tiny_program():
 
 def test_top_goal_costs_nothing():
     _, prog = _tiny_program()
-    run = solve(prog, Top(), Limits(depth=4, max_solutions=0))
+    run = solve(prog, Top(), Limits(depth=4, max_solutions=0), query_vars=())
     assert run.status == "ok"
     assert run.solutions[0].backchains == 0
 
@@ -123,6 +123,27 @@ def test_hypothetical_clause_added_after_program():
     run = solve(prog, goal, Limits(depth=4, max_solutions=0), query_vars=(w,))
     assert run.status == "ok"
     assert [str(s.value(w)) for s in run.solutions] == ["a", "b"]
+
+
+def test_true_hypothesis_changes_nothing():
+    # `true` is no definite clause, so assuming it offers no backchain
+    prog, qt, qvars = _setup("append.elf", "append L M (cons z nil)")
+    limits = Limits(depth=6, max_solutions=0)
+    runs = [solve(prog, goal, limits, query_vars=qvars)
+            for goal in (qt.goal, Imp(Top(), qt.goal))]
+    plain, assumed = ([([str(s.value(v)) for v in qvars], s.backchains)
+                       for s in run.solutions] for run in runs)
+    assert len(plain) == 2 and assumed == plain
+
+
+def test_true_premise_costs_one_backchain():
+    # the premise of q X <= true is instantiated, and proved at no cost
+    a = Const("a", OBJ)
+    x = BVar("X", OBJ)
+    prog = Program(xi=(), clauses=(
+        ForAll("X", OBJ, Imp(Top(), Atom("q", (x,)))),))
+    run = solve(prog, Atom("q", (a,)), Limits(depth=1), query_vars=())
+    assert [s.backchains for s in run.solutions] == [1]
 
 
 def test_quantified_head_argument_matches_any_goal_argument():
@@ -158,11 +179,11 @@ def test_universal_goal_introduces_eigenvariable():
     _, prog = _tiny_program()
     x = BVar("x", OBJ)
     provable = ForAll("x", OBJ, Imp(Atom("q", (x,)), Atom("q", (x,))))
-    run = solve(prog, provable, Limits(depth=4))
+    run = solve(prog, provable, Limits(depth=4), query_vars=())
     assert run.status == "ok"
     # q holds of a but not of an arbitrary eigenvariable
     refuted = ForAll("x", OBJ, Atom("q", (x,)))
-    assert solve(prog, refuted, Limits(depth=4)).status == "no"
+    assert solve(prog, refuted, Limits(depth=4), query_vars=()).status == "no"
 
 
 def test_suspension_on_surviving_residual():

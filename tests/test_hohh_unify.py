@@ -1,13 +1,15 @@
 from hypothesis import given, settings, strategies as st
 
 from lflp.hterms import (
-    LF_OBJ, LF_TYPE, App, BVar, Const, Lam, LVar, arrow, fresh_evar,
-    lvars_in_order, mk_app, term_spine,
+    LF_OBJ, LF_TYPE, App, BVar, Const, Lam, LVar, arrow, beta_norm,
+    fresh_evar, fresh_level, mk_app, term_spine, type_of,
 )
 from lflp.unify import Eq, Subst, unify
 
 import oracles
-from oracles import alpha_eq_term, evars_of, fresh_lvar, unify_one
+from oracles import (
+    alpha_eq_term, evars_of, fresh_lvar, lvars_in_order, unify_one,
+)
 
 OBJ = LF_OBJ
 Z = Const("z", OBJ)
@@ -303,6 +305,28 @@ def test_non_pattern_under_copy_is_copied_and_its_head_lowered():
     assert res.subst.apply(k) == s(App(lowered, Z))
     assert unify_one(m, _fn(1, e), res.subst).status == "fail"
     assert unify_one(m, _fn(1, 0), res.subst).status == "ok"
+
+
+def test_copy_renames_a_binder_spelled_like_its_own():
+    # K e = c (\w. g e w), with w spelled like the binder the copy makes
+    # for e: unless the copy renames w, K := \z. c (\z. g z z) captures
+    c = Const("c", arrow([arrow([OBJ], OBJ)], OBJ))
+    g = Const("g", arrow([OBJ, OBJ], OBJ))
+    a = Const("a", OBJ)
+    k = fresh_lvar("K", arrow([OBJ], OBJ))
+    e = fresh_evar("e", OBJ)
+    w = BVar(f"z{fresh_level() + 1}", OBJ)
+    res = unify_one(App(k, e), App(c, Lam(w.name, OBJ, mk_app(g, [e, w]))))
+    assert res.status == "ok"
+    got = beta_norm(App(res.subst.apply(k), a))
+    assert alpha_eq_term(got, App(c, Lam(w.name, OBJ, mk_app(g, [a, w]))))
+
+
+def test_terms_print_and_type_as_built():
+    e = fresh_evar("e", OBJ)
+    lam = Lam("x", OBJ, cons(e, BVar("x", OBJ)))
+    assert str(lam) == f"(x\\ (cons {e.name} x))"
+    assert type_of(lam) == arrow([OBJ], OBJ)
 
 
 def test_residual_retried_after_substitution_grows():

@@ -21,7 +21,7 @@ def _invert(sig, term, ty_text, frees=None):
 
 def test_invert_derivation_term():
     sig = oracles.load_signature("append.elf")
-    m = lf.parse_object("appCons z nil nil nil (appNil nil)", sig)
+    m = lf.parse_object("appCons z nil nil nil (appNil nil)")
     answer = encode(sig, m, {})
     got = _invert(sig, answer, "append (cons z nil) nil (cons z nil)")
     assert lf.alpha_eq(got, m)
@@ -63,7 +63,7 @@ def test_eta_expand_bare_constructor():
     s = Const("s", arrow([OBJ], OBJ))
     got = _invert(sig, s, "{x:nat} nat")
     assert isinstance(got, lf.OLam)
-    assert lf.alpha_eq(got, lf.parse_object("[x:nat] s x", sig))
+    assert lf.alpha_eq(got, lf.parse_object("[x:nat] s x"))
 
 
 def test_eta_expand_idempotent():
@@ -88,7 +88,7 @@ def test_partial_application_needs_expansion():
     cons = Const("cons", arrow([OBJ, OBJ], OBJ))
     partial = App(cons, Const("z", OBJ))
     got = _invert(sig, partial, "{l:list} list")
-    want = lf.parse_object("[l:list] cons z l", sig)
+    want = lf.parse_object("[l:list] cons z l")
     assert lf.alpha_eq(got, want)
 
 
@@ -171,6 +171,21 @@ def test_unknown_head():
     sig = oracles.load_signature("append.elf")
     with pytest.raises(InversionError, match="unknown object constant"):
         _invert(sig, Const("mystery", OBJ), "nat")
+
+
+def test_free_bound_variable_head_refused():
+    # a bound name no enclosing lambda of the answer binds
+    sig = oracles.load_signature("append.elf")
+    with pytest.raises(InversionError, match="unknown variable y"):
+        _invert(sig, BVar("y", OBJ), "nat")
+
+
+def test_lambda_head_refused():
+    # answers are beta-normal, so a redex is no answer
+    sig = oracles.load_signature("append.elf")
+    redex = App(Lam("x", OBJ, BVar("x", OBJ)), Const("z", OBJ))
+    with pytest.raises(InversionError, match="cannot invert head Lam"):
+        _invert(sig, redex, "nat")
 
 
 def test_overapplied_head():

@@ -14,8 +14,8 @@ from lflp.lf_kernel import (
 import oracles
 
 
-def _parse_obj(text, sig=None):
-    return lf.parse_object(text, sig)
+def _parse_obj(text):
+    return lf.parse_object(text)
 
 
 def _parse_fam(text, sig):
@@ -146,19 +146,12 @@ def test_beta_agrees_with_small_step_oracle(m):
 # --- conversion and canonical forms ----------------------------------------
 # The kernel compares eta-short forms; the typed eta-long canonical forms
 # these tests were first written against are the oracle's `canonicalize`.
-# Each case also pins the term with one constant changed as unequal; `p`,
-# `one` and `appNil2` exist only for that.
-
-def _conv_sig():
-    return lf.parse_signature(str(oracles.load_signature("append.elf")) + """
-        one : nat.
-        p : nat -> nat.
-        appNil2 : {l:list} append nil l l.""")
-
+# Each case also pins the term with one constant changed as unequal; the
+# new constants (`p`, `one`, `appNil2`) need no declaration, since
+# conversion reads no types.
 
 def _assert_conversion(short, long, changed):
-    sig = _conv_sig()
-    short, long, changed = (_parse_obj(t, sig) for t in (short, long, changed))
+    short, long, changed = (_parse_obj(t) for t in (short, long, changed))
     assert beta_eta_equal(short, long) and beta_eta_equal(long, short)
     assert not beta_eta_equal(short, changed)
     assert not beta_eta_equal(long, changed)
@@ -353,6 +346,16 @@ def test_duplicate_name_looks_up_first_declaration():
     assert [n for n in "abcd" if sig.lookup(n) is not None] == ["a", "b", "c"]
 
 
+def test_kernel_rejects_a_duplicate_declaration():
+    # the parser refuses a duplicate in text first, so the kernel's own
+    # rule is reached only by a signature built by hand
+    sig = lf.Signature((lf.KindDecl("nat", lf.KType()),
+                        lf.KindDecl("nat", lf.KType())))
+    with pytest.raises(LFTypeError) as e:
+        check_signature(sig)
+    assert str(e.value) == "[kind-sig] duplicate declaration of 'nat' (in nat)"
+
+
 def test_prefix_hides_later_declarations():
     sig = oracles.load_signature("append.elf")
     n = [d.name for d in sig].index("append")
@@ -406,7 +409,7 @@ def test_variable_is_typed_as_its_context_holds_it(monkeypatch, text):
     # classifiers the binder's domain is the one thing normalized, however
     # often the variable occurs
     sig = oracles.load_signature("append.elf")
-    m = lf.parse_object(text, sig)
+    m = lf.parse_object(text)
     check_object(sig, {}, m)
     calls = []
 
@@ -619,7 +622,7 @@ def _transcript_objects():
                 obj = line.split(" = ", 1)[1]
             else:
                 continue
-            m = lf.parse_object("".join(f"[{b}] " for b in frees) + obj, sig)
+            m = lf.parse_object("".join(f"[{b}] " for b in frees) + obj)
             ctx = {}
             while len(ctx) < len(frees):
                 ctx, m = {**ctx, m.var: m.dom}, m.body
@@ -722,7 +725,7 @@ def _ctx_vars(m):
 
 
 def _dep(text):
-    return _ctx_vars(lf.parse_object(text, _DEP_SIG))
+    return _ctx_vars(lf.parse_object(text))
 
 
 @settings(max_examples=500, deadline=None)

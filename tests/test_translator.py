@@ -38,7 +38,7 @@ def test_phi_collapses_base_families():
 
 def test_encode_constant_and_application():
     sig = oracles.load_signature("append.elf")
-    m = lf.parse_object("cons z nil", sig)
+    m = lf.parse_object("cons z nil")
     t = encode(sig, m, {})
     head = t
     while isinstance(head, App):
@@ -68,6 +68,14 @@ def test_encode_family_application():
 def test_encode_unbound_variable_rejected():
     with pytest.raises(TranslationError):
         encode(oracles.load_signature("append.elf"), lf.OVar("q"), {})
+
+
+def test_undeclared_constant_and_unknown_mode_rejected():
+    sig = oracles.load_signature("append.elf")
+    with pytest.raises(TranslationError, match="undeclared constant q"):
+        encode(sig, lf.OConst("q"), {})
+    with pytest.raises(TranslationError, match="unknown mode 'fast'"):
+        translate_signature(sig, "fast")
 
 
 def test_encode_injective_at_each_type():
