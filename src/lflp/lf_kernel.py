@@ -18,8 +18,10 @@ A constant's classifier is normalized once per signature, by
 Pi binders the rest of it mentions is recorded once too, by
 `classifier_dependencies`, for the spine loop below.  `check_signature`
 checks each declaration against the prefix of the declarations before
-it.  A context maps each variable to its beta-normal type, so a
-variable's occurrence is typed as the context holds it.
+it, and records a classifier it finds beta-normal as its own normal
+form, so `normal_classifier` does not walk it again.  A context maps
+each variable to its beta-normal type, so a variable's occurrence is
+typed as the context holds it.
 
 An application `c M1 ... Mn`, of an object or of a type family, is typed
 in one loop over its spine: each Mi is checked against its binder's
@@ -32,22 +34,29 @@ message prints the classifiers the failed check already holds, so a
 binder renamed to avoid capture is printed with the name the one
 simultaneous map chose.
 
-`check_object` synthesizes each argument object of its root context
-once, however often the object occurs: a table keyed by identity, made
-for the one call and passed down the application spines, holds each
-argument's type, and a later occurrence of the same object reads it
-there.  This is sound because synthesis is a function of the signature,
-the context and the object, and the table records only successes: an
-occurrence that fails raises before anything is recorded, so the first
-occurrence fails as it would unshared.  Under a binder the context
-differs, so the table is not passed into a lambda's body.  An answer
-exported by `lflp solve` shares its subterms, so its check costs the
-number of distinct subobjects, not of occurrences; `check_type` and
-`check_signature` keep no table.
+`check_object` and `check_type` synthesize each argument object of
+their root context once, however often the object occurs: a table keyed
+by identity, made for the one call and passed down the application
+spines, holds each argument's type, and a later occurrence of the same
+object reads it there.  This is sound because synthesis is a function
+of the signature, the context and the object, and the table records
+only successes: an occurrence that fails raises before anything is
+recorded, so the first occurrence fails as it would unshared.  Under a
+binder the context differs, so the table is not passed into the body
+of a lambda or a Pi.  An answer exported by `lflp solve` shares its
+subterms, and the parser builds equal subterms of a signature or a
+query as one object, so `check_signature`, the query's check and the
+export's each cost the number of distinct subobjects, not of
+occurrences.
 
 The binder rules (Pi in a kind or a type, lambda in an object) share
-one premise, `_binder`.  `rename_apart` renames a binder there, when it
-shadows the context, and in substitution, when it would capture.
+one premise, `_binder`.  It extends the caller's context dict in place,
+and the rule checks the body in its own frame and takes the binder out
+again when that check returns or raises, so a binder costs O(1)
+however large the context and one frame of Python's stack, and a
+caller finds its context as it was.  `rename_apart` renames a binder
+there, when it shadows the context, and in substitution, when it would
+capture.
 """
 
 from __future__ import annotations
@@ -65,8 +74,8 @@ _FUEL = 100000  # the beta-steps one normalization may take
 _BRIEF = 40  # the characters of an expression a message prints
 
 # an argument object checked in the root context of one `check_object`
-# call, by identity: the object itself, which keeps its id unique, its
-# beta-normal type, and whether it is beta-normal
+# or `check_type` call, by identity: the object itself, which keeps its
+# id unique, its beta-normal type, and whether it is beta-normal
 _Shared = dict[int, tuple[Obj, Fam, bool]]
 
 
@@ -250,11 +259,15 @@ def check_signature(sig: Signature) -> None:
             if isinstance(d, KindDecl):
                 check_kind(prefix, {}, d.kind)
             else:
-                k = check_type(prefix, {}, d.fam)
+                k, normal = _synth_fam(prefix, {}, d.fam, {})
                 if not isinstance(k, KType):
                     raise LFTypeError(
                         f"classifier of {d.name!r} has kind {k}, not type",
                         rule="type-sig")
+                if normal:
+                    # its own normal form, so `normal_classifier` need
+                    # not walk it
+                    sig.normal_forms[d.name] = d.fam
         except LFTypeError as err:
             raise LFTypeError(err.message, rule=err.rule,
                               loc=f"declaration {d.name!r}") from None
@@ -266,14 +279,25 @@ def check_kind(sig: Signature, ctx: Context, k: Kind) -> None:
         case KType():
             return
         case KPi():
-            inner, _, _, body = _binder(sig, ctx, k, "pi-kind")
-            check_kind(sig, inner, body)
+            var, _, body = _binder(sig, ctx, k, "pi-kind")
+            try:
+                check_kind(sig, ctx, body)
+            finally:
+                del ctx[var]
             return
     raise TypeError(f"not a kind: {k!r}")
 
 
 def check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
     """Synthesize the beta-normal kind of `a` (error if not well-formed)."""
+    return _synth_fam(sig, ctx, a, {})[0]
+
+
+def _synth_fam(sig: Signature, ctx: Context, a: Fam,
+               shared: Optional[_Shared] = None) -> tuple[Kind, bool]:
+    # the beta-normal kind of `a`, and whether `a` is itself beta-normal;
+    # `shared` is the table of the context `check_type` was given, or
+    # None under a binder
     match a:
         case FConst(name):
             k = normal_classifier(sig, name)
@@ -282,18 +306,23 @@ def check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
             if not isinstance(k, (KType, KPi)):
                 raise LFTypeError(f"object constant {name!r} used as a type",
                                   rule="var-fam")
-            return k
+            return k, True
         case FPi():
-            inner, _, _, body = _binder(sig, ctx, a, "pi-fam")
-            bk = check_type(sig, inner, body)
+            var, dom, body = _binder(sig, ctx, a, "pi-fam")
+            try:
+                bk, normal = _synth_fam(sig, ctx, body)
+            finally:
+                del ctx[var]
             if not isinstance(bk, KType):
                 raise LFTypeError(f"Pi body {body} has kind {bk}, not type",
                                   rule="pi-fam")
-            return KType()
+            return KType(), normal and dom is a.dom
         case FApp():
             head, args = spine(a)
-            k = check_type(sig, ctx, head)
-            return _check_spine(sig, ctx, head, k, args, "app-fam", None)[0]
+            k, normal = _synth_fam(sig, ctx, head, shared)
+            k, args_normal = _check_spine(sig, ctx, head, k, args, "app-fam",
+                                          shared)
+            return k, normal and args_normal
     raise TypeError(f"not a type family: {a!r}")
 
 
@@ -309,7 +338,7 @@ def check_object(sig: Signature, ctx: Context, m: Obj,
 
 
 def _synth_obj(sig: Signature, ctx: Context, m: Obj,
-               shared: Optional[_Shared]) -> tuple[Fam, bool]:
+               shared: Optional[_Shared] = None) -> tuple[Fam, bool]:
     # the beta-normal type of `m`, and whether `m` is itself beta-normal;
     # `shared` is the table of the context `check_object` was given, or
     # None under a binder
@@ -328,12 +357,15 @@ def _synth_obj(sig: Signature, ctx: Context, m: Obj,
                 raise LFTypeError(f"unbound variable {name!r}", rule="var-obj")
             return a, True
         case OLam():
-            inner, var, dom_n, body = _binder(sig, ctx, m, "abs-obj")
-            bt, normal = _synth_obj(sig, inner, body, None)
+            var, dom_n, body = _binder(sig, ctx, m, "abs-obj")
+            try:
+                bt, normal = _synth_obj(sig, ctx, body)
+            finally:
+                del ctx[var]
             return FPi(var, dom_n, bt), normal and dom_n is m.dom
         case OApp():
             head, args = spine(m)
-            ht, normal = _synth_obj(sig, ctx, head, None)
+            ht, normal = _synth_obj(sig, ctx, head)
             t, args_normal = _check_spine(sig, ctx, head, ht, args, "app-obj",
                                           shared)
             return t, normal and args_normal and not isinstance(head, OLam)
@@ -341,17 +373,21 @@ def _synth_obj(sig: Signature, ctx: Context, m: Obj,
 
 
 def _binder(sig: Signature, ctx: Context, e: Union[KPi, FPi, OLam],
-            rule: str) -> tuple[Context, str, Fam, Expr]:
-    # The domain of `e` has kind type.  Returns the context extended by
-    # the binder, renamed apart from `ctx`, at the normal domain; the
-    # binder's name; that domain; and the body under that name.
-    dk = check_type(sig, ctx, e.dom)
+            rule: str) -> tuple[str, Fam, Expr]:
+    # The domain of `e` has kind type.  Extends `ctx` itself, in O(1),
+    # by the binder, renamed apart from `ctx`, at the normal domain, and
+    # returns the binder's name, that domain and the body under that
+    # name.  The caller checks the body in its own frame, so a binder
+    # costs one frame of Python's stack, and deletes the name from `ctx`
+    # in a `finally` however that check ends.
+    dk, normal = _synth_fam(sig, ctx, e.dom)
     if not isinstance(dk, KType):
         what = "binder type" if rule == "abs-obj" else "Pi domain"
         raise LFTypeError(f"{what} {e.dom} has kind {dk}, not type", rule=rule)
-    dom = beta_normalize(e.dom)
+    dom = e.dom if normal else beta_normalize(e.dom)
     var, body = rename_apart(e.var, e.body, ctx.keys())
-    return {**ctx, var: dom}, var, dom, body
+    ctx[var] = dom
+    return var, dom, body
 
 
 def _check_spine(sig: Signature, ctx: Context, head: Expr,

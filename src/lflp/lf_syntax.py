@@ -10,6 +10,11 @@ Kinds, type families, and objects are separate node families.  The
 parser builds them straight from the tokens in one left-to-right pass,
 each expression read in the category its context demands; a
 declaration's classifier is a kind exactly when its tail is ``type``.
+Nodes are shared: the parser hash-conses constants, variables and
+applications with one table per parse, so equal subterms of one parse
+built of those nodes are one object, and the kernel and the encoder,
+which keep tables keyed by identity, do their work once per distinct
+subterm.  Sharing is safe because nodes are immutable (see below).
 After parsing, binder names are pairwise distinct along any scope path
 (the parser renames shadowed binders), and no bound variable stands as
 a type.  Equality of expressions is alpha-equivalence, provided by
@@ -34,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
-from typing import Container, Iterator, NamedTuple, Optional, Union
+from typing import Container, Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class LFError(Exception):
@@ -211,8 +216,8 @@ class Signature:
         return "\n".join(str(d) for d in self.decls)
 
 
-# A context maps each variable it binds to its type, beta-normal, and is
-# extended by copying: `{**ctx, x: A}`.
+# A context maps each variable it binds to its type, beta-normal.  The
+# kernel extends one in place and restores it after the binder's body.
 Context = dict[str, Fam]
 
 
@@ -422,6 +427,10 @@ class _Parser:
     variable used as a type) is held in `err`, the first one wins, and is
     raised only once the declaration's syntax has been read.  Query free
     variables are recognized when `free_ok` holds.
+
+    Every constant, variable and application node is built by `node`,
+    which hash-conses it in `nodes`, the one table of the parse: equal
+    subterms built of those nodes are one object.
     """
 
     def __init__(self, toks: list[_Token], sig: Optional[Signature] = None,
@@ -432,6 +441,7 @@ class _Parser:
         self.free_ok = free_ok
         self.free_order: list[str] = []
         self.env: dict[str, str] = {}
+        self.nodes: dict[tuple, Expr] = {}
         self.begin(None)
 
     def begin(self, name: Optional[str]) -> None:
@@ -442,6 +452,26 @@ class _Parser:
         self.err: Optional[LFSyntaxError] = None
         # the tail `type` of the last classifier read as a kind
         self.type_tok: Optional[_Token] = None
+
+    def node(self, cls: type, a, args: Sequence[Obj] = ()) -> Expr:
+        """The one node of this parse of class `cls`: the leaf (`OConst`,
+        `FConst`, `OVar`) named `a`, keyed by its name, or with `args`
+        the applications (`OApp`, `FApp`) of `a` to each in turn, each
+        keyed by the ids of its two children, which the node in the
+        table keeps alive."""
+        nodes = self.nodes
+        if not args:
+            e = nodes.get((cls, a))
+            if e is None:
+                e = nodes[cls, a] = cls(a)
+            return e
+        for b in args:
+            key = (cls, id(a), id(b))
+            e = nodes.get(key)
+            if e is None:
+                e = nodes[key] = cls(a, b)
+            a = e
+        return a
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -512,13 +542,14 @@ class _Parser:
             if t.kind in _ARG_START:
                 if cat != _OBJECT:
                     e = self.as_type(e)
-                app = OApp if cat == _OBJECT else FApp
+                args = []
                 while t.kind in _ARG_START:
                     if t.kind == "{" or t.kind == "[":
                         raise LFSyntaxError("binder must be parenthesized in "
                                             "argument position", t.line, t.col)
-                    e = app(e, self.atom(_OBJECT))
+                    args.append(self.atom(_OBJECT))
                     t = toks[self.pos]
+                e = self.node(OApp if cat == _OBJECT else FApp, e, args)
             if t.kind != "->":
                 break
             if cat == _OBJECT:
@@ -546,15 +577,15 @@ class _Parser:
             if cat != _OBJECT:
                 if name in self.env:
                     self.hold(f"bound variable {name!r} used as a type", t)
-                return FConst(name)
+                return self.node(FConst, name)
             if name in self.env:
-                return OVar(self.env[name])
+                return self.node(OVar, self.env[name])
             if self.free_ok and name[0].isupper() and (
                     self.sig is None or self.sig.lookup(name) is None):
                 if name not in self.free_order:
                     self.free_order.append(name)
-                return OVar(name)
-            return OConst(name)
+                return self.node(OVar, name)
+            return self.node(OConst, name)
         if t.kind == "(":
             e = self.expr(cat)
             self.expect(")")

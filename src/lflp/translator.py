@@ -7,7 +7,10 @@ The bridge works at three levels:
   becomes arrow.
 * ``encode`` erases types from objects and base type families, keeping
   shape: constants stay themselves (retyped by phi), abstraction
-  annotations become simple types.
+  annotations become simple types.  It keeps one memo per call, keyed
+  by identity at a fixed env and dropped at a lambda, so each distinct
+  subterm is encoded once and the term shares what the LF term shares
+  (the parser builds equal subterms as one object).
 * ``translate_judgment`` maps a classifier A and a subject term M to a
   formula asserting M inhabits A.  Each Pi binder of A gets a typing
   premise, the translation of its type with the polarity flipped: the
@@ -86,24 +89,40 @@ def _const_type(sig: lf.Signature, name: str) -> SimpleType:
 def encode(sig: lf.Signature, e: Union[lf.Obj, lf.Fam],
            env: dict[str, Term]) -> Term:
     """The term of an object or a base type family; `env` maps the LF
-    variables in scope to their terms."""
+    variables in scope to their terms.  A subterm that occurs twice in
+    `e` as one object is encoded once, so the term shares what `e`
+    shares."""
+    return _encode(sig, e, env, {})
+
+
+def _encode(sig: lf.Signature, e: Union[lf.Obj, lf.Fam],
+            env: dict[str, Term], memo: dict[int, Term]) -> Term:
+    # `memo` maps each subterm of the root encoded at `env`, by identity,
+    # to its term; the root keeps the keys alive.  A lambda's body is
+    # encoded at another env, so it starts a memo of its own.
+    t = memo.get(id(e))
+    if t is not None:
+        return t
     match e:  # the commonest nodes first: bound variables, applications
         case lf.OVar(name):
             if name not in env:
                 raise TranslationError(f"unbound variable {name}")
-            return env[name]
+            t = env[name]
         case lf.FApp(fn, arg) | lf.OApp(fn, arg):
-            return App(encode(sig, fn, env), encode(sig, arg, env))
+            t = App(_encode(sig, fn, env, memo), _encode(sig, arg, env, memo))
         case lf.OConst(name) | lf.FConst(name):
-            return Const(name, _const_type(sig, name))
+            t = Const(name, _const_type(sig, name))
         case lf.OLam(var, dom, body):
             ty = phi(dom)
             inner = dict(env)
             inner[var] = BVar(var, ty)
-            return Lam(var, ty, encode(sig, body, inner))
+            t = Lam(var, ty, _encode(sig, body, inner, {}))
         case lf.FPi():
             raise TranslationError("only base types have term encodings")
-    raise TranslationError(f"cannot encode {e!r}")
+        case _:
+            raise TranslationError(f"cannot encode {e!r}")
+    memo[id(e)] = t
+    return t
 
 
 # ---------------------------------------------------------------------------

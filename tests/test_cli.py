@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from lflp import cli, inverter, lf_kernel, lf_syntax as lf
+from lflp import cli, inverter, lf_kernel, lf_syntax as lf, translator
 from lflp.cli import main
 from lflp.engine import Limits, Solution, SolveRun, solve
 from lflp.lf_kernel import LFFuelError, check_object
@@ -700,6 +700,63 @@ def test_export_substitutions_grow_with_the_printed_inhabitant(monkeypatch):
     for name in ("_synth_obj", "invert"):
         assert calls16[name] <= 2.2 * calls8[name], (name, calls8, calls16)
         assert calls32[name] <= 2.2 * calls16[name], (name, calls16, calls32)
+
+
+# A declaration is checked and encoded as its parse shares.  The parser
+# builds equal subterms as one object, the kernel synthesizes each
+# distinct argument of a root context once, and the encoder encodes each
+# distinct subterm of one call once.  So the second list of `fact :
+# append nil L L.` costs what a constant in its place costs, and the
+# work grows with the list, 2x per doubling, where walking every
+# occurrence of an n-element list at the parent made the second copy
+# cost as much as the first.
+
+def _declaration_work(monkeypatch, n, last=None):
+    """(`_synth_obj` calls of `check_signature`, `_encode` calls of
+    `translate_signature`) on appendplus.elf and `fact : append nil L
+    <last>.`, L a ground n-element list and `last` L by default."""
+    items = _ground_list(n)
+    sig = lf.parse_signature((DATA / "appendplus.elf").read_text()
+                             + f"\nfact : append nil ({items}) ({last or items}).\n")
+    counts = []
+    for module, name, run in ((lf_kernel, "_synth_obj", lf_kernel.check_signature),
+                              (translator, "_encode", translate_signature)):
+        calls = [0]
+
+        def counted(*args, fn=getattr(module, name), calls=calls):
+            calls[0] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+        run(sig)
+        monkeypatch.undo()
+        counts.append(calls[0])
+    return tuple(counts)
+
+
+def test_a_repeated_subterm_is_checked_and_encoded_once(monkeypatch):
+    work100 = _declaration_work(monkeypatch, 100)
+    assert work100 == _declaration_work(monkeypatch, 100, "nil")
+    work200 = _declaration_work(monkeypatch, 200)
+    assert work200 == _declaration_work(monkeypatch, 200, "nil")
+    for small, large in zip(work100, work200):
+        assert large <= 2.2 * small, (work100, work200)
+
+
+# A type error in a subterm that occurs twice is reported as it was when
+# each occurrence was its own object: at the first occurrence, in the
+# same words.
+def test_an_error_in_a_repeated_subterm_keeps_its_text(capsys, tmp_path):
+    path = tmp_path / "bad.elf"
+    bad = "(cons (s z) (cons nil nil))"
+    path.write_text((DATA / "appendplus.elf").read_text()
+                    + f"\nfact : append nil {bad} {bad}.\n")
+    want = "error: [app-obj] nil has type list, expected nat (in declaration 'fact')\n"
+    assert run_cli(capsys, "check", str(path)) == (1, want, "")
+    assert run_cli(capsys, "translate", str(path)) == (1, "", want)
+    query = "append (cons (s nil) nil) (cons (s nil) nil) L"
+    assert run_cli(capsys, "solve", str(DATA / "appendplus.elf"), query) == (
+        2, "", "error: ill-formed query type: [app-obj] nil has type list, "
+        "expected nat\n")
 
 
 def test_check_reads_a_480_element_fact_in_process(tmp_path):

@@ -8,7 +8,7 @@ locals, nor two of one library module up to every name.  The term and
 formula node classes are immutable by rule: the library writes no field
 of a node, calls `object.__setattr__` nowhere and writes a signature's
 slots only in the methods of `Signature`, and no node instance has a
-dict.
+dict.  The parser builds every node it hash-conses through one helper.
 
 The checks read each file with the standard `ast` module, so they need
 no linter.  A name counts as used when the module mentions it anywhere
@@ -451,6 +451,64 @@ def test_library_writes_signature_slots_only_in_signature(tmp_path):
         "probe.py:19: self.clauses"]
     found = [line for path in LIBRARY for line in signature_slot_writes(path)]
     assert not found, "signature slots written:\n" + "\n".join(found)
+
+
+# The parser hash-conses: equal constant, variable and application nodes
+# of one parse are one object, which the kernel's and the encoder's
+# identity tables turn into work done once.  So no method of `_Parser`
+# but its interning helper `node` names those classes, except inside the
+# class argument of a call to the helper.
+INTERNED = frozenset(("OApp", "FApp", "OConst", "FConst", "OVar"))
+
+
+def unshared_node_builds(path: Path) -> list[str]:
+    """`file:line: name` for each mention of a class in `INTERNED` in a
+    method of the top-level class `_Parser` other than `node`, outside
+    the first argument of a `self.node(...)` call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "_Parser"):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "node":
+                continue
+            allowed = {id(n) for call in ast.walk(fn)
+                       if isinstance(call, ast.Call) and call.args
+                       and ast.unparse(call.func) == "self.node"
+                       for n in ast.walk(call.args[0])}
+            found += [f"{path.name}:{n.lineno}: {n.id}" for n in ast.walk(fn)
+                      if isinstance(n, ast.Name) and n.id in INTERNED
+                      and id(n) not in allowed]
+    return found
+
+
+_BUILDS = """\
+class _Parser:
+    def node(self, cls, a):
+        return OApp(a, a)
+
+    def atom(self, t):
+        app = OApp
+        x = self.node(OConst, "c")
+        y = self.node(OApp if t else FApp, x, [x])
+        return OVar("v"), app(x, y), self.node(FConst, OConst("d"))
+
+
+def build(a):
+    return OApp(a, a)
+"""
+
+
+def test_parser_builds_shared_nodes_only_through_its_helper(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(_BUILDS)
+    assert unshared_node_builds(probe) == [
+        "probe.py:6: OApp", "probe.py:9: OVar", "probe.py:9: OConst"]
+    path = ROOT / "src" / "lflp" / "lf_syntax.py"
+    assert "    def node(self" in path.read_text(encoding="utf-8")
+    found = unshared_node_builds(path)
+    assert not found, "nodes built past `_Parser.node`:\n" + "\n".join(found)
 
 
 class _Dicted:

@@ -1,5 +1,6 @@
 import re
 import shlex
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -405,9 +406,9 @@ def test_each_constant_is_looked_up_once_per_occurrence(monkeypatch):
 
 @pytest.mark.parametrize("text", ["[x:nat] s x", "[x:nat] cons x (cons x nil)"])
 def test_variable_is_typed_as_its_context_holds_it(monkeypatch, text):
-    # a context holds normal types, so once the memo holds the constants'
-    # classifiers the binder's domain is the one thing normalized, however
-    # often the variable occurs
+    # a context holds normal types, and the check of the binder's domain
+    # finds it normal, so once the memo holds the constants' classifiers
+    # nothing is normalized, however often the variable occurs
     sig = oracles.load_signature("append.elf")
     m = lf.parse_object(text)
     check_object(sig, {}, m)
@@ -419,7 +420,74 @@ def test_variable_is_typed_as_its_context_holds_it(monkeypatch, text):
 
     monkeypatch.setattr(lf_kernel, "beta_normalize", counted)
     check_object(sig, {}, m)
-    assert calls == [lf.FConst("nat")]
+    assert calls == []
+
+
+def test_a_binder_domain_is_normalized_only_when_it_holds_a_redex(monkeypatch):
+    # the redex argument is normalized where it is checked, and the
+    # domain that holds it where it is bound; the normal domain is not
+    sig = lf.parse_signature("nat : type. z : nat. p : nat -> type.")
+    m = lf.parse_object("[x:p (([y:nat] y) z)] [w:p z] x")
+    check_object(sig, {}, m)
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return beta_normalize(e)
+
+    monkeypatch.setattr(lf_kernel, "beta_normalize", counted)
+    assert str(check_object(sig, {}, m)) == "p z -> p z -> p z"
+    assert [str(e) for e in calls] == ["([y:nat] y) z", "p (([y:nat] y) z)"]
+
+
+def test_a_check_leaves_its_caller_s_context_as_it_was():
+    # a binder extends the caller's context in place, renamed apart from
+    # it, and takes itself out again whether the check returns or raises
+    sig = oracles.load_signature("append.elf")
+    nat, list_ = lf.FConst("nat"), lf.FConst("list")
+    ctx = {"N": nat, "L": list_}
+    good = lf.parse_query("append (cons (([N:nat] s N) N) L) L nil", sig)[1]
+    bad = lf.parse_query("append (cons (([N:nat] s L) N) L) L nil", sig)[1]
+    for judge, term, ok in [
+            (check_type, lf.FPi("L", list_, good), True),
+            (check_type, lf.FPi("L", list_, bad), False),
+            (check_object, lf.spine(good)[1][0], True),
+            (check_object, lf.spine(bad)[1][0], False)]:
+        if ok:
+            judge(sig, ctx, term)
+        else:
+            with pytest.raises(LFTypeError, match="has type list, expected nat"):
+                judge(sig, ctx, term)
+        assert list(ctx.items()) == [("N", nat), ("L", list_)]
+
+
+def test_600_nested_binders_check_under_the_default_recursion_limit():
+    # a binder rule checks its body in its own frame, so 600 nested Pi
+    # binders or lambdas take about 600 frames, not twice that; the
+    # checks run on a fresh thread, whose stack holds none of pytest's
+    # frames
+    n = 600
+    decls = "nat : type. z : nat. c : " + "".join(
+        f"{{x{i}:nat}} " for i in range(n)) + "nat."
+    lam = lf.OConst("z")
+    for i in reversed(range(n)):
+        lam = lf.OLam(f"x{i}", lf.FConst("nat"), lam)
+    results = []
+
+    def check():
+        sig = lf.parse_signature(decls)
+        check_signature(sig)
+        t = check_object(sig, {}, lam)
+        depth = 0
+        while isinstance(t, lf.FPi):
+            t, depth = t.body, depth + 1
+        results.append((depth, t))
+
+    worker = threading.Thread(target=check)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert results == [(n, lf.FConst("nat"))]
 
 
 def test_normal_form_of_redex_classifier_is_memoized():

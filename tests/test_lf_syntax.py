@@ -288,6 +288,41 @@ def test_parsing_valid_input_finds_no_position(name, monkeypatch):
     assert list(sig)
 
 
+def test_equal_applications_of_one_parse_are_one_object():
+    sig = lf.parse_signature(
+        "nat : type. z : nat. s : nat -> nat. le : nat -> nat -> type.\n"
+        "a : le (s (s z)) (s (s z)). b : {x:nat} le x (s (s z)).")
+    _, (first, second) = lf.spine(sig.lookup("a"))
+    _, (_, third) = lf.spine(sig.lookup("b").body)
+    assert first is second and second is third
+    # another parse builds its own nodes
+    again = lf.parse_object("s (s z)")
+    assert again == first and again is not first
+
+
+_REPEATS = ("nat : type. z : nat. s : nat -> nat. "
+            "le : nat -> nat -> type.\n")
+
+
+# an error in a subterm that occurs twice is found where it was when
+# each occurrence was its own object
+@pytest.mark.parametrize("text, want", [
+    # in both occurrences: the first is reported
+    (_REPEATS + "c : le (s (s type))\n  (s (s type)).",
+     ("2:14: expected an object", 2, 14)),
+    # in the second only
+    (_REPEATS + "c : le (s (s z))\n  (s (s z).",
+     ("3:11: expected ')', found '.'", 3, 11)),
+    # a declaration repeated token for token
+    (_REPEATS + "c : le (s z) (s z).\n  c : le (s z) (s z).",
+     ("3:3: duplicate declaration of 'c'", 3, 3)),
+])
+def test_errors_in_repeated_subterms_keep_their_positions(text, want):
+    # the parser shares the repeats, the two-pass oracle does not
+    for parse in (lf.parse_signature, oracles.two_pass_parse_signature):
+        assert _parsed(parse, text) == want
+
+
 def test_parse_object_arrow_error_is_at_the_arrow():
     want = ("1:8: expected an object", 1, 8)
     assert _parsed(lf.parse_object, "f type -> a") == want
