@@ -488,7 +488,7 @@ def _backchain(atom: Atom, db: _Database, univ: int, sigma: Subst,
     # the substitution, and the deferred pairs go to one unification
     # with the residuals.  Premises are instantiated by the caller, and
     # only for an alternative it takes.
-    args = [sigma.apply(a) for a in atom.args]
+    args = sigma.apply_all(atom.args)
     keys = [_key(term_spine(a)[0]) for a in args]
     candidates = _candidates(db, atom.pred, keys)
     once = _writable_vars(args, univ) if candidates else frozenset()

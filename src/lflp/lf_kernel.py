@@ -1,17 +1,18 @@
 """Substitution, normalization, conversion, and the LF judgments.
 
 Checking is algorithmic: the judgment rules are syntax-directed, so each
-check synthesizes a beta-normal classifier and compares against expected
-types using beta-eta-equality.  Conversion needs no types: two
-beta-normal forms are compared up to alpha, and when that fails, their
-eta-short forms are; on well-typed LF this agrees with comparing typed
-eta-long canonical forms.  A fuel bound, `_FUEL` beta steps, caps one
-normalization.  It bounds cost, not divergence: the rules refuse an
-ill-typed term before they normalize it, while a well-typed term may
-need more steps, as ``([y:t] y) d`` inside nine nested
-``([x:t] c x x x x) (...)`` does (about 4^9).  A caller that normalizes
-unchecked input, as `translate_query` does, meets Python's recursion
-limit on a diverging term long before the fuel runs out.
+check synthesizes a beta-normal classifier and compares it against the
+expected type, also held beta-normal, by `convertible`.  Conversion
+needs no types and normalizes nothing: two beta-normal forms are
+compared up to alpha, and when that fails, their eta-short forms are;
+on well-typed LF this agrees with comparing typed eta-long canonical
+forms.  A fuel bound, `_FUEL` beta steps, caps one normalization.  It
+bounds cost, not divergence: the rules refuse an ill-typed term before
+they normalize it, while a well-typed term may need more steps, as
+``([y:t] y) d`` inside nine nested ``([x:t] c x x x x) (...)`` does
+(about 4^9).  A caller that normalizes unchecked input, as
+`translate_query` does, meets Python's recursion limit on a diverging
+term long before the fuel runs out.
 
 A constant's classifier is normalized once per signature, by
 `normal_classifier`, and every rule reads it from there; which of its
@@ -28,11 +29,11 @@ in one loop over its spine: each Mi is checked against its binder's
 domain instantiated by M1 ... M(i-1), all held in one simultaneous map,
 and the target is instantiated once at the end.  Synthesis also reports
 whether the object is beta-normal, so each argument's normality is
-decided once, when it is checked, and an instantiation by normal
-arguments normalizes only when it puts a lambda in place.  An error
-message prints the classifiers the failed check already holds, so a
-binder renamed to avoid capture is printed with the name the one
-simultaneous map chose.
+decided once, when it is checked, and `instantiate_normal`, an
+instantiation by normal arguments, normalizes only when it changes its
+input and one of its values is a lambda.  An error message prints the
+classifiers the failed check already holds, so a binder renamed to
+avoid capture is printed with the name the one simultaneous map chose.
 
 `check_object` and `check_type` synthesize each argument object of
 their root context once, however often the object occurs: a table keyed
@@ -103,27 +104,18 @@ def substitute(e: Expr, bindings: Mapping[str, Obj]) -> Expr:
     """Capture-avoiding simultaneous substitution of objects for variables.
 
     The result may contain beta-redexes; callers normalize when needed.
+    A subterm that mentions no key is returned as it is.
     """
-    return _subst(e, bindings, {})
-
-
-def _subst(e: Expr, b: Mapping[str, Obj], placed: dict[int, Obj]) -> Expr:
-    # `placed` collects, by identity, every value put in place of a
-    # variable; a subterm that mentions no key is returned as it is
-    if not b:
+    if not bindings:
         return e
     match e:
         case KType() | FConst() | OConst():
             return e
         case OVar(name):
-            v = b.get(name)
-            if v is None:
-                return e
-            placed[id(v)] = v
-            return v
+            return bindings.get(name, e)
         case KPi(var, dom, body) | FPi(var, dom, body) | OLam(var, dom, body):
-            dom2 = _subst(dom, b, placed)
-            inner = {k: v for k, v in b.items()
+            dom2 = substitute(dom, bindings)
+            inner = {k: v for k, v in bindings.items()
                      if k != var and occurs_free(k, body)}
             if not inner:
                 return e if dom2 is dom else type(e)(var, dom2, body)
@@ -131,10 +123,10 @@ def _subst(e: Expr, b: Mapping[str, Obj], placed: dict[int, Obj]) -> Expr:
                 # the binder would capture a free name of a range
                 var, body = rename_apart(var, body, set(inner).union(
                     *map(free_vars, inner.values())))
-            return type(e)(var, dom2, _subst(body, inner, placed))
+            return type(e)(var, dom2, substitute(body, inner))
         case FApp(fn, arg) | OApp(fn, arg):
-            fn2 = _subst(fn, b, placed)
-            arg2 = _subst(arg, b, placed)
+            fn2 = substitute(fn, bindings)
+            arg2 = substitute(arg, bindings)
             if fn2 is fn and arg2 is arg:
                 return e
             return type(e)(fn2, arg2)
@@ -144,12 +136,12 @@ def _subst(e: Expr, b: Mapping[str, Obj], placed: dict[int, Obj]) -> Expr:
 def instantiate_normal(e: Expr, bindings: Mapping[str, Obj]) -> Expr:
     """`beta_normalize(substitute(e, bindings))` for a beta-normal `e` and
     beta-normal values: only a lambda put in place can make a redex, so
-    no value is walked to find out."""
-    placed: dict[int, Obj] = {}
-    e = _subst(e, bindings, placed)
-    if any(isinstance(v, OLam) for v in placed.values()):
-        return beta_normalize(e)
-    return e
+    the result is normalized only when it is not `e` itself and some
+    value is a lambda."""
+    out = substitute(e, bindings)
+    if out is not e and any(isinstance(v, OLam) for v in bindings.values()):
+        return beta_normalize(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +209,10 @@ def classifier_dependencies(sig: Signature, name: str,
 # ---------------------------------------------------------------------------
 # Conversion
 
-def beta_eta_equal(a: Expr, b: Expr) -> bool:
-    """Beta-eta-equality of well-typed expressions: their beta-normal
-    forms are alpha-equal, or else the eta-short forms of those are."""
-    a_n = beta_normalize(a)
-    b_n = beta_normalize(b)
-    return alpha_eq(a_n, b_n) or alpha_eq(_eta_short(a_n), _eta_short(b_n))
+def convertible(a: Expr, b: Expr) -> bool:
+    """Beta-eta-equality of well-typed beta-normal expressions: they are
+    alpha-equal, or else their eta-short forms are."""
+    return alpha_eq(a, b) or alpha_eq(_eta_short(a), _eta_short(b))
 
 
 def _eta_short(e: Expr) -> Expr:
@@ -319,10 +309,8 @@ def _synth_fam(sig: Signature, ctx: Context, a: Fam,
             return KType(), normal and dom is a.dom
         case FApp():
             head, args = spine(a)
-            k, normal = _synth_fam(sig, ctx, head, shared)
-            k, args_normal = _check_spine(sig, ctx, head, k, args, "app-fam",
-                                          shared)
-            return k, normal and args_normal
+            k, _ = _synth_fam(sig, ctx, head, shared)
+            return _check_spine(sig, ctx, head, k, args, "app-fam", shared)
     raise TypeError(f"not a type family: {a!r}")
 
 
@@ -332,7 +320,7 @@ def check_object(sig: Signature, ctx: Context, m: Obj,
     t, _ = _synth_obj(sig, ctx, m, {})
     if expected is not None and t != expected:
         want = beta_normalize(expected)
-        if not beta_eta_equal(t, want):
+        if not convertible(t, want):
             raise _mismatch(m, t, want, "app-obj")
     return t
 
@@ -365,10 +353,10 @@ def _synth_obj(sig: Signature, ctx: Context, m: Obj,
             return FPi(var, dom_n, bt), normal and dom_n is m.dom
         case OApp():
             head, args = spine(m)
-            ht, normal = _synth_obj(sig, ctx, head)
+            ht, _ = _synth_obj(sig, ctx, head)
             t, args_normal = _check_spine(sig, ctx, head, ht, args, "app-obj",
                                           shared)
-            return t, normal and args_normal and not isinstance(head, OLam)
+            return t, args_normal and not isinstance(head, OLam)
     raise TypeError(f"not an object: {m!r}")
 
 
@@ -396,7 +384,7 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
     # The application of `head`, of classifier `pi`, to `args`: each
     # argument is checked against its binder's domain instantiated by the
     # arguments before it, all held in one map, and the rest of `pi` is
-    # instantiated once at the end.  A non-normal argument is placed as
+    # instantiated once at the end.  A non-normal argument is held as
     # its normal form, so every instantiation may skip the normality
     # walk.  Only arguments whose binder the rest of `pi` mentions are
     # held: a constant head reads which from its signature's table, a
@@ -420,7 +408,7 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
                 shared[id(arg)] = (arg, t, arg_normal)
         else:
             _, t, arg_normal = known
-        if t != dom and not beta_eta_equal(t, dom):
+        if t != dom and not convertible(t, dom):
             raise _mismatch(arg, t, dom, rule)
         if not arg_normal:
             normal = False

@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
-from typing import Container, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Container, NamedTuple, Optional, Sequence, Union
 
 
 class LFError(Exception):
@@ -144,18 +144,12 @@ class KindDecl:
     name: str
     kind: Kind
 
-    def __str__(self) -> str:
-        return f"{self.name} : {print_lf(self.kind)}."
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class ObjDecl:
     """``c : A`` declaring an object constant."""
     name: str
     fam: Fam
-
-    def __str__(self) -> str:
-        return f"{self.name} : {print_lf(self.fam)}."
 
 
 Decl = Union[KindDecl, ObjDecl]
@@ -208,12 +202,6 @@ class Signature:
     def lookup(self, name: str) -> Optional[Union[Kind, Fam]]:
         i, a = self._index.get(name, (0, None))
         return a if i < self._limit else None
-
-    def __iter__(self) -> Iterator[Decl]:
-        return iter(self.decls)
-
-    def __str__(self) -> str:
-        return "\n".join(str(d) for d in self.decls)
 
 
 # A context maps each variable it binds to its type, beta-normal.  The
@@ -426,19 +414,17 @@ class _Parser:
     An elaboration error (a construct of the wrong category, a bound
     variable used as a type) is held in `err`, the first one wins, and is
     raised only once the declaration's syntax has been read.  Query free
-    variables are recognized when `free_ok` holds.
+    variables are recognized when the parser is given a signature.
 
     Every constant, variable and application node is built by `node`,
     which hash-conses it in `nodes`, the one table of the parse: equal
     subterms built of those nodes are one object.
     """
 
-    def __init__(self, toks: list[_Token], sig: Optional[Signature] = None,
-                 free_ok: bool = False):
+    def __init__(self, toks: list[_Token], sig: Optional[Signature] = None):
         self.toks = toks
         self.pos = 0
         self.sig = sig
-        self.free_ok = free_ok
         self.free_order: list[str] = []
         self.env: dict[str, str] = {}
         self.nodes: dict[tuple, Expr] = {}
@@ -580,8 +566,8 @@ class _Parser:
                 return self.node(FConst, name)
             if name in self.env:
                 return self.node(OVar, self.env[name])
-            if self.free_ok and name[0].isupper() and (
-                    self.sig is None or self.sig.lookup(name) is None):
+            if (self.sig is not None and name[0].isupper()
+                    and self.sig.lookup(name) is None):
                 if name not in self.free_order:
                     self.free_order.append(name)
                 return self.node(OVar, name)
@@ -633,15 +619,14 @@ def _end(parser: _Parser) -> None:
         raise parser.err
 
 
-def parse_query(text: str, sig: Optional[Signature] = None) -> tuple[tuple[str, ...], Fam]:
+def parse_query(text: str, sig: Signature) -> tuple[tuple[str, ...], Fam]:
     """Parse a query type.
 
     Capitalized identifiers not declared in `sig` are collected as free
     (existential) variables, returned in first-use order.  The body must be
-    a base type; when `sig` is given its head must be a declared type
-    constant.
+    a base type whose head is a type constant `sig` declares.
     """
-    parser = _Parser(tokenize(text), sig=sig, free_ok=True)
+    parser = _Parser(tokenize(text), sig=sig)
     fam = parser.expr(_TYPE)
     if parser.peek().kind == ".":
         parser.pos += 1
@@ -649,7 +634,7 @@ def parse_query(text: str, sig: Optional[Signature] = None) -> tuple[tuple[str, 
     head, _ = spine(fam)
     if not isinstance(head, FConst):
         raise LFSyntaxError("query must be a base type")
-    if sig is not None and not isinstance(sig.lookup(head.name), (KType, KPi)):
+    if not isinstance(sig.lookup(head.name), (KType, KPi)):
         raise LFSyntaxError(f"query head {head.name!r} is not a declared type constant")
     return tuple(parser.free_order), fam
 

@@ -33,6 +33,10 @@ signature.
 
 The emitter prints a Program in lambdaProlog concrete syntax; its
 literal mode shows each binder without a premise as ``pi X\\ (true => D)``.
+One renderer, `_render_term`, prints every term, at one frame of
+Python's stack per nested argument, so a clause nests as deep as the
+parser reads.  Before a clause is printed, one walk collects its lambda
+binder names; it visits a subterm the clause shares once, by identity.
 """
 
 from __future__ import annotations
@@ -328,9 +332,11 @@ _KEYWORDS = {"pi", "sigma", "type", "kind", "true", "o", "module", "sig"}
 
 
 def _render_term(t: Term, env: dict[str, str],
-                 rename: Callable[[str], str]) -> str:
-    """`t` in lambdaProlog syntax.  `env` maps bound names to their
-    printed names; `rename` names each lambda binder, outermost first."""
+                 rename: Callable[[str], str], arg: bool = False) -> str:
+    """`t` in lambdaProlog syntax, parenthesized when it is an argument
+    (`arg`) and an application or a lambda.  `env` maps bound names to
+    their printed names; `rename` names each lambda binder, outermost
+    first.  Each nested argument costs one frame of Python's stack."""
     match t:
         case BVar(name, _):
             return env.get(name, name)
@@ -343,18 +349,16 @@ def _render_term(t: Term, env: dict[str, str],
                 env[t.var] = name = rename(t.var)
                 binders.append(name)
                 t = t.body
-            return "\\ ".join(binders) + "\\ " + _render_term(t, env, rename)
+            s = "\\ ".join(binders) + "\\ " + _render_term(t, env, rename)
         case App():
             head, args = term_spine(t)
-            return " ".join([_render_term(head, env, rename)]
-                            + [_render_arg(a, env, rename) for a in args])
-    raise TranslationError(f"cannot emit {t!r}")
-
-
-def _render_arg(t: Term, env: dict[str, str],
-                rename: Callable[[str], str]) -> str:
-    s = _render_term(t, env, rename)
-    return f"({s})" if isinstance(t, (App, Lam)) else s
+            parts = [_render_term(head, env, rename)]
+            for a in args:
+                parts.append(_render_term(a, env, rename, True))
+            s = " ".join(parts)
+        case _:
+            raise TranslationError(f"cannot emit {t!r}")
+    return f"({s})" if arg else s
 
 
 def _render_clause(f: Formula, names: dict[str, bool],
@@ -376,8 +380,15 @@ def _render_clause(f: Formula, names: dict[str, bool],
     again on return (a dict pops its newest key first)."""
     size = len(names)
     stack: list = [f]
+    seen: set[int] = set()
     while stack:
-        match stack.pop():
+        g = stack.pop()
+        if id(g) in seen:
+            # a shared subterm binds the same lambda names wherever it
+            # occurs
+            continue
+        seen.add(id(g))
+        match g:
             case Imp(l, r) | App(l, r):
                 stack += (l, r)
             case ForAll(_, _, body):
@@ -405,7 +416,7 @@ def _render_clause(f: Formula, names: dict[str, bool],
     def go(g: Formula, env: dict[str, str]) -> str:
         match g:
             case Atom(pred, args):
-                return " ".join([pred] + [_render_arg(a, env, pick_lam)
+                return " ".join([pred] + [_render_term(a, env, pick_lam, True)
                                           for a in args])
             case Imp(left, right):
                 ls = go(left, env)

@@ -21,7 +21,7 @@ a level, so neither applies between them.
 A flexible variable gets bound by one of two rules.  The copy solves
 ``K x1..xn = t`` for a pattern ``K x1..xn`` and any ``t`` whose head is
 not ``K``, another pattern included: ``K := \\z1..zn. t'``, where ``t'``
-is ``t`` with each ``xi`` replaced by ``zi``.  Each logic variable
+is ``t`` with ``zi`` in place of each ``xi``.  Each logic variable
 ``M y1..ym`` met on the way is pruned to the arguments ``K`` can express,
 lowered to ``K``'s level, and raised over the ``xi`` it may mention
 itself, so a solution that reaches them through ``K``'s binders is not
@@ -30,13 +30,14 @@ the positions where ``xi`` and ``yi`` agree.
 
 Substitutions are immutable and triangular: extending one stores the
 binding as given, so a range may mention variables bound elsewhere in
-the map.  ``apply`` resolves such variables on demand and reduces the
-redexes a resolved lambda creates where they arise; every term the
-engine builds is beta-normal, and so is every applied term.  The
-occurs check keeps the map acyclic, so the resolution always ends.
-Within one call the map only grows, so a subterm resolved when the map
-had n bindings is still resolved while it has n: the arguments of a
-rigid-rigid split are queued with that count and not walked again.
+the map.  ``apply_all``, the one way to read terms through the map,
+resolves such variables on demand and reduces the redexes a resolved
+lambda creates where they arise; every term the engine builds is
+beta-normal, and so is every resolved term.  The occurs check keeps the
+map acyclic, so the resolution always ends.  Within one call the map
+only grows, so a subterm resolved when the map had n bindings is still
+resolved while it has n: the arguments of a rigid-rigid split are
+queued with that count and not walked again.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class Eq:
 
 
 class Subst:
-    """Triangular map from logic variables to terms."""
+    """Triangular map from logic variables to terms; `apply_all` is the
+    one way to read terms through it."""
 
     __slots__ = ("_m",)
 
@@ -69,19 +71,11 @@ class Subst:
     def __len__(self):
         return len(self._m)
 
-    def apply(self, t: Term) -> Term:
-        """The beta-normal `t` with every bound variable resolved.  Each
-        call resolves afresh; `apply_all` resolves terms that share
-        variables together."""
-        if not self._m:
-            return t
-        return self._walk(t, {})
-
     def apply_all(self, ts: Iterable[Term]) -> tuple[Term, ...]:
-        """`apply` of each of `ts` through one resolution memo: a variable
-        they share is resolved once, and each result holds the very
-        object it stands for, so the results share what their variables
-        share."""
+        """Each of the beta-normal `ts` with every bound variable
+        resolved, through one resolution memo: a variable they share is
+        resolved once, and each result holds the very object it stands
+        for, so the results share what their variables share."""
         if not self._m:
             return tuple(ts)
         memo: dict[LVar, Term] = {}
@@ -161,7 +155,7 @@ def unify(eqs: Iterable[Eq], subst: Optional[Subst] = None) -> UnifyResult:
             while work:
                 t, u, n = work.popleft()
                 if n != len(sigma):
-                    t, u = sigma.apply(t), sigma.apply(u)
+                    t, u = sigma.apply_all((t, u))
                 sigma = _step(sigma, t, u, work, residuals)
             if residuals and len(sigma) > progressed_len:
                 work.extend((eq.lhs, eq.rhs, -1) for eq in residuals)

@@ -41,7 +41,7 @@ from lflp.lf_syntax import (
     free_vars, fresh_name, obj_app, spine, split_fam_pis,
 )
 from lflp.lf_kernel import (
-    LFTypeError, beta_eta_equal, beta_normalize, check_signature,
+    LFTypeError, beta_normalize, check_signature, convertible,
     normal_classifier, print_brief, rename_apart, substitute,
 )
 from lflp.engine import (
@@ -64,6 +64,15 @@ def load_signature(name: str) -> lf.Signature:
     sig = lf.parse_signature((DATA / name).read_text())
     check_signature(sig)
     return sig
+
+
+def print_signature(sig: lf.Signature) -> str:
+    """The declarations of `sig` in concrete syntax, one a line; parsed
+    again, they declare the same constants at alpha-equal classifiers."""
+    return "\n".join(
+        f"{d.name} : "
+        f"{lf.print_lf(d.kind if isinstance(d, KindDecl) else d.fam)}."
+        for d in sig.decls)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +179,7 @@ def enumerate_objects(sig: lf.Signature, ctx: lf.Context, ty: lf.Fam,
     ty = beta_normalize(ty)
     if isinstance(ty, lf.FPi):
         var = ty.var
-        taken = ctx.keys() | {d.name for d in sig}
+        taken = ctx.keys() | {d.name for d in sig.decls}
         if var in taken:
             var = lf.fresh_name(var, taken)
         body_ty = beta_normalize(substitute(ty.body, {ty.var: lf.OVar(var)}))
@@ -181,7 +190,7 @@ def enumerate_objects(sig: lf.Signature, ctx: lf.Context, ty: lf.Fam,
     heads: list[tuple[lf.Obj, lf.Fam]] = []
     for name, fam in ctx.items():
         heads.append((lf.OVar(name), fam))
-    for decl in sig:
+    for decl in sig.decls:
         if isinstance(decl, lf.ObjDecl):
             heads.append((lf.OConst(decl.name), decl.fam))
     for head, fam in heads:
@@ -219,7 +228,7 @@ ROUND_TRIP_TYPES = [
 def parse_type(sig: lf.Signature, text: str) -> lf.Fam:
     """Parse a closed type expression, Pi types included."""
     if text.lstrip().startswith("{"):
-        ext = lf.parse_signature(str(sig) + "\n_q : " + text + ".")
+        ext = lf.parse_signature(print_signature(sig) + "\n_q : " + text + ".")
         return ext.lookup("_q")
     _, fam = lf.parse_query(text, sig)
     return fam
@@ -592,7 +601,7 @@ def _ref_backchain(atom, clauses, univ, sigma, residuals, budget, state):
     # Out of budget, the loop only finds out whether some clause could
     # still engage, so exhaustion is distinguishable from finite failure.
     arity = len(atom.args)
-    keys = [_key(term_spine(sigma.apply(a))[0]) for a in atom.args]
+    keys = [_key(term_spine(a)[0]) for a in sigma.apply_all(atom.args)]
     for clause in clauses:
         if clause.pred != atom.pred or len(clause.keys) != arity:
             continue
@@ -663,7 +672,7 @@ def has_unifier_bruteforce(lhs: Term, rhs: Term, heads: list[Term],
     pools = [gen_terms(v.ty, heads, depth) for v in lvars]
     for combo in itertools.product(*pools):
         sub = Subst(dict(zip(lvars, combo)))
-        if alpha_eq_term(sub.apply(lhs), sub.apply(rhs)):
+        if alpha_eq_term(*sub.apply_all((lhs, rhs))):
             return True
     return False
 
@@ -1194,7 +1203,7 @@ def ref_check_object(sig: Signature, ctx: Context, m: Obj,
     t = _ref_synth_obj(sig, ctx, m)
     if expected is not None and t != expected:
         want = beta_normalize(expected)
-        if not beta_eta_equal(t, want):
+        if not convertible(t, want):
             raise LFTypeError(f"{print_brief(m)} has type {t}, expected {want}",
                               rule=rule)
     return t
@@ -1479,8 +1488,8 @@ def validate_solution(program: Program, goal: Formula, sol: Solution,
               for v in lvars_in_order(t for _, t in sol.bindings)}
 
     def inst(t: Term) -> Term:
-        t = binding.apply(t)
-        return Subst(dict(frozen)).apply(t) if frozen else t
+        t = binding.apply_all((t,))[0]
+        return Subst(dict(frozen)).apply_all((t,))[0] if frozen else t
 
     g = map_formula_terms(goal, inst)
     bound = sol.backchains + extra_depth

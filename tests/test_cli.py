@@ -262,7 +262,7 @@ def test_solve_translates_only_the_families_the_query_reaches(
                               "inhabitant: plusS z (s z) (s z) (plusZ (s z))\n")
     [((view, got_mode), kw)] = calls
     assert (got_mode, kw) == (mode, {})
-    assert [d.name for d in view] == names
+    assert [d.name for d in view.decls] == names
 
 
 def test_solve_answer_that_cannot_be_inverted_exits_2(capsys, monkeypatch):
@@ -652,7 +652,7 @@ def test_front_end_scales_to_benchmark_inputs(capsys, tmp_path, make, decls,
 # where walking every occurrence grows about 4x.  Each spine is also
 # typed in one loop, so the substitution work grows with the printed
 # inhabitant, not faster: typed one argument at a time (the rule
-# `oracles.ref_check_object` keeps), the 8+8 export made 3449 `_subst`
+# `oracles.ref_check_object` keeps), the 8+8 export made 3449 `substitute`
 # calls and the 16+16 one 11353.
 
 def _lf_nodes(m):
@@ -666,7 +666,7 @@ def _lf_nodes(m):
 
 # the functions `_export_work` counts calls of, recursive calls included;
 # `cli` holds its own reference to `invert`
-_EXPORT_COUNTED = [(lf_kernel, "_subst"), (lf_kernel, "_synth_obj"),
+_EXPORT_COUNTED = [(lf_kernel, "substitute"), (lf_kernel, "_synth_obj"),
                    (inverter, "invert"), (cli, "invert")]
 
 
@@ -695,8 +695,8 @@ def _export_work(monkeypatch, n):
 def test_export_substitutions_grow_with_the_printed_inhabitant(monkeypatch):
     (calls8, nodes8), (calls16, nodes16), (calls32, _) = (
         _export_work(monkeypatch, n) for n in (8, 16, 32))
-    assert calls8["_subst"] <= 1300
-    assert calls16["_subst"] / nodes16 <= calls8["_subst"] / nodes8
+    assert calls8["substitute"] <= 1300
+    assert calls16["substitute"] / nodes16 <= calls8["substitute"] / nodes8
     for name in ("_synth_obj", "invert"):
         assert calls16[name] <= 2.2 * calls8[name], (name, calls8, calls16)
         assert calls32[name] <= 2.2 * calls16[name], (name, calls16, calls32)
@@ -778,6 +778,29 @@ def test_check_reads_a_480_element_fact_in_process(tmp_path):
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert (result, out.getvalue()) == ([0], "ok: 13 declarations\n")
+
+
+def test_translate_emits_a_450_element_fact_in_process(tmp_path):
+    # The emitter prints a nested argument in one Python frame, so the
+    # 451-level fact reads, checks and prints under the default recursion
+    # limit, on a fresh thread as above.
+    items = lf.print_lf(lf.parse_object(_ground_list(450)))
+    path = tmp_path / "long.elf"
+    path.write_text(_long_fact_signature(450))
+    result = []
+    out = io.StringIO()
+
+    def translate():
+        with contextlib.redirect_stdout(out):
+            result.append(main(["translate", str(path)]))
+
+    worker = threading.Thread(target=translate)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert result == [0]
+    assert out.getvalue().splitlines()[-1] == (
+        f"hastype fact (append nil ({items}) ({items})).")
 
 
 def test_solve_exports_a_320_element_answer_in_process():

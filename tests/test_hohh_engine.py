@@ -707,7 +707,7 @@ def test_query_reaches_only_its_families(sigfile, qtext, mode, names):
     sig = oracles.load_signature(sigfile)
     free, fam = lf.parse_query(qtext, sig)
     view = reachable_signature(sig, translate_query(sig, free, fam).goal, mode)
-    assert [d.name for d in view] == names
+    assert [d.name for d in view.decls] == names
     assert all(view.lookup(d.name) is d.fam
                for d in sig.decls if isinstance(d, lf.ObjDecl))
 

@@ -30,7 +30,7 @@ def cons(a, b):
 
 def _unifies(res, lhs, rhs):
     return (res.status == "ok"
-            and alpha_eq_term(res.subst.apply(lhs), res.subst.apply(rhs)))
+            and alpha_eq_term(*res.subst.apply_all((lhs, rhs))))
 
 
 # --- first order ----------------------------------------------------------
@@ -41,9 +41,9 @@ def test_append_style_head_match():
     head = mk_app(APPEND, [cons(x, l), k, cons(x, m)])
     res = unify_one(query, head)
     assert _unifies(res, query, head)
-    assert res.subst.apply(x) == Z
-    assert res.subst.apply(l) == NIL
-    assert res.subst.apply(k) == NIL
+    assert res.subst.apply_all((x,))[0] == Z
+    assert res.subst.apply_all((l,))[0] == NIL
+    assert res.subst.apply_all((k,))[0] == NIL
 
 
 def test_rigid_rigid():
@@ -66,7 +66,7 @@ def test_imitation_and_projection():
     lhs, rhs = App(f, e), s(App(g, e))
     res = unify_one(lhs, rhs)
     assert _unifies(res, lhs, rhs)
-    solved = res.subst.apply(f)
+    solved = res.subst.apply_all((f,))[0]
     assert isinstance(solved, Lam)
     assert solved.body.fn == S  # F x = s (G' x) for some G'
 
@@ -77,7 +77,7 @@ def test_pruning_drops_too_new_eigenvar():
     e = fresh_evar("e", OBJ)  # younger than X
     res = unify_one(x, cons(Z, App(y, e)))
     assert res.status == "ok"
-    assert not evars_of(res.subst.apply(x))
+    assert not evars_of(res.subst.apply_all((x,))[0])
 
 
 def test_rigid_occurrence_of_too_new_eigenvar_fails():
@@ -91,7 +91,7 @@ def test_old_eigenvar_is_fine():
     x = fresh_lvar("X", OBJ)  # younger than e
     res = unify_one(x, s(e))
     assert res.status == "ok"
-    assert res.subst.apply(x) == s(e)
+    assert res.subst.apply_all((x,))[0] == s(e)
 
 
 def test_pruning_one_variable_twice_keeps_its_copies_joined():
@@ -101,7 +101,7 @@ def test_pruning_one_variable_twice_keeps_its_copies_joined():
     rhs = mk_app(CONS, [App(m, e), App(m, e)])
     res = unify_one(k, rhs)
     assert res.status == "ok"
-    _, (first, second) = term_spine(res.subst.apply(k))
+    _, (first, second) = term_spine(res.subst.apply_all((k,))[0])
     assert first == second
     assert not evars_of(first)
 
@@ -114,12 +114,12 @@ def test_flex_flex_same_variable():
     res = unify_one(lhs, rhs)
     assert _unifies(res, lhs, rhs)
     # the disagreeing positions are gone: X ignores both arguments
-    solved = res.subst.apply(mk_app(x, [a, b]))
+    solved = res.subst.apply_all((mk_app(x, [a, b]),))[0]
     assert not evars_of(solved)
     assert isinstance(solved, LVar) and solved.ty == OBJ
     c = fresh_evar("c", OBJ)
     res = unify_one(mk_app(y, [a, b, c]), mk_app(y, [b, a, c]))
-    head, args = term_spine(res.subst.apply(mk_app(y, [a, b, c])))
+    head, args = term_spine(res.subst.apply_all((mk_app(y, [a, b, c]),))[0])
     assert isinstance(head, LVar) and args == [c]
 
 
@@ -231,7 +231,7 @@ def test_flex_flex_distinct_heads_is_most_general(problem):
         assert unify_one(v, val, res.subst).status == "ok"
     for kval, mval in _projection_unifiers(k, kargs, m, margs):
         ground = Subst().extend(k, kval).extend(m, mval)
-        assert alpha_eq_term(ground.apply(lhs), ground.apply(rhs))
+        assert alpha_eq_term(*ground.apply_all((lhs, rhs)))
         assert unify([Eq(k, kval), Eq(m, mval)], res.subst).status == "ok"
 
 # --- residuals ------------------------------------------------------------
@@ -269,7 +269,7 @@ def test_flexible_occurrence_of_too_new_eigenvar_is_residual():
     assert len(res.subst) == 0
     res = unify([eq, Eq(m, _fn(1, Z))])
     assert _unifies(res, eq.lhs, eq.rhs)
-    assert res.subst.apply(k) == s(Z)
+    assert res.subst.apply_all((k,))[0] == s(Z)
 
 
 def test_flexible_occurrence_of_the_variable_itself_is_residual():
@@ -294,15 +294,15 @@ def test_non_pattern_under_copy_is_copied_and_its_head_lowered():
     k = fresh_lvar("K", OBJ)
     res = unify_one(k, s(App(older, Z)))
     assert (res.status, len(res.subst)) == ("ok", 1)
-    assert res.subst.apply(k) == s(App(older, Z))
+    assert res.subst.apply_all((k,))[0] == s(App(older, Z))
     e = fresh_evar("e", OBJ)
     m = fresh_lvar("M", arrow([OBJ], OBJ))
     lhs, rhs = k, s(App(m, Z))
     res = unify_one(lhs, rhs)
     assert _unifies(res, lhs, rhs)
-    lowered = res.subst.apply(m)
+    lowered = res.subst.apply_all((m,))[0]
     assert isinstance(lowered, LVar) and lowered.level == k.level < e.level
-    assert res.subst.apply(k) == s(App(lowered, Z))
+    assert res.subst.apply_all((k,))[0] == s(App(lowered, Z))
     assert unify_one(m, _fn(1, e), res.subst).status == "fail"
     assert unify_one(m, _fn(1, 0), res.subst).status == "ok"
 
@@ -318,7 +318,7 @@ def test_copy_renames_a_binder_spelled_like_its_own():
     w = BVar(f"z{fresh_level() + 1}", OBJ)
     res = unify_one(App(k, e), App(c, Lam(w.name, OBJ, mk_app(g, [e, w]))))
     assert res.status == "ok"
-    got = beta_norm(App(res.subst.apply(k), a))
+    got = beta_norm(App(res.subst.apply_all((k,))[0], a))
     assert alpha_eq_term(got, App(c, Lam(w.name, OBJ, mk_app(g, [a, w]))))
 
 
@@ -336,7 +336,7 @@ def test_residual_retried_after_substitution_grows():
     x = fresh_lvar("X", OBJ)
     res = unify([Eq(App(f, x), s(Z)), Eq(x, e)])
     assert res.status == "ok"
-    assert alpha_eq_term(res.subst.apply(App(f, x)), s(Z))
+    assert alpha_eq_term(res.subst.apply_all((App(f, x),))[0], s(Z))
 
 
 # --- soundness against brute force ----------------------------------------
@@ -364,15 +364,15 @@ def test_subst_stays_idempotent():
     x = fresh_lvar("X", OBJ)
     y = fresh_lvar("Y", OBJ)
     sub = Subst().extend(x, s(y)).extend(y, Z)
-    assert sub.apply(x) == s(Z)  # y's binding resolved on apply
-    assert sub.apply(sub.apply(x)) == sub.apply(x)
+    assert sub.apply_all((x,))[0] == s(Z)  # y's binding resolved by apply_all
+    assert sub.apply_all(sub.apply_all((x,)))[0] == sub.apply_all((x,))[0]
 
 
 def test_extend_applies_existing_bindings_to_new_range():
     x = fresh_lvar("X", OBJ)
     y = fresh_lvar("Y", OBJ)
     sub = Subst().extend(y, Z).extend(x, cons(y, NIL))
-    assert sub.apply(x) == cons(Z, NIL)
+    assert sub.apply_all((x,))[0] == cons(Z, NIL)
 
 
 def test_long_variable_chain_resolves_without_recursion():
@@ -380,8 +380,8 @@ def test_long_variable_chain_resolves_without_recursion():
     links = dict(zip(xs, xs[1:]))
     links[xs[-1]] = Z
     sub = Subst(links)
-    assert sub.apply(xs[0]) == Z
-    assert sub.apply(cons(xs[0], xs[5000])) == cons(Z, Z)
+    assert sub.apply_all((xs[0],))[0] == Z
+    assert sub.apply_all((cons(xs[0], xs[5000]),))[0] == cons(Z, Z)
 
 
 # --- triangular against eager folding -------------------------------------
@@ -435,7 +435,7 @@ def test_triangular_subst_agrees_with_eager_folding(steps, query):
             continue
         raw[v] = t
         tri, eager = tri.extend(v, t), eager.extend(v, t)
-    assert alpha_eq_term(tri.apply(query), eager.apply(query))
+    assert alpha_eq_term(tri.apply_all((query,))[0], eager.apply(query))
     for v in OBJ_VARS + FUN_VARS:
         # an unbound variable applies to itself, a bound one never does
-        assert alpha_eq_term(tri.apply(v), eager.apply(v))
+        assert alpha_eq_term(tri.apply_all((v,))[0], eager.apply(v))

@@ -9,6 +9,8 @@ formula node classes are immutable by rule: the library writes no field
 of a node, calls `object.__setattr__` nowhere and writes a signature's
 slots only in the methods of `Signature`, and no node instance has a
 dict.  The parser builds every node it hash-conses through one helper.
+Every target the benchmark's tracer wraps names a library callable,
+but for the one known to be gone.
 
 The checks read each file with the standard `ast` module, so they need
 no linter.  A name counts as used when the module mentions it anywhere
@@ -16,6 +18,7 @@ outside the import itself, annotations included.
 """
 
 import ast
+import importlib
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -530,3 +533,51 @@ def test_node_instances_have_no_dict():
     dicted = [c.__name__ for c in NODE_CLASSES
               if hasattr(c(*[None] * len(fields(c))), "__dict__")]
     assert not dicted, "node classes with an instance dict: " + ", ".join(dicted)
+
+
+# The benchmark's tracer wraps library callables it names as
+# `(module, attribute)` pairs; a rename in the library leaves such a
+# span silently unrecorded.  `translator.strict_in_type` is known gone.
+TRACING = ROOT / "perfbench" / "tracing.py"
+GONE_TRACE_TARGETS = ["lflp.translator.strict_in_type"]
+
+
+def trace_targets(path: Path) -> list[tuple[str, str]]:
+    """The `(module, attribute)` pairs of the `TARGETS` list in `path`,
+    read with `ast`, so the benchmark package is never imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign)
+                and [ast.unparse(t) for t in stmt.targets] == ["TARGETS"]):
+            return [(ast.literal_eval(e.elts[0]), ast.literal_eval(e.elts[1]))
+                    for e in stmt.value.elts]
+    raise AssertionError(f"no TARGETS list in {path}")
+
+
+def missing_trace_targets(pairs: list[tuple[str, str]]) -> list[str]:
+    """`module.attribute` for each pair that names no callable defined
+    in the library."""
+    missing = []
+    for module, attribute in pairs:
+        obj = (importlib.import_module(module)
+               if module.split(".")[0] == "lflp" else None)
+        for part in attribute.split("."):
+            obj = getattr(obj, part, None)
+        if not (callable(obj)
+                and getattr(obj, "__module__", "").startswith("lflp.")):
+            missing.append(f"{module}.{attribute}")
+    return missing
+
+
+def test_every_trace_target_names_a_library_callable():
+    # a method, a missing method or name, a constant, a callable the
+    # library imports from the standard library, a module outside it
+    assert missing_trace_targets([
+        ("lflp.unify", "Subst.extend"), ("lflp.unify", "Subst.gone"),
+        ("lflp.cli", "gone"), ("lflp.engine", "_LEVEL_CAP"),
+        ("lflp.engine", "dataclass"), ("os", "getcwd"),
+    ]) == ["lflp.unify.Subst.gone", "lflp.cli.gone", "lflp.engine._LEVEL_CAP",
+           "lflp.engine.dataclass", "os.getcwd"]
+    targets = trace_targets(TRACING)
+    assert ("lflp.cli", "solve") in targets
+    assert missing_trace_targets(targets) == GONE_TRACE_TARGETS

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from lflp import lf_kernel, lf_syntax as lf
 from lflp.lf_kernel import (
-    LFTypeError, beta_eta_equal, beta_normalize, check_object,
-    check_signature, check_type, classifier_dependencies, instantiate_normal,
+    LFTypeError, beta_normalize, check_object, check_signature, check_type,
+    classifier_dependencies, convertible, instantiate_normal,
     normal_classifier, substitute,
 )
 
@@ -21,7 +21,8 @@ def _parse_obj(text):
 
 def _parse_fam(text, sig):
     if text.lstrip().startswith("{"):
-        ext = lf.parse_signature(str(sig) + "\n_q : " + text + ".")
+        ext = lf.parse_signature(oracles.print_signature(sig) + "\n_q : "
+                                 + text + ".")
         return ext.lookup("_q")
     _, fam = lf.parse_query(text, sig)
     return fam
@@ -153,9 +154,9 @@ def test_beta_agrees_with_small_step_oracle(m):
 
 def _assert_conversion(short, long, changed):
     short, long, changed = (_parse_obj(t) for t in (short, long, changed))
-    assert beta_eta_equal(short, long) and beta_eta_equal(long, short)
-    assert not beta_eta_equal(short, changed)
-    assert not beta_eta_equal(long, changed)
+    assert convertible(short, long) and convertible(long, short)
+    assert not convertible(short, changed)
+    assert not convertible(long, changed)
 
 
 def test_canonicalize_eta_expands_bare_constant():
@@ -179,7 +180,7 @@ def test_canonicalize_identifies_eta_pair():
     a = oracles.canonicalize(sig, {}, lf.OConst("s"), ty)
     b = oracles.canonicalize(sig, {}, eta, ty)
     assert lf.alpha_eq(a, b)
-    assert beta_eta_equal(lf.OConst("s"), eta) and beta_eta_equal(eta, lf.OConst("s"))
+    assert convertible(lf.OConst("s"), eta) and convertible(eta, lf.OConst("s"))
 
 
 def test_canonicalize_idempotent_on_corpus():
@@ -193,7 +194,8 @@ def test_canonicalize_idempotent_on_corpus():
              "[l:list] appNil2 l"),
             ("z", "nat", "z", "one")]:
         decls = "t : " + ty_text + "."
-        ty = lf.parse_signature(str(sig) + " " + decls).lookup("t")
+        ty = lf.parse_signature(oracles.print_signature(sig) + " "
+                                + decls).lookup("t")
         once = oracles.canonicalize(sig, {}, _parse_obj(text), ty)
         twice = oracles.canonicalize(sig, {}, once, ty)
         assert lf.alpha_eq(once, twice)
@@ -256,7 +258,7 @@ def _canon(e, ty=None):
 
 
 def _assert_agrees(a, b, ty=None):
-    assert beta_eta_equal(a, b) == lf.alpha_eq(_canon(a, ty), _canon(b, ty))
+    assert convertible(a, b) == lf.alpha_eq(_canon(a, ty), _canon(b, ty))
 
 
 def test_conversion_contracts_only_eta_redexes():
@@ -266,7 +268,7 @@ def test_conversion_contracts_only_eta_redexes():
     inner = lf.OLam("x", nat, lf.obj_app(g, [x, x]))
     a = lf.OLam("x", nat, lf.OApp(h, inner))
     b = lf.OLam("x", nat, lf.OApp(h, lf.OApp(g, x)))
-    assert not beta_eta_equal(a, b)
+    assert not convertible(a, b)
     assert not lf.alpha_eq(_canon(a, _lf_ty(_F1)), _canon(b, _lf_ty(_F1)))
 
 
@@ -282,7 +284,7 @@ def test_conversion_agrees_with_typed_canonical_forms(case):
     for x in (m, n):
         check_object(_HO_SIG, {}, x, ty)
     long = _canon(m, ty)
-    assert beta_eta_equal(m, long)
+    assert convertible(m, long)
     for a, b in [(m, long), (m, n), (long, n)]:
         _assert_agrees(a, b, ty)
 
@@ -359,7 +361,7 @@ def test_kernel_rejects_a_duplicate_declaration():
 
 def test_prefix_hides_later_declarations():
     sig = oracles.load_signature("append.elf")
-    n = [d.name for d in sig].index("append")
+    n = [d.name for d in sig.decls].index("append")
     assert sig.prefix(n).lookup("append") is None
     assert sig.prefix(n + 1).lookup("append") is sig.lookup("append")
     assert normal_classifier(sig.prefix(n), "append") is None
@@ -438,6 +440,47 @@ def test_a_binder_domain_is_normalized_only_when_it_holds_a_redex(monkeypatch):
     monkeypatch.setattr(lf_kernel, "beta_normalize", counted)
     assert str(check_object(sig, {}, m)) == "p z -> p z -> p z"
     assert [str(e) for e in calls] == ["([y:nat] y) z", "p (([y:nat] y) z)"]
+
+
+def test_an_alpha_variant_argument_type_is_compared_without_normalizing(
+        monkeypatch):
+    # g's type {y:a} b y is q's domain {x:a} b x up to its binder's name,
+    # so the two differ as objects and the spine compares them; both are
+    # normal already, so once the memo holds the constants' classifiers,
+    # checking t's type normalizes nothing
+    sig = lf.parse_signature("a : type. b : a -> type. "
+                             "q : ({x:a} b x) -> type. g : {y:a} b y. t : q g.")
+    check_signature(sig)
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return beta_normalize(e)
+
+    monkeypatch.setattr(lf_kernel, "beta_normalize", counted)
+    assert check_type(sig, {}, sig.lookup("t")) == lf.KType()
+    assert calls == []
+
+
+def test_a_lambda_argument_normalizes_only_what_mentions_it(monkeypatch):
+    # f := [w:nat] w is held for the target, which mentions f, so the
+    # target is normalized; the domains of x and y do not mention f and
+    # are not, and the lambda's type {w:nat} nat meets f's domain
+    # nat -> nat, an alpha-variant, without a normalization
+    sig = lf.parse_signature("nat : type. z : nat. p : nat -> type. "
+                             "c : {f:nat -> nat} {x:nat} {y:nat} p (f y).")
+    check_signature(sig)
+    m = lf.parse_object("c ([w:nat] w) z z")
+    check_object(sig, {}, m)
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return beta_normalize(e)
+
+    monkeypatch.setattr(lf_kernel, "beta_normalize", counted)
+    assert str(check_object(sig, {}, m)) == "p z"
+    assert [str(e) for e in calls] == ["p (([w:nat] w) z)"]
 
 
 def test_a_check_leaves_its_caller_s_context_as_it_was():
@@ -586,7 +629,7 @@ def test_synthesis_deterministic():
 
 
 def test_beta_eta_equality_collapses_eta_expansion():
-    assert beta_eta_equal(_parse_obj("[x:nat] s x"), lf.OConst("s"))
+    assert convertible(_parse_obj("[x:nat] s x"), lf.OConst("s"))
 
 
 # --- the spine loop against one argument at a time -------------------------

@@ -5,8 +5,8 @@ import pytest
 from lflp import lf_syntax as lf
 from lflp.engine import Limits, solve
 from lflp.hterms import (
-    LF_OBJ, LF_TYPE, App, Atom, BVar, Const, ForAll, Imp, Lam, Top, arrow,
-    beta_norm, mk_app, term_spine,
+    LF_OBJ, LF_TYPE, App, Atom, BVar, Const, ForAll, Imp, Lam, Program, Top,
+    arrow, beta_norm, mk_app, term_spine,
 )
 from lflp.lf_kernel import substitute
 from lflp.translator import (
@@ -105,7 +105,8 @@ def test_encode_commutes_with_substitution():
             x = fresh_lvar("x", OBJ)
             open_enc = encode(sig, m, {"x": x})
             closed = encode(sig, substitute(m, {"x": n}), {})
-            via_hohh = Subst().extend(x, encode(sig, n, {})).apply(open_enc)
+            via_hohh = Subst().extend(x, encode(sig, n, {})).apply_all(
+                (open_enc,))[0]
             assert alpha_eq_term(beta_norm(via_hohh), closed)
             checked += 1
     assert checked >= 50
@@ -260,7 +261,8 @@ def test_one_clause_per_object_declaration_of_a_signature_or_view(name, mode):
         prog = translate_signature(view, mode)
         objs = [d.name for d in view.decls if isinstance(d, lf.ObjDecl)]
         assert [_head_constant(c) for c in prog.clauses] == objs
-        assert [n for n, _ in prog.xi] == ["hastype"] + [d.name for d in view]
+        assert [n for n, _ in prog.xi] == ["hastype"] + [
+            d.name for d in view.decls]
         # a constant's clause is translated once per signature and mode,
         # and the program holds the very clause the table caches
         assert all(c is first[n] is sig.clauses[n, mode]
@@ -338,6 +340,53 @@ def test_emitted_binders_avoid_constants_keywords_and_each_other(mode, want):
     # the lambda named `pi` becomes `pi1`.
     prog = translate_signature(oracles.load_signature("clash.elf"), mode=mode)
     assert emit_lambdaprolog(prog).splitlines()[-2:] == want
+
+
+def _shared(t, table):
+    """`t` with equal subterms built as one object, held in `table`."""
+    match t:
+        case App(fn, arg):
+            t = App(_shared(fn, table), _shared(arg, table))
+        case Lam(var, ty, body):
+            t = Lam(var, ty, _shared(body, table))
+    return table.setdefault(t, t)
+
+
+def _unshared(t):
+    """A copy of `t` with a new object at every occurrence."""
+    match t:
+        case App(fn, arg):
+            return App(_unshared(fn), _unshared(arg))
+        case Lam(var, ty, body):
+            return Lam(var, ty, _unshared(body))
+        case BVar(name, ty):
+            return BVar(name, ty)
+        case Const(name, ty):
+            return Const(name, ty)
+    raise AssertionError(t)
+
+
+def test_a_shared_clause_prints_as_its_unshared_copy():
+    # The lambda `[z:nat] s z` occurs twice under `s (f ...)`; its binder
+    # is also a constant's name, so each occurrence is renamed on print.
+    sig = lf.parse_signature(
+        "nat : type. z : nat. s : nat -> nat. f : (nat -> nat) -> nat. "
+        "p : nat -> nat -> type. "
+        "c : {y:nat} p (s (f ([z:nat] s z))) (s (f ([z:nat] s z))).")
+    prog = translate_signature(sig)
+    table = {}
+    shared = oracles.map_formula_terms(prog.clauses[-1],
+                                       lambda t: _shared(t, table))
+    copy = oracles.map_formula_terms(prog.clauses[-1], _unshared)
+    _, (left, right) = term_spine(shared.body.right.args[1])
+    assert left is right
+    _, (left, right) = term_spine(copy.body.right.args[1])
+    assert left is not right and left == right
+    want = "pi Y\\ (hastype Y nat => hastype (c Y) " \
+           "(p (s (f (z1\\ s z1))) (s (f (z2\\ s z2)))))."
+    for clause in (shared, copy):
+        text = emit_lambdaprolog(Program(prog.xi, (clause,)))
+        assert text.splitlines()[-1] == want
 
 
 def test_split_emission_carries_module_header():
