@@ -176,19 +176,20 @@ class _Clause(NamedTuple):
     subterm fills it.  Names suffice: the parser keeps binder names
     distinct along every scope path, so the quantifier prefix never
     repeats a name, and slot values are closed terms, so no binder of
-    the clause captures a name of one.  ``keys`` has one entry per head
-    argument: the name of the argument's rigid head (a constant or an
-    eigenvariable), or None when the head is a slot, a logic variable
-    or a lambda, which any goal argument may match; the last one files
-    the clause in the database.  ``pred`` is None for a formula that is
-    not a definite clause.  ``writable`` says that the head mentions no
-    logic variable (every program clause, and a hypothesis built from
-    eigenvariables alone): an instance of its subterms then mentions
-    only goal subterms and fresh variables, so a goal variable that
-    occurs once may be bound to one directly, in write mode."""
+    the clause captures a name of one.  ``key`` files the clause in the
+    database: the name of the rigid head (a constant or an
+    eigenvariable) of its last head argument, or None when that head is
+    a slot, a logic variable or a lambda, which any goal argument may
+    match, or when the head has no argument.  ``pred`` is None for a
+    formula that is not a definite clause.  ``writable`` says that the
+    head mentions no logic variable (every program clause, and a
+    hypothesis built from eigenvariables alone): an instance of its
+    subterms then mentions only goal subterms and fresh variables, so a
+    goal variable that occurs once may be bound to one directly, in
+    write mode."""
 
     pred: Optional[str]
-    keys: tuple[Optional[str], ...]
+    key: Optional[str]
     slots: tuple[tuple[str, str, SimpleType], ...]
     head: tuple["_Template", ...]
     premises: tuple[Formula, ...]
@@ -209,12 +210,12 @@ def _compile(clause: Formula) -> _Clause:
                 f = d
             case Atom(pred, args):
                 head = tuple(_template(a) for a in args)
-                return _Clause(pred, tuple(_key(t.head) for t in head),
+                return _Clause(pred, _key(head[-1].head) if head else None,
                                tuple(slots), head, tuple(premises),
                                not any(isinstance(x, LVar)
                                        for x in term_leaves(args)))
             case _:
-                return _Clause(None, (), (), (), (), False)
+                return _Clause(None, None, (), (), (), False)
 
 
 class _Template(NamedTuple):
@@ -265,9 +266,9 @@ def _assume(db: _Database, clause: _Clause) -> _Database:
     each list of the entry that a goal it may match reads."""
     if clause.pred is None:
         return db
-    k = (clause.pred, len(clause.keys))
+    k = (clause.pred, len(clause.head))
     old = db.get(k, _Entry((), (), {}))
-    key = clause.keys[-1] if clause.keys else None
+    key = clause.key
     if key is None:
         entry = _Entry(old.every + (clause,), old.unkeyed + (clause,),
                        {g: cs + (clause,) for g, cs in old.by_key.items()})
@@ -278,15 +279,16 @@ def _assume(db: _Database, clause: _Clause) -> _Database:
     return {**db, k: entry}
 
 
-def _candidates(db: _Database, pred: str,
-                keys: list[Optional[str]]) -> tuple[_Clause, ...]:
-    """The clauses a goal with these argument keys may backchain on."""
-    entry = db.get((pred, len(keys)))
+def _candidates(db: _Database, pred: str, arity: int,
+                key: Optional[str]) -> tuple[_Clause, ...]:
+    """The clauses a goal of `arity` arguments, the last of key `key`
+    (None for a goal without arguments), may backchain on."""
+    entry = db.get((pred, arity))
     if entry is None:
         return ()
-    if not keys or keys[-1] is None:
+    if key is None:
         return entry.every
-    return entry.by_key.get(keys[-1], entry.unkeyed)
+    return entry.by_key.get(key, entry.unkeyed)
 
 
 def _root_universe(goal: Formula) -> int:
@@ -481,21 +483,18 @@ def _backchain(atom: Atom, db: _Database, univ: int, sigma: Subst,
     """The steps of `atom` through its candidates from position `start`
     on, in program order."""
     # The goal's arguments are resolved once.  The database hands over
-    # the clauses filed under the goal's last key; a clause is skipped
-    # outright when another index key differs, and otherwise its
-    # compiled head is matched against the goal.  Slots the match
-    # leaves unfilled become fresh logic variables, each write extends
-    # the substitution, and the deferred pairs go to one unification
-    # with the residuals.  Premises are instantiated by the caller, and
-    # only for an alternative it takes.
+    # the clauses filed under the goal's last key, and each one's
+    # compiled head is matched against the goal; the match fails at the
+    # first rigid head that differs, before any fresh variable is made.
+    # Slots the match leaves unfilled become fresh logic variables, each
+    # write extends the substitution, and the deferred pairs go to one
+    # unification with the residuals.  Premises are instantiated by the
+    # caller, and only for an alternative it takes.
     args = sigma.apply_all(atom.args)
-    keys = [_key(term_spine(a)[0]) for a in args]
-    candidates = _candidates(db, atom.pred, keys)
+    candidates = _candidates(db, atom.pred, len(args),
+                             _key(term_spine(args[-1])[0]) if args else None)
     once = _writable_vars(args, univ) if candidates else frozenset()
     for i, clause in enumerate(candidates[start:], start):
-        if any(k is not None and g is not None and k != g
-               for k, g in zip(clause.keys, keys)):
-            continue
         inst: dict[str, Term] = {}
         defer: list[tuple[Term, Term]] = []
         writes: list[tuple[LVar, Term]] = []

@@ -24,14 +24,21 @@ form, so `normal_classifier` does not walk it again.  A context maps
 each variable to its beta-normal type, so a variable's occurrence is
 typed as the context holds it.
 
-An application `c M1 ... Mn`, of an object or of a type family, is typed
-in one loop over its spine: each Mi is checked against its binder's
-domain instantiated by M1 ... M(i-1), all held in one simultaneous map,
-and the target is instantiated once at the end.  Synthesis also reports
-whether the object is beta-normal, so each argument's normality is
-decided once, when it is checked, and `instantiate_normal`, an
-instantiation by normal arguments, normalizes only when it changes its
-input and one of its values is a lambda.  An error message prints the
+One synthesis, `_synth`, types objects and type families alike, one
+case per construct: a variable, a constant, an application, and a
+binder, whose body's classifier makes a lambda's Pi type and must be
+type under a Pi.  An error's rule name is read from the construct:
+`var-fam` or `var-obj` from the constant, `app-fam` or `app-obj` from
+the head of the spine, `pi-kind`, `pi-fam` or `abs-obj` from the binder.
+
+An application `c M1 ... Mn` is typed in one loop over its spine: each
+Mi is checked against its binder's domain instantiated by M1 ...
+M(i-1), all held in one simultaneous map, and the target is
+instantiated once at the end.  Synthesis also reports whether its input
+is beta-normal, so each argument's normality is decided once, when it
+is checked, and `instantiate_normal`, an instantiation by normal
+arguments, normalizes only when it changes its input and one of its
+values is a lambda.  An error message prints the
 classifiers the failed check already holds, so a binder renamed to
 avoid capture is printed with the name the one simultaneous map chose.
 
@@ -249,7 +256,7 @@ def check_signature(sig: Signature) -> None:
             if isinstance(d, KindDecl):
                 check_kind(prefix, {}, d.kind)
             else:
-                k, normal = _synth_fam(prefix, {}, d.fam, {})
+                k, normal = _synth(prefix, {}, d.fam, {})
                 if not isinstance(k, KType):
                     raise LFTypeError(
                         f"classifier of {d.name!r} has kind {k}, not type",
@@ -269,7 +276,7 @@ def check_kind(sig: Signature, ctx: Context, k: Kind) -> None:
         case KType():
             return
         case KPi():
-            var, _, body = _binder(sig, ctx, k, "pi-kind")
+            var, _, body = _binder(sig, ctx, k)
             try:
                 check_kind(sig, ctx, body)
             finally:
@@ -280,44 +287,13 @@ def check_kind(sig: Signature, ctx: Context, k: Kind) -> None:
 
 def check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
     """Synthesize the beta-normal kind of `a` (error if not well-formed)."""
-    return _synth_fam(sig, ctx, a, {})[0]
-
-
-def _synth_fam(sig: Signature, ctx: Context, a: Fam,
-               shared: Optional[_Shared] = None) -> tuple[Kind, bool]:
-    # the beta-normal kind of `a`, and whether `a` is itself beta-normal;
-    # `shared` is the table of the context `check_type` was given, or
-    # None under a binder
-    match a:
-        case FConst(name):
-            k = normal_classifier(sig, name)
-            if k is None:
-                raise LFTypeError(f"unknown type constant {name!r}", rule="var-fam")
-            if not isinstance(k, (KType, KPi)):
-                raise LFTypeError(f"object constant {name!r} used as a type",
-                                  rule="var-fam")
-            return k, True
-        case FPi():
-            var, dom, body = _binder(sig, ctx, a, "pi-fam")
-            try:
-                bk, normal = _synth_fam(sig, ctx, body)
-            finally:
-                del ctx[var]
-            if not isinstance(bk, KType):
-                raise LFTypeError(f"Pi body {body} has kind {bk}, not type",
-                                  rule="pi-fam")
-            return KType(), normal and dom is a.dom
-        case FApp():
-            head, args = spine(a)
-            k, _ = _synth_fam(sig, ctx, head, shared)
-            return _check_spine(sig, ctx, head, k, args, "app-fam", shared)
-    raise TypeError(f"not a type family: {a!r}")
+    return _synth(sig, ctx, a, {})[0]
 
 
 def check_object(sig: Signature, ctx: Context, m: Obj,
                  expected: Optional[Fam] = None) -> Fam:
     """Synthesize the beta-normal type of `m`; compare to `expected` if given."""
-    t, _ = _synth_obj(sig, ctx, m, {})
+    t, _ = _synth(sig, ctx, m, {})
     if expected is not None and t != expected:
         want = beta_normalize(expected)
         if not convertible(t, want):
@@ -325,52 +301,63 @@ def check_object(sig: Signature, ctx: Context, m: Obj,
     return t
 
 
-def _synth_obj(sig: Signature, ctx: Context, m: Obj,
-               shared: Optional[_Shared] = None) -> tuple[Fam, bool]:
-    # the beta-normal type of `m`, and whether `m` is itself beta-normal;
-    # `shared` is the table of the context `check_object` was given, or
-    # None under a binder
-    match m:
-        case OConst(name):
-            a = normal_classifier(sig, name)
-            if a is None:
-                raise LFTypeError(f"unknown constant {name!r}", rule="var-obj")
-            if not isinstance(a, (FConst, FPi, FApp)):
-                raise LFTypeError(f"type constant {name!r} used as an object",
-                                  rule="var-obj")
-            return a, True
-        case OVar(name):
-            a = ctx.get(name)
-            if a is None:
-                raise LFTypeError(f"unbound variable {name!r}", rule="var-obj")
-            return a, True
-        case OLam():
-            var, dom_n, body = _binder(sig, ctx, m, "abs-obj")
-            try:
-                bt, normal = _synth_obj(sig, ctx, body)
-            finally:
-                del ctx[var]
-            return FPi(var, dom_n, bt), normal and dom_n is m.dom
-        case OApp():
-            head, args = spine(m)
-            ht, _ = _synth_obj(sig, ctx, head)
-            t, args_normal = _check_spine(sig, ctx, head, ht, args, "app-obj",
-                                          shared)
-            return t, args_normal and not isinstance(head, OLam)
-    raise TypeError(f"not an object: {m!r}")
+def _synth(sig: Signature, ctx: Context, e: Union[Fam, Obj],
+           shared: Optional[_Shared] = None) -> tuple[Union[Kind, Fam], bool]:
+    # The beta-normal classifier of the object or family `e`, and
+    # whether `e` is itself beta-normal; `shared` is the table of the
+    # context `check_object` or `check_type` was given, or None under a
+    # binder.  Dispatch is on the exact class, the fastest test, since
+    # no class derives from a node class.
+    cls = type(e)
+    if cls is OApp or cls is FApp:
+        head, args = spine(e)
+        k, _ = _synth(sig, ctx, head, shared)
+        t, normal = _check_spine(sig, ctx, head, k, args, shared)
+        return t, normal and type(head) is not OLam
+    if cls is OConst or cls is FConst:
+        c = normal_classifier(sig, e.name)
+        if c is not None and isinstance(c, (KType, KPi)) is (cls is FConst):
+            return c, True
+        if cls is FConst:
+            raise LFTypeError(f"unknown type constant {e.name!r}" if c is None
+                              else f"object constant {e.name!r} used as a type",
+                              rule="var-fam")
+        raise LFTypeError(f"unknown constant {e.name!r}" if c is None
+                          else f"type constant {e.name!r} used as an object",
+                          rule="var-obj")
+    if cls is OVar:
+        a = ctx.get(e.name)
+        if a is None:
+            raise LFTypeError(f"unbound variable {e.name!r}", rule="var-obj")
+        return a, True
+    if cls is OLam or cls is FPi:
+        var, dom, body = _binder(sig, ctx, e)
+        try:
+            bt, normal = _synth(sig, ctx, body)
+        finally:
+            del ctx[var]
+        normal = normal and dom is e.dom
+        if cls is OLam:
+            return FPi(var, dom, bt), normal
+        if not isinstance(bt, KType):
+            raise LFTypeError(f"Pi body {body} has kind {bt}, not type",
+                              rule="pi-fam")
+        return bt, normal
+    raise TypeError(f"not an object or a type family: {e!r}")
 
 
-def _binder(sig: Signature, ctx: Context, e: Union[KPi, FPi, OLam],
-            rule: str) -> tuple[str, Fam, Expr]:
+def _binder(sig: Signature, ctx: Context,
+            e: Union[KPi, FPi, OLam]) -> tuple[str, Fam, Expr]:
     # The domain of `e` has kind type.  Extends `ctx` itself, in O(1),
     # by the binder, renamed apart from `ctx`, at the normal domain, and
     # returns the binder's name, that domain and the body under that
     # name.  The caller checks the body in its own frame, so a binder
     # costs one frame of Python's stack, and deletes the name from `ctx`
     # in a `finally` however that check ends.
-    dk, normal = _synth_fam(sig, ctx, e.dom)
+    dk, normal = _synth(sig, ctx, e.dom)
     if not isinstance(dk, KType):
-        what = "binder type" if rule == "abs-obj" else "Pi domain"
+        what = "binder type" if type(e) is OLam else "Pi domain"
+        rule = {OLam: "abs-obj", KPi: "pi-kind", FPi: "pi-fam"}[type(e)]
         raise LFTypeError(f"{what} {e.dom} has kind {dk}, not type", rule=rule)
     dom = e.dom if normal else beta_normalize(e.dom)
     var, body = rename_apart(e.var, e.body, ctx.keys())
@@ -379,7 +366,7 @@ def _binder(sig: Signature, ctx: Context, e: Union[KPi, FPi, OLam],
 
 
 def _check_spine(sig: Signature, ctx: Context, head: Expr,
-                 pi: Union[Kind, Fam], args: list[Obj], rule: str,
+                 pi: Union[Kind, Fam], args: list[Obj],
                  shared: Optional[_Shared]) -> tuple[Union[Kind, Fam], bool]:
     # The application of `head`, of classifier `pi`, to `args`: each
     # argument is checked against its binder's domain instantiated by the
@@ -398,18 +385,19 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
     rest = pi
     for i, arg in enumerate(args):
         if not isinstance(rest, (KPi, FPi)):
-            raise _too_many(head, args[:i], instantiate_normal(rest, sub),
-                            rule)
+            raise _too_many(head, args[:i], instantiate_normal(rest, sub))
         dom = instantiate_normal(rest.dom, sub) if sub else rest.dom
         known = shared.get(id(arg)) if shared is not None else None
         if known is None:
-            t, arg_normal = _synth_obj(sig, ctx, arg, shared)
+            t, arg_normal = _synth(sig, ctx, arg, shared)
             if shared is not None:
                 shared[id(arg)] = (arg, t, arg_normal)
         else:
             _, t, arg_normal = known
         if t != dom and not convertible(t, dom):
-            raise _mismatch(arg, t, dom, rule)
+            # the head of a family's spine is a constant or a Pi
+            raise _mismatch(arg, t, dom, "app-fam" if isinstance(
+                head, (FConst, FPi)) else "app-obj")
         if not arg_normal:
             normal = False
             arg = beta_normalize(arg)
@@ -424,15 +412,15 @@ def _mismatch(m: Obj, t: Fam, want: Fam, rule: str) -> LFTypeError:
                        rule=rule)
 
 
-def _too_many(head: Expr, args: list[Obj], t: Union[Kind, Fam],
-              rule: str) -> LFTypeError:
+def _too_many(head: Expr, args: list[Obj],
+              t: Union[Kind, Fam]) -> LFTypeError:
     # `head` applied to `args` has type `t`, which is no Pi type
-    if rule == "app-fam":
+    if isinstance(head, (FConst, FPi)):
         name = head.name if isinstance(head, FConst) else str(head)
-        return LFTypeError(f"too many arguments to {name!r}", rule=rule)
+        return LFTypeError(f"too many arguments to {name!r}", rule="app-fam")
     fn = obj_app(head, args)
     return LFTypeError(f"{print_brief(fn)} of type {t} "
-                       "applied to an argument", rule=rule)
+                       "applied to an argument", rule="app-obj")
 
 
 def rename_apart(var: str, body: Expr,

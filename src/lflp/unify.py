@@ -61,7 +61,8 @@ class Eq:
 
 class Subst:
     """Triangular map from logic variables to terms; `apply_all` is the
-    one way to read terms through it."""
+    one way to read terms through it, in one walk that also resolves
+    each variable it meets."""
 
     __slots__ = ("_m",)
 
@@ -84,7 +85,9 @@ class Subst:
     def _walk(self, t: Term, memo: dict[LVar, Term]) -> Term:
         # Rebuilds only what changes.  A binding that puts a lambda in
         # head position is reduced where it lands, so a beta-normal
-        # term comes back beta-normal.
+        # term comes back beta-normal.  Variable-to-variable links are
+        # followed in a loop, so a long chain costs no stack; every
+        # variable on it is memoized.
         match t:
             case App(fn, arg):
                 fn2, arg2 = self._walk(fn, memo), self._walk(arg, memo)
@@ -94,29 +97,21 @@ class Subst:
                     return beta_norm(App(fn2, arg2))
                 return App(fn2, arg2)
             case LVar():
-                return self._resolve(t, memo)
+                m = self._m
+                chain = []
+                while isinstance(t, LVar) and t not in memo and t in m:
+                    chain.append(t)
+                    t = m[t]
+                t = (memo.get(t, t) if isinstance(t, LVar)
+                     else self._walk(t, memo))
+                for u in chain:
+                    memo[u] = t
+                return t
             case Lam(var, ty, body):
                 body2 = self._walk(body, memo)
                 return t if body2 is body else Lam(var, ty, body2)
             case _:
                 return t
-
-    def _resolve(self, v: LVar, memo: dict[LVar, Term]) -> Term:
-        # Variable-to-variable links are followed in a loop, so a long
-        # chain costs no stack; every variable on it is memoized.
-        m = self._m
-        chain = []
-        t: Term = v
-        while isinstance(t, LVar) and t not in memo and t in m:
-            chain.append(t)
-            t = m[t]
-        if isinstance(t, LVar):
-            t = memo.get(t, t)
-        else:
-            t = self._walk(t, memo)
-        for u in chain:
-            memo[u] = t
-        return t
 
     def extend(self, v: LVar, t: Term) -> "Subst":
         """Bind the unbound `v` to `t` as given.  `t` must not reach `v`

@@ -69,10 +69,19 @@ _VEC = "nat : type.\nz : nat.\nvec : nat -> type.\n"
     ("e : vec nat.", "[var-obj] type constant 'nat' used as an object "
                      "(in declaration 'e')"),
     ("f : {x:nat} x.", "4:13: bound variable 'x' used as a type"),
+    # the application rules, named after the head's family
+    ("g : vec z z.", "[app-fam] too many arguments to 'vec' "
+                     "(in declaration 'g')"),
+    ("p : ({x:nat} vec x) z.", "[app-fam] too many arguments to "
+                               "'{x:nat} vec x' (in declaration 'p')"),
+    ("h : vec foo.", "[var-obj] unknown constant 'foo' (in declaration 'h')"),
+    ("w : vec ([x:nat] x).", "[app-fam] [x:nat] x has type nat -> nat, "
+                             "expected nat (in declaration 'w')"),
 ])
 def test_check_error_texts_pinned(capsys, tmp_path, decl, message):
-    # the binder rules' domain checks and the category errors, each on
-    # stdout with the rule, the text and the declaration it is found in
+    # the binder rules' domain checks, the category errors and the
+    # application rules, each on stdout with the rule, the text and the
+    # declaration it is found in
     bad = tmp_path / "bad.elf"
     bad.write_text(_VEC + decl + "\n")
     code, out, err = run_cli(capsys, "check", str(bad))
@@ -647,9 +656,10 @@ def test_front_end_scales_to_benchmark_inputs(capsys, tmp_path, make, decls,
 # printed inhabitant of `append <n> <n> L` grows as n^2.  The engine
 # resolves the answer through one memo, the inverter inverts each
 # distinct subterm once and the kernel synthesizes each distinct argument
-# once, so their calls grow as n, 2x per doubling (96 / 192 / 384
-# `_synth_obj` and 58 / 114 / 226 `invert` calls for n = 8 / 16 / 32),
-# where walking every occurrence grows about 4x.  Each spine is also
+# once, so their calls grow as n, 2x per doubling (52 / 100 / 196
+# `_synth` and 28 / 52 / 100 `invert` calls for n = 8 / 16 / 32; the
+# answer has no binder, so no family is synthesized), where walking
+# every occurrence grows about 4x.  Each spine is also
 # typed in one loop, so the substitution work grows with the printed
 # inhabitant, not faster: typed one argument at a time (the rule
 # `oracles.ref_check_object` keeps), the 8+8 export made 3449 `substitute`
@@ -666,7 +676,7 @@ def _lf_nodes(m):
 
 # the functions `_export_work` counts calls of, recursive calls included;
 # `cli` holds its own reference to `invert`
-_EXPORT_COUNTED = [(lf_kernel, "substitute"), (lf_kernel, "_synth_obj"),
+_EXPORT_COUNTED = [(lf_kernel, "substitute"), (lf_kernel, "_synth"),
                    (inverter, "invert"), (cli, "invert")]
 
 
@@ -697,7 +707,7 @@ def test_export_substitutions_grow_with_the_printed_inhabitant(monkeypatch):
         _export_work(monkeypatch, n) for n in (8, 16, 32))
     assert calls8["substitute"] <= 1300
     assert calls16["substitute"] / nodes16 <= calls8["substitute"] / nodes8
-    for name in ("_synth_obj", "invert"):
+    for name in ("_synth", "invert"):
         assert calls16[name] <= 2.2 * calls8[name], (name, calls8, calls16)
         assert calls32[name] <= 2.2 * calls16[name], (name, calls16, calls32)
 
@@ -712,14 +722,14 @@ def test_export_substitutions_grow_with_the_printed_inhabitant(monkeypatch):
 # cost as much as the first.
 
 def _declaration_work(monkeypatch, n, last=None):
-    """(`_synth_obj` calls of `check_signature`, `_encode` calls of
+    """(`_synth` calls of `check_signature`, `_encode` calls of
     `translate_signature`) on appendplus.elf and `fact : append nil L
     <last>.`, L a ground n-element list and `last` L by default."""
     items = _ground_list(n)
     sig = lf.parse_signature((DATA / "appendplus.elf").read_text()
                              + f"\nfact : append nil ({items}) ({last or items}).\n")
     counts = []
-    for module, name, run in ((lf_kernel, "_synth_obj", lf_kernel.check_signature),
+    for module, name, run in ((lf_kernel, "_synth", lf_kernel.check_signature),
                               (translator, "_encode", translate_signature)):
         calls = [0]
 

@@ -486,17 +486,16 @@ def test_database_offers_the_clauses_a_linear_scan_keeps(filed, goal_key):
     # Clauses are filed one at a time, as an implication goal files its
     # hypothesis.  A goal is offered exactly the clauses of its predicate
     # and arity whose last key is None or its own, in filing order.
-    clauses = [engine._Clause(pred, (None,) * (arity - 1) + (key,),
-                              ((f"c{i}", "c", OBJ),), (), (), True)
+    clauses = [engine._Clause(pred, key, ((f"c{i}", "c", OBJ),),
+                              (None,) * arity, (), True)
                for i, (pred, arity, key) in enumerate(filed)]
     db = engine._database(clauses)
     for pred in ("p", "q"):
         for arity in (1, 2):
-            keys = [None] * (arity - 1) + [goal_key]
-            assert list(engine._candidates(db, pred, keys)) == [
+            assert list(engine._candidates(db, pred, arity, goal_key)) == [
                 c for c in clauses
-                if c.pred == pred and len(c.keys) == arity
-                and c.keys[-1] in (None, goal_key or c.keys[-1])]
+                if c.pred == pred and len(c.head) == arity
+                and c.key in (None, goal_key or c.key)]
 
 
 def test_first_order_solve_lowers_nothing(monkeypatch):

@@ -4,7 +4,9 @@ imports another's private (underscore-prefixed) names or has a `global`
 statement, every module-level function and class of the library is
 named by library code, and no two module-level functions of the library
 and the tests have one body up to the names of their parameters and
-locals, nor two of one library module up to every name.  The term and
+locals, nor two of one library module up to every name, nor two of one
+library module are near twins, their bodies' node kinds too alike by
+`difflib`.  The term and
 formula node classes are immutable by rule: the library writes no field
 of a node, calls `object.__setattr__` nowhere and writes a signature's
 slots only in the methods of `Signature`, and no node instance has a
@@ -18,6 +20,7 @@ outside the import itself, annotations included.
 """
 
 import ast
+import difflib
 import importlib
 import sys
 from dataclasses import dataclass, fields, is_dataclass
@@ -314,6 +317,107 @@ def test_no_two_functions_of_one_library_module_share_a_body(tmp_path):
     found = [line for path in LIBRARY
              for line in duplicate_functions([path], name_blind_shape)]
     assert not found, "functions with one body up to names:\n" + "\n".join(found)
+
+
+def body_kinds(fn: ast.FunctionDef) -> list[str]:
+    """The class names of the nodes of `fn`'s body without its
+    docstring, statement by statement in the order `ast.walk` meets
+    them."""
+    body = fn.body
+    if ast.get_docstring(fn, clean=False) is not None:
+        body = body[1:]
+    return [type(n).__name__ for stmt in body for n in ast.walk(stmt)]
+
+
+TWIN_RATIO = 0.8  # the likeness of two bodies' node kinds that is too much
+TWIN_NODES = 60  # a body of fewer nodes is too short to judge
+
+
+def near_twins(path: Path) -> list[str]:
+    """`module.f ~ module.g` for each two module-level functions of
+    `path` whose bodies, each of at least `TWIN_NODES` nodes, have
+    `body_kinds` at least `TWIN_RATIO` alike by `difflib`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bodies = [(stmt.name, kinds) for stmt in tree.body
+              if isinstance(stmt, ast.FunctionDef)
+              for kinds in [body_kinds(stmt)] if len(kinds) >= TWIN_NODES]
+    found = []
+    for i, (f, a) in enumerate(bodies):
+        for g, b in bodies[i + 1:]:
+            # the quick ratios are upper bounds of the ratio
+            m = difflib.SequenceMatcher(None, a, b, autojunk=False)
+            if (m.real_quick_ratio() >= TWIN_RATIO
+                    and m.quick_ratio() >= TWIN_RATIO
+                    and m.ratio() >= TWIN_RATIO):
+                found.append(f"{path.stem}.{f} ~ {path.stem}.{g}")
+    return found
+
+
+_TWINS = """\
+def kind_of(sig, ctx, a):
+    '''The kind of `a`.'''
+    match a:
+        case FConst(name):
+            k = sig.get(name)
+            if k is None:
+                raise KeyError(f"unknown type constant {name!r}")
+            return k, True
+        case FPi(var, dom, body):
+            ctx[var] = dom
+            try:
+                k, normal = kind_of(sig, ctx, body)
+            finally:
+                del ctx[var]
+            return k, normal
+    raise TypeError(a)
+
+
+def type_of(sig, ctx, m):
+    match m:
+        case OConst(name):
+            t = sig.get(name)
+            if t is None:
+                raise KeyError(f"unknown constant {name!r}")
+            return t, True
+        case OVar(name):
+            return ctx[name], True
+        case OLam(var, dom, body):
+            ctx[var] = dom
+            try:
+                t, normal = type_of(sig, ctx, body)
+            finally:
+                del ctx[var]
+            return (var, dom, t), normal
+    raise TypeError(m)
+
+
+def size(sig, ctx, e):
+    n = 0
+    for name, a in sig.items():
+        if name in ctx and a is not None:
+            n += len(str(a)) + len(name) * 2 - sum(map(len, ctx))
+        elif isinstance(a, (list, tuple)):
+            n += sum(size(sig, ctx, x) for x in a if x)
+    return {k: v for k, v in ctx.items() if v} or [e, n, n + 1, -n]
+
+
+def one(x):
+    return x + 1
+
+
+def two(y):
+    return y + 1
+"""
+
+
+def test_no_two_functions_of_one_library_module_are_near_twins(tmp_path):
+    # kind_of and type_of state one rule twice; `size` is as long but
+    # unlike them, and the one-line twins are too short to judge
+    probe = tmp_path / "probe.py"
+    probe.write_text(_TWINS, encoding="utf-8")
+    assert near_twins(probe) == ["probe.kind_of ~ probe.type_of"]
+    found = [line for path in LIBRARY for line in near_twins(path)]
+    assert not found, "functions too alike:\n" + "\n".join(found)
 
 
 # The records built once per operation stay frozen dataclasses, so the
