@@ -10,6 +10,8 @@ Kinds, type families, and objects are separate node families.  The
 parser builds them straight from the tokens in one left-to-right pass,
 each expression read in the category its context demands; a
 declaration's classifier is a kind exactly when its tail is ``type``.
+It reads an expression in one loop that keeps the enclosing
+expressions on a stack of its own, so nesting costs no Python frames.
 Nodes are shared: the parser hash-conses constants, variables and
 applications with one table per parse, so equal subterms of one parse
 built of those nodes are one object, and the kernel and the encoder,
@@ -29,8 +31,9 @@ building it, which ``tests/test_hygiene.py`` checks.  A `Signature` is
 a slotted class whose slots only its own methods write, and a context
 is a plain dict from variable names to their types.
 
-The lexer matches one pattern over the whole input.  A token records
-which match it is, and its line and column are found again, by matching
+The lexer matches one pattern over the whole input and returns the
+tokens as parallel lists of kinds and texts, with the index of each
+token's match.  A token's line and column are found again, by matching
 once more, only when an error message reports them.
 """
 
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, islice
 from typing import Container, NamedTuple, Optional, Sequence, Union
 
 
@@ -221,29 +224,32 @@ def fresh_name(base: str, avoid: Container[str]) -> str:
     return f"{base}{i}"
 
 
+# The walks below dispatch on the exact class, since no node class
+# derives from another: one identity test per case tried.
+
 def free_vars(e: Expr) -> frozenset[str]:
     """Free object-variable names of a kind, family, or object."""
-    match e:
-        case KType() | FConst() | OConst():
-            return frozenset()
-        case OVar(name):
-            return frozenset((name,))
-        case KPi(var, dom, body) | FPi(var, dom, body) | OLam(var, dom, body):
-            return free_vars(dom) | (free_vars(body) - {var})
-        case FApp(fn, arg) | OApp(fn, arg):
-            return free_vars(fn) | free_vars(arg)
+    cls = type(e)
+    if cls is OApp or cls is FApp:
+        return free_vars(e.fn) | free_vars(e.arg)
+    if cls is OVar:
+        return frozenset((e.name,))
+    if cls is OConst or cls is FConst or cls is KType:
+        return frozenset()
+    if cls is FPi or cls is OLam or cls is KPi:
+        return free_vars(e.dom) | (free_vars(e.body) - {e.var})
     raise TypeError(f"not an LF expression: {e!r}")
 
 
 def occurs_free(x: str, e: Expr) -> bool:
     """Whether `x` is free in `e`; `x in free_vars(e)` without the sets."""
-    match e:
-        case OVar(name):
-            return name == x
-        case KPi(var, dom, body) | FPi(var, dom, body) | OLam(var, dom, body):
-            return occurs_free(x, dom) or (var != x and occurs_free(x, body))
-        case FApp(fn, arg) | OApp(fn, arg):
-            return occurs_free(x, fn) or occurs_free(x, arg)
+    cls = type(e)
+    if cls is OApp or cls is FApp:
+        return occurs_free(x, e.fn) or occurs_free(x, e.arg)
+    if cls is OVar:
+        return e.name == x
+    if cls is FPi or cls is OLam or cls is KPi:
+        return occurs_free(x, e.dom) or (e.var != x and occurs_free(x, e.body))
     return False
 
 
@@ -253,23 +259,23 @@ def alpha_eq(a: Expr, b: Expr) -> bool:
 
 
 def _aeq(a: Expr, b: Expr, ea: tuple[str, ...], eb: tuple[str, ...]) -> bool:
-    match a, b:
-        case KType(), KType():
-            return True
-        case (KPi(x, d1, b1), KPi(y, d2, b2)) | (FPi(x, d1, b1), FPi(y, d2, b2)) \
-                | (OLam(x, d1, b1), OLam(y, d2, b2)):
-            return _aeq(d1, d2, ea, eb) and _aeq(b1, b2, ea + (x,), eb + (y,))
-        case (FConst(m), FConst(n)) | (OConst(m), OConst(n)):
-            return m == n
-        case OVar(m), OVar(n):
-            ia = _rindex(ea, m)
-            ib = _rindex(eb, n)
-            if ia is None and ib is None:
-                return m == n
-            return ia == ib
-        case (FApp(f1, a1), FApp(f2, a2)) | (OApp(f1, a1), OApp(f2, a2)):
-            return _aeq(f1, f2, ea, eb) and _aeq(a1, a2, ea, eb)
-    return False
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is OApp or cls is FApp:
+        return _aeq(a.fn, b.fn, ea, eb) and _aeq(a.arg, b.arg, ea, eb)
+    if cls is OConst or cls is FConst:
+        return a.name == b.name
+    if cls is OVar:
+        ia = _rindex(ea, a.name)
+        ib = _rindex(eb, b.name)
+        if ia is None and ib is None:
+            return a.name == b.name
+        return ia == ib
+    if cls is FPi or cls is OLam or cls is KPi:
+        return (_aeq(a.dom, b.dom, ea, eb)
+                and _aeq(a.body, b.body, ea + (a.var,), eb + (b.var,)))
+    return cls is KType
 
 
 def _rindex(env: tuple[str, ...], name: str) -> Optional[int]:
@@ -372,7 +378,25 @@ def _position(source: str, index: int) -> tuple[int, int]:
     return source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at)
 
 
-def tokenize(text: str) -> list[_Token]:
+class _Tokens:
+    """The tokens of `source` as parallel lists, the last one 'eof': their
+    `kinds`, `texts` and match indices `index`.  Indexing builds a
+    `_Token`, which the parser does only for an error message."""
+
+    __slots__ = ("kinds", "texts", "index", "source")
+
+    def __init__(self, kinds: list[str], texts: list[str],
+                 index: Sequence[int], source: str):
+        self.kinds, self.texts, self.index, self.source = kinds, texts, index, source
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> _Token:
+        return _Token(self.kinds[i], self.texts[i], self.source, self.index[i])
+
+
+def tokenize(text: str) -> _Tokens:
     lexemes = _LEXEME.findall(text)
     kinds = _KINDS.copy()
     # each distinct lexeme is classified once, in order of first
@@ -383,12 +407,16 @@ def tokenize(text: str) -> list[_Token]:
             if kind is None:
                 raise LFSyntaxError(f"unexpected character {w[0]!r}",
                                     *_position(text, lexemes.index(w)))
-    # the tokens are built in C: each (kind, lexeme, text, index) becomes
-    # a _Token through tuple.__new__, and comments (kind '') are dropped
+    # the lists are built in C; comments (kind '') are dropped, and
+    # without them the i-th token is the i-th match
     ks = list(map(kinds.__getitem__, lexemes))
-    toks = list(map(tuple.__new__, repeat(_Token),
-                    compress(zip(ks, lexemes, repeat(text), count()), ks)))
-    toks.append(_Token("eof", "", text, len(lexemes)))
+    if "" in kinds.values():
+        toks = _Tokens(list(compress(ks, ks)), list(compress(lexemes, ks)),
+                       [*compress(count(), ks), len(lexemes)], text)
+    else:
+        toks = _Tokens(ks, lexemes, range(len(lexemes) + 1), text)
+    toks.kinds.append("eof")
+    toks.texts.append("")
     return toks
 
 
@@ -406,7 +434,7 @@ _ARG_START = frozenset(("ident", "type", "(", "{", "["))
 
 
 class _Parser:
-    """Recursive descent from tokens straight to Kind/Fam/Obj.
+    """Tokens straight to Kind/Fam/Obj, in one loop per expression.
 
     `env` maps each source binder name in scope to its possibly renamed
     form.  `used` holds every name of the current declaration, collected
@@ -415,14 +443,17 @@ class _Parser:
     variable used as a type) is held in `err`, the first one wins, and is
     raised only once the declaration's syntax has been read.  Query free
     variables are recognized when the parser is given a signature.
+    Tokens are read by position from `kinds` and `texts`; one is built
+    as a `_Token` only for an error message.
 
     Every constant, variable and application node is built by `node`,
     which hash-conses it in `nodes`, the one table of the parse: equal
     subterms built of those nodes are one object.
     """
 
-    def __init__(self, toks: list[_Token], sig: Optional[Signature] = None):
+    def __init__(self, toks: _Tokens, sig: Optional[Signature] = None):
         self.toks = toks
+        self.kinds, self.texts = toks.kinds, toks.texts
         self.pos = 0
         self.sig = sig
         self.free_order: list[str] = []
@@ -436,8 +467,8 @@ class _Parser:
         self.body_start = self.pos
         self.used: Optional[set[str]] = None
         self.err: Optional[LFSyntaxError] = None
-        # the tail `type` of the last classifier read as a kind
-        self.type_tok: Optional[_Token] = None
+        # the position of the tail `type` of the last classifier read as a kind
+        self.type_at: Optional[int] = None
 
     def node(self, cls: type, a, args: Sequence[Obj] = ()) -> Expr:
         """The one node of this parse of class `cls`: the leaf (`OConst`,
@@ -459,20 +490,23 @@ class _Parser:
             a = e
         return a
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def error(self, message: str, i: int) -> LFSyntaxError:
+        t = self.toks[i]
+        return LFSyntaxError(message, t.line, t.col)
 
-    def expect(self, kind: str) -> _Token:
-        t = self.toks[self.pos]
-        if t.kind != kind:
-            shown = t.text if t.kind != "eof" else "end of input"
-            raise LFSyntaxError(f"expected {kind!r}, found {shown!r}", t.line, t.col)
-        self.pos += 1
-        return t
+    def expected(self, what: str, i: int) -> LFSyntaxError:
+        shown = self.texts[i] if self.kinds[i] != "eof" else "end of input"
+        return self.error(f"expected {what}, found {shown!r}", i)
 
-    def hold(self, message: str, t: _Token) -> None:
+    def expect(self, kind: str, i: int) -> int:
+        """The position after the `i`-th token, which must be a `kind`."""
+        if self.kinds[i] != kind:
+            raise self.expected(repr(kind), i)
+        return i + 1
+
+    def hold(self, message: str, i: int) -> None:
         if self.err is None:
-            self.err = LFSyntaxError(message, t.line, t.col)
+            self.err = self.error(message, i)
 
     def fresh(self, base: str) -> str:
         """A name none of the declaration's names, which it then joins."""
@@ -480,128 +514,158 @@ class _Parser:
         if used is None:
             # the body ends at its `.`; a query or object has none before eof
             used = self.used = set() if self.name is None else {self.name}
-            toks, i = self.toks, self.body_start
-            while toks[i].kind not in (".", "eof"):
-                if toks[i].kind == "ident":
-                    used.add(toks[i].text)
+            kinds, i = self.kinds, self.body_start
+            while kinds[i] not in (".", "eof"):
+                if kinds[i] == "ident":
+                    used.add(self.texts[i])
                 i += 1
         new = fresh_name(base, used)
         used.add(new)
         return new
 
-    def as_type(self, e: Union[Kind, Fam]) -> Fam:
+    def as_type(self, e: Union[Kind, Fam]) -> None:
         """`e`, read as a classifier, stands where a type must."""
         if isinstance(e, (KType, KPi)):
-            self.hold("'type' cannot appear inside a type", self.type_tok)
-        return e
+            self.hold("'type' cannot appear inside a type", self.type_at)
 
     def expr(self, cat: int) -> Expr:
-        """Binders and arrows, read in a loop, around an application.
+        """An expression: binders and arrows around an application of a
+        head to arguments, each an identifier, `type` or a parenthesized
+        expression.
 
-        Held errors keep the order of a walk that checks each construct
-        before its parts: a binder's error comes before any in its
-        domain, and so does an arrow's, though its domain is read first.
+        One loop reads it all.  A parenthesized head or argument, or a
+        binder's domain, is an expression of its own: the loop suspends
+        the one enclosing it on `stack` and resumes it when the inner one
+        ends.  Held errors keep the order of a walk that checks each
+        construct before its parts: a binder's error comes before any in
+        its domain, and so does an arrow's, though its domain is read
+        first.
         """
-        toks = self.toks
-        env = self.env
+        kinds, texts, env, sig = self.kinds, self.texts, self.env, self.sig
+        pos = self.pos
+        # each suspended expression's state, and for a binder's domain
+        # the binder's opening token and name, else None
+        stack: list[tuple] = []
         binders: list[tuple[str, Fam]] = []
         shadowed: list[tuple[str, Optional[str]]] = []
+        # the application being read, and the error held before it
+        head: Optional[Expr] = None
+        args: list[Obj] = []
+        held: Optional[LFSyntaxError] = None
         while True:
-            t = toks[self.pos]
-            if t.kind == "{" or t.kind == "[":
+            k = kinds[pos]
+            if head is None and (k == "{" or k == "["):
                 # `{x:A} B` is a kind or a type, `[x:A] M` an object
-                if (t.kind == "{") == (cat == _OBJECT):
+                if (k == "{") == (cat == _OBJECT):
                     self.hold("expected an object" if cat == _OBJECT
-                              else "expected a type", t)
-                self.pos += 1
-                var = self.expect("ident").text
-                self.expect(":")
-                dom = self.expr(_TYPE)
-                self.expect("}" if t.kind == "{" else "]")
-                shadowed.append((var, env.get(var)))
-                env[var] = var if var not in env else self.fresh(var)
-                binders.append((env[var], dom))
+                              else "expected a type", pos)
+                stack.append((cat, binders, shadowed, head, args, held,
+                              (k, texts[pos + 1])))
+                pos = self.expect(":", self.expect("ident", pos + 1))
+                cat, binders, shadowed, args = _TYPE, [], [], []
                 continue
-            held = self.err
-            e = self.atom(cat)
-            t = toks[self.pos]
-            if t.kind in _ARG_START:
-                if cat != _OBJECT:
-                    e = self.as_type(e)
-                args = []
-                while t.kind in _ARG_START:
-                    if t.kind == "{" or t.kind == "[":
-                        raise LFSyntaxError("binder must be parenthesized in "
-                                            "argument position", t.line, t.col)
-                    args.append(self.atom(_OBJECT))
-                    t = toks[self.pos]
-                e = self.node(OApp if cat == _OBJECT else FApp, e, args)
-            if t.kind != "->":
-                break
-            if cat == _OBJECT:
-                if held is None:
-                    self.err = LFSyntaxError("expected an object", t.line, t.col)
+            if head is None or k in _ARG_START:
+                # an atom: the head, read in the expression's category,
+                # or an argument, an object
+                if head is None:
+                    held = self.err
+                    acat = cat
+                elif k == "{" or k == "[":
+                    raise self.error("binder must be parenthesized in "
+                                     "argument position", pos)
+                else:
+                    acat = _OBJECT
+                at = pos
+                pos += 1
+                if k == "ident":
+                    name = texts[at]
+                    if acat != _OBJECT:
+                        if name in env:
+                            self.hold(f"bound variable {name!r} used as a type", at)
+                        a = self.node(FConst, name)
+                    elif name in env:
+                        a = self.node(OVar, env[name])
+                    elif (sig is not None and name[0].isupper()
+                            and sig.lookup(name) is None):
+                        if name not in self.free_order:
+                            self.free_order.append(name)
+                        a = self.node(OVar, name)
+                    else:
+                        a = self.node(OConst, name)
+                elif k == "(":
+                    stack.append((cat, binders, shadowed, head, args, held, None))
+                    cat, binders, shadowed, head, args = acat, [], [], None, []
+                    continue
+                elif k == "type":
+                    if acat == _CLASSIFIER:
+                        self.type_at = at
+                    else:
+                        self.hold("expected an object" if acat == _OBJECT
+                                  else "'type' cannot appear inside a type", at)
+                    a = KType()
+                else:
+                    raise self.expected("an expression", at)
             else:
-                e = self.as_type(e)
-            self.pos += 1
-            binders.append((self.fresh("x"), e))
-        for var, old in reversed(shadowed):
-            if old is None:
-                del env[var]
+                # the application ends here
+                e = head
+                if args:
+                    e = self.node(OApp if cat == _OBJECT else FApp, head, args)
+                if k == "->":
+                    if cat == _OBJECT:
+                        if held is None:
+                            self.err = self.error("expected an object", pos)
+                    else:
+                        self.as_type(e)
+                    pos += 1
+                    binders.append((self.fresh("x"), e))
+                    head, args = None, []
+                    continue
+                # and so does the expression
+                for var, old in reversed(shadowed):
+                    if old is None:
+                        del env[var]
+                    else:
+                        env[var] = old
+                pi = (OLam if cat == _OBJECT
+                      else KPi if isinstance(e, (KType, KPi)) else FPi)
+                for var, dom in reversed(binders):
+                    e = pi(var, dom, e)
+                if not stack:
+                    self.pos = pos
+                    return e
+                cat, binders, shadowed, head, args, held, binder = stack.pop()
+                if binder is not None:
+                    k, var = binder
+                    pos = self.expect("}" if k == "{" else "]", pos)
+                    shadowed.append((var, env.get(var)))
+                    env[var] = var if var not in env else self.fresh(var)
+                    binders.append((env[var], e))
+                    continue
+                pos = self.expect(")", pos)
+                a = e
+            if head is None:
+                head = a
+                if cat != _OBJECT and kinds[pos] in _ARG_START:
+                    self.as_type(a)
             else:
-                env[var] = old
-        pi = OLam if cat == _OBJECT else KPi if isinstance(e, (KType, KPi)) else FPi
-        for var, dom in reversed(binders):
-            e = pi(var, dom, e)
-        return e
-
-    def atom(self, cat: int) -> Expr:
-        t = self.toks[self.pos]
-        self.pos += 1
-        if t.kind == "ident":
-            name = t.text
-            if cat != _OBJECT:
-                if name in self.env:
-                    self.hold(f"bound variable {name!r} used as a type", t)
-                return self.node(FConst, name)
-            if name in self.env:
-                return self.node(OVar, self.env[name])
-            if (self.sig is not None and name[0].isupper()
-                    and self.sig.lookup(name) is None):
-                if name not in self.free_order:
-                    self.free_order.append(name)
-                return self.node(OVar, name)
-            return self.node(OConst, name)
-        if t.kind == "(":
-            e = self.expr(cat)
-            self.expect(")")
-            return e
-        if t.kind == "type":
-            if cat == _CLASSIFIER:
-                self.type_tok = t
-            else:
-                self.hold("expected an object" if cat == _OBJECT
-                          else "'type' cannot appear inside a type", t)
-            return KType()
-        shown = t.text if t.kind != "eof" else "end of input"
-        raise LFSyntaxError(f"expected an expression, found {shown!r}", t.line, t.col)
+                args.append(a)
 
 
 def parse_signature(text: str) -> Signature:
     """Parse a sequence of ``name : expr.`` declarations in source order."""
     parser = _Parser(tokenize(text))
+    kinds, texts = parser.kinds, parser.texts
     decls: list[Decl] = []
     seen: set[str] = set()
-    while parser.peek().kind != "eof":
-        name_tok = parser.expect("ident")
-        name = name_tok.text
-        parser.expect(":")
+    while kinds[parser.pos] != "eof":
+        at = parser.pos
+        name = texts[at]
+        parser.pos = parser.expect(":", parser.expect("ident", at))
         parser.begin(name)
         body = parser.expr(_CLASSIFIER)
-        parser.expect(".")
+        parser.pos = parser.expect(".", parser.pos)
         if name in seen:
-            raise LFSyntaxError(f"duplicate declaration of {name!r}",
-                                name_tok.line, name_tok.col)
+            raise parser.error(f"duplicate declaration of {name!r}", at)
         seen.add(name)
         if parser.err is not None:
             raise parser.err
@@ -612,9 +676,9 @@ def parse_signature(text: str) -> Signature:
 
 def _end(parser: _Parser) -> None:
     """Reject input after the expression, then raise a held error."""
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise LFSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    at = parser.pos
+    if parser.kinds[at] != "eof":
+        raise parser.error(f"trailing input {parser.texts[at]!r}", at)
     if parser.err is not None:
         raise parser.err
 
@@ -628,7 +692,7 @@ def parse_query(text: str, sig: Signature) -> tuple[tuple[str, ...], Fam]:
     """
     parser = _Parser(tokenize(text), sig=sig)
     fam = parser.expr(_TYPE)
-    if parser.peek().kind == ".":
+    if parser.kinds[parser.pos] == ".":
         parser.pos += 1
     _end(parser)
     head, _ = spine(fam)
@@ -658,21 +722,21 @@ def print_lf(e: Expr) -> str:
 
 def _pp(e: Expr, prec: int) -> str:
     # prec 0: whole expressions; 1: arrow operands / application; 2: atoms
-    match e:
-        case KType():
-            return "type"
-        case KPi(var, dom, body) | FPi(var, dom, body):
-            if not occurs_free(var, body):
-                s = f"{_pp(dom, 1)} -> {_pp(body, 0)}"
-            else:
-                s = f"{{{var}:{_pp(dom, 0)}}} {_pp(body, 0)}"
-            return f"({s})" if prec > 0 else s
-        case OLam(var, dom, body):
-            s = f"[{var}:{_pp(dom, 0)}] {_pp(body, 0)}"
-            return f"({s})" if prec > 0 else s
-        case FConst(name) | OConst(name) | OVar(name):
-            return name
-        case FApp(fn, arg) | OApp(fn, arg):
-            s = f"{_pp(fn, 1)} {_pp(arg, 2)}"
-            return f"({s})" if prec > 1 else s
+    cls = type(e)
+    if cls is OApp or cls is FApp:
+        s = f"{_pp(e.fn, 1)} {_pp(e.arg, 2)}"
+        return f"({s})" if prec > 1 else s
+    if cls is OConst or cls is OVar or cls is FConst:
+        return e.name
+    if cls is FPi or cls is KPi:
+        if not occurs_free(e.var, e.body):
+            s = f"{_pp(e.dom, 1)} -> {_pp(e.body, 0)}"
+        else:
+            s = f"{{{e.var}:{_pp(e.dom, 0)}}} {_pp(e.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    if cls is OLam:
+        s = f"[{e.var}:{_pp(e.dom, 0)}] {_pp(e.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    if cls is KType:
+        return "type"
     raise TypeError(f"not an LF expression: {e!r}")

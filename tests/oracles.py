@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from lflp import lf_syntax as lf
 from lflp.lf_syntax import (
@@ -924,7 +924,7 @@ _PTerm = Union[_PName, _PType, _PPi, _PLam, _PArrow, _PApp]
 
 
 class _Parser:
-    def __init__(self, toks: list[_Token]):
+    def __init__(self, toks: Sequence[_Token]):
         self.toks = toks
         self.pos = 0
 
@@ -939,7 +939,8 @@ class _Parser:
     def names_since(self, start: int) -> set[str]:
         """Every identifier among the tokens read since `start`: the binder
         names and name occurrences of the pre-term parsed from them."""
-        return {t.text for t in self.toks[start:self.pos] if t.kind == "ident"}
+        toks = [self.toks[i] for i in range(start, self.pos)]
+        return {t.text for t in toks if t.kind == "ident"}
 
     def expect(self, kind: str) -> _Token:
         t = self.peek()

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 
 import pytest
 
@@ -393,10 +394,10 @@ def test_readme_python_round_trip_runs():
 
 
 def test_solve_too_deep_input_ends_without_traceback():
-    # A 600-element list passes the parser's recursion limit, which is
-    # about 490 nested parentheses under Python's default (two frames
-    # each); the user of the command sees one error line, not a Python
-    # traceback.
+    # A query over a 600-element list passes Python's default recursion
+    # limit where the translator infers the types of the query's
+    # variables; the user of the command sees one error line, not a
+    # Python traceback.
     items = "nil"
     for _ in range(600):
         items = f"(cons z {items})"
@@ -770,10 +771,10 @@ def test_an_error_in_a_repeated_subterm_keeps_its_text(capsys, tmp_path):
 
 
 def test_check_reads_a_480_element_fact_in_process(tmp_path):
-    # Two Python frames per nested argument in the parser and in the
-    # kernel keep 480 levels under the default recursion limit.  The
-    # check runs on a fresh thread, whose stack holds none of pytest's
-    # frames.
+    # Two Python frames per nested argument in the kernel keep 480
+    # levels under the default recursion limit; the parser takes none.
+    # The check runs on a fresh thread, whose stack holds none of
+    # pytest's frames.
     path = tmp_path / "long.elf"
     path.write_text(_long_fact_signature(480))
     result = []
@@ -788,6 +789,36 @@ def test_check_reads_a_480_element_fact_in_process(tmp_path):
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert (result, out.getvalue()) == ([0], "ok: 13 declarations\n")
+
+
+def test_check_of_a_500_element_fact_ends_in_the_kernel(tmp_path):
+    # The parser reads the fact; the kernel's check reaches the default
+    # recursion limit, which the command reports as one error line.
+    path = tmp_path / "long.elf"
+    path.write_text(_long_fact_signature(500))
+    raised = []
+
+    def check():
+        try:
+            main(["check", str(path)])
+        except RecursionError as err:
+            raised.append(err)
+
+    worker = threading.Thread(target=check)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    [err] = raised
+    frames = {f.name for f in traceback.extract_tb(err.__traceback__)}
+    assert "check_signature" in frames and "parse_signature" not in frames
+    proc = subprocess.run(
+        [sys.executable, "-m", "lflp.cli", "check", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ,
+             "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])})
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", "error: input nested too deeply (Python's recursion limit "
+                "was reached)\n")
 
 
 def test_translate_emits_a_450_element_fact_in_process(tmp_path):

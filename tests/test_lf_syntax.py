@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,6 +166,11 @@ def test_lexer_pinned_cases(text, want):
     assert _lexed(oracles.char_tokenize, text) == want
 
 
+def test_token_count_skips_comments_and_counts_eof():
+    assert len(lf.tokenize("a % c\n b")) == 3
+    assert len(lf.tokenize("")) == 1
+
+
 def test_arrow_binder_avoids_every_name_of_its_declaration():
     # `x` is bound only after the arrow, and the arrow's binder avoids it
     c = lf.parse_signature("a : type. c : a -> {x:a} a.").lookup("c")
@@ -210,6 +217,37 @@ def test_one_pass_parser_agrees_with_two_pass(text):
     _assert_parsers_agree(text)
 
 
+_NAMES = ["a", "b", "x", "y", "Z", "nat"]
+
+
+def _grammar_tokens(depth):
+    """The tokens of an expression nested at most `depth` deep, by the
+    grammar: binders (in domains too), arrows, applications of atoms,
+    and parenthesized heads and arguments, with `type` as any atom."""
+    atom = st.sampled_from([*_NAMES, "type"]).map(lambda w: [w])
+    if depth == 0:
+        return atom
+    sub = _grammar_tokens(depth - 1)
+    atom = st.one_of(atom, sub.map(lambda e: ["(", *e, ")"]))
+    app = st.lists(atom, min_size=1, max_size=3).map(lambda xs: sum(xs, []))
+    binder = st.tuples(st.sampled_from(["{", "["]), st.sampled_from(_NAMES),
+                       sub, sub).map(
+        lambda b: [b[0], b[1], ":", *b[2], "}" if b[0] == "{" else "]", *b[3]])
+    arrow = st.tuples(app, sub).map(lambda a: [*a[0], "->", *a[1]])
+    return st.one_of(app, binder, arrow)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grammar_tokens(5), st.data())
+def test_one_pass_parser_agrees_with_two_pass_on_nested_input(toks, data):
+    # the whole text, or its tokens up to a random one, so that brackets
+    # are left open; each token is followed by a space or a line break
+    cut = data.draw(st.one_of(st.just(len(toks)), st.integers(0, len(toks))))
+    seps = data.draw(st.lists(st.sampled_from([" ", "\n"]), min_size=cut,
+                              max_size=cut))
+    _assert_parsers_agree("".join(map(str.__add__, toks[:cut], seps)))
+
+
 @pytest.mark.parametrize("name", sorted(
     p.name for p in oracles.DATA.glob("*.elf")))
 def test_one_pass_parser_agrees_on_data_signatures(name):
@@ -238,6 +276,8 @@ _a, _b = lf.FConst("a"), lf.FConst("b")
     ("c : p type (a -> b).", ("1:7: expected an object", 1, 7)),
     ("c : (a -> type) -> type.",
      ("1:11: 'type' cannot appear inside a type", 1, 11)),
+    # and so does a parenthesized kind applied to an argument
+    ("c : (a -> type) b.", ("1:11: 'type' cannot appear inside a type", 1, 11)),
     # the inner `x` is renamed, and its occurrence with it
     ("c : {x:a}{x:b} c x.",
      (lf.ObjDecl("c", lf.FPi("x", _a, lf.FPi(
@@ -329,7 +369,6 @@ def test_parse_object_arrow_error_is_at_the_arrow():
 
 
 def test_parser_reads_400_nested_lists_in_process():
-    # two frames per parenthesized level stay within the default limit
     items = "nil"
     for _ in range(400):
         items = f"(cons z {items})"
@@ -340,3 +379,79 @@ def test_parser_reads_400_nested_lists_in_process():
     while isinstance(m, lf.OApp):
         m, depth = m.arg, depth + 1
     assert (m, depth) == (lf.OConst("nil"), 400)
+
+
+# The parser reads nested input in one loop, with no Python frame per
+# level; each parse below runs on a fresh thread, whose stack holds none
+# of pytest's frames, under the default recursion limit.
+
+def _on_fresh_thread(parse):
+    result = []
+
+    def run():
+        try:
+            result.append(parse())
+        except RecursionError as err:
+            result.append(err)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    [out] = result
+    if isinstance(out, RecursionError):
+        raise out
+    return out
+
+
+def _nested_list(n):
+    items = "nil"
+    for _ in range(n):
+        items = f"(cons z {items})"
+    return items
+
+
+def _list_length(m):
+    n = 0
+    while isinstance(m, lf.OApp):
+        m, n = m.arg, n + 1
+    return m, n
+
+
+def test_parser_reads_a_10000_element_fact():
+    items = _nested_list(10_000)
+    text = ((oracles.DATA / "appendplus.elf").read_text()
+            + f"\nfact : append nil {items} {items}.\n")
+    sig = _on_fresh_thread(lambda: lf.parse_signature(text))
+    _, (_, first, second) = lf.spine(sig.lookup("fact"))
+    assert first is second
+    assert _list_length(first) == (lf.OConst("nil"), 10_000)
+
+
+def test_parser_reads_a_query_over_a_10000_element_list():
+    sig = oracles.load_signature("append.elf")
+    query = f"append {_nested_list(10_000)} nil L"
+    free, fam = _on_fresh_thread(lambda: lf.parse_query(query, sig))
+    _, (first, _, last) = lf.spine(fam)
+    assert (free, last) == (("L",), lf.OVar("L"))
+    assert _list_length(first) == (lf.OConst("nil"), 10_000)
+
+
+def test_parser_reads_2000_nested_parenthesized_heads():
+    text = "(" * 2000 + "a" + ")" * 2000
+    sig = _on_fresh_thread(lambda: lf.parse_signature(f"a : type. c : {text}."))
+    assert sig.lookup("c") == lf.FConst("a")
+    assert _on_fresh_thread(lambda: lf.parse_object(text)) == lf.OConst("a")
+
+
+def test_parser_reads_2000_binders_nested_in_domains():
+    n = 2000
+    text = ("a : type. c : " + "".join(f"{{x{i}:" for i in range(n))
+            + "a" + "} a" * n + ".")
+    c = _on_fresh_thread(lambda: lf.parse_signature(text)).lookup("c")
+    names = []
+    while isinstance(c, lf.FPi):
+        assert c.body == lf.FConst("a")
+        names.append(c.var)
+        c = c.dom
+    assert (c, names) == (lf.FConst("a"), [f"x{i}" for i in range(n)])
