@@ -386,7 +386,7 @@ class _Tokens:
     __slots__ = ("kinds", "texts", "index", "source")
 
     def __init__(self, kinds: list[str], texts: list[str],
-                 index: Sequence[int], source: str):
+                 index: list[int], source: str):
         self.kinds, self.texts, self.index, self.source = kinds, texts, index, source
 
     def __len__(self) -> int:
@@ -407,17 +407,10 @@ def tokenize(text: str) -> _Tokens:
             if kind is None:
                 raise LFSyntaxError(f"unexpected character {w[0]!r}",
                                     *_position(text, lexemes.index(w)))
-    # the lists are built in C; comments (kind '') are dropped, and
-    # without them the i-th token is the i-th match
+    # the lists are built in C; comments (kind '') are dropped
     ks = list(map(kinds.__getitem__, lexemes))
-    if "" in kinds.values():
-        toks = _Tokens(list(compress(ks, ks)), list(compress(lexemes, ks)),
-                       [*compress(count(), ks), len(lexemes)], text)
-    else:
-        toks = _Tokens(ks, lexemes, range(len(lexemes) + 1), text)
-    toks.kinds.append("eof")
-    toks.texts.append("")
-    return toks
+    return _Tokens([*compress(ks, ks), "eof"], [*compress(lexemes, ks), ""],
+                   [*compress(count(), ks), len(lexemes)], text)
 
 
 # ---------------------------------------------------------------------------
