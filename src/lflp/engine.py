@@ -74,7 +74,6 @@ keep the scope order the universes rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -86,14 +85,12 @@ from .hterms import (
 from .unify import Eq, Subst, unify
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     depth: int = 32          # max backchain steps per proof
     max_solutions: int = 1   # 0 means enumerate all within depth
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     bindings: tuple[tuple[LVar, Term], ...]
     backchains: int
 
@@ -101,8 +98,7 @@ class Solution:
         return next((t for k, t in self.bindings if k == v), None)
 
 
-@dataclass(frozen=True)
-class SolveRun:
+class SolveRun(NamedTuple):
     status: str  # "ok" | "no" | "suspended" | "exhausted"
     solutions: tuple[Solution, ...]
 

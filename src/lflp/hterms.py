@@ -20,27 +20,27 @@ in its universe, which is all the scope checking proof search needs.
 Formulas cover goals ``true | A | D => G | pi x\\ G`` and clauses
 ``A | G => D | pi x\\ D``; conjunction never arises here.
 
-Types, terms and formulas are slotted dataclasses with the generated
-field-wise ``==`` and ``hash``, not frozen ones, since proof search
-builds them by the thousand and a frozen instance is several times
-dearer to build.  They are immutable by rule: no code writes a field
-after building a node, which ``tests/test_hygiene.py`` checks.  A
-`Program` is built once per command and stays frozen.
+Types, terms and formulas are node classes built by
+`lf_syntax.nodeclass`: slotted, with the field-wise ``==`` and
+``hash``, and not frozen, since proof search builds them by the
+thousand and a frozen instance is several times dearer to build.  They
+are immutable by rule: no code writes a field after building a node,
+which ``tests/test_hygiene.py`` checks.  A `Program` is built once per
+command and is a `NamedTuple`, which refuses a write.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Union
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Union
 
-from .lf_syntax import fresh_name
+from .lf_syntax import fresh_name, nodeclass
 
 # ---------------------------------------------------------------------------
 # Simple types
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class TBase:
     name: str
 
@@ -48,7 +48,7 @@ class TBase:
         return self.name
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class TArrow:
     dom: "SimpleType"
     cod: "SimpleType"
@@ -84,7 +84,7 @@ def split_arrow(ty: SimpleType) -> tuple[list[SimpleType], SimpleType]:
 # Terms
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class Const:
     name: str
     ty: SimpleType
@@ -93,7 +93,7 @@ class Const:
         return self.name
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class EVar:
     """Eigenvariable: rigid, scoped by its creation level."""
 
@@ -105,7 +105,7 @@ class EVar:
         return self.name
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class LVar:
     """Logic variable: a hole unification may fill."""
 
@@ -117,7 +117,7 @@ class LVar:
         return self.name
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class BVar:
     """Occurrence of a lambda- or quantifier-bound name."""
 
@@ -128,7 +128,7 @@ class BVar:
         return self.name
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class Lam:
     var: str
     ty: SimpleType  # type of the bound variable
@@ -138,7 +138,7 @@ class Lam:
         return f"({self.var}\\ {self.body})"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class App:
     fn: "Term"
     arg: "Term"
@@ -271,24 +271,24 @@ def beta_norm(t: Term) -> Term:
 # Formulas
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class Top:
     """The goal that always holds."""
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class Atom:
     pred: str
     args: tuple[Term, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class Imp:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class ForAll:
     var: str
     ty: SimpleType
@@ -345,8 +345,7 @@ def term_leaves(items: Iterable[Union[Term, Formula, None]]) -> Iterator[Term]:
 # Programs
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     """A signature of typed constants plus an ordered clause list."""
 
     xi: tuple[tuple[str, SimpleType], ...]

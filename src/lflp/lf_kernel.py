@@ -115,28 +115,30 @@ def substitute(e: Expr, bindings: Mapping[str, Obj]) -> Expr:
     """
     if not bindings:
         return e
-    match e:
-        case KType() | FConst() | OConst():
+    cls = type(e)
+    if cls is OApp or cls is FApp:
+        fn, arg = e.fn, e.arg
+        fn2 = substitute(fn, bindings)
+        arg2 = substitute(arg, bindings)
+        if fn2 is fn and arg2 is arg:
             return e
-        case OVar(name):
-            return bindings.get(name, e)
-        case KPi(var, dom, body) | FPi(var, dom, body) | OLam(var, dom, body):
-            dom2 = substitute(dom, bindings)
-            inner = {k: v for k, v in bindings.items()
-                     if k != var and occurs_free(k, body)}
-            if not inner:
-                return e if dom2 is dom else type(e)(var, dom2, body)
-            if any(occurs_free(var, v) for v in inner.values()):
-                # the binder would capture a free name of a range
-                var, body = rename_apart(var, body, set(inner).union(
-                    *map(free_vars, inner.values())))
-            return type(e)(var, dom2, substitute(body, inner))
-        case FApp(fn, arg) | OApp(fn, arg):
-            fn2 = substitute(fn, bindings)
-            arg2 = substitute(arg, bindings)
-            if fn2 is fn and arg2 is arg:
-                return e
-            return type(e)(fn2, arg2)
+        return cls(fn2, arg2)
+    if cls is OVar:
+        return bindings.get(e.name, e)
+    if cls is OConst or cls is FConst or cls is KType:
+        return e
+    if cls is OLam or cls is FPi or cls is KPi:
+        var, dom, body = e.var, e.dom, e.body
+        dom2 = substitute(dom, bindings)
+        inner = {k: v for k, v in bindings.items()
+                 if k != var and occurs_free(k, body)}
+        if not inner:
+            return e if dom2 is dom else cls(var, dom2, body)
+        if any(occurs_free(var, v) for v in inner.values()):
+            # the binder would capture a free name of a range
+            var, body = rename_apart(var, body, set(inner).union(
+                *map(free_vars, inner.values())))
+        return cls(var, dom2, substitute(body, inner))
     raise TypeError(f"not an LF expression: {e!r}")
 
 
@@ -167,22 +169,24 @@ def _spend(cell: list[int]) -> None:
 
 def _norm(e: Expr, cell: list[int]) -> Expr:
     # a subterm that is already normal is returned as it is
-    match e:
-        case KType() | FConst() | OConst() | OVar():
+    cls = type(e)
+    if cls is OApp or cls is FApp:
+        fn, arg = e.fn, e.arg
+        fn2 = _norm(fn, cell)
+        if type(fn2) is OLam:
+            _spend(cell)
+            return _norm(substitute(fn2.body, {fn2.var: arg}), cell)
+        arg2 = _norm(arg, cell)
+        return e if fn2 is fn and arg2 is arg else cls(fn2, arg2)
+    if cls is OConst or cls is OVar or cls is FConst or cls is KType:
+        return e
+    if cls is OLam or cls is FPi or cls is KPi:
+        dom, body = e.dom, e.body
+        dom2 = _norm(dom, cell)
+        body2 = _norm(body, cell)
+        if dom2 is dom and body2 is body:
             return e
-        case KPi(var, dom, body) | FPi(var, dom, body) | OLam(var, dom, body):
-            dom2 = _norm(dom, cell)
-            body2 = _norm(body, cell)
-            if dom2 is dom and body2 is body:
-                return e
-            return type(e)(var, dom2, body2)
-        case FApp(fn, arg) | OApp(fn, arg):
-            fn2 = _norm(fn, cell)
-            if isinstance(fn2, OLam):
-                _spend(cell)
-                return _norm(substitute(fn2.body, {fn2.var: arg}), cell)
-            arg2 = _norm(arg, cell)
-            return e if fn2 is fn and arg2 is arg else type(e)(fn2, arg2)
+        return cls(e.var, dom2, body2)
     raise TypeError(f"not an LF expression: {e!r}")
 
 
@@ -225,17 +229,18 @@ def convertible(a: Expr, b: Expr) -> bool:
 def _eta_short(e: Expr) -> Expr:
     # contracts [x:A] M x to M when x is not free in M, innermost first;
     # a beta-normal input stays beta-normal
-    match e:
-        case KType() | FConst() | OConst() | OVar():
-            return e
-        case KPi(var, dom, body) | FPi(var, dom, body) | OLam(var, dom, body):
-            body = _eta_short(body)
-            if (isinstance(e, OLam) and isinstance(body, OApp)
-                    and body.arg == OVar(var) and not occurs_free(var, body.fn)):
-                return body.fn
-            return type(e)(var, _eta_short(dom), body)
-        case FApp(fn, arg) | OApp(fn, arg):
-            return type(e)(_eta_short(fn), _eta_short(arg))
+    cls = type(e)
+    if cls is OApp or cls is FApp:
+        return cls(_eta_short(e.fn), _eta_short(e.arg))
+    if cls is OConst or cls is OVar or cls is FConst or cls is KType:
+        return e
+    if cls is OLam or cls is FPi or cls is KPi:
+        var = e.var
+        body = _eta_short(e.body)
+        if (cls is OLam and type(body) is OApp
+                and body.arg == OVar(var) and not occurs_free(var, body.fn)):
+            return body.fn
+        return cls(var, _eta_short(e.dom), body)
     raise TypeError(f"not an LF expression: {e!r}")
 
 

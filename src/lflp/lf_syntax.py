@@ -20,28 +20,30 @@ subterm.  Sharing is safe because nodes are immutable (see below).
 After parsing, binder names are pairwise distinct along any scope path
 (the parser renames shadowed binders), and no bound variable stands as
 a type.  Equality of expressions is alpha-equivalence, provided by
-:func:`alpha_eq`; the structural ``==`` of the dataclasses compares
-names literally and is only suitable for hashing.
+:func:`alpha_eq`; the structural ``==`` of the nodes compares names
+literally and is only suitable for hashing.
 
-The node classes (kinds, families, objects, declarations) are slotted
-dataclasses with the generated field-wise ``==`` and ``hash``.  They are
-not frozen, since a frozen instance is several times dearer to build,
-and are immutable by rule instead: no code writes a node's field after
+The node classes (kinds, families, objects, declarations, and the
+terms and formulas of `hterms`) are built by `nodeclass`: slotted, with
+a field-wise ``__init__``, ``__repr__``, ``==`` and ``hash`` generated
+once per class, as a slotted dataclass has them, but without the cost
+of importing and running `dataclasses` at start-up.  They are not
+frozen, since a frozen instance is several times dearer to build, and
+are immutable by rule instead: no code writes a node's field after
 building it, which ``tests/test_hygiene.py`` checks.  A `Signature` is
 a slotted class whose slots only its own methods write, and a context
 is a plain dict from variable names to their types.
 
 The lexer matches one pattern over the whole input and returns the
-tokens as parallel lists of kinds and texts, with the index of each
-token's match.  A token's line and column are found again, by matching
-once more, only when an error message reports them.
+tokens as parallel lists of kinds and texts, and keeps nothing else per
+token.  A token's match, and from it its line and column, is found
+again, by matching once more, only when an error message reports it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import compress, count, islice
+from itertools import compress, islice
 from typing import Container, NamedTuple, Optional, Sequence, Union
 
 
@@ -58,6 +60,34 @@ class LFSyntaxError(LFError):
         super().__init__(message)
 
 
+def nodeclass(cls: type) -> type:
+    """`cls` rebuilt once as a node class: its own annotated fields, in
+    order, are its `__slots__` and `__match_args__`, and one `exec`
+    gives it the field-wise `__init__`, `__repr__`, `__eq__` (between
+    instances of one class only) and `__hash__` of the field tuple, as
+    a slotted dataclass with `unsafe_hash` has.  `_is_node` marks it."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    assert all(n.isidentifier() for n in names), names
+    mine = "".join(f"self.{n}," for n in names)
+    theirs = "".join(f"other.{n}," for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    ns = {k: v for k, v in vars(cls).items()
+          if k not in ("__dict__", "__weakref__")}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         f"    {'; '.join(f'self.{n} = {n}' for n in names) or 'pass'}\n"
+         f"def __repr__(self):\n"
+         f"    return self.__class__.__qualname__ + f'({shown})'\n"
+         f"def __eq__(self, other):\n"
+         f"    if other.__class__ is self.__class__:\n"
+         f"        return ({mine}) == ({theirs})\n"
+         f"    return NotImplemented\n"
+         f"def __hash__(self):\n"
+         f"    return hash(({mine}))\n", {}, ns)
+    ns["__slots__"] = ns["__match_args__"] = names
+    ns["__qualname__"], ns["_is_node"] = cls.__qualname__, True
+    return type(cls.__name__, cls.__bases__, ns)
+
+
 class _Pretty:
     __slots__ = ()
 
@@ -68,12 +98,12 @@ class _Pretty:
 # ---------------------------------------------------------------------------
 # Kinds
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class KType(_Pretty):
     """The base kind classifying types."""
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class KPi(_Pretty):
     var: str
     dom: "Fam"
@@ -86,19 +116,19 @@ Kind = Union[KType, KPi]
 # ---------------------------------------------------------------------------
 # Type families
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class FConst(_Pretty):
     name: str
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class FPi(_Pretty):
     var: str
     dom: "Fam"
     body: "Fam"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class FApp(_Pretty):
     fn: "Fam"
     arg: "Obj"
@@ -110,24 +140,24 @@ Fam = Union[FConst, FPi, FApp]
 # ---------------------------------------------------------------------------
 # Objects
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class OConst(_Pretty):
     name: str
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class OVar(_Pretty):
     name: str
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class OLam(_Pretty):
     var: str
     dom: Fam
     body: "Obj"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class OApp(_Pretty):
     fn: "Obj"
     arg: "Obj"
@@ -141,14 +171,14 @@ Expr = Union[Kind, Fam, Obj]
 # ---------------------------------------------------------------------------
 # Signatures and contexts
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class KindDecl:
     """``a : K`` declaring a type-family constant."""
     name: str
     kind: Kind
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class ObjDecl:
     """``c : A`` declaring an object constant."""
     name: str
@@ -380,20 +410,27 @@ def _position(source: str, index: int) -> tuple[int, int]:
 
 class _Tokens:
     """The tokens of `source` as parallel lists, the last one 'eof': their
-    `kinds`, `texts` and match indices `index`.  Indexing builds a
-    `_Token`, which the parser does only for an error message."""
+    `kinds` and `texts`.  Indexing builds a `_Token`, which the parser
+    does only for an error message."""
 
-    __slots__ = ("kinds", "texts", "index", "source")
+    __slots__ = ("kinds", "texts", "source")
 
-    def __init__(self, kinds: list[str], texts: list[str],
-                 index: list[int], source: str):
-        self.kinds, self.texts, self.index, self.source = kinds, texts, index, source
+    def __init__(self, kinds: list[str], texts: list[str], source: str):
+        self.kinds, self.texts, self.source = kinds, texts, source
 
     def __len__(self) -> int:
         return len(self.kinds)
 
     def __getitem__(self, i: int) -> _Token:
-        return _Token(self.kinds[i], self.texts[i], self.source, self.index[i])
+        # a negative `i` counts from the end and one out of range raises
+        # IndexError, as for a list, which ends iteration
+        i = range(len(self.kinds))[i]
+        # the token's match is found again: the i-th that is no comment,
+        # or for 'eof' one past the last match
+        lexemes = _LEXEME.findall(self.source)
+        index = next(islice((j for j, w in enumerate(lexemes) if w[0] != "%"),
+                            i, None), len(lexemes))
+        return _Token(self.kinds[i], self.texts[i], self.source, index)
 
 
 def tokenize(text: str) -> _Tokens:
@@ -409,8 +446,7 @@ def tokenize(text: str) -> _Tokens:
                                     *_position(text, lexemes.index(w)))
     # the lists are built in C; comments (kind '') are dropped
     ks = list(map(kinds.__getitem__, lexemes))
-    return _Tokens([*compress(ks, ks), "eof"], [*compress(lexemes, ks), ""],
-                   [*compress(count(), ks), len(lexemes)], text)
+    return _Tokens([*compress(ks, ks), "eof"], [*compress(lexemes, ks), ""], text)
 
 
 # ---------------------------------------------------------------------------

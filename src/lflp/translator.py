@@ -41,8 +41,7 @@ binder names; it visits a subterm the clause shares once, by identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import lf_syntax as lf
 from . import strictness
@@ -292,8 +291,7 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
     return types
 
 
-@dataclass(frozen=True)
-class QueryTranslation:
+class QueryTranslation(NamedTuple):
     goal: Formula
     subject: LVar
     var_lvars: tuple[tuple[str, LVar], ...]

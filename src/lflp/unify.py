@@ -43,17 +43,17 @@ queued with that count and not walked again.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .hterms import (
     App, BVar, Const, EVar, LVar, Lam, SimpleType, Term, arrow, beta_norm,
     fresh_evar, fresh_level, fresh_lvar_at, mk_app, rename_apart, split_arrow,
     subst_term, term_spine,
 )
+from .lf_syntax import nodeclass
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@nodeclass
 class Eq:
     lhs: Term
     rhs: Term
@@ -122,8 +122,7 @@ class Subst:
         return Subst(m)
 
 
-@dataclass(frozen=True)
-class UnifyResult:
+class UnifyResult(NamedTuple):
     status: str  # "ok" | "residual" | "fail"
     subst: Subst
     residuals: tuple[Eq, ...] = ()

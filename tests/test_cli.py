@@ -393,6 +393,22 @@ def test_readme_python_round_trip_runs():
                            "inhabitant: appCons z nil nil nil (appNil nil)\n")
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every command pays for `import lflp.cli` first, and these two were
+    # about a third of it.  Compared with the modules loaded before the
+    # import, so what `site` loads does not count.
+    root = DATA.parent.parent
+    code = ("import sys; before = set(sys.modules); import lflp.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = set(proc.stdout.split())
+    assert {"lflp.cli", "lflp.engine"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_solve_too_deep_input_ends_without_traceback():
     # A query over a 600-element list passes Python's default recursion
     # limit where the translator infers the types of the query's

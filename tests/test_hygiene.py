@@ -1,16 +1,17 @@
 """Source hygiene: no module-level import goes unused, the library
-imports nothing outside the standard library, no library module
-imports another's private (underscore-prefixed) names or has a `global`
-statement, every module-level function and class of the library is
-named by library code, and no two module-level functions of the library
-and the tests have one body up to the names of their parameters and
-locals, nor two of one library module up to every name, nor two of one
-library module are near twins, their bodies' node kinds too alike by
-`difflib`.  The term and
-formula node classes are immutable by rule: the library writes no field
-of a node, calls `object.__setattr__` nowhere and writes a signature's
-slots only in the methods of `Signature`, and no node instance has a
-dict.  The parser builds every node it hash-conses through one helper.
+imports nothing outside the standard library and neither `dataclasses`
+nor `inspect`, no library module imports another's private
+(underscore-prefixed) names or has a `global` statement, every
+module-level function and class of the library is named by library
+code, and no two module-level functions of the library and the tests
+have one body up to the names of their parameters and locals, nor two
+of one library module up to every name, nor two of one library module
+are near twins, their bodies' node kinds too alike by `difflib`.  The
+term and formula node classes, marked by `lf_syntax.nodeclass`, are
+immutable by rule: the library writes no field of a node, calls
+`object.__setattr__` nowhere and writes a signature's slots only in
+the methods of `Signature`, and no node instance has a dict.  The
+parser builds every node it hash-conses through one helper.
 Every target the benchmark's tracer wraps names a library callable,
 but for the one known to be gone.
 
@@ -23,7 +24,6 @@ import ast
 import difflib
 import importlib
 import sys
-from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 from lflp import hterms, lf_syntax, unify
@@ -60,23 +60,29 @@ def test_no_unused_module_level_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-def outside_stdlib(path: Path) -> list[str]:
-    """`file:line: module` for each top-level import in `path` that is
-    neither relative nor of a standard-library module (`__future__`
-    among them)."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def absolute_imports(path: Path, nodes) -> list[tuple[str, str]]:
+    """`(file:line, module)` for each module imported, not relatively,
+    by an import statement among `nodes`, statements of `path`."""
     rel = path.relative_to(ROOT)
     found = []
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             modules = [node.module]
         else:
             continue
-        found += [f"{rel}:{node.lineno}: {m}" for m in modules
-                  if m.split(".")[0] not in sys.stdlib_module_names]
+        found += [(f"{rel}:{node.lineno}", m) for m in modules]
     return found
+
+
+def outside_stdlib(path: Path) -> list[str]:
+    """`file:line: module` for each top-level import in `path` that is
+    neither relative nor of a standard-library module (`__future__`
+    among them)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{where}: {m}" for where, m in absolute_imports(path, tree.body)
+            if m.split(".")[0] not in sys.stdlib_module_names]
 
 
 def test_library_imports_only_the_standard_library():
@@ -84,6 +90,28 @@ def test_library_imports_only_the_standard_library():
         "the check must see the tests' own imports of lflp and pytest"
     found = [line for path in LIBRARY for line in outside_stdlib(path)]
     assert not found, "imports outside the standard library:\n" + "\n".join(found)
+
+
+# `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, and it
+# builds each slotted class twice: it cost about a third of `import
+# lflp.cli`, which every command pays.  `lf_syntax.nodeclass` and
+# `typing.NamedTuple` build the classes instead.
+SLOW_TO_IMPORT = frozenset(("dataclasses", "inspect"))
+
+
+def slow_imports(path: Path) -> list[str]:
+    """`file:line: module` for each import anywhere in `path`, function
+    bodies included, of a module in `SLOW_TO_IMPORT` or one inside it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{where}: {m}" for where, m in absolute_imports(path, ast.walk(tree))
+            if m.split(".")[0] in SLOW_TO_IMPORT]
+
+
+def test_library_imports_neither_dataclasses_nor_inspect():
+    assert slow_imports(ROOT / "tests" / "lpreader.py"), \
+        "the check must see the test reader's import of dataclasses"
+    found = [line for path in LIBRARY for line in slow_imports(path)]
+    assert not found, "slow imports:\n" + "\n".join(found)
 
 
 def private_imports(path: Path) -> list[str]:
@@ -420,15 +448,26 @@ def test_no_two_functions_of_one_library_module_are_near_twins(tmp_path):
     assert not found, "functions too alike:\n" + "\n".join(found)
 
 
-# The records built once per operation stay frozen dataclasses, so the
-# run time refuses a write to them.  Every other dataclass of these
-# modules is a node class: slotted and not frozen, built by the thousand,
-# and immutable only by the rule below.
+# The records built once per operation are NamedTuples, so the run time
+# refuses a write to them.  The node classes are built by
+# `lf_syntax.nodeclass`, which marks them: slotted and not frozen, built
+# by the thousand, and immutable only by the rule below.
 RECORDS = {"Program", "UnifyResult"}
 NODE_CLASSES = [c for m in (lf_syntax, hterms, unify) for c in vars(m).values()
                 if isinstance(c, type) and c.__module__ == m.__name__
-                and is_dataclass(c) and c.__name__ not in RECORDS]
-NODE_FIELDS = frozenset(f.name for c in NODE_CLASSES for f in fields(c))
+                and getattr(c, "_is_node", False)]
+NODE_FIELDS = frozenset(n for c in NODE_CLASSES for n in c.__slots__)
+
+
+def test_node_classes_and_fields_are_pinned():
+    # the field-write rule below is exactly as strict as the field set
+    assert sorted(c.__name__ for c in NODE_CLASSES) == sorted(
+        "KType KPi FConst FPi FApp OConst OVar OLam OApp KindDecl ObjDecl "
+        "TBase TArrow Const EVar LVar BVar Lam App Top Atom Imp ForAll "
+        "Eq".split())
+    assert NODE_FIELDS == frozenset(
+        "var dom body name fn arg kind fam cod ty level pred args left "
+        "right lhs rhs".split())
 
 
 def _is_self(e: ast.expr) -> bool:
@@ -622,7 +661,7 @@ class _Dicted:
     pass
 
 
-@dataclass(slots=True)
+@lf_syntax.nodeclass
 class _Leaky(_Dicted):
     x: int
 
@@ -635,7 +674,7 @@ def test_node_instances_have_no_dict():
             "ForAll", "Eq"} <= names
     assert not names & RECORDS
     dicted = [c.__name__ for c in NODE_CLASSES
-              if hasattr(c(*[None] * len(fields(c))), "__dict__")]
+              if hasattr(c(*[None] * len(c.__slots__)), "__dict__")]
     assert not dicted, "node classes with an instance dict: " + ", ".join(dicted)
 
 
@@ -679,9 +718,9 @@ def test_every_trace_target_names_a_library_callable():
     assert missing_trace_targets([
         ("lflp.unify", "Subst.extend"), ("lflp.unify", "Subst.gone"),
         ("lflp.cli", "gone"), ("lflp.engine", "_LEVEL_CAP"),
-        ("lflp.engine", "dataclass"), ("os", "getcwd"),
+        ("lflp.engine", "chain"), ("os", "getcwd"),
     ]) == ["lflp.unify.Subst.gone", "lflp.cli.gone", "lflp.engine._LEVEL_CAP",
-           "lflp.engine.dataclass", "os.getcwd"]
+           "lflp.engine.chain", "os.getcwd"]
     targets = trace_targets(TRACING)
     assert ("lflp.cli", "solve") in targets
     assert missing_trace_targets(targets) == GONE_TRACE_TARGETS
