@@ -10,9 +10,8 @@ forms.  A fuel bound, `_FUEL` beta steps, caps one normalization.  It
 bounds cost, not divergence: the rules refuse an ill-typed term before
 they normalize it, while a well-typed term may need more steps, as
 ``([y:t] y) d`` inside nine nested ``([x:t] c x x x x) (...)`` does
-(about 4^9).  A caller that normalizes unchecked input, as
-`translate_query` does, meets Python's recursion limit on a diverging
-term long before the fuel runs out.
+(about 4^9).  Every caller checks before it normalizes, a query too, so
+a diverging term is refused as ill-typed.
 
 A constant's classifier is normalized once per signature, by
 `normal_classifier`, and every rule reads it from there; which of its
@@ -22,7 +21,11 @@ checks each declaration against the prefix of the declarations before
 it, and records a classifier it finds beta-normal as its own normal
 form, so `normal_classifier` does not walk it again.  A context maps
 each variable to its beta-normal type, so a variable's occurrence is
-typed as the context holds it.
+typed as the context holds it.  `check_query` types a query's free
+variables as local type inference does: each starts as a placeholder,
+a type constant no signature declares, met only where an argument fails
+its domain; there it takes the domain, or what a lambda's Pi domain
+ends in, unless that mentions a binder, and it is never applied.
 
 One synthesis, `_synth`, types objects and type families alike, one
 case per construct: a variable, a constant, an application, and a
@@ -88,7 +91,8 @@ _Shared = dict[int, tuple[Obj, Fam, bool]]
 
 
 class LFTypeError(LFError):
-    """A judgment failed; carries the rule name and a location string."""
+    """A judgment failed; carries the rule name and a location string.
+    An error of no rule is a query's free variable that has no type."""
 
     def __init__(self, message: str, rule: str = "", loc: str = ""):
         self.message = message
@@ -102,6 +106,10 @@ class LFTypeError(LFError):
 
 class LFFuelError(LFError):
     """Normalization exceeded its step budget."""
+
+
+class _QueryContext(dict):
+    __slots__ = ("free",)  # the free variables of `check_query`'s query
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +303,16 @@ def check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
     return _synth(sig, ctx, a, {})[0]
 
 
+def check_query(sig: Signature, free: tuple[str, ...],
+                a: Fam) -> tuple[Kind, bool, dict[str, Fam]]:
+    """The kind of the query type `a`, whether `a` is beta-normal, and
+    the context that types its free variables `free` at first use."""
+    ctx = _QueryContext((x, FConst("?" + x)) for x in free)
+    ctx.free = frozenset(free)
+    k, normal = _synth(sig, ctx, a, {})
+    return k, normal, dict(ctx)
+
+
 def check_object(sig: Signature, ctx: Context, m: Obj,
                  expected: Optional[Fam] = None) -> Fam:
     """Synthesize the beta-normal type of `m`; compare to `expected` if given."""
@@ -383,8 +401,13 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
     # variable or lambda head walks its classifier.  An argument found in
     # `shared` is not synthesized again.  Returns the instantiated rest
     # and whether every argument is beta-normal.
-    deps = (classifier_dependencies(sig, head.name, pi)
-            if isinstance(head, (OConst, FConst)) else pi_dependencies(pi))
+    if isinstance(head, (OConst, FConst)):
+        deps = classifier_dependencies(sig, head.name, pi)
+    elif type(ctx) is _QueryContext and getattr(head, "name", 0) in ctx.free:
+        raise LFTypeError(f"cannot infer a type for {head.name}: "
+                          "free query variables may not be applied")
+    else:
+        deps = pi_dependencies(pi)
     sub: dict[str, Obj] = {}
     normal = True
     rest = pi
@@ -401,7 +424,7 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
             _, t, arg_normal = known
         if t != dom and not convertible(t, dom):
             # the head of a family's spine is a constant or a Pi
-            raise _mismatch(arg, t, dom, "app-fam" if isinstance(
+            _reconcile(sig, ctx, arg, t, dom, "app-fam" if isinstance(
                 head, (FConst, FPi)) else "app-obj")
         if not arg_normal:
             normal = False
@@ -410,6 +433,26 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
             sub[rest.var] = arg
         rest = rest.body
     return (instantiate_normal(rest, sub) if sub else rest), normal
+
+
+def _reconcile(sig: Signature, ctx: Context, arg: Obj, t: Fam, dom: Fam,
+               rule: str) -> None:
+    # `arg` of type `t` fails `dom`.  In a query, an untyped variable whose
+    # placeholder ends `t` takes what `dom` ends in, unless that has a binder
+    tail, want, bound = t, dom, set()
+    while type(tail) is FPi:  # `want` is None past the Pi types of `dom`
+        bound.add(getattr(want, "var", None))
+        tail, want = tail.body, getattr(want, "body", None)
+    if type(ctx) is _QueryContext and getattr(tail, "name", "")[:1] == "?":
+        name = tail.name[1:]
+        if ctx[name] is tail:
+            if want is None or not free_vars(want) <= ctx.free - bound:
+                raise LFTypeError(
+                    f"cannot infer a type for query variable {name}")
+            ctx[name] = want
+        t, _ = _synth(sig, ctx, arg)
+    if not convertible(t, dom):
+        raise _mismatch(arg, t, dom, rule)
 
 
 def _mismatch(m: Obj, t: Fam, want: Fam, rule: str) -> LFTypeError:

@@ -29,7 +29,8 @@ kept in the signature's ``clauses`` table.  ``reachable_signature``
 picks the view a query needs: the type families its translated clauses
 can reach from the query's family, so ``lflp solve`` translates and
 compiles only those, while ``lflp translate`` packages the whole
-signature.
+signature.  ``translate_query`` makes a query's goal; the kernel's
+`check_query` types the query's free variables.
 
 The emitter prints a Program in lambdaProlog concrete syntax; its
 literal mode shows each binder without a premise as ``pi X\\ (true => D)``.
@@ -51,8 +52,7 @@ from .hterms import (
     fresh_lvar_at, term_spine,
 )
 from .lf_kernel import (
-    LFTypeError, beta_normalize, check_type, instantiate_normal,
-    normal_classifier,
+    LFTypeError, beta_normalize, check_query, normal_classifier,
 )
 
 
@@ -120,8 +120,6 @@ def _encode(sig: lf.Signature, e: Union[lf.Obj, lf.Fam],
             inner = dict(env)
             inner[var] = BVar(var, ty)
             t = Lam(var, ty, _encode(sig, body, inner, {}))
-        case lf.FPi():
-            raise TranslationError("only base types have term encodings")
         case _:
             raise TranslationError(f"cannot encode {e!r}")
     memo[id(e)] = t
@@ -241,56 +239,6 @@ def _atom_families(f: Formula) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # Query translation
 
-def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
-                          a: lf.Fam) -> dict[str, lf.Fam]:
-    """Assign each free query variable the LF type of its first argument
-    position; verify consistency at later occurrences via the kernel."""
-    types: dict[str, lf.Fam] = {}
-
-    def scan_args(name: str, pi: Union[lf.Kind, lf.Fam], args: list[lf.Obj]):
-        # each argument at its Pi binder's domain, instantiated by the
-        # arguments before it
-        sub: dict[str, lf.Obj] = {}
-        for arg in args:
-            if not isinstance(pi, (lf.KPi, lf.FPi)):
-                raise TranslationError(f"too many arguments to {name}")
-            scan_obj(arg, instantiate_normal(pi.dom, sub) if sub else pi.dom)
-            sub[pi.var] = arg
-            pi = pi.body
-
-    def scan_obj(m: lf.Obj, expected: lf.Fam):
-        if isinstance(m, lf.OLam):
-            # the body at the Pi's codomain, the binder renamed apart
-            if isinstance(expected, lf.FPi):
-                var = lf.OVar(lf.fresh_name(m.var, {
-                    *free, *lf.free_vars(m), *lf.free_vars(expected)}))
-                scan_obj(instantiate_normal(m.body, {m.var: var}),
-                         instantiate_normal(expected.body, {expected.var: var}))
-            return
-        ohead, oargs = lf.spine(m)
-        if isinstance(ohead, lf.OVar) and ohead.name in free:
-            if oargs:
-                raise TranslationError(
-                    f"cannot infer a type for {ohead.name}: "
-                    "free query variables may not be applied")
-            if ohead.name not in types:
-                types[ohead.name] = expected
-            return
-        if isinstance(ohead, lf.OConst):
-            fam = normal_classifier(sig, ohead.name)
-            if fam is None or isinstance(fam, (lf.KType, lf.KPi)):
-                raise TranslationError(f"unknown object constant {ohead.name}")
-            scan_args(ohead.name, fam, oargs)
-
-    head, args = lf.spine(a)
-    scan_args(head.name, normal_classifier(sig, head.name), args)
-    missing = [n for n in free if n not in types]
-    if missing:
-        raise TranslationError(
-            f"cannot infer a type for query variable {missing[0]}")
-    return types
-
-
 class QueryTranslation(NamedTuple):
     goal: Formula
     subject: LVar
@@ -303,23 +251,30 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
                     a: lf.Fam) -> QueryTranslation:
     """The goal of the query type `a` with the free variables `free`, as
     `parse_query(text, sig)` returns them: `a` is a base type headed by
-    a type constant of `sig`."""
-    a = beta_normalize(a)
-    var_types = infer_query_var_types(sig, free, a)
+    a type constant of `sig`.  Too many arguments to it, or one headed by
+    no object constant, is refused in the translator's words."""
+    head, args = lf.spine(a)
+    arity = len(lf.pi_dependencies(sig.lookup(head.name)))
+    for c in (lf.spine(arg)[0] for arg in args[:arity]):
+        if isinstance(c, lf.OConst) and not isinstance(
+                sig.lookup(c.name), (lf.FConst, lf.FApp, lf.FPi)):
+            raise TranslationError(f"unknown object constant {c.name}")
+    if len(args) > arity:
+        raise TranslationError(f"too many arguments to {head.name}")
+    try:
+        k, normal, var_types = check_query(sig, free, a)
+    except LFTypeError as err:
+        raise TranslationError(f"ill-formed query type: {err}" if err.rule
+                               else err.message) from None
+    if not isinstance(k, lf.KType):
+        raise TranslationError("query type is not fully applied")
+    a = a if normal else beta_normalize(a)
     # the query's variables live in the outermost universe, 0
     var_lvars = tuple((n, fresh_lvar_at(n, phi(var_types[n]), 0))
                       for n in free)
-    env: dict[str, Term] = {n: v for n, v in var_lvars}
-    try:
-        # the inferred types are beta-normal: they are the query's context
-        k = check_type(sig, var_types, a)
-    except LFTypeError as err:
-        raise TranslationError(f"ill-formed query type: {err}") from None
-    if not isinstance(k, lf.KType):
-        raise TranslationError("query type is not fully applied")
     subject = fresh_lvar_at("M", LF_OBJ, 0)
     # a base type has no binders, so either mode gives the one atom
-    goal = translate_judgment(sig, a, subject, "naive", env=env)
+    goal = translate_judgment(sig, a, subject, "naive", env=dict(var_lvars))
     return QueryTranslation(goal, subject, var_lvars, var_types, a)
 
 

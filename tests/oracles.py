@@ -15,8 +15,10 @@ expression for the lexer, a tree of pre-terms walked a second time
 instead of one pass over the tokens for the parser
 (`two_pass_parse_signature` and its siblings), application typed one
 argument at a time (`ref_check_object`, `ref_check_type`) instead of one
-loop over the spine, and typed eta-long canonical forms (`canonicalize`)
-instead of untyped eta-short ones for conversion.  Shared plumbing (AST types, LF alpha comparison, the
+loop over the spine, typed eta-long canonical forms (`canonicalize`)
+instead of untyped eta-short ones for conversion, and a scan of the
+normalized query (`infer_query_var_types`) instead of the kernel's check
+of the query as parsed for typing a query's free variables.  Shared plumbing (AST types, LF alpha comparison, the
 object-level strictness judgment) comes from the package; the decision
 procedures do not.
 
@@ -42,7 +44,8 @@ from lflp.lf_syntax import (
 )
 from lflp.lf_kernel import (
     LFTypeError, beta_normalize, check_signature, convertible,
-    normal_classifier, print_brief, rename_apart, substitute,
+    instantiate_normal, normal_classifier, print_brief, rename_apart,
+    substitute,
 )
 from lflp.engine import (
     Limits, Solution, SolveRun, _extract, _key, _root_universe,
@@ -53,6 +56,7 @@ from lflp.hterms import (
     split_arrow, subst_formula, term_leaves, term_spine,
 )
 from lflp.strictness import _why_obj
+from lflp.translator import TranslationError
 from lflp.unify import Eq, Subst, UnifyResult, unify
 
 DATA = Path(__file__).parent / "data"
@@ -1248,6 +1252,60 @@ def _ref_instantiate(pi: Union[KPi, FPi], arg: Obj) -> Union[Kind, Fam]:
     if not lf.occurs_free(pi.var, pi.body):
         return pi.body
     return beta_normalize(substitute(pi.body, {pi.var: arg}))
+
+
+# ---------------------------------------------------------------------------
+# Query variables typed by a scan of the normalized query, then checked:
+# the kernel types them in its one spine check instead.
+
+def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
+                          a: lf.Fam) -> dict[str, lf.Fam]:
+    """Assign each free query variable the LF type of its first argument
+    position; verify consistency at later occurrences via the kernel."""
+    types: dict[str, lf.Fam] = {}
+
+    def scan_args(name: str, pi: Union[lf.Kind, lf.Fam], args: list[lf.Obj]):
+        # each argument at its Pi binder's domain, instantiated by the
+        # arguments before it
+        sub: dict[str, lf.Obj] = {}
+        for arg in args:
+            if not isinstance(pi, (lf.KPi, lf.FPi)):
+                raise TranslationError(f"too many arguments to {name}")
+            scan_obj(arg, instantiate_normal(pi.dom, sub) if sub else pi.dom)
+            sub[pi.var] = arg
+            pi = pi.body
+
+    def scan_obj(m: lf.Obj, expected: lf.Fam):
+        if isinstance(m, lf.OLam):
+            # the body at the Pi's codomain, the binder renamed apart
+            if isinstance(expected, lf.FPi):
+                var = lf.OVar(lf.fresh_name(m.var, {
+                    *free, *lf.free_vars(m), *lf.free_vars(expected)}))
+                scan_obj(instantiate_normal(m.body, {m.var: var}),
+                         instantiate_normal(expected.body, {expected.var: var}))
+            return
+        ohead, oargs = lf.spine(m)
+        if isinstance(ohead, lf.OVar) and ohead.name in free:
+            if oargs:
+                raise TranslationError(
+                    f"cannot infer a type for {ohead.name}: "
+                    "free query variables may not be applied")
+            if ohead.name not in types:
+                types[ohead.name] = expected
+            return
+        if isinstance(ohead, lf.OConst):
+            fam = normal_classifier(sig, ohead.name)
+            if fam is None or isinstance(fam, (lf.KType, lf.KPi)):
+                raise TranslationError(f"unknown object constant {ohead.name}")
+            scan_args(ohead.name, fam, oargs)
+
+    head, args = lf.spine(a)
+    scan_args(head.name, normal_classifier(sig, head.name), args)
+    missing = [n for n in free if n not in types]
+    if missing:
+        raise TranslationError(
+            f"cannot infer a type for query variable {missing[0]}")
+    return types
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,57 @@ def test_solve_stlc_query_error_texts_pinned(capsys, query, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# The kernel checks a query as parsed and types each free variable at its
+# first occurrence in argument position.  These queries had other results
+# when a scan of the normalized query typed the variables.
+@pytest.mark.parametrize("sigfile, query, want", [
+    # N occurs only in a redex's argument, which normalizing dropped
+    ("append.elf", "append nil nil (([x:nat] nil) N)",
+     (0, "% free: A : nat\nN = A\ninhabitant: appNil nil\n", "")),
+    # Y is an argument under the bound variable pi
+    ("clash.elf", "q X ([pi:nat -> nat] pi Y)",
+     (0, "Y = X\ninhabitant: d X ([x1:nat] x1)\n", "")),
+    # E is the argument of a redex whose value is F
+    ("stlc.elf", "eval F (([x:tm] F) E)",
+     (0, "% free: A : tp\n% free: B : tm -> tm\n% free: C : tm\n"
+         "F = lam A ([x1:tm] B x1)\nE = C\n"
+         "inhabitant: ev_lam A ([x:tm] B x)\n", "")),
+    # E and T are typed in a binder's type, and the lambda does not fit
+    ("stlc.elf", "eval (lam o ([x: of E T] x)) V",
+     (2, "", "error: ill-formed query type: [app-obj] [x:of E T] x has type "
+             "of E T -> of E T, expected tm -> tm\n")),
+    # the dropped redex was ill-typed: L is a nat there, a list after it
+    ("append.elf", "append (([x:nat] nil) L) L nil",
+     (2, "", "error: ill-formed query type: [app-fam] L has type nat, "
+             "expected list\n")),
+    # L has no type yet where the lambda fails its domain
+    ("append.elf", "append ([x:nat] L) L nil",
+     (2, "", "error: cannot infer a type for query variable L\n")),
+    # a nested spine's errors are the kernel's
+    ("append.elf", "append (cons z nil nil) nil L",
+     (2, "", "error: ill-formed query type: [app-obj] cons z nil of type "
+             "list applied to an argument\n")),
+    # the head family's own arguments are read before the kernel's check
+    ("append.elf", "append (cons foo nil) bar L",
+     (2, "", "error: unknown object constant bar\n")),
+    # the redex reduces to F applied to E; its type is F's placeholder
+    ("stlc.elf", "eval (([x:tm] F) E E) V",
+     (2, "", "error: ill-formed query type: [app-obj] ([x:tm] F) E of type "
+             "?F applied to an argument\n")),
+])
+def test_solve_query_variables_typed_at_first_use(capsys, sigfile, query,
+                                                   want):
+    assert run_cli(capsys, "solve", str(DATA / sigfile), query) == want
+
+
+def test_solve_refuses_an_applied_query_variable(capsys):
+    # F is typed before it is applied
+    assert run_cli(capsys, "solve", str(DATA / "stlc.elf"),
+                   "eval (lam o F) (F E)") == (
+        2, "", "error: cannot infer a type for F: free query variables may "
+               "not be applied\n")
+
+
 def test_solve_rejects_bad_depth(capsys):
     code, _, err = run_cli(capsys, "solve", APPEND, "append nil nil nil",
                            "--depth", "0")
@@ -508,15 +559,14 @@ def test_a_well_typed_term_can_exhaust_the_fuel(capsys, monkeypatch,
 
 
 def test_an_ill_typed_term_never_reaches_the_fuel(capsys, tmp_path):
-    # the kernel refuses an ill-typed term before normalizing it; a query
-    # is normalized before the kernel checks it, so a diverging one meets
-    # Python's recursion limit long before the fuel runs out
+    # the kernel refuses an ill-typed term before normalizing it, in a
+    # query as in a signature
     omega = "([x:t] x x) ([x:t] x x)"
     path = tmp_path / "omega.elf"
     path.write_text("t : type. p : t -> type.\n")
     assert _run(capsys, ["solve", str(path), f"p ({omega})"]) == (
-        2, "", "error: input nested too deeply (Python's recursion limit "
-               "was reached)\n")
+        2, "", "error: ill-formed query type: [app-obj] x of type t applied "
+               "to an argument\n")
     path.write_text(f"t : type. p : t -> type. q : p ({omega}).\n")
     assert _run(capsys, ["check", str(path)]) == (
         1, "error: [app-obj] x of type t applied to an argument "
@@ -835,6 +885,57 @@ def test_check_of_a_500_element_fact_ends_in_the_kernel(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (2, "", "error: input nested too deeply (Python's recursion limit "
                 "was reached)\n")
+
+
+def test_translate_query_of_a_480_element_list_in_process():
+    # The kernel types the query's variable in its one check, two Python
+    # frames per nested argument, so a 480-level query translates under
+    # the default recursion limit, on a fresh thread as above.
+    sig = oracles.load_signature("append.elf")
+    free, fam = lf.parse_query(f"append ({_ground_list(480)}) nil L", sig)
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(translate_query(sig, free, fam)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    [qt] = result
+    assert qt.var_types == {"L": lf.FConst("list")}
+
+
+def test_solve_of_a_500_element_query_ends_in_the_kernel(capsys):
+    # At 500 levels the kernel's check reaches the default recursion
+    # limit; the translator's only frame is its entry, and the command
+    # reports the limit as one error line.
+    query = f"append ({_ground_list(500)}) nil L"
+    raised, codes = [], []
+
+    def solve_in_process():
+        try:
+            main(["solve", APPEND, query])
+        except RecursionError as err:
+            raised.append(err)
+        try:
+            cli.run(["solve", APPEND, query])
+        except SystemExit as stop:
+            codes.append(stop.code)
+
+    worker = threading.Thread(target=solve_in_process)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    [err] = raised
+    frames = traceback.extract_tb(err.__traceback__)
+    assert [f.name for f in frames if f.filename == translator.__file__] == [
+        "translate_query"]
+    # the deepest frame of the package is the kernel's
+    package = pathlib.Path(lf_kernel.__file__).parent
+    assert [f.filename for f in frames if pathlib.Path(f.filename).parent
+            == package][-1] == lf_kernel.__file__
+    out, errtext = capsys.readouterr()
+    assert (codes, out, errtext) == (
+        [2], "", "error: input nested too deeply (Python's recursion limit "
+                 "was reached)\n")
 
 
 def test_translate_emits_a_450_element_fact_in_process(tmp_path):

@@ -1,6 +1,7 @@
 """Clause generation, type erasure, and the hohh emitter."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lflp import lf_syntax as lf
 from lflp.engine import Limits, solve
@@ -8,7 +9,9 @@ from lflp.hterms import (
     LF_OBJ, LF_TYPE, App, Atom, BVar, Const, ForAll, Imp, Lam, Program, Top,
     arrow, beta_norm, mk_app, term_spine,
 )
-from lflp.lf_kernel import substitute
+from lflp.lf_kernel import (
+    LFTypeError, beta_normalize, check_query, substitute,
+)
 from lflp.translator import (
     TranslationError, emit_lambdaprolog, emit_split, encode,
     phi, reachable_signature, translate_judgment,
@@ -416,10 +419,111 @@ def test_query_variables_typed_under_object_binders():
                             "T", "tp"),
                            # the bound T is not the query's T
                            ("eval (lam o ([T:tm] T)) (lam T ([x:tm] x))",
+                            "T", "tp"),
+                           # F is a body two binders deep, and E an
+                           # argument under one
+                           ("eval (lam o ([x:tm] lam o ([y:tm] F))) E",
+                            "F", "tm"),
+                           ("of (lam o ([x:tm] app x E)) T", "E", "tm"),
+                           # a lambda whose type ends in F's, which the
+                           # redex's argument has typed by then
+                           ("eval E (lam o (([y:tm] [x:tm] F) F))",
+                            "F", "tm"),
+                           # T at two arguments, under no binder
+                           ("eval (lam T ([x:tm] x)) (lam T ([x:tm] x))",
                             "T", "tp")]:
         free, fam = lf.parse_query(text, sig)
         qt = translate_query(sig, free, fam)
         assert qt.var_types[name] == lf.FConst(ty)
+        # the scan of the normalized query agrees
+        assert oracles.infer_query_var_types(
+            sig, free, beta_normalize(fam)) == qt.var_types
+
+
+# The kernel types a query's free variables where the scan of the
+# normalized query did, and gives them the same types.  The queries are
+# built from each signature's constructors with free variables from one
+# pool at any type, lambdas at Pi types and, now and then, an argument of
+# the wrong type, so many are ill-typed; they are beta-normal, the scan's
+# input.
+_GRAMMARS = {
+    "append.elf": {"nat": [["z"], ["s", "nat"]],
+                   "list": [["nil"], ["cons", "nat", "list"]]},
+    "stlc.elf": {"tp": [["o"], ["arr", "tp", "tp"]],
+                 "tm": [["app", "tm", "tm"], ["lam", "tp", "tm -> tm"]]},
+}
+_GRAMMARS["appendplus.elf"] = _GRAMMARS["append.elf"]
+_FAMILIES = {
+    "append.elf": [["append", "list", "list", "list"]],
+    "appendplus.elf": [["append", "list", "list", "list"],
+                       ["plus", "nat", "nat", "nat"]],
+    "stlc.elf": [["of", "tm", "tp"], ["eval", "tm", "tm"]],
+}
+
+
+@st.composite
+def _query_arg(draw, grammar, ty, bound, size):
+    pick = draw(st.integers(0, 7))
+    if pick == 0:
+        return draw(st.sampled_from(["X", "Y", "F"]))
+    if pick == 1:
+        ty = draw(st.sampled_from(sorted(grammar)))  # maybe the wrong type
+    if ty == "tm -> tm":
+        var = draw(st.sampled_from(["x", "y", "X"]))
+        body = draw(_query_arg(grammar, "tm", bound + (var,), size - 1))
+        return f"([{var}:tm] {body})"
+    forms = [f for f in grammar[ty] if size > 0 or len(f) == 1]
+    if bound and ty == "tm" and (pick == 2 or not forms):
+        return draw(st.sampled_from(bound))
+    if not forms:
+        return draw(st.sampled_from(["X", "Y", "F"]))
+    head, *tys = draw(st.sampled_from(forms))
+    args = [draw(_query_arg(grammar, t, bound, size - 1)) for t in tys]
+    return f"({' '.join([head] + args)})" if args else head
+
+
+@st.composite
+def _typed_query(draw):
+    name = draw(st.sampled_from(sorted(_GRAMMARS)))
+    head, *tys = draw(st.sampled_from(_FAMILIES[name]))
+    args = [draw(_query_arg(_GRAMMARS[name], t, (), 3)) for t in tys]
+    return name, " ".join([head] + args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_typed_query())
+def test_kernel_types_query_variables_as_the_scan_did(case):
+    name, text = case
+    sig = oracles.load_signature(name)
+    free, fam = lf.parse_query(text, sig)
+    try:
+        types = oracles.infer_query_var_types(sig, free, fam)
+    except TranslationError:
+        return
+    try:
+        oracles.ref_check_type(sig, dict(types), fam)
+    except LFTypeError:
+        with pytest.raises(LFTypeError):
+            check_query(sig, free, fam)
+        return
+    _, normal, ctx = check_query(sig, free, fam)
+    assert normal
+    assert ctx.keys() == types.keys()
+    assert all(lf.alpha_eq(ctx[n], types[n]) for n in free), (ctx, types)
+
+
+def test_a_query_variable_takes_no_type_that_mentions_a_binder():
+    # F's domain would mention x: a binder of the Pi domain in q's query,
+    # a lambda's binder in the context in r's
+    sig = lf.parse_signature(
+        "t : type. p : t -> type. c : {x:t} p x -> t.\n"
+        "q : ({x:t} p x) -> type. r : (t -> t) -> type.\n")
+    for text in ["q ([x:t] F)", "r ([x:t] c x F)"]:
+        with pytest.raises(LFTypeError) as err:
+            check_query(sig, *lf.parse_query(text, sig))
+        # no rule of the judgment failed: F has no type
+        assert (err.value.rule, str(err.value)) == (
+            "", "cannot infer a type for query variable F")
 
 
 def test_query_variable_type_conflict():
