@@ -190,14 +190,14 @@ def cmd_solve(sig: lf.Signature, query: str, mode: str,
 def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
     """`sol` inverted to LF: a `% free:` line per unsolved logic variable,
     each type checked in the context of those before it, then each query
-    variable's value and the inhabitant.  One kernel check, of the
-    inhabitant at the query's type instantiated by the values, judges
-    them all.  The inhabitant's synthesized type T is well-formed and
-    beta-eta equal to that type, in which every query variable occurs
-    unapplied; so each value is eta-equal to a well-typed subterm of T at
-    the same argument position of the same head.  The inverter takes each
+    variable's value and the inhabitant.  The kernel checks the
+    inhabitant at the query's type T instantiated by the values.  Its
+    synthesized type holds, eta-equal and well typed, the value of each
+    query variable where T holds the variable; the inverter takes each
     lambda annotation from the type it expects, so a wrong one needs a
-    wrong earlier argument, which T's comparison catches.
+    wrong earlier argument, which the comparison with T catches.  A
+    variable not in T, as N in ``append nil nil (([x:nat] nil) N)``,
+    gets a check of its own.
 
     The export follows the answer's sharing.  The engine resolves the
     values and the inhabitant together, so a subterm they share is one
@@ -217,6 +217,11 @@ def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
         check_type(sig, ctx, fam)
         ctx[name] = fam
     check_object(sig, ctx, inhabitant, ty)
+    in_type = lf.free_vars(qt.fam)
+    for name, obj in sub.items():
+        if name not in in_type:
+            check_object(sig, ctx, obj,
+                         instantiate_normal(qt.var_types[name], sub))
     return ([f"% free: {name} : {lf.print_lf(fam)}"
              for name, fam in ctx.items()]
             + [f"{name} = {lf.print_lf(obj)}" for name, obj in sub.items()]

@@ -4,12 +4,12 @@ Search follows the uniform-proof discipline: ``true`` succeeds, an
 implication goal adds its antecedent to the clauses (after those of
 its predicate, so program order stays meaningful), a universal goal
 introduces a fresh eigenvariable, and an atomic goal backchains.  Each
-clause is compiled once, in one walk: its binders name the slots of its
-head's templates, and its premises are kept as they are.  The compiled
-clauses form a database keyed by predicate and arity and, within that,
-by the rigid head of the last argument (for ``hastype M A``, the type
-family of A), so a backchain visits only the clauses whose last key
-agrees with the goal's, in program order.
+clause is compiled once, in one walk: its binders are the slots its
+head's templates read by index, and its premises are kept as they are.
+The compiled clauses form a database keyed by predicate and arity and,
+within that, by the rigid head of the last argument (for ``hastype M
+A``, the type family of A), so a backchain visits only the clauses
+whose last key agrees with the goal's, in program order.
 
 A backchain resolves the goal's arguments once and matches each
 candidate's compiled head against them, as a Prolog machine's get
@@ -164,15 +164,15 @@ def solve(program: Program, goal: Formula, limits: Limits,
 class _Clause(NamedTuple):
     """A definite clause compiled once for backchaining.
 
-    Its quantified variables are slots named by its own binders:
-    ``slots[i]`` holds the i-th binder's name, which stands for the slot
-    in ``head`` (the templates of the head's arguments) and in
-    ``premises`` (the clause's own subformulas), and the name prefix and
-    simple type of the logic variable the slot becomes when no goal
-    subterm fills it.  Names suffice: the parser keeps binder names
-    distinct along every scope path, so the quantifier prefix never
-    repeats a name, and slot values are closed terms, so no binder of
-    the clause captures a name of one.  ``key`` files the clause in the
+    Its quantified variables are slots, numbered as the head's indices
+    number them, 0 the innermost binder; a backchain fills a list
+    ``inst`` of their values, which ``head`` (the templates of the
+    head's arguments) reads by index.  ``slots`` holds, outermost binder
+    first, each slot's number and the name prefix and simple type of the
+    logic variable it becomes when no goal subterm fills it.
+    ``premises`` pairs each of the clause's own subformulas with the
+    number of the outermost slot not above it: one under k of the n
+    binders reads ``inst[n - k:]``.  ``key`` files the clause in the
     database: the name of the rigid head (a constant or an
     eigenvariable) of its last head argument, or None when that head is
     a slot, a logic variable or a lambda, which any goal argument may
@@ -186,28 +186,32 @@ class _Clause(NamedTuple):
 
     pred: Optional[str]
     key: Optional[str]
-    slots: tuple[tuple[str, str, SimpleType], ...]
+    slots: tuple[tuple[int, str, SimpleType], ...]
     head: tuple["_Template", ...]
-    premises: tuple[Formula, ...]
+    premises: tuple[tuple[Formula, int], ...]
     writable: bool
 
 
 def _compile(clause: Formula) -> _Clause:
-    slots: list[tuple[str, str, SimpleType]] = []
-    premises: list[Formula] = []
+    binders: list[tuple[str, SimpleType]] = []
+    premises: list[tuple[Formula, int]] = []
     f = clause
     while True:
         match f:
             case ForAll(var, ty, body):
-                slots.append((var, var.upper() if var else "X", ty))
+                binders.append((var.upper() if var else "X", ty))
                 f = body
             case Imp(g, d):
-                premises.append(g)
+                premises.append((g, len(binders)))
                 f = d
             case Atom(pred, args):
+                n = len(binders)
                 head = tuple(_template(a) for a in args)
+                slots = tuple((n - 1 - j, prefix, ty)
+                              for j, (prefix, ty) in enumerate(binders))
                 return _Clause(pred, _key(head[-1].head) if head else None,
-                               tuple(slots), head, tuple(premises),
+                               slots, head,
+                               tuple((g, n - k) for g, k in premises),
                                not any(isinstance(x, LVar)
                                        for x in term_leaves(args)))
             case _:
@@ -308,7 +312,7 @@ _Goals = Optional[tuple[Formula, _Database, int, "_Goals"]]
 # One way to backchain on an atom: the clause's position among the
 # atom's candidates, its premises with the slot values that instantiate
 # them, and the substitution and residuals they are proved under.
-_Step = tuple[int, tuple[Formula, ...], dict[str, Term], Subst,
+_Step = tuple[int, tuple[tuple[Formula, int], ...], list[Term], Subst,
               tuple[Eq, ...]]
 # An atom's pending steps, with the database, universe and continuation
 # they share and the budget left once one is taken.
@@ -318,7 +322,7 @@ _Choice = tuple[Iterator[_Step], _Database, int, _Goals, int]
 _Saved = tuple[_Goals, Subst, tuple[Eq, ...], _Step]
 
 # The step a search from the root starts with: no premise to prove.
-_START: _Step = (0, (), {}, Subst(), ())
+_START: _Step = (0, (), [], Subst(), ())
 
 
 class _Round:
@@ -379,8 +383,8 @@ def _search(start: _Choice,
             stack.pop()
             continue
         _, premises, inst, sigma, residuals = step
-        for p in reversed(premises):
-            goals = (subst_formula(p, inst), db, univ, goals)
+        for p, k in reversed(premises):
+            goals = (subst_formula(p, inst[k:]), db, univ, goals)
         while goals is not None:
             goal, db, univ, rest = goals
             # `univ` is the level of the logic variables a backchain
@@ -401,8 +405,8 @@ def _search(start: _Choice,
                          rest)
             elif isinstance(goal, ForAll):
                 e = fresh_evar(goal.var, goal.ty)
-                goals = (subst_formula(goal.body, {goal.var: e}), db,
-                         e.level + 1, rest)
+                goals = (subst_formula(goal.body, (e,)), db, e.level + 1,
+                         rest)
             else:
                 raise TypeError(f"not a goal formula: {goal!r}")
         else:
@@ -410,7 +414,7 @@ def _search(start: _Choice,
                 yield sigma, residuals
 
 
-def _match(t: _Template, g: Term, inst: dict[str, Term],
+def _match(t: _Template, g: Term, inst: list[Optional[Term]],
            defer: list[tuple[Term, Term]], writes: list[tuple[LVar, Term]],
            once: frozenset[str]) -> bool:
     """Match the template `t` against the resolved goal term `g`.
@@ -425,14 +429,14 @@ def _match(t: _Template, g: Term, inst: dict[str, Term],
     to unification: it goes on `defer` as (goal side, template)."""
     term, th, targs = t
     if isinstance(term, BVar):
-        prev = inst.get(term.name)
+        prev = inst[term.index]
         if prev is None:
             if not isinstance(g, Lam):
                 h = g
                 while isinstance(h, App):
                     h = h.fn
                 if h is g or not isinstance(h, LVar):
-                    inst[term.name] = g
+                    inst[term.index] = g
                     return True
         elif prev is g or prev == g:
             return True
@@ -491,16 +495,16 @@ def _backchain(atom: Atom, db: _Database, univ: int, sigma: Subst,
                              _key(term_spine(args[-1])[0]) if args else None)
     once = _writable_vars(args, univ) if candidates else frozenset()
     for i, clause in enumerate(candidates[start:], start):
-        inst: dict[str, Term] = {}
+        inst: list[Optional[Term]] = [None] * len(clause.slots)
         defer: list[tuple[Term, Term]] = []
         writes: list[tuple[LVar, Term]] = []
         allowed = once if clause.writable else frozenset()
         if not all(_match(t, a, inst, defer, writes, allowed)
                    for t, a in zip(clause.head, args)):
             continue
-        for name, prefix, ty in clause.slots:
-            if name not in inst:
-                inst[name] = fresh_lvar_at(prefix, ty, univ)
+        for j, prefix, ty in clause.slots:
+            if inst[j] is None:
+                inst[j] = fresh_lvar_at(prefix, ty, univ)
         sigma2, residuals2 = sigma, residuals
         for v, t in writes:
             sigma2 = sigma2.extend(v, subst_term(t, inst))

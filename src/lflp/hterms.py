@@ -3,8 +3,17 @@
 This is the target language of the translation and the working language
 of the proof-search engine.  Terms are intrinsically typed: every leaf
 carries its simple type, so ``type_of`` is total and never consults an
-environment.  Two flavors of free variable exist, both named by a
-single global clock and both carrying a level:
+environment.
+
+A bound variable is a de Bruijn index, as in Teyjus: ``BVar(i)`` names
+the i-th binder above it, lambda or quantifier, 0 the nearest; a binder
+keeps its name only as a hint for printing.  So substitution never
+captures and never renames, and `subst_term` is the one substitution.
+Equality stays field-wise: terms that differ only in a hint are not
+``==``.
+
+Two flavors of free variable exist, both named by a single global clock
+and both carrying a level:
 
 * ``EVar``: an eigenvariable, introduced by universal goals.  Rigid.
   Its level is its creation time on the clock.
@@ -32,9 +41,9 @@ command and is a `NamedTuple`, which refuses a write.
 from __future__ import annotations
 
 import itertools
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .lf_syntax import fresh_name, nodeclass
+from .lf_syntax import nodeclass
 
 # ---------------------------------------------------------------------------
 # Simple types
@@ -119,18 +128,18 @@ class LVar:
 
 @nodeclass
 class BVar:
-    """Occurrence of a lambda- or quantifier-bound name."""
+    """Occurrence of a bound variable: the `index`-th binder above it."""
 
-    name: str
+    index: int
     ty: SimpleType
 
     def __str__(self):
-        return self.name
+        return f"#{self.index}"
 
 
 @nodeclass
 class Lam:
-    var: str
+    var: str  # a name for printing only
     ty: SimpleType  # type of the bound variable
     body: "Term"
 
@@ -211,47 +220,31 @@ def fresh_lvar_at(prefix: str, ty: SimpleType, level: int) -> LVar:
 # ---------------------------------------------------------------------------
 # Substitution and normalization
 
-def free_bvars(t: Term) -> frozenset[str]:
-    match t:
-        case BVar(name, _):
-            return frozenset([name])
-        case Lam(var, _, body):
-            return free_bvars(body) - {var}
-        case App(fn, arg):
-            return free_bvars(fn) | free_bvars(arg)
-        case _:
-            return frozenset()
-
-
-def subst_term(t: Term, m: dict[str, Term]) -> Term:
-    """Replace free BVar occurrences; capture-avoiding."""
-    if not m:
+def subst_term(t: Term, vals: Sequence[Term] = (), lift: int = 0,
+               depth: int = 0) -> Term:
+    """`t`, under `depth` binders of its own, with each loose index
+    ``depth + j`` replaced by ``vals[j]``, lifted over those binders, and
+    each loose index past `vals` moved down by ``len(vals)`` and up by
+    `lift`.  ``subst_term(t, (), n)`` lifts `t` over n new binders.
+    Rebuilds only what changes."""
+    if not vals and not lift:
         return t
     match t:
-        case BVar(name, _):
-            return m.get(name, t)
+        case BVar(i, ty):
+            j = i - depth
+            if j < 0:
+                return t
+            if j < len(vals):
+                return subst_term(vals[j], (), depth) if depth else vals[j]
+            return BVar(i - len(vals) + lift, ty)
         case App(fn, arg):
-            return App(subst_term(fn, m), subst_term(arg, m))
+            fn2 = subst_term(fn, vals, lift, depth)
+            arg2 = subst_term(arg, vals, lift, depth)
+            return t if fn2 is fn and arg2 is arg else App(fn2, arg2)
         case Lam(var, ty, body):
-            inner = {k: v for k, v in m.items() if k != var and k in free_bvars(body)}
-            if not inner:
-                return Lam(var, ty, body)
-            clash = frozenset().union(*[free_bvars(v) for v in inner.values()])
-            var, body = rename_apart(var, ty, body, clash)
-            return Lam(var, ty, subst_term(body, inner))
-        case _:
-            return t
-
-
-def rename_apart(var: str, ty: SimpleType, body: Term,
-                 avoid: AbstractSet[str]) -> tuple[str, Term]:
-    """The binder `var` : `ty` of `body`, renamed when `avoid` holds its
-    name: the new name is neither in `avoid` nor free in `body`, and the
-    body follows, as in `lf_kernel.rename_apart`."""
-    if var in avoid:
-        var2 = fresh_name(var, avoid | free_bvars(body))
-        return var2, subst_term(body, {var: BVar(var2, ty)})
-    return var, body
+            body2 = subst_term(body, vals, lift, depth + 1)
+            return t if body2 is body else Lam(var, ty, body2)
+    return t
 
 
 def beta_norm(t: Term) -> Term:
@@ -259,7 +252,7 @@ def beta_norm(t: Term) -> Term:
         case App(fn, arg):
             fn = beta_norm(fn)
             if isinstance(fn, Lam):
-                return beta_norm(subst_term(fn.body, {fn.var: arg}))
+                return beta_norm(subst_term(fn.body, (arg,)))
             return App(fn, beta_norm(arg))
         case Lam(var, ty, body):
             return Lam(var, ty, beta_norm(body))
@@ -290,7 +283,7 @@ class Imp:
 
 @nodeclass
 class ForAll:
-    var: str
+    var: str  # a name for printing only
     ty: SimpleType
     body: "Formula"
 
@@ -298,26 +291,25 @@ class ForAll:
 Formula = Union[Top, Atom, Imp, ForAll]
 
 
-def subst_formula(f: Formula, m: dict[str, Term]) -> Formula:
-    """Replace the free bound names `m` maps.
-
-    Every range in `m` is closed: an eigenvariable, a logic variable or
-    a beta-normal goal subterm filling a clause slot.  So no binder of
-    `f` captures a name of a range, and none is renamed.  No range is a
-    lambda, so none makes a redex in place of a bound name, and a
-    beta-normal formula stays beta-normal."""
-    if not m:
+def subst_formula(f: Formula, vals: Sequence[Term],
+                  depth: int = 0) -> Formula:
+    """`f` with each loose index replaced as `subst_term` replaces it.
+    Proof search passes closed values, none a lambda: eigenvariables,
+    logic variables and goal subterms filling clause slots.  Lifting one
+    changes nothing, and a beta-normal formula stays beta-normal."""
+    if not vals:
         return f
     match f:
         case Top():
             return f
         case Atom(pred, args):
-            return Atom(pred, tuple(subst_term(a, m) for a in args))
+            return Atom(pred, tuple(subst_term(a, vals, 0, depth)
+                                    for a in args))
         case Imp(left, right):
-            return Imp(subst_formula(left, m), subst_formula(right, m))
+            return Imp(subst_formula(left, vals, depth),
+                       subst_formula(right, vals, depth))
         case ForAll(var, ty, body):
-            inner = {k: v for k, v in m.items() if k != var}
-            return ForAll(var, ty, subst_formula(body, inner)) if inner else f
+            return ForAll(var, ty, subst_formula(body, vals, depth + 1))
     raise TypeError(f"not a formula: {f!r}")
 
 

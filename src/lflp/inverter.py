@@ -76,13 +76,14 @@ class FreeVars:
     def meet(self, sig: lf.Signature, ctx: lf.Context, v: LVar,
              args: list[Term], ty: lf.Fam) -> tuple[str, lf.Fam]:
         """Name and type `v`, met first applied to `args` at `ty`."""
-        doms = [ctx.get(a.name) if isinstance(a, BVar) else None
-                for a in args]
-        if None in doms or len({a.name for a in args}) < len(args):
+        names = list(ctx)
+        bound = [names[-1 - a.index] if isinstance(a, BVar) else None
+                 for a in args]
+        if None in bound or len(set(bound)) < len(args):
             raise InversionError(
                 f"free {v.name} is not applied to distinct bound variables")
-        for a, dom in zip(reversed(args), reversed(doms)):
-            ty = lf.FPi(a.name, dom, ty)
+        for name in reversed(bound):
+            ty = lf.FPi(name, ctx[name], ty)
         if not lf.free_vars(ty) <= self.names:
             raise InversionError(
                 f"type of free {v.name} mentions a variable bound in the answer")
@@ -116,7 +117,8 @@ class _Taken:
 def invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
            frees: FreeVars) -> lf.Obj:
     """The LF object of type `ty` in `ctx` that the answer `t` stands for,
-    its unsolved logic variables read as the ones `frees` names.  `ty`
+    its unsolved logic variables read as the ones `frees` names.  `ctx`
+    binds the lambdas of the answer above `t`, outermost first.  `ty`
     and the types in `ctx` are beta-normal."""
     if isinstance(ty, lf.FPi):
         # the lambda takes the name of the Pi binder it inhabits, so the
@@ -124,16 +126,16 @@ def invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
         var = lf.fresh_name(ty.var, _Taken(ctx, sig, frees))
         body_ty = (ty.body if var == ty.var
                    else instantiate_normal(ty.body, {ty.var: lf.OVar(var)}))
-        if not isinstance(t, Lam):
-            # eta-expanded on the fly, as the unifier does
+        if isinstance(t, Lam):
+            tbody = t.body
+        else:
+            # eta-expanded on the fly, as the unifier does: under the new
+            # binder, `t`'s own indices move up one
             simple = type_of(t)
             if not isinstance(simple, TArrow):
                 raise InversionError(
                     f"answer of simple type {simple} at a Pi type")
-            t = Lam(var, simple.dom, App(t, BVar(var, simple.dom)))
-        tbody = t.body
-        if var != t.var:
-            tbody = subst_term(tbody, {t.var: BVar(var, t.ty)})
+            tbody = App(subst_term(t, (), 1), BVar(0, simple.dom))
         body = invert(sig, {**ctx, var: ty.dom}, tbody, body_ty, frees)
         return lf.OLam(var, ty.dom, body)
     head, args = term_spine(t)
@@ -144,10 +146,9 @@ def invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
                 raise InversionError(f"unknown object constant {name}")
             lf_head, deps = (lf.OConst(name),
                               classifier_dependencies(sig, name, classifier))
-        case BVar(name, _):
-            classifier = ctx.get(name)
-            if classifier is None:
-                raise InversionError(f"unknown variable {name}")
+        case BVar(index, _):
+            name = list(ctx)[-1 - index]
+            classifier = ctx[name]
             lf_head, deps = lf.OVar(name), lf.pi_dependencies(classifier)
         case EVar(name, _, _):
             raise InversionError(f"eigenvariable {name} in answer")

@@ -404,8 +404,7 @@ def _check_spine(sig: Signature, ctx: Context, head: Expr,
     if isinstance(head, (OConst, FConst)):
         deps = classifier_dependencies(sig, head.name, pi)
     elif type(ctx) is _QueryContext and getattr(head, "name", 0) in ctx.free:
-        raise LFTypeError(f"cannot infer a type for {head.name}: "
-                          "free query variables may not be applied")
+        raise _applied(head.name)
     else:
         deps = pi_dependencies(pi)
     sub: dict[str, Obj] = {}
@@ -460,9 +459,16 @@ def _mismatch(m: Obj, t: Fam, want: Fam, rule: str) -> LFTypeError:
                        rule=rule)
 
 
+def _applied(name: str) -> LFTypeError:
+    return LFTypeError(f"cannot infer a type for {name}: "
+                       "free query variables may not be applied")
+
+
 def _too_many(head: Expr, args: list[Obj],
               t: Union[Kind, Fam]) -> LFTypeError:
     # `head` applied to `args` has type `t`, which is no Pi type
+    if type(t) is FConst and t.name[:1] == "?":  # an untyped query variable
+        return _applied(t.name[1:])
     if isinstance(head, (FConst, FPi)):
         name = head.name if isinstance(head, FConst) else str(head)
         return LFTypeError(f"too many arguments to {name!r}", rule="app-fam")

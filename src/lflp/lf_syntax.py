@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 from itertools import compress, islice
-from typing import Container, NamedTuple, Optional, Sequence, Union
+from typing import Container, Optional, Sequence, Union
 
 
 class LFError(Exception):
@@ -358,22 +358,6 @@ def pi_dependencies(a: Union[Kind, Fam]) -> tuple[bool, ...]:
 # ---------------------------------------------------------------------------
 # Lexer
 
-class _Token(NamedTuple):
-    kind: str  # 'ident', 'type', '->', one of "{}[]():.", or 'eof'
-    text: str
-    source: str  # the whole input, shared by every token read from it
-    index: int  # which match of _LEXEME in `source`; past the last for eof
-
-    # Positions are found only for an error message, by matching again.
-    @property
-    def line(self) -> int:
-        return _position(self.source, self.index)[0]
-
-    @property
-    def col(self) -> int:
-        return _position(self.source, self.index)[1]
-
-
 # One match per word, punctuation mark, `%` comment or other non-space
 # character; whitespace lies between matches.  `\w` is exactly
 # str.isalnum() plus "_" and `\s` exactly str.isspace(), on every code
@@ -395,23 +379,15 @@ def _kind(lexeme: str) -> Optional[str]:
     return None
 
 
-def _position(source: str, index: int) -> tuple[int, int]:
-    """Line and column of the `index`-th match of _LEXEME in `source`,
-    or of the end of input when there is no such match."""
-    m = next(islice(_LEXEME.finditer(source), index, None), None)
-    if m is not None:
-        at = m.start()
-    else:
-        # a comment running to the end of input leaves the column at its `%`
-        comment = source.find("%", source.rfind("\n") + 1)
-        at = comment if comment >= 0 else len(source)
+def _position(source: str, at: int) -> tuple[int, int]:
+    """Line and column of offset `at` of `source`."""
     return source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at)
 
 
 class _Tokens:
     """The tokens of `source` as parallel lists, the last one 'eof': their
-    `kinds` and `texts`.  Indexing builds a `_Token`, which the parser
-    does only for an error message."""
+    `kinds` and `texts`.  A token's position is found only for an error
+    message, by `position`."""
 
     __slots__ = ("kinds", "texts", "source")
 
@@ -421,16 +397,20 @@ class _Tokens:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __getitem__(self, i: int) -> _Token:
-        # a negative `i` counts from the end and one out of range raises
-        # IndexError, as for a list, which ends iteration
-        i = range(len(self.kinds))[i]
-        # the token's match is found again: the i-th that is no comment,
-        # or for 'eof' one past the last match
-        lexemes = _LEXEME.findall(self.source)
-        index = next(islice((j for j, w in enumerate(lexemes) if w[0] != "%"),
-                            i, None), len(lexemes))
-        return _Token(self.kinds[i], self.texts[i], self.source, index)
+    def position(self, i: int) -> tuple[int, int]:
+        """Line and column of the `i`-th token, found by matching again:
+        the start of the i-th match that is no comment, or for 'eof' the
+        end of input, where a comment running to the end leaves the
+        column at its `%`."""
+        source = self.source
+        starts = (m.start() for m in _LEXEME.finditer(source)
+                  if source[m.start()] != "%")
+        at = next(islice(starts, i, None), None)
+        if at is None:
+            at = source.find("%", source.rfind("\n") + 1)
+            if at < 0:
+                at = len(source)
+        return _position(source, at)
 
 
 def tokenize(text: str) -> _Tokens:
@@ -442,8 +422,10 @@ def tokenize(text: str) -> _Tokens:
         if w not in kinds:
             kind = kinds[w] = _kind(w)
             if kind is None:
+                at = next(m.start() for m in _LEXEME.finditer(text)
+                          if m.group() == w)
                 raise LFSyntaxError(f"unexpected character {w[0]!r}",
-                                    *_position(text, lexemes.index(w)))
+                                    *_position(text, at))
     # the lists are built in C; comments (kind '') are dropped
     ks = list(map(kinds.__getitem__, lexemes))
     return _Tokens([*compress(ks, ks), "eof"], [*compress(lexemes, ks), ""], text)
@@ -472,8 +454,8 @@ class _Parser:
     variable used as a type) is held in `err`, the first one wins, and is
     raised only once the declaration's syntax has been read.  Query free
     variables are recognized when the parser is given a signature.
-    Tokens are read by position from `kinds` and `texts`; one is built
-    as a `_Token` only for an error message.
+    Tokens are read by position from `kinds` and `texts`; an error
+    message alone asks for a token's line and column.
 
     Every constant, variable and application node is built by `node`,
     which hash-conses it in `nodes`, the one table of the parse: equal
@@ -520,8 +502,7 @@ class _Parser:
         return a
 
     def error(self, message: str, i: int) -> LFSyntaxError:
-        t = self.toks[i]
-        return LFSyntaxError(message, t.line, t.col)
+        return LFSyntaxError(message, *self.toks.position(i))
 
     def expected(self, what: str, i: int) -> LFSyntaxError:
         shown = self.texts[i] if self.kinds[i] != "eof" else "end of input"

@@ -7,10 +7,11 @@ The bridge works at three levels:
   becomes arrow.
 * ``encode`` erases types from objects and base type families, keeping
   shape: constants stay themselves (retyped by phi), abstraction
-  annotations become simple types.  It keeps one memo per call, keyed
-  by identity at a fixed env and dropped at a lambda, so each distinct
-  subterm is encoded once and the term shares what the LF term shares
-  (the parser builds equal subterms as one object).
+  annotations become simple types, bound variables indices.  It keeps
+  one memo per call, keyed by identity at a fixed env and dropped at a
+  lambda, so each distinct subterm is encoded once and the term shares
+  what the LF term shares (the parser builds equal subterms as one
+  object).
 * ``translate_judgment`` maps a classifier A and a subject term M to a
   formula asserting M inhabits A.  Each Pi binder of A gets a typing
   premise, the translation of its type with the polarity flipped: the
@@ -36,8 +37,9 @@ The emitter prints a Program in lambdaProlog concrete syntax; its
 literal mode shows each binder without a premise as ``pi X\\ (true => D)``.
 One renderer, `_render_term`, prints every term, at one frame of
 Python's stack per nested argument, so a clause nests as deep as the
-parser reads.  Before a clause is printed, one walk collects its lambda
-binder names; it visits a subterm the clause shares once, by identity.
+parser reads; an index reads its name off the stack of printed binder
+names.  Before a clause is printed, one walk collects its lambda binder
+names; it visits a subterm the clause shares once, by identity.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from . import strictness
 from .hterms import (
     LF_OBJ, LF_TYPE, PROP, App, Atom, BVar, Const, Formula, ForAll, Imp,
     Lam, LVar, Program, SimpleType, TArrow, Term,
-    fresh_lvar_at, term_spine,
+    fresh_lvar_at, subst_term, term_spine,
 )
 from .lf_kernel import (
     LFTypeError, beta_normalize, check_query, normal_classifier,
@@ -89,20 +91,26 @@ def _const_type(sig: lf.Signature, name: str) -> SimpleType:
     return ty
 
 
+_Binding = Union[Term, tuple[int, SimpleType]]
+
+
 def encode(sig: lf.Signature, e: Union[lf.Obj, lf.Fam],
-           env: dict[str, Term]) -> Term:
-    """The term of an object or a base type family; `env` maps the LF
-    variables in scope to their terms.  A subterm that occurs twice in
-    `e` as one object is encoded once, so the term shares what `e`
-    shares."""
-    return _encode(sig, e, env, {})
+           env: dict[str, _Binding], depth: int = 0) -> Term:
+    """The term of an object or a base type family under `depth`
+    binders.  `env` maps each LF variable in scope to its closed term,
+    or, bound in the term being built, to the level of its binder (how
+    many binders are above it) and its simple type.  A subterm that
+    occurs twice in `e` as one object is encoded once, so the term
+    shares what `e` shares."""
+    return _encode(sig, e, env, depth, {})
 
 
 def _encode(sig: lf.Signature, e: Union[lf.Obj, lf.Fam],
-            env: dict[str, Term], memo: dict[int, Term]) -> Term:
+            env: dict[str, _Binding], depth: int,
+            memo: dict[int, Term]) -> Term:
     # `memo` maps each subterm of the root encoded at `env`, by identity,
     # to its term; the root keeps the keys alive.  A lambda's body is
-    # encoded at another env, so it starts a memo of its own.
+    # encoded at another env and depth, so it starts a memo of its own.
     t = memo.get(id(e))
     if t is not None:
         return t
@@ -111,15 +119,18 @@ def _encode(sig: lf.Signature, e: Union[lf.Obj, lf.Fam],
             if name not in env:
                 raise TranslationError(f"unbound variable {name}")
             t = env[name]
+            if type(t) is tuple:
+                t = BVar(depth - 1 - t[0], t[1])
         case lf.FApp(fn, arg) | lf.OApp(fn, arg):
-            t = App(_encode(sig, fn, env, memo), _encode(sig, arg, env, memo))
+            t = App(_encode(sig, fn, env, depth, memo),
+                    _encode(sig, arg, env, depth, memo))
         case lf.OConst(name) | lf.FConst(name):
             t = Const(name, _const_type(sig, name))
         case lf.OLam(var, dom, body):
             ty = phi(dom)
             inner = dict(env)
-            inner[var] = BVar(var, ty)
-            t = Lam(var, ty, _encode(sig, body, inner, {}))
+            inner[var] = (depth, ty)
+            t = Lam(var, ty, _encode(sig, body, inner, depth + 1, {}))
         case _:
             raise TranslationError(f"cannot encode {e!r}")
     memo[id(e)] = t
@@ -131,8 +142,10 @@ def _encode(sig: lf.Signature, e: Union[lf.Obj, lf.Fam],
 
 def translate_judgment(sig: lf.Signature, a: lf.Fam, subject: Term,
                        mode: str = "optimized", positive: bool = True,
-                       env: Optional[dict[str, Term]] = None) -> Formula:
-    """The formula asserting that `subject` inhabits `a`.
+                       env: Optional[dict[str, _Binding]] = None,
+                       depth: int = 0) -> Formula:
+    """The formula asserting that `subject` inhabits `a`, both under
+    `depth` binders, with `env` as `encode` reads it.
 
     Each Pi binder gets a premise: the translation of its type at the
     opposite polarity.  In optimized mode a positive position first runs
@@ -145,14 +158,15 @@ def translate_judgment(sig: lf.Signature, a: lf.Fam, subject: Term,
     strict = (strictness.strict_binders(a) if mode == "optimized" and positive
               else frozenset())
     prefix = []
+    n = len(binders)
+    subject = subst_term(subject, (), n)
     for i, (var, dom) in enumerate(binders):
         ty = phi(dom)
-        x = BVar(var, ty)
-        env[var] = x
+        env[var] = (depth + i, ty)
         prefix.append((var, ty, None if i in strict else translate_judgment(
-            sig, dom, x, mode, not positive, env)))
-        subject = App(subject, x)
-    f: Formula = Atom(HASTYPE, (subject, encode(sig, base, env)))
+            sig, dom, BVar(0, ty), mode, not positive, env, depth + i + 1)))
+        subject = App(subject, BVar(n - 1 - i, ty))
+    f: Formula = Atom(HASTYPE, (subject, encode(sig, base, env, depth + n)))
     for var, ty, premise in reversed(prefix):
         f = ForAll(var, ty, f if premise is None else Imp(premise, f))
     return f
@@ -284,25 +298,25 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
 _KEYWORDS = {"pi", "sigma", "type", "kind", "true", "o", "module", "sig"}
 
 
-def _render_term(t: Term, env: dict[str, str],
+def _render_term(t: Term, env: tuple[str, ...],
                  rename: Callable[[str], str], arg: bool = False) -> str:
     """`t` in lambdaProlog syntax, parenthesized when it is an argument
-    (`arg`) and an application or a lambda.  `env` maps bound names to
-    their printed names; `rename` names each lambda binder, outermost
-    first.  Each nested argument costs one frame of Python's stack."""
+    (`arg`) and an application or a lambda.  `env` holds the printed
+    names of the binders above `t`, innermost last, so index i prints as
+    ``env[-1 - i]``; `rename` names each lambda binder, outermost first.
+    Each nested argument costs one frame of Python's stack."""
     match t:
-        case BVar(name, _):
-            return env.get(name, name)
+        case BVar(index, _):
+            return env[-1 - index]
         case Const(name, _):
             return name
         case Lam():
-            env = dict(env)
             binders = []
             while isinstance(t, Lam):
-                env[t.var] = name = rename(t.var)
-                binders.append(name)
+                binders.append(rename(t.var))
                 t = t.body
-            s = "\\ ".join(binders) + "\\ " + _render_term(t, env, rename)
+            s = ("\\ ".join(binders) + "\\ "
+                 + _render_term(t, env + tuple(binders), rename))
         case App():
             head, args = term_spine(t)
             parts = [_render_term(head, env, rename)]
@@ -366,7 +380,7 @@ def _render_clause(f: Formula, names: dict[str, bool],
             names[base] = False
         return base
 
-    def go(g: Formula, env: dict[str, str]) -> str:
+    def go(g: Formula, env: tuple[str, ...]) -> str:
         match g:
             case Atom(pred, args):
                 return " ".join([pred] + [_render_term(a, env, pick_lam, True)
@@ -378,12 +392,12 @@ def _render_clause(f: Formula, names: dict[str, bool],
                 return f"{ls} => {go(right, env)}"
             case ForAll(var, _, body):
                 name = pick(var)
-                inner = go(body, {**env, var: name})
+                inner = go(body, env + (name,))
                 if literal and not isinstance(body, Imp):
                     inner = f"true => {inner}"
                 return f"pi {name}\\ ({inner})"
         raise TranslationError(f"cannot emit {g!r}")
-    text = go(f, {})
+    text = go(f, ())
     while len(names) > size:
         names.popitem()
     return text

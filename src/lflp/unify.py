@@ -18,6 +18,10 @@ argument dropped) or lowered (rebuilt at the older level); under a
 rigid head the equation simply fails.  Variables of one universe share
 a level, so neither applies between them.
 
+Unification takes closed terms and opens a binder with a fresh
+eigenvariable, so an index it meets is bound inside the copied term,
+and the copy computes each ``zi`` below from the occurrence's depth.
+
 A flexible variable gets bound by one of two rules.  The copy solves
 ``K x1..xn = t`` for a pattern ``K x1..xn`` and any ``t`` whose head is
 not ``K``, another pattern included: ``K := \\z1..zn. t'``, where ``t'``
@@ -47,8 +51,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .hterms import (
     App, BVar, Const, EVar, LVar, Lam, SimpleType, Term, arrow, beta_norm,
-    fresh_evar, fresh_level, fresh_lvar_at, mk_app, rename_apart, split_arrow,
-    subst_term, term_spine,
+    fresh_evar, fresh_lvar_at, mk_app, split_arrow, subst_term, term_spine,
 )
 from .lf_syntax import nodeclass
 
@@ -164,10 +167,10 @@ def unify(eqs: Iterable[Eq], subst: Optional[Subst] = None) -> UnifyResult:
 
 
 def _open(t: Term, e: EVar) -> Term:
-    # A variable in place of a bound name makes no redex, and neither
+    # A variable in place of an index makes no redex, and neither
     # does applying a beta-normal non-lambda to one.
     if isinstance(t, Lam):
-        return subst_term(t.body, {t.var: e})
+        return subst_term(t.body, (e,))
     return App(t, e)
 
 
@@ -203,24 +206,14 @@ def _step(sigma: Subst, t: Term, u: Term, work: deque, residuals: list) -> Subst
 def _is_pattern(m: LVar, args: list[Term]) -> bool:
     # An eigenvariable older than m is one m may mention directly, so as
     # an argument it does not make m a pattern.
-    seen = set()
-    for a in args:
-        if not (isinstance(a, BVar) or (isinstance(a, EVar) and a.level >= m.level)):
-            return False
-        key = (type(a).__name__, a.name)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    return len(set(args)) == len(args) and all(
+        isinstance(a, BVar) or (isinstance(a, EVar) and a.level >= m.level)
+        for a in args)
 
 
-def _fresh_binders(tys: Iterable[SimpleType]) -> list[BVar]:
-    return [BVar(f"z{fresh_level()}", ty) for ty in tys]
-
-
-def _lams(zs: list[BVar], body: Term) -> Term:
-    for z in reversed(zs):
-        body = Lam(z.name, z.ty, body)
+def _lams(tys: list[SimpleType], body: Term) -> Term:
+    for ty in reversed(tys):
+        body = Lam("z", ty, body)
     return body
 
 
@@ -235,8 +228,8 @@ def _rebuild(m: LVar, arity: int, keep: list[int], extras: list[EVar],
     m2 = fresh_lvar_at(m.name.split("_")[0],
                        arrow([doms[i] for i in keep] + [e.ty for e in extras],
                              cod), level)
-    zs = _fresh_binders(doms)
-    return m2, _lams(zs, mk_app(m2, [zs[i] for i in keep] + extras))
+    return m2, _lams(doms, mk_app(m2, [BVar(arity - 1 - i, doms[i])
+                                       for i in keep] + extras))
 
 
 def _flex_rigid(sigma: Subst, k: LVar, kargs: list[Term], rhs: Term,
@@ -244,48 +237,47 @@ def _flex_rigid(sigma: Subst, k: LVar, kargs: list[Term], rhs: Term,
     if not _is_pattern(k, kargs):
         residuals.append(Eq(flex_side, rhs))
         return sigma
-    zs = _fresh_binders(a.ty for a in kargs)
+    pi = {a: i for i, a in enumerate(kargs)}  # the position of its binder
     extra: dict[LVar, Term] = {}
     try:
-        body = _copy(rhs, k, dict(zip(kargs, zs)), k.level, True, extra)
+        body = _copy(rhs, k, pi, len(kargs), k.level, True, extra)
     except _Residual:
         residuals.append(Eq(flex_side, rhs))
         return sigma
     for v, t in extra.items():
         sigma = sigma.extend(v, t)
-    return sigma.extend(k, _lams(zs, body))
+    return sigma.extend(k, _lams([a.ty for a in kargs], body))
 
 
-def _copy(t: Term, k: LVar, pi: dict, level: int, rigid: bool,
+def _copy(t: Term, k: LVar, pi: dict, depth: int, level: int, rigid: bool,
           extra: dict[LVar, Term]) -> Term:
+    # `depth` counts the binders above `t` in the solution, pi's and t's
     match t:
         case Lam(var, ty, body):
-            # the copy's own binders, pi's values, must not be captured
-            var, body = rename_apart(var, ty, body,
-                                     {z.name for z in pi.values()})
-            return Lam(var, ty, _copy(body, k, pi, level, rigid, extra))
+            return Lam(var, ty, _copy(body, k, pi, depth + 1, level, rigid,
+                                      extra))
     head, args = term_spine(t)
     match head:
         case Const() | BVar():
-            return mk_app(head, [_copy(a, k, pi, level, rigid, extra)
+            return mk_app(head, [_copy(a, k, pi, depth, level, rigid, extra)
                                  for a in args])
         case EVar():
             if head in pi:
-                h: Term = pi[head]
+                h: Term = BVar(depth - 1 - pi[head], head.ty)
             elif head.level < level:
                 h = head
             elif rigid:
                 raise _Fail
             else:
                 raise _Residual
-            return mk_app(h, [_copy(a, k, pi, level, rigid, extra)
+            return mk_app(h, [_copy(a, k, pi, depth, level, rigid, extra)
                               for a in args])
         case LVar():
             if head == k:
                 if rigid:
                     raise _Fail
                 raise _Residual
-            return _copy_flex(head, args, k, pi, level, extra)
+            return _copy_flex(head, args, k, pi, depth, level, extra)
     raise AssertionError(f"unexpected term {t!r}")
 
 
@@ -299,18 +291,21 @@ def _raise_over(m: LVar, pi: dict, skip: set) -> list[EVar]:
             and e not in skip]
 
 
-def _copy_flex(m: LVar, args: list[Term], k: LVar, pi: dict, level: int,
-               extra: dict[LVar, Term]) -> Term:
+def _copy_flex(m: LVar, args: list[Term], k: LVar, pi: dict, depth: int,
+               level: int, extra: dict[LVar, Term]) -> Term:
     if m in extra:
         # m was already rebuilt earlier in this copy: every occurrence
         # must go through that one replacement, or the copies of m
         # would come apart.
-        return _copy(beta_norm(mk_app(extra[m], args)), k, pi, level, False,
-                     extra)
+        return _copy(beta_norm(mk_app(extra[m], args)), k, pi, depth, level,
+                     False, extra)
 
     def expressible(a: Term) -> bool:
         return isinstance(a, BVar) or a in pi or (isinstance(a, EVar)
                                                   and a.level < level)
+
+    def ref(a: Term) -> Term:
+        return BVar(depth - 1 - pi[a], a.ty) if a in pi else a
 
     if _is_pattern(m, args):
         # Rebuild m at the older scope unless it already fits: prune
@@ -319,20 +314,20 @@ def _copy_flex(m: LVar, args: list[Term], k: LVar, pi: dict, level: int,
         keep = [i for i, a in enumerate(args) if expressible(a)]
         extras = _raise_over(m, pi, set(args))
         if len(keep) == len(args) and m.level <= level and not extras:
-            return mk_app(m, [pi.get(a, a) for a in args])
+            return mk_app(m, [ref(a) for a in args])
         m2, extra[m] = _rebuild(m, len(args), keep, extras,
                                 min(level, m.level))
-        return mk_app(m2, [pi.get(args[i], args[i]) for i in keep]
-                      + [pi[e] for e in extras])
+        return mk_app(m2, [ref(args[i]) for i in keep]
+                      + [ref(e) for e in extras])
     # Non-pattern arguments: keep the subterm when everything in it is
     # already expressible, raising and lowering the head if needed;
     # otherwise give up on this equation for now (a _Residual escapes
     # from the argument copy).
-    copied = [_copy(a, k, pi, level, False, extra) for a in args]
+    copied = [_copy(a, k, pi, depth, level, False, extra) for a in args]
     if m.level > level:
         extras = _raise_over(m, pi, set())
         m2, extra[m] = _rebuild(m, 0, [], extras, level)
-        return mk_app(mk_app(m2, [pi[e] for e in extras]), copied)
+        return mk_app(mk_app(m2, [ref(e) for e in extras]), copied)
     return mk_app(m, copied)
 
 

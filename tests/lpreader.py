@@ -227,40 +227,43 @@ def _formulize(ast: _RAst, xi: dict[str, SimpleType]) -> Formula:
     top_ty = infer(ast, {})
     _ty_unify(top_ty, PROP)
 
-    def build_formula(a: _RAst, env: dict[str, SimpleType]) -> Formula:
+    # `scope` holds the name and type of each binder around the node being
+    # built, innermost first; a bound name becomes the index of the
+    # nearest binder of that name
+    def bound(scope, name: str) -> Optional[BVar]:
+        return next((BVar(i, ty) for i, (n, ty) in enumerate(scope)
+                     if n == name), None)
+
+    def build_formula(a: _RAst, scope: tuple) -> Formula:
         match a:
             case _RName("true"):
                 return Top()
             case _RImp(l, r):
-                return Imp(build_formula(l, env), build_formula(r, env))
-            case _RApp(_RName("pi"), _RLam(var, body) as lam) if "pi" not in env:
+                return Imp(build_formula(l, scope), build_formula(r, scope))
+            case _RApp(_RName("pi"), _RLam(var, body)) if not bound(
+                    scope, "pi"):
                 ty = _ty_final(binder_tys[id(a)])
-                inner = dict(env)
-                inner[var] = ty
-                return ForAll(var, ty, build_formula(body, inner))
+                return ForAll(var, ty,
+                              build_formula(body, ((var, ty),) + scope))
             case _:
                 head, args = _rast_spine(a)
-                if not isinstance(head, _RName) or head.name in env:
+                if not isinstance(head, _RName) or bound(scope, head.name):
                     raise LPSyntaxError(f"bad atomic formula head: {a!r}")
                 return Atom(head.name,
-                            tuple(build_term(x, env) for x in args))
+                            tuple(build_term(x, scope) for x in args))
 
-    def build_term(a: _RAst, env: dict[str, SimpleType]) -> Term:
+    def build_term(a: _RAst, scope: tuple) -> Term:
         match a:
             case _RName(name):
-                if name in env:
-                    return BVar(name, env[name])
-                return Const(name, xi[name])
+                return bound(scope, name) or Const(name, xi[name])
             case _RApp(fn, arg):
-                return App(build_term(fn, env), build_term(arg, env))
+                return App(build_term(fn, scope), build_term(arg, scope))
             case _RLam(var, body) as lam:
                 ty = _ty_final(binder_tys[id(lam)])
-                inner = dict(env)
-                inner[var] = ty
-                return Lam(var, ty, build_term(body, inner))
+                return Lam(var, ty, build_term(body, ((var, ty),) + scope))
         raise LPSyntaxError(f"cannot build term from {a!r}")
 
-    return build_formula(ast, {})
+    return build_formula(ast, ())
 
 
 def _rast_spine(a: _RAst):

@@ -2,7 +2,10 @@
 
 Each oracle recomputes a result by a different route than the code under
 test: normalization by single leftmost-outermost steps, substitution by
-rename-everything-then-replace, typed term enumeration instead of proof
+rename-everything-then-replace, hohh substitution and beta normalization
+over named bound variables with capture-avoiding renaming
+(`named_subst`, `named_beta_norm`) instead of de Bruijn indices, typed
+term enumeration instead of proof
 search, forward chaining instead of backchaining, brute-force
 substitution search instead of unification, path-blocked depth-first
 search over every pivot instead of one backward pass over the binders
@@ -53,7 +56,7 @@ from lflp.engine import (
 from lflp.hterms import (
     App, Atom, BVar, Const, EVar, Formula, ForAll, Imp, LVar, Lam, Program,
     SimpleType, Term, Top, beta_norm, fresh_evar, fresh_level, fresh_lvar_at,
-    split_arrow, subst_formula, term_leaves, term_spine,
+    mk_app, split_arrow, subst_formula, term_leaves, term_spine,
 )
 from lflp.strictness import _why_obj
 from lflp.translator import TranslationError
@@ -110,6 +113,110 @@ def naive_substitute(e: lf.Expr, bindings: dict[str, lf.Obj]) -> lf.Expr:
         raise AssertionError(e)
 
     return go(e, dict(bindings))
+
+
+# ---------------------------------------------------------------------------
+# Named hohh terms: the reference for the package's de Bruijn indices.  A
+# bound variable is an `NVar` spelled like its binder, so substitution
+# must rename a binder that would capture a free name of a value.
+# `to_indexed` and `to_named` convert between the two spellings.
+
+@dataclass(frozen=True)
+class NVar:
+    name: str
+    ty: SimpleType
+
+
+def named_free_vars(t) -> frozenset[str]:
+    match t:
+        case NVar(name, _):
+            return frozenset([name])
+        case Lam(var, _, body):
+            return named_free_vars(body) - {var}
+        case App(fn, arg):
+            return named_free_vars(fn) | named_free_vars(arg)
+    return frozenset()
+
+
+def named_subst(t, m: dict):
+    """Replace free NVar occurrences; capture-avoiding."""
+    if not m:
+        return t
+    match t:
+        case NVar(name, _):
+            return m.get(name, t)
+        case App(fn, arg):
+            return App(named_subst(fn, m), named_subst(arg, m))
+        case Lam(var, ty, body):
+            inner = {k: v for k, v in m.items()
+                     if k != var and k in named_free_vars(body)}
+            if not inner:
+                return t
+            clash = frozenset().union(*[named_free_vars(v)
+                                        for v in inner.values()])
+            var, body = named_rename_apart(var, ty, body, clash)
+            return Lam(var, ty, named_subst(body, inner))
+    return t
+
+
+def named_rename_apart(var: str, ty: SimpleType, body, avoid) -> tuple:
+    """The binder `var` : `ty` of `body`, renamed when `avoid` holds its
+    name: the new name is neither in `avoid` nor free in `body`."""
+    if var in avoid:
+        var2 = fresh_name(var, avoid | named_free_vars(body))
+        return var2, named_subst(body, {var: NVar(var2, ty)})
+    return var, body
+
+
+def named_beta_norm(t):
+    match t:
+        case App(fn, arg):
+            fn = named_beta_norm(fn)
+            if isinstance(fn, Lam):
+                return named_beta_norm(named_subst(fn.body, {fn.var: arg}))
+            return App(fn, named_beta_norm(arg))
+        case Lam(var, ty, body):
+            return Lam(var, ty, named_beta_norm(body))
+    return t
+
+
+def to_indexed(x, scope: tuple[str, ...] = ()):
+    """The named term or formula `x` with each `NVar` replaced by the
+    index of the nearest binder of its name; `scope` names the binders
+    around `x`, innermost last."""
+    match x:
+        case NVar(name, ty):
+            return BVar(scope[::-1].index(name), ty)
+        case App(fn, arg):
+            return App(to_indexed(fn, scope), to_indexed(arg, scope))
+        case Lam(var, ty, body):
+            return Lam(var, ty, to_indexed(body, scope + (var,)))
+        case Atom(pred, args):
+            return Atom(pred, tuple(to_indexed(a, scope) for a in args))
+        case Imp(left, right):
+            return Imp(to_indexed(left, scope), to_indexed(right, scope))
+        case ForAll(var, ty, body):
+            return ForAll(var, ty, to_indexed(body, scope + (var,)))
+    return x
+
+
+def to_named(x, scope: tuple[str, ...] = ()):
+    """The indexed term or formula `x` spelled with names: each binder
+    takes its hint, renamed apart from the names in `scope`, which names
+    the binders around `x`, innermost last."""
+    match x:
+        case BVar(index, ty):
+            return NVar(scope[-1 - index], ty)
+        case App(fn, arg):
+            return App(to_named(fn, scope), to_named(arg, scope))
+        case Lam(var, ty, body) | ForAll(var, ty, body):
+            var = fresh_name(var, scope)
+            return type(x)(var, ty, to_named(body, scope + (var,)))
+        case Atom(pred, args):
+            return Atom(pred, tuple(to_named(a, scope) for a in args))
+        case Imp(left, right):
+            return Imp(to_named(left, scope), to_named(right, scope))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +367,12 @@ def _clause_triple(clause: Formula):
     lvars: list[LVar] = []
     premises: list[Formula] = []
     f = clause
-    ren: dict[str, Term] = {}
     while True:
         match f:
             case ForAll(var, ty, body):
                 v = LVar(f"{var}#{next(_counter)}", 0, ty)
                 lvars.append(v)
-                ren[var] = v
-                f = _replace_bvars(body, dict(ren))
-                ren = {}
+                f = subst_formula(body, (v,))
                 continue
             case Imp(g, d):
                 premises.append(g)
@@ -278,31 +382,6 @@ def _clause_triple(clause: Formula):
                 return lvars, premises, f
             case _:
                 return None
-
-
-def _replace_bvars(f: Formula, ren: dict[str, Term]) -> Formula:
-    def term(t: Term, ren) -> Term:
-        match t:
-            case BVar(name, _) if name in ren:
-                return ren[name]
-            case App(fn, arg):
-                return App(term(fn, ren), term(arg, ren))
-            case Lam(var, ty, body):
-                inner = {k: v for k, v in ren.items() if k != var}
-                return Lam(var, ty, term(body, inner))
-            case _:
-                return t
-
-    match f:
-        case Atom(pred, args):
-            return Atom(pred, tuple(term(a, ren) for a in args))
-        case Imp(l, r):
-            return Imp(_replace_bvars(l, ren), _replace_bvars(r, ren))
-        case ForAll(var, ty, body):
-            inner = {k: v for k, v in ren.items() if k != var}
-            return ForAll(var, ty, _replace_bvars(body, inner))
-        case _:
-            return f
 
 
 def match_term(pat: Term, ground: Term, binding: dict[LVar, Term]) -> bool:
@@ -570,7 +649,7 @@ def _ref_prove(goal, clauses, univ, sigma, residuals, budget, state):
                                   residuals, budget, state)
         case ForAll(var, ty, body):
             e = fresh_evar(var, ty)
-            yield from _ref_prove(subst_formula(body, {var: e}), clauses,
+            yield from _ref_prove(subst_formula(body, (e,)), clauses,
                                   e.level + 1, sigma, residuals, budget, state)
         case Atom() as atom:
             yield from _ref_backchain(atom, clauses, univ, sigma, residuals,
@@ -584,19 +663,17 @@ def _clause_parts(clause: Formula, univ: int) -> tuple[Atom, list[Formula]]:
     variables of universe `univ`; return its head and its premises in
     order."""
     premises: list[Formula] = []
-    inst: dict[str, Term] = {}
     f = clause
     while True:
         match f:
             case ForAll(var, ty, body):
-                inst[var] = fresh_lvar_at(var.upper() if var else "X", ty,
-                                          univ)
-                f = body
+                f = subst_formula(body, (fresh_lvar_at(
+                    var.upper() if var else "X", ty, univ),))
             case Imp(g, d):
-                premises.append(subst_formula(g, inst))
+                premises.append(g)
                 f = d
             case _:
-                return subst_formula(f, inst), premises
+                return f, premises
 
 
 def _ref_backchain(atom, clauses, univ, sigma, residuals, budget, state):
@@ -640,15 +717,15 @@ def _ref_conj(goals, clauses, univ, sigma, residuals, budget, state):
 def gen_terms(ty, heads: list[Term], depth: int) -> list[Term]:
     """All terms of simple type `ty` using only `heads`, with application
     nesting at most `depth`."""
+    return [to_indexed(t) for t in _gen_named(ty, heads, depth)]
+
+
+def _gen_named(ty, heads: list, depth: int) -> list:
     doms, _ = split_arrow(ty)
     if doms:
-        out = []
-        v = BVar(f"u{next(_counter)}", doms[0])
-        from lflp.hterms import TArrow
-        inner = ty.cod if isinstance(ty, TArrow) else ty
-        for body in gen_terms(inner, heads + [v], depth):
-            out.append(Lam(v.name, v.ty, body))
-        return out
+        v = NVar(f"u{next(_counter)}", doms[0])
+        return [Lam(v.name, v.ty, body)
+                for body in _gen_named(ty.cod, heads + [v], depth)]
     results = []
     for h in heads:
         hdoms, hcod = split_arrow(_ty_of_head(h))
@@ -657,12 +734,9 @@ def gen_terms(ty, heads: list[Term], depth: int) -> list[Term]:
         if not hdoms:
             results.append(h)
         elif depth > 0:
-            arg_choices = [gen_terms(d, heads, depth - 1) for d in hdoms]
+            arg_choices = [_gen_named(d, heads, depth - 1) for d in hdoms]
             for combo in itertools.product(*arg_choices):
-                t = h
-                for a in combo:
-                    t = App(t, a)
-                results.append(t)
+                results.append(mk_app(h, combo))
     return results
 
 
@@ -816,8 +890,8 @@ class EagerSubst:
 # str predicates directly, and line and column are counted as it goes.
 
 class _Token(NamedTuple):
-    """A token and the position the character loop counted for it; the
-    package's tokens find theirs only on demand, with the same fields."""
+    """A token and its position: counted by the character loop, or asked
+    of the package's tokens by `package_tokens`."""
     kind: str
     text: str
     line: int
@@ -870,6 +944,14 @@ def char_tokenize(text: str) -> list[_Token]:
         raise LFSyntaxError(f"unexpected character {c!r}", line, col)
     toks.append(_Token("eof", "", line, col))
     return toks
+
+
+def package_tokens(text: str) -> list[_Token]:
+    """The package's tokens of `text`, each with the line and column its
+    `position` finds."""
+    toks = lf.tokenize(text)
+    return [_Token(kind, word, *toks.position(i))
+            for i, (kind, word) in enumerate(zip(toks.kinds, toks.texts))]
 
 
 # ---------------------------------------------------------------------------
@@ -1099,7 +1181,7 @@ def _col(e: _PTerm) -> int:
 
 def two_pass_parse_signature(text: str) -> Signature:
     """Parse a sequence of ``name : expr.`` declarations in source order."""
-    parser = _Parser(lf.tokenize(text))
+    parser = _Parser(package_tokens(text))
     decls: list[Decl] = []
     seen: set[str] = set()
     while parser.peek().kind != "eof":
@@ -1128,7 +1210,7 @@ def two_pass_parse_query(text: str, sig: Optional[Signature] = None) -> tuple[tu
     a base type; when `sig` is given its head must be a declared type
     constant.
     """
-    parser = _Parser(lf.tokenize(text))
+    parser = _Parser(package_tokens(text))
     body = parser.expr()
     if parser.peek().kind == ".":
         parser.next()
@@ -1148,7 +1230,7 @@ def two_pass_parse_query(text: str, sig: Optional[Signature] = None) -> tuple[tu
 def two_pass_parse_object(text: str, sig: Optional[Signature] = None) -> Obj:
     """Parse a single object term.  Identifiers bound by an enclosing
     lambda are variables; everything else is read as a constant."""
-    parser = _Parser(lf.tokenize(text))
+    parser = _Parser(package_tokens(text))
     body = parser.expr()
     tok = parser.peek()
     if tok.kind != "eof":
@@ -1406,38 +1488,23 @@ def _canon_kind(sig: Signature, ctx: Context, k: Kind) -> Kind:
 # application, and replaying a reported solution through the engine.
 
 def alpha_eq_term(a: Term, b: Term) -> bool:
-    return _aeq(a, b, (), ())
-
-
-def _aeq(a: Term, b: Term, ea: tuple[str, ...], eb: tuple[str, ...]) -> bool:
+    """Equality of indexed terms up to their binders' hints."""
     match (a, b):
-        case (BVar(na, _), BVar(nb, _)):
-            for i in range(len(ea) - 1, -1, -1):
-                if ea[i] == na or eb[i] == nb:
-                    return ea[i] == na and eb[i] == nb
-            return na == nb
-        case (Const(na, ta), Const(nb, tb)):
-            return na == nb and ta == tb
-        case (EVar(na, _, _), EVar(nb, _, _)):
-            return na == nb
-        case (LVar(na, _, _), LVar(nb, _, _)):
-            return na == nb
-        case (Lam(va, ta, ba), Lam(vb, tb, bb)):
-            return ta == tb and _aeq(ba, bb, ea + (va,), eb + (vb,))
+        case (Lam(_, ta, ba), Lam(_, tb, bb)):
+            return ta == tb and alpha_eq_term(ba, bb)
         case (App(fa, xa), App(fb, xb)):
-            return _aeq(fa, fb, ea, eb) and _aeq(xa, xb, ea, eb)
-        case _:
-            return False
+            return alpha_eq_term(fa, fb) and alpha_eq_term(xa, xb)
+    return a == b
 
 
 def canon_key(sol: Solution) -> str:
     """`sol`'s values as one string, equal for two solutions exactly when
     their values are alpha-equal up to a renaming of logic variables:
-    bound variables are printed by de Bruijn index, and logic variables
-    are numbered in order of first occurrence."""
+    binders print without their hints, and logic variables are numbered
+    in order of first occurrence."""
     lnames: dict[str, int] = {}
 
-    def render(t: Term, env: tuple[str, ...]) -> str:
+    def render(t: Term) -> str:
         match t:
             case Const(name, _):
                 return name
@@ -1447,20 +1514,17 @@ def canon_key(sol: Solution) -> str:
                 if name not in lnames:
                     lnames[name] = len(lnames)
                 return f"?{lnames[name]}"
-            case BVar(name, _):
-                for i in range(len(env) - 1, -1, -1):
-                    if env[i] == name:
-                        return f"#{len(env) - 1 - i}"
-                return f"#?{name}"
-            case Lam(var, _, body):
-                return f"(\\ {render(body, env + (var,))})"
+            case BVar(index, _):
+                return f"#{index}"
+            case Lam(_, _, body):
+                return f"(\\ {render(body)})"
             case App():
                 head, args = term_spine(t)
-                inner = " ".join(render(x, env) for x in [head] + args)
+                inner = " ".join(render(x) for x in [head] + args)
                 return f"({inner})"
         raise TypeError
 
-    return ";".join(f"{v.name}={render(t, ())}" for v, t in sol.bindings)
+    return ";".join(f"{v.name}={render(t)}" for v, t in sol.bindings)
 
 
 def fresh_lvar(prefix: str, ty: SimpleType) -> LVar:
@@ -1494,20 +1558,20 @@ def evars_of(t: Term) -> frozenset[EVar]:
 
 
 def alpha_eq_formula(a: Formula, b: Formula) -> bool:
-    return _faeq(a, b, (), ())
+    return _faeq(a, b)
 
 
-def _faeq(a, b, ea, eb) -> bool:
+def _faeq(a, b) -> bool:
     match (a, b):
         case (Top(), Top()):
             return True
         case (Atom(pa, xa), Atom(pb, xb)):
             return (pa == pb and len(xa) == len(xb)
-                    and all(_aeq(s, t, ea, eb) for s, t in zip(xa, xb)))
+                    and all(alpha_eq_term(s, t) for s, t in zip(xa, xb)))
         case (Imp(la, ra), Imp(lb, rb)):
-            return _faeq(la, lb, ea, eb) and _faeq(ra, rb, ea, eb)
-        case (ForAll(va, ta, ba), ForAll(vb, tb, bb)):
-            return ta == tb and _faeq(ba, bb, ea + (va,), eb + (vb,))
+            return _faeq(la, lb) and _faeq(ra, rb)
+        case (ForAll(_, ta, ba), ForAll(_, tb, bb)):
+            return ta == tb and _faeq(ba, bb)
         case _:
             return False
 

@@ -357,14 +357,28 @@ def test_solve_stlc_query_error_texts_pinned(capsys, query, message):
     # the head family's own arguments are read before the kernel's check
     ("append.elf", "append (cons foo nil) bar L",
      (2, "", "error: unknown object constant bar\n")),
-    # the redex reduces to F applied to E; its type is F's placeholder
+    # the redex reduces to F applied to E, and F is not typed yet
     ("stlc.elf", "eval (([x:tm] F) E E) V",
-     (2, "", "error: ill-formed query type: [app-obj] ([x:tm] F) E of type "
-             "?F applied to an argument\n")),
+     (2, "", "error: cannot infer a type for F: free query variables may "
+             "not be applied\n")),
 ])
 def test_solve_query_variables_typed_at_first_use(capsys, sigfile, query,
                                                    want):
     assert run_cli(capsys, "solve", str(DATA / sigfile), query) == want
+
+
+def test_solve_rechecks_a_value_its_query_type_drops(capsys, monkeypatch):
+    # N occurs only in a redex's argument, so the normalized query type,
+    # and with it the inhabitant's check, never mentions N: its value is
+    # checked on its own, at nat, and an ill-typed one is refused
+    real = cli.invert
+    monkeypatch.setattr(cli, "invert", lambda sig, ctx, t, ty, frees: (
+        lf.OConst("nil") if ty == lf.FConst("nat")
+        else real(sig, ctx, t, ty, frees)))
+    assert run_cli(capsys, "solve", APPEND,
+                   "append nil nil (([x:nat] nil) N)") == (
+        2, "", "error: inverted answer fails to re-check: [app-obj] nil has "
+               "type list, expected nat\n")
 
 
 def test_solve_refuses_an_applied_query_variable(capsys):

@@ -139,16 +139,20 @@ def test_true_hypothesis_changes_nothing():
 def test_true_premise_costs_one_backchain():
     # the premise of q X <= true is instantiated, and proved at no cost
     a = Const("a", OBJ)
-    x = BVar("X", OBJ)
+    x = BVar(0, OBJ)
     prog = Program(xi=(), clauses=(
         ForAll("X", OBJ, Imp(Top(), Atom("q", (x,)))),))
+    run = solve(prog, Atom("q", (a,)), Limits(depth=1), query_vars=())
+    assert [s.backchains for s in run.solutions] == [1]
+    # without a quantifier, the premise is instantiated with no slot
+    prog = Program(xi=(), clauses=(Imp(Top(), Atom("q", (a,))),))
     run = solve(prog, Atom("q", (a,)), Limits(depth=1), query_vars=())
     assert [s.backchains for s in run.solutions] == [1]
 
 
 def test_quantified_head_argument_matches_any_goal_argument():
     a, b = Const("a", OBJ), Const("b", OBJ)
-    x = BVar("X", OBJ)
+    x = BVar(0, OBJ)
     prog = Program(xi=(), clauses=(
         Atom("r", (a, b)),
         ForAll("X", OBJ, Atom("r", (x, x)))))
@@ -167,7 +171,7 @@ def test_flexible_application_is_left_to_unification():
     # than reported, and a head match must leave the pair to it too.
     a = Const("a", OBJ)
     prog = Program(xi=(), clauses=(
-        ForAll("X", OBJ, Atom("p", (BVar("X", OBJ),))),))
+        ForAll("X", OBJ, Atom("p", (BVar(0, OBJ),))),))
     f = fresh_lvar("F", arrow([OBJ], OBJ))
     goal = Atom("p", (mk_app(f, [a]),))
     for search in (solve, oracles.reference_solve):
@@ -177,7 +181,7 @@ def test_flexible_application_is_left_to_unification():
 
 def test_universal_goal_introduces_eigenvariable():
     _, prog = _tiny_program()
-    x = BVar("x", OBJ)
+    x = BVar(0, OBJ)
     provable = ForAll("x", OBJ, Imp(Atom("q", (x,)), Atom("q", (x,))))
     run = solve(prog, provable, Limits(depth=4), query_vars=())
     assert run.status == "ok"
@@ -190,7 +194,8 @@ def test_suspension_on_surviving_residual():
     bar = Const("bar", arrow([OBJ], LF_TYPE))
     foo = Const("foo", arrow([OBJ, arrow([OBJ], OBJ)], OBJ))
     z = Const("z", OBJ)
-    yv, fv = BVar("Y", OBJ), BVar("F", arrow([OBJ], OBJ))
+    # Y is the outer of the head's two binders, F the inner
+    yv, fv = BVar(1, OBJ), BVar(0, arrow([OBJ], OBJ))
     head = Atom("hastype", (mk_app(foo, [yv, fv]),
                             mk_app(bar, [mk_app(fv, [yv])])))
     prog = Program(xi=(), clauses=(
@@ -526,7 +531,7 @@ def test_goal_with_free_eigenvariable_solves():
     # clause variable may be bound to one of them
     p = Const("p", arrow([OBJ], LF_TYPE))
     c = Const("c", arrow([OBJ], OBJ))
-    x = BVar("X", OBJ)
+    x = BVar(0, OBJ)
     prog = Program(xi=(), clauses=(
         ForAll("X", OBJ, Atom("hastype", (mk_app(c, [x]), mk_app(p, [x])))),))
     e = fresh_evar("e", OBJ)
@@ -541,7 +546,7 @@ def test_variable_below_the_universe_is_bound_by_unification():
     # Under `pi y`, the clause variable X lives above y; bound into the
     # older M, it is lowered to M's level, or y could later leak into M.
     f, a = Const("f", arrow([OBJ], OBJ)), Const("a", LF_TYPE)
-    x = BVar("X", OBJ)
+    x = BVar(0, OBJ)
     prog = Program(xi=(), clauses=(
         ForAll("X", OBJ, Atom("hastype", (mk_app(f, [x]), a))),))
     m = fresh_lvar("M", OBJ)
@@ -561,7 +566,8 @@ def test_hypothesis_mentioning_a_logic_variable_is_not_written():
     f, g = Const("f", arrow([OBJ], OBJ)), Const("g", arrow([OBJ], OBJ))
     eq = Const("eq", arrow([OBJ], LF_TYPE))
     b, start = Const("b", LF_TYPE), Const("start", LF_TYPE)
-    x, y, z = BVar("X", OBJ), BVar("Y", OBJ), BVar("Z", OBJ)
+    # z is the first clause's one binder; x and y the second's two
+    x, y, z = BVar(1, OBJ), BVar(0, OBJ), BVar(0, OBJ)
 
     def has(m, a):
         return Atom("hastype", (m, a))
@@ -793,24 +799,47 @@ def test_goals_outside_write_mode_match_instantiate_then_unify(
 
 # shadow.elf repeats a binder name on two scope paths: translated, the
 # typing premise of c's x binds a y under the quantifier for c's own y.
-# The compiled clause names its slots after its binders, so a premise's
-# inner binder must shadow the slot of the same name, as it does in the
-# instantiate-then-unify reference.
+# The compiled clause numbers its slots as the head's indices do, 0 the
+# innermost binder, and instantiates each premise with the slots above
+# it, so a premise's inner binder of the same name stays its own, as it
+# does in the instantiate-then-unify reference.
 def test_compiled_clause_names_slots_after_binders_and_keeps_premises():
     sig = oracles.load_signature("shadow.elf")
     objects = [d.name for d in sig.decls if isinstance(d, lf.ObjDecl)]
     clause = translate_signature(sig, "naive").clauses[objects.index("c")]
     compiled = engine._compile(clause)
-    assert [name for name, _, _ in compiled.slots] == ["x", "y"]
+    assert [(j, prefix) for j, prefix, _ in compiled.slots] == [(1, "X"),
+                                                                 (0, "Y")]
     premises, f = [], clause
     while isinstance(f, (ForAll, Imp)):
         if isinstance(f, Imp):
             premises.append(f.left)
         f = f.body if isinstance(f, ForAll) else f.right
     assert len(compiled.premises) == len(premises) == 2
-    assert all(p is q for p, q in zip(compiled.premises, premises))
+    assert all(p is q for (p, _), q in zip(compiled.premises, premises))
+    # the first premise lies under x alone, the second under x and y
+    assert [k for _, k in compiled.premises] == [1, 0]
     assert isinstance(premises[0], ForAll) and premises[0].var == "y"
     assert all(t.term is a for t, a in zip(compiled.head, f.args))
+
+
+def test_quantifiers_sharing_a_hint_name_bind_both_slots():
+    # pi X\ pi X\ (p X' => q X => r X' X), X' the outer binder: the hint
+    # names agree, the indices do not, and each premise reads its own slot
+    a, b = Const("a", OBJ), Const("b", OBJ)
+    outer, inner = BVar(1, OBJ), BVar(0, OBJ)
+    prog = Program(xi=(), clauses=(
+        Atom("p", (a,)), Atom("q", (b,)),
+        ForAll("X", OBJ, ForAll("X", OBJ, Imp(
+            Atom("p", (outer,)),
+            Imp(Atom("q", (inner,)), Atom("r", (outer, inner)))))),
+    ))
+    v, w = fresh_lvar("V", OBJ), fresh_lvar("W", OBJ)
+    for search in (solve, oracles.reference_solve):
+        run = search(prog, Atom("r", (v, w)), Limits(depth=3),
+                     query_vars=(v, w))
+        sol, = run.solutions
+        assert (sol.value(v), sol.value(w), sol.backchains) == (a, b, 3)
 
 
 @pytest.mark.parametrize("mode", ["optimized", "naive"])

@@ -2,13 +2,14 @@ from hypothesis import given, settings, strategies as st
 
 from lflp.hterms import (
     LF_OBJ, LF_TYPE, App, BVar, Const, Lam, LVar, arrow, beta_norm,
-    fresh_evar, fresh_level, mk_app, term_spine, type_of,
+    fresh_evar, mk_app, subst_term, term_spine, type_of,
 )
 from lflp.unify import Eq, Subst, unify
 
 import oracles
 from oracles import (
-    alpha_eq_term, evars_of, fresh_lvar, lvars_in_order, unify_one,
+    NVar, alpha_eq_term, evars_of, fresh_lvar, lvars_in_order, to_indexed,
+    unify_one,
 )
 
 OBJ = LF_OBJ
@@ -133,11 +134,10 @@ def test_flex_flex_different_variables():
 
 
 def _fn(arity, body):
-    """``\\w0..w(arity-1). body``; an int body projects on that binder."""
-    ws = [BVar(f"w{j}", OBJ) for j in range(arity)]
-    t = ws[body] if isinstance(body, int) else body
-    for w in reversed(ws):
-        t = Lam(w.name, OBJ, t)
+    """``\\w0..w(arity-1). body``; an int body j projects on wj."""
+    t = BVar(arity - 1 - body, OBJ) if isinstance(body, int) else body
+    for _ in range(arity):
+        t = Lam("w", OBJ, t)
     return t
 
 
@@ -253,8 +253,8 @@ def test_repeated_argument_is_no_pattern():
     eq = Eq(mk_app(f, [e, e]), s(e))
     res = unify([eq])
     assert (res.status, res.residuals) == ("residual", (eq,))
-    for w in ("w0", "w1"):
-        assert unify([eq, Eq(f, _fn(2, s(BVar(w, OBJ))))]).status == "ok"
+    for w in (BVar(1, OBJ), BVar(0, OBJ)):  # w0, w1
+        assert unify([eq, Eq(f, _fn(2, s(w)))]).status == "ok"
 
 
 def test_flexible_occurrence_of_too_new_eigenvar_is_residual():
@@ -308,24 +308,27 @@ def test_non_pattern_under_copy_is_copied_and_its_head_lowered():
 
 
 def test_copy_renames_a_binder_spelled_like_its_own():
-    # K e = c (\w. g e w), with w spelled like the binder the copy makes
-    # for e: unless the copy renames w, K := \z. c (\z. g z z) captures
+    # K e = c (\z. g e z), with z the hint the copy gives its binder for
+    # e: K := \z. c (\z. g #1 #0) captures nothing, since its indices
+    # tell apart the two binders a name would confuse
     c = Const("c", arrow([arrow([OBJ], OBJ)], OBJ))
     g = Const("g", arrow([OBJ, OBJ], OBJ))
     a = Const("a", OBJ)
     k = fresh_lvar("K", arrow([OBJ], OBJ))
     e = fresh_evar("e", OBJ)
-    w = BVar(f"z{fresh_level() + 1}", OBJ)
-    res = unify_one(App(k, e), App(c, Lam(w.name, OBJ, mk_app(g, [e, w]))))
+    w = BVar(0, OBJ)
+    res = unify_one(App(k, e), App(c, Lam("z", OBJ, mk_app(g, [e, w]))))
     assert res.status == "ok"
+    assert res.subst.apply_all((k,))[0] == Lam("z", OBJ, App(c, Lam(
+        "z", OBJ, mk_app(g, [BVar(1, OBJ), w]))))
     got = beta_norm(App(res.subst.apply_all((k,))[0], a))
-    assert alpha_eq_term(got, App(c, Lam(w.name, OBJ, mk_app(g, [a, w]))))
+    assert alpha_eq_term(got, App(c, Lam("z", OBJ, mk_app(g, [a, w]))))
 
 
 def test_terms_print_and_type_as_built():
     e = fresh_evar("e", OBJ)
-    lam = Lam("x", OBJ, cons(e, BVar("x", OBJ)))
-    assert str(lam) == f"(x\\ (cons {e.name} x))"
+    lam = Lam("x", OBJ, cons(e, BVar(0, OBJ)))
+    assert str(lam) == f"(x\\ (cons {e.name} #0))"
     assert type_of(lam) == arrow([OBJ], OBJ)
 
 
@@ -393,7 +396,7 @@ FUN_VARS = [fresh_lvar(f"F{i}", arrow([OBJ], OBJ)) for i in range(2)]
 def _obj_terms(under_binder: bool):
     leaves = [st.just(Z), st.just(NIL), st.sampled_from(OBJ_VARS)]
     if under_binder:
-        leaves.append(st.just(BVar("x", OBJ)))
+        leaves.append(st.just(BVar(0, OBJ)))
     return st.recursive(
         st.one_of(leaves),
         lambda sub: st.one_of(
@@ -439,3 +442,54 @@ def test_triangular_subst_agrees_with_eager_folding(steps, query):
     for v in OBJ_VARS + FUN_VARS:
         # an unbound variable applies to itself, a bound one never does
         assert alpha_eq_term(tri.apply_all((v,))[0], eager.apply(v))
+
+
+# --- index substitution against the named reference -----------------------
+# Random simply typed terms over nested lambdas whose names repeat and
+# match the free names, so the named reference must rename to avoid
+# capture; the package's indices never rename.
+
+FN = arrow([OBJ], OBJ)
+C = Const("c", arrow([FN], OBJ))  # keeps a lambda in a normal form
+_HINTS = ["x", "y", "u"]
+
+
+@st.composite
+def _named(draw, ty, scope: dict, depth: int):
+    """A named term of type `ty` (OBJ or FN) over `scope`, the bound
+    names visible there and their types, redexes included."""
+    leaves = [NVar(n, t) for n, t in scope.items() if t == ty]
+    leaves.append(Z if ty == OBJ else S)
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(leaves))
+    if ty == FN:
+        name = draw(st.sampled_from(_HINTS))
+        return Lam(name, OBJ, draw(_named(OBJ, {**scope, name: OBJ},
+                                          depth - 1)))
+    if draw(st.booleans()):
+        return App(C, draw(_named(FN, scope, depth - 1)))
+    # the head may be a lambda, which makes a redex
+    return App(draw(_named(FN, scope, depth - 1)),
+               draw(_named(OBJ, scope, depth - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_named(OBJ, {"x": OBJ, "u": OBJ}, 5))
+def test_beta_norm_agrees_with_named_reference(t):
+    free = ("x", "u")
+    assert alpha_eq_term(beta_norm(to_indexed(t, free)),
+                         to_indexed(oracles.named_beta_norm(t), free))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_named(OBJ, {"u": OBJ, "x": OBJ, "y": OBJ}, 5),
+       _named(OBJ, {"u": OBJ}, 4), _named(OBJ, {"u": OBJ}, 4))
+def test_subst_term_agrees_with_named_reference(t, vx, vy):
+    # t is open in u, x and y, y innermost; the values are open in u
+    want = oracles.named_subst(t, {"x": vx, "y": vy})
+    got = subst_term(to_indexed(t, ("u", "x", "y")),
+                     (to_indexed(vy, ("u",)), to_indexed(vx, ("u",))))
+    assert alpha_eq_term(got, to_indexed(want, ("u",)))
+    # lifted over two new binders, u moves two further out
+    assert alpha_eq_term(subst_term(to_indexed(vx, ("u",)), (), 2),
+                         to_indexed(vx, ("u", "p", "q")))

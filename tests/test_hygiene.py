@@ -466,8 +466,8 @@ def test_node_classes_and_fields_are_pinned():
         "TBase TArrow Const EVar LVar BVar Lam App Top Atom Imp ForAll "
         "Eq".split())
     assert NODE_FIELDS == frozenset(
-        "var dom body name fn arg kind fam cod ty level pred args left "
-        "right lhs rhs".split())
+        "var dom body name fn arg kind fam cod ty level index pred args "
+        "left right lhs rhs".split())
 
 
 def _is_self(e: ast.expr) -> bool:

@@ -22,7 +22,9 @@ from lflp.strictness import strict_binders
 
 import oracles
 from lpreader import parse_lambdaprolog
-from oracles import alpha_eq_formula, alpha_eq_term, fresh_lvar
+from oracles import (
+    NVar, alpha_eq_formula, alpha_eq_term, fresh_lvar, to_indexed,
+)
 
 OBJ, TY = LF_OBJ, LF_TYPE
 
@@ -54,7 +56,7 @@ def test_encode_abstraction_binds():
     sig = oracles.load_signature("append.elf")
     m = lf.OLam("x", lf.FConst("nat"), lf.OVar("x"))
     t = encode(sig, m, {})
-    assert t == Lam("x", OBJ, BVar("x", OBJ))
+    assert t == Lam("x", OBJ, BVar(0, OBJ))
 
 
 def test_encode_family_application():
@@ -132,7 +134,7 @@ def test_naive_pi_declaration():
     sig = oracles.load_signature("append.elf")
     got = translate_judgment(sig, sig.lookup("appNil"), _const(sig, "appNil"),
                              mode="naive")
-    l = BVar("l", OBJ)
+    l = BVar(0, OBJ)
     want = ForAll("l", OBJ, Imp(
         Atom("hastype", (l, _const(sig, "list"))),
         Atom("hastype", (App(_const(sig, "appNil"), l),
@@ -152,14 +154,14 @@ def test_optimized_appcons_keeps_one_premise():
     sig = oracles.load_signature("append.elf")
     clause = translate_judgment(sig, sig.lookup("appCons"),
                                 _const(sig, "appCons"))
-    foralls, premises = _shape(clause)
+    foralls, premises = _shape(oracles.to_named(clause))
     assert foralls == 5
     assert len(premises) == 1
     prem = premises[0]
     assert isinstance(prem, Atom) and prem.pred == "hastype"
     head, args = term_spine(prem.args[1])
     assert head == _const(sig, "append")
-    assert [str(a) for a in args] == ["l", "m", "n"]
+    assert [a.name for a in args] == ["l", "m", "n"]
 
 
 def test_optimized_higher_order_premise():
@@ -168,14 +170,15 @@ def test_optimized_higher_order_premise():
     clause = translate_judgment(sig, sig.lookup("foo"), foo)
     nat = Const("nat", TY)
     bar = Const("bar", arrow([OBJ], TY))
-    y, f, w = BVar("Y", OBJ), BVar("F", arrow([OBJ], OBJ)), BVar("w", OBJ)
-    want = ForAll("Y", OBJ, Imp(
+    y, f, w = (NVar("Y", OBJ), NVar("F", arrow([OBJ], OBJ)),
+               NVar("w", OBJ))
+    want = to_indexed(ForAll("Y", OBJ, Imp(
         Atom("hastype", (y, nat)),
         ForAll("F", arrow([OBJ], OBJ), Imp(
             ForAll("w", OBJ, Imp(Atom("hastype", (w, nat)),
                                  Atom("hastype", (App(f, w), nat)))),
             Atom("hastype", (mk_app(foo, [y, f]),
-                             App(bar, App(f, y))))))))
+                             App(bar, App(f, y)))))))))
     assert alpha_eq_formula(clause, want)
 
 
@@ -362,8 +365,8 @@ def _unshared(t):
             return App(_unshared(fn), _unshared(arg))
         case Lam(var, ty, body):
             return Lam(var, ty, _unshared(body))
-        case BVar(name, ty):
-            return BVar(name, ty)
+        case BVar(index, ty):
+            return BVar(index, ty)
         case Const(name, ty):
             return Const(name, ty)
     raise AssertionError(t)
