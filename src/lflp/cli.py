@@ -193,11 +193,13 @@ def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
     variable's value and the inhabitant.  The kernel checks the
     inhabitant at the query's type T instantiated by the values.  Its
     synthesized type holds, eta-equal and well typed, the value of each
-    query variable where T holds the variable; the inverter takes each
-    lambda annotation from the type it expects, so a wrong one needs a
-    wrong earlier argument, which the comparison with T catches.  A
-    variable not in T, as N in ``append nil nil (([x:nat] nil) N)``,
-    gets a check of its own.
+    query variable that T holds where no instance drops it (see
+    `_kept_vars`); the inverter takes each lambda annotation from the
+    type it expects, so a wrong one needs a wrong earlier argument,
+    which the comparison with T catches.  Every other variable gets a
+    check of its own: N in ``append nil nil (([x:nat] nil) N)``, which T
+    lacks, and F in ``eval (([f:tm -> tm] f E) F) V``, whose T is
+    ``eval (F E) V``, where only the normal form of ``F E`` meets F.
 
     The export follows the answer's sharing.  The engine resolves the
     values and the inhabitant together, so a subterm they share is one
@@ -208,24 +210,36 @@ def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
     frees = FreeVars(name for name, _ in qt.var_lvars)
     sub: dict[str, lf.Obj] = {}
     for name, v in qt.var_lvars:
-        ty = instantiate_normal(qt.var_types[name], sub)
-        sub[name] = invert(sig, {}, sol.value(v), ty, frees)
-    ty = instantiate_normal(qt.fam, sub)
-    inhabitant = invert(sig, {}, sol.value(qt.subject), ty, frees)
+        ty = instantiate_normal(qt.var_types[name], free=sub)
+        sub[name] = invert(sig, (), sol.value(v), ty, frees)
+    ty = instantiate_normal(qt.fam, free=sub)
+    inhabitant = invert(sig, (), sol.value(qt.subject), ty, frees)
     ctx: lf.Context = {}
     for name, fam in frees.types.values():
         check_type(sig, ctx, fam)
         ctx[name] = fam
     check_object(sig, ctx, inhabitant, ty)
-    in_type = lf.free_vars(qt.fam)
+    kept = _kept_vars(qt.fam)
     for name, obj in sub.items():
-        if name not in in_type:
+        if name not in kept:
             check_object(sig, ctx, obj,
-                         instantiate_normal(qt.var_types[name], sub))
+                         instantiate_normal(qt.var_types[name], free=sub))
     return ([f"% free: {name} : {lf.print_lf(fam)}"
              for name, fam in ctx.items()]
             + [f"{name} = {lf.print_lf(obj)}" for name, obj in sub.items()]
             + [f"inhabitant: {lf.print_lf(inhabitant)}"])
+
+
+def _kept_vars(e: lf.Expr) -> set[str]:
+    """The free variables of `e` at a place no instance of `e` drops:
+    neither an application's head nor inside the arguments of an
+    application headed by a variable."""
+    head, args = lf.spine(e)
+    if type(head) is lf.OVar:
+        return set() if args else {head.name}
+    if isinstance(head, (lf.OLam, lf.FPi)):
+        args = [head.dom, head.body, *args]
+    return set().union(*map(_kept_vars, args))
 
 
 def cmd_strictness(sig: lf.Signature, explain: bool) -> int:

@@ -3,16 +3,20 @@
 Type erasure is not injective on its own, but relative to a known LF
 type every simply typed answer determines at most one LF object: a Pi
 dictates a lambda whose annotation it supplies, and an application
-head names a signature constant or context variable whose classifier
-types the arguments in one loop over the spine, each at its binder's
-domain instantiated by the objects inverted before it.  A constant
-head takes its arity, and which arguments its target depends on, from
-the signature's table (`classifier_dependencies`); a variable head
-walks its classifier.  The objects built here are beta-normal, so an
-instantiation normalizes only when it puts a lambda in place.  An
+head names a signature constant or a variable whose classifier types
+the arguments in one loop over the spine, each at its binder's domain
+instantiated by the objects inverted before it.  A constant head takes
+its arity, and which arguments its target depends on, from the
+signature's table (`classifier_dependencies`); a variable head walks
+its classifier.  Both sides index bound variables alike, so an
+answer's index is the LF index, typed by its lambda's domain lifted
+over the lambdas between.  The objects built here are beta-normal, so
+an instantiation normalizes only when it puts a lambda in place.  An
 answer that is not a lambda at a Pi type is eta-expanded on the fly, as
 the unifier does: `t` stands for `[x:A] t x`, so eta-short answers
-invert to canonical LF objects.
+invert to canonical LF objects.  A lambda takes the name of the Pi
+binder it inhabits unless a lambda in scope, a constant or a free
+variable has it, so the same answer always reads the same.
 
 The inverter only builds; the kernel's re-check of what it builds is
 the judge.  It refuses only what the kernel cannot phrase:
@@ -36,8 +40,8 @@ out otherwise, were a free variable named after the first inversion
 given its Pi binder's name; the reused object keeps the first name,
 which captures nothing, since every free variable inside it was named
 before or during that inversion.  At a Pi type the lambda's name and
-the eta-expansion depend on the type, and under a binder the context
-names the variables, so those are inverted afresh.
+the eta-expansion depend on the type, and under a binder the names in
+scope differ, so those are inverted afresh.
 """
 
 from __future__ import annotations
@@ -51,7 +55,12 @@ from .hterms import (
 )
 from .lf_kernel import (
     classifier_dependencies, instantiate_normal, normal_classifier,
+    substitute,
 )
+
+# the lambdas of an answer around a subterm, outermost first: each one's
+# name and LF type, under the lambdas before it
+_Bound = tuple[tuple[str, lf.Fam], ...]
 
 
 class InversionError(lf.LFError):
@@ -73,17 +82,27 @@ class FreeVars:
         self.names: set[str] = set()
         self.inverted: dict[int, tuple[Term, lf.Obj]] = {}
 
-    def meet(self, sig: lf.Signature, ctx: lf.Context, v: LVar,
-             args: list[Term], ty: lf.Fam) -> tuple[str, lf.Fam]:
+    def meet(self, sig: lf.Signature, ctx: _Bound, v: LVar, args: list[Term],
+             ty: lf.Fam) -> tuple[str, lf.Fam]:
         """Name and type `v`, met first applied to `args` at `ty`."""
-        names = list(ctx)
-        bound = [names[-1 - a.index] if isinstance(a, BVar) else None
-                 for a in args]
-        if None in bound or len(set(bound)) < len(args):
+        at = [a.index for a in args if isinstance(a, BVar)]
+        if len(at) < len(args) or len(set(at)) < len(at):
             raise InversionError(
                 f"free {v.name} is not applied to distinct bound variables")
-        for name in reversed(bound):
-            ty = lf.FPi(name, ctx[name], ty)
+
+        def over(e: lf.Fam, k: int, skip: int = 0) -> lf.Fam:
+            # `e`, under the lambdas of `ctx` but the `skip` innermost,
+            # under the Pi binders of the first k arguments instead; any
+            # other lambda reads as a name no free variable has
+            vals = [lf.OVar("")] * len(ctx)
+            for j in range(k):
+                vals[at[j]] = lf.OBVar(k - 1 - j)
+            return substitute(e, vals[skip:])
+
+        ty = over(ty, len(at))
+        for k in reversed(range(len(at))):
+            name, dom = ctx[-1 - at[k]]
+            ty = lf.FPi(name, over(dom, k, at[k] + 1), ty)
         if not lf.free_vars(ty) <= self.names:
             raise InversionError(
                 f"type of free {v.name} mentions a variable bound in the answer")
@@ -103,29 +122,25 @@ class _Taken:
 
     __slots__ = ("ctx", "sig", "frees")
 
-    def __init__(self, ctx: lf.Context, sig: lf.Signature, frees: FreeVars):
-        self.ctx = ctx
-        self.sig = sig
-        self.frees = frees
+    def __init__(self, ctx: _Bound, sig: lf.Signature, frees: FreeVars):
+        self.ctx, self.sig, self.frees = ctx, sig, frees
 
     def __contains__(self, name: str) -> bool:
-        return (name in self.ctx
+        return (any(name == n for n, _ in self.ctx)
                 or self.sig.lookup(name) is not None
                 or name in self.frees.names)
 
 
-def invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
+def invert(sig: lf.Signature, ctx: _Bound, t: Term, ty: lf.Fam,
            frees: FreeVars) -> lf.Obj:
     """The LF object of type `ty` in `ctx` that the answer `t` stands for,
     its unsolved logic variables read as the ones `frees` names.  `ctx`
-    binds the lambdas of the answer above `t`, outermost first.  `ty`
-    and the types in `ctx` are beta-normal."""
+    binds the lambdas of the answer above `t`, each with a distinct
+    name.  `ty` and the types in `ctx` are beta-normal."""
     if isinstance(ty, lf.FPi):
         # the lambda takes the name of the Pi binder it inhabits, so the
         # same answer always reads the same
         var = lf.fresh_name(ty.var, _Taken(ctx, sig, frees))
-        body_ty = (ty.body if var == ty.var
-                   else instantiate_normal(ty.body, {ty.var: lf.OVar(var)}))
         if isinstance(t, Lam):
             tbody = t.body
         else:
@@ -136,7 +151,7 @@ def invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
                 raise InversionError(
                     f"answer of simple type {simple} at a Pi type")
             tbody = App(subst_term(t, (), 1), BVar(0, simple.dom))
-        body = invert(sig, {**ctx, var: ty.dom}, tbody, body_ty, frees)
+        body = invert(sig, ctx + ((var, ty.dom),), tbody, ty.body, frees)
         return lf.OLam(var, ty.dom, body)
     head, args = term_spine(t)
     match head:
@@ -147,9 +162,9 @@ def invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
             lf_head, deps = (lf.OConst(name),
                               classifier_dependencies(sig, name, classifier))
         case BVar(index, _):
-            name = list(ctx)[-1 - index]
-            classifier = ctx[name]
-            lf_head, deps = lf.OVar(name), lf.pi_dependencies(classifier)
+            name, classifier = ctx[-1 - index]
+            classifier = substitute(classifier, (), index + 1)
+            lf_head, deps = lf.OBVar(index), lf.pi_dependencies(classifier)
         case EVar(name, _, _):
             raise InversionError(f"eigenvariable {name} in answer")
         case LVar():
@@ -161,24 +176,23 @@ def invert(sig: lf.Signature, ctx: lf.Context, t: Term, ty: lf.Fam,
     if len(args) != len(deps):
         raise InversionError(
             f"{name} takes {len(deps)} arguments, got {len(args)}")
-    sub: dict[str, lf.Obj] = {}
-    inv_args: list[lf.Obj] = []
+    # a constant's or free variable's classifier mentions no lambda of
+    # the answer, so it changes only past a dependent argument
+    vals: list[lf.Obj] = []
+    moves = type(lf_head) is lf.OBVar
     rest = classifier
     root = not ctx
     for arg, dep in zip(args, deps):
         shared = root and not isinstance(rest.dom, lf.FPi)
         known = frees.inverted.get(id(arg)) if shared else None
         if known is None:
-            inv = invert(sig, ctx, arg,
-                         instantiate_normal(rest.dom, sub) if sub
-                         else rest.dom, frees)
+            inv = invert(sig, ctx, arg, instantiate_normal(rest.dom, vals)
+                         if moves else rest.dom, frees)
             if shared:
                 frees.inverted[id(arg)] = (arg, inv)
         else:
             inv = known[1]
-        inv_args.append(inv)
-        if dep:
-            sub[rest.var] = inv
+        vals.insert(0, inv)
+        moves = moves or dep
         rest = rest.body
-    return lf.obj_app(lf_head, inv_args)
-
+    return lf.obj_app(lf_head, vals[::-1])

@@ -6,22 +6,26 @@ The concrete syntax is a Twelf-like subset: declarations are written
 application by juxtaposition (left associative), and ``%`` starts a
 comment running to end of line.
 
-Kinds, type families, and objects are separate node families.  The
-parser builds them straight from the tokens in one left-to-right pass,
-each expression read in the category its context demands; a
-declaration's classifier is a kind exactly when its tail is ``type``.
-It reads an expression in one loop that keeps the enclosing
-expressions on a stack of its own, so nesting costs no Python frames.
-Nodes are shared: the parser hash-conses constants, variables and
-applications with one table per parse, so equal subterms of one parse
+Kinds, type families, and objects are separate node families, locally
+nameless: a bound variable is an `OBVar`, a de Bruijn index (0 the
+nearest binder, an arrow's included), an `OVar` a free variable, and a
+binder keeps its name only as a hint for printing, so substitution
+never captures.  Names are chosen where text is read and written: the
+parser gives a binder that shadows another in scope, or an arrow, a
+fresh hint, and `print_lf` prints a binder as its hint unless that
+would capture a name its body prints.  :func:`alpha_eq` compares up to
+hints; the structural ``==`` of the nodes compares hints too.
+
+The parser builds the nodes straight from the tokens in one
+left-to-right pass, each expression read in the category its context
+demands; a declaration's classifier is a kind exactly when its tail is
+``type``.  It reads an expression in one loop that keeps the enclosing
+expressions on a stack of its own, so nesting costs no Python frames,
+and no bound variable stands as a type.  It hash-conses constants,
+variables and applications with one table per parse, so equal subterms
 built of those nodes are one object, and the kernel and the encoder,
 which keep tables keyed by identity, do their work once per distinct
 subterm.  Sharing is safe because nodes are immutable (see below).
-After parsing, binder names are pairwise distinct along any scope path
-(the parser renames shadowed binders), and no bound variable stands as
-a type.  Equality of expressions is alpha-equivalence, provided by
-:func:`alpha_eq`; the structural ``==`` of the nodes compares names
-literally and is only suitable for hashing.
 
 The node classes (kinds, families, objects, declarations, and the
 terms and formulas of `hterms`) are built by `nodeclass`: slotted, with
@@ -32,7 +36,7 @@ frozen, since a frozen instance is several times dearer to build, and
 are immutable by rule instead: no code writes a node's field after
 building it, which ``tests/test_hygiene.py`` checks.  A `Signature` is
 a slotted class whose slots only its own methods write, and a context
-is a plain dict from variable names to their types.
+is a plain dict from free variable names to their types.
 
 The lexer matches one pattern over the whole input and returns the
 tokens as parallel lists of kinds and texts, and keeps nothing else per
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import re
 from itertools import compress, islice
-from typing import Container, Optional, Sequence, Union
+from typing import Container, Iterable, Optional, Sequence, Union
 
 
 class LFError(Exception):
@@ -105,7 +109,7 @@ class KType(_Pretty):
 
 @nodeclass
 class KPi(_Pretty):
-    var: str
+    var: str  # a name for printing only
     dom: "Fam"
     body: "Kind"
 
@@ -123,7 +127,7 @@ class FConst(_Pretty):
 
 @nodeclass
 class FPi(_Pretty):
-    var: str
+    var: str  # a name for printing only
     dom: "Fam"
     body: "Fam"
 
@@ -147,12 +151,19 @@ class OConst(_Pretty):
 
 @nodeclass
 class OVar(_Pretty):
+    """A free variable."""
     name: str
 
 
 @nodeclass
+class OBVar(_Pretty):
+    """A bound variable: the `index`-th binder above it, 0 the nearest."""
+    index: int
+
+
+@nodeclass
 class OLam(_Pretty):
-    var: str
+    var: str  # a name for printing only
     dom: Fam
     body: "Obj"
 
@@ -163,7 +174,7 @@ class OApp(_Pretty):
     arg: "Obj"
 
 
-Obj = Union[OConst, OVar, OLam, OApp]
+Obj = Union[OConst, OVar, OBVar, OLam, OApp]
 
 Expr = Union[Kind, Fam, Obj]
 
@@ -237,8 +248,7 @@ class Signature:
         return a if i < self._limit else None
 
 
-# A context maps each variable it binds to its type, beta-normal.  The
-# kernel extends one in place and restores it after the binder's body.
+# A context maps free variables to their types, beta-normal.
 Context = dict[str, Fam]
 
 
@@ -258,61 +268,50 @@ def fresh_name(base: str, avoid: Container[str]) -> str:
 # derives from another: one identity test per case tried.
 
 def free_vars(e: Expr) -> frozenset[str]:
-    """Free object-variable names of a kind, family, or object."""
+    """Free variable names of a kind, family, or object."""
     cls = type(e)
     if cls is OApp or cls is FApp:
         return free_vars(e.fn) | free_vars(e.arg)
     if cls is OVar:
         return frozenset((e.name,))
-    if cls is OConst or cls is FConst or cls is KType:
+    if cls is OConst or cls is FConst or cls is KType or cls is OBVar:
         return frozenset()
     if cls is FPi or cls is OLam or cls is KPi:
-        return free_vars(e.dom) | (free_vars(e.body) - {e.var})
+        return free_vars(e.dom) | free_vars(e.body)
     raise TypeError(f"not an LF expression: {e!r}")
 
 
-def occurs_free(x: str, e: Expr) -> bool:
-    """Whether `x` is free in `e`; `x in free_vars(e)` without the sets."""
+def occurs_free(e: Expr, index: int = 0, count: float = 1) -> bool:
+    """Whether `e` mentions a loose index from `index` on, `count` of
+    them: by default the binder just above `e`, with ``count=inf`` any."""
     cls = type(e)
     if cls is OApp or cls is FApp:
-        return occurs_free(x, e.fn) or occurs_free(x, e.arg)
-    if cls is OVar:
-        return e.name == x
+        return (occurs_free(e.fn, index, count)
+                or occurs_free(e.arg, index, count))
+    if cls is OBVar:
+        return 0 <= e.index - index < count
     if cls is FPi or cls is OLam or cls is KPi:
-        return occurs_free(x, e.dom) or (e.var != x and occurs_free(x, e.body))
+        return (occurs_free(e.dom, index, count)
+                or occurs_free(e.body, index + 1, count))
     return False
 
 
 def alpha_eq(a: Expr, b: Expr) -> bool:
-    """Equality up to renaming of bound variables."""
-    return _aeq(a, b, (), ())
-
-
-def _aeq(a: Expr, b: Expr, ea: tuple[str, ...], eb: tuple[str, ...]) -> bool:
+    """Equality up to the binders' hints."""
+    if a is b:
+        return True
     cls = type(a)
     if cls is not type(b):
         return False
     if cls is OApp or cls is FApp:
-        return _aeq(a.fn, b.fn, ea, eb) and _aeq(a.arg, b.arg, ea, eb)
-    if cls is OConst or cls is FConst:
+        return alpha_eq(a.fn, b.fn) and alpha_eq(a.arg, b.arg)
+    if cls is OConst or cls is FConst or cls is OVar:
         return a.name == b.name
-    if cls is OVar:
-        ia = _rindex(ea, a.name)
-        ib = _rindex(eb, b.name)
-        if ia is None and ib is None:
-            return a.name == b.name
-        return ia == ib
+    if cls is OBVar:
+        return a.index == b.index
     if cls is FPi or cls is OLam or cls is KPi:
-        return (_aeq(a.dom, b.dom, ea, eb)
-                and _aeq(a.body, b.body, ea + (a.var,), eb + (b.var,)))
+        return alpha_eq(a.dom, b.dom) and alpha_eq(a.body, b.body)
     return cls is KType
-
-
-def _rindex(env: tuple[str, ...], name: str) -> Optional[int]:
-    for i in range(len(env) - 1, -1, -1):
-        if env[i] == name:
-            return i
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +336,9 @@ def obj_app(head: Obj, args: list[Obj]) -> Obj:
 
 
 def split_fam_pis(a: Fam) -> tuple[list[tuple[str, Fam]], Fam]:
-    """Peel `{x1:A1}...{xn:An} B` into the binder list and the base B."""
+    """Peel `{x1:A1}...{xn:An} B` into the binder list, hints and
+    types, and the base B; each type lies under the binders before it,
+    and B under all of them."""
     binders: list[tuple[str, Fam]] = []
     while isinstance(a, FPi):
         binders.append((a.var, a.dom))
@@ -350,7 +351,7 @@ def pi_dependencies(a: Union[Kind, Fam]) -> tuple[bool, ...]:
     it mentions the binder."""
     deps: list[bool] = []
     while isinstance(a, (KPi, FPi)):
-        deps.append(occurs_free(a.var, a.body))
+        deps.append(occurs_free(a.body))
         a = a.body
     return tuple(deps)
 
@@ -447,9 +448,11 @@ _ARG_START = frozenset(("ident", "type", "(", "{", "["))
 class _Parser:
     """Tokens straight to Kind/Fam/Obj, in one loop per expression.
 
-    `env` maps each source binder name in scope to its possibly renamed
-    form.  `used` holds every name of the current declaration, collected
-    from its tokens on the first renaming, so fresh names avoid them all.
+    `env` maps each source binder name in scope to its level, the
+    binders above it, so an occurrence under `depth` binders is index
+    ``depth - 1 - level``.  A binder that shadows another in scope, and
+    an arrow, takes a fresh hint, none of `used`: every name of the
+    current declaration, collected from its tokens on the first need.
     An elaboration error (a construct of the wrong category, a bound
     variable used as a type) is held in `err`, the first one wins, and is
     raised only once the declaration's syntax has been read.  Query free
@@ -468,7 +471,7 @@ class _Parser:
         self.pos = 0
         self.sig = sig
         self.free_order: list[str] = []
-        self.env: dict[str, str] = {}
+        self.env: dict[str, int] = {}
         self.nodes: dict[tuple, Expr] = {}
         self.begin(None)
 
@@ -483,10 +486,10 @@ class _Parser:
 
     def node(self, cls: type, a, args: Sequence[Obj] = ()) -> Expr:
         """The one node of this parse of class `cls`: the leaf (`OConst`,
-        `FConst`, `OVar`) named `a`, keyed by its name, or with `args`
-        the applications (`OApp`, `FApp`) of `a` to each in turn, each
-        keyed by the ids of its two children, which the node in the
-        table keeps alive."""
+        `FConst`, `OVar`, `OBVar`) keyed by its name or index `a`, or
+        with `args` the applications (`OApp`, `FApp`) of `a` to each in
+        turn, each keyed by the ids of its two children, which the node
+        in the table keeps alive."""
         nodes = self.nodes
         if not args:
             e = nodes.get((cls, a))
@@ -553,6 +556,7 @@ class _Parser:
         """
         kinds, texts, env, sig = self.kinds, self.texts, self.env, self.sig
         pos = self.pos
+        depth = 0  # the binders in scope, arrows included
         # each suspended expression's state, and for a binder's domain
         # the binder's opening token and name, else None
         stack: list[tuple] = []
@@ -594,7 +598,7 @@ class _Parser:
                             self.hold(f"bound variable {name!r} used as a type", at)
                         a = self.node(FConst, name)
                     elif name in env:
-                        a = self.node(OVar, env[name])
+                        a = self.node(OBVar, depth - 1 - env[name])
                     elif (sig is not None and name[0].isupper()
                             and sig.lookup(name) is None):
                         if name not in self.free_order:
@@ -628,6 +632,7 @@ class _Parser:
                         self.as_type(e)
                     pos += 1
                     binders.append((self.fresh("x"), e))
+                    depth += 1
                     head, args = None, []
                     continue
                 # and so does the expression
@@ -636,6 +641,7 @@ class _Parser:
                         del env[var]
                     else:
                         env[var] = old
+                depth -= len(binders)
                 pi = (OLam if cat == _OBJECT
                       else KPi if isinstance(e, (KType, KPi)) else FPi)
                 for var, dom in reversed(binders):
@@ -648,8 +654,9 @@ class _Parser:
                     k, var = binder
                     pos = self.expect("}" if k == "{" else "]", pos)
                     shadowed.append((var, env.get(var)))
-                    env[var] = var if var not in env else self.fresh(var)
-                    binders.append((env[var], e))
+                    binders.append((self.fresh(var) if var in env else var, e))
+                    env[var] = depth
+                    depth += 1
                     continue
                 pos = self.expect(")", pos)
                 a = e
@@ -725,28 +732,78 @@ def parse_object(text: str) -> Obj:
 # ---------------------------------------------------------------------------
 # Printing
 
-def print_lf(e: Expr) -> str:
-    """Concrete syntax for an expression; re-parses to an alpha-equal term."""
-    return _pp(e, 0)
+def print_lf(root: Expr, names: Sequence[str] = (),
+             taken: Iterable[str] = ()) -> str:
+    """Concrete syntax for `root`; re-parses to it up to hints.  `names`
+    are the hints of the binders above it, outermost first, each printed
+    apart from `taken`, the free variables in scope, and from the ones
+    before it; a loose index past them prints as ``#i``.
+
+    A binder prints as its hint unless its body prints that name from
+    outside it, as a free variable, a constant or an outer binder, which
+    the hint would capture; then it takes the hint's first variant that
+    is none of those.  A Pi whose body does not mention its binder
+    prints as an arrow."""
+    scope: list[str] = []  # the printed names of the binders in scope
+    avoid = set(taken)
+    for hint in names:
+        scope.append(fresh_name(hint, avoid))
+        avoid.add(scope[-1])
+    # a hint none of these names can capture nothing, so its body is not
+    # walked: every binder name printed so far, and the free variables
+    # and constants of `root`, found at its first binder
+    printed, leaves = set(scope), []
+
+    def pp(e: Expr, prec: int) -> str:
+        # prec 0: whole expressions; 1: arrow operands / application; 2: atoms
+        cls = type(e)
+        if cls is OApp or cls is FApp:
+            s = f"{pp(e.fn, 1)} {pp(e.arg, 2)}"
+            return f"({s})" if prec > 1 else s
+        if cls is OBVar:
+            i = e.index
+            return scope[-1 - i] if i < len(scope) else f"#{i - len(scope)}"
+        if cls is OConst or cls is OVar or cls is FConst:
+            return e.name
+        if cls is FPi or cls is KPi or cls is OLam:
+            arrow = cls is not OLam and not occurs_free(e.body)
+            dom = pp(e.dom, 1 if arrow else 0)
+            var = e.var
+            if not arrow:
+                if not leaves:
+                    leaves.append(_printed_outside(root, []))
+                if var in printed or var in leaves[0]:
+                    var = fresh_name(var, _printed_outside(e.body, scope))
+            scope.append(var)
+            printed.add(var)
+            body = pp(e.body, 0)
+            scope.pop()
+            s = (f"{dom} -> {body}" if arrow else f"[{var}:{dom}] {body}"
+                 if cls is OLam else f"{{{var}:{dom}}} {body}")
+            return f"({s})" if prec > 0 else s
+        if cls is KType:
+            return "type"
+        raise TypeError(f"not an LF expression: {e!r}")
+
+    return pp(root, 0)
 
 
-def _pp(e: Expr, prec: int) -> str:
-    # prec 0: whole expressions; 1: arrow operands / application; 2: atoms
-    cls = type(e)
-    if cls is OApp or cls is FApp:
-        s = f"{_pp(e.fn, 1)} {_pp(e.arg, 2)}"
-        return f"({s})" if prec > 1 else s
-    if cls is OConst or cls is OVar or cls is FConst:
-        return e.name
-    if cls is FPi or cls is KPi:
-        if not occurs_free(e.var, e.body):
-            s = f"{_pp(e.dom, 1)} -> {_pp(e.body, 0)}"
-        else:
-            s = f"{{{e.var}:{_pp(e.dom, 0)}}} {_pp(e.body, 0)}"
-        return f"({s})" if prec > 0 else s
-    if cls is OLam:
-        s = f"[{e.var}:{_pp(e.dom, 0)}] {_pp(e.body, 0)}"
-        return f"({s})" if prec > 0 else s
-    if cls is KType:
-        return "type"
-    raise TypeError(f"not an LF expression: {e!r}")
+def _printed_outside(body: Expr, scope: list[str]) -> set[str]:
+    """The names a binder's `body` prints from outside it: its free
+    variables and constants, and the names in `scope` of the outer
+    binders it refers to."""
+    names: set[str] = set()
+    stack = [(body, 1)]  # each subterm with the binders up to `scope`
+    while stack:
+        e, depth = stack.pop()
+        cls = type(e)
+        if cls is OApp or cls is FApp:
+            stack += ((e.fn, depth), (e.arg, depth))
+        elif cls is FPi or cls is OLam or cls is KPi:
+            stack += ((e.dom, depth), (e.body, depth + 1))
+        elif cls is OBVar:
+            if depth <= e.index < depth + len(scope):
+                names.add(scope[depth - 1 - e.index])
+        elif cls is OConst or cls is OVar or cls is FConst:
+            names.add(e.name)
+    return names

@@ -24,25 +24,24 @@ Three judgments, mirrored by the code below:
   ``strict_binders`` reads): binder i is strict in ``{x1:A1}...{xn:An} B``
   iff it is strict in the problem of all n binders with base B.
 
-``_peel`` renames each binder apart (by ``lf_kernel.rename_apart``) from
-the names bound before it and the names free in their types or its own,
-so a binder's type mentions only earlier binders and never captures a
-free name.  A CTX_t pivot therefore always follows the binder it
-justifies, and one pass from the last binder to the first decides each
-binder once: its APP_t chain if it has one, else the first later strict
-pivot in prefix order whose type it is strict in.  Each problem is
-solved once per classifier and memoized.
+A bound variable is a de Bruijn index, so ``_chains`` moves a
+classifier's Pi binders onto the problem as they are: a binder's type
+mentions only the binders before it, and nothing is renamed.  A CTX_t
+pivot therefore always follows the binder it justifies, and one pass
+from the last binder to the first decides each binder once: its APP_t
+chain if it has one, else the first later strict pivot in prefix order
+whose type it is strict in.  Each problem is solved once per classifier
+and memoized.  In the object judgment the tracked binder is an index
+too, and so are the locals: a variable bound by a lambda below the
+base is local, one bound by the problem's binders a candidate, and one
+bound outside the classifier, as in a premise's type, is rigid.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .lf_kernel import rename_apart, substitute
-from .lf_syntax import (
-    Fam, FConst, FPi, Obj, OLam, OVar, free_vars, fresh_name, spine,
-    split_fam_pis,
-)
+from .lf_syntax import Fam, FConst, Obj, OBVar, OLam, spine, split_fam_pis
 
 _Gamma = tuple[tuple[str, Fam], ...]
 _Memo = dict[tuple[_Gamma, Fam], tuple[Optional[str], ...]]
@@ -63,56 +62,39 @@ def explain_strictness(a: Fam) -> list[tuple[str, bool, str]]:
             for name, why in zip(names, _chains((), a, {}))]
 
 
-def _peel(gamma: _Gamma, a: Fam) -> tuple[_Gamma, Fam]:
-    """Move the Pi binders of `a` onto gamma, renaming any whose name is
-    bound in gamma or free in a type of gamma or in `a`."""
-    if not isinstance(a, FPi):
-        return gamma, a
-    taken = {n for n, _ in gamma}.union(free_vars(a),
-                                        *(free_vars(b) for _, b in gamma))
-    while isinstance(a, FPi):
-        dom = a.dom
-        var, a = rename_apart(a.var, a.body, taken)
-        gamma = gamma + ((var, dom),)
-        taken.add(var)
-    return gamma, a
-
-
 # ---------------------------------------------------------------------------
 # Derivations; each rule returns its chain or None
 
-def _why_obj(candidates: frozenset[str], delta: frozenset[str],
-             x: str, m: Obj) -> Optional[str]:
-    if isinstance(m, OLam):
-        var, body = m.var, m.body
-        # renamed here, not by rename_apart, whose avoid set would be
-        # built for every lambda rather than only on a clash
-        if var in candidates or var == x:
-            var = fresh_name(var, candidates | delta | {x} | free_vars(body))
-            body = substitute(body, {m.var: OVar(var)})
-        inner = _why_obj(candidates, delta | {var}, x, body)
+def _why_obj(x: int, local: int, top: int, m: Obj) -> Optional[str]:
+    """The chain of the tracked binder, index `x` at `m`, in `m`, which
+    lies under `local` lambdas below the base: an index below `local`
+    is a local variable, one below `top` a candidate, and one past the
+    problem's binders is rigid, as a constant is."""
+    if type(m) is OLam:
+        inner = _why_obj(x + 1, local + 1, top + 1, m.body)
         return None if inner is None else f"ABS_o; {inner}"
     head, args = spine(m)
-    if isinstance(head, OVar) and head.name == x:
-        names = [a.name for a in args if isinstance(a, OVar)]
-        if (len(names) == len(args) and len(set(names)) == len(names)
-                and all(n in delta for n in names)):
+    if type(head) is OBVar and head.index == x:
+        indices = [a.index for a in args if type(a) is OBVar]
+        if (len(indices) == len(args) and len(set(indices)) == len(indices)
+                and all(i < local for i in indices)):
             return "INIT_o"
         return None
-    if isinstance(head, OVar) and head.name in candidates:
+    if type(head) is OBVar and local <= head.index < top:
         return None
     for i, arg in enumerate(args):
-        inner = _why_obj(candidates, delta, x, arg)
+        inner = _why_obj(x, local, top, arg)
         if inner is not None:
             return f"APP_o(arg {i + 1}); {inner}"
     return None
 
 
 def _chains(prefix: _Gamma, a: Fam, memo: _Memo) -> tuple[Optional[str], ...]:
-    """Per binder of the problem `_peel(prefix, a)`, its chain or None;
-    `memo` holds the problems of the binder types already solved."""
-    gamma, base = _peel(prefix, a)
-    names = frozenset(n for n, _ in gamma)
+    """Per binder of the problem of `prefix` and `a`'s Pi binders, with
+    `a`'s base, its chain or None; `memo` holds the problems of the
+    binder types already solved."""
+    binders, base = split_fam_pis(a)
+    gamma = prefix + tuple(binders)
     head, args = spine(base)
     if not isinstance(head, FConst):
         args = []
@@ -120,7 +102,7 @@ def _chains(prefix: _Gamma, a: Fam, memo: _Memo) -> tuple[Optional[str], ...]:
     for j in reversed(range(len(gamma))):
         x = gamma[j][0]
         for i, arg in enumerate(args):
-            inner = _why_obj(names, frozenset(), x, arg)
+            inner = _why_obj(len(gamma) - 1 - j, 0, len(gamma), arg)
             if inner is not None:
                 chains[j] = f"APP_t(arg {i + 1}); {inner}"
                 break

@@ -7,16 +7,19 @@ The bridge works at three levels:
   becomes arrow.
 * ``encode`` erases types from objects and base type families, keeping
   shape: constants stay themselves (retyped by phi), abstraction
-  annotations become simple types, bound variables indices.  It keeps
-  one memo per call, keyed by identity at a fixed env and dropped at a
-  lambda, so each distinct subterm is encoded once and the term shares
-  what the LF term shares (the parser builds equal subterms as one
-  object).
+  annotations become simple types, and an LF index is the same hohh
+  index, typed from a stack of the simple types of the binders above
+  it.  It keeps one memo per call, keyed by identity under fixed
+  binders and dropped at a lambda, so each distinct subterm is encoded
+  once and the term shares what the LF term shares (the parser builds
+  equal subterms as one object).
 * ``translate_judgment`` maps a classifier A and a subject term M to a
   formula asserting M inhabits A.  Each Pi binder of A gets a typing
   premise, the translation of its type with the polarity flipped: the
   clause's own binders sit at positive positions, the binders of their
-  types at negative ones, and so on down.  The naive mode keeps every
+  types at negative ones, and so on down.  The premise sits under the
+  binder's own quantifier and the type does not, so the type is lifted
+  over it.  The naive mode keeps every
   premise.  The optimized mode runs the strictness analysis once per
   positive position: a binder that occurs strictly in the rest of its
   type gets no premise, because any well-typed use already pins its
@@ -44,7 +47,9 @@ names; it visits a subterm the clause shares once, by identity.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import (
+    Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union,
+)
 
 from . import lf_syntax as lf
 from . import strictness
@@ -54,7 +59,7 @@ from .hterms import (
     fresh_lvar_at, subst_term, term_spine,
 )
 from .lf_kernel import (
-    LFTypeError, beta_normalize, check_query, normal_classifier,
+    LFTypeError, beta_normalize, check_query, normal_classifier, substitute,
 )
 
 
@@ -91,46 +96,38 @@ def _const_type(sig: lf.Signature, name: str) -> SimpleType:
     return ty
 
 
-_Binding = Union[Term, tuple[int, SimpleType]]
-
-
 def encode(sig: lf.Signature, e: Union[lf.Obj, lf.Fam],
-           env: dict[str, _Binding], depth: int = 0) -> Term:
-    """The term of an object or a base type family under `depth`
-    binders.  `env` maps each LF variable in scope to its closed term,
-    or, bound in the term being built, to the level of its binder (how
-    many binders are above it) and its simple type.  A subterm that
-    occurs twice in `e` as one object is encoded once, so the term
-    shares what `e` shares."""
-    return _encode(sig, e, env, depth, {})
-
-
-def _encode(sig: lf.Signature, e: Union[lf.Obj, lf.Fam],
-            env: dict[str, _Binding], depth: int,
-            memo: dict[int, Term]) -> Term:
-    # `memo` maps each subterm of the root encoded at `env`, by identity,
-    # to its term; the root keeps the keys alive.  A lambda's body is
-    # encoded at another env and depth, so it starts a memo of its own.
+           free: Mapping[str, Term], types: Sequence[SimpleType] = (),
+           memo: Optional[dict[int, Term]] = None) -> Term:
+    """The term of an object or a base type family under binders of the
+    simple types `types`, innermost last: LF index i is hohh index i, of
+    type ``types[-1 - i]``.  `free` maps each free LF variable to its
+    closed term.  `memo`, made by the outermost call, maps each subterm
+    encoded under `types`, by identity, to its term, so the term shares
+    what `e` shares; a lambda's body, under one binder more, starts a
+    memo of its own."""
+    if memo is None:
+        types, memo = list(types), {}
     t = memo.get(id(e))
     if t is not None:
         return t
     match e:  # the commonest nodes first: bound variables, applications
-        case lf.OVar(name):
-            if name not in env:
-                raise TranslationError(f"unbound variable {name}")
-            t = env[name]
-            if type(t) is tuple:
-                t = BVar(depth - 1 - t[0], t[1])
+        case lf.OBVar(index):
+            t = BVar(index, types[-1 - index])
         case lf.FApp(fn, arg) | lf.OApp(fn, arg):
-            t = App(_encode(sig, fn, env, depth, memo),
-                    _encode(sig, arg, env, depth, memo))
+            t = App(encode(sig, fn, free, types, memo),
+                    encode(sig, arg, free, types, memo))
         case lf.OConst(name) | lf.FConst(name):
             t = Const(name, _const_type(sig, name))
+        case lf.OVar(name):
+            t = free.get(name)
+            if t is None:
+                raise TranslationError(f"unbound variable {name}")
         case lf.OLam(var, dom, body):
             ty = phi(dom)
-            inner = dict(env)
-            inner[var] = (depth, ty)
-            t = Lam(var, ty, _encode(sig, body, inner, depth + 1, {}))
+            types.append(ty)
+            t = Lam(var, ty, encode(sig, body, free, types, {}))
+            types.pop()
         case _:
             raise TranslationError(f"cannot encode {e!r}")
     memo[id(e)] = t
@@ -142,18 +139,21 @@ def _encode(sig: lf.Signature, e: Union[lf.Obj, lf.Fam],
 
 def translate_judgment(sig: lf.Signature, a: lf.Fam, subject: Term,
                        mode: str = "optimized", positive: bool = True,
-                       env: Optional[dict[str, _Binding]] = None,
-                       depth: int = 0) -> Formula:
+                       free: Optional[Mapping[str, Term]] = None,
+                       types: Sequence[SimpleType] = ()) -> Formula:
     """The formula asserting that `subject` inhabits `a`, both under
-    `depth` binders, with `env` as `encode` reads it.
+    binders of the simple types `types`, with `free` as `encode` reads
+    it.
 
     Each Pi binder gets a premise: the translation of its type at the
-    opposite polarity.  In optimized mode a positive position first runs
-    the strictness analysis, and its strict binders get no premise.
-    The subject is a constant or a bound variable, applied here only to
-    bound variables, so no redex arises and nothing is normalized.
+    opposite polarity, lifted over the binder's own quantifier.  In
+    optimized mode a positive position first runs the strictness
+    analysis, and its strict binders get no premise.  The subject is a
+    constant or a bound variable, applied here only to bound variables,
+    so no redex arises and nothing is normalized.
     """
-    env = dict(env or {})
+    free = free or {}
+    types = list(types)
     binders, base = lf.split_fam_pis(a)
     strict = (strictness.strict_binders(a) if mode == "optimized" and positive
               else frozenset())
@@ -162,11 +162,12 @@ def translate_judgment(sig: lf.Signature, a: lf.Fam, subject: Term,
     subject = subst_term(subject, (), n)
     for i, (var, dom) in enumerate(binders):
         ty = phi(dom)
-        env[var] = (depth + i, ty)
+        types.append(ty)
         prefix.append((var, ty, None if i in strict else translate_judgment(
-            sig, dom, BVar(0, ty), mode, not positive, env, depth + i + 1)))
+            sig, substitute(dom, (), 1), BVar(0, ty), mode, not positive,
+            free, types)))
         subject = App(subject, BVar(n - 1 - i, ty))
-    f: Formula = Atom(HASTYPE, (subject, encode(sig, base, env, depth + n)))
+    f: Formula = Atom(HASTYPE, (subject, encode(sig, base, free, types)))
     for var, ty, premise in reversed(prefix):
         f = ForAll(var, ty, f if premise is None else Imp(premise, f))
     return f
@@ -269,10 +270,9 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
     no object constant, is refused in the translator's words."""
     head, args = lf.spine(a)
     arity = len(lf.pi_dependencies(sig.lookup(head.name)))
-    for c in (lf.spine(arg)[0] for arg in args[:arity]):
-        if isinstance(c, lf.OConst) and not isinstance(
-                sig.lookup(c.name), (lf.FConst, lf.FApp, lf.FPi)):
-            raise TranslationError(f"unknown object constant {c.name}")
+    for name in _object_constants(args[:arity]):
+        if not isinstance(sig.lookup(name), (lf.FConst, lf.FApp, lf.FPi)):
+            raise TranslationError(f"unknown object constant {name}")
     if len(args) > arity:
         raise TranslationError(f"too many arguments to {head.name}")
     try:
@@ -288,8 +288,22 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
                       for n in free)
     subject = fresh_lvar_at("M", LF_OBJ, 0)
     # a base type has no binders, so either mode gives the one atom
-    goal = translate_judgment(sig, a, subject, "naive", env=dict(var_lvars))
+    goal = translate_judgment(sig, a, subject, "naive", free=dict(var_lvars))
     return QueryTranslation(goal, subject, var_lvars, var_types, a)
+
+
+def _object_constants(args: list[lf.Obj]) -> Iterator[str]:
+    """The object constants of `args` in the order the kernel meets
+    them: left to right, depth first, a binder's type before its body."""
+    stack = args[::-1]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (lf.OApp, lf.FApp)):
+            stack += (e.arg, e.fn)
+        elif isinstance(e, (lf.OLam, lf.FPi)):
+            stack += (e.body, e.dom)
+        elif isinstance(e, lf.OConst):
+            yield e.name
 
 
 # ---------------------------------------------------------------------------

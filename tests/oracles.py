@@ -2,10 +2,11 @@
 
 Each oracle recomputes a result by a different route than the code under
 test: normalization by single leftmost-outermost steps, substitution by
-rename-everything-then-replace, hohh substitution and beta normalization
-over named bound variables with capture-avoiding renaming
-(`named_subst`, `named_beta_norm`) instead of de Bruijn indices, typed
-term enumeration instead of proof
+rename-everything-then-replace, hohh and LF substitution and beta
+normalization over named bound variables with capture-avoiding renaming
+(`named_subst`, `named_beta_norm`, `named_lf_subst`, `named_lf_norm`,
+compared up to alpha by `named_lf_alpha_eq`) instead of de Bruijn
+indices, typed term enumeration instead of proof
 search, forward chaining instead of backchaining, brute-force
 substitution search instead of unification, path-blocked depth-first
 search over every pivot instead of one backward pass over the binders
@@ -21,9 +22,11 @@ argument at a time (`ref_check_object`, `ref_check_type`) instead of one
 loop over the spine, typed eta-long canonical forms (`canonicalize`)
 instead of untyped eta-short ones for conversion, and a scan of the
 normalized query (`infer_query_var_types`) instead of the kernel's check
-of the query as parsed for typing a query's free variables.  Shared plumbing (AST types, LF alpha comparison, the
-object-level strictness judgment) comes from the package; the decision
-procedures do not.
+of the query as parsed for typing a query's free variables.  The LF
+references run over named terms: they take and return the package's
+indexed terms, converted at the boundary by `lf_to_named` and
+`lf_to_indexed`.  Shared plumbing (AST types, conversion of two normal
+forms) comes from the package; the decision procedures do not.
 
 The last section holds helpers only the tests use (alpha equivalence of
 hohh terms and formulas, `evars_of`, `fresh_lvar`, `unify_one`,
@@ -37,18 +40,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import (
+    AbstractSet, Iterable, Iterator, NamedTuple, Optional, Sequence, Union,
+)
 
 from lflp import lf_syntax as lf
 from lflp.lf_syntax import (
     Context, Decl, Expr, FApp, FConst, FPi, Fam, Kind, KindDecl, KPi, KType,
     LFSyntaxError, OApp, OConst, OLam, OVar, ObjDecl, Obj, Signature,
-    free_vars, fresh_name, obj_app, spine, split_fam_pis,
+    fresh_name, obj_app, spine, split_fam_pis,
 )
 from lflp.lf_kernel import (
     LFTypeError, beta_normalize, check_signature, convertible,
-    instantiate_normal, normal_classifier, print_brief, rename_apart,
-    substitute,
+    normal_classifier, print_brief,
 )
 from lflp.engine import (
     Limits, Solution, SolveRun, _extract, _key, _root_universe,
@@ -220,6 +224,171 @@ def to_named(x, scope: tuple[str, ...] = ()):
 
 
 # ---------------------------------------------------------------------------
+# Named LF terms: the reference for the package's de Bruijn indices.  A
+# bound variable is an `OVar` spelled like its binder, so substitution
+# must rename a binder that would capture a free name of a value, and
+# equality is alpha-equivalence over two name environments.
+# `lf_to_indexed` and `lf_to_named` convert between the two spellings.
+
+def lf_to_indexed(e: Expr, scope: tuple[str, ...] = ()) -> Expr:
+    """The named LF expression `e` with each variable bound in it, or by
+    `scope`, the binders around `e` innermost last, replaced by the
+    index of the nearest binder of its name."""
+    match e:
+        case OVar(name) if name in scope:
+            return lf.OBVar(scope[::-1].index(name))
+        case OApp(fn, arg) | FApp(fn, arg):
+            return type(e)(lf_to_indexed(fn, scope), lf_to_indexed(arg, scope))
+        case OLam(var, dom, body) | FPi(var, dom, body) | KPi(var, dom, body):
+            return type(e)(var, lf_to_indexed(dom, scope),
+                           lf_to_indexed(body, scope + (var,)))
+    return e
+
+
+def lf_to_named(e: Expr, scope: tuple[str, ...] = ()) -> Expr:
+    """The indexed LF expression `e` spelled with names: `scope` names
+    the binders around `e`, innermost last, and each binder of `e` takes
+    its hint unless its body mentions that name from outside it, a free
+    variable or an outer binder, which the hint would capture; then it
+    takes the first fresh variant of the hint."""
+    match e:
+        case lf.OBVar(index):
+            return OVar(scope[-1 - index])
+        case OApp(fn, arg) | FApp(fn, arg):
+            return type(e)(lf_to_named(fn, scope), lf_to_named(arg, scope))
+        case OLam(var, dom, body) | FPi(var, dom, body) | KPi(var, dom, body):
+            outside = lf.free_vars(body) | {
+                scope[-i] for i in _loose_indices(body) if i}
+            if var in outside:
+                var = fresh_name(var, outside | set(scope))
+            return type(e)(var, lf_to_named(dom, scope),
+                           lf_to_named(body, scope + (var,)))
+    return e
+
+
+def _loose_indices(e: Expr, depth: int = 0) -> set[int]:
+    """The loose indices of `e`, counted from outside `depth` of its own
+    binders."""
+    match e:
+        case lf.OBVar(index):
+            return {index - depth} if index >= depth else set()
+        case OApp(fn, arg) | FApp(fn, arg):
+            return _loose_indices(fn, depth) | _loose_indices(arg, depth)
+        case OLam(_, dom, body) | FPi(_, dom, body) | KPi(_, dom, body):
+            return _loose_indices(dom, depth) | _loose_indices(body, depth + 1)
+    return set()
+
+
+def named_lf_free_vars(e: Expr) -> frozenset[str]:
+    """Free variable names of a named LF expression."""
+    match e:
+        case OApp(fn, arg) | FApp(fn, arg):
+            return named_lf_free_vars(fn) | named_lf_free_vars(arg)
+        case OVar(name):
+            return frozenset((name,))
+        case OLam(var, dom, body) | FPi(var, dom, body) | KPi(var, dom, body):
+            return named_lf_free_vars(dom) | (named_lf_free_vars(body) - {var})
+    return frozenset()
+
+
+def named_lf_alpha_eq(a: Expr, b: Expr) -> bool:
+    """Equality of named LF expressions up to renaming of bound
+    variables."""
+    return _named_aeq(a, b, (), ())
+
+
+def _named_aeq(a: Expr, b: Expr, ea: tuple[str, ...],
+               eb: tuple[str, ...]) -> bool:
+    if type(a) is not type(b):
+        return False
+    match a:
+        case OApp() | FApp():
+            return (_named_aeq(a.fn, b.fn, ea, eb)
+                    and _named_aeq(a.arg, b.arg, ea, eb))
+        case OConst() | FConst():
+            return a.name == b.name
+        case OVar():
+            ia = _rindex(ea, a.name)
+            ib = _rindex(eb, b.name)
+            if ia is None and ib is None:
+                return a.name == b.name
+            return ia == ib
+        case OLam() | FPi() | KPi():
+            return (_named_aeq(a.dom, b.dom, ea, eb)
+                    and _named_aeq(a.body, b.body, ea + (a.var,), eb + (b.var,)))
+    return isinstance(a, KType)
+
+
+def _rindex(env: tuple[str, ...], name: str) -> Optional[int]:
+    for i in range(len(env) - 1, -1, -1):
+        if env[i] == name:
+            return i
+    return None
+
+
+def named_lf_subst(e: Expr, bindings: dict[str, Obj]) -> Expr:
+    """Capture-avoiding simultaneous substitution of objects for the
+    free variables of a named LF expression."""
+    if not bindings:
+        return e
+    match e:
+        case OApp(fn, arg) | FApp(fn, arg):
+            return type(e)(named_lf_subst(fn, bindings),
+                           named_lf_subst(arg, bindings))
+        case OVar(name):
+            return bindings.get(name, e)
+        case OLam(var, dom, body) | FPi(var, dom, body) | KPi(var, dom, body):
+            dom2 = named_lf_subst(dom, bindings)
+            inner = {k: v for k, v in bindings.items()
+                     if k != var and k in named_lf_free_vars(body)}
+            if any(var in named_lf_free_vars(v) for v in inner.values()):
+                # the binder would capture a free name of a value
+                var, body = named_lf_rename_apart(var, body, set(inner).union(
+                    *map(named_lf_free_vars, inner.values())))
+            return type(e)(var, dom2, named_lf_subst(body, inner))
+    return e
+
+
+def named_lf_rename_apart(var: str, body: Expr,
+                          avoid: AbstractSet[str]) -> tuple[str, Expr]:
+    """The binder `var` of the named `body`, renamed when `avoid` holds
+    its name: the new name is neither in `avoid` nor free in `body`."""
+    if var in avoid:
+        var2 = fresh_name(var, avoid | named_lf_free_vars(body))
+        return var2, named_lf_subst(body, {var: OVar(var2)})
+    return var, body
+
+
+def named_lf_norm(e: Expr) -> Expr:
+    """The beta-normal form of a named LF expression, by `named_lf_subst`."""
+    match e:
+        case OApp(fn, arg) | FApp(fn, arg):
+            fn = named_lf_norm(fn)
+            if isinstance(fn, OLam):
+                return named_lf_norm(named_lf_subst(fn.body, {fn.var: arg}))
+            return type(e)(fn, named_lf_norm(arg))
+        case OLam(var, dom, body) | FPi(var, dom, body) | KPi(var, dom, body):
+            return type(e)(var, named_lf_norm(dom), named_lf_norm(body))
+    return e
+
+
+def named_classifier(sig: Signature, name: str) -> Optional[Expr]:
+    """The package's normal classifier of `name`, spelled with names."""
+    a = normal_classifier(sig, name)
+    return None if a is None else lf_to_named(a)
+
+
+def named_convertible(a: Expr, b: Expr) -> bool:
+    """The package's conversion of two named LF expressions."""
+    return convertible(lf_to_indexed(a), lf_to_indexed(b))
+
+
+def show(e: Expr) -> str:
+    """A named LF expression in concrete syntax."""
+    return lf.print_lf(lf_to_indexed(e))
+
+
+# ---------------------------------------------------------------------------
 # Small-step beta reduction: contract exactly one leftmost-outermost redex.
 
 def step_beta(e: lf.Expr) -> Optional[lf.Expr]:
@@ -274,7 +443,7 @@ def normalize_by_steps(e: lf.Expr, fuel: int = 5000) -> lf.Expr:
 
 def obj_size(m: lf.Obj) -> int:
     match m:
-        case lf.OConst() | lf.OVar():
+        case lf.OConst() | lf.OVar() | lf.OBVar():
             return 1
         case lf.OLam(_, _, body):
             return 1 + obj_size(body)
@@ -285,17 +454,25 @@ def obj_size(m: lf.Obj) -> int:
 
 def enumerate_objects(sig: lf.Signature, ctx: lf.Context, ty: lf.Fam,
                       budget: int) -> Iterator[lf.Obj]:
+    """The canonical objects of `ty` in `ctx` up to size `budget`, each
+    built with names and returned indexed."""
+    named = {name: lf_to_named(a) for name, a in ctx.items()}
+    for m in _enumerate(sig, named, lf_to_named(ty), budget):
+        yield lf_to_indexed(m)
+
+
+def _enumerate(sig: lf.Signature, ctx: lf.Context, ty: lf.Fam,
+               budget: int) -> Iterator[lf.Obj]:
     if budget <= 0:
         return
-    ty = beta_normalize(ty)
+    ty = named_lf_norm(ty)
     if isinstance(ty, lf.FPi):
         var = ty.var
         taken = ctx.keys() | {d.name for d in sig.decls}
         if var in taken:
             var = lf.fresh_name(var, taken)
-        body_ty = beta_normalize(substitute(ty.body, {ty.var: lf.OVar(var)}))
-        for body in enumerate_objects(sig, {**ctx, var: ty.dom},
-                                      body_ty, budget - 1):
+        body_ty = named_lf_norm(named_lf_subst(ty.body, {ty.var: lf.OVar(var)}))
+        for body in _enumerate(sig, {**ctx, var: ty.dom}, body_ty, budget - 1):
             yield lf.OLam(var, ty.dom, body)
         return
     heads: list[tuple[lf.Obj, lf.Fam]] = []
@@ -303,23 +480,23 @@ def enumerate_objects(sig: lf.Signature, ctx: lf.Context, ty: lf.Fam,
         heads.append((lf.OVar(name), fam))
     for decl in sig.decls:
         if isinstance(decl, lf.ObjDecl):
-            heads.append((lf.OConst(decl.name), decl.fam))
+            heads.append((lf.OConst(decl.name), lf_to_named(decl.fam)))
     for head, fam in heads:
-        binders, target = lf.split_fam_pis(beta_normalize(fam))
+        binders, target = lf.split_fam_pis(named_lf_norm(fam))
         yield from _apps(sig, ctx, head, binders, target, {}, budget - 1, ty)
 
 
 def _apps(sig, ctx, acc, binders, target, sub, remaining, want):
     if not binders:
-        inst = beta_normalize(substitute(target, sub))
-        if lf.alpha_eq(inst, want):
+        inst = named_lf_norm(named_lf_subst(target, sub))
+        if named_lf_alpha_eq(inst, want):
             yield acc
         return
     if remaining < len(binders):
         return
     (var, dom), rest = binders[0], binders[1:]
-    dom_inst = beta_normalize(substitute(dom, sub))
-    for arg in enumerate_objects(sig, ctx, dom_inst, remaining - len(rest)):
+    dom_inst = named_lf_norm(named_lf_subst(dom, sub))
+    for arg in _enumerate(sig, ctx, dom_inst, remaining - len(rest)):
         yield from _apps(sig, ctx, lf.OApp(acc, arg), rest, target,
                          {**sub, var: arg}, remaining - obj_size(arg), want)
 
@@ -761,14 +938,50 @@ def has_unifier_bruteforce(lhs: Term, rhs: Term, heads: list[Term],
 # a judgment, the one asked about included, stays a candidate.  Exponential
 # in the number of binders, so only for small classifiers.
 
-_Gamma = tuple[tuple[str, Fam], ...]
+# each binder's name, renamed apart where a name would be captured, its
+# type, and its hint, which the report prints as the package does
+_Gamma = tuple[tuple[str, Fam, str], ...]
 
 
 def strict_in_object(candidates: Iterable[str], delta: Iterable[str],
                      x: str, m: Obj) -> bool:
-    """True iff x occurs strictly in the beta-normal object `m`, by the
-    object-level rules of `lflp.strictness`."""
-    return _why_obj(frozenset(candidates), frozenset(delta), x, m) is not None
+    """True iff x occurs strictly in the named beta-normal object `m`,
+    by the object-level rules of `lflp.strictness`: `candidates` are the
+    problem's binders and `delta` the local variables, innermost last;
+    any other free name is rigid.  `m` is indexed under them, x just
+    above the locals."""
+    delta = tuple(delta)
+    scope = (*(c for c in candidates if c != x), x, *delta)
+    return _why_obj(len(delta), len(delta), len(scope),
+                    lf_to_indexed(m, scope)) is not None
+
+
+def named_why_obj(candidates: frozenset[str], delta: frozenset[str],
+                  x: str, m: Obj) -> Optional[str]:
+    """The object-level judgment over names: `candidates` are the
+    problem's binders, `delta` the local variables, `x` the one tracked."""
+    if isinstance(m, OLam):
+        var, body = m.var, m.body
+        if var in candidates or var == x:
+            var = fresh_name(var, candidates | delta | {x}
+                             | named_lf_free_vars(body))
+            body = named_lf_subst(body, {m.var: OVar(var)})
+        inner = named_why_obj(candidates, delta | {var}, x, body)
+        return None if inner is None else f"ABS_o; {inner}"
+    head, args = spine(m)
+    if isinstance(head, OVar) and head.name == x:
+        names = [a.name for a in args if isinstance(a, OVar)]
+        if (len(names) == len(args) and len(set(names)) == len(names)
+                and all(n in delta for n in names)):
+            return "INIT_o"
+        return None
+    if isinstance(head, OVar) and head.name in candidates:
+        return None
+    for i, arg in enumerate(args):
+        inner = named_why_obj(candidates, delta, x, arg)
+        if inner is not None:
+            return f"APP_o(arg {i + 1}); {inner}"
+    return None
 
 
 def dfs_strict_binders(a: Fam) -> frozenset[int]:
@@ -780,10 +993,10 @@ def dfs_strict_binders(a: Fam) -> frozenset[int]:
 def dfs_explain_strictness(a: Fam) -> list[tuple[str, bool, str]]:
     """Per binder: (name, strict?, justifying rule chain or reason)."""
     names = [name for name, _ in split_fam_pis(a)[0]]
-    gamma, base = dfs_peel((), a)
+    gamma, base = dfs_peel((), lf_to_named(a))
     pi = f"PI_t^{len(names) - 1}; " if len(names) > 1 else ""
     report = []
-    for name, (x, _) in zip(names, gamma):
+    for name, (x, _, _) in zip(names, gamma):
         why = _why_base(gamma, x, base, frozenset())
         if why is None:
             report.append((name, False, "no strict occurrence"))
@@ -793,17 +1006,18 @@ def dfs_explain_strictness(a: Fam) -> list[tuple[str, bool, str]]:
 
 
 def dfs_peel(gamma: _Gamma, a: Fam) -> tuple[_Gamma, Fam]:
-    """Move the Pi binders of `a` onto gamma, each renamed apart from every
-    name bound in gamma or free in a type of gamma or anywhere in `a`."""
-    taken = {n for n, _ in gamma} | free_vars(a)
-    for _, b in gamma:
-        taken |= free_vars(b)
+    """Move the Pi binders of the named `a` onto gamma, each renamed
+    apart from every name bound in gamma or free in a type of gamma or
+    anywhere in `a`."""
+    taken = {n for n, _, _ in gamma} | named_lf_free_vars(a)
+    for _, b, _ in gamma:
+        taken |= named_lf_free_vars(b)
     while isinstance(a, FPi):
         var, body = a.var, a.body
         if var in taken:
-            var = fresh_name(var, taken | free_vars(body))
-            body = substitute(body, {a.var: OVar(var)})
-        gamma = gamma + ((var, a.dom),)
+            var = fresh_name(var, taken | named_lf_free_vars(body))
+            body = named_lf_subst(body, {a.var: OVar(var)})
+        gamma = gamma + ((var, a.dom, a.var),)
         taken.add(var)
         a = body
     return gamma, a
@@ -827,12 +1041,13 @@ def _why_base(gamma: _Gamma, x: str, base: Fam,
     blocked = blocked | {key}
     head, args = spine(base)
     if isinstance(head, FConst):
-        candidates = frozenset(n for n, _ in gamma)
+        candidates = frozenset(n for n, _, _ in gamma)
         for i, arg in enumerate(args):
-            inner = _why_obj(candidates, frozenset(), x, arg)
+            inner = named_why_obj(candidates, frozenset(), x, arg)
             if inner is not None:
                 return f"APP_t(arg {i + 1}); {inner}"
-    for j, (y, b) in enumerate(gamma):
+    hint = {n: h for n, _, h in gamma}
+    for j, (y, b, _) in enumerate(gamma):
         if y == x:
             continue
         pivot = _why_base(gamma, y, base, blocked)
@@ -841,7 +1056,8 @@ def _why_base(gamma: _Gamma, x: str, base: Fam,
         through = _why_type(gamma[:j], x, b, blocked)
         if through is None:
             continue
-        return f"CTX_t(pivot {y}) {{{y} in target: {pivot}}} {{{x} in type of {y}: {through}}}"
+        return (f"CTX_t(pivot {hint[y]}) {{{hint[y]} in target: {pivot}}} "
+                f"{{{hint[x]} in type of {hint[y]}: {through}}}")
     return None
 
 
@@ -1093,7 +1309,7 @@ def _tail_is_type(e: _PTerm) -> bool:
 
 
 class _Elab:
-    """Turns pre-terms into Kind/Fam/Obj, resolving scope.
+    """Turns pre-terms into named Kind/Fam/Obj, resolving scope.
 
     `env` maps a source binder name to its possibly renamed form; `used`
     accumulates every name in the declaration so freshening cannot collide.
@@ -1196,9 +1412,11 @@ def two_pass_parse_signature(text: str) -> Signature:
         seen.add(name_tok.text)
         elab = _Elab(parser.names_since(start) | {name_tok.text})
         if _tail_is_type(body):
-            decls.append(KindDecl(name_tok.text, elab.kind(body, {})))
+            decls.append(KindDecl(name_tok.text,
+                                  lf_to_indexed(elab.kind(body, {}))))
         else:
-            decls.append(ObjDecl(name_tok.text, elab.fam(body, {})))
+            decls.append(ObjDecl(name_tok.text,
+                                 lf_to_indexed(elab.fam(body, {}))))
     return Signature(tuple(decls))
 
 
@@ -1224,7 +1442,7 @@ def two_pass_parse_query(text: str, sig: Optional[Signature] = None) -> tuple[tu
         raise LFSyntaxError("query must be a base type")
     if sig is not None and not isinstance(sig.lookup(head.name), (KType, KPi)):
         raise LFSyntaxError(f"query head {head.name!r} is not a declared type constant")
-    return tuple(elab.free_order), fam
+    return tuple(elab.free_order), lf_to_indexed(fam)
 
 
 def two_pass_parse_object(text: str, sig: Optional[Signature] = None) -> Obj:
@@ -1236,24 +1454,39 @@ def two_pass_parse_object(text: str, sig: Optional[Signature] = None) -> Obj:
     if tok.kind != "eof":
         raise LFSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
     elab = _Elab(parser.names_since(0), sig=sig)
-    return elab.obj(body, {})
+    return lf_to_indexed(elab.obj(body, {}))
 
 
 # ---------------------------------------------------------------------------
 # The application rules one argument at a time: `c M1 ... Mn` is typed by
 # instantiating the whole remaining Pi body with each Mi in turn.  The
 # kernel types a spine in one loop under one simultaneous map instead.
-# Abstraction and Pi rules are the kernel's, restated so that every
-# nested application goes through the rules here.  A binder that shadows
-# the context is renamed by the kernel's own `rename_apart`: renaming
-# is not what these rules check, and a rule of their own would put other
-# binder names into the error texts the tests compare.
+# The rules run over named terms, and a binder that shadows the context
+# is renamed apart from it, as a context of names needs; a message prints
+# those names, which the kernel prints for its binders too.
 
 def ref_check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
     """The kind of `a`, or LFTypeError, by the one-at-a-time rules."""
+    return lf_to_indexed(_ref_check_type(sig, _named_ctx(ctx), lf_to_named(a)))
+
+
+def ref_check_object(sig: Signature, ctx: Context, m: Obj,
+                     expected: Optional[Fam] = None) -> Fam:
+    """The type of `m`, compared to `expected` if given, or LFTypeError,
+    by the one-at-a-time rules."""
+    return lf_to_indexed(_ref_check_object(
+        sig, _named_ctx(ctx), lf_to_named(m),
+        None if expected is None else lf_to_named(expected)))
+
+
+def _named_ctx(ctx: Context) -> Context:
+    return {name: lf_to_named(a) for name, a in ctx.items()}
+
+
+def _ref_check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
     match a:
         case FConst(name):
-            k = normal_classifier(sig, name)
+            k = named_classifier(sig, name)
             if k is None:
                 raise LFTypeError(f"unknown type constant {name!r}", rule="var-fam")
             if not isinstance(k, (KType, KPi)):
@@ -1261,45 +1494,43 @@ def ref_check_type(sig: Signature, ctx: Context, a: Fam) -> Kind:
                                   rule="var-fam")
             return k
         case FPi(var, dom, body):
-            dk = ref_check_type(sig, ctx, dom)
+            dk = _ref_check_type(sig, ctx, dom)
             if not isinstance(dk, KType):
-                raise LFTypeError(f"Pi domain {dom} has kind {dk}, not type",
-                                  rule="pi-fam")
-            var, body = rename_apart(var, body, ctx.keys())
-            bk = ref_check_type(sig, {**ctx, var: beta_normalize(dom)}, body)
+                raise LFTypeError(f"Pi domain {show(dom)} has kind {show(dk)}, "
+                                  "not type", rule="pi-fam")
+            var, body = named_lf_rename_apart(var, body, ctx.keys())
+            bk = _ref_check_type(sig, {**ctx, var: named_lf_norm(dom)}, body)
             if not isinstance(bk, KType):
-                raise LFTypeError(f"Pi body {body} has kind {bk}, not type",
-                                  rule="pi-fam")
+                raise LFTypeError(f"Pi body {show(body)} has kind {show(bk)}, "
+                                  "not type", rule="pi-fam")
             return KType()
         case FApp(fn, arg):
-            k = ref_check_type(sig, ctx, fn)
+            k = _ref_check_type(sig, ctx, fn)
             if not isinstance(k, KPi):
                 head, _ = spine(fn)
-                name = head.name if isinstance(head, FConst) else str(head)
+                name = head.name if isinstance(head, FConst) else show(head)
                 raise LFTypeError(f"too many arguments to {name!r}", rule="app-fam")
-            ref_check_object(sig, ctx, arg, expected=k.dom, rule="app-fam")
+            _ref_check_object(sig, ctx, arg, expected=k.dom, rule="app-fam")
             return _ref_instantiate(k, arg)
     raise TypeError(f"not a type family: {a!r}")
 
 
-def ref_check_object(sig: Signature, ctx: Context, m: Obj,
-                     expected: Optional[Fam] = None,
-                     rule: str = "app-obj") -> Fam:
-    """The type of `m`, compared to `expected` if given, or LFTypeError,
-    by the one-at-a-time rules."""
+def _ref_check_object(sig: Signature, ctx: Context, m: Obj,
+                      expected: Optional[Fam] = None,
+                      rule: str = "app-obj") -> Fam:
     t = _ref_synth_obj(sig, ctx, m)
     if expected is not None and t != expected:
-        want = beta_normalize(expected)
-        if not convertible(t, want):
-            raise LFTypeError(f"{print_brief(m)} has type {t}, expected {want}",
-                              rule=rule)
+        want = named_lf_norm(expected)
+        if not named_convertible(t, want):
+            raise LFTypeError(f"{print_brief(lf_to_indexed(m))} has type "
+                              f"{show(t)}, expected {show(want)}", rule=rule)
     return t
 
 
 def _ref_synth_obj(sig: Signature, ctx: Context, m: Obj) -> Fam:
     match m:
         case OConst(name):
-            a = normal_classifier(sig, name)
+            a = named_classifier(sig, name)
             if a is None:
                 raise LFTypeError(f"unknown constant {name!r}", rule="var-obj")
             if not isinstance(a, (FConst, FPi, FApp)):
@@ -1310,30 +1541,31 @@ def _ref_synth_obj(sig: Signature, ctx: Context, m: Obj) -> Fam:
             a = ctx.get(name)
             if a is None:
                 raise LFTypeError(f"unbound variable {name!r}", rule="var-obj")
-            return beta_normalize(a)
+            return named_lf_norm(a)
         case OLam(var, dom, body):
-            dk = ref_check_type(sig, ctx, dom)
+            dk = _ref_check_type(sig, ctx, dom)
             if not isinstance(dk, KType):
-                raise LFTypeError(f"binder type {dom} has kind {dk}, not type",
-                                  rule="abs-obj")
-            dom_n = beta_normalize(dom)
-            var, body = rename_apart(var, body, ctx.keys())
+                raise LFTypeError(f"binder type {show(dom)} has kind {show(dk)}, "
+                                  "not type", rule="abs-obj")
+            dom_n = named_lf_norm(dom)
+            var, body = named_lf_rename_apart(var, body, ctx.keys())
             return FPi(var, dom_n,
                        _ref_synth_obj(sig, {**ctx, var: dom_n}, body))
         case OApp(fn, arg):
             ft = _ref_synth_obj(sig, ctx, fn)
             if not isinstance(ft, FPi):
-                raise LFTypeError(f"{print_brief(fn)} of type {ft} applied to an argument",
+                raise LFTypeError(f"{print_brief(lf_to_indexed(fn))} of type "
+                                  f"{show(ft)} applied to an argument",
                                   rule="app-obj")
-            ref_check_object(sig, ctx, arg, expected=ft.dom)
+            _ref_check_object(sig, ctx, arg, expected=ft.dom)
             return _ref_instantiate(ft, arg)
     raise TypeError(f"not an object: {m!r}")
 
 
 def _ref_instantiate(pi: Union[KPi, FPi], arg: Obj) -> Union[Kind, Fam]:
-    if not lf.occurs_free(pi.var, pi.body):
+    if pi.var not in named_lf_free_vars(pi.body):
         return pi.body
-    return beta_normalize(substitute(pi.body, {pi.var: arg}))
+    return named_lf_norm(named_lf_subst(pi.body, {pi.var: arg}))
 
 
 # ---------------------------------------------------------------------------
@@ -1343,7 +1575,7 @@ def _ref_instantiate(pi: Union[KPi, FPi], arg: Obj) -> Union[Kind, Fam]:
 def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
                           a: lf.Fam) -> dict[str, lf.Fam]:
     """Assign each free query variable the LF type of its first argument
-    position; verify consistency at later occurrences via the kernel."""
+    position, scanning the query with names."""
     types: dict[str, lf.Fam] = {}
 
     def scan_args(name: str, pi: Union[lf.Kind, lf.Fam], args: list[lf.Obj]):
@@ -1353,7 +1585,7 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
         for arg in args:
             if not isinstance(pi, (lf.KPi, lf.FPi)):
                 raise TranslationError(f"too many arguments to {name}")
-            scan_obj(arg, instantiate_normal(pi.dom, sub) if sub else pi.dom)
+            scan_obj(arg, named_lf_norm(named_lf_subst(pi.dom, sub)))
             sub[pi.var] = arg
             pi = pi.body
 
@@ -1362,9 +1594,11 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
             # the body at the Pi's codomain, the binder renamed apart
             if isinstance(expected, lf.FPi):
                 var = lf.OVar(lf.fresh_name(m.var, {
-                    *free, *lf.free_vars(m), *lf.free_vars(expected)}))
-                scan_obj(instantiate_normal(m.body, {m.var: var}),
-                         instantiate_normal(expected.body, {expected.var: var}))
+                    *free, *named_lf_free_vars(m),
+                    *named_lf_free_vars(expected)}))
+                scan_obj(named_lf_norm(named_lf_subst(m.body, {m.var: var})),
+                         named_lf_norm(named_lf_subst(expected.body,
+                                                      {expected.var: var})))
             return
         ohead, oargs = lf.spine(m)
         if isinstance(ohead, lf.OVar) and ohead.name in free:
@@ -1376,18 +1610,18 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
                 types[ohead.name] = expected
             return
         if isinstance(ohead, lf.OConst):
-            fam = normal_classifier(sig, ohead.name)
+            fam = named_classifier(sig, ohead.name)
             if fam is None or isinstance(fam, (lf.KType, lf.KPi)):
                 raise TranslationError(f"unknown object constant {ohead.name}")
             scan_args(ohead.name, fam, oargs)
 
-    head, args = lf.spine(a)
-    scan_args(head.name, normal_classifier(sig, head.name), args)
+    head, args = lf.spine(lf_to_named(a))
+    scan_args(head.name, named_classifier(sig, head.name), args)
     missing = [n for n in free if n not in types]
     if missing:
         raise TranslationError(
             f"cannot infer a type for query variable {missing[0]}")
-    return types
+    return {name: lf_to_indexed(t) for name, t in types.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1397,19 +1631,21 @@ def infer_query_var_types(sig: lf.Signature, free: tuple[str, ...],
 
 def canonicalize(sig: Signature, ctx: Context, e: Expr,
                  classifier: Optional[Expr] = None) -> Expr:
-    """Eta-long form of a beta-normal, well-typed expression.
+    """Eta-long form of a beta-normal, well-typed expression, built with
+    names.
 
     Objects need their classifying type family; families and kinds carry
     enough structure on their own.  Idempotent.
     """
+    ctx, e = _named_ctx(ctx), lf_to_named(e)
     if isinstance(e, (OConst, OVar, OLam, OApp)):
         if not isinstance(classifier, (FConst, FPi, FApp)):
             raise LFTypeError("canonicalize needs the classifying type of an object")
-        return _canon_obj(sig, ctx, e, classifier)
+        return lf_to_indexed(_canon_obj(sig, ctx, e, lf_to_named(classifier)))
     if isinstance(e, (FConst, FPi, FApp)):
-        return _canon_fam(sig, ctx, e)
+        return lf_to_indexed(_canon_fam(sig, ctx, e))
     if isinstance(e, (KType, KPi)):
-        return _canon_kind(sig, ctx, e)
+        return lf_to_indexed(_canon_kind(sig, ctx, e))
     raise TypeError(f"not an LF expression: {e!r}")
 
 
@@ -1420,32 +1656,34 @@ def _canon_obj(sig: Signature, ctx: Context, m: Obj, t: Fam) -> Obj:
             var = m.var
             body = m.body
             if var in ctx:
-                var = fresh_name(var, ctx.keys() | free_vars(body) | free_vars(t.body))
-                body = substitute(body, {m.var: OVar(var)})
+                var = fresh_name(var, ctx.keys() | named_lf_free_vars(body)
+                                 | named_lf_free_vars(t.body))
+                body = named_lf_subst(body, {m.var: OVar(var)})
         else:
-            var = fresh_name("x", ctx.keys() | free_vars(m) | free_vars(t.body))
+            var = fresh_name("x", ctx.keys() | named_lf_free_vars(m)
+                             | named_lf_free_vars(t.body))
             body = OApp(m, OVar(var))
-        rest = beta_normalize(substitute(t.body, {t.var: OVar(var)}))
+        rest = named_lf_norm(named_lf_subst(t.body, {t.var: OVar(var)}))
         inner = _canon_obj(sig, {**ctx, var: t.dom}, body, rest)
         return OLam(var, dom_c, inner)
     head, args = spine(m)
     if isinstance(head, OLam):
         raise LFTypeError("abstraction at base type", rule="abs-obj")
     if isinstance(head, OConst):
-        rest = normal_classifier(sig, head.name)
+        rest = named_classifier(sig, head.name)
         if not isinstance(rest, (FConst, FPi, FApp)):
             raise LFTypeError(f"unknown object constant {head.name!r}", rule="var-obj")
     else:
         classifier = ctx.get(head.name)
         if classifier is None:
             raise LFTypeError(f"unbound variable {head.name!r}", rule="var-obj")
-        rest = beta_normalize(classifier)
+        rest = named_lf_norm(classifier)
     out: list[Obj] = []
     sub: dict[str, Obj] = {}
     for a in args:
         if not isinstance(rest, FPi):
             raise LFTypeError(f"too many arguments to {head.name!r}", rule="app-obj")
-        expected = beta_normalize(substitute(rest.dom, sub))
+        expected = named_lf_norm(named_lf_subst(rest.dom, sub))
         out.append(_canon_obj(sig, ctx, a, expected))
         sub[rest.var] = a
         rest = rest.body
@@ -1459,7 +1697,7 @@ def _canon_fam(sig: Signature, ctx: Context, a: Fam) -> Fam:
     head, args = spine(a)
     if not isinstance(head, FConst):
         raise LFTypeError("application head must be a type constant", rule="app-fam")
-    rest = normal_classifier(sig, head.name)
+    rest = named_classifier(sig, head.name)
     if not isinstance(rest, (KType, KPi)):
         raise LFTypeError(f"unknown type constant {head.name!r}", rule="var-fam")
     out: list[Obj] = []
@@ -1467,7 +1705,7 @@ def _canon_fam(sig: Signature, ctx: Context, a: Fam) -> Fam:
     for m in args:
         if not isinstance(rest, KPi):
             raise LFTypeError(f"too many arguments to {head.name!r}", rule="app-fam")
-        expected = beta_normalize(substitute(rest.dom, sub))
+        expected = named_lf_norm(named_lf_subst(rest.dom, sub))
         out.append(_canon_obj(sig, ctx, m, expected))
         sub[rest.var] = m
         rest = rest.body

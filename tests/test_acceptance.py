@@ -54,10 +54,10 @@ def _invert_solution(sig, qt, sol):
     sub = {}
     frees = FreeVars(name for name, _ in qt.var_lvars)
     for name, lv in qt.var_lvars:
-        ty = beta_normalize(substitute(qt.var_types[name], sub))
-        sub[name] = invert(sig, {}, sol.value(lv), ty, frees)
-    fam = beta_normalize(substitute(qt.fam, sub))
-    inhab = invert(sig, {}, sol.value(qt.subject), fam, frees)
+        ty = beta_normalize(substitute(qt.var_types[name], free=sub))
+        sub[name] = invert(sig, (), sol.value(lv), ty, frees)
+    fam = beta_normalize(substitute(qt.fam, free=sub))
+    inhab = invert(sig, (), sol.value(qt.subject), fam, frees)
     return sub, inhab, fam
 
 
@@ -183,7 +183,7 @@ def test_07_encode_invert_round_trip():
     assert len(cases) >= 200
     for m, ty in cases:
         assert oracles.obj_size(m) <= 6
-        back = invert(sig, {}, encode(sig, m, {}), ty,
+        back = invert(sig, (), encode(sig, m, {}), ty,
                       FreeVars(()))
         assert lf.alpha_eq(back, m), lf.print_lf(m)
 
@@ -242,6 +242,13 @@ def test_08_both_translations_agree_on_twenty_queries():
     assert disagreements == []
 
 
+def _named_instance(e, sub):
+    """The named `e` instantiated by the named values `sub`, normalized
+    and indexed."""
+    return oracles.lf_to_indexed(
+        oracles.named_lf_norm(oracles.named_lf_subst(e, sub)))
+
+
 def test_09_strict_binders_yield_well_typed_instances():
     """For every strict binder of every declaration, instantiating the
     target type with enumerated closed objects leaves the binder's object
@@ -254,10 +261,11 @@ def test_09_strict_binders_yield_well_typed_instances():
         for d in sig.decls:
             if not isinstance(d, lf.ObjDecl):
                 continue
-            fam = beta_normalize(d.fam)
+            # instantiated with names, by the named reference
+            fam = oracles.lf_to_named(beta_normalize(d.fam))
             binders, base = lf.split_fam_pis(fam)
-            strict = strict_binders(fam)
-            needed = lf.free_vars(base)
+            strict = strict_binders(beta_normalize(d.fam))
+            needed = oracles.named_lf_free_vars(base)
             budget = budgets.get(d.name, 3)
             vectors = [dict()]
             for name, bty in binders:
@@ -265,25 +273,28 @@ def test_09_strict_binders_yield_well_typed_instances():
                     continue
                 grown = []
                 for sub in vectors:
-                    t = beta_normalize(substitute(bty, sub))
+                    t = _named_instance(bty, sub)
                     for m in oracles.enumerate_objects(sig, {},
                                                        t, budget):
                         d2 = dict(sub)
-                        d2[name] = m
+                        d2[name] = oracles.lf_to_named(m)
                         grown.append(d2)
                 vectors = grown
             for sub in vectors:
-                instance = beta_normalize(substitute(base, sub))
+                instance = _named_instance(base, sub)
                 assert not lf.free_vars(instance)
+                assert not lf.occurs_free(instance, 0, float("inf"))
                 check_type(sig, {}, instance)
                 instances += 1
                 prefix: dict[str, lf.Obj] = {}
                 for i, (name, bty) in enumerate(binders):
                     if name in sub:
                         if i in strict:
-                            want = beta_normalize(substitute(bty, prefix))
+                            want = _named_instance(bty, prefix)
                             try:
-                                check_object(sig, {}, sub[name], want)
+                                check_object(sig, {},
+                                             oracles.lf_to_indexed(sub[name]),
+                                             want)
                             except Exception as e:
                                 failures.append((d.name, name, str(e)))
                         prefix[name] = sub[name]

@@ -9,13 +9,14 @@ import sys
 import threading
 import time
 import traceback
+import types
 
 import pytest
 
 from lflp import cli, inverter, lf_kernel, lf_syntax as lf, translator
 from lflp.cli import main
 from lflp.engine import Limits, Solution, SolveRun, solve
-from lflp.lf_kernel import LFFuelError, check_object
+from lflp.lf_kernel import LFFuelError, LFTypeError, check_object
 from lflp.translator import encode, translate_query, translate_signature
 
 import oracles
@@ -354,9 +355,10 @@ def test_solve_stlc_query_error_texts_pinned(capsys, query, message):
     ("append.elf", "append (cons z nil nil) nil L",
      (2, "", "error: ill-formed query type: [app-obj] cons z nil of type "
              "list applied to an argument\n")),
-    # the head family's own arguments are read before the kernel's check
+    # the head family's arguments are read before the kernel's check, in
+    # its order: foo, inside the first argument, comes before bar
     ("append.elf", "append (cons foo nil) bar L",
-     (2, "", "error: unknown object constant bar\n")),
+     (2, "", "error: unknown object constant foo\n")),
     # the redex reduces to F applied to E, and F is not typed yet
     ("stlc.elf", "eval (([x:tm] F) E E) V",
      (2, "", "error: cannot infer a type for F: free query variables may "
@@ -379,6 +381,23 @@ def test_solve_rechecks_a_value_its_query_type_drops(capsys, monkeypatch):
                    "append nil nil (([x:nat] nil) N)") == (
         2, "", "error: inverted answer fails to re-check: [app-obj] nil has "
                "type list, expected nat\n")
+
+
+def test_export_checks_a_value_the_query_type_only_applies(monkeypatch):
+    # T is eval (F E) V: F occurs only at the head of F E, whose instance
+    # reduces, so an ill-annotated F is caught by its own check alone
+    sig = oracles.load_signature("stlc.elf")
+    qt = translate_query(sig, *lf.parse_query(
+        "eval (([f:tm -> tm] f E) F) V", sig))
+    ident = "lam o ([y:tm] y)"
+    values = dict(zip([v for _, v in qt.var_lvars] + [qt.subject], map(
+        lf.parse_object, [ident, "[x:tp] " + ident, ident,
+                          "ev_lam o ([y:tm] y)"])))
+    assert [name for name, _ in qt.var_lvars] == ["E", "F", "V"]
+    monkeypatch.setattr(cli, "invert", lambda sig, ctx, t, ty, frees: t)
+    sol = types.SimpleNamespace(value=values.__getitem__)
+    with pytest.raises(LFTypeError, match="has type tp -> tm, expected tm -> tm"):
+        cli._solution_lines(sig, qt, sol)
 
 
 def test_solve_refuses_an_applied_query_variable(capsys):
@@ -803,7 +822,7 @@ def test_export_substitutions_grow_with_the_printed_inhabitant(monkeypatch):
 # cost as much as the first.
 
 def _declaration_work(monkeypatch, n, last=None):
-    """(`_synth` calls of `check_signature`, `_encode` calls of
+    """(`_synth` calls of `check_signature`, `encode` calls of
     `translate_signature`) on appendplus.elf and `fact : append nil L
     <last>.`, L a ground n-element list and `last` L by default."""
     items = _ground_list(n)
@@ -811,7 +830,7 @@ def _declaration_work(monkeypatch, n, last=None):
                              + f"\nfact : append nil ({items}) ({last or items}).\n")
     counts = []
     for module, name, run in ((lf_kernel, "_synth", lf_kernel.check_signature),
-                              (translator, "_encode", translate_signature)):
+                              (translator, "encode", translate_signature)):
         calls = [0]
 
         def counted(*args, fn=getattr(module, name), calls=calls):

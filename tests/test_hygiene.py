@@ -6,7 +6,9 @@ module-level function and class of the library is named by library
 code, and no two module-level functions of the library and the tests
 have one body up to the names of their parameters and locals, nor two
 of one library module up to every name, nor two of one library module
-are near twins, their bodies' node kinds too alike by `difflib`.  The
+are near twins, their bodies' node kinds too alike by `difflib`.
+Neither the kernel nor the strictness analysis names `fresh_name` or
+`rename_apart`: bound variables are indices, and nothing there renames.  The
 term and formula node classes, marked by `lf_syntax.nodeclass`, are
 immutable by rule: the library writes no field of a node, calls
 `object.__setattr__` nowhere and writes a signature's slots only in
@@ -131,6 +133,34 @@ def test_library_imports_no_private_names():
         "the check must see the oracles' import of strictness._why_obj"
     found = [line for path in LIBRARY for line in private_imports(path)]
     assert not found, "private names imported:\n" + "\n".join(found)
+
+
+def renaming_names(path: Path) -> list[str]:
+    """`file:line: name` for each mention in `path` of `fresh_name` or
+    `rename_apart`, as a name, an attribute or an imported name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for n in ast.walk(tree):
+        name = (n.id if isinstance(n, ast.Name) else n.attr
+                if isinstance(n, ast.Attribute) else n.name
+                if isinstance(n, ast.alias) else None)
+        if name in ("fresh_name", "rename_apart"):
+            found.append(f"{path.name}:{getattr(n, 'lineno', 0)}: {name}")
+    return found
+
+
+def test_kernel_and_strictness_rename_no_binder(tmp_path):
+    # bound variables are indices: the kernel and the strictness
+    # analysis choose no names, which only the parser, the printer and
+    # the inverter do
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .lf_syntax import fresh_name as f\n"
+                     "def g(x):\n    return lf.rename_apart(x, fresh_name)\n")
+    assert [line.split(": ")[1] for line in renaming_names(probe)] == [
+        "fresh_name", "rename_apart", "fresh_name"]
+    found = [line for name in ("lf_kernel.py", "strictness.py")
+             for line in renaming_names(ROOT / "src" / "lflp" / name)]
+    assert not found, "binder renaming in the kernel:\n" + "\n".join(found)
 
 
 def global_statements(path: Path) -> list[str]:
@@ -462,7 +492,7 @@ NODE_FIELDS = frozenset(n for c in NODE_CLASSES for n in c.__slots__)
 def test_node_classes_and_fields_are_pinned():
     # the field-write rule below is exactly as strict as the field set
     assert sorted(c.__name__ for c in NODE_CLASSES) == sorted(
-        "KType KPi FConst FPi FApp OConst OVar OLam OApp KindDecl ObjDecl "
+        "KType KPi FConst FPi FApp OConst OVar OBVar OLam OApp KindDecl ObjDecl "
         "TBase TArrow Const EVar LVar BVar Lam App Top Atom Imp ForAll "
         "Eq".split())
     assert NODE_FIELDS == frozenset(
@@ -604,7 +634,7 @@ def test_library_writes_signature_slots_only_in_signature(tmp_path):
 # identity tables turn into work done once.  So no method of `_Parser`
 # but its interning helper `node` names those classes, except inside the
 # class argument of a call to the helper.
-INTERNED = frozenset(("OApp", "FApp", "OConst", "FConst", "OVar"))
+INTERNED = frozenset(("OApp", "FApp", "OConst", "FConst", "OVar", "OBVar"))
 
 
 def unshared_node_builds(path: Path) -> list[str]:

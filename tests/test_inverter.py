@@ -15,7 +15,7 @@ OBJ = LF_OBJ
 
 
 def _invert(sig, term, ty_text, frees=None):
-    return invert(sig, {}, term, oracles.parse_type(sig, ty_text),
+    return invert(sig, (), term, oracles.parse_type(sig, ty_text),
                   FreeVars(()) if frees is None else frees)
 
 
@@ -32,7 +32,7 @@ def test_invert_derivation_term():
 def test_invert_abstraction():
     sig = oracles.load_signature("append.elf")
     got = _invert(sig, Lam("y", OBJ, BVar(0, OBJ)), "{y:nat} nat")
-    assert got == lf.OLam("y", lf.FConst("nat"), lf.OVar("y"))
+    assert got == lf.OLam("y", lf.FConst("nat"), lf.OBVar(0))
 
 
 def test_binder_clashing_with_signature_name_renamed():
@@ -41,7 +41,7 @@ def test_binder_clashing_with_signature_name_renamed():
     t = Lam("z", OBJ, BVar(0, OBJ))
     got = _invert(sig, t, "{y:nat} nat")
     assert isinstance(got, lf.OLam) and got.var != "z"
-    assert got.body == lf.OVar(got.var)
+    assert got.body == lf.OBVar(0)
 
 
 def test_round_trip_spot():
@@ -49,7 +49,7 @@ def test_round_trip_spot():
     for text in ["list", "{x:nat} nat", "{f:nat -> nat} list"]:
         ty = oracles.parse_type(sig, text)
         for m in oracles.enumerate_objects(sig, {}, ty, 5):
-            back = invert(sig, {}, encode(sig, m, {}), ty,
+            back = invert(sig, (), encode(sig, m, {}), ty,
                           FreeVars(()))
             assert lf.alpha_eq(back, m)
             check_object(sig, {}, back, ty)

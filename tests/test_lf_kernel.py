@@ -33,45 +33,66 @@ def _parse_fam(text, sig):
 def test_substitute_first_order():
     sig = oracles.load_signature("append.elf")
     pi = _parse_fam("{l:list} append nil l l", sig)
-    out = substitute(pi.body, {pi.var: _parse_obj("cons z nil")})
+    out = substitute(pi.body, (_parse_obj("cons z nil"),))
     assert lf.alpha_eq(out, _parse_fam("append nil (cons z nil) (cons z nil)", sig))
 
 
 def test_substitute_respects_shadowing():
+    # a bound y is an index, which no free name reaches; and a term with
+    # no loose index is returned as it is
     m = _parse_obj("[y:nat] y")
-    assert substitute(m, {"y": lf.OConst("z")}) == m
+    assert substitute(m, free={"y": lf.OConst("z")}) is m
+    assert substitute(m, (lf.OConst("z"),)) is m
 
 
 def test_substitute_keeps_redex_until_normalization():
     # (x (w y)) with a lambda substituted for x must leave a beta redex
     m = lf.OApp(lf.OVar("x"), lf.OApp(lf.OVar("w"), lf.OVar("y")))
     lam = _parse_obj("[w1:nat] [y1:nat] z")
-    out = substitute(m, {"x": lam})
+    out = substitute(m, free={"x": lam})
     assert isinstance(out, lf.OApp) and isinstance(out.fn, lf.OLam)
     # and agrees with the rename-then-replace oracle after normalization
-    want = oracles.normalize_by_steps(oracles.naive_substitute(m, {"x": lam}))
-    assert lf.alpha_eq(beta_normalize(out), want)
+    want = oracles.normalize_by_steps(
+        oracles.naive_substitute(m, {"x": oracles.lf_to_named(lam)}))
+    assert lf.alpha_eq(beta_normalize(out), oracles.lf_to_indexed(want))
 
 
 def test_substitute_capture_avoidance():
-    # substituting a term mentioning y under a binder named y must rename
-    m = lf.OLam("y", lf.FConst("nat"), lf.OApp(lf.OVar("x"), lf.OVar("y")))
-    out = substitute(m, {"x": lf.OVar("y")})
-    assert isinstance(out, lf.OLam)
-    assert out.var != "y"
-    want = oracles.naive_substitute(m, {"x": lf.OVar("y")})
-    assert lf.alpha_eq(out, want)
+    # substituting a term mentioning y under a binder hinted y captures
+    # nothing and renames nothing: the free y stays free, and only the
+    # printer picks another name for the binder
+    m = oracles.lf_to_indexed(
+        lf.OLam("y", lf.FConst("nat"), lf.OApp(lf.OVar("x"), lf.OVar("y"))))
+    out = substitute(m, free={"x": lf.OVar("y")})
+    assert out == lf.OLam("y", lf.FConst("nat"),
+                          lf.OApp(lf.OVar("y"), lf.OBVar(0)))
+    want = oracles.naive_substitute(oracles.lf_to_named(m),
+                                    {"x": lf.OVar("y")})
+    assert lf.alpha_eq(out, oracles.lf_to_indexed(want))
+    assert lf.print_lf(out) == "[y1:nat] y y1"
+
+
+def test_substitute_lifts_a_value_over_the_binders_it_passes():
+    # index 0 of [w:nat] #0 #1 is w, and #1 the binder being replaced;
+    # the value #0, a variable bound outside, moves past w to #1
+    body = lf.OLam("w", lf.FConst("nat"), lf.obj_app(lf.OConst("g"), [
+        lf.OBVar(0), lf.OBVar(1)]))
+    out = substitute(body, (lf.OBVar(0),))
+    assert out == lf.OLam("w", lf.FConst("nat"), lf.obj_app(lf.OConst("g"), [
+        lf.OBVar(0), lf.OBVar(1)]))
+    assert substitute(lf.OBVar(3), (lf.OConst("z"),)) == lf.OBVar(2)
+    assert substitute(lf.OBVar(3), (), 2) == lf.OBVar(5)
 
 
 # --- instantiation --------------------------------------------------------
 
 # Each kind of beta-normal value instantiate_normal must treat as
-# beta_normalize(substitute(..)) does.  Their free names x and y clash
-# with binders in the corpus.
+# beta_normalize(substitute(..)) does.  Their free names x and y are
+# hints of binders in the corpus.
 _NAT = lf.FConst("nat")
 _INSTANCE_VALUES = {
     "normal": lf.OApp(lf.OVar("y"), lf.OVar("x")),
-    "lambda": lf.OLam("w", _NAT, lf.OApp(lf.OVar("y"), lf.OVar("w"))),
+    "lambda": lf.OLam("w", _NAT, lf.OApp(lf.OVar("y"), lf.OBVar(0))),
 }
 
 
@@ -91,8 +112,8 @@ def test_instantiate_equals_normalized_substitution(name, kind):
     for d in sig.decls:
         classifier = normal_classifier(sig, d.name)
         pis = list(_pis(classifier))
-        telescope = {pi.var: value for pi in pis}
-        for e, sub in [(pi.body, {pi.var: value}) for pi in pis] + \
+        telescope = (value,) * len(pis)
+        for e, sub in [(pi.body, (value,)) for pi in pis] + \
                 [(pis[-1].body if pis else classifier, telescope)]:
             assert instantiate_normal(e, sub) == \
                 beta_normalize(substitute(e, sub))
@@ -101,14 +122,20 @@ def test_instantiate_equals_normalized_substitution(name, kind):
 
 
 def test_instantiate_renames_a_capturing_binder():
-    # {y} p x y y1 with x := y: the binder must avoid y and the free y1
+    # {y} p x y y1 with x := y: the binder keeps its hint and captures
+    # nothing, and prints avoiding y and the free y1, as the named
+    # substitution renamed it
     def p(*args):
-        return oracles.fam_app(lf.FConst("p"), [lf.OVar(a) for a in args])
+        return oracles.fam_app(lf.FConst("p"), [
+            lf.OBVar(0) if a == 0 else lf.OVar(a) for a in args])
 
-    e = lf.FPi("y", _NAT, p("x", "y", "y1"))
-    out = instantiate_normal(e, {"x": lf.OVar("y")})
-    assert out == beta_normalize(substitute(e, {"x": lf.OVar("y")}))
-    assert out == lf.FPi("y2", _NAT, p("y", "y2", "y1"))
+    e = lf.FPi("y", _NAT, p("x", 0, "y1"))
+    out = instantiate_normal(e, free={"x": lf.OVar("y")})
+    assert out == beta_normalize(substitute(e, free={"x": lf.OVar("y")}))
+    assert out == lf.FPi("y", _NAT, p("y", 0, "y1"))
+    assert lf.print_lf(out) == "{y2:nat} p y y2 y1"
+    named = oracles.named_lf_subst(oracles.lf_to_named(e), {"x": lf.OVar("y")})
+    assert oracles.show(named) == "{y2:nat} p y y2 y1"
 
 
 # --- beta normalization ---------------------------------------------------
@@ -142,7 +169,86 @@ def _redex_towers(depth):
 @settings(max_examples=150, deadline=None)
 @given(_redex_towers(4))
 def test_beta_agrees_with_small_step_oracle(m):
-    assert lf.alpha_eq(beta_normalize(m), oracles.normalize_by_steps(m))
+    assert lf.alpha_eq(beta_normalize(oracles.lf_to_indexed(m)),
+                       oracles.lf_to_indexed(oracles.normalize_by_steps(m)))
+
+
+# Named objects and types whose binders reuse three names, so a binder
+# shadows another or would capture a free name of a value; the package's
+# indexed results must equal the named reference's up to hints.
+_POOL = ["x", "y", "w"]
+
+
+@st.composite
+def _named_obj(draw, outer=(), scope=(), depth=3, redexes=True):
+    # a lambda's variable never heads an application, so every term
+    # normalizes; `outer` names variables bound outside, which may
+    kind = draw(st.integers(0, 4 if depth else 0))
+    if kind == 0:
+        return draw(st.sampled_from(
+            [lf.OConst("z"), lf.OVar("x"), lf.OVar("y")]
+            + [lf.OVar(v) for v in outer + scope]))
+    if kind == 1:
+        v = draw(st.sampled_from(_POOL))
+        return lf.OLam(v, _NAT, draw(_named_obj(outer, scope + (v,),
+                                                depth - 1, redexes)))
+    if kind == 2 and redexes:
+        v = draw(st.sampled_from(_POOL))
+        return lf.OApp(lf.OLam(v, _NAT, draw(_named_obj(
+            outer, scope + (v,), depth - 1))),
+            draw(_named_obj(outer, scope, depth - 1)))
+    head = draw(st.sampled_from([lf.OConst("g")] + [
+        lf.OVar(v) for v in ("x", "y", *outer) if v not in scope]))
+    return lf.obj_app(head, [draw(_named_obj(outer, scope, depth - 1,
+                                             redexes))
+                             for _ in range(draw(st.integers(1, 2)))])
+
+
+@st.composite
+def _named_fam(draw, outer=(), scope=(), depth=2, redexes=True):
+    if depth and draw(st.booleans()):
+        v = draw(st.sampled_from(_POOL))
+        dom = draw(st.one_of(st.just(_NAT),
+                             _named_fam(outer, scope, depth - 1, redexes)))
+        return lf.FPi(v, dom, draw(_named_fam(outer, scope + (v,),
+                                              depth - 1, redexes)))
+    return lf.FApp(lf.FConst("p"), draw(_named_obj(outer, scope, depth,
+                                                   redexes)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_named_obj(), _named_fam()))
+def test_beta_normalize_agrees_with_the_named_reference(e):
+    assert lf.alpha_eq(beta_normalize(oracles.lf_to_indexed(e)),
+                       oracles.lf_to_indexed(oracles.named_lf_norm(e)))
+
+
+_OUTER = ("b0", "b1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+    st.one_of(_named_obj(("c",) + _OUTER[:n], redexes=False),
+              _named_fam(("c",) + _OUTER[:n], redexes=False)),
+    st.lists(_named_obj(("c",), redexes=False), min_size=n, max_size=n))))
+def test_instantiate_normal_agrees_with_the_named_reference(case):
+    # `e` under binders c (outermost), b0 and b1, with b0 and b1
+    # instantiated by `values`, which may mention c: each value is
+    # normal, moves under the binders of `e` it passes, and its free x
+    # and y meet binders of `e` named alike, which the reference renames
+    # and the package need not
+    e, values = case
+    names = _OUTER[:len(values)]
+    e = oracles.named_lf_norm(e)
+    values = [oracles.named_lf_norm(v) for v in values]
+    got = instantiate_normal(oracles.lf_to_indexed(e, ("c",) + names), [
+        oracles.lf_to_indexed(v, ("c",)) for v in reversed(values)])
+    want = oracles.named_lf_norm(oracles.named_lf_subst(
+        e, dict(zip(names, values))))
+    assert lf.alpha_eq(got, oracles.lf_to_indexed(want, ("c",)))
+    by_name = instantiate_normal(oracles.lf_to_indexed(e), free={
+        name: oracles.lf_to_indexed(v) for name, v in zip(names, values)})
+    assert lf.alpha_eq(by_name, oracles.lf_to_indexed(want))
 
 
 # --- conversion and canonical forms ----------------------------------------
@@ -253,6 +359,10 @@ def _beta_normal(draw, t, ctx=None, depth=2):
                              for a in args])
 
 
+def _beta_normal_indexed(t):
+    return _beta_normal(t).map(oracles.lf_to_indexed)
+
+
 def _canon(e, ty=None):
     return oracles.canonicalize(_HO_SIG, {}, e, ty)
 
@@ -266,8 +376,8 @@ def test_conversion_contracts_only_eta_redexes():
     nat, g, h = lf.FConst("nat"), lf.OConst("g"), lf.OConst("h")
     x = lf.OVar("x")
     inner = lf.OLam("x", nat, lf.obj_app(g, [x, x]))
-    a = lf.OLam("x", nat, lf.OApp(h, inner))
-    b = lf.OLam("x", nat, lf.OApp(h, lf.OApp(g, x)))
+    a = oracles.lf_to_indexed(lf.OLam("x", nat, lf.OApp(h, inner)))
+    b = oracles.lf_to_indexed(lf.OLam("x", nat, lf.OApp(h, lf.OApp(g, x))))
     assert not convertible(a, b)
     assert not lf.alpha_eq(_canon(a, _lf_ty(_F1)), _canon(b, _lf_ty(_F1)))
 
@@ -277,7 +387,8 @@ def test_conversion_contracts_only_eta_redexes():
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(list(_HO_CONSTS.values())).flatmap(
-    lambda t: st.tuples(st.just(t), _beta_normal(t), _beta_normal(t))))
+    lambda t: st.tuples(st.just(t), _beta_normal_indexed(t),
+                        _beta_normal_indexed(t))))
 def test_conversion_agrees_with_typed_canonical_forms(case):
     t, m, n = case
     ty = _lf_ty(t)
@@ -290,7 +401,7 @@ def test_conversion_agrees_with_typed_canonical_forms(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_beta_normal(_F1), _beta_normal(_F1))
+@given(_beta_normal_indexed(_F1), _beta_normal_indexed(_F1))
 def test_family_conversion_agrees_with_typed_canonical_forms(m, n):
     def p(x):
         return lf.FApp(lf.FConst("p"), x)
@@ -377,7 +488,7 @@ def test_binder_table_agrees_with_the_walk(name):
         want = []
         a = normal_classifier(sig, d.name)
         while isinstance(a, (lf.KPi, lf.FPi)):
-            want.append(lf.occurs_free(a.var, a.body))
+            want.append(lf.occurs_free(a.body))
             a = a.body
         a = normal_classifier(sig, d.name)
         deps = classifier_dependencies(sig, d.name, a)
@@ -484,16 +595,16 @@ def test_a_lambda_argument_normalizes_only_what_mentions_it(monkeypatch):
 
 
 def test_a_check_leaves_its_caller_s_context_as_it_was():
-    # a binder extends the caller's context in place, renamed apart from
-    # it, and takes itself out again whether the check returns or raises
+    # a binder is pushed on the check's own stack, never on the caller's
+    # context, and popped again whether the check returns or raises
     sig = oracles.load_signature("append.elf")
     nat, list_ = lf.FConst("nat"), lf.FConst("list")
     ctx = {"N": nat, "L": list_}
     good = lf.parse_query("append (cons (([N:nat] s N) N) L) L nil", sig)[1]
     bad = lf.parse_query("append (cons (([N:nat] s L) N) L) L nil", sig)[1]
     for judge, term, ok in [
-            (check_type, lf.FPi("L", list_, good), True),
-            (check_type, lf.FPi("L", list_, bad), False),
+            (check_type, oracles.lf_to_indexed(lf.FPi("L", list_, good)), True),
+            (check_type, oracles.lf_to_indexed(lf.FPi("L", list_, bad)), False),
             (check_object, lf.spine(good)[1][0], True),
             (check_object, lf.spine(bad)[1][0], False)]:
         if ok:
@@ -613,8 +724,8 @@ def test_substitution_lemma_on_instances():
     for m in bodies[:40]:
         b = check_object(sig, ctx, m)
         for n in args[:3]:
-            inst = beta_normalize(substitute(m, {"x": n}))
-            want = beta_normalize(substitute(b, {"x": n}))
+            inst = beta_normalize(substitute(m, free={"x": n}))
+            want = beta_normalize(substitute(b, free={"x": n}))
             check_object(sig, {}, inst, want)
             checked += 1
     assert checked >= 50
@@ -702,7 +813,9 @@ def test_spine_loop_matches_one_at_a_time_rules_on_corpus(name):
         while isinstance(k, lf.KPi):
             _assert_same(check_type, oracles.ref_check_type, prefix, ctx,
                          k.dom)
-            ctx, k = {**ctx, k.var: beta_normalize(k.dom)}, k.body
+            # the binder opened: its index 0 becomes a context variable
+            ctx, k = ({**ctx, k.var: beta_normalize(k.dom)},
+                      substitute(k.body, (lf.OVar(k.var),)))
 
 
 def _transcript_objects():
@@ -736,7 +849,8 @@ def _transcript_objects():
             m = lf.parse_object("".join(f"[{b}] " for b in frees) + obj)
             ctx = {}
             while len(ctx) < len(frees):
-                ctx, m = {**ctx, m.var: m.dom}, m.body
+                ctx, m = ({**ctx, m.var: m.dom},
+                          substitute(m.body, (lf.OVar(m.var),)))
             yield sig, ctx, m
 
 
@@ -841,7 +955,7 @@ def _dep(text):
 
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(["nat", "eq", ("nat", "eq")]).flatmap(
-    lambda shape: _dep_obj(shape, 3)))
+    lambda shape: _dep_obj(shape, 3).map(oracles.lf_to_indexed)))
 @example(_dep("ext ([y:nat] k x) ([x1:nat] k x) ([x:nat] refl (k x))"))
 @example(_dep("cong ([w:nat] s x1) x1 x1 (refl x1)"))
 @example(_dep("sym x y (cong ([x:nat] s y) x y)"))
@@ -855,15 +969,15 @@ def test_spine_loop_matches_one_at_a_time_rules(m):
 
 def test_message_prints_the_classifier_the_spine_loop_built():
     # `fix`'s third binder has type {x:nat} {x1:nat} eq (h x x1) (h x1 y).
-    # The one map h := [w] [x1] w, y := k x meets y under the binder x,
-    # which would capture the x of k x, so it renames x to x1 and x1 to
-    # x11; one argument at a time, h's beta-steps drop y first, and no
-    # binder is renamed
+    # The one map h := [w] [x1] w, y := k x meets y under the binder x;
+    # an index captures nothing, so no binder is renamed, and the type
+    # prints as one argument at a time builds it, where h's beta-steps
+    # drop y first
     m = _dep("s (fix ([w:nat] [x1:nat] w) (k x))")
     _, err = _outcome(check_object, _DEP_SIG, _DEP_CTX, m)
     assert str(err) == (
         "[app-obj] fix ([w:nat] [x1:nat] w) (k x) has type "
-        "({x1:nat} {x11:nat} eq x1 x11) -> eq (k x) (k x), expected nat")
+        "({x:nat} {x1:nat} eq x x1) -> eq (k x) (k x), expected nat")
     _, ref_err = _outcome(oracles.ref_check_object, _DEP_SIG, _DEP_CTX, m)
     assert "({x:nat} {x1:nat} eq x x1)" in str(ref_err)
 
@@ -877,7 +991,7 @@ def test_message_prints_the_classifier_the_spine_loop_built():
             lambda shapes: st.tuples(*[_dep_obj(s, 2) for s in shapes])))))
 def test_family_spine_matches_one_at_a_time_rules(case):
     name, args = case
-    a = oracles.fam_app(lf.FConst(name), list(args))
+    a = oracles.lf_to_indexed(oracles.fam_app(lf.FConst(name), list(args)))
     _assert_same(check_type, oracles.ref_check_type, _DEP_SIG, _DEP_CTX, a)
 
 
@@ -904,6 +1018,8 @@ def _unshared(m):
             return lf.OLam(var, dom, _unshared(body))
         case lf.OApp(fn, arg):
             return lf.OApp(_unshared(fn), _unshared(arg))
+        case lf.OBVar(index):
+            return lf.OBVar(index)
     return type(m)(m.name)
 
 
@@ -914,9 +1030,9 @@ def _check_unshared(sig, ctx, m):
 def _bound_inside_only():
     # cong ([w:nat] s w) w w (refl w), `w` unbound but in the lambda
     w = lf.OVar("w")
-    return lf.obj_app(lf.OConst("cong"), [
+    return oracles.lf_to_indexed(lf.obj_app(lf.OConst("cong"), [
         lf.OLam("w", _NAT, lf.OApp(lf.OConst("s"), w)), w, w,
-        lf.OApp(lf.OConst("refl"), w)])
+        lf.OApp(lf.OConst("refl"), w)]))
 
 
 @pytest.mark.parametrize("m, fails", [
@@ -940,7 +1056,7 @@ def test_shared_object_checks_as_its_unshared_copy(m, fails):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["nat", "eq", ("nat", "eq")]).flatmap(
-    lambda shape: _dep_obj(shape, 3)))
+    lambda shape: _dep_obj(shape, 3).map(oracles.lf_to_indexed)))
 def test_shared_objects_check_as_their_unshared_copies(m):
     _assert_same(check_object, _check_unshared, _DEP_SIG, _DEP_CTX,
                  _shared(m, {}))

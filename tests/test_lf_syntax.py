@@ -81,15 +81,51 @@ def test_parse_query_unknown_head():
 
 
 def test_print_lambda():
-    m = lf.OLam("y", lf.FConst("nat"), lf.OVar("y"))
+    m = oracles.lf_to_indexed(lf.OLam("y", lf.FConst("nat"), lf.OVar("y")))
     assert lf.print_lf(m) == "[y:nat] y"
 
 
 def test_print_pi_target():
-    a = lf.FPi("l", lf.FConst("list"),
-               fam_app(lf.FConst("append"),
-                          [lf.OConst("nil"), lf.OVar("l"), lf.OVar("l")]))
+    a = oracles.lf_to_indexed(lf.FPi(
+        "l", lf.FConst("list"),
+        fam_app(lf.FConst("append"),
+                [lf.OConst("nil"), lf.OVar("l"), lf.OVar("l")])))
     assert lf.print_lf(a) == "{l:list} append nil l l"
+
+
+def test_a_binder_is_renamed_only_where_its_hint_would_capture():
+    nat, x = lf.FConst("nat"), lf.OConst("x")
+    cases = [
+        # a constant, a free variable or an outer binder the body prints
+        (lf.OLam("x", nat, lf.OApp(x, lf.OBVar(0))), "[x1:nat] x x1"),
+        (lf.OLam("x", nat, lf.OApp(lf.OVar("x"), lf.OBVar(0))),
+         "[x1:nat] x x1"),
+        (lf.OLam("x", nat, lf.OLam("x", nat, lf.OApp(lf.OBVar(1),
+                                                     lf.OBVar(0)))),
+         "[x:nat] [x1:nat] x x1"),
+        # shadowing an outer binder the body does not mention is kept
+        (lf.OLam("x", nat, lf.OLam("x", nat, lf.OBVar(0))),
+         "[x:nat] [x:nat] x"),
+        # a Pi whose body does not mention its binder is an arrow
+        (lf.FPi("x", nat, lf.FPi("y", nat, lf.FApp(lf.FConst("p"),
+                                                   lf.OBVar(1)))),
+         "{x:nat} nat -> p x"),
+    ]
+    for e, text in cases:
+        assert lf.print_lf(e) == text
+    # loose indices print as the names given for the binders above
+    assert lf.print_lf(lf.OApp(lf.OBVar(0), lf.OBVar(1)), ["a", "b"]) == "b a"
+
+
+def test_every_data_declaration_prints_as_pinned():
+    want = (oracles.DATA / "printed_declarations.txt").read_text(
+        encoding="utf-8").splitlines()
+    got = []
+    for path in sorted(oracles.DATA.glob("*.elf")):
+        got.append(f"% {path.name}")
+        got += oracles.print_signature(
+            lf.parse_signature(path.read_text())).splitlines()
+    assert got == want
 
 
 # random object generator for the print/parse round trip
@@ -118,14 +154,55 @@ def _objs(depth):
 @given(_objs(3))
 def test_print_parse_round_trip(m):
     # close the term so variable occurrences print unambiguously
-    closed = lf.OLam("x", lf.FConst("nat"), m)
+    closed = oracles.lf_to_indexed(lf.OLam("x", lf.FConst("nat"), m))
     text = lf.print_lf(closed)
     assert lf.alpha_eq(lf.parse_object(text), closed)
 
 
+# Indexed objects and types drawn directly, so a binder's hint may repeat
+# an outer binder's that its body refers to, or name a constant it uses.
+_LEAVES = [lf.OConst("z"), lf.OConst("x"), lf.OConst("y1")]
+
+
+@st.composite
+def _indexed_obj(draw, depth, scope=0):
+    kind = draw(st.integers(0, 3 if depth else 0))
+    if kind == 0:
+        return draw(st.sampled_from(
+            _LEAVES + [lf.OBVar(i) for i in range(scope)]))
+    if kind == 1:
+        return lf.OLam(draw(_names), lf.FConst("nat"),
+                       draw(_indexed_obj(depth - 1, scope + 1)))
+    fn = (draw(_indexed_obj(depth - 1, scope)) if kind == 2
+          else draw(st.sampled_from([lf.OConst("s"), lf.OConst("cons")])))
+    return lf.OApp(fn, draw(_indexed_obj(depth - 1, scope)))
+
+
+@st.composite
+def _indexed_fam(draw, depth, scope=0):
+    if depth and draw(st.booleans()):
+        dom = draw(st.one_of(st.just(lf.FConst("nat")),
+                             _indexed_fam(depth - 1, scope)))
+        return lf.FPi(draw(_names), dom, draw(_indexed_fam(depth - 1, scope + 1)))
+    return lf.FApp(lf.FConst("p"), draw(_indexed_obj(depth, scope)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_indexed_obj(4))
+def test_printed_object_parses_back_up_to_hints(m):
+    assert lf.alpha_eq(lf.parse_object(lf.print_lf(m)), m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_indexed_fam(3))
+def test_printed_type_parses_back_up_to_hints(a):
+    [d] = lf.parse_signature(f"c : {lf.print_lf(a)}.").decls
+    assert lf.alpha_eq(d.fam, a)
+
+
 def test_alpha_equivalent_objects_compare_equal():
-    a = lf.OLam("x", lf.FConst("nat"), lf.OVar("x"))
-    b = lf.OLam("y", lf.FConst("nat"), lf.OVar("y"))
+    a = oracles.lf_to_indexed(lf.OLam("x", lf.FConst("nat"), lf.OVar("x")))
+    b = oracles.lf_to_indexed(lf.OLam("y", lf.FConst("nat"), lf.OVar("y")))
     assert lf.alpha_eq(a, b)
     assert not lf.alpha_eq(a, lf.OLam("x", lf.FConst("nat"), lf.OConst("z")))
 
@@ -279,10 +356,10 @@ _a, _b = lf.FConst("a"), lf.FConst("b")
      ("1:11: 'type' cannot appear inside a type", 1, 11)),
     # and so does a parenthesized kind applied to an argument
     ("c : (a -> type) b.", ("1:11: 'type' cannot appear inside a type", 1, 11)),
-    # the inner `x` is renamed, and its occurrence with it
+    # the inner `x` takes a fresh hint, and its occurrence is index 0
     ("c : {x:a}{x:b} c x.",
      (lf.ObjDecl("c", lf.FPi("x", _a, lf.FPi(
-         "x1", _b, lf.FApp(lf.FConst("c"), lf.OVar("x1"))))),)),
+         "x1", _b, lf.FApp(lf.FConst("c"), lf.OBVar(0))))),)),
 ])
 def test_parser_pinned_cases(text, want):
     assert _parsed(lf.parse_signature, text) == want

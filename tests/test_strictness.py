@@ -4,7 +4,6 @@ import time
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from lflp import lf_syntax as lf
-from lflp.lf_kernel import substitute
 from lflp.strictness import explain_strictness, strict_binders
 
 import oracles
@@ -83,8 +82,10 @@ def test_direct_argument_of_target():
     a = lf.FApp(lf.FApp(lf.FApp(lf.FConst("append"), lf.OConst("nil")),
                         lf.OVar("l")), lf.OVar("l"))
     list_ = lf.FConst("list")
-    assert strict_binders(lf.FPi("l", list_, a)) == frozenset({0})
-    assert strict_binders(lf.FPi("k", list_, a)) == frozenset()
+    assert strict_binders(oracles.lf_to_indexed(lf.FPi("l", list_, a))) \
+        == frozenset({0})
+    assert strict_binders(oracles.lf_to_indexed(lf.FPi("k", list_, a))) \
+        == frozenset()
 
 
 def test_pivot_through_candidate_type():
@@ -134,8 +135,9 @@ def test_base_type_has_no_binders():
 
 def test_repeated_binder_names_do_not_capture():
     # {x:a}{x:b} c x: the target's x is binder 1, never binder 0
-    a = lf.FPi("x", lf.FConst("a"),
-               lf.FPi("x", lf.FConst("b"), lf.FApp(lf.FConst("c"), lf.OVar("x"))))
+    a = oracles.lf_to_indexed(lf.FPi(
+        "x", lf.FConst("a"),
+        lf.FPi("x", lf.FConst("b"), lf.FApp(lf.FConst("c"), lf.OVar("x")))))
     assert strict_binders(a) == frozenset({1})
     assert [(name, flag) for name, flag, _ in explain_strictness(a)] == [
         ("x", False), ("x", True)]
@@ -161,18 +163,10 @@ def test_nine_binder_chain_is_fast():
 # --- properties -----------------------------------------------------------
 
 def _rename_binders(a, prefix):
-    binders, base = split = lf.split_fam_pis(a)
-    binders = list(binders)
-    for i in range(len(binders)):
-        old, dom = binders[i]
-        new = f"{prefix}{i}"
-        for j in range(i + 1, len(binders)):
-            nj, dj = binders[j]
-            binders[j] = (nj, substitute(dj, {old: lf.OVar(new)}))
-        base = substitute(base, {old: lf.OVar(new)})
-        binders[i] = (new, dom)
-    for name, dom in reversed(binders):
-        base = lf.FPi(name, dom, base)
+    # a bound variable is an index, so renaming a binder changes its hint
+    binders, base = lf.split_fam_pis(a)
+    for i, (_, dom) in reversed(list(enumerate(binders))):
+        base = lf.FPi(f"{prefix}{i}", dom, base)
     return base
 
 
@@ -239,7 +233,8 @@ def _classifiers(draw):
     """{v0:A0}...{vk:Ak} p _ h _ h', with h and h' binders, so that proof
     binders (those of an r type) can be CTX_t pivots.  A binder type may
     mention a later binder's name, free there; the analysis must rename
-    that later binder apart instead of capturing the name."""
+    that later binder apart instead of capturing the name, and an index
+    cannot capture it."""
     names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
     a = fam_app(lf.FConst("p"), [
         draw(_objects(names, 2)), lf.OVar(draw(st.sampled_from(names))),
@@ -255,13 +250,15 @@ def _classifiers(draw):
 def test_fixpoint_matches_depth_first_search(a):
     """The backward pass over the binders explains every binder as the
     path-blocked search over all pivots does."""
+    a = oracles.lf_to_indexed(a)
     assert explain_strictness(a) == oracles.dfs_explain_strictness(a)
     assert strict_binders(a) == oracles.dfs_strict_binders(a)
 
 
 def test_later_binder_does_not_capture_a_free_name():
-    # p2's type names p1, free there; the later binder p1 is renamed apart
-    # (p11), so it is no pivot for p2 and p2 none for it
+    # p2's type names p1, free there; the later binder p1 is another
+    # variable, an index, so p2 is no pivot for it; the report prints the
+    # later binder by its hint, p1
     def r(a, b):
         return fam_app(lf.FConst("r"), [lf.OVar(a), lf.OVar(b)])
     a = fam_app(lf.FConst("p"), [lf.OConst("zz"), lf.OVar("q"),
@@ -269,13 +266,13 @@ def test_later_binder_does_not_capture_a_free_name():
     for name, dom in reversed([("w", _EL), ("p2", r("p1", "p1")),
                                ("p1", r("p2", "w")), ("q", r("p1", "p1"))]):
         a = lf.FPi(name, dom, a)
+    a = oracles.lf_to_indexed(a)
     report = explain_strictness(a)
     assert report == oracles.dfs_explain_strictness(a)
     assert [name for name, _, _ in report] == ["w", "p2", "p1", "q"]
-    assert "CTX_t(pivot p11) {p11 in target: CTX_t(pivot q)" in report[0][2]
-    assert not any("pivot p2" in why or "pivot p1)" in why
-                   for _, _, why in report)
-    assert "{p11 in type of q: APP_t(arg 1); INIT_o}" in report[2][2]
+    assert "CTX_t(pivot p1) {p1 in target: CTX_t(pivot q)" in report[0][2]
+    assert not any("pivot p2" in why for _, _, why in report)
+    assert "{p1 in type of q: APP_t(arg 1); INIT_o}" in report[2][2]
     # z is free in y's type; q's type binds a z of its own, which is
     # renamed apart from it while w is judged there, so y is no pivot for
     # that z and w, strict only in z's type, is not strict
@@ -288,6 +285,7 @@ def test_later_binder_does_not_capture_a_free_name():
             ("y", fam_app(lf.FConst("r"), [lf.OVar("z"), zz])),
             ("w", _EL), ("q", q_type)]):
         a = lf.FPi(name, dom, a)
+    a = oracles.lf_to_indexed(a)
     report = explain_strictness(a)
     assert report == oracles.dfs_explain_strictness(a)
     assert [flag for _, flag, _ in report] == [True, False, True]
@@ -296,7 +294,7 @@ def test_later_binder_does_not_capture_a_free_name():
 def _unjustified_pivots(a):
     """Binders whose chain starts at a CTX_t pivot that is itself reported
     not strict."""
-    names = [name for name, _ in oracles.dfs_peel((), a)[0]]
+    names = [name for name, _ in lf.split_fam_pis(a)[0]]
     report = explain_strictness(a)
     bad = []
     for name, strict, why in report:
@@ -309,7 +307,7 @@ def _unjustified_pivots(a):
 @settings(max_examples=300, deadline=None)
 @given(_classifiers())
 def test_every_pivot_is_itself_strict(a):
-    assert _unjustified_pivots(a) == []
+    assert _unjustified_pivots(oracles.lf_to_indexed(a)) == []
 
 
 def test_own_flexible_head_blocks_the_pivot():
@@ -326,7 +324,8 @@ def test_classifier_strategy_reaches_nested_ctx_t():
     # produces pivots, including a pivot justified through another pivot
     def nested(a):
         return any(why.count("CTX_t") >= 2
-                   for _, _, why in oracles.dfs_explain_strictness(a))
+                   for _, _, why in oracles.dfs_explain_strictness(
+                       oracles.lf_to_indexed(a)))
     found = find(_classifiers(), nested,
                  settings=settings(max_examples=2000, database=None,
                                    derandomize=True, phases=[Phase.generate]))

@@ -54,7 +54,7 @@ def test_encode_constant_and_application():
 
 def test_encode_abstraction_binds():
     sig = oracles.load_signature("append.elf")
-    m = lf.OLam("x", lf.FConst("nat"), lf.OVar("x"))
+    m = lf.OLam("x", lf.FConst("nat"), lf.OBVar(0))
     t = encode(sig, m, {})
     assert t == Lam("x", OBJ, BVar(0, OBJ))
 
@@ -109,7 +109,7 @@ def test_encode_commutes_with_substitution():
         for n in args[:3]:
             x = fresh_lvar("x", OBJ)
             open_enc = encode(sig, m, {"x": x})
-            closed = encode(sig, substitute(m, {"x": n}), {})
+            closed = encode(sig, substitute(m, free={"x": n}), {})
             via_hohh = Subst().extend(x, encode(sig, n, {})).apply_all(
                 (open_enc,))[0]
             assert alpha_eq_term(beta_norm(via_hohh), closed)
