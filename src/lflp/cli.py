@@ -191,22 +191,15 @@ def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
     """`sol` inverted to LF: a `% free:` line per unsolved logic variable,
     each type checked in the context of those before it, then each query
     variable's value and the inhabitant.  The kernel checks the
-    inhabitant at the query's type T instantiated by the values.  Its
-    synthesized type holds, eta-equal and well typed, the value of each
-    query variable that T holds where no instance drops it (see
-    `_kept_vars`); the inverter takes each lambda annotation from the
-    type it expects, so a wrong one needs a wrong earlier argument,
-    which the comparison with T catches.  Every other variable gets a
-    check of its own: N in ``append nil nil (([x:nat] nil) N)``, which T
-    lacks, and F in ``eval (([f:tm -> tm] f E) F) V``, whose T is
-    ``eval (F E) V``, where only the normal form of ``F E`` meets F.
-
-    The export follows the answer's sharing.  The engine resolves the
-    values and the inhabitant together, so a subterm they share is one
-    term; the one `FreeVars` inverts it once, so a value's objects are
-    the very ones inside the inhabitant; and the check synthesizes each
-    shared argument once.  Both grow with the distinct subterms of the
-    answer; only the printing grows with its printed size."""
+    inhabitant at the query's type T instantiated by the values, and
+    with it each value T holds where no instance drops it (see
+    `_kept_vars`): a wrong lambda annotation needs a wrong earlier
+    argument, since the inverter takes each from the type it expects.
+    Every other value gets a check of its own: N in ``append nil nil
+    (([x:nat] nil) N)``, which T lacks, and F in ``eval (([f:tm -> tm] f
+    E) F) V``, whose T ``eval (F E) V`` meets F only through a redex.
+    Inversion and checks follow the answer's sharing, so both grow with
+    its distinct subterms; only the printing grows with its size."""
     frees = FreeVars(name for name, _ in qt.var_lvars)
     sub: dict[str, lf.Obj] = {}
     for name, v in qt.var_lvars:
@@ -234,12 +227,17 @@ def _kept_vars(e: lf.Expr) -> set[str]:
     """The free variables of `e` at a place no instance of `e` drops:
     neither an application's head nor inside the arguments of an
     application headed by a variable."""
-    head, args = lf.spine(e)
-    if type(head) is lf.OVar:
-        return set() if args else {head.name}
-    if isinstance(head, (lf.OLam, lf.FPi)):
-        args = [head.dom, head.body, *args]
-    return set().union(*map(_kept_vars, args))
+    kept, stack = set(), [e]
+    while stack:
+        head, args = lf.spine(stack.pop())
+        if type(head) is lf.OVar:
+            if not args:
+                kept.add(head.name)
+            continue
+        if isinstance(head, (lf.OLam, lf.FPi)):
+            stack += (head.dom, head.body)
+        stack += args
+    return kept
 
 
 def cmd_strictness(sig: lf.Signature, explain: bool) -> int:

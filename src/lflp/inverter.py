@@ -5,43 +5,35 @@ type every simply typed answer determines at most one LF object: a Pi
 dictates a lambda whose annotation it supplies, and an application
 head names a signature constant or a variable whose classifier types
 the arguments in one loop over the spine, each at its binder's domain
-instantiated by the objects inverted before it.  A constant head takes
-its arity, and which arguments its target depends on, from the
-signature's table (`classifier_dependencies`); a variable head walks
-its classifier.  Both sides index bound variables alike, so an
-answer's index is the LF index, typed by its lambda's domain lifted
-over the lambdas between.  The objects built here are beta-normal, so
-an instantiation normalizes only when it puts a lambda in place.  An
-answer that is not a lambda at a Pi type is eta-expanded on the fly, as
-the unifier does: `t` stands for `[x:A] t x`, so eta-short answers
-invert to canonical LF objects.  A lambda takes the name of the Pi
-binder it inhabits unless a lambda in scope, a constant or a free
-variable has it, so the same answer always reads the same.
+instantiated by the objects inverted before it (a constant reads which
+arguments its target depends on from `classifier_dependencies`).  Both
+sides index bound variables alike, so an answer's index is the LF
+index, typed by its lambda's domain lifted over the lambdas between.
+The objects built here are beta-normal, so an instantiation normalizes
+only where it puts a lambda in place.  An answer that is not a lambda
+at a Pi type is eta-expanded on the fly, as the unifier does, so
+eta-short answers invert to canonical LF objects.  A lambda takes the
+name of the Pi binder it inhabits unless a lambda in scope, a constant
+or a free variable has it, so the same answer always reads the same.
 
-The inverter only builds; the kernel's re-check of what it builds is
-the judge.  It refuses only what the kernel cannot phrase:
-eigenvariables, unknown heads, an arity mismatch, and the free
-variables below.  A logic variable the search left unsolved reads as a
-free LF variable, named and typed where the walk first meets it:
-unapplied, at the type expected there; applied to distinct variables
-bound in the answer (a pattern), at the Pi type over theirs.  Any other
-first occurrence, or a type that mentions a bound variable outside
-those arguments, is refused.  One `FreeVars` serves every answer of a
-solution, so each variable keeps one name and one type.
+The inverter only builds; the kernel's re-check is the judge.  It
+refuses only what the kernel cannot phrase: eigenvariables, unknown
+heads, an arity mismatch, and the free variables below.  A logic
+variable the search left unsolved reads as a free LF variable, named
+and typed where the walk first meets it: unapplied, at the type
+expected there; applied to distinct bound variables (a pattern), at
+the Pi type over theirs.  Any other first occurrence, or a type that
+mentions a bound variable outside those arguments, is refused.  One
+`FreeVars` serves every answer of a solution, so each variable keeps
+one name and one type.
 
 A `FreeVars` also holds the objects inverted so far, so an answer that
-shares a subterm, as the engine's answers do, is inverted once per
-distinct subterm rather than once per occurrence.  The table is read
-only for an argument in the root context at a type that is not a Pi.
-There the object depends on the answer alone: the head's classifier
-decides every type below it, and a free variable keeps the name and
-type it was first met with.  Only a lambda's name inside it could come
-out otherwise, were a free variable named after the first inversion
-given its Pi binder's name; the reused object keeps the first name,
-which captures nothing, since every free variable inside it was named
-before or during that inversion.  At a Pi type the lambda's name and
-the eta-expansion depend on the type, and under a binder the names in
-scope differ, so those are inverted afresh.
+shares a subterm is inverted once per distinct subterm.  The table is
+read only for an argument in the root context at a type that is not a
+Pi, where the object depends on the answer alone; only a lambda's name
+inside it could differ, were a free variable named later given its Pi
+binder's name, and the first name captures nothing, since every free
+variable inside was named before or during that inversion.
 """
 
 from __future__ import annotations
@@ -58,10 +50,6 @@ from .lf_kernel import (
     substitute,
 )
 
-# the lambdas of an answer around a subterm, outermost first: each one's
-# name and LF type, under the lambdas before it
-_Bound = tuple[tuple[str, lf.Fam], ...]
-
 
 class InversionError(lf.LFError):
     pass
@@ -69,12 +57,11 @@ class InversionError(lf.LFError):
 
 class FreeVars:
     """The unsolved logic variables met so far, in order of first
-    occurrence, each with its LF name and type.  A name avoids `reserved`,
-    the signature, the other names and the binders in scope where it is
-    picked; lambda binders picked later avoid it.  `inverted` maps each
-    answer subterm inverted in the root context at a non-Pi type, by
-    identity, to the subterm itself, which keeps its id unique, and its
-    LF object."""
+    occurrence, each with its type and LF name, which avoids `reserved`,
+    the signature, the other names and the binders in scope, and which
+    lambdas named later avoid.  `inverted` maps each answer subterm
+    inverted in the root context at a non-Pi type, by identity, to
+    itself, which keeps its id unique, and its LF object."""
 
     def __init__(self, reserved: Iterable[str]):
         self.reserved = frozenset(reserved)
@@ -82,8 +69,8 @@ class FreeVars:
         self.names: set[str] = set()
         self.inverted: dict[int, tuple[Term, lf.Obj]] = {}
 
-    def meet(self, sig: lf.Signature, ctx: _Bound, v: LVar, args: list[Term],
-             ty: lf.Fam) -> tuple[str, lf.Fam]:
+    def meet(self, sig: lf.Signature, ctx: lf.Binders, v: LVar,
+             args: list[Term], ty: lf.Fam) -> tuple[str, lf.Fam]:
         """Name and type `v`, met first applied to `args` at `ty`."""
         at = [a.index for a in args if isinstance(a, BVar)]
         if len(at) < len(args) or len(set(at)) < len(at):
@@ -98,7 +85,6 @@ class FreeVars:
             for j in range(k):
                 vals[at[j]] = lf.OBVar(k - 1 - j)
             return substitute(e, vals[skip:])
-
         ty = over(ty, len(at))
         for k in reversed(range(len(at))):
             name, dom = ctx[-1 - at[k]]
@@ -122,7 +108,7 @@ class _Taken:
 
     __slots__ = ("ctx", "sig", "frees")
 
-    def __init__(self, ctx: _Bound, sig: lf.Signature, frees: FreeVars):
+    def __init__(self, ctx: lf.Binders, sig: lf.Signature, frees: FreeVars):
         self.ctx, self.sig, self.frees = ctx, sig, frees
 
     def __contains__(self, name: str) -> bool:
@@ -131,12 +117,12 @@ class _Taken:
                 or name in self.frees.names)
 
 
-def invert(sig: lf.Signature, ctx: _Bound, t: Term, ty: lf.Fam,
+def invert(sig: lf.Signature, ctx: lf.Binders, t: Term, ty: lf.Fam,
            frees: FreeVars) -> lf.Obj:
-    """The LF object of type `ty` in `ctx` that the answer `t` stands for,
-    its unsolved logic variables read as the ones `frees` names.  `ctx`
-    binds the lambdas of the answer above `t`, each with a distinct
-    name.  `ty` and the types in `ctx` are beta-normal."""
+    """The LF object of type `ty` that the answer `t` stands for, its
+    unsolved logic variables read as the ones `frees` names, under `ctx`,
+    the answer's lambdas above `t` with distinct names and normal types;
+    `ty` is beta-normal too."""
     if isinstance(ty, lf.FPi):
         # the lambda takes the name of the Pi binder it inhabits, so the
         # same answer always reads the same

@@ -1,59 +1,40 @@
 """Substitution, normalization, conversion, and the LF judgments.
 
-Bound variables are de Bruijn indices (see `lf_syntax`), so `substitute`
-is one index substitution, as `hterms.subst_term` is for hohh terms: it
-never captures, and nothing here renames a binder.  Checking is
-algorithmic: each rule synthesizes a beta-normal classifier and compares
-it with the expected type, also held beta-normal, by `convertible`,
-which needs no types and normalizes nothing: two normal forms are
-compared up to hints, and when that fails, their eta-short forms are; on
-well-typed LF this agrees with comparing typed eta-long canonical forms.
-A fuel bound, `_FUEL` beta steps, caps one normalization.  It bounds
-cost, not divergence: the rules refuse an ill-typed term before they
-normalize it, while a well-typed term may need more steps, as
-``([y:t] y) d`` inside nine nested ``([x:t] c x x x x) (...)`` does
-(about 4^9).  Every caller checks before it normalizes, a query too.
+Bound variables are de Bruijn indices (see `lf_syntax`): `substitute` is
+one index substitution, as `hterms.subst_term` is for hohh terms, so it
+never captures and nothing here renames a binder.  Each rule synthesizes
+a beta-normal classifier and compares it with the expected one by
+`convertible`, which normalizes nothing: equal up to hints, or else
+their eta-short forms are, which on well-typed LF agrees with comparing
+canonical forms.  One normalization takes at most `_FUEL` beta steps.
+That bounds cost, not divergence: every caller checks a term before it
+normalizes it, while a well-typed term may need more, as ``([y:t] y) d``
+inside nine nested ``([x:t] c x x x x) (...)`` does (about 4^9).
 
-A constant's classifier is normalized once per signature, by
-`normal_classifier`, and which of its Pi binders the rest of it mentions
-is recorded once, by `classifier_dependencies`; `check_signature` checks
-each declaration against the prefix before it and records a classifier
-it finds normal as its own normal form.  A context maps each free
-variable to its normal type.  `check_query` types a query's free
-variables as local type inference does: each starts as a placeholder,
-a type constant no signature declares, met only where an argument fails
-its domain; there it takes the domain, or what a lambda's Pi domain
-ends in, unless that mentions a binder, and it is never applied.
+`normal_classifier` normalizes a constant's classifier once per
+signature, and `classifier_dependencies` records which of its Pi
+binders the rest of it mentions.  A context maps each free variable to
+its normal type.  `check_query` types a query's free variables as local
+type inference does: each starts as a placeholder, a type constant no
+signature declares, and where an argument fails its domain it takes
+that domain, or what a lambda's Pi domain ends in, unless that mentions
+a binder; it is never applied.
 
-One synthesis, `_synth`, types objects and type families alike, one
-case per construct; an error's rule name is read from the construct:
-`var-fam` or `var-obj` from the constant, `app-fam` or `app-obj` from
-the head of the spine, `pi-kind`, `pi-fam` or `abs-obj` from the binder.
-An application `c M1 ... Mn` is typed in one loop over its spine: each
-Mi is checked against its binder's domain instantiated by M1 ...
-M(i-1), held by position, and the target is instantiated once at the
-end.  Synthesis also reports whether its input is beta-normal, so
-`instantiate_normal`, an instantiation by normal arguments, normalizes
-only when it changes its input and one of its values is a lambda.  An
-error message prints the classifiers the failed check already holds.
-
-`check_object` and `check_type` synthesize each argument object of
-their root context once, however often the object occurs: a table keyed
-by identity, made for the one call and passed down the application
-spines, holds each argument's type.  This is sound because synthesis is
-a function of the signature, the context and the object, and the table
-records only successes.  Under a binder the context differs, so the
-table is not passed into the body of a lambda or a Pi.  Exported answers
-and parsed terms share equal subterms, so `check_signature`, the query's
-check and the export's each cost the number of distinct subobjects.
-
-The binder rules (Pi in a kind or a type, lambda in an object) share
-one premise, `_binder`, which pushes the binder's hint and normal domain
-onto the check's stack of binders; the rule checks the body in its own
-frame and pops the binder however that check ends, so a binder costs
-O(1) and one frame of Python's stack.  A bound variable's type is its
-binder's domain lifted over the binders between them, and a domain that
-mentions no binder is returned as it is, so identity tests still hold.
+One synthesis, `_synth`, types objects and families, one case per
+construct, from which an error's rule name is read; it also reports
+whether its input is beta-normal, so `instantiate_normal` normalizes
+only where a lambda is put in place.  A spine ``c M1 ... Mn`` is typed
+in one loop, each Mi against its binder's domain instantiated by the
+arguments before it, held by position.  `check_object` and `check_type`
+synthesize each argument object of their root context once, in a table
+keyed by identity that records only successes and is not passed under a
+binder, so a shared answer costs its distinct subobjects.  A binder
+(`_binder`) pushes its hint and normal domain onto the check's stack,
+and its rule pops it however the body's check ends: O(1) and one frame
+of Python's stack.  A bound variable's type is its binder's domain
+lifted over the binders between; a domain that mentions no binder comes
+back as it is, so identity tests still hold.  An error message prints
+the classifiers the failed check holds, under the stack's hints.
 """
 
 from __future__ import annotations
@@ -62,7 +43,7 @@ from math import inf
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .lf_syntax import (
-    Context, Expr, Fam, FApp, FConst, FPi, Kind, KindDecl, KPi, KType,
+    Binders, Context, Expr, Fam, FApp, FConst, FPi, Kind, KindDecl, KPi, KType,
     LFError, Obj, OApp, OBVar, OConst, OLam, OVar, Signature,
     alpha_eq, free_vars, obj_app, occurs_free, pi_dependencies, print_lf,
     spine,
@@ -75,10 +56,6 @@ _BRIEF = 40  # the characters of an expression a message prints
 # or `check_type` call, by identity: the object itself, which keeps its
 # id unique, its beta-normal type, and whether it is beta-normal
 _Shared = dict[int, tuple[Obj, Fam, bool]]
-
-# the binders a check is under, innermost last: each one's hint and its
-# beta-normal domain, under the binders before it
-_Bound = list[tuple[str, Fam]]
 
 
 class LFTypeError(LFError):
@@ -109,16 +86,12 @@ class _QueryContext(dict):
 def substitute(e: Expr, vals: Sequence[Obj] = (), lift: int = 0,
                depth: int = 0, free: Optional[Mapping[str, Obj]] = None
                ) -> Expr:
-    """`e`, under `depth` binders of its own, with each loose index
-    ``depth + j`` replaced by ``vals[j]``, lifted over those binders,
-    each loose index past `vals` moved down by ``len(vals)`` and up by
-    `lift`, and each free variable `free` names replaced by its value,
-    which mentions no binder.  ``substitute(e, (), n)`` lifts `e` over
-    n new binders.
-
-    The result may contain beta-redexes; callers normalize when needed.
-    A subterm that nothing changes is returned as it is.
-    """
+    """`e`, under `depth` binders of its own, with loose index ``depth +
+    j`` replaced by ``vals[j]`` lifted over those binders, any later one
+    moved by ``lift - len(vals)``, and each free variable `free` names
+    replaced by its value, which mentions no binder: ``substitute(e, (),
+    n)`` lifts `e` over n binders.  A subterm nothing changes is returned
+    as it is; the result may hold redexes."""
     if not vals and not lift and not free:
         return e
     cls = type(e)
@@ -217,11 +190,8 @@ def normal_classifier(sig: Signature, name: str) -> Optional[Union[Kind, Fam]]:
 def classifier_dependencies(sig: Signature, name: str,
                             a: Union[Kind, Fam]) -> tuple[bool, ...]:
     """For each Pi binder of `a`, the normal classifier of the declared
-    constant `name`, whether the rest of `a` mentions it.  Computed once
-    per signature, so a spine headed by a constant decides which
-    arguments its target depends on without walking the classifier, and
-    its caller, which has just looked the classifier up, does not look
-    it up again."""
+    constant `name`, whether the rest of `a` mentions it: computed once
+    per signature, so a spine does not walk its head's classifier."""
     deps = sig.dependencies.get(name)
     if deps is None:
         deps = sig.dependencies[name] = pi_dependencies(a)
@@ -289,7 +259,7 @@ def check_signature(sig: Signature) -> None:
 
 def check_kind(sig: Signature, ctx: Context, k: Kind) -> None:
     """Accept iff `ctx |- k kind` is derivable."""
-    bound: _Bound = []
+    bound: Binders = []
     while type(k) is KPi:
         _binder(sig, ctx, bound, k)
         k = k.body
@@ -322,13 +292,12 @@ def check_object(sig: Signature, ctx: Context, m: Obj,
     return t
 
 
-def _synth(sig: Signature, ctx: Context, bound: _Bound, e: Union[Fam, Obj],
+def _synth(sig: Signature, ctx: Context, bound: Binders, e: Union[Fam, Obj],
            shared: Optional[_Shared] = None) -> tuple[Union[Kind, Fam], bool]:
     # The beta-normal classifier of the object or family `e` under the
-    # binders `bound`, and whether `e` is itself beta-normal; `shared` is
-    # the table of the context `check_object` or `check_type` was given,
-    # or None under a binder.  Dispatch is on the exact class, the
-    # fastest test, since no class derives from a node class.
+    # binders `bound`, and whether `e` is beta-normal; `shared` is the
+    # table of the root context, or None under a binder.  Dispatch is on
+    # the exact class, the fastest test: no class derives from another.
     cls = type(e)
     if cls is OApp or cls is FApp:
         head, args = spine(e)
@@ -358,10 +327,9 @@ def _synth(sig: Signature, ctx: Context, bound: _Bound, e: Union[Fam, Obj],
         try:
             bt, normal = _synth(sig, ctx, bound, e.body)
             if cls is FPi and not isinstance(bt, KType):
-                names = [*_hints(bound), e.var]
                 raise LFTypeError(
-                    f"Pi body {print_lf(e.body, names, ctx)} has kind "
-                    f"{print_lf(bt, names, ctx)}, not type", rule="pi-fam")
+                    f"Pi body {print_lf(e.body, bound, ctx)} has kind "
+                    f"{print_lf(bt, bound, ctx)}, not type", rule="pi-fam")
         finally:
             bound.pop()
         normal = normal and dom is e.dom
@@ -369,40 +337,33 @@ def _synth(sig: Signature, ctx: Context, bound: _Bound, e: Union[Fam, Obj],
     raise TypeError(f"not an object or a type family: {e!r}")
 
 
-def _binder(sig: Signature, ctx: Context, bound: _Bound,
+def _binder(sig: Signature, ctx: Context, bound: Binders,
             e: Union[KPi, FPi, OLam]) -> Fam:
-    # The domain of `e` has kind type.  Pushes the binder onto `bound`,
-    # in O(1), at its normal domain, and returns that domain.  The
-    # caller checks the body in its own frame, so a binder costs one
-    # frame of Python's stack, and pops the binder in a `finally`
-    # however that check ends.
+    # The domain of `e` has kind type: pushes the binder onto `bound` at
+    # its normal domain, in O(1), and returns that domain.  The caller
+    # checks the body in its own frame and pops the binder in a `finally`.
     dk, normal = _synth(sig, ctx, bound, e.dom)
     if not isinstance(dk, KType):
         what = "binder type" if type(e) is OLam else "Pi domain"
         rule = {OLam: "abs-obj", KPi: "pi-kind", FPi: "pi-fam"}[type(e)]
-        names = _hints(bound)
-        raise LFTypeError(f"{what} {print_lf(e.dom, names, ctx)} has kind "
-                          f"{print_lf(dk, names, ctx)}, not type", rule=rule)
+        raise LFTypeError(f"{what} {print_lf(e.dom, bound, ctx)} has kind "
+                          f"{print_lf(dk, bound, ctx)}, not type", rule=rule)
     dom = e.dom if normal else beta_normalize(e.dom)
     bound.append((e.var, dom))
     return dom
 
 
-def _check_spine(sig: Signature, ctx: Context, bound: _Bound, head: Expr,
+def _check_spine(sig: Signature, ctx: Context, bound: Binders, head: Expr,
                  pi: Union[Kind, Fam], args: list[Obj],
                  shared: Optional[_Shared]) -> tuple[Union[Kind, Fam], bool]:
     # The application of `head`, of classifier `pi`, to `args`: each
     # argument is checked against its binder's domain instantiated by the
-    # arguments before it, held by position, innermost first, and the
-    # rest of `pi` is instantiated once at the end.  A non-normal
-    # argument is held as its normal form, so every instantiation may
-    # skip the normality walk.  The classifier of a constant or a free
-    # variable mentions no binder, so it changes only past an argument
-    # whose binder the rest of it mentions: a constant head reads which
-    # from its signature's table, a variable or lambda head walks its
-    # classifier.  An argument found in `shared` is not synthesized
-    # again.  Returns the instantiated rest and whether every argument
-    # is beta-normal.
+    # arguments before it, held by position, innermost first, as normal
+    # forms, and the rest of `pi` is instantiated once at the end.  The
+    # classifier of a constant or a free variable mentions no binder, so
+    # it changes only past an argument its rest depends on (`deps`).  An
+    # argument found in `shared` is not synthesized again.  Returns the
+    # instantiated rest and whether every argument is beta-normal.
     if isinstance(head, (OConst, FConst)):
         deps = classifier_dependencies(sig, head.name, pi)
     elif type(ctx) is _QueryContext and type(head) is OVar:
@@ -438,7 +399,7 @@ def _check_spine(sig: Signature, ctx: Context, bound: _Bound, head: Expr,
     return (instantiate_normal(rest, vals) if moves else rest), normal
 
 
-def _reconcile(sig: Signature, ctx: Context, bound: _Bound, arg: Obj,
+def _reconcile(sig: Signature, ctx: Context, bound: Binders, arg: Obj,
                t: Fam, dom: Fam, rule: str) -> None:
     # `arg` of type `t` fails `dom`.  In a query, an untyped variable whose
     # placeholder ends `t` takes what `dom` ends in, unless that mentions
@@ -459,17 +420,11 @@ def _reconcile(sig: Signature, ctx: Context, bound: _Bound, arg: Obj,
         raise _mismatch(arg, t, dom, rule, ctx, bound)
 
 
-def _hints(bound: _Bound) -> list[str]:
-    # a message prints them apart from the context's names and each other
-    return [hint for hint, _ in bound]
-
-
 def _mismatch(m: Obj, t: Fam, want: Fam, rule: str, ctx: Context,
-              bound: _Bound) -> LFTypeError:
-    names = _hints(bound)
-    return LFTypeError(f"{print_brief(m, names, ctx)} has type "
-                       f"{print_lf(t, names, ctx)}, expected "
-                       f"{print_lf(want, names, ctx)}", rule=rule)
+              bound: Binders) -> LFTypeError:
+    return LFTypeError(f"{print_brief(m, bound, ctx)} has type "
+                       f"{print_lf(t, bound, ctx)}, expected "
+                       f"{print_lf(want, bound, ctx)}", rule=rule)
 
 
 def _applied(name: str) -> LFTypeError:
@@ -478,23 +433,22 @@ def _applied(name: str) -> LFTypeError:
 
 
 def _too_many(head: Expr, args: list[Obj], t: Union[Kind, Fam], ctx: Context,
-              bound: _Bound) -> LFTypeError:
+              bound: Binders) -> LFTypeError:
     # `head` applied to `args` has type `t`, which is no Pi type
     if type(t) is FConst and t.name[:1] == "?":  # an untyped query variable
         return _applied(t.name[1:])
-    names = _hints(bound)
     if isinstance(head, (FConst, FPi)):
         name = (head.name if isinstance(head, FConst)
-                else print_lf(head, names, ctx))
+                else print_lf(head, bound, ctx))
         return LFTypeError(f"too many arguments to {name!r}", rule="app-fam")
-    return LFTypeError(f"{print_brief(obj_app(head, args), names, ctx)} of "
-                       f"type {print_lf(t, names, ctx)} applied to an "
+    return LFTypeError(f"{print_brief(obj_app(head, args), bound, ctx)} of "
+                       f"type {print_lf(t, bound, ctx)} applied to an "
                        "argument", rule="app-obj")
 
 
-def print_brief(e: Expr, names: Sequence[str] = (),
-                taken: Iterable[str] = ()) -> str:
-    """`e` as `print_lf(e, names, taken)` prints it, cut to `_BRIEF`
+def print_brief(e: Expr, bound: Binders = (), taken: Iterable[str] = ()
+                ) -> str:
+    """`e` as `print_lf(e, bound, taken)` prints it, cut to `_BRIEF`
     characters."""
-    s = print_lf(e, names, taken)
+    s = print_lf(e, bound, taken)
     return s if len(s) <= _BRIEF else s[:_BRIEF] + "..."

@@ -8,47 +8,39 @@ comment running to end of line.
 
 Kinds, type families, and objects are separate node families, locally
 nameless: a bound variable is an `OBVar`, a de Bruijn index (0 the
-nearest binder, an arrow's included), an `OVar` a free variable, and a
-binder keeps its name only as a hint for printing, so substitution
+nearest binder, an arrow's included), an `OVar` is a free variable, and
+a binder keeps its name only as a hint for printing, so substitution
 never captures.  Names are chosen where text is read and written: the
 parser gives a binder that shadows another in scope, or an arrow, a
 fresh hint, and `print_lf` prints a binder as its hint unless that
 would capture a name its body prints.  :func:`alpha_eq` compares up to
 hints; the structural ``==`` of the nodes compares hints too.
 
-The parser builds the nodes straight from the tokens in one
-left-to-right pass, each expression read in the category its context
-demands; a declaration's classifier is a kind exactly when its tail is
-``type``.  It reads an expression in one loop that keeps the enclosing
-expressions on a stack of its own, so nesting costs no Python frames,
-and no bound variable stands as a type.  It hash-conses constants,
-variables and applications with one table per parse, so equal subterms
-built of those nodes are one object, and the kernel and the encoder,
-which keep tables keyed by identity, do their work once per distinct
-subterm.  Sharing is safe because nodes are immutable (see below).
+The parser builds the nodes from the tokens in one left-to-right pass
+and one loop that keeps the enclosing expressions on a stack of its
+own, so nesting costs no Python frames; each expression is read in the
+category its context demands, and a declaration's classifier is a kind
+exactly when its tail is ``type``.  It hash-conses constants, variables
+and applications with one table per parse, so equal subterms are one
+object and the kernel and the encoder, which keep tables keyed by
+identity, work once per distinct subterm.
 
 The node classes (kinds, families, objects, declarations, and the
 terms and formulas of `hterms`) are built by `nodeclass`: slotted, with
-a field-wise ``__init__``, ``__repr__``, ``==`` and ``hash`` generated
-once per class, as a slotted dataclass has them, but without the cost
-of importing and running `dataclasses` at start-up.  They are not
-frozen, since a frozen instance is several times dearer to build, and
-are immutable by rule instead: no code writes a node's field after
-building it, which ``tests/test_hygiene.py`` checks.  A `Signature` is
-a slotted class whose slots only its own methods write, and a context
-is a plain dict from free variable names to their types.
-
-The lexer matches one pattern over the whole input and returns the
-tokens as parallel lists of kinds and texts, and keeps nothing else per
-token.  A token's match, and from it its line and column, is found
-again, by matching once more, only when an error message reports it.
+the field-wise ``__init__``, ``__repr__``, ``==`` and ``hash`` of a
+slotted dataclass, without the cost of importing `dataclasses`.  They
+are not frozen, since a frozen instance is several times dearer to
+build, but immutable by rule, which ``tests/test_hygiene.py`` checks,
+so sharing them is safe.  The lexer matches one pattern over the whole
+input into parallel lists of token kinds and texts; a token's line and
+column are found again, by matching once more, only for an error.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import compress, islice
-from typing import Container, Iterable, Optional, Sequence, Union
+from typing import Container, Iterable, Iterator, Optional, Sequence, Union
 
 
 class LFError(Exception):
@@ -204,15 +196,12 @@ class Signature:
 
     `lookup` reads the index; a name declared twice resolves to its first
     declaration.  `prefix(n)` sees only the first `n` declarations, and
-    `view(decls)` sees every name but iterates only `decls`, a subset of
-    the declarations in source order; both read the same index.  Four
-    per-constant tables travel with the signature, shared with its
-    prefixes and views, and are filled on demand by the layers that own
-    them: `normal_forms` (the kernel's beta-normal classifiers),
-    `dependencies` (for each Pi binder of a normal classifier, whether
-    the rest of it mentions the binder), `simple_types` (the
-    translator's flattened types) and `clauses` (the translator's clause
-    per constant and mode).
+    `view(decls)` every name but iterates only `decls`, a subset in
+    source order.  Four per-constant tables, shared with its prefixes and
+    views, are filled on demand by the layers that own them:
+    `normal_forms` and `dependencies` (the kernel's normal classifiers
+    and which of their Pi binders the rest mentions), `simple_types` and
+    `clauses` (the translator's flattened types and clauses per mode).
     """
 
     __slots__ = ("decls", "_index", "_limit", "normal_forms", "dependencies",
@@ -251,6 +240,10 @@ class Signature:
 # A context maps free variables to their types, beta-normal.
 Context = dict[str, Fam]
 
+# binders around a term, outermost first: each one's hint and its type,
+# under the binders before it
+Binders = Sequence[tuple[str, Fam]]
+
 
 # ---------------------------------------------------------------------------
 # Name supply and free variables
@@ -264,21 +257,39 @@ def fresh_name(base: str, avoid: Container[str]) -> str:
     return f"{base}{i}"
 
 
+def names_apart(hints: Iterable[str], taken: Iterable[str]) -> list[str]:
+    """Each hint as `fresh_name` makes it none of `taken` and of the
+    names before it."""
+    avoid, names = set(taken), []
+    for hint in hints:
+        names.append(fresh_name(hint, avoid))
+        avoid.add(names[-1])
+    return names
+
+
 # The walks below dispatch on the exact class, since no node class
 # derives from another: one identity test per case tried.
 
+def leaves(e: Expr) -> Iterator[tuple[Expr, int]]:
+    """Each constant, variable and ``type`` of `e`, with the binders of
+    `e` above it, in the order the kernel meets them: a spine's head,
+    then its arguments left to right, depth first, a binder's type
+    before its body.  One loop, so no depth of `e` costs Python frames."""
+    stack = [(e, 0)]
+    while stack:
+        e, depth = stack.pop()
+        cls = type(e)
+        if cls is OApp or cls is FApp:
+            stack += ((e.arg, depth), (e.fn, depth))
+        elif cls is FPi or cls is OLam or cls is KPi:
+            stack += ((e.body, depth + 1), (e.dom, depth))
+        else:
+            yield e, depth
+
+
 def free_vars(e: Expr) -> frozenset[str]:
     """Free variable names of a kind, family, or object."""
-    cls = type(e)
-    if cls is OApp or cls is FApp:
-        return free_vars(e.fn) | free_vars(e.arg)
-    if cls is OVar:
-        return frozenset((e.name,))
-    if cls is OConst or cls is FConst or cls is KType or cls is OBVar:
-        return frozenset()
-    if cls is FPi or cls is OLam or cls is KPi:
-        return free_vars(e.dom) | free_vars(e.body)
-    raise TypeError(f"not an LF expression: {e!r}")
+    return frozenset(x.name for x, _ in leaves(e) if type(x) is OVar)
 
 
 def occurs_free(e: Expr, index: int = 0, count: float = 1) -> bool:
@@ -336,9 +347,8 @@ def obj_app(head: Obj, args: list[Obj]) -> Obj:
 
 
 def split_fam_pis(a: Fam) -> tuple[list[tuple[str, Fam]], Fam]:
-    """Peel `{x1:A1}...{xn:An} B` into the binder list, hints and
-    types, and the base B; each type lies under the binders before it,
-    and B under all of them."""
+    """Peel `{x1:A1}...{xn:An} B` into its binders, hints and types, and
+    the base B, which lies under all of them."""
     binders: list[tuple[str, Fam]] = []
     while isinstance(a, FPi):
         binders.append((a.var, a.dom))
@@ -448,21 +458,16 @@ _ARG_START = frozenset(("ident", "type", "(", "{", "["))
 class _Parser:
     """Tokens straight to Kind/Fam/Obj, in one loop per expression.
 
-    `env` maps each source binder name in scope to its level, the
-    binders above it, so an occurrence under `depth` binders is index
-    ``depth - 1 - level``.  A binder that shadows another in scope, and
-    an arrow, takes a fresh hint, none of `used`: every name of the
-    current declaration, collected from its tokens on the first need.
-    An elaboration error (a construct of the wrong category, a bound
-    variable used as a type) is held in `err`, the first one wins, and is
-    raised only once the declaration's syntax has been read.  Query free
-    variables are recognized when the parser is given a signature.
-    Tokens are read by position from `kinds` and `texts`; an error
-    message alone asks for a token's line and column.
-
-    Every constant, variable and application node is built by `node`,
-    which hash-conses it in `nodes`, the one table of the parse: equal
-    subterms built of those nodes are one object.
+    `env` maps each source binder name in scope to its level, so an
+    occurrence under `depth` binders is index ``depth - 1 - level``.  A
+    binder that shadows another in scope, and an arrow, takes a fresh
+    hint, none of `used`: the current declaration's names, collected on
+    the first need.  An elaboration error (a construct of the wrong
+    category, a bound variable used as a type) is held in `err`, the
+    first one wins, until the declaration's syntax has been read.  Query
+    free variables are recognized when the parser is given a signature.
+    Every constant, variable and application is built by `node`, which
+    hash-conses it in `nodes`, the one table of the parse.
     """
 
     def __init__(self, toks: _Tokens, sig: Optional[Signature] = None):
@@ -544,16 +549,11 @@ class _Parser:
     def expr(self, cat: int) -> Expr:
         """An expression: binders and arrows around an application of a
         head to arguments, each an identifier, `type` or a parenthesized
-        expression.
-
-        One loop reads it all.  A parenthesized head or argument, or a
-        binder's domain, is an expression of its own: the loop suspends
-        the one enclosing it on `stack` and resumes it when the inner one
-        ends.  Held errors keep the order of a walk that checks each
-        construct before its parts: a binder's error comes before any in
-        its domain, and so does an arrow's, though its domain is read
-        first.
-        """
+        expression.  One loop reads it all: a parenthesized head or
+        argument, or a binder's domain, is an expression of its own, and
+        the loop suspends the one enclosing it on `stack` meanwhile.
+        Held errors keep the order of a walk that checks each construct
+        before its parts, an arrow's before its domain's too."""
         kinds, texts, env, sig = self.kinds, self.texts, self.env, self.sig
         pos = self.pos
         depth = 0  # the binders in scope, arrows included
@@ -732,60 +732,56 @@ def parse_object(text: str) -> Obj:
 # ---------------------------------------------------------------------------
 # Printing
 
-def print_lf(root: Expr, names: Sequence[str] = (),
-             taken: Iterable[str] = ()) -> str:
-    """Concrete syntax for `root`; re-parses to it up to hints.  `names`
-    are the hints of the binders above it, outermost first, each printed
-    apart from `taken`, the free variables in scope, and from the ones
-    before it; a loose index past them prints as ``#i``.
+def print_lf(root: Expr, bound: Binders = (), taken: Iterable[str] = ()
+             ) -> str:
+    """Concrete syntax for `root`; re-parses to it up to hints.  The
+    binders `bound` above it print as their hints made apart from
+    `taken`, the free variables in scope, and each other; a loose index
+    past them prints as ``#i``.  A binder prints as its hint unless its
+    body prints that name from outside, as a free variable, a constant
+    or an outer binder; then as `fresh_name` makes it none of those.  A
+    Pi whose body does not mention its binder prints as an arrow."""
+    scope = names_apart([hint for hint, _ in bound], taken) if bound else []
+    # a hint that is no binder name printed so far and no free variable
+    # or constant of `root` (found at its first binder) captures nothing,
+    # so its body is not walked
+    return _pp(root, 0, scope, (root, set(scope), []))
 
-    A binder prints as its hint unless its body prints that name from
-    outside it, as a free variable, a constant or an outer binder, which
-    the hint would capture; then it takes the hint's first variant that
-    is none of those.  A Pi whose body does not mention its binder
-    prints as an arrow."""
-    scope: list[str] = []  # the printed names of the binders in scope
-    avoid = set(taken)
-    for hint in names:
-        scope.append(fresh_name(hint, avoid))
-        avoid.add(scope[-1])
-    # a hint none of these names can capture nothing, so its body is not
-    # walked: every binder name printed so far, and the free variables
-    # and constants of `root`, found at its first binder
-    printed, leaves = set(scope), []
 
-    def pp(e: Expr, prec: int) -> str:
-        # prec 0: whole expressions; 1: arrow operands / application; 2: atoms
-        cls = type(e)
-        if cls is OApp or cls is FApp:
-            s = f"{pp(e.fn, 1)} {pp(e.arg, 2)}"
-            return f"({s})" if prec > 1 else s
-        if cls is OBVar:
-            i = e.index
-            return scope[-1 - i] if i < len(scope) else f"#{i - len(scope)}"
-        if cls is OConst or cls is OVar or cls is FConst:
-            return e.name
-        if cls is FPi or cls is KPi or cls is OLam:
-            arrow = cls is not OLam and not occurs_free(e.body)
-            dom = pp(e.dom, 1 if arrow else 0)
-            var = e.var
-            if not arrow:
-                if not leaves:
-                    leaves.append(_printed_outside(root, []))
-                if var in printed or var in leaves[0]:
-                    var = fresh_name(var, _printed_outside(e.body, scope))
-            scope.append(var)
-            printed.add(var)
-            body = pp(e.body, 0)
-            scope.pop()
-            s = (f"{dom} -> {body}" if arrow else f"[{var}:{dom}] {body}"
-                 if cls is OLam else f"{{{var}:{dom}}} {body}")
-            return f"({s})" if prec > 0 else s
-        if cls is KType:
-            return "type"
-        raise TypeError(f"not an LF expression: {e!r}")
-
-    return pp(root, 0)
+def _pp(e: Expr, prec: int, scope: list[str], seen: tuple) -> str:
+    # prec 0: whole expressions; 1: arrow operands / application; 2: atoms.
+    # `seen` is the root, the binder names printed so far and, once
+    # found, the free variables and constants of the root.  A module
+    # function, not a closure made per call, which Python calls faster.
+    cls = type(e)
+    if cls is OApp or cls is FApp:
+        s = f"{_pp(e.fn, 1, scope, seen)} {_pp(e.arg, 2, scope, seen)}"
+        return f"({s})" if prec > 1 else s
+    if cls is OConst or cls is OVar or cls is FConst:
+        return e.name
+    if cls is OBVar:
+        i = e.index
+        return scope[-1 - i] if i < len(scope) else f"#{i - len(scope)}"
+    if cls is FPi or cls is KPi or cls is OLam:
+        arrow = cls is not OLam and not occurs_free(e.body)
+        dom = _pp(e.dom, 1 if arrow else 0, scope, seen)
+        var = e.var
+        if not arrow:
+            root, printed, outside = seen
+            if not outside:
+                outside.append(_printed_outside(root, []))
+            if var in printed or var in outside[0]:
+                var = fresh_name(var, _printed_outside(e.body, scope))
+        seen[1].add(var)
+        scope.append(var)
+        body = _pp(e.body, 0, scope, seen)
+        scope.pop()
+        s = (f"{dom} -> {body}" if arrow else f"[{var}:{dom}] {body}"
+             if cls is OLam else f"{{{var}:{dom}}} {body}")
+        return f"({s})" if prec > 0 else s
+    if cls is KType:
+        return "type"
+    raise TypeError(f"not an LF expression: {e!r}")
 
 
 def _printed_outside(body: Expr, scope: list[str]) -> set[str]:
@@ -793,17 +789,10 @@ def _printed_outside(body: Expr, scope: list[str]) -> set[str]:
     variables and constants, and the names in `scope` of the outer
     binders it refers to."""
     names: set[str] = set()
-    stack = [(body, 1)]  # each subterm with the binders up to `scope`
-    while stack:
-        e, depth = stack.pop()
-        cls = type(e)
-        if cls is OApp or cls is FApp:
-            stack += ((e.fn, depth), (e.arg, depth))
-        elif cls is FPi or cls is OLam or cls is KPi:
-            stack += ((e.dom, depth), (e.body, depth + 1))
-        elif cls is OBVar:
-            if depth <= e.index < depth + len(scope):
-                names.add(scope[depth - 1 - e.index])
-        elif cls is OConst or cls is OVar or cls is FConst:
-            names.add(e.name)
+    for x, depth in leaves(body):
+        if type(x) is OBVar:
+            if 0 <= x.index - depth - 1 < len(scope):  # an outer binder
+                names.add(scope[depth - x.index])
+        elif type(x) is not KType:
+            names.add(x.name)
     return names

@@ -24,27 +24,28 @@ Three judgments, mirrored by the code below:
   ``strict_binders`` reads): binder i is strict in ``{x1:A1}...{xn:An} B``
   iff it is strict in the problem of all n binders with base B.
 
-A bound variable is a de Bruijn index, so ``_chains`` moves a
-classifier's Pi binders onto the problem as they are: a binder's type
-mentions only the binders before it, and nothing is renamed.  A CTX_t
-pivot therefore always follows the binder it justifies, and one pass
-from the last binder to the first decides each binder once: its APP_t
-chain if it has one, else the first later strict pivot in prefix order
-whose type it is strict in.  Each problem is solved once per classifier
-and memoized.  In the object judgment the tracked binder is an index
-too, and so are the locals: a variable bound by a lambda below the
-base is local, one bound by the problem's binders a candidate, and one
-bound outside the classifier, as in a premise's type, is rigid.
+Bound variables are de Bruijn indices, so a binder's type mentions only
+the binders before it and nothing is renamed: a CTX_t pivot always
+follows the binder it justifies, and one pass from the last binder to
+the first decides each binder once, by its APP_t chain or else the
+first later strict pivot in prefix order whose type it is strict in.
+Each problem is solved once per classifier and memoized.  The object
+judgment tracks indices too: one bound below the base is local, one
+bound by the problem a candidate, and one bound outside the classifier
+rigid.  Only a chain's text names binders, each apart from the names
+before it and the free variables around, so no name in it is ambiguous.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .lf_syntax import Fam, FConst, Obj, OBVar, OLam, spine, split_fam_pis
+from .lf_syntax import (
+    Binders, Fam, FConst, Obj, OBVar, OLam, free_vars, names_apart, spine,
+    split_fam_pis,
+)
 
-_Gamma = tuple[tuple[str, Fam], ...]
-_Memo = dict[tuple[_Gamma, Fam], tuple[Optional[str], ...]]
+_Memo = dict[tuple[Binders, Fam], tuple[Optional[str], ...]]
 
 
 def strict_binders(a: Fam) -> frozenset[int]:
@@ -89,11 +90,18 @@ def _why_obj(x: int, local: int, top: int, m: Obj) -> Optional[str]:
     return None
 
 
-def _chains(prefix: _Gamma, a: Fam, memo: _Memo) -> tuple[Optional[str], ...]:
+def _chains(prefix: Binders, a: Fam, memo: _Memo) -> tuple[Optional[str], ...]:
     """Per binder of the problem of `prefix` and `a`'s Pi binders, with
     `a`'s base, its chain or None; `memo` holds the problems of the
-    binder types already solved."""
+    binder types already solved.  A chain names `a`'s binders apart from
+    the prefix's names and from the free variables of `a` and of the
+    prefix's types."""
     binders, base = split_fam_pis(a)
+    if binders:
+        taken = {n for n, _ in prefix}.union(
+            free_vars(a), *(free_vars(t) for _, t in prefix))
+        names = names_apart([hint for hint, _ in binders], taken)
+        binders = [(n, t) for n, (_, t) in zip(names, binders)]
     gamma = prefix + tuple(binders)
     head, args = spine(base)
     if not isinstance(head, FConst):

@@ -8,41 +8,31 @@ The bridge works at three levels:
 * ``encode`` erases types from objects and base type families, keeping
   shape: constants stay themselves (retyped by phi), abstraction
   annotations become simple types, and an LF index is the same hohh
-  index, typed from a stack of the simple types of the binders above
-  it.  It keeps one memo per call, keyed by identity under fixed
-  binders and dropped at a lambda, so each distinct subterm is encoded
-  once and the term shares what the LF term shares (the parser builds
-  equal subterms as one object).
+  index.  Each distinct subterm is encoded once, so the term shares
+  what the LF term shares.
 * ``translate_judgment`` maps a classifier A and a subject term M to a
   formula asserting M inhabits A.  Each Pi binder of A gets a typing
   premise, the translation of its type with the polarity flipped: the
   clause's own binders sit at positive positions, the binders of their
-  types at negative ones, and so on down.  The premise sits under the
-  binder's own quantifier and the type does not, so the type is lifted
-  over it.  The naive mode keeps every
+  types at negative ones, and so on down.  The naive mode keeps every
   premise.  The optimized mode runs the strictness analysis once per
   positive position: a binder that occurs strictly in the rest of its
   type gets no premise, because any well-typed use already pins its
   instantiation.
 
 ``translate_signature`` packages a signature, or a view of one, as a
-Program with one clause per object declaration, in declaration order.
-Kind declarations contribute only signature entries, never clauses.
-Each constant's clause is translated once per signature and mode and
-kept in the signature's ``clauses`` table.  ``reachable_signature``
-picks the view a query needs: the type families its translated clauses
-can reach from the query's family, so ``lflp solve`` translates and
-compiles only those, while ``lflp translate`` packages the whole
-signature.  ``translate_query`` makes a query's goal; the kernel's
-`check_query` types the query's free variables.
+Program with one clause per object declaration, in declaration order,
+each translated once per signature and mode (the signature's
+``clauses`` table).  ``reachable_signature`` picks the view a query
+needs, the type families its clauses can reach from the query's
+family, so ``lflp solve`` compiles only those.  ``translate_query``
+makes a query's goal; the kernel's `check_query` types its variables.
 
 The emitter prints a Program in lambdaProlog concrete syntax; its
 literal mode shows each binder without a premise as ``pi X\\ (true => D)``.
-One renderer, `_render_term`, prints every term, at one frame of
-Python's stack per nested argument, so a clause nests as deep as the
-parser reads; an index reads its name off the stack of printed binder
-names.  Before a clause is printed, one walk collects its lambda binder
-names; it visits a subterm the clause shares once, by identity.
+One renderer, `_render_term`, prints every term, an index by the stack
+of printed binder names, at one frame of Python's stack per nested
+argument, so a clause nests as deep as the parser reads.
 """
 
 from __future__ import annotations
@@ -101,11 +91,9 @@ def encode(sig: lf.Signature, e: Union[lf.Obj, lf.Fam],
            memo: Optional[dict[int, Term]] = None) -> Term:
     """The term of an object or a base type family under binders of the
     simple types `types`, innermost last: LF index i is hohh index i, of
-    type ``types[-1 - i]``.  `free` maps each free LF variable to its
-    closed term.  `memo`, made by the outermost call, maps each subterm
-    encoded under `types`, by identity, to its term, so the term shares
-    what `e` shares; a lambda's body, under one binder more, starts a
-    memo of its own."""
+    type ``types[-1 - i]``, and `free` maps each free LF variable to its
+    closed term.  `memo` maps each subterm encoded under `types`, by
+    identity, to its term, so the term shares what `e` shares."""
     if memo is None:
         types, memo = list(types), {}
     t = memo.get(id(e))
@@ -143,15 +131,12 @@ def translate_judgment(sig: lf.Signature, a: lf.Fam, subject: Term,
                        types: Sequence[SimpleType] = ()) -> Formula:
     """The formula asserting that `subject` inhabits `a`, both under
     binders of the simple types `types`, with `free` as `encode` reads
-    it.
-
-    Each Pi binder gets a premise: the translation of its type at the
-    opposite polarity, lifted over the binder's own quantifier.  In
+    it.  Each Pi binder gets a premise: the translation of its type at
+    the opposite polarity, lifted over the binder's own quantifier.  In
     optimized mode a positive position first runs the strictness
     analysis, and its strict binders get no premise.  The subject is a
     constant or a bound variable, applied here only to bound variables,
-    so no redex arises and nothing is normalized.
-    """
+    so no redex arises and nothing is normalized."""
     free = free or {}
     types = list(types)
     binders, base = lf.split_fam_pis(a)
@@ -266,13 +251,16 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
                     a: lf.Fam) -> QueryTranslation:
     """The goal of the query type `a` with the free variables `free`, as
     `parse_query(text, sig)` returns them: `a` is a base type headed by
-    a type constant of `sig`.  Too many arguments to it, or one headed by
-    no object constant, is refused in the translator's words."""
+    a type constant of `sig`.  Too many arguments to it, or one holding a
+    constant that is no object constant (the first in the kernel's
+    order), is refused in the translator's words."""
     head, args = lf.spine(a)
     arity = len(lf.pi_dependencies(sig.lookup(head.name)))
-    for name in _object_constants(args[:arity]):
-        if not isinstance(sig.lookup(name), (lf.FConst, lf.FApp, lf.FPi)):
-            raise TranslationError(f"unknown object constant {name}")
+    for arg in args[:arity]:
+        for c, _ in lf.leaves(arg):
+            if type(c) is lf.OConst and not isinstance(
+                    sig.lookup(c.name), (lf.FConst, lf.FApp, lf.FPi)):
+                raise TranslationError(f"unknown object constant {c.name}")
     if len(args) > arity:
         raise TranslationError(f"too many arguments to {head.name}")
     try:
@@ -290,20 +278,6 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
     # a base type has no binders, so either mode gives the one atom
     goal = translate_judgment(sig, a, subject, "naive", free=dict(var_lvars))
     return QueryTranslation(goal, subject, var_lvars, var_types, a)
-
-
-def _object_constants(args: list[lf.Obj]) -> Iterator[str]:
-    """The object constants of `args` in the order the kernel meets
-    them: left to right, depth first, a binder's type before its body."""
-    stack = args[::-1]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, (lf.OApp, lf.FApp)):
-            stack += (e.arg, e.fn)
-        elif isinstance(e, (lf.OLam, lf.FPi)):
-            stack += (e.body, e.dom)
-        elif isinstance(e, lf.OConst):
-            yield e.name
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +321,15 @@ def _render_clause(f: Formula, names: dict[str, bool],
     """`f` in lambdaProlog syntax.  Quantifier binders are uppercased, and
     binders are renamed where needed to stay distinct from constants,
     keywords, and every term-level binder in the clause.  In literal
-    mode a quantifier whose body is not an implication prints its body
-    as ``true => D``: in a translated clause that is exactly a binder
-    left without a premise, since every other binder has one.
+    mode a quantifier whose body is not an implication, in a translated
+    clause a binder without a premise, prints its body as ``true => D``.
 
-    `names` is the emitter's two sets of names in one map, grown in
-    place.  Its keys are the names taken: the forbidden ones (constants
-    and keywords), the clause's quantifier names, and every lambda
-    binder's own name, collected first so no quantifier takes one bound
-    later in the clause.  The forbidden and quantifier names map to
-    True: a lambda binder keeps clear of them.  Names are picked in
-    print order, and the clause's names, each a new key, are popped
-    again on return (a dict pops its newest key first)."""
+    `names` maps each name taken to whether a lambda binder must keep
+    clear of it: True for the constants, keywords and quantifier names,
+    False for the clause's lambda names, collected first (in one walk
+    that visits a shared subterm once) so no quantifier takes one bound
+    later.  The clause's names, each a new key, are popped on return
+    (a dict pops its newest key first)."""
     size = len(names)
     stack: list = [f]
     seen: set[int] = set()

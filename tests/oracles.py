@@ -938,9 +938,7 @@ def has_unifier_bruteforce(lhs: Term, rhs: Term, heads: list[Term],
 # a judgment, the one asked about included, stays a candidate.  Exponential
 # in the number of binders, so only for small classifiers.
 
-# each binder's name, renamed apart where a name would be captured, its
-# type, and its hint, which the report prints as the package does
-_Gamma = tuple[tuple[str, Fam, str], ...]
+_Gamma = tuple[tuple[str, Fam], ...]
 
 
 def strict_in_object(candidates: Iterable[str], delta: Iterable[str],
@@ -996,7 +994,7 @@ def dfs_explain_strictness(a: Fam) -> list[tuple[str, bool, str]]:
     gamma, base = dfs_peel((), lf_to_named(a))
     pi = f"PI_t^{len(names) - 1}; " if len(names) > 1 else ""
     report = []
-    for name, (x, _, _) in zip(names, gamma):
+    for name, (x, _) in zip(names, gamma):
         why = _why_base(gamma, x, base, frozenset())
         if why is None:
             report.append((name, False, "no strict occurrence"))
@@ -1009,15 +1007,15 @@ def dfs_peel(gamma: _Gamma, a: Fam) -> tuple[_Gamma, Fam]:
     """Move the Pi binders of the named `a` onto gamma, each renamed
     apart from every name bound in gamma or free in a type of gamma or
     anywhere in `a`."""
-    taken = {n for n, _, _ in gamma} | named_lf_free_vars(a)
-    for _, b, _ in gamma:
+    taken = {n for n, _ in gamma} | named_lf_free_vars(a)
+    for _, b in gamma:
         taken |= named_lf_free_vars(b)
     while isinstance(a, FPi):
         var, body = a.var, a.body
         if var in taken:
             var = fresh_name(var, taken | named_lf_free_vars(body))
             body = named_lf_subst(body, {a.var: OVar(var)})
-        gamma = gamma + ((var, a.dom, a.var),)
+        gamma = gamma + ((var, a.dom),)
         taken.add(var)
         a = body
     return gamma, a
@@ -1041,13 +1039,12 @@ def _why_base(gamma: _Gamma, x: str, base: Fam,
     blocked = blocked | {key}
     head, args = spine(base)
     if isinstance(head, FConst):
-        candidates = frozenset(n for n, _, _ in gamma)
+        candidates = frozenset(n for n, _ in gamma)
         for i, arg in enumerate(args):
             inner = named_why_obj(candidates, frozenset(), x, arg)
             if inner is not None:
                 return f"APP_t(arg {i + 1}); {inner}"
-    hint = {n: h for n, _, h in gamma}
-    for j, (y, b, _) in enumerate(gamma):
+    for j, (y, b) in enumerate(gamma):
         if y == x:
             continue
         pivot = _why_base(gamma, y, base, blocked)
@@ -1056,8 +1053,8 @@ def _why_base(gamma: _Gamma, x: str, base: Fam,
         through = _why_type(gamma[:j], x, b, blocked)
         if through is None:
             continue
-        return (f"CTX_t(pivot {hint[y]}) {{{hint[y]} in target: {pivot}}} "
-                f"{{{hint[x]} in type of {hint[y]}: {through}}}")
+        return (f"CTX_t(pivot {y}) {{{y} in target: {pivot}}} "
+                f"{{{x} in type of {y}: {through}}}")
     return None
 
 

@@ -79,6 +79,20 @@ _VEC = "nat : type.\nz : nat.\nvec : nat -> type.\n"
     ("h : vec foo.", "[var-obj] unknown constant 'foo' (in declaration 'h')"),
     ("w : vec ([x:nat] x).", "[app-fam] [x:nat] x has type nat -> nat, "
                              "expected nat (in declaration 'w')"),
+    # a message under binders names them: the innermost, an outer one,
+    # and a shadowing one, which the parser names apart
+    ("eq : nat -> nat -> type. c : {x:nat} eq x.",
+     "[pi-fam] Pi body eq x has kind nat -> type, not type "
+     "(in declaration 'c')"),
+    ("eq : nat -> nat -> type. c : {x:nat} {y:nat} eq x.",
+     "[pi-fam] Pi body eq x has kind nat -> type, not type "
+     "(in declaration 'c')"),
+    ("eq : nat -> nat -> type. c : {x:nat} {x:nat} eq x.",
+     "[pi-fam] Pi body eq x1 has kind nat -> type, not type "
+     "(in declaration 'c')"),
+    ("eq : nat -> nat -> type. c : {x:nat} {y:eq x} nat.",
+     "[pi-fam] Pi domain eq x has kind nat -> type, not type "
+     "(in declaration 'c')"),
 ])
 def test_check_error_texts_pinned(capsys, tmp_path, decl, message):
     # the binder rules' domain checks, the category errors and the

@@ -151,8 +151,9 @@ def renaming_names(path: Path) -> list[str]:
 
 def test_kernel_and_strictness_rename_no_binder(tmp_path):
     # bound variables are indices: the kernel and the strictness
-    # analysis choose no names, which only the parser, the printer and
-    # the inverter do
+    # analysis rename no binder; the parser, the printer and the
+    # inverter choose names, and `lf_syntax.names_apart` those of the
+    # strictness report's text
     probe = tmp_path / "probe.py"
     probe.write_text("from .lf_syntax import fresh_name as f\n"
                      "def g(x):\n    return lf.rename_apart(x, fresh_name)\n")

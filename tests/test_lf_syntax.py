@@ -113,8 +113,9 @@ def test_a_binder_is_renamed_only_where_its_hint_would_capture():
     ]
     for e, text in cases:
         assert lf.print_lf(e) == text
-    # loose indices print as the names given for the binders above
-    assert lf.print_lf(lf.OApp(lf.OBVar(0), lf.OBVar(1)), ["a", "b"]) == "b a"
+    # loose indices print as the hints of the binders given above
+    assert lf.print_lf(lf.OApp(lf.OBVar(0), lf.OBVar(1)),
+                       [("a", nat), ("b", nat)]) == "b a"
 
 
 def test_every_data_declaration_prints_as_pinned():
