@@ -32,8 +32,8 @@ from . import lf_syntax as lf
 from .engine import Limits, Solution, solve
 from .inverter import FreeVars, InversionError, invert
 from .lf_kernel import (
-    LFFuelError, LFTypeError, check_object, check_signature, check_type,
-    instantiate_normal, normal_classifier,
+    LFFuelError, LFTypeError, beta_normalize, check_object, check_signature,
+    check_type, instantiate_normal, normal_classifier, substitute,
 )
 from .strictness import explain_strictness
 from .translator import (
@@ -94,7 +94,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.command == "solve":
@@ -190,54 +190,29 @@ def cmd_solve(sig: lf.Signature, query: str, mode: str,
 def _solution_lines(sig: lf.Signature, qt, sol: Solution) -> list[str]:
     """`sol` inverted to LF: a `% free:` line per unsolved logic variable,
     each type checked in the context of those before it, then each query
-    variable's value and the inhabitant.  The kernel checks the
-    inhabitant at the query's type T instantiated by the values, and
-    with it each value T holds where no instance drops it (see
-    `_kept_vars`): a wrong lambda annotation needs a wrong earlier
-    argument, since the inverter takes each from the type it expects.
-    Every other value gets a check of its own: N in ``append nil nil
-    (([x:nat] nil) N)``, which T lacks, and F in ``eval (([f:tm -> tm] f
-    E) F) V``, whose T ``eval (F E) V`` meets F only through a redex.
-    Inversion and checks follow the answer's sharing, so both grow with
-    its distinct subterms; only the printing grows with its size."""
+    variable's value and the inhabitant.  One kernel check judges the
+    rest: the inhabitant at the query type as parsed, instantiated by the
+    values, whose own check meets each value where the query holds it,
+    inside a redex, at an application's head or unapplied.  Inversion and
+    checks follow the answer's sharing, so both grow with its distinct
+    subterms; only the printing grows with its size."""
     frees = FreeVars(name for name, _ in qt.var_lvars)
     sub: dict[str, lf.Obj] = {}
     for name, v in qt.var_lvars:
         ty = instantiate_normal(qt.var_types[name], free=sub)
         sub[name] = invert(sig, (), sol.value(v), ty, frees)
-    ty = instantiate_normal(qt.fam, free=sub)
-    inhabitant = invert(sig, (), sol.value(qt.subject), ty, frees)
+    expected = substitute(qt.fam, free=sub)
+    inhabitant = invert(sig, (), sol.value(qt.subject),
+                        beta_normalize(expected), frees)
     ctx: lf.Context = {}
     for name, fam in frees.types.values():
         check_type(sig, ctx, fam)
         ctx[name] = fam
-    check_object(sig, ctx, inhabitant, ty)
-    kept = _kept_vars(qt.fam)
-    for name, obj in sub.items():
-        if name not in kept:
-            check_object(sig, ctx, obj,
-                         instantiate_normal(qt.var_types[name], free=sub))
+    check_object(sig, ctx, inhabitant, expected)
     return ([f"% free: {name} : {lf.print_lf(fam)}"
              for name, fam in ctx.items()]
             + [f"{name} = {lf.print_lf(obj)}" for name, obj in sub.items()]
             + [f"inhabitant: {lf.print_lf(inhabitant)}"])
-
-
-def _kept_vars(e: lf.Expr) -> set[str]:
-    """The free variables of `e` at a place no instance of `e` drops:
-    neither an application's head nor inside the arguments of an
-    application headed by a variable."""
-    kept, stack = set(), [e]
-    while stack:
-        head, args = lf.spine(stack.pop())
-        if type(head) is lf.OVar:
-            if not args:
-                kept.add(head.name)
-            continue
-        if isinstance(head, (lf.OLam, lf.FPi)):
-            stack += (head.dom, head.body)
-        stack += args
-    return kept
 
 
 def cmd_strictness(sig: lf.Signature, explain: bool) -> int:

@@ -28,7 +28,8 @@ in one loop, each Mi against its binder's domain instantiated by the
 arguments before it, held by position.  `check_object` and `check_type`
 synthesize each argument object of their root context once, in a table
 keyed by identity that records only successes and is not passed under a
-binder, so a shared answer costs its distinct subobjects.  A binder
+binder, so a shared answer costs its distinct subobjects; `check_object`
+checks its expected type first, in the same table.  A binder
 (`_binder`) pushes its hint and normal domain onto the check's stack,
 and its rule pops it however the body's check ends: O(1) and one frame
 of Python's stack.  A bound variable's type is its binder's domain
@@ -283,12 +284,15 @@ def check_query(sig: Signature, free: tuple[str, ...],
 
 def check_object(sig: Signature, ctx: Context, m: Obj,
                  expected: Optional[Fam] = None) -> Fam:
-    """Synthesize the beta-normal type of `m`; compare to `expected` if given."""
-    t, _ = _synth(sig, ctx, [], m, {})
-    if expected is not None and t != expected:
-        want = beta_normalize(expected)
-        if not convertible(t, want):
-            raise _mismatch(m, t, want, "app-obj", ctx, [])
+    """Synthesize the beta-normal type of `m`.  Given `expected`, check
+    that first, as it is given, and compare its normal form."""
+    shared: _Shared = {}
+    if expected is not None:
+        _, normal = _synth(sig, ctx, [], expected, shared)
+        want = expected if normal else beta_normalize(expected)
+    t, _ = _synth(sig, ctx, [], m, shared)
+    if expected is not None and not convertible(t, want):
+        raise _mismatch(m, t, want, "app-obj", ctx, [])
     return t
 
 

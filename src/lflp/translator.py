@@ -253,7 +253,8 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
     `parse_query(text, sig)` returns them: `a` is a base type headed by
     a type constant of `sig`.  Too many arguments to it, or one holding a
     constant that is no object constant (the first in the kernel's
-    order), is refused in the translator's words."""
+    order), is refused in the translator's words.  The goal is built
+    from the normal form of `a`; `fam` keeps `a` as parsed."""
     head, args = lf.spine(a)
     arity = len(lf.pi_dependencies(sig.lookup(head.name)))
     for arg in args[:arity]:
@@ -270,13 +271,13 @@ def translate_query(sig: lf.Signature, free: tuple[str, ...],
                                else err.message) from None
     if not isinstance(k, lf.KType):
         raise TranslationError("query type is not fully applied")
-    a = a if normal else beta_normalize(a)
     # the query's variables live in the outermost universe, 0
     var_lvars = tuple((n, fresh_lvar_at(n, phi(var_types[n]), 0))
                       for n in free)
     subject = fresh_lvar_at("M", LF_OBJ, 0)
     # a base type has no binders, so either mode gives the one atom
-    goal = translate_judgment(sig, a, subject, "naive", free=dict(var_lvars))
+    goal = translate_judgment(sig, a if normal else beta_normalize(a),
+                              subject, "naive", free=dict(var_lvars))
     return QueryTranslation(goal, subject, var_lvars, var_types, a)
 
 

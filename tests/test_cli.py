@@ -162,6 +162,16 @@ def test_translate_to_a_missing_directory_exits_2(capsys, tmp_path, argv,
                    f"'{tmp_path / missing}'\n")
 
 
+@pytest.mark.parametrize("command", ["check", "translate"])
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, command):
+    # reported as an unreadable file is, in one line
+    path = tmp_path / "latin1.elf"
+    path.write_bytes(b"caf\xe9 : type.\n")
+    assert run_cli(capsys, command, str(path)) == (
+        2, "", "error: 'utf-8' codec can't decode byte 0xe9 in position 3: "
+               "invalid continuation byte\n")
+
+
 def test_translate_no_simplify_keeps_true(capsys):
     _, raw, _ = run_cli(capsys, "translate", "--no-simplify", APPEND)
     assert "true =>" in raw
@@ -509,8 +519,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 def test_solve_too_deep_input_ends_without_traceback():
     # A query over a 600-element list passes Python's default recursion
-    # limit where the translator infers the types of the query's
-    # variables; the user of the command sees one error line, not a
+    # limit where the kernel types the query's variables; the user of the command sees one error line, not a
     # Python traceback.
     items = "nil"
     for _ in range(600):
@@ -1008,30 +1017,64 @@ def test_translate_emits_a_450_element_fact_in_process(tmp_path):
         f"hastype fact (append nil ({items}) ({items})).")
 
 
-def test_solve_exports_a_320_element_answer_in_process():
-    # A 320-element answer through the whole solve path, export included,
+def test_solve_exports_a_480_element_answer_in_process():
+    # A 480-element answer through the whole solve path, export included,
     # on a fresh thread as above.  The export's sharing tables are
-    # arguments, not Python frames, so the inverter (one frame per level)
-    # and the kernel (two) keep the 321-level inhabitant under the default
-    # recursion limit.  At 330 elements the engine's `Subst._walk`
-    # overflows first.
-    items = _ground_list(320)
+    # arguments, not Python frames, and the kernel compares the
+    # inhabitant's type by `convertible`, so the inverter (one frame per
+    # level) and the kernel (two) keep the 481-level inhabitant under the
+    # default recursion limit.
+    items = _ground_list(480)
     result = []
     out = io.StringIO()
 
     def export():
         with contextlib.redirect_stdout(out):
             result.append(main(["solve", str(DATA / "appendplus.elf"),
-                                f"append ({items}) nil L", "--depth", "325"]))
+                                f"append ({items}) nil L", "--depth", "485"]))
 
     worker = threading.Thread(target=export)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert result == [0]
-    sig = oracles.load_signature("appendplus.elf")
     value = out.getvalue().splitlines()[0]
     assert value == f"L = {lf.print_lf(lf.parse_object(items))}"
+
+
+def test_solve_export_of_a_490_element_answer_ends_in_the_kernel(capsys):
+    # At 490 levels the kernel's one export check reaches the default
+    # recursion limit in its spine recursion, as `check` does at 500,
+    # and the command reports it as one error line.
+    argv = ["solve", str(DATA / "appendplus.elf"),
+            f"append ({_ground_list(490)}) nil L", "--depth", "495"]
+    raised, codes = [], []
+
+    def export():
+        try:
+            main(argv)
+        except RecursionError as err:
+            raised.append(err)
+        try:
+            cli.run(argv)
+        except SystemExit as stop:
+            codes.append(stop.code)
+
+    worker = threading.Thread(target=export)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    [err] = raised
+    names = [f.name for f in traceback.extract_tb(err.__traceback__)]
+    below = names[names.index("check_object") + 1:]
+    assert below.count("_synth") == below.count("_check_spine") >= 480
+    # only the pre-test of the deepest argument compares nodes with ==
+    assert set(below) <= {"_synth", "_check_spine", "__eq__"}
+    assert below.count("__eq__") < 10
+    out, errtext = capsys.readouterr()
+    assert (codes, out, errtext) == (
+        [2], "", "error: input nested too deeply (Python's recursion limit "
+                 "was reached)\n")
 
 
 # --- transcript -----------------------------------------------------------

@@ -698,6 +698,21 @@ def test_check_object_argument_mismatch():
         check_object(sig, {}, _parse_obj("appNil z"))
 
 
+def test_check_object_judges_its_expected_type():
+    # the expected type is checked as given, before it is normalized: a
+    # redex whose argument is ill-typed is refused, though its normal
+    # form, append nil nil nil, is the type of appNil nil
+    sig = oracles.load_signature("append.elf")
+    m = _parse_obj("appNil nil")
+    t = check_object(sig, {}, m,
+                     _parse_fam("append nil nil (([x:nat] nil) z)", sig))
+    assert lf.alpha_eq(t, _parse_fam("append nil nil nil", sig))
+    with pytest.raises(LFTypeError,
+                       match=r"\[app-obj\] nil has type list, expected nat"):
+        check_object(sig, {}, m,
+                     _parse_fam("append nil nil (([x:nat] nil) nil)", sig))
+
+
 def test_check_object_unbound_variable():
     sig = oracles.load_signature("append.elf")
     with pytest.raises(LFTypeError):
